@@ -164,8 +164,8 @@ void write_des_bench_record(const DesBenchRecord& record,
 
 /// Observability overhead (PR 10): per-op cost of the ct_obs primitives
 /// and the enabled-vs-disabled cost of the instrumented DES hot loop.
-/// Recorded by bench_micro; the <2% enabled-but-idle bound is asserted in
-/// its exit code.
+/// Recorded by bench_micro, which prints the <2% enabled-but-idle target
+/// but does not gate on this timing.
 struct ObsBenchRecord {
   std::string name;                  ///< record key ("bench_micro")
   double counter_inc_ns = 0.0;       ///< Counter::inc, registry enabled

@@ -102,29 +102,63 @@ WindSample StormStepKernel::sample(geo::Vec2 point) const noexcept {
     return out;
   }
 
-  // ratio and exp(-ratio) feed both the pressure profile and the gradient
-  // wind; the legacy path evaluates them once per formula with identical
-  // arguments, so sharing the results is bit-preserving.
-  const double ratio = std::pow(rmax_m_ / r, holland_b_);
-  const double decay = std::exp(-ratio);
-  out.pressure_pa = central_pressure_pa_ + dp_ * decay;
-
-  const double cyclostrophic = bdp_ * ratio * decay;
-  const double rf2 = r * f_ / 2.0;
-  const double gradient = std::sqrt(cyclostrophic + rf2 * rf2) - rf2;
-  const double surface = gradient * surface_factor_;
+  const Profile profile = profile_at(r);
+  out.pressure_pa = profile.pressure_pa;
+  const double surface = profile.gradient * surface_factor_;
 
   const geo::Vec2 radial_hat = radial / r;
   const geo::Vec2 tangential_hat = radial_hat.perp();
   geo::Vec2 v = tangential_hat * (surface * cos_a_) -
                 radial_hat * (surface * sin_a_);
-
-  const double weight =
-      vmax_ > 0.0 ? std::clamp(gradient / vmax_, 0.0, 1.0) : 0.0;
-  v += translation_ms_ * (translation_fraction_ * weight);
+  v += translation_ms_ * (translation_fraction_ * profile.weight);
 
   out.velocity_ms = v;
   out.speed_ms = v.norm();
+  return out;
+}
+
+StormStepKernel::Profile StormStepKernel::profile_at(double r) const noexcept {
+  // ratio and exp(-ratio) feed both the pressure profile and the gradient
+  // wind; the legacy path evaluates them once per formula with identical
+  // arguments, so sharing the results is bit-preserving.
+  const double ratio = std::pow(rmax_m_ / r, holland_b_);
+  const double decay = std::exp(-ratio);
+  const double cyclostrophic = bdp_ * ratio * decay;
+  const double rf2 = r * f_ / 2.0;
+  Profile out;
+  out.pressure_pa = central_pressure_pa_ + dp_ * decay;
+  out.gradient = std::sqrt(cyclostrophic + rf2 * rf2) - rf2;
+  out.weight = vmax_ > 0.0 ? std::clamp(out.gradient / vmax_, 0.0, 1.0) : 0.0;
+  return out;
+}
+
+std::optional<DiskBound> StormStepKernel::bound_over_disk(
+    geo::Vec2 disk_center, double radius) const noexcept {
+  // Written so that NaN in any input fails the test and yields no bound.
+  if (!(surface_factor_ >= 0.0 && translation_fraction_ >= 0.0 &&
+        holland_b_ > 0.0 && rmax_m_ > 0.0 && radius >= 0.0)) {
+    return std::nullopt;
+  }
+  const geo::Vec2 offset = disk_center - center_;
+  const double d = offset.norm();
+  const double r = d - radius;
+  if (!(r > std::max(rmax_m_, 1.0))) return std::nullopt;
+
+  // For r > Rmax the ratio (Rmax/r)^B lies in (0, 1), where
+  // ratio * exp(-ratio) rises with the ratio, so the cyclostrophic term
+  // falls with distance; the Coriolis term rises, and sqrt(C + a^2) - a
+  // falls as C falls or a rises. The pressure rises with exp(-ratio).
+  const Profile profile = profile_at(r);
+  DiskBound out;
+  out.vortex_ms = profile.gradient * surface_factor_;
+  out.asymmetry_ms = translation_ms_ * (translation_fraction_ * profile.weight);
+  out.pressure_pa = profile.pressure_pa;
+  // The vortex wind at bearing phi points along phi + 90 deg + inflow, so
+  // its direction turns exactly as the bearing does across the disk.
+  const geo::Vec2 radial_hat = offset / d;
+  out.vortex_dir = radial_hat.perp() * cos_a_ - radial_hat * sin_a_;
+  out.sin_half = radius / d;
+  out.cos_half = std::sqrt(1.0 - out.sin_half * out.sin_half);
   return out;
 }
 

@@ -3,6 +3,8 @@
 // forced with exactly this family of wind fields).
 #pragma once
 
+#include <optional>
+
 #include "geo/vec2.h"
 
 namespace ct::storm {
@@ -64,6 +66,27 @@ class HollandWindField {
   Options opts_;
 };
 
+/// Mathematical bounds of one storm step's wind and pressure over a disk
+/// that stays beyond the radius of maximum winds (see
+/// StormStepKernel::bound_over_disk). Rounding is not covered: callers that
+/// compare against sampled values add their own margin.
+struct DiskBound {
+  /// >= the surface vortex wind speed (gradient * surface factor).
+  double vortex_ms = 0.0;
+  /// The forward-motion asymmetry term at the disk's nearest distance.
+  /// Anywhere in the disk that term is this vector times a factor in
+  /// [0, 1].
+  geo::Vec2 asymmetry_ms;
+  /// <= the sea-level pressure (Pa).
+  double pressure_pa = 0.0;
+  /// Unit direction of the vortex wind at the disk center. Anywhere in the
+  /// disk the vortex wind points within the half-angle of it.
+  geo::Vec2 vortex_dir;
+  /// Cosine and sine of the half-angle the disk subtends at the center.
+  double cos_half = 1.0;
+  double sin_half = 0.0;
+};
+
 /// Per-time-step evaluator: freezes one (params, center, translation)
 /// snapshot and hoists everything constant across sample points out of the
 /// per-node loop (pressure deficit, Coriolis magnitude, inflow-angle
@@ -84,7 +107,25 @@ class StormStepKernel {
   /// Eyewall gradient wind V(Rmax) for this snapshot (m/s).
   double vmax_ms() const noexcept { return vmax_; }
 
+  /// Bounds over every point of the disk (`disk_center`, `radius`), taken
+  /// from the profile at the disk's nearest distance r_lo. Beyond Rmax the
+  /// gradient wind, the pressure deficit and the asymmetry weight all fall
+  /// monotonically with distance, so their values at r_lo bound every
+  /// farther point. Empty when r_lo <= max(Rmax, 1 m) (the eyewall or the
+  /// calm eye may lie inside), or when a negative surface or translation
+  /// factor, or a non-positive Holland B or Rmax, breaks that monotonicity.
+  std::optional<DiskBound> bound_over_disk(geo::Vec2 disk_center,
+                                           double radius) const noexcept;
+
  private:
+  /// The radial profile at distance r > 1 m.
+  struct Profile {
+    double pressure_pa = 0.0;
+    double gradient = 0.0;  ///< gradient wind (m/s)
+    double weight = 0.0;    ///< asymmetry weight clamp(gradient / vmax)
+  };
+  Profile profile_at(double r) const noexcept;
+
   geo::Vec2 center_;
   geo::Vec2 translation_ms_;
   double central_pressure_pa_;

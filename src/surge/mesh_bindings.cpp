@@ -2,12 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "geo/polygon.h"
 #include "storm/holland.h"
 
 namespace ct::surge {
+
+namespace {
+
+/// Station columns per envelope tile.
+constexpr std::uint32_t kTileStations = 4;
+
+/// rho*g, the same product the reference inverse-barometer term divides by.
+constexpr double kRhoG = kWaterDensity * kGravity;
+
+/// One storm step inside the far-skip radius.
+struct EnvelopeStep {
+  storm::StormStepKernel kernel;
+  geo::Vec2 center;
+  double ambient_pa = 0.0;
+};
+
+}  // namespace
 
 MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
                            const geo::EnuProjection& proj,
@@ -69,6 +87,33 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     active_gdepth_.push_back(kGravity * depth);
   }
 
+  // Envelope tiles: maximal runs of active nodes in the same group of
+  // kTileStations station columns. The builder lays nodes out station by
+  // station, so a group is one run; any other layout only splits tiles.
+  const auto group_of = [&](std::size_t k) {
+    return cm.station_of_node[active_nodes_[k]] / kTileStations;
+  };
+  for (std::size_t begin = 0; begin < active_nodes_.size();) {
+    std::size_t end = begin + 1;
+    while (end < active_nodes_.size() && group_of(end) == group_of(begin)) {
+      ++end;
+    }
+    geo::BBox tile_box;
+    for (std::size_t k = begin; k < end; ++k) {
+      tile_box.expand(active_positions_[k]);
+    }
+    EnvelopeTile tile;
+    tile.begin = static_cast<std::uint32_t>(begin);
+    tile.end = static_cast<std::uint32_t>(end);
+    tile.center = tile_box.center();
+    for (std::size_t k = begin; k < end; ++k) {
+      tile.radius_m = std::max(
+          tile.radius_m, geo::distance(active_positions_[k], tile.center));
+    }
+    tiles_.push_back(tile);
+    begin = end;
+  }
+
   auto index = std::make_shared<AssetIndex>();
   asset_ids_.reserve(assets.size());
   asset_ground_m_.reserve(assets.size());
@@ -96,41 +141,116 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
   asset_index_ = std::move(index);
 }
 
-void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
-                                       const geo::EnuProjection& proj,
-                                       mesh::NodeField& envelope) const {
-  envelope.assign(cm_.mesh.node_count(), 0.0);
-  const std::size_t active_count = active_nodes_.size();
-  // Per-realization constants, folded exactly as the reference solver
-  // writes them: (exponent - 1.0) feeds pow unchanged, and rho*g is the
-  // same product the inverse-barometer term divides by.
-  const double exponent_m1 = surge_.wind_setup_exponent - 1.0;
-  const double rho_g = kWaterDensity * kGravity;
+double EnvelopeBound::at(geo::Vec2 onshore, double gdepth) const noexcept {
+  // Largest projection on `onshore` of a unit vector within the half-angle
+  // of the vortex direction: a cos(psi) + b sin(psi) over |psi| <= half
+  // peaks at |onshore| when its angle atan2(b, a) lies inside, else at the
+  // edge. This is cos(max(0, theta0 - half)) for a unit `onshore`.
+  const double a = wind.vortex_dir.dot(onshore);
+  const double b = std::abs(wind.vortex_dir.cross(onshore));
+  const double along = a > 0.0 && b * wind.cos_half <= a * wind.sin_half
+                           ? std::sqrt(a * a + b * b)
+                           : a * wind.cos_half + b * wind.sin_half;
+  const double u_on = wind.vortex_ms * std::max(0.0, along) +
+                      std::max(0.0, wind.asymmetry_ms.dot(onshore));
+  const double wse =
+      wind_coeff * u_on / gdepth + pressure_m + wave_per_ms * u_on;
+  return gdepth > 0.0 ? wse + wse * 1e-9 + 1e-9
+                      : std::numeric_limits<double>::infinity();
+}
 
+std::optional<EnvelopeBound> envelope_bound(
+    const SurgeConfig& surge, const storm::StormStepKernel& kernel,
+    double ambient_pa, geo::Vec2 disk_center, double radius) {
+  // Each WSE term must rise with the onshore wind, the speed and the
+  // pressure deficit; NaN fails these tests too.
+  if (!(surge.wind_setup_exponent >= 1.0 && surge.wind_setup_scale_m >= 0.0 &&
+        surge.wave_setup_per_ms >= 0.0)) {
+    return std::nullopt;
+  }
+  const std::optional<storm::DiskBound> wind =
+      kernel.bound_over_disk(disk_center, radius);
+  if (!wind) return std::nullopt;
+  EnvelopeBound out;
+  out.wind = *wind;
+  const double speed = wind->vortex_ms + wind->asymmetry_ms.norm();
+  out.wind_coeff = surge.wind_setup_scale_m *
+                   std::pow(speed, surge.wind_setup_exponent - 1.0);
+  out.pressure_m = std::max(0.0, ambient_pa - wind->pressure_pa) / kRhoG;
+  out.wave_per_ms = surge.wave_setup_per_ms;
+  return out;
+}
+
+EnvelopeWork MeshBindings::accumulate_envelope(
+    const storm::StormTrack& track, const geo::EnuProjection& proj,
+    mesh::NodeField& envelope) const {
+  envelope.assign(cm_.mesh.node_count(), 0.0);
+  // Folded exactly as the reference solver writes it: (exponent - 1.0)
+  // feeds pow unchanged.
+  const double exponent_m1 = surge_.wind_setup_exponent - 1.0;
+
+  thread_local std::vector<EnvelopeStep> steps;
+  steps.clear();
   for (double t = track.start_time(); t <= track.end_time();
        t += surge_.dt_s) {
     const storm::StormState state = track.state_at(t, proj);
     const geo::Vec2 center = proj.to_enu(state.center);
     if (geo::distance(center, mesh_center_) > mesh_radius_) continue;
+    steps.push_back({storm::StormStepKernel(surge_.wind_options, state.vortex,
+                                            center, state.translation_ms),
+                     center, state.vortex.ambient_pressure_pa});
+  }
 
-    const storm::StormStepKernel kernel(surge_.wind_options, state.vortex,
-                                        center, state.translation_ms);
-    const double ambient_pa = state.vortex.ambient_pressure_pa;
-    for (std::size_t k = 0; k < active_count; ++k) {
-      const storm::WindSample w = kernel.sample(active_positions_[k]);
+  EnvelopeWork work;
+  work.node_steps = steps.size() * active_nodes_.size();
+  if (steps.empty()) return work;
+
+  // The max over steps is order-free, so each tile takes its steps in the
+  // order that raises its envelope soonest, and a (node, step) is skipped
+  // when its bound cannot beat the running max. Both keep every bit.
+  const auto visit = [&](const EnvelopeTile& tile, const EnvelopeStep& step) {
+    const std::optional<EnvelopeBound> bound = envelope_bound(
+        surge_, step.kernel, step.ambient_pa, tile.center, tile.radius_m);
+    for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
+      double& env = envelope[active_nodes_[k]];
+      if (bound && bound->at(active_onshore_[k], active_gdepth_[k]) <= env) {
+        continue;
+      }
+      ++work.node_evals;
+      const storm::WindSample w = step.kernel.sample(active_positions_[k]);
       const double u_on =
           std::max(0.0, w.velocity_ms.dot(active_onshore_[k]));
       const double eta_wind = surge_.wind_setup_scale_m * u_on *
                               std::pow(w.speed_ms, exponent_m1) /
                               active_gdepth_[k];
       const double eta_pressure =
-          std::max(0.0, ambient_pa - w.pressure_pa) / rho_g;
+          std::max(0.0, step.ambient_pa - w.pressure_pa) / kRhoG;
       const double eta_wave = surge_.wave_setup_per_ms * u_on;
       const double wse = eta_wind + eta_pressure + eta_wave;
-      double& env = envelope[active_nodes_[k]];
       env = std::max(env, wse);
     }
+  };
+
+  for (const EnvelopeTile& tile : tiles_) {
+    std::size_t nearest = 0;
+    double nearest_m = geo::distance(steps[0].center, tile.center);
+    for (std::size_t s = 1; s < steps.size(); ++s) {
+      const double d = geo::distance(steps[s].center, tile.center);
+      if (d < nearest_m) {
+        nearest_m = d;
+        nearest = s;
+      }
+    }
+    visit(tile, steps[nearest]);
+    // Steps [below, above) are done; widen one step each way in turn.
+    std::size_t below = nearest;
+    std::size_t above = nearest + 1;
+    while (below > 0 || above < steps.size()) {
+      if (above < steps.size()) visit(tile, steps[above++]);
+      if (below > 0) visit(tile, steps[--below]);
+    }
   }
+  return work;
 }
 
 void MeshBindings::impacts_into(const std::vector<double>& shoreline_wse,

@@ -13,13 +13,16 @@
 // shoreline nodes (the extension step overwrites onshore nodes and the
 // output is the per-station shoreline WSE), so `accumulate_envelope`
 // evaluates exactly those nodes with the same IEEE-754 operation sequence
-// the reference SurgeSolver uses and leaves the rest at 0. See DESIGN.md
-// §10 for the full argument.
+// the reference SurgeSolver uses and leaves the rest at 0. It also skips
+// every (node, step) whose WSE provably cannot raise that node's running
+// max, which cannot change a bit of a max. See DESIGN.md §10 for the full
+// argument.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "geo/vec2.h"
 #include "mesh/coastal_builder.h"
 #include "mesh/field.h"
+#include "storm/holland.h"
 #include "storm/track.h"
 #include "surge/inundation.h"
 #include "surge/surge_model.h"
@@ -59,6 +63,48 @@ struct AssetStencil {
 /// for duplicate ids, matching the legacy linear scan).
 using AssetIndex = std::unordered_map<std::string, std::uint32_t>;
 
+/// Active nodes of 4 consecutive station columns (a run of active indices)
+/// and a circle enclosing them.
+struct EnvelopeTile {
+  std::uint32_t begin = 0;  ///< first active index
+  std::uint32_t end = 0;    ///< one past the last active index
+  geo::Vec2 center;
+  double radius_m = 0.0;
+};
+
+/// Upper bound on the WSE one storm step can produce anywhere in a disk.
+/// Margins of 1e-9 relative and 1e-9 m absolute cover the rounding of both
+/// the bound and the solver, which is many orders of magnitude smaller.
+struct EnvelopeBound {
+  storm::DiskBound wind;
+  double wind_coeff = 0.0;  ///< wind-setup scale * max speed^(exponent - 1)
+  double pressure_m = 0.0;  ///< inverse-barometer term at the max deficit
+  double wave_per_ms = 0.0;
+
+  /// Bound, margins included, on the WSE at any point of the disk whose
+  /// onshore direction is `onshore` and g * depth is `gdepth`. +inf when
+  /// `gdepth` is not positive.
+  double at(geo::Vec2 onshore, double gdepth) const noexcept;
+};
+
+/// The bound of `kernel`'s step (ambient pressure `ambient_pa`) over the
+/// disk (`disk_center`, `radius`), or empty when it does not apply: the
+/// storm side's monotonicity fails (see StormStepKernel::bound_over_disk),
+/// or `surge` has a wind-setup exponent below 1 or a negative wind-setup
+/// scale or wave-setup factor.
+std::optional<EnvelopeBound> envelope_bound(
+    const SurgeConfig& surge, const storm::StormStepKernel& kernel,
+    double ambient_pa, geo::Vec2 disk_center, double radius);
+
+/// Work of one accumulate_envelope call.
+struct EnvelopeWork {
+  /// Active nodes x storm steps inside the far-skip radius: what an
+  /// unpruned envelope evaluates.
+  std::uint64_t node_steps = 0;
+  /// The node-steps actually evaluated.
+  std::uint64_t node_evals = 0;
+};
+
 class MeshBindings {
  public:
   /// Builds the precompute. `cm`, `mapper`, and `proj` must outlive the
@@ -70,11 +116,14 @@ class MeshBindings {
 
   /// Writes the MEOW envelope of `track` into `envelope` (resized to the
   /// node count; non-active nodes stay 0). Bit-equal on every consumed
-  /// node to SurgeSolver::max_envelope with the same config. Thread-safe:
-  /// const over frozen arrays, all mutation goes to `envelope`.
-  void accumulate_envelope(const storm::StormTrack& track,
-                           const geo::EnuProjection& proj,
-                           mesh::NodeField& envelope) const;
+  /// node to SurgeSolver::max_envelope with the same config. Each tile
+  /// visits the steps nearest-first, then alternately outward along the
+  /// track, and evaluates a node only when the step's envelope_bound
+  /// exceeds the node's running max. Thread-safe: const over frozen
+  /// arrays; mutation goes to `envelope` and a thread-local step buffer.
+  EnvelopeWork accumulate_envelope(const storm::StormTrack& track,
+                                   const geo::EnuProjection& proj,
+                                   mesh::NodeField& envelope) const;
 
   /// Per-asset impacts from the smoothed shoreline WSE, written into `out`
   /// (cleared first). Bit-equal to InundationMapper::impacts.
@@ -93,6 +142,8 @@ class MeshBindings {
   const std::vector<AssetStencil>& stencils() const noexcept {
     return stencils_;
   }
+  /// Partition of the active nodes the envelope prunes by.
+  const std::vector<EnvelopeTile>& tiles() const noexcept { return tiles_; }
   /// Shared id->index map handed to every realization for O(1) lookups.
   const std::shared_ptr<const AssetIndex>& asset_index() const noexcept {
     return asset_index_;
@@ -119,6 +170,7 @@ class MeshBindings {
   std::vector<geo::Vec2> active_positions_;
   std::vector<geo::Vec2> active_onshore_;  ///< -outward_normal of the station
   std::vector<double> active_gdepth_;      ///< kGravity * floored depth
+  std::vector<EnvelopeTile> tiles_;
 
   std::vector<std::string> asset_ids_;
   std::vector<double> asset_ground_m_;

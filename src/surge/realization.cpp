@@ -6,11 +6,28 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/rng.h"
 
 namespace ct::surge {
+
+namespace {
+
+/// Envelope work of the hot path: node-steps in range and node-steps the
+/// pruned kernel actually evaluated.
+struct SurgeMetrics {
+  obs::Counter node_steps{"surge.node_steps"};
+  obs::Counter node_evals{"surge.node_evals"};
+};
+
+SurgeMetrics& surge_metrics() {
+  static SurgeMetrics m;
+  return m;
+}
+
+}  // namespace
 
 const AssetImpact* HurricaneRealization::find_impact(
     const std::string& id) const {
@@ -178,7 +195,11 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
       generator_.generate(config_.base_seed, index);
   const geo::EnuProjection& proj = terrain_->projection();
 
-  bindings_.accumulate_envelope(track, proj, scratch.envelope);
+  const EnvelopeWork work =
+      bindings_.accumulate_envelope(track, proj, scratch.envelope);
+  SurgeMetrics& metrics = surge_metrics();
+  metrics.node_steps.inc(work.node_steps);
+  metrics.node_evals.inc(work.node_evals);
   mesh::shoreline_average_and_extend(cm_, bindings_.shoreline_plan(),
                                      scratch.envelope, scratch.field_scratch);
   mesh::shoreline_values(cm_, scratch.envelope, scratch.shore_wse);

@@ -6,7 +6,8 @@
 //
 // Two execution paths produce bit-identical results (tests/fastpath_test):
 //  - run(): the hot path over the MeshBindings precompute — per-step storm
-//    kernel, active-node envelope, in-place smoothing, reusable scratch.
+//    kernel, pruned active-node envelope, in-place smoothing, reusable
+//    scratch.
 //  - run_reference(): the original allocating pipeline, kept as the oracle.
 #pragma once
 

@@ -7,20 +7,26 @@
 // serve stale realizations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "geo/polygon.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "scada/oahu.h"
+#include "storm/generator.h"
 #include "surge/realization.h"
 #include "terrain/oahu.h"
 #include "terrain/terrain.h"
 #include "util/digest.h"
+#include "util/rng.h"
 
 namespace ct {
 namespace {
@@ -114,6 +120,38 @@ TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
     c.smoothing_band_m = 0.0;
     variants.push_back({"band-0", c});
   }
+  // The surge physics the envelope bound reads: exponents on both sides of
+  // 1 (below 1 the bound is off), inflow and asymmetry extremes, depth and
+  // time-step changes, a negative wind-setup scale, a wider far-skip radius
+  // and a finer mesh.
+  const auto add = [&](const char* name, auto edit) {
+    RealizationConfig c;
+    edit(c);
+    variants.push_back({name, c});
+  };
+  using C = RealizationConfig&;
+  add("exponent-1", [](C c) { c.surge.wind_setup_exponent = 1.0; });
+  add("exponent-2", [](C c) { c.surge.wind_setup_exponent = 2.0; });
+  add("exponent-4.5", [](C c) { c.surge.wind_setup_exponent = 4.5; });
+  add("exponent-0.5", [](C c) { c.surge.wind_setup_exponent = 0.5; });
+  add("inflow-0", [](C c) { c.surge.wind_options.inflow_angle_deg = 0.0; });
+  add("inflow-45", [](C c) { c.surge.wind_options.inflow_angle_deg = 45.0; });
+  add("inflow-minus-30",
+      [](C c) { c.surge.wind_options.inflow_angle_deg = -30.0; });
+  add("translation-0",
+      [](C c) { c.surge.wind_options.translation_fraction = 0.0; });
+  add("translation-1",
+      [](C c) { c.surge.wind_options.translation_fraction = 1.0; });
+  add("surface-factor-1",
+      [](C c) { c.surge.wind_options.surface_wind_factor = 1.0; });
+  add("min-depth-0.5", [](C c) { c.surge.min_depth_m = 0.5; });
+  add("dt-600", [](C c) { c.surge.dt_s = 600.0; });
+  add("dt-3600", [](C c) { c.surge.dt_s = 3600.0; });
+  add("wave-setup-0", [](C c) { c.surge.wave_setup_per_ms = 0.0; });
+  add("negative-wind-setup", [](C c) { c.surge.wind_setup_scale_m = -8.0e-4; });
+  add("far-skip-600km",
+      [](C c) { c.surge.max_considered_distance_m = 600000.0; });
+  add("shore-spacing-1000", [](C c) { c.mesh.shore_spacing_m = 1000.0; });
 
   for (const Variant& v : variants) {
     const RealizationEngine engine(oahu(), oahu_assets(), v.config);
@@ -144,6 +182,157 @@ TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
     expect_bit_identical(parallel[i],
                          engine.run_reference(static_cast<std::uint64_t>(i)),
                          "parallel[" + std::to_string(i) + "]");
+  }
+}
+
+// ------------------------------------------------ pruned envelope kernel
+
+constexpr std::uint64_t kEnvelopeRealizations = 200;
+
+TEST(Fastpath, EnvelopeKernelMatchesReferenceOnEveryActiveNode) {
+  const RealizationEngine engine(oahu(), oahu_assets(), {});
+  const storm::TrackGenerator generator(engine.config().ensemble);
+  const surge::SurgeSolver solver(engine.config().surge);
+  const geo::EnuProjection& proj = engine.terrain().projection();
+  mesh::NodeField envelope;
+  for (std::uint64_t i = 0; i < kEnvelopeRealizations; ++i) {
+    const storm::StormTrack track =
+        generator.generate(engine.config().base_seed, i);
+    engine.bindings().accumulate_envelope(track, proj, envelope);
+    const mesh::NodeField reference =
+        solver.max_envelope(engine.coastal_mesh(), track, proj);
+    for (const mesh::NodeId node : engine.bindings().active_nodes()) {
+      ASSERT_EQ(bits(envelope[node]), bits(reference[node]))
+          << "realization " << i << " node " << node;
+    }
+  }
+}
+
+TEST(Fastpath, EnvelopePruningEvaluatesAtMostAQuarterOfNodeSteps) {
+  const RealizationEngine engine(oahu(), oahu_assets(), {});
+  const RealizationConfig& config = engine.config();
+  const storm::TrackGenerator generator(config.ensemble);
+  const geo::EnuProjection& proj = engine.terrain().projection();
+  geo::BBox box;
+  for (const mesh::Node& node : engine.coastal_mesh().mesh.nodes()) {
+    box.expand(node.position);
+  }
+  const double far_skip_m = std::max(box.width(), box.height()) / 2.0 +
+                            config.surge.max_considered_distance_m;
+
+  mesh::NodeField envelope;
+  std::uint64_t steps = 0;
+  std::uint64_t evals = 0;
+  for (std::uint64_t i = 0; i < kEnvelopeRealizations; ++i) {
+    const storm::StormTrack track = generator.generate(config.base_seed, i);
+    const surge::EnvelopeWork work =
+        engine.bindings().accumulate_envelope(track, proj, envelope);
+    // node_steps is the unpruned count: active nodes x in-range steps.
+    std::uint64_t in_range = 0;
+    for (double t = track.start_time(); t <= track.end_time();
+         t += config.surge.dt_s) {
+      const geo::Vec2 c = proj.to_enu(track.state_at(t, proj).center);
+      if (geo::distance(c, box.center()) <= far_skip_m) ++in_range;
+    }
+    ASSERT_EQ(work.node_steps,
+              in_range * engine.bindings().active_nodes().size())
+        << "realization " << i;
+    ASSERT_LE(work.node_evals, work.node_steps) << "realization " << i;
+    steps += work.node_steps;
+    evals += work.node_evals;
+  }
+  ASSERT_GT(steps, 0u);
+  // A loosened bound fails here without any timing.
+  EXPECT_LE(static_cast<double>(evals) / static_cast<double>(steps), 0.25)
+      << evals << " of " << steps << " node-steps evaluated";
+}
+
+TEST(Fastpath, EnvelopeBoundHoldsForRandomStormsAndSurgePhysics) {
+  const RealizationEngine engine(oahu(), oahu_assets(), {});
+  const mesh::CoastalMesh& cm = engine.coastal_mesh();
+  const surge::MeshBindings& bindings = engine.bindings();
+  const geo::EnuProjection& proj = engine.terrain().projection();
+  geo::BBox box;
+  for (const mesh::Node& node : cm.mesh.nodes()) box.expand(node.position);
+
+  util::Rng rng(20221013, "envelope-bound");
+  std::size_t bounded_tiles = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Physics inside the bound's preconditions, from gentle to extreme.
+    surge::SurgeConfig surge;
+    surge.wind_setup_exponent = rng.uniform(1.0, 5.0);
+    surge.wind_setup_scale_m = rng.uniform(0.0, 2.0e-3);
+    surge.wave_setup_per_ms = rng.uniform(0.0, 0.02);
+    surge.min_depth_m = rng.uniform(0.1, 5.0);
+    surge.wind_options.surface_wind_factor = rng.uniform(0.0, 1.2);
+    surge.wind_options.inflow_angle_deg = rng.uniform(-60.0, 60.0);
+    surge.wind_options.translation_fraction = rng.uniform(0.0, 1.5);
+
+    storm::StormState state;
+    state.vortex.ambient_pressure_pa = rng.uniform(100500.0, 102000.0);
+    state.vortex.central_pressure_pa = rng.uniform(90000.0, 100500.0);
+    state.vortex.rmax_m = rng.uniform(5000.0, 120000.0);
+    state.vortex.holland_b = rng.uniform(0.8, 2.5);
+    state.vortex.latitude_deg = rng.uniform(5.0, 35.0);
+    const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
+    const double range_m = rng.uniform(0.0, 400000.0);
+    state.center = proj.to_geo(
+        box.center() +
+        geo::Vec2{std::cos(bearing), std::sin(bearing)} * range_m);
+    state.translation_ms = {rng.uniform(-15.0, 15.0),
+                            rng.uniform(-15.0, 15.0)};
+
+    // The reference field the envelope maxes over.
+    const mesh::NodeField wse =
+        surge::SurgeSolver(surge).instantaneous(cm, state, proj);
+    const storm::StormStepKernel kernel(surge.wind_options, state.vortex,
+                                        proj.to_enu(state.center),
+                                        state.translation_ms);
+    for (const surge::EnvelopeTile& tile : bindings.tiles()) {
+      const std::optional<surge::EnvelopeBound> bound =
+          surge::envelope_bound(surge, kernel,
+                                state.vortex.ambient_pressure_pa,
+                                tile.center, tile.radius_m);
+      if (!bound) continue;
+      ++bounded_tiles;
+      for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
+        const mesh::NodeId node = bindings.active_nodes()[k];
+        const geo::Vec2 onshore =
+            cm.stations[cm.station_of_node[node]].outward_normal * -1.0;
+        const double gdepth =
+            surge::kGravity *
+            std::max(surge.min_depth_m, -cm.mesh.node(node).elevation_m);
+        ASSERT_LE(wse[node], bound->at(onshore, gdepth))
+            << "trial " << trial << " node " << node;
+      }
+    }
+  }
+  EXPECT_GT(bounded_tiles, 1000u);
+
+  // Outside its preconditions the bound is off, so the kernel evaluates.
+  const storm::StormStepKernel kernel(storm::WindFieldOptions{},
+                                      storm::VortexParams{}, {0.0, 0.0},
+                                      {5.0, 0.0});
+  const geo::Vec2 far{300000.0, 0.0};
+  EXPECT_TRUE(surge::envelope_bound({}, kernel, 101000.0, far, 4000.0));
+  EXPECT_FALSE(surge::envelope_bound({}, kernel, 101000.0, {50000.0, 0.0},
+                                     20000.0))
+      << "the disk reaches inside Rmax";
+  surge::SurgeConfig off;
+  off.wind_setup_exponent = 0.5;
+  EXPECT_FALSE(surge::envelope_bound(off, kernel, 101000.0, far, 4000.0));
+  off = {};
+  off.wind_setup_scale_m = -1.0e-4;
+  EXPECT_FALSE(surge::envelope_bound(off, kernel, 101000.0, far, 4000.0));
+  off = {};
+  off.wave_setup_per_ms = -0.001;
+  EXPECT_FALSE(surge::envelope_bound(off, kernel, 101000.0, far, 4000.0));
+  for (const auto& options :
+       {storm::WindFieldOptions{-0.9, 20.0, 0.5},
+        storm::WindFieldOptions{0.9, 20.0, -0.5}}) {
+    const storm::StormStepKernel negative(options, storm::VortexParams{},
+                                          {0.0, 0.0}, {5.0, 0.0});
+    EXPECT_FALSE(surge::envelope_bound({}, negative, 101000.0, far, 4000.0));
   }
 }
 

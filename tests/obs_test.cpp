@@ -7,6 +7,7 @@
 // off, at every jobs value the CI matrix exercises.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -432,13 +433,26 @@ core::ScenarioResult analyze_once(unsigned jobs) {
 
 TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
   ObsGateGuard guard;
+  // The envelope work counters the realization hot path feeds.
+  const obs::Counter node_steps("surge.node_steps");
+  const obs::Counter node_evals("surge.node_evals");
   for (const unsigned jobs : job_counts()) {
     obs::set_enabled(true);
     obs::set_trace_enabled(true);
+    const std::uint64_t steps_before = node_steps.value();
+    const std::uint64_t evals_before = node_evals.value();
     const core::ScenarioResult on = analyze_once(jobs);
+    if (obs::compiled_in()) {
+      const std::uint64_t steps = node_steps.value() - steps_before;
+      const std::uint64_t evals = node_evals.value() - evals_before;
+      EXPECT_GT(evals, 0u) << "jobs=" << jobs;
+      EXPECT_LT(evals, steps) << "jobs=" << jobs;
+    }
     obs::set_enabled(false);
     obs::set_trace_enabled(false);
+    const std::uint64_t steps_off = node_steps.value();
     const core::ScenarioResult off = analyze_once(jobs);
+    EXPECT_EQ(node_steps.value(), steps_off) << "jobs=" << jobs;
     for (const auto state :
          {threat::OperationalState::kGreen, threat::OperationalState::kOrange,
           threat::OperationalState::kRed, threat::OperationalState::kGray}) {
