@@ -6,7 +6,10 @@
 #   1. `ctctl --connect` stdout is byte-identical to local execution;
 #   2. the second identical request is answered entirely from the shared
 #      result cache (the whole point of serving mode);
-#   3. SIGTERM drains gracefully (exit 0 after finishing admitted work).
+#   3. that cache-warm answer runs no realization: the server's
+#      `surge.node_steps` counter reads the same after it as before
+#      (a count, not a timing);
+#   4. SIGTERM drains gracefully (exit 0 after finishing admitted work).
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -28,7 +31,8 @@ trap cleanup EXIT
 # the server (or vice versa), or the cache-warm assertion proves nothing.
 mkdir -p "$work/server-cache" "$work/local-cache"
 
-CT_CACHE_DIR="$work/server-cache" "$ctserved" --listen "unix:$sock" \
+# CT_OBS=1: the realization-count check reads the server's metrics registry.
+CT_OBS=1 CT_CACHE_DIR="$work/server-cache" "$ctserved" --listen "unix:$sock" \
     > "$work/server.log" 2>&1 &
 server_pid=$!
 for _ in $(seq 1 100); do
@@ -41,12 +45,21 @@ done
 
 run_flags=(--realizations 200)
 
+# Envelope node-steps the server has run so far, over all realizations.
+node_steps() {
+  "$ctctl" stats --metrics --json --connect "unix:$sock" \
+      | sed -n 's/^ *"surge\.node_steps": *\([0-9][0-9]*\).*/\1/p'
+}
+
 echo "== remote analyze (cold)"
 "$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" \
     > "$work/remote-cold.txt" 2> "$work/remote-cold.err"
 if grep -q "served entirely" "$work/remote-cold.err"; then
   echo "FAIL: cold request claimed to be cache-served"; exit 1
 fi
+steps_cold=$(node_steps)
+[[ -n "$steps_cold" && "$steps_cold" -gt 0 ]] \
+    || { echo "FAIL: no surge.node_steps after the cold request"; exit 1; }
 
 echo "== remote analyze (must be cache-warm)"
 "$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" \
@@ -54,6 +67,10 @@ echo "== remote analyze (must be cache-warm)"
 grep -q "served entirely from the server's result cache" \
     "$work/remote-warm.err" \
     || { echo "FAIL: second identical request was not cache-warm"; exit 1; }
+steps_warm=$(node_steps)
+echo "surge.node_steps: $steps_cold after cold, $steps_warm after warm"
+[[ "$steps_warm" == "$steps_cold" ]] \
+    || { echo "FAIL: the cache-warm request ran realizations"; exit 1; }
 
 echo "== local reference run"
 CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" \

@@ -79,7 +79,8 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
     }
   }
   return pipeline_.analyze_resumable(cells, engine_, options_.realizations,
-                                     *runtime_, ckpt, interrupt);
+                                     *runtime_, batch_digest(), ckpt,
+                                     interrupt);
 }
 
 double CaseStudyRunner::asset_flood_probability(std::string_view asset_id) {

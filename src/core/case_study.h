@@ -94,7 +94,9 @@ class CaseStudyRunner {
 
  private:
   /// Content address of the (engine, realization count) ensemble; computed
-  /// once, lets warm runs hit the result cache without regenerating.
+  /// once per runner (its probe realization included) and shared by run()
+  /// and run_all_resumable(), so warm runs hit the result cache without
+  /// running a realization.
   /// Safe even under quarantine: a degraded run is never stored, so the
   /// full-ensemble address can only ever resolve to full-ensemble results.
   const std::string& batch_digest();

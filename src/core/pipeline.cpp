@@ -203,7 +203,8 @@ ScenarioResult AnalysisPipeline::analyze(
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
     const std::vector<SweepCell>& cells,
     const surge::RealizationEngine& engine, std::size_t count,
-    runtime::EnsembleRunner& runtime, const runtime::CheckpointOptions& ckpt,
+    runtime::EnsembleRunner& runtime, std::string_view batch_digest,
+    const runtime::CheckpointOptions& ckpt,
     runtime::CancellationToken* interrupt) const {
   obs::Span span("pipeline.analyze_resumable");
   ResumableAnalysis out;
@@ -211,8 +212,6 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
 
   // Pass 1 — cache: a cell whose full distribution is already stored needs
   // no realizations at all. Only the remaining LIVE cells join the sweep.
-  const std::string batch_digest =
-      runtime::EnsembleRunner::digest_engine_batch(engine, count);
   const bool use_cache = runtime.options().cache;
   std::vector<std::size_t> live;      // cell index per live series
   std::vector<std::string> live_keys; // job key per live series

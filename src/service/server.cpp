@@ -531,14 +531,26 @@ void Server::run_job(Job job) {
     ++stats_.abandoned;
     return;
   }
+  // Count before answering: a client that reads stats right after its
+  // answer must already see this request.
   if (failed) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.failed;
+    }
     session->send_frame(FrameType::kError, job.request_id,
                         encode_error(failure));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failed;
     return;
   }
 
+  {
+    const std::uint64_t latency = elapsed_ms(job.admitted_at);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.completed;
+    stats_.total_latency_ms += latency;
+    if (latency > stats_.max_latency_ms) stats_.max_latency_ms = latency;
+    stats_.quarantined += outcome.quarantined;
+  }
   Response response;
   response.exit_code = outcome.exit_code;
   response.degraded = outcome.degraded;
@@ -550,13 +562,6 @@ void Server::run_job(Job job) {
   response.output = std::move(outcome.output);
   session->send_frame(FrameType::kResponse, job.request_id,
                       encode_response(response));
-
-  const std::uint64_t latency = elapsed_ms(job.admitted_at);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.completed;
-  stats_.total_latency_ms += latency;
-  if (latency > stats_.max_latency_ms) stats_.max_latency_ms = latency;
-  stats_.quarantined += outcome.quarantined;
 }
 
 std::string Server::render_stats(bool json) const {

@@ -236,6 +236,77 @@ TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
                                                                kRealizations));
 }
 
+/// Every input of job_key must reach the key on its own: each field of
+/// the configuration and of every one of its control sites, the site
+/// order, the scenario, the attacker tag and the realization-set digest.
+TEST(EnsembleCacheTest, JobKeyTracksEveryField) {
+  const scada::Configuration base = scada::make_config_6_6_6(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto scenario = threat::ThreatScenario::kHurricaneIntrusion;
+  const std::string_view greedy = core::AnalysisPipeline().attacker_tag();
+  const auto key = [&](const scada::Configuration& config) {
+    return runtime::EnsembleRunner::job_key(config, scenario, greedy, "set");
+  };
+  const std::string baseline = key(base);
+  EXPECT_EQ(key(base), baseline);
+
+  std::vector<std::pair<std::string, scada::Configuration>> variants;
+  const auto vary = [&](std::string name, auto perturb) {
+    scada::Configuration c = base;
+    perturb(c);
+    variants.emplace_back(std::move(name), std::move(c));
+  };
+  using scada::Configuration;
+  vary("name", [](Configuration& c) { c.name += "'"; });
+  vary("style", [](Configuration& c) {
+    c.style = scada::ReplicationStyle::kPrimaryBackup;
+  });
+  vary("intrusion_tolerance_f",
+       [](Configuration& c) { ++c.intrusion_tolerance_f; });
+  vary("proactive_recovery_k",
+       [](Configuration& c) { ++c.proactive_recovery_k; });
+  vary("active_multisite",
+       [](Configuration& c) { c.active_multisite = !c.active_multisite; });
+  vary("min_active_sites", [](Configuration& c) { ++c.min_active_sites; });
+  vary("sites.size", [](Configuration& c) { c.sites.pop_back(); });
+  vary("sites.order",
+       [](Configuration& c) { std::swap(c.sites[1], c.sites[2]); });
+  for (std::size_t i = 0; i < base.sites.size(); ++i) {
+    const std::string site = "sites[" + std::to_string(i) + "].";
+    vary(site + "asset_id",
+         [i](Configuration& c) { c.sites[i].asset_id += "'"; });
+    vary(site + "role", [i](Configuration& c) {
+      c.sites[i].role = c.sites[i].role == scada::SiteRole::kPrimary
+                            ? scada::SiteRole::kBackup
+                            : scada::SiteRole::kPrimary;
+    });
+    vary(site + "replicas", [i](Configuration& c) { ++c.sites[i].replicas; });
+    vary(site + "hot",
+         [i](Configuration& c) { c.sites[i].hot = !c.sites[i].hot; });
+  }
+  for (const auto& [name, config] : variants) {
+    EXPECT_NE(key(config), baseline) << name;
+  }
+
+  for (const threat::ThreatScenario other : threat::all_scenarios()) {
+    if (other == scenario) continue;
+    EXPECT_NE(runtime::EnsembleRunner::job_key(base, other, greedy, "set"),
+              baseline)
+        << threat::scenario_name(other);
+  }
+  EXPECT_NE(runtime::EnsembleRunner::job_key(
+                base, scenario,
+                core::AnalysisPipeline(core::AttackerModel::kExhaustive)
+                    .attacker_tag(),
+                "set"),
+            baseline)
+      << "attacker tag";
+  EXPECT_NE(runtime::EnsembleRunner::job_key(base, scenario, greedy, "set'"),
+            baseline)
+      << "realization-set digest";
+}
+
 /// End-to-end through the CaseStudyRunner facade: run_configs at several
 /// jobs values matches the serial runner, and a repeated run() is served
 /// from the cache.

@@ -394,60 +394,148 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
 
 // ------------------------------------------------ digest / invalidation
 
+/// Engine-batch digest at count 0, where digest_engine_batch skips its
+/// probe realization: every knob must reach the key through the explicit
+/// field digests alone, since a served warm request reuses one probe per
+/// case study.
 std::string engine_digest(const RealizationConfig& config,
                           std::shared_ptr<const terrain::Terrain> terrain) {
   const RealizationEngine engine(std::move(terrain), oahu_assets(), config);
-  return runtime::EnsembleRunner::digest_engine_batch(engine, 4);
+  return runtime::EnsembleRunner::digest_engine_batch(engine, 0);
 }
 
+/// One field of RealizationConfig, moved off its default.
+struct ConfigKnob {
+  const char* name;
+  void (*perturb)(RealizationConfig&);
+};
+
+// Every one of RealizationConfig's 50 fields: mesh 4, surge 6 + wind
+// options 3, inundation 2, ensemble 19, harbor 5, fragility 6, top level 5.
+// A field added to RealizationConfig belongs here and in
+// digest_realization_config.
+const ConfigKnob kConfigKnobs[] = {
+    {"mesh.shore_spacing_m",
+     [](RealizationConfig& c) { c.mesh.shore_spacing_m = 2500.0; }},
+    {"mesh.cross_shore_spacing_m",
+     [](RealizationConfig& c) { c.mesh.cross_shore_spacing_m = 900.0; }},
+    {"mesh.offshore_extent_m",
+     [](RealizationConfig& c) { c.mesh.offshore_extent_m = 9000.0; }},
+    {"mesh.inland_extent_m",
+     [](RealizationConfig& c) { c.mesh.inland_extent_m = 2000.0; }},
+    {"surge.dt_s", [](RealizationConfig& c) { c.surge.dt_s = 1200.0; }},
+    {"surge.wind_setup_scale_m",
+     [](RealizationConfig& c) { c.surge.wind_setup_scale_m = 9.0e-4; }},
+    {"surge.wind_setup_exponent",
+     [](RealizationConfig& c) { c.surge.wind_setup_exponent = 2.5; }},
+    {"surge.wave_setup_per_ms",
+     [](RealizationConfig& c) { c.surge.wave_setup_per_ms = 0.007; }},
+    {"surge.min_depth_m",
+     [](RealizationConfig& c) { c.surge.min_depth_m = 3.0; }},
+    {"surge.max_considered_distance_m",
+     [](RealizationConfig& c) {
+       c.surge.max_considered_distance_m = 300000.0;
+     }},
+    {"surge.wind_options.surface_wind_factor",
+     [](RealizationConfig& c) {
+       c.surge.wind_options.surface_wind_factor = 0.85;
+     }},
+    {"surge.wind_options.inflow_angle_deg",
+     [](RealizationConfig& c) {
+       c.surge.wind_options.inflow_angle_deg = 25.0;
+     }},
+    {"surge.wind_options.translation_fraction",
+     [](RealizationConfig& c) {
+       c.surge.wind_options.translation_fraction = 0.6;
+     }},
+    {"inundation.decay_length_m",
+     [](RealizationConfig& c) { c.inundation.decay_length_m = 2500.0; }},
+    {"inundation.failure_threshold_m",
+     [](RealizationConfig& c) { c.inundation.failure_threshold_m = 0.6; }},
+    {"ensemble.base_aim.lat_deg",
+     [](RealizationConfig& c) { c.ensemble.base_aim.lat_deg = 21.3; }},
+    {"ensemble.base_aim.lon_deg",
+     [](RealizationConfig& c) { c.ensemble.base_aim.lon_deg = -158.1; }},
+    {"ensemble.base_heading_deg",
+     [](RealizationConfig& c) { c.ensemble.base_heading_deg = 330.0; }},
+    {"ensemble.approach_distance_m",
+     [](RealizationConfig& c) { c.ensemble.approach_distance_m = 450000.0; }},
+    {"ensemble.departure_distance_m",
+     [](RealizationConfig& c) { c.ensemble.departure_distance_m = 350000.0; }},
+    {"ensemble.forward_speed_ms",
+     [](RealizationConfig& c) { c.ensemble.forward_speed_ms = 6.5; }},
+    {"ensemble.forward_speed_jitter_ms",
+     [](RealizationConfig& c) { c.ensemble.forward_speed_jitter_ms = 1.0; }},
+    {"ensemble.cross_track_sigma_m",
+     [](RealizationConfig& c) { c.ensemble.cross_track_sigma_m = 40000.0; }},
+    {"ensemble.heading_sigma_deg",
+     [](RealizationConfig& c) { c.ensemble.heading_sigma_deg = 5.0; }},
+    {"ensemble.pressure_deficit_pa",
+     [](RealizationConfig& c) { c.ensemble.pressure_deficit_pa = 4500.0; }},
+    {"ensemble.pressure_deficit_sigma_pa",
+     [](RealizationConfig& c) {
+       c.ensemble.pressure_deficit_sigma_pa = 600.0;
+     }},
+    {"ensemble.rmax_m",
+     [](RealizationConfig& c) { c.ensemble.rmax_m = 47000.0; }},
+    {"ensemble.rmax_sigma_m",
+     [](RealizationConfig& c) { c.ensemble.rmax_sigma_m = 6000.0; }},
+    {"ensemble.rmax_min_m",
+     [](RealizationConfig& c) { c.ensemble.rmax_min_m = 30000.0; }},
+    {"ensemble.rmax_max_m",
+     [](RealizationConfig& c) { c.ensemble.rmax_max_m = 65000.0; }},
+    {"ensemble.holland_b",
+     [](RealizationConfig& c) { c.ensemble.holland_b = 1.4; }},
+    {"ensemble.holland_b_sigma",
+     [](RealizationConfig& c) { c.ensemble.holland_b_sigma = 0.15; }},
+    {"ensemble.fix_interval_s",
+     [](RealizationConfig& c) { c.ensemble.fix_interval_s = 1800.0; }},
+    {"ensemble.ambient_pressure_pa",
+     [](RealizationConfig& c) { c.ensemble.ambient_pressure_pa = 101300.0; }},
+    {"harbor.enabled", [](RealizationConfig& c) { c.harbor.enabled = false; }},
+    {"harbor.ray_length_m",
+     [](RealizationConfig& c) { c.harbor.ray_length_m = 7000.0; }},
+    {"harbor.ray_step_m",
+     [](RealizationConfig& c) { c.harbor.ray_step_m = 120.0; }},
+    {"harbor.ray_clearance_m",
+     [](RealizationConfig& c) { c.harbor.ray_clearance_m = 300.0; }},
+    {"harbor.amplification",
+     [](RealizationConfig& c) { c.harbor.amplification = 1.1; }},
+    {"fragility.enabled",
+     [](RealizationConfig& c) { c.fragility.enabled = true; }},
+    {"fragility.substation.median_wind_ms",
+     [](RealizationConfig& c) {
+       c.fragility.substation.median_wind_ms = 50.0;
+     }},
+    {"fragility.substation.beta",
+     [](RealizationConfig& c) { c.fragility.substation.beta = 0.3; }},
+    {"fragility.power_plant.median_wind_ms",
+     [](RealizationConfig& c) {
+       c.fragility.power_plant.median_wind_ms = 65.0;
+     }},
+    {"fragility.power_plant.beta",
+     [](RealizationConfig& c) { c.fragility.power_plant.beta = 0.3; }},
+    {"fragility.scan_dt_s",
+     [](RealizationConfig& c) { c.fragility.scan_dt_s = 900.0; }},
+    {"smoothing_band_m",
+     [](RealizationConfig& c) { c.smoothing_band_m = 1000.0; }},
+    {"smoothing_passes", [](RealizationConfig& c) { c.smoothing_passes = 1; }},
+    {"alongshore_window",
+     [](RealizationConfig& c) { c.alongshore_window = 6; }},
+    {"sea_level_offset_m",
+     [](RealizationConfig& c) { c.sea_level_offset_m = 0.25; }},
+    {"base_seed", [](RealizationConfig& c) { c.base_seed += 1; }},
+};
+
 TEST(Fastpath, EngineBatchDigestInvalidatesOnEveryPrecomputeKnob) {
+  ASSERT_EQ(std::size(kConfigKnobs), 50u);
   const std::string baseline = engine_digest({}, oahu());
   EXPECT_EQ(engine_digest({}, oahu()), baseline)
       << "identical configs must share the cache key";
-
-  std::vector<std::pair<const char*, RealizationConfig>> variants;
-  {
-    RealizationConfig c;
-    c.mesh.shore_spacing_m = 2500.0;
-    variants.emplace_back("mesh.shore_spacing_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.mesh.cross_shore_spacing_m = 900.0;
-    variants.emplace_back("mesh.cross_shore_spacing_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.mesh.offshore_extent_m = 9000.0;
-    variants.emplace_back("mesh.offshore_extent_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.mesh.inland_extent_m = 2000.0;
-    variants.emplace_back("mesh.inland_extent_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.surge.min_depth_m = 3.0;
-    variants.emplace_back("surge.min_depth_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.smoothing_band_m = 1000.0;
-    variants.emplace_back("smoothing_band_m", c);
-  }
-  {
-    RealizationConfig c;
-    c.smoothing_passes = 1;
-    variants.emplace_back("smoothing_passes", c);
-  }
-  {
-    RealizationConfig c;
-    c.inundation.decay_length_m = 2500.0;
-    variants.emplace_back("inundation.decay_length_m", c);
-  }
-  for (const auto& [name, config] : variants) {
-    EXPECT_NE(engine_digest(config, oahu()), baseline) << name;
+  for (const ConfigKnob& knob : kConfigKnobs) {
+    RealizationConfig config;
+    knob.perturb(config);
+    EXPECT_NE(engine_digest(config, oahu()), baseline) << knob.name;
   }
 }
 

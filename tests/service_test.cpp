@@ -18,10 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "scada/oahu.h"
 #include "service/client.h"
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "threat/scenario.h"
 #include "util/rng.h"
 
 namespace ct::service {
@@ -391,6 +394,92 @@ TEST(Server, AnalyzeMatchesLocalColdWarmAndCacheFlag) {
   // Second identical request is served whole from the shared cache.
   EXPECT_TRUE(warm.response.all_from_cache);
   server.stop();
+}
+
+/// Restores the metrics registry gate on scope exit, so a test that
+/// switches it on cannot leak that into the rest of the suite (CI also
+/// runs this suite with CT_OBS=0).
+struct ObsGateGuard {
+  bool was_enabled = obs::enabled();
+  ~ObsGateGuard() { obs::set_enabled(was_enabled); }
+};
+
+// A cache hit on a live case study must not run a realization: the
+// engine-batch digest (whose probe runs realization 0) is paid once per
+// runner, not once per request. surge.node_steps counts every envelope
+// step any realization runs, so it must not move across a warm answer.
+TEST(Server, CacheHitOnLiveCaseStudyRunsNoRealization) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ct_svc_live_hit_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+
+  const std::string path = test_socket_path("livehit");
+  const ServerOptions options = loopback_options(path);
+  core::CaseStudyOptions defaults = options.defaults;
+  defaults.runtime.disk_cache = true;
+  defaults.runtime.cache_dir = dir.string();
+  const Request request = analyze_request(24);
+
+  // In process: two requests against one runner.
+  const auto runner = make_case_study(request, defaults, nullptr);
+  std::uint64_t before = node_steps.value();
+  const ExecOutcome cold = execute_request(request, *runner);
+  if (obs::compiled_in()) {
+    EXPECT_GT(node_steps.value(), before);
+  }
+  EXPECT_FALSE(cold.all_from_cache);
+  before = node_steps.value();
+  const ExecOutcome warm = execute_request(request, *runner);
+  EXPECT_EQ(node_steps.value() - before, 0u);
+  EXPECT_TRUE(warm.all_from_cache);
+  EXPECT_EQ(warm.output, cold.output);
+
+  // The memoized digest names the same entries a freshly computed one
+  // does: a fresh runner over the same disk cache is served whole, and
+  // every cell's key recomputed from the engine is on disk.
+  const auto fresh = make_case_study(request, defaults, nullptr);
+  const ExecOutcome reread = execute_request(request, *fresh);
+  EXPECT_TRUE(reread.all_from_cache);
+  EXPECT_EQ(reread.output, cold.output);
+  const std::string batch = runtime::EnsembleRunner::digest_engine_batch(
+      fresh->engine(), fresh->options().realizations);
+  const core::AnalysisPipeline pipeline(fresh->options().attacker);
+  for (const scada::Configuration& config : scada::paper_configurations(
+           scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+           scada::oahu_ids::kDrFortress)) {
+    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+      EXPECT_TRUE(fresh->runtime()
+                      .store()
+                      .lookup(runtime::EnsembleRunner::job_key(
+                          config, scenario, pipeline.attacker_tag(), batch))
+                      .has_value())
+          << config.name << " / " << threat::scenario_name(scenario);
+    }
+  }
+
+  // Served: the second identical request hits the live session.
+  Server server(options);
+  server.start();
+  Client client(path, "unit");
+  client.connect();
+  before = node_steps.value();
+  const CallResult served_cold = client.call(request);
+  ASSERT_TRUE(served_cold.ok);
+  if (obs::compiled_in()) {
+    EXPECT_GT(node_steps.value(), before);
+  }
+  EXPECT_FALSE(served_cold.response.all_from_cache);
+  before = node_steps.value();
+  const CallResult served_warm = client.call(request);
+  ASSERT_TRUE(served_warm.ok);
+  EXPECT_EQ(node_steps.value() - before, 0u);
+  EXPECT_TRUE(served_warm.response.all_from_cache);
+  EXPECT_EQ(served_warm.response.output, served_cold.response.output);
+  server.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, QuarantineRunsMatchLocalUnderFaultInjection) {
