@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace ct::storm {
@@ -128,38 +129,77 @@ StormStepKernel::Profile StormStepKernel::profile_at(double r) const noexcept {
   Profile out;
   out.pressure_pa = central_pressure_pa_ + dp_ * decay;
   out.gradient = std::sqrt(cyclostrophic + rf2 * rf2) - rf2;
-  out.weight = vmax_ > 0.0 ? std::clamp(out.gradient / vmax_, 0.0, 1.0) : 0.0;
+  out.weight = weight_of(out.gradient);
+  return out;
+}
+
+double StormStepKernel::weight_of(double gradient) const noexcept {
+  return vmax_ > 0.0 ? std::clamp(gradient / vmax_, 0.0, 1.0) : 0.0;
+}
+
+bool StormStepKernel::boundable() const noexcept {
+  return surface_factor_ >= 0.0 && translation_fraction_ >= 0.0 &&
+         holland_b_ > 0.0 && rmax_m_ > 0.0;
+}
+
+DiskBound StormStepKernel::radial_bound(double r_lo,
+                                        double r_hi) const noexcept {
+  double gradient = 0.0;
+  double weight = 0.0;
+  double pressure = central_pressure_pa_;
+  if (r_lo > std::max(rmax_m_, 1.0)) {
+    // For r > Rmax the ratio (Rmax/r)^B lies in (0, 1), where
+    // ratio * exp(-ratio) rises with the ratio, so the cyclostrophic term
+    // falls with distance; the Coriolis term rises, and sqrt(C + a^2) - a
+    // falls as C falls or a rises. The pressure rises with exp(-ratio).
+    const Profile profile = profile_at(r_lo);
+    gradient = profile.gradient;
+    weight = profile.weight;
+    pressure = profile.pressure_pa;
+  } else {
+    // The eyewall or the calm eye may lie inside. ratio * exp(-ratio)
+    // peaks at ratio = 1 (r = Rmax) and sqrt(C + a^2) - a <= sqrt(C), so
+    // the wind is <= sqrt(C) at the distance nearest Rmax; points within
+    // 1 m are calm. The pressure still rises with distance, and is the
+    // central pressure within 1 m.
+    const double r_peak =
+        std::clamp(rmax_m_, std::max(r_lo, 1.0), std::max(r_hi, 1.0));
+    const double ratio = std::pow(rmax_m_ / r_peak, holland_b_);
+    gradient = std::sqrt(bdp_ * ratio * std::exp(-ratio));
+    weight = weight_of(gradient);
+    if (r_lo > 1.0) pressure = profile_at(r_lo).pressure_pa;
+  }
+  DiskBound out;
+  out.vortex_ms = gradient * surface_factor_;
+  out.asymmetry_ms = translation_ms_ * (translation_fraction_ * weight);
+  out.pressure_pa = pressure;
   return out;
 }
 
 std::optional<DiskBound> StormStepKernel::bound_over_disk(
     geo::Vec2 disk_center, double radius) const noexcept {
-  // Written so that NaN in any input fails the test and yields no bound.
-  if (!(surface_factor_ >= 0.0 && translation_fraction_ >= 0.0 &&
-        holland_b_ > 0.0 && rmax_m_ > 0.0 && radius >= 0.0)) {
-    return std::nullopt;
-  }
   const geo::Vec2 offset = disk_center - center_;
   const double d = offset.norm();
-  const double r = d - radius;
-  if (!(r > std::max(rmax_m_, 1.0))) return std::nullopt;
-
-  // For r > Rmax the ratio (Rmax/r)^B lies in (0, 1), where
-  // ratio * exp(-ratio) rises with the ratio, so the cyclostrophic term
-  // falls with distance; the Coriolis term rises, and sqrt(C + a^2) - a
-  // falls as C falls or a rises. The pressure rises with exp(-ratio).
-  const Profile profile = profile_at(r);
-  DiskBound out;
-  out.vortex_ms = profile.gradient * surface_factor_;
-  out.asymmetry_ms = translation_ms_ * (translation_fraction_ * profile.weight);
-  out.pressure_pa = profile.pressure_pa;
-  // The vortex wind at bearing phi points along phi + 90 deg + inflow, so
-  // its direction turns exactly as the bearing does across the disk.
-  const geo::Vec2 radial_hat = offset / d;
-  out.vortex_dir = radial_hat.perp() * cos_a_ - radial_hat * sin_a_;
-  out.sin_half = radius / d;
-  out.cos_half = std::sqrt(1.0 - out.sin_half * out.sin_half);
+  // Written so that NaN in any input fails the test and yields no bound.
+  if (!(boundable() && radius >= 0.0 && std::isfinite(d))) return std::nullopt;
+  DiskBound out = radial_bound(d - radius, d + radius);
+  // A disk that holds the center keeps the any-direction cone. Otherwise
+  // radius / d < 1, so cos_half is never NaN.
+  if (radius < d) {
+    // The vortex wind at bearing phi points along phi + 90 deg + inflow, so
+    // its direction turns exactly as the bearing does across the disk.
+    const geo::Vec2 radial_hat = offset / d;
+    out.vortex_dir = radial_hat.perp() * cos_a_ - radial_hat * sin_a_;
+    out.sin_half = radius / d;
+    out.cos_half = std::sqrt(1.0 - out.sin_half * out.sin_half);
+  }
   return out;
+}
+
+std::optional<DiskBound> StormStepKernel::bound_beyond(
+    double r) const noexcept {
+  if (!(boundable() && r >= 0.0)) return std::nullopt;
+  return radial_bound(r, std::numeric_limits<double>::infinity());
 }
 
 }  // namespace ct::storm

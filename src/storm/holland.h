@@ -66,24 +66,26 @@ class HollandWindField {
   Options opts_;
 };
 
-/// Mathematical bounds of one storm step's wind and pressure over a disk
-/// that stays beyond the radius of maximum winds (see
-/// StormStepKernel::bound_over_disk). Rounding is not covered: callers that
-/// compare against sampled values add their own margin.
+/// Mathematical bounds of one storm step's wind and pressure over a region
+/// around the storm: a disk (StormStepKernel::bound_over_disk) or every
+/// point beyond a radius (StormStepKernel::bound_beyond). Rounding is not
+/// covered: callers that compare against sampled values add their own
+/// margin.
 struct DiskBound {
   /// >= the surface vortex wind speed (gradient * surface factor).
   double vortex_ms = 0.0;
-  /// The forward-motion asymmetry term at the disk's nearest distance.
-  /// Anywhere in the disk that term is this vector times a factor in
-  /// [0, 1].
+  /// Anywhere in the region the forward-motion asymmetry term is this
+  /// vector times a factor in [0, 1].
   geo::Vec2 asymmetry_ms;
   /// <= the sea-level pressure (Pa).
   double pressure_pa = 0.0;
-  /// Unit direction of the vortex wind at the disk center. Anywhere in the
-  /// disk the vortex wind points within the half-angle of it.
-  geo::Vec2 vortex_dir;
-  /// Cosine and sine of the half-angle the disk subtends at the center.
-  double cos_half = 1.0;
+  /// Unit direction of the vortex wind at the disk center (any unit vector
+  /// when the half-angle is pi). Anywhere in the region the vortex wind
+  /// points within the half-angle of it.
+  geo::Vec2 vortex_dir{1.0, 0.0};
+  /// Cosine and sine of that half-angle: the angle a disk that excludes the
+  /// storm center subtends at it, else pi (cos_half = -1, any direction).
+  double cos_half = -1.0;
   double sin_half = 0.0;
 };
 
@@ -107,15 +109,26 @@ class StormStepKernel {
   /// Eyewall gradient wind V(Rmax) for this snapshot (m/s).
   double vmax_ms() const noexcept { return vmax_; }
 
-  /// Bounds over every point of the disk (`disk_center`, `radius`), taken
-  /// from the profile at the disk's nearest distance r_lo. Beyond Rmax the
-  /// gradient wind, the pressure deficit and the asymmetry weight all fall
-  /// monotonically with distance, so their values at r_lo bound every
-  /// farther point. Empty when r_lo <= max(Rmax, 1 m) (the eyewall or the
-  /// calm eye may lie inside), or when a negative surface or translation
-  /// factor, or a non-positive Holland B or Rmax, breaks that monotonicity.
+  /// Bounds over every point of the disk (`disk_center`, `radius`), whose
+  /// distances from the center span [r_lo, r_hi] = d -/+ radius. Beyond
+  /// max(Rmax, 1 m) the gradient wind, the pressure deficit and the
+  /// asymmetry weight all fall with distance, so when r_lo lies there their
+  /// values at r_lo bound the disk. When the disk reaches the eyewall or
+  /// the calm eye, the cyclostrophic term C = B dp / rho x e^-x (x =
+  /// (Rmax/r)^B) peaks at x = 1, so the gradient wind is <= sqrt(C) with C
+  /// at clamp(Rmax, r_lo, r_hi); the deficit is <= its value at r_lo (the
+  /// full central deficit once r_lo <= 1 m); the weight is <= that wind
+  /// over Vmax. The direction cone holds while the disk excludes the
+  /// center. Empty when an input is not finite, or when a negative surface
+  /// or translation factor, or a non-positive Holland B or Rmax, breaks
+  /// those arguments.
   std::optional<DiskBound> bound_over_disk(geo::Vec2 disk_center,
                                            double radius) const noexcept;
+
+  /// Bounds over every point at distance >= `r` from the center, in any
+  /// direction: the radial argument of bound_over_disk with r_hi infinite.
+  /// Empty under the same conditions.
+  std::optional<DiskBound> bound_beyond(double r) const noexcept;
 
  private:
   /// The radial profile at distance r > 1 m.
@@ -125,6 +138,13 @@ class StormStepKernel {
     double weight = 0.0;    ///< asymmetry weight clamp(gradient / vmax)
   };
   Profile profile_at(double r) const noexcept;
+  /// Asymmetry weight clamp(gradient / vmax, 0, 1).
+  double weight_of(double gradient) const noexcept;
+  /// Whether the bound arguments hold for this snapshot (false for NaN).
+  bool boundable() const noexcept;
+  /// Speed, asymmetry and pressure bounds over distances [r_lo, r_hi]; the
+  /// direction fields keep their any-direction defaults.
+  DiskBound radial_bound(double r_lo, double r_hi) const noexcept;
 
   geo::Vec2 center_;
   geo::Vec2 translation_ms_;

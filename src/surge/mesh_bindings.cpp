@@ -25,6 +25,53 @@ struct EnvelopeStep {
   double ambient_pa = 0.0;
 };
 
+/// Radii (m) of each step's direction-free tail bound. A run of steps whose
+/// nearest distance from a tile's nodes is r takes the bound at the largest
+/// radius <= r. Short, because each radius costs one Holland profile per
+/// step.
+constexpr std::array<double, 4> kTailRadii = {75.0e3, 110.0e3, 165.0e3,
+                                              250.0e3};
+
+/// Per-thread buffers of accumulate_envelope, reused across calls.
+struct EnvelopeScratch {
+  std::vector<EnvelopeStep> steps;
+  /// Running max of every active node, in active order.
+  std::vector<double> env;
+  /// Per tile: the nearest step center over steps [0, s] and [s, n).
+  std::vector<double> near_before;
+  std::vector<double> near_after;
+  /// Per tail radius j, at [j * n + s]: the max of the steps' tail bounds
+  /// over [0, s] and [s, n).
+  std::vector<ColumnBound> before;
+  std::vector<ColumnBound> after;
+};
+
+/// Whether each WSE term rises with the onshore wind, the speed and the
+/// pressure deficit; NaN fails.
+bool surge_boundable(const SurgeConfig& surge) {
+  return surge.wind_setup_exponent >= 1.0 && surge.wind_setup_scale_m >= 0.0 &&
+         surge.wave_setup_per_ms >= 0.0;
+}
+
+/// The WSE bound of a wind bound, for a boundable `surge`.
+EnvelopeBound surge_bound(const SurgeConfig& surge,
+                          const storm::DiskBound& wind, double ambient_pa) {
+  EnvelopeBound out;
+  out.wind = wind;
+  out.speed_ms = wind.vortex_ms + wind.asymmetry_ms.norm();
+  out.wind_coeff = surge.wind_setup_scale_m *
+                   std::pow(out.speed_ms, surge.wind_setup_exponent - 1.0);
+  // Argument order keeps a NaN pressure NaN.
+  out.pressure_m = std::max(ambient_pa - wind.pressure_pa, 0.0) / kRhoG;
+  out.wave_per_ms = surge.wave_setup_per_ms;
+  return out;
+}
+
+ColumnBound max_of(const ColumnBound& a, const ColumnBound& b) {
+  return {std::max(a.per_inv_gdepth, b.per_inv_gdepth),
+          std::max(a.offset, b.offset)};
+}
+
 }  // namespace
 
 MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
@@ -76,42 +123,58 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     frontier.swap(next);
   }
 
+  // Columns: maximal runs of active nodes of one station, which share its
+  // onshore direction. The builder lays nodes out station by station, so a
+  // station is one run; any other layout only splits columns.
+  std::vector<std::size_t> column_station;
   for (mesh::NodeId n = 0; n < cm.mesh.node_count(); ++n) {
     if (!active[n]) continue;
+    const std::size_t station = cm.station_of_node[n];
+    if (column_station.empty() || column_station.back() != station) {
+      column_station.push_back(station);
+      EnvelopeColumn column;
+      column.begin = static_cast<std::uint32_t>(active_nodes_.size());
+      column.onshore = cm.stations[station].outward_normal * -1.0;
+      columns_.push_back(column);
+    }
     const mesh::Node& node = cm.mesh.node(n);
     active_nodes_.push_back(n);
     active_positions_.push_back(node.position);
-    active_onshore_.push_back(
-        cm.stations[cm.station_of_node[n]].outward_normal * -1.0);
     const double depth = std::max(surge_.min_depth_m, -node.elevation_m);
-    active_gdepth_.push_back(kGravity * depth);
+    const double gdepth = kGravity * depth;
+    active_gdepth_.push_back(gdepth);
+    // +inf for a non-positive g * depth: the node's bound is then +inf or
+    // NaN, so the node is always evaluated.
+    active_inv_gdepth_.push_back(
+        gdepth > 0.0 ? 1.0 / gdepth : std::numeric_limits<double>::infinity());
+    columns_.back().end = static_cast<std::uint32_t>(active_nodes_.size());
   }
 
-  // Envelope tiles: maximal runs of active nodes in the same group of
-  // kTileStations station columns. The builder lays nodes out station by
-  // station, so a group is one run; any other layout only splits tiles.
-  const auto group_of = [&](std::size_t k) {
-    return cm.station_of_node[active_nodes_[k]] / kTileStations;
-  };
-  for (std::size_t begin = 0; begin < active_nodes_.size();) {
-    std::size_t end = begin + 1;
-    while (end < active_nodes_.size() && group_of(end) == group_of(begin)) {
-      ++end;
-    }
-    geo::BBox tile_box;
-    for (std::size_t k = begin; k < end; ++k) {
-      tile_box.expand(active_positions_[k]);
+  // Envelope tiles: maximal runs of columns in the same group of
+  // kTileStations stations.
+  for (std::size_t first = 0; first < columns_.size();) {
+    const std::size_t group = column_station[first] / kTileStations;
+    std::size_t last = first + 1;
+    while (last < columns_.size() &&
+           column_station[last] / kTileStations == group) {
+      ++last;
     }
     EnvelopeTile tile;
-    tile.begin = static_cast<std::uint32_t>(begin);
-    tile.end = static_cast<std::uint32_t>(end);
+    tile.begin = columns_[first].begin;
+    tile.end = columns_[last - 1].end;
+    tile.column_begin = static_cast<std::uint32_t>(first);
+    tile.column_end = static_cast<std::uint32_t>(last);
+    geo::BBox tile_box;
+    for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
+      tile_box.expand(active_positions_[k]);
+    }
     tile.center = tile_box.center();
-    for (std::size_t k = begin; k < end; ++k) {
+    for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
       tile.radius_m = std::max(
           tile.radius_m, geo::distance(active_positions_[k], tile.center));
     }
     tiles_.push_back(tile);
-    begin = end;
+    first = last;
   }
 
   auto index = std::make_shared<AssetIndex>();
@@ -141,44 +204,46 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
   asset_index_ = std::move(index);
 }
 
-double EnvelopeBound::at(geo::Vec2 onshore, double gdepth) const noexcept {
+ColumnBound EnvelopeBound::for_onshore_wind(double u_on) const noexcept {
+  // wind_coeff * u_on / gdepth + pressure_m + wave_per_ms * u_on, grown by
+  // the 1e-9 relative margin, plus the 1e-9 m absolute one.
+  constexpr double kGrow = 1.0 + 1e-9;
+  ColumnBound out;
+  out.per_inv_gdepth = wind_coeff * u_on * kGrow;
+  out.offset = (pressure_m + wave_per_ms * u_on) * kGrow + 1e-9;
+  return out;
+}
+
+ColumnBound EnvelopeBound::column(geo::Vec2 onshore) const noexcept {
   // Largest projection on `onshore` of a unit vector within the half-angle
-  // of the vortex direction: a cos(psi) + b sin(psi) over |psi| <= half
-  // peaks at |onshore| when its angle atan2(b, a) lies inside, else at the
-  // edge. This is cos(max(0, theta0 - half)) for a unit `onshore`.
+  // of the vortex direction: a cos(psi) + b sin(psi) over |psi| <= half is
+  // |onshore| cos(max(0, theta0 - half)), theta0 = atan2(b, a) in [0, pi].
+  // theta0 <= half exactly when a >= |onshore| cos(half), for any half in
+  // [0, pi]; half = pi (cos_half = -1) allows every direction.
   const double a = wind.vortex_dir.dot(onshore);
   const double b = std::abs(wind.vortex_dir.cross(onshore));
-  const double along = a > 0.0 && b * wind.cos_half <= a * wind.sin_half
-                           ? std::sqrt(a * a + b * b)
+  const double norm = std::sqrt(a * a + b * b);
+  const double along = a >= norm * wind.cos_half
+                           ? norm
                            : a * wind.cos_half + b * wind.sin_half;
-  const double u_on = wind.vortex_ms * std::max(0.0, along) +
-                      std::max(0.0, wind.asymmetry_ms.dot(onshore));
-  const double wse =
-      wind_coeff * u_on / gdepth + pressure_m + wave_per_ms * u_on;
-  return gdepth > 0.0 ? wse + wse * 1e-9 + 1e-9
+  // Argument order keeps a NaN NaN, so it never turns into a skip.
+  return for_onshore_wind(wind.vortex_ms * std::max(along, 0.0) +
+                          std::max(wind.asymmetry_ms.dot(onshore), 0.0));
+}
+
+double EnvelopeBound::at(geo::Vec2 onshore, double gdepth) const noexcept {
+  return gdepth > 0.0 ? column(onshore).at(1.0 / gdepth)
                       : std::numeric_limits<double>::infinity();
 }
 
 std::optional<EnvelopeBound> envelope_bound(
     const SurgeConfig& surge, const storm::StormStepKernel& kernel,
     double ambient_pa, geo::Vec2 disk_center, double radius) {
-  // Each WSE term must rise with the onshore wind, the speed and the
-  // pressure deficit; NaN fails these tests too.
-  if (!(surge.wind_setup_exponent >= 1.0 && surge.wind_setup_scale_m >= 0.0 &&
-        surge.wave_setup_per_ms >= 0.0)) {
-    return std::nullopt;
-  }
+  if (!surge_boundable(surge)) return std::nullopt;
   const std::optional<storm::DiskBound> wind =
       kernel.bound_over_disk(disk_center, radius);
   if (!wind) return std::nullopt;
-  EnvelopeBound out;
-  out.wind = *wind;
-  const double speed = wind->vortex_ms + wind->asymmetry_ms.norm();
-  out.wind_coeff = surge.wind_setup_scale_m *
-                   std::pow(speed, surge.wind_setup_exponent - 1.0);
-  out.pressure_m = std::max(0.0, ambient_pa - wind->pressure_pa) / kRhoG;
-  out.wave_per_ms = surge.wave_setup_per_ms;
-  return out;
+  return surge_bound(surge, *wind, ambient_pa);
 }
 
 EnvelopeWork MeshBindings::accumulate_envelope(
@@ -189,7 +254,8 @@ EnvelopeWork MeshBindings::accumulate_envelope(
   // feeds pow unchanged.
   const double exponent_m1 = surge_.wind_setup_exponent - 1.0;
 
-  thread_local std::vector<EnvelopeStep> steps;
+  thread_local EnvelopeScratch scratch;
+  std::vector<EnvelopeStep>& steps = scratch.steps;
   steps.clear();
   for (double t = track.start_time(); t <= track.end_time();
        t += surge_.dt_s) {
@@ -205,50 +271,133 @@ EnvelopeWork MeshBindings::accumulate_envelope(
   work.node_steps = steps.size() * active_nodes_.size();
   if (steps.empty()) return work;
 
+  const std::size_t n = steps.size();
+  std::vector<double>& env = scratch.env;
+  env.assign(active_nodes_.size(), 0.0);
+  scratch.near_before.resize(n);
+  scratch.near_after.resize(n);
+  scratch.before.resize(kTailRadii.size() * n);
+  scratch.after.resize(kTailRadii.size() * n);
+  const bool bounded = surge_boundable(surge_);
+
   // The max over steps is order-free, so each tile takes its steps in the
   // order that raises its envelope soonest, and a (node, step) is skipped
   // when its bound cannot beat the running max. Both keep every bit.
   const auto visit = [&](const EnvelopeTile& tile, const EnvelopeStep& step) {
-    const std::optional<EnvelopeBound> bound = envelope_bound(
-        surge_, step.kernel, step.ambient_pa, tile.center, tile.radius_m);
-    for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
-      double& env = envelope[active_nodes_[k]];
-      if (bound && bound->at(active_onshore_[k], active_gdepth_[k]) <= env) {
-        continue;
+    std::optional<EnvelopeBound> bound;
+    if (bounded) {
+      ++work.tile_bounds;
+      bound = envelope_bound(surge_, step.kernel, step.ambient_pa,
+                             tile.center, tile.radius_m);
+    }
+    for (std::uint32_t c = tile.column_begin; c < tile.column_end; ++c) {
+      const EnvelopeColumn& column = columns_[c];
+      const ColumnBound skip = bound ? bound->column(column.onshore)
+                                     : ColumnBound{};
+      for (std::uint32_t k = column.begin; k < column.end; ++k) {
+        if (skip.at(active_inv_gdepth_[k]) <= env[k]) continue;
+        ++work.node_evals;
+        const storm::WindSample w = step.kernel.sample(active_positions_[k]);
+        const double u_on = std::max(0.0, w.velocity_ms.dot(column.onshore));
+        const double eta_wind = surge_.wind_setup_scale_m * u_on *
+                                std::pow(w.speed_ms, exponent_m1) /
+                                active_gdepth_[k];
+        const double eta_pressure =
+            std::max(0.0, step.ambient_pa - w.pressure_pa) / kRhoG;
+        const double eta_wave = surge_.wave_setup_per_ms * u_on;
+        const double wse = eta_wind + eta_pressure + eta_wave;
+        env[k] = std::max(env[k], wse);
       }
-      ++work.node_evals;
-      const storm::WindSample w = step.kernel.sample(active_positions_[k]);
-      const double u_on =
-          std::max(0.0, w.velocity_ms.dot(active_onshore_[k]));
-      const double eta_wind = surge_.wind_setup_scale_m * u_on *
-                              std::pow(w.speed_ms, exponent_m1) /
-                              active_gdepth_[k];
-      const double eta_pressure =
-          std::max(0.0, step.ambient_pa - w.pressure_pa) / kRhoG;
-      const double eta_wave = surge_.wave_setup_per_ms * u_on;
-      const double wse = eta_wind + eta_pressure + eta_wave;
-      env = std::max(env, wse);
     }
   };
 
-  for (const EnvelopeTile& tile : tiles_) {
-    std::size_t nearest = 0;
-    double nearest_m = geo::distance(steps[0].center, tile.center);
-    for (std::size_t s = 1; s < steps.size(); ++s) {
-      const double d = geo::distance(steps[s].center, tile.center);
-      if (d < nearest_m) {
-        nearest_m = d;
-        nearest = s;
+  // The tail tables. A step's tail bound at radius j covers every point at
+  // least kTailRadii[j] from its center, in any direction: station normals
+  // are unit vectors, so the onshore wind u_on <= |v| <= the speed bound.
+  if (bounded) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < kTailRadii.size(); ++j) {
+      ColumnBound* before = &scratch.before[j * n];
+      ColumnBound* after = &scratch.after[j * n];
+      for (std::size_t s = 0; s < n; ++s) {
+        ColumnBound tail{kInf, kInf};
+        if (const std::optional<storm::DiskBound> wind =
+                steps[s].kernel.bound_beyond(kTailRadii[j])) {
+          const EnvelopeBound bound =
+              surge_bound(surge_, *wind, steps[s].ambient_pa);
+          const ColumnBound b = bound.for_onshore_wind(bound.speed_ms);
+          // A NaN would vanish in the max below.
+          if (b.per_inv_gdepth >= 0.0 && b.offset >= 0.0) tail = b;
+        }
+        before[s] = s > 0 ? max_of(tail, before[s - 1]) : tail;
+        after[s] = tail;
+      }
+      for (std::size_t s = n - 1; s-- > 0;) {
+        after[s] = max_of(after[s], after[s + 1]);
       }
     }
+  }
+
+  // Whether no step of a run can raise any node of `tile`: `near_m` is the
+  // distance of the run's nearest step center, and `table` holds its folded
+  // tail bounds at [j * n + s]. Every node lies at least near_m - radius
+  // from every step of the run, so at least the radius read.
+  const auto run_cannot_raise = [&](const EnvelopeTile& tile, double near_m,
+                                    const std::vector<ColumnBound>& table,
+                                    std::size_t s) {
+    const double r = near_m - tile.radius_m;
+    std::size_t j = kTailRadii.size();
+    while (j > 0 && !(kTailRadii[j - 1] <= r)) --j;
+    if (j-- == 0) return false;
+    const ColumnBound bound = table[j * n + s];
+    for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
+      if (!(bound.at(active_inv_gdepth_[k]) <= env[k])) return false;
+    }
+    return true;
+  };
+
+  for (const EnvelopeTile& tile : tiles_) {
+    // The nearest step (the first on ties), and the nearest step center of
+    // every run [0, s] and [s, n).
+    std::size_t nearest = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      const double d = geo::distance(steps[s].center, tile.center);
+      const bool nearer = s == 0 || d < scratch.near_before[s - 1];
+      if (nearer) nearest = s;
+      scratch.near_before[s] = nearer ? d : scratch.near_before[s - 1];
+      scratch.near_after[s] = d;
+    }
+    for (std::size_t s = n - 1; s-- > 0;) {
+      scratch.near_after[s] =
+          std::min(scratch.near_after[s], scratch.near_after[s + 1]);
+    }
     visit(tile, steps[nearest]);
-    // Steps [below, above) are done; widen one step each way in turn.
+    // Steps [below, above) are done; widen one step each way in turn, and
+    // stop a direction once its remaining run cannot raise the tile.
     std::size_t below = nearest;
     std::size_t above = nearest + 1;
-    while (below > 0 || above < steps.size()) {
-      if (above < steps.size()) visit(tile, steps[above++]);
-      if (below > 0) visit(tile, steps[--below]);
+    while (below > 0 || above < n) {
+      if (above < n) {
+        if (bounded && run_cannot_raise(tile, scratch.near_after[above],
+                                        scratch.after, above)) {
+          above = n;
+        } else {
+          visit(tile, steps[above++]);
+        }
+      }
+      if (below > 0) {
+        if (bounded && run_cannot_raise(tile, scratch.near_before[below - 1],
+                                        scratch.before, below - 1)) {
+          below = 0;
+        } else {
+          visit(tile, steps[--below]);
+        }
+      }
     }
+  }
+
+  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
+    envelope[active_nodes_[k]] = env[k];
   }
   return work;
 }
@@ -297,13 +446,15 @@ void MeshBindings::digest_into(util::Digest& d) const {
       .u64(plan_.extend_targets.size())
       .i64(plan_.passes);
   d.u64(active_nodes_.size());
-  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
-    d.u64(active_nodes_[k])
-        .f64(active_positions_[k].x)
-        .f64(active_positions_[k].y)
-        .f64(active_onshore_[k].x)
-        .f64(active_onshore_[k].y)
-        .f64(active_gdepth_[k]);
+  for (const EnvelopeColumn& column : columns_) {
+    for (std::uint32_t k = column.begin; k < column.end; ++k) {
+      d.u64(active_nodes_[k])
+          .f64(active_positions_[k].x)
+          .f64(active_positions_[k].y)
+          .f64(column.onshore.x)
+          .f64(column.onshore.y)
+          .f64(active_gdepth_[k]);
+    }
   }
   d.u64(stencils_.size());
   for (const AssetStencil& s : stencils_) {

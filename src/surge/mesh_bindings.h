@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,34 +64,63 @@ struct AssetStencil {
 /// for duplicate ids, matching the legacy linear scan).
 using AssetIndex = std::unordered_map<std::string, std::uint32_t>;
 
-/// Active nodes of 4 consecutive station columns (a run of active indices)
-/// and a circle enclosing them.
-struct EnvelopeTile {
+/// Active nodes of one station column (a run of active indices). They
+/// share the station's onshore direction.
+struct EnvelopeColumn {
   std::uint32_t begin = 0;  ///< first active index
   std::uint32_t end = 0;    ///< one past the last active index
+  geo::Vec2 onshore;        ///< -outward_normal of the station
+};
+
+/// Active nodes of 4 consecutive station columns (a run of active indices
+/// and of columns) and a circle enclosing them.
+struct EnvelopeTile {
+  std::uint32_t begin = 0;         ///< first active index
+  std::uint32_t end = 0;           ///< one past the last active index
+  std::uint32_t column_begin = 0;  ///< first column
+  std::uint32_t column_end = 0;    ///< one past the last column
   geo::Vec2 center;
   double radius_m = 0.0;
 };
 
-/// Upper bound on the WSE one storm step can produce anywhere in a disk.
-/// Margins of 1e-9 relative and 1e-9 m absolute cover the rounding of both
-/// the bound and the solver, which is many orders of magnitude smaller.
+/// Bound, margins included, on the WSE at the nodes that share one onshore
+/// direction: `per_inv_gdepth / (g * depth) + offset`. The default bounds
+/// nothing: it is NaN, and a NaN bound never lets a node be skipped.
+struct ColumnBound {
+  double per_inv_gdepth = 0.0;
+  double offset = std::numeric_limits<double>::quiet_NaN();
+
+  /// The bound at a node whose 1 / (g * depth) is `inv_gdepth`.
+  double at(double inv_gdepth) const noexcept {
+    return per_inv_gdepth * inv_gdepth + offset;
+  }
+};
+
+/// Upper bound on the WSE one storm step can produce anywhere in the region
+/// of `wind` (a disk, or every point beyond a radius). Margins of 1e-9
+/// relative and 1e-9 m absolute cover the rounding of both the bound and
+/// the solver, which is many orders of magnitude smaller.
 struct EnvelopeBound {
   storm::DiskBound wind;
+  double speed_ms = 0.0;    ///< >= the wind speed anywhere in the region
   double wind_coeff = 0.0;  ///< wind-setup scale * max speed^(exponent - 1)
   double pressure_m = 0.0;  ///< inverse-barometer term at the max deficit
   double wave_per_ms = 0.0;
 
-  /// Bound, margins included, on the WSE at any point of the disk whose
-  /// onshore direction is `onshore` and g * depth is `gdepth`. +inf when
+  /// The bound at nodes whose onshore wind is at most `u_on`.
+  ColumnBound for_onshore_wind(double u_on) const noexcept;
+  /// The bound at nodes whose onshore direction is `onshore`: the largest
+  /// onshore share of a wind within the direction cone.
+  ColumnBound column(geo::Vec2 onshore) const noexcept;
+  /// column(onshore) at a node whose g * depth is `gdepth`; +inf when
   /// `gdepth` is not positive.
   double at(geo::Vec2 onshore, double gdepth) const noexcept;
 };
 
 /// The bound of `kernel`'s step (ambient pressure `ambient_pa`) over the
 /// disk (`disk_center`, `radius`), or empty when it does not apply: the
-/// storm side's monotonicity fails (see StormStepKernel::bound_over_disk),
-/// or `surge` has a wind-setup exponent below 1 or a negative wind-setup
+/// storm side's arguments fail (see StormStepKernel::bound_over_disk), or
+/// `surge` has a wind-setup exponent below 1 or a negative wind-setup
 /// scale or wave-setup factor.
 std::optional<EnvelopeBound> envelope_bound(
     const SurgeConfig& surge, const storm::StormStepKernel& kernel,
@@ -103,6 +133,8 @@ struct EnvelopeWork {
   std::uint64_t node_steps = 0;
   /// The node-steps actually evaluated.
   std::uint64_t node_evals = 0;
+  /// The (tile, step) envelope bounds built: the tile visits.
+  std::uint64_t tile_bounds = 0;
 };
 
 class MeshBindings {
@@ -118,9 +150,11 @@ class MeshBindings {
   /// node count; non-active nodes stay 0). Bit-equal on every consumed
   /// node to SurgeSolver::max_envelope with the same config. Each tile
   /// visits the steps nearest-first, then alternately outward along the
-  /// track, and evaluates a node only when the step's envelope_bound
-  /// exceeds the node's running max. Thread-safe: const over frozen
-  /// arrays; mutation goes to `envelope` and a thread-local step buffer.
+  /// track, and stops a direction once one bound over all its remaining
+  /// steps cannot raise any node of the tile. A visit evaluates a node only
+  /// when its column's envelope_bound exceeds the node's running max.
+  /// Thread-safe: const over frozen arrays; mutation goes to `envelope` and
+  /// thread-local buffers.
   EnvelopeWork accumulate_envelope(const storm::StormTrack& track,
                                    const geo::EnuProjection& proj,
                                    mesh::NodeField& envelope) const;
@@ -144,6 +178,10 @@ class MeshBindings {
   }
   /// Partition of the active nodes the envelope prunes by.
   const std::vector<EnvelopeTile>& tiles() const noexcept { return tiles_; }
+  /// The station columns the tiles are made of.
+  const std::vector<EnvelopeColumn>& columns() const noexcept {
+    return columns_;
+  }
   /// Shared id->index map handed to every realization for O(1) lookups.
   const std::shared_ptr<const AssetIndex>& asset_index() const noexcept {
     return asset_index_;
@@ -168,8 +206,9 @@ class MeshBindings {
   // Structure-of-arrays over the active node set.
   std::vector<mesh::NodeId> active_nodes_;
   std::vector<geo::Vec2> active_positions_;
-  std::vector<geo::Vec2> active_onshore_;  ///< -outward_normal of the station
   std::vector<double> active_gdepth_;      ///< kGravity * floored depth
+  std::vector<double> active_inv_gdepth_;  ///< 1 / gdepth, +inf if not > 0
+  std::vector<EnvelopeColumn> columns_;
   std::vector<EnvelopeTile> tiles_;
 
   std::vector<std::string> asset_ids_;

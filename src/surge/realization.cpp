@@ -15,11 +15,12 @@ namespace ct::surge {
 
 namespace {
 
-/// Envelope work of the hot path: node-steps in range and node-steps the
-/// pruned kernel actually evaluated.
+/// Envelope work of the hot path: node-steps in range, node-steps the
+/// pruned kernel actually evaluated, and the tile bounds it built.
 struct SurgeMetrics {
   obs::Counter node_steps{"surge.node_steps"};
   obs::Counter node_evals{"surge.node_evals"};
+  obs::Counter tile_bounds{"surge.tile_bounds"};
 };
 
 SurgeMetrics& surge_metrics() {
@@ -200,6 +201,7 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
   SurgeMetrics& metrics = surge_metrics();
   metrics.node_steps.inc(work.node_steps);
   metrics.node_evals.inc(work.node_evals);
+  metrics.tile_bounds.inc(work.tile_bounds);
   mesh::shoreline_average_and_extend(cm_, bindings_.shoreline_plan(),
                                      scratch.envelope, scratch.field_scratch);
   mesh::shoreline_values(cm_, scratch.envelope, scratch.shore_wse);

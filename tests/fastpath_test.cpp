@@ -189,26 +189,114 @@ TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
 
 constexpr std::uint64_t kEnvelopeRealizations = 200;
 
-TEST(Fastpath, EnvelopeKernelMatchesReferenceOnEveryActiveNode) {
-  const RealizationEngine engine(oahu(), oahu_assets(), {});
-  const storm::TrackGenerator generator(engine.config().ensemble);
-  const surge::SurgeSolver solver(engine.config().surge);
+/// Every active node of `engine`'s envelope of `track` bit-equal to
+/// SurgeSolver::max_envelope.
+void expect_envelope_matches_reference(const RealizationEngine& engine,
+                                       const storm::StormTrack& track,
+                                       const std::string& tag) {
   const geo::EnuProjection& proj = engine.terrain().projection();
   mesh::NodeField envelope;
-  for (std::uint64_t i = 0; i < kEnvelopeRealizations; ++i) {
-    const storm::StormTrack track =
-        generator.generate(engine.config().base_seed, i);
-    engine.bindings().accumulate_envelope(track, proj, envelope);
-    const mesh::NodeField reference =
-        solver.max_envelope(engine.coastal_mesh(), track, proj);
-    for (const mesh::NodeId node : engine.bindings().active_nodes()) {
-      ASSERT_EQ(bits(envelope[node]), bits(reference[node]))
-          << "realization " << i << " node " << node;
-    }
+  engine.bindings().accumulate_envelope(track, proj, envelope);
+  const mesh::NodeField reference =
+      surge::SurgeSolver(engine.config().surge)
+          .max_envelope(engine.coastal_mesh(), track, proj);
+  for (const mesh::NodeId node : engine.bindings().active_nodes()) {
+    ASSERT_EQ(bits(envelope[node]), bits(reference[node]))
+        << tag << " node " << node;
   }
 }
 
-TEST(Fastpath, EnvelopePruningEvaluatesAtMostAQuarterOfNodeSteps) {
+TEST(Fastpath, EnvelopeKernelMatchesReferenceOnEveryActiveNode) {
+  const RealizationEngine engine(oahu(), oahu_assets(), {});
+  const storm::TrackGenerator generator(engine.config().ensemble);
+  for (std::uint64_t i = 0; i < kEnvelopeRealizations; ++i) {
+    ASSERT_NO_FATAL_FAILURE(expect_envelope_matches_reference(
+        engine, generator.generate(engine.config().base_seed, i),
+        "realization " + std::to_string(i)));
+  }
+}
+
+TEST(Fastpath, EnvelopeKernelMatchesReferenceOnAdversarialTracks) {
+  // Tracks whose strength jumps from fix to fix, from a weak storm close by
+  // to a deep, wide one far out, so a run of far steps can still hold a
+  // node's max: a far-tail cut must cover every remaining step of its run.
+  const RealizationEngine engine(oahu(), oahu_assets(), {});
+  const geo::EnuProjection& proj = engine.terrain().projection();
+  geo::BBox box;
+  for (const mesh::Node& node : engine.coastal_mesh().mesh.nodes()) {
+    box.expand(node.position);
+  }
+  util::Rng rng(20221017, "adversarial-tracks");
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<storm::TrackPoint> fixes;
+    for (int f = 0; f < 8; ++f) {
+      const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
+      const double range_m = rng.uniform(20000.0, 400000.0);
+      storm::TrackPoint fix;
+      fix.time_s = 10800.0 * f;
+      fix.center = proj.to_geo(
+          box.center() +
+          geo::Vec2{std::cos(bearing), std::sin(bearing)} * range_m);
+      const bool deep = rng.uniform(0.0, 1.0) < 0.5;
+      fix.vortex.central_pressure_pa =
+          fix.vortex.ambient_pressure_pa -
+          (deep ? rng.uniform(6000.0, 12000.0) : rng.uniform(100.0, 1500.0));
+      fix.vortex.rmax_m = deep ? rng.uniform(40000.0, 120000.0)
+                               : rng.uniform(5000.0, 30000.0);
+      fix.vortex.holland_b = rng.uniform(0.9, 2.4);
+      fixes.push_back(fix);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_envelope_matches_reference(
+        engine, storm::StormTrack(fixes),
+        "random track " + std::to_string(trial)));
+  }
+
+  // A cut must also hold for every node of its tile, up to R closer to the
+  // run than the tile's center. With pressure-only physics the WSE is the
+  // deficit alone, which the direction-free tail bound meets exactly. A
+  // wide storm on a tile lifts the whole tile to the deficit a deep storm
+  // has at D - R/2; that storm then parks D away, toward the tile's rim
+  // node, with D swept in steps of R/4. Only the rim half of the tile can
+  // still rise, and a bound read at a radius above D - R would miss it.
+  RealizationConfig config;
+  config.surge.wind_setup_scale_m = 0.0;
+  config.surge.wave_setup_per_ms = 0.0;
+  const RealizationEngine pressure_only(oahu(), oahu_assets(), config);
+  const surge::MeshBindings& bindings = pressure_only.bindings();
+  const surge::EnvelopeTile& tile = bindings.tiles().front();
+  geo::Vec2 rim = tile.center;
+  for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
+    const geo::Vec2 p = pressure_only.coastal_mesh()
+                            .mesh.node(bindings.active_nodes()[k])
+                            .position;
+    if (geo::distance(p, tile.center) > geo::distance(rim, tile.center)) {
+      rim = p;
+    }
+  }
+  const geo::Vec2 toward =
+      (rim - tile.center) / geo::distance(rim, tile.center);
+  storm::VortexParams deep;
+  deep.central_pressure_pa = deep.ambient_pressure_pa - 8000.0;
+  deep.rmax_m = 50000.0;
+  for (double d = 60000.0; d <= 300000.0; d += tile.radius_m / 4.0) {
+    std::vector<storm::TrackPoint> fixes(3);
+    fixes[0].center = proj.to_geo(tile.center);
+    fixes[0].vortex = deep;
+    fixes[0].vortex.central_pressure_pa =
+        storm::holland_pressure(deep, d - tile.radius_m / 2.0);
+    fixes[0].vortex.rmax_m = 500000.0;
+    for (int f = 1; f < 3; ++f) {
+      fixes[f].center = proj.to_geo(tile.center + toward * d);
+      fixes[f].vortex = deep;
+    }
+    for (int f = 0; f < 3; ++f) fixes[f].time_s = config.surge.dt_s * f;
+    ASSERT_NO_FATAL_FAILURE(expect_envelope_matches_reference(
+        pressure_only, storm::StormTrack(fixes),
+        "parked at " + std::to_string(d)));
+  }
+}
+
+TEST(Fastpath, EnvelopePruningStaysUnderItsCountGates) {
   const RealizationEngine engine(oahu(), oahu_assets(), {});
   const RealizationConfig& config = engine.config();
   const storm::TrackGenerator generator(config.ensemble);
@@ -219,10 +307,13 @@ TEST(Fastpath, EnvelopePruningEvaluatesAtMostAQuarterOfNodeSteps) {
   }
   const double far_skip_m = std::max(box.width(), box.height()) / 2.0 +
                             config.surge.max_considered_distance_m;
+  const std::uint64_t tiles = engine.bindings().tiles().size();
 
   mesh::NodeField envelope;
   std::uint64_t steps = 0;
   std::uint64_t evals = 0;
+  std::uint64_t tile_steps = 0;
+  std::uint64_t tile_bounds = 0;
   for (std::uint64_t i = 0; i < kEnvelopeRealizations; ++i) {
     const storm::StormTrack track = generator.generate(config.base_seed, i);
     const surge::EnvelopeWork work =
@@ -238,25 +329,61 @@ TEST(Fastpath, EnvelopePruningEvaluatesAtMostAQuarterOfNodeSteps) {
               in_range * engine.bindings().active_nodes().size())
         << "realization " << i;
     ASSERT_LE(work.node_evals, work.node_steps) << "realization " << i;
+    ASSERT_LE(work.tile_bounds, in_range * tiles) << "realization " << i;
     steps += work.node_steps;
     evals += work.node_evals;
+    tile_steps += in_range * tiles;
+    tile_bounds += work.tile_bounds;
   }
   ASSERT_GT(steps, 0u);
-  // A loosened bound fails here without any timing.
-  EXPECT_LE(static_cast<double>(evals) / static_cast<double>(steps), 0.25)
+  // Counts, not timings: a loosened bound or a lost tail cut fails here.
+  EXPECT_LE(static_cast<double>(evals) / static_cast<double>(steps), 0.13)
       << evals << " of " << steps << " node-steps evaluated";
+  EXPECT_LE(static_cast<double>(tile_bounds) / static_cast<double>(tile_steps),
+            0.6)
+      << tile_bounds << " of " << tile_steps << " tile-steps bounded";
+}
+
+/// The WSE the reference solver (SurgeSolver::instantaneous) gives at
+/// `point` for a node with onshore direction `onshore` and depth floor
+/// `depth`.
+double reference_wse(const surge::SurgeConfig& surge,
+                     const storm::StormState& state, geo::Vec2 center,
+                     geo::Vec2 point, geo::Vec2 onshore, double depth) {
+  const storm::WindSample w = storm::HollandWindField(surge.wind_options)
+                                  .sample(state.vortex, center,
+                                          state.translation_ms, point);
+  const double u_on = std::max(0.0, w.velocity_ms.dot(onshore));
+  const double eta_wind =
+      surge.wind_setup_scale_m * u_on *
+      std::pow(w.speed_ms, surge.wind_setup_exponent - 1.0) /
+      (surge::kGravity * depth);
+  const double eta_pressure =
+      std::max(0.0, state.vortex.ambient_pressure_pa - w.pressure_pa) /
+      (surge::kWaterDensity * surge::kGravity);
+  const double eta_wave = surge.wave_setup_per_ms * u_on;
+  return eta_wind + eta_pressure + eta_wave;
 }
 
 TEST(Fastpath, EnvelopeBoundHoldsForRandomStormsAndSurgePhysics) {
   const RealizationEngine engine(oahu(), oahu_assets(), {});
   const mesh::CoastalMesh& cm = engine.coastal_mesh();
   const surge::MeshBindings& bindings = engine.bindings();
+  const std::vector<surge::EnvelopeTile>& tiles = bindings.tiles();
   const geo::EnuProjection& proj = engine.terrain().projection();
   geo::BBox box;
   for (const mesh::Node& node : cm.mesh.nodes()) box.expand(node.position);
 
   util::Rng rng(20221013, "envelope-bound");
+  const auto point_in_disk = [&](geo::Vec2 center, double radius) {
+    const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
+    return center + geo::Vec2{std::cos(bearing), std::sin(bearing)} *
+                        (radius * std::sqrt(rng.uniform(0.0, 1.0)));
+  };
   std::size_t bounded_tiles = 0;
+  std::size_t straddle_rmax = 0;
+  std::size_t inside_rmax = 0;
+  std::size_t hold_center = 0;
   for (int trial = 0; trial < 400; ++trial) {
     // Physics inside the bound's preconditions, from gentle to extreme.
     surge::SurgeConfig surge;
@@ -274,50 +401,122 @@ TEST(Fastpath, EnvelopeBoundHoldsForRandomStormsAndSurgePhysics) {
     state.vortex.rmax_m = rng.uniform(5000.0, 120000.0);
     state.vortex.holland_b = rng.uniform(0.8, 2.5);
     state.vortex.latitude_deg = rng.uniform(5.0, 35.0);
-    const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
-    const double range_m = rng.uniform(0.0, 400000.0);
-    state.center = proj.to_geo(
-        box.center() +
-        geo::Vec2{std::cos(bearing), std::sin(bearing)} * range_m);
+    // Every fourth storm sits on a tile: inside its disk, or exactly on its
+    // center, so some disks hold the storm center.
+    geo::Vec2 center_enu;
+    if (trial % 4 == 0) {
+      const surge::EnvelopeTile& tile =
+          tiles[static_cast<std::size_t>(rng.uniform(0.0, 1.0) *
+                                         static_cast<double>(tiles.size())) %
+                tiles.size()];
+      center_enu = trial % 8 == 0 ? tile.center
+                                  : point_in_disk(tile.center, tile.radius_m);
+    } else {
+      const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
+      const double range_m = rng.uniform(0.0, 400000.0);
+      center_enu = box.center() +
+                   geo::Vec2{std::cos(bearing), std::sin(bearing)} * range_m;
+    }
+    state.center = proj.to_geo(center_enu);
     state.translation_ms = {rng.uniform(-15.0, 15.0),
                             rng.uniform(-15.0, 15.0)};
 
     // The reference field the envelope maxes over.
     const mesh::NodeField wse =
         surge::SurgeSolver(surge).instantaneous(cm, state, proj);
+    const geo::Vec2 center = proj.to_enu(state.center);
     const storm::StormStepKernel kernel(surge.wind_options, state.vortex,
-                                        proj.to_enu(state.center),
-                                        state.translation_ms);
-    for (const surge::EnvelopeTile& tile : bindings.tiles()) {
+                                        center, state.translation_ms);
+    for (const surge::EnvelopeTile& tile : tiles) {
       const std::optional<surge::EnvelopeBound> bound =
           surge::envelope_bound(surge, kernel,
                                 state.vortex.ambient_pressure_pa,
                                 tile.center, tile.radius_m);
       if (!bound) continue;
       ++bounded_tiles;
-      for (std::uint32_t k = tile.begin; k < tile.end; ++k) {
-        const mesh::NodeId node = bindings.active_nodes()[k];
-        const geo::Vec2 onshore =
-            cm.stations[cm.station_of_node[node]].outward_normal * -1.0;
-        const double gdepth =
-            surge::kGravity *
-            std::max(surge.min_depth_m, -cm.mesh.node(node).elevation_m);
-        ASSERT_LE(wse[node], bound->at(onshore, gdepth))
-            << "trial " << trial << " node " << node;
+      const double d = geo::distance(tile.center, center);
+      const double rmax = state.vortex.rmax_m;
+      if (d <= tile.radius_m) {
+        ++hold_center;
+      } else if (d + tile.radius_m <= rmax) {
+        ++inside_rmax;
+      } else if (d - tile.radius_m < rmax) {
+        ++straddle_rmax;
       }
+      // At the nodes, and at sampled points of the disk (the point nearest
+      // the storm among them) with each node's onshore direction and depth.
+      std::vector<geo::Vec2> points;
+      if (d > tile.radius_m) {
+        points.push_back(tile.center +
+                         (center - tile.center) * (tile.radius_m / d));
+      }
+      for (int p = 0; p < 4; ++p) {
+        points.push_back(point_in_disk(tile.center, tile.radius_m));
+      }
+      // The tile's columns run over its nodes in order, and every node of
+      // a column has the column's onshore direction.
+      std::uint32_t k = tile.begin;
+      for (std::uint32_t c = tile.column_begin; c < tile.column_end; ++c) {
+        const surge::EnvelopeColumn& column = bindings.columns()[c];
+        ASSERT_EQ(column.begin, k);
+        for (; k < column.end; ++k) {
+          const mesh::NodeId node = bindings.active_nodes()[k];
+          const geo::Vec2 onshore = column.onshore;
+          ASSERT_EQ(onshore,
+                    cm.stations[cm.station_of_node[node]].outward_normal *
+                        -1.0);
+          const double depth =
+              std::max(surge.min_depth_m, -cm.mesh.node(node).elevation_m);
+          const double limit = bound->at(onshore, surge::kGravity * depth);
+          ASSERT_EQ(bits(wse[node]),
+                    bits(reference_wse(surge, state, center,
+                                       cm.mesh.node(node).position, onshore,
+                                       depth)))
+              << "trial " << trial << " node " << node;
+          ASSERT_LE(wse[node], limit)
+              << "trial " << trial << " node " << node;
+          for (const geo::Vec2 point : points) {
+            ASSERT_LE(
+                reference_wse(surge, state, center, point, onshore, depth),
+                limit)
+                << "trial " << trial << " node " << node << " point "
+                << point.x << "," << point.y;
+          }
+        }
+      }
+      ASSERT_EQ(k, tile.end);
     }
   }
   EXPECT_GT(bounded_tiles, 1000u);
+  EXPECT_GT(straddle_rmax, 0u);
+  EXPECT_GT(inside_rmax, 0u);
+  EXPECT_GT(hold_center, 0u);
 
-  // Outside its preconditions the bound is off, so the kernel evaluates.
-  const storm::StormStepKernel kernel(storm::WindFieldOptions{},
+  // The eyewall is bounded too: this disk reaches inside Rmax = 40 km.
+  const surge::SurgeConfig physics;
+  const storm::StormStepKernel kernel(physics.wind_options,
                                       storm::VortexParams{}, {0.0, 0.0},
                                       {5.0, 0.0});
+  storm::StormState state;
+  state.translation_ms = {5.0, 0.0};
+  const geo::Vec2 eyewall_disk{50000.0, 0.0};
+  const std::optional<surge::EnvelopeBound> eyewall = surge::envelope_bound(
+      physics, kernel, 101000.0, eyewall_disk, 20000.0);
+  ASSERT_TRUE(eyewall) << "the disk reaches inside Rmax";
+  for (int p = 0; p < 2000; ++p) {
+    const geo::Vec2 point = p == 0 ? geo::Vec2{40000.0, 0.0}
+                                   : point_in_disk(eyewall_disk, 20000.0);
+    const double bearing = rng.uniform(0.0, 2.0 * 3.141592653589793);
+    const geo::Vec2 onshore{std::cos(bearing), std::sin(bearing)};
+    const double depth = rng.uniform(physics.min_depth_m, 20.0);
+    ASSERT_LE(reference_wse(physics, state, {0.0, 0.0}, point, onshore, depth),
+              eyewall->at(onshore, surge::kGravity * depth))
+        << "point " << point.x << "," << point.y;
+  }
+
+  // Outside its preconditions the bound is off, so the kernel evaluates.
   const geo::Vec2 far{300000.0, 0.0};
   EXPECT_TRUE(surge::envelope_bound({}, kernel, 101000.0, far, 4000.0));
-  EXPECT_FALSE(surge::envelope_bound({}, kernel, 101000.0, {50000.0, 0.0},
-                                     20000.0))
-      << "the disk reaches inside Rmax";
   surge::SurgeConfig off;
   off.wind_setup_exponent = 0.5;
   EXPECT_FALSE(surge::envelope_bound(off, kernel, 101000.0, far, 4000.0));

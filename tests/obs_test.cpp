@@ -436,23 +436,30 @@ TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
   // The envelope work counters the realization hot path feeds.
   const obs::Counter node_steps("surge.node_steps");
   const obs::Counter node_evals("surge.node_evals");
+  const obs::Counter tile_bounds("surge.tile_bounds");
   for (const unsigned jobs : job_counts()) {
     obs::set_enabled(true);
     obs::set_trace_enabled(true);
     const std::uint64_t steps_before = node_steps.value();
     const std::uint64_t evals_before = node_evals.value();
+    const std::uint64_t bounds_before = tile_bounds.value();
     const core::ScenarioResult on = analyze_once(jobs);
     if (obs::compiled_in()) {
       const std::uint64_t steps = node_steps.value() - steps_before;
       const std::uint64_t evals = node_evals.value() - evals_before;
       EXPECT_GT(evals, 0u) << "jobs=" << jobs;
       EXPECT_LT(evals, steps) << "jobs=" << jobs;
+      EXPECT_GT(tile_bounds.value(), bounds_before) << "jobs=" << jobs;
     }
     obs::set_enabled(false);
     obs::set_trace_enabled(false);
     const std::uint64_t steps_off = node_steps.value();
+    const std::uint64_t evals_off = node_evals.value();
+    const std::uint64_t bounds_off = tile_bounds.value();
     const core::ScenarioResult off = analyze_once(jobs);
     EXPECT_EQ(node_steps.value(), steps_off) << "jobs=" << jobs;
+    EXPECT_EQ(node_evals.value(), evals_off) << "jobs=" << jobs;
+    EXPECT_EQ(tile_bounds.value(), bounds_off) << "jobs=" << jobs;
     for (const auto state :
          {threat::OperationalState::kGreen, threat::OperationalState::kOrange,
           threat::OperationalState::kRed, threat::OperationalState::kGray}) {

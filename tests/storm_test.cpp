@@ -1,7 +1,12 @@
 // Tests for the storm substrate: Saffir-Simpson scale, Holland vortex,
 // tracks, and the CAT-2 ensemble generator.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -330,6 +335,131 @@ TEST(StormStepKernel, BitEqualToHollandWindFieldSample) {
     EXPECT_EQ(eye_kernel.speed_ms, 0.0);
     EXPECT_EQ(eye_kernel.velocity_ms, geo::Vec2{});
   }
+}
+
+TEST(StormStepKernel, DiskAndTailBoundsHoldInsideAndOutsideTheEyewall) {
+  util::Rng rng(20221017, "storm-disk-bound");
+  const double two_pi = 2.0 * 3.141592653589793;
+  const auto unit = [&] {
+    const double bearing = rng.uniform(0.0, two_pi);
+    return geo::Vec2{std::cos(bearing), std::sin(bearing)};
+  };
+  // A sampled wind is the vortex wind plus translation * fraction * weight;
+  // the bound must cover each part, and the pressure.
+  const auto check = [&](const StormStepKernel& kernel,
+                         const VortexParams& params,
+                         const WindFieldOptions& opts, geo::Vec2 center,
+                         geo::Vec2 translation, const DiskBound& bound,
+                         geo::Vec2 point, const std::string& tag) {
+    const WindSample w = kernel.sample(point);
+    const double r = geo::distance(point, center);
+    const double weight =
+        r <= 1.0 || kernel.vmax_ms() <= 0.0
+            ? 0.0
+            : std::clamp(holland_gradient_wind(params, r) / kernel.vmax_ms(),
+                         0.0, 1.0);
+    const geo::Vec2 asymmetry =
+        translation * (opts.translation_fraction * weight);
+    const geo::Vec2 vortex = w.velocity_ms - asymmetry;
+    // Relative margins, as the envelope uses: a point's coordinates round
+    // by ~1e-11 m, which moves a tiny eyewall's profile by more than 1e-9.
+    const double tol = 1e-9;
+    ASSERT_GE(w.pressure_pa, bound.pressure_pa * (1.0 - tol)) << tag;
+    ASSERT_LE(vortex.norm(), bound.vortex_ms * (1.0 + tol) + tol) << tag;
+    ASSERT_LE(asymmetry.norm(), bound.asymmetry_ms.norm() * (1.0 + tol) + tol)
+        << tag;
+    if (vortex.norm() > tol) {
+      // Within the cone: the angle to vortex_dir is at most the half-angle.
+      ASSERT_GE(vortex.dot(bound.vortex_dir) / vortex.norm(),
+                bound.cos_half - 1e-9)
+          << tag;
+    }
+  };
+
+  std::size_t holds_center = 0;
+  std::size_t reaches_eyewall = 0;
+  std::size_t beyond_eyewall = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    VortexParams params;
+    params.ambient_pressure_pa = rng.uniform(100500.0, 102000.0);
+    params.central_pressure_pa = rng.uniform(90000.0, 101500.0);  // dp < 0 too
+    params.rmax_m = trial % 10 == 0 ? rng.uniform(0.2, 3.0)
+                                    : rng.uniform(5000.0, 120000.0);
+    params.holland_b = rng.uniform(0.8, 2.5);
+    params.latitude_deg = rng.uniform(-35.0, 35.0);
+    WindFieldOptions opts;
+    opts.surface_wind_factor = rng.uniform(0.0, 1.2);
+    opts.inflow_angle_deg = rng.uniform(-60.0, 60.0);
+    opts.translation_fraction = rng.uniform(0.0, 1.5);
+    const geo::Vec2 center{rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5)};
+    const geo::Vec2 translation{rng.uniform(-15.0, 15.0),
+                                rng.uniform(-15.0, 15.0)};
+    const StormStepKernel kernel(opts, params, center, translation);
+
+    // Disks from the storm center itself out to far beyond the eyewall.
+    const double scale = std::max(params.rmax_m, 10.0);
+    const double radius =
+        trial % 7 == 0 ? 0.0 : scale * rng.uniform(0.01, 1.5);
+    const double d = trial % 5 == 0 ? 0.0 : scale * rng.uniform(0.0, 4.0);
+    const geo::Vec2 disk_center = center + unit() * d;
+    const std::optional<DiskBound> bound =
+        kernel.bound_over_disk(disk_center, radius);
+    ASSERT_TRUE(bound) << "trial " << trial;
+    ASSERT_FALSE(std::isnan(bound->cos_half)) << "trial " << trial;
+    if (d <= radius) {
+      ++holds_center;
+      EXPECT_EQ(bound->cos_half, -1.0) << "trial " << trial;
+    } else if (d - radius <= std::max(params.rmax_m, 1.0)) {
+      ++reaches_eyewall;
+    } else {
+      ++beyond_eyewall;
+    }
+    std::vector<geo::Vec2> points = {disk_center};
+    if (d > 0.0) {
+      // The disk points nearest the center and at Rmax along the line.
+      const geo::Vec2 toward = (center - disk_center) / d;
+      points.push_back(disk_center + toward * std::min(radius, d));
+      if (std::abs(d - params.rmax_m) <= radius) {
+        points.push_back(center - toward * params.rmax_m);
+      }
+    }
+    for (int p = 0; p < 64; ++p) {
+      points.push_back(disk_center +
+                       unit() * (radius * std::sqrt(rng.uniform(0.0, 1.0))));
+    }
+    for (const geo::Vec2 point : points) {
+      check(kernel, params, opts, center, translation, *bound, point,
+            "disk trial " + std::to_string(trial));
+    }
+
+    // Every point beyond a radius, in any direction.
+    const double r_tail = scale * rng.uniform(0.0, 3.0);
+    const std::optional<DiskBound> tail = kernel.bound_beyond(r_tail);
+    ASSERT_TRUE(tail) << "trial " << trial;
+    EXPECT_EQ(tail->cos_half, -1.0) << "trial " << trial;
+    for (int p = 0; p < 64; ++p) {
+      const double r = p == 0 ? r_tail : r_tail * rng.uniform(1.0, 4.0);
+      check(kernel, params, opts, center, translation, *tail,
+            center + unit() * r, "tail trial " + std::to_string(trial));
+    }
+  }
+  EXPECT_GT(holds_center, 0u);
+  EXPECT_GT(reaches_eyewall, 0u);
+  EXPECT_GT(beyond_eyewall, 0u);
+
+  // Outside the arguments' preconditions, and for non-finite input, there
+  // is no bound.
+  const StormStepKernel kernel(WindFieldOptions{}, VortexParams{}, {0.0, 0.0},
+                               {5.0, 0.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(kernel.bound_over_disk({nan, 0.0}, 100.0));
+  EXPECT_FALSE(kernel.bound_over_disk({1e5, 0.0}, nan));
+  EXPECT_FALSE(kernel.bound_over_disk({1e5, 0.0}, -1.0));
+  EXPECT_FALSE(kernel.bound_beyond(nan));
+  VortexParams flat;
+  flat.holland_b = 0.0;
+  EXPECT_FALSE(StormStepKernel(WindFieldOptions{}, flat, {0.0, 0.0}, {})
+                   .bound_over_disk({1e5, 0.0}, 100.0));
 }
 
 }  // namespace
