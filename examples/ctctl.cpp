@@ -16,10 +16,13 @@
 // overloaded or shutting down (retry later).
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -192,7 +195,9 @@ std::map<std::string, std::string> parse_flags(
       throw UsageError(message);
     }
     if (is_boolean_flag(name)) {
-      flags[name] = "1";
+      // A built string, not a literal: assigning a literal here trips a
+      // GCC 12 -Wrestrict false positive at -O3.
+      flags[name] = std::string("1");
       continue;
     }
     if (i + 1 >= argc) {
@@ -206,25 +211,42 @@ std::map<std::string, std::string> parse_flags(
   return flags;
 }
 
+/// Strict value of a count flag: the whole token, digits only, at most
+/// `max`. Anything else ("4x", "-3", "") is a UsageError (exit 2).
+std::uint64_t count_flag(
+    const std::map<std::string, std::string>::const_iterator& flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (const auto value = util::parse_u64(flag->second, max)) return *value;
+  std::string message = "--" + flag->first + " expects a whole number";
+  if (max != std::numeric_limits<std::uint64_t>::max()) {
+    message += " up to " + std::to_string(max);
+  }
+  throw UsageError(message + ", got '" + flag->second + "'");
+}
+
 /// Builds the wire request a flag set describes (shared by the local and
 /// --connect paths, so a flag can never mean two different things).
 service::Request build_request(service::RequestKind kind,
                                const std::map<std::string, std::string>& flags) {
   service::Request request;
   request.kind = kind;
+  constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   if (const auto it = flags.find("realizations"); it != flags.end()) {
-    request.realizations = std::strtoul(it->second.c_str(), nullptr, 10);
+    request.realizations = count_flag(it);
   }
   if (const auto it = flags.find("slr"); it != flags.end()) {
-    request.sea_level_offset_m = std::strtod(it->second.c_str(), nullptr);
+    const std::optional<double> slr = util::parse_double(it->second);
+    if (!slr || !std::isfinite(*slr)) {
+      throw UsageError("--slr expects a finite number of meters, got '" +
+                       it->second + "'");
+    }
+    request.sea_level_offset_m = *slr;
   }
   if (const auto it = flags.find("max-retries"); it != flags.end()) {
-    request.max_retries = static_cast<std::uint32_t>(
-        std::strtoul(it->second.c_str(), nullptr, 10));
+    request.max_retries = static_cast<std::uint32_t>(count_flag(it, kMaxU32));
   }
   if (const auto it = flags.find("deadline-ms"); it != flags.end()) {
-    request.deadline_ms = static_cast<std::uint32_t>(
-        std::strtoul(it->second.c_str(), nullptr, 10));
+    request.deadline_ms = static_cast<std::uint32_t>(count_flag(it, kMaxU32));
   }
   request.no_cache = flags.count("no-cache") != 0;
   if (flags.count("strict") != 0 && flags.count("best-effort") != 0) {
@@ -260,7 +282,7 @@ runtime::CheckpointOptions build_checkpoint(
     ckpt.dir = it->second;
   }
   if (const auto it = flags.find("checkpoint-interval"); it != flags.end()) {
-    ckpt.interval = std::strtoul(it->second.c_str(), nullptr, 10);
+    ckpt.interval = count_flag(it);
     if (ckpt.interval == 0) {
       throw UsageError("--checkpoint-interval must be >= 1");
     }
@@ -294,7 +316,7 @@ int run_local(service::RequestKind kind,
   defaults.runtime.disk_cache = true;
   if (const auto it = flags.find("jobs"); it != flags.end()) {
     defaults.runtime.jobs = static_cast<unsigned>(
-        std::strtoul(it->second.c_str(), nullptr, 10));
+        count_flag(it, std::numeric_limits<unsigned>::max()));
   }
   std::optional<runtime::CancellationToken> deadline_token;
   if (request.deadline_ms != 0) {
@@ -462,10 +484,14 @@ int cmd_map(int argc, char** argv) {
   const auto terrain = terrain::make_oahu_terrain();
   const scada::ScadaTopology topo = scada::oahu_topology();
   if (argc > 2) {
-    const auto index = std::strtoull(argv[2], nullptr, 10);
+    const std::optional<std::uint64_t> index = util::parse_u64(argv[2]);
+    if (!index) {
+      throw UsageError(std::string("map expects a realization index, got '") +
+                       argv[2] + "'");
+    }
     const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
                                           topo.exposed_assets(), {});
-    const surge::HurricaneRealization r = engine.run(index);
+    const surge::HurricaneRealization r = engine.run(*index);
     std::cout << core::render_region_map(*terrain, topo, &r);
   } else {
     std::cout << core::render_region_map(*terrain, topo);

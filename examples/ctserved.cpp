@@ -29,9 +29,11 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,14 +62,12 @@ extern "C" void handle_shutdown_signal(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_shutdown_pipe[1], &byte, 1);
 }
 
-unsigned long parse_count(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0') {
-    throw std::invalid_argument(std::string(flag) + " expects a number, got " +
-                                value);
-  }
-  return v;
+std::uint64_t parse_count(
+    const std::string& value, const char* flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (const auto v = util::parse_u64(value, max)) return *v;
+  throw std::invalid_argument(std::string(flag) + " expects a number, got " +
+                              value);
 }
 
 }  // namespace
@@ -94,12 +94,14 @@ int main(int argc, char** argv) {
         }
       } else if (key == "--jobs") {
         options.defaults.runtime.jobs =
-            static_cast<unsigned>(parse_count(value(), "--jobs"));
+            static_cast<unsigned>(parse_count(
+                value(), "--jobs", std::numeric_limits<unsigned>::max()));
       } else if (key == "--queue-capacity") {
         options.queue_capacity = parse_count(value(), "--queue-capacity");
       } else if (key == "--deadline-ms") {
         options.default_deadline_ms = static_cast<std::uint32_t>(
-            parse_count(value(), "--deadline-ms"));
+            parse_count(value(), "--deadline-ms",
+                        std::numeric_limits<std::uint32_t>::max()));
       } else if (key == "--stream-interval") {
         options.stream_interval = parse_count(value(), "--stream-interval");
       } else if (key == "--sessions") {

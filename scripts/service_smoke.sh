@@ -9,7 +9,10 @@
 #   3. that cache-warm answer runs no realization: the server's
 #      `surge.node_steps` counter reads the same after it as before
 #      (a count, not a timing);
-#   4. SIGTERM drains gracefully (exit 0 after finishing admitted work).
+#   4. the storm-stage memo: once two sea-level offsets have asked for the
+#      same storms, a third offset runs no storm stage (`surge.node_steps`
+#      unchanged), and every offset's answer matches local execution;
+#   5. SIGTERM drains gracefully (exit 0 after finishing admitted work).
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -76,6 +79,11 @@ echo "== local reference run"
 CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" \
     > "$work/local.txt" 2>/dev/null
 
+echo "== a garbage number is a usage error (exit 2)"
+rc=0
+"$ctctl" analyze --slr abc > /dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || { echo "FAIL: --slr abc exited $rc, not 2"; exit 1; }
+
 echo "== byte-identity: remote(cold) vs local"
 diff -u "$work/local.txt" "$work/remote-cold.txt"
 echo "== byte-identity: remote(warm) vs local"
@@ -92,6 +100,25 @@ echo "== server counters"
 "$ctctl" stats --connect "unix:$sock" | tee "$work/stats.txt"
 grep -Eq "completed[| ]+\|? *3" "$work/stats.txt" \
     || { echo "FAIL: expected 3 completed requests in stats"; exit 1; }
+
+echo "== storm-stage memo: a third sea-level offset runs no storm"
+# Offset 0 has run these 200 storms. Offset 0.1 is the second bind to ask
+# for them, so the server keeps their shoreline records; offset 0.2 then
+# only binds them.
+"$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" --slr 0.1 \
+    > "$work/remote-slr-0.1.txt" 2>/dev/null
+steps_before=$(node_steps)
+"$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" --slr 0.2 \
+    > "$work/remote-slr-0.2.txt" 2>/dev/null
+steps_after=$(node_steps)
+echo "surge.node_steps: $steps_before before --slr 0.2, $steps_after after"
+[[ "$steps_after" == "$steps_before" ]] \
+    || { echo "FAIL: the third offset ran storm stages"; exit 1; }
+for slr in 0.1 0.2; do
+  CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" \
+      --slr "$slr" > "$work/local-slr-$slr.txt" 2>/dev/null
+  diff -u "$work/local-slr-$slr.txt" "$work/remote-slr-$slr.txt"
+done
 
 echo "== graceful drain on SIGTERM"
 kill -TERM "$server_pid"

@@ -38,8 +38,8 @@ const runtime::FailureLedger& CaseStudyRunner::generation_failures() {
 
 const std::string& CaseStudyRunner::batch_digest() {
   if (batch_digest_.empty()) {
-    batch_digest_ = runtime::EnsembleRunner::digest_engine_batch(
-        engine_, options_.realizations);
+    batch_digest_ =
+        runtime_->digest_engine_batch(engine_, options_.realizations);
   }
   return batch_digest_;
 }

@@ -1,9 +1,7 @@
 #include "core/pipeline.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -19,24 +17,6 @@
 namespace ct::core {
 
 namespace {
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  s = util::trim(s);
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, out);
-  return ec == std::errc{} && ptr == end && !s.empty();
-}
-
-bool parse_double(std::string_view s, double& out) {
-  s = util::trim(s);
-  if (s.empty()) return false;
-  // std::from_chars<double> is not universally available; strtod on a
-  // bounded copy keeps this portable.
-  std::string copy(s);
-  char* end = nullptr;
-  out = std::strtod(copy.c_str(), &end);
-  return end == copy.c_str() + copy.size();
-}
 
 /// EnsembleReport -> ScenarioResult (histogram + quarantine accounting).
 ScenarioResult result_from_report(const scada::Configuration& config,
@@ -335,14 +315,21 @@ LoadedRealizations load_realizations_csv(std::istream& in,
     if (why.empty() && fields.size() != 4) {
       why = "expected 4 fields, got " + std::to_string(fields.size());
     }
-    if (why.empty() && !parse_u64(fields[0], r.index)) {
-      why = "bad realization index '" + fields[0] + "'";
-    }
-    if (why.empty() && !parse_double(fields[2], r.peak_wind_ms)) {
-      why = "bad peak_wind_ms '" + fields[2] + "'";
-    }
-    if (why.empty() && !parse_double(fields[3], r.max_shoreline_wse_m)) {
-      why = "bad max_wse_m '" + fields[3] + "'";
+    if (why.empty()) {
+      const auto index = util::parse_u64(util::trim(fields[0]));
+      const auto peak_wind = util::parse_double(util::trim(fields[2]));
+      const auto max_wse = util::parse_double(util::trim(fields[3]));
+      if (!index) {
+        why = "bad realization index '" + fields[0] + "'";
+      } else if (!peak_wind) {
+        why = "bad peak_wind_ms '" + fields[2] + "'";
+      } else if (!max_wse) {
+        why = "bad max_wse_m '" + fields[3] + "'";
+      } else {
+        r.index = *index;
+        r.peak_wind_ms = *peak_wind;
+        r.max_shoreline_wse_m = *max_wse;
+      }
     }
     // A NaN/Inf that slips in here would survive every downstream guard
     // (the engine validates only what IT computes), so the boundary where

@@ -195,7 +195,7 @@ class AnalysisPipeline {
   /// after a final flush (SIGINT/SIGTERM path): the returned analysis then
   /// has interrupted=true and partial distributions, and the on-disk state
   /// feeds the next --resume. See runtime/checkpoint.h for the journal.
-  /// `batch_digest` must be EnsembleRunner::digest_engine_batch(engine,
+  /// `batch_digest` must be runtime.digest_engine_batch(engine,
   /// count); the caller memoizes it (CaseStudyRunner::batch_digest), so a
   /// sweep served whole from the cache runs no realization at all.
   ResumableAnalysis analyze_resumable(

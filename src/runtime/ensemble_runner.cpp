@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "terrain/terrain.h"
 #include "util/digest.h"
 
 namespace ct::runtime {
@@ -134,64 +133,6 @@ void digest_configuration(util::Digest& d, const scada::Configuration& c) {
   }
 }
 
-// Every knob of the realization pipeline. If you add a field to any of
-// these structs, add it here too — a missed field would let the disk cache
-// return results for the OLD semantics. The probe realization mixed into
-// digest_engine_batch() is defense in depth, not a substitute.
-void digest_realization_config(util::Digest& d,
-                               const surge::RealizationConfig& c) {
-  d.f64(c.mesh.shore_spacing_m)
-      .f64(c.mesh.cross_shore_spacing_m)
-      .f64(c.mesh.offshore_extent_m)
-      .f64(c.mesh.inland_extent_m);
-  d.f64(c.surge.dt_s)
-      .f64(c.surge.wind_setup_scale_m)
-      .f64(c.surge.wind_setup_exponent)
-      .f64(c.surge.wave_setup_per_ms)
-      .f64(c.surge.min_depth_m)
-      .f64(c.surge.max_considered_distance_m)
-      .f64(c.surge.wind_options.surface_wind_factor)
-      .f64(c.surge.wind_options.inflow_angle_deg)
-      .f64(c.surge.wind_options.translation_fraction);
-  d.f64(c.inundation.decay_length_m).f64(c.inundation.failure_threshold_m);
-  const storm::TrackEnsembleConfig& e = c.ensemble;
-  d.f64(e.base_aim.lat_deg)
-      .f64(e.base_aim.lon_deg)
-      .f64(e.base_heading_deg)
-      .f64(e.approach_distance_m)
-      .f64(e.departure_distance_m)
-      .f64(e.forward_speed_ms)
-      .f64(e.forward_speed_jitter_ms)
-      .f64(e.cross_track_sigma_m)
-      .f64(e.heading_sigma_deg)
-      .f64(e.pressure_deficit_pa)
-      .f64(e.pressure_deficit_sigma_pa)
-      .f64(e.rmax_m)
-      .f64(e.rmax_sigma_m)
-      .f64(e.rmax_min_m)
-      .f64(e.rmax_max_m)
-      .f64(e.holland_b)
-      .f64(e.holland_b_sigma)
-      .f64(e.fix_interval_s)
-      .f64(e.ambient_pressure_pa);
-  d.boolean(c.harbor.enabled)
-      .f64(c.harbor.ray_length_m)
-      .f64(c.harbor.ray_step_m)
-      .f64(c.harbor.ray_clearance_m)
-      .f64(c.harbor.amplification);
-  d.boolean(c.fragility.enabled)
-      .f64(c.fragility.substation.median_wind_ms)
-      .f64(c.fragility.substation.beta)
-      .f64(c.fragility.power_plant.median_wind_ms)
-      .f64(c.fragility.power_plant.beta)
-      .f64(c.fragility.scan_dt_s);
-  d.f64(c.smoothing_band_m)
-      .i64(c.smoothing_passes)
-      .i64(c.alongshore_window)
-      .f64(c.sea_level_offset_m)
-      .u64(c.base_seed);
-}
-
 }  // namespace
 
 EnsembleRunner::EnsembleRunner(EnsembleOptions options)
@@ -286,6 +227,7 @@ std::vector<surge::HurricaneRealization> EnsembleRunner::generate(
     const surge::RealizationEngine& engine, std::size_t count) {
   obs::Span span("ensemble.generate");
   obs::ScopedTimer timer(ensemble_metrics().generate_us);
+  const std::string storm = memo_storm(engine);
   std::vector<surge::HurricaneRealization> out(count);
   // Generation chunks are larger than analysis chunks: one realization is
   // the expensive unit (storm + surge solve), so 1-4 per task suffices.
@@ -294,7 +236,8 @@ std::vector<surge::HurricaneRealization> EnsembleRunner::generate(
   pool_.parallel_for_ranges(count, chunk,
                             [&](std::size_t begin, std::size_t end) {
                               for (std::size_t i = begin; i < end; ++i) {
-                                out[i] = engine.run(
+                                out[i] = realize(
+                                    engine, storm,
                                     static_cast<std::uint64_t>(i));
                               }
                             });
@@ -308,6 +251,7 @@ GeneratedBatch EnsembleRunner::generate_guarded(
   GeneratedBatch batch;
   batch.attempted = count;
   const std::uint64_t seed = engine.config().base_seed;
+  const std::string storm = memo_storm(engine);
 
   // Same chunking as generate(): one realization is the expensive unit.
   const std::size_t chunk = std::max<std::size_t>(1, options_.chunk / 8);
@@ -327,7 +271,7 @@ GeneratedBatch EnsembleRunner::generate_guarded(
         if (fault_.delay_rule.fires(index, attempt)) {
           cooperative_delay(fault_.delay, token);
         }
-        surge::HurricaneRealization r = engine.run(index);
+        surge::HurricaneRealization r = realize(engine, storm, index);
         if (fault_.nan_rule.fires(index, attempt)) {
           // Poison the surge output, then run the SAME guard production
           // data passes through — the injection proves the guard trips.
@@ -470,6 +414,7 @@ ResumableReport EnsembleRunner::run_resumable(
   report.restored = progress.completed();
 
   const std::uint64_t seed = engine.config().base_seed;
+  const std::string storm = memo_storm(engine);
   const std::uint64_t interval =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ckpt.interval));
   // Same chunking as generate_guarded: one realization is the expensive
@@ -513,7 +458,7 @@ ResumableReport EnsembleRunner::run_resumable(
             if (fault_.delay_rule.fires(index, attempt)) {
               cooperative_delay(fault_.delay, token);
             }
-            surge::HurricaneRealization r = engine.run(index);
+            surge::HurricaneRealization r = realize(engine, storm, index);
             if (fault_.nan_rule.fires(index, attempt)) {
               r.max_shoreline_wse_m =
                   std::numeric_limits<double>::quiet_NaN();
@@ -637,24 +582,42 @@ std::string EnsembleRunner::digest_engine_batch(
     const surge::RealizationEngine& engine, std::size_t count) {
   util::Digest d;
   d.str("ct-engine-batch").u64(count);
-  digest_realization_config(d, engine.config());
-  // The config alone does not identify the inputs: two engines with equal
-  // configs but different terrains (or different mesh-derived precompute)
-  // must never share cached results.
-  terrain::digest_terrain(engine.terrain(), d);
-  engine.bindings().digest_into(d);
-  d.u64(engine.assets().size());
-  for (const surge::ExposedAsset& a : engine.assets()) {
-    d.str(a.id)
-        .f64(a.location.lat_deg)
-        .f64(a.location.lon_deg)
-        .f64(a.ground_elevation_m)
-        .i64(static_cast<int>(a.exposure_class));
-  }
-  // Defense in depth against a RealizationConfig field missing above: the
-  // first realization's full content responds to most knobs.
-  if (count > 0) digest_realization(d, engine.run(0));
+  d.str(engine.storm_digest()).str(engine.bind_digest());
+  engine.bindings().digest_stencils_into(d);
+  // Defense in depth against a RealizationConfig field missing from the
+  // stage digests: the first realization's full content responds to most
+  // knobs.
+  if (count > 0) digest_realization(d, realize(engine, memo_storm(engine), 0));
   return d.hex();
+}
+
+std::string EnsembleRunner::memo_storm(const surge::RealizationEngine& engine) {
+  if (!options_.cache) return {};
+  const std::string& storm = engine.storm_digest();
+  const std::string& bind = engine.bind_digest();
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto [it, first] = memo_admission_.try_emplace(storm);
+  if (first) {
+    it->second.first_bind = bind;
+  } else if (it->second.first_bind != bind) {
+    it->second.shared = true;
+  }
+  return it->second.shared ? storm : std::string();
+}
+
+surge::HurricaneRealization EnsembleRunner::realize(
+    const surge::RealizationEngine& engine, const std::string& storm,
+    std::uint64_t index) {
+  if (storm.empty()) return engine.run(index);
+  const std::string key = storm + "#" + std::to_string(index);
+  std::shared_ptr<const surge::ShorelineRecord> record =
+      store_.lookup_shoreline(key);
+  if (!record) {
+    record = std::make_shared<const surge::ShorelineRecord>(
+        engine.storm(index));
+    store_.store_shoreline(key, record);
+  }
+  return engine.bind(index, *record);
 }
 
 }  // namespace ct::runtime

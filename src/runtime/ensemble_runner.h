@@ -27,13 +27,23 @@
 // samples still produce the partial distribution, bit-identical at any
 // --jobs value, and EnsembleReport bounds how much probability mass the
 // quarantined samples could move (Clopper-Pearson).
+//
+// Storm-stage memo (DESIGN.md §9): every realization the runner produces
+// goes through one helper. Once a second engine with a different bind
+// digest (another sea-level offset, threshold, asset list, ...) has asked
+// for a storm digest, the helper keeps that storm's shoreline records in
+// the store's memory LRU and binds them for whichever engine asks, so a
+// what-if over the same storms runs only the bind stage. A runner that
+// serves one engine stores nothing; options.cache = false bypasses it.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/checkpoint.h"
@@ -253,12 +263,12 @@ class EnsembleRunner {
   static std::string digest_realizations(
       const std::vector<surge::HurricaneRealization>& realizations);
 
-  /// Cheap identity digest for an engine-generated set: the engine's knobs
-  /// (seed, SLR offset, smoothing, ensemble shape), the exposed-asset list,
-  /// and the count determine the content, so hashing them is equivalent to
-  /// hashing the output — without generating it first.
-  static std::string digest_engine_batch(const surge::RealizationEngine& engine,
-                                         std::size_t count);
+  /// Cheap identity digest for an engine-generated set: the engine's storm
+  /// and bind digests and the count determine the content, so hashing them
+  /// is equivalent to hashing the output — without generating it first.
+  /// With count > 0 it also mixes in realization 0 (through the memo).
+  std::string digest_engine_batch(const surge::RealizationEngine& engine,
+                                  std::size_t count);
 
   TaskPool& pool() noexcept { return pool_; }
   ResultStore& store() noexcept { return store_; }
@@ -277,10 +287,30 @@ class EnsembleRunner {
       FailureLedger generation, std::size_t attempted,
       const OutcomeFn& outcome, const std::string& key);
 
+  /// Registers `engine` with the memo's admission rule and returns its
+  /// storm digest when this call should use the memo, "" otherwise.
+  std::string memo_storm(const surge::RealizationEngine& engine);
+  /// Realization `index` of `engine`: engine.run() when `storm` is "",
+  /// else the memoized shoreline record (computed and kept on a miss)
+  /// bound by `engine`. Bit-identical either way.
+  surge::HurricaneRealization realize(const surge::RealizationEngine& engine,
+                                      const std::string& storm,
+                                      std::uint64_t index);
+
   EnsembleOptions options_;
   RuntimeFaultProfile fault_;  // must init before store_ (cache-write rule)
   TaskPool pool_;
   ResultStore store_;
+
+  /// Per storm digest: the first bind digest that asked for it, and whether
+  /// one with a different bind digest has asked since (records are kept
+  /// only then). One entry per storm digest the runner has seen.
+  struct MemoAdmission {
+    std::string first_bind;
+    bool shared = false;
+  };
+  std::mutex memo_mutex_;
+  std::unordered_map<std::string, MemoAdmission> memo_admission_;
 };
 
 }  // namespace ct::runtime

@@ -25,6 +25,9 @@ struct CacheMetrics {
   obs::Counter corrupt_discarded{"cache.corrupt_discarded"};
   obs::Counter write_failures{"cache.write_failures"};
   obs::Histogram lookup_us{"cache.lookup_us"};
+  obs::Counter memo_lookups{"memo.lookups"};
+  obs::Counter memo_hits{"memo.hits"};
+  obs::Counter memo_stores{"memo.stores"};
 };
 
 CacheMetrics& cache_metrics() {
@@ -123,7 +126,7 @@ std::optional<CachedCounts> ResultStore::lookup(const std::string& key) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
-    if (it != index_.end()) {
+    if (it != index_.end() && !it->second->shoreline) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       m.hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -138,14 +141,14 @@ std::optional<CachedCounts> ResultStore::lookup(const std::string& key) {
   m.hits.inc();
   m.disk_hits.inc();
   std::lock_guard<std::mutex> lock(mutex_);
-  touch_locked(key, *from_disk);
+  touch_locked(key, *from_disk, nullptr);
   return from_disk;
 }
 
 void ResultStore::store(const std::string& key, const CachedCounts& value) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    touch_locked(key, value);
+    touch_locked(key, value, nullptr);
   }
   if (!disk_active() || !key_is_safe(key)) return;
   if (write_disk(key, value)) {
@@ -170,15 +173,40 @@ void ResultStore::store(const std::string& key, const CachedCounts& value) {
   }
 }
 
-void ResultStore::touch_locked(const std::string& key,
-                               const CachedCounts& value) {
+std::shared_ptr<const surge::ShorelineRecord> ResultStore::lookup_shoreline(
+    const std::string& key) {
+  CacheMetrics& m = cache_metrics();
+  memo_lookups_.fetch_add(1, std::memory_order_relaxed);
+  m.memo_lookups.inc();
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end() || !it->second->shoreline) return nullptr;
+  memo_hits_.fetch_add(1, std::memory_order_relaxed);
+  m.memo_hits.inc();
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->shoreline;
+}
+
+void ResultStore::store_shoreline(
+    const std::string& key,
+    std::shared_ptr<const surge::ShorelineRecord> record) {
+  memo_stores_.fetch_add(1, std::memory_order_relaxed);
+  cache_metrics().memo_stores.inc();
+  std::lock_guard<std::mutex> lock(mutex_);
+  touch_locked(key, CachedCounts{}, std::move(record));
+}
+
+void ResultStore::touch_locked(
+    const std::string& key, const CachedCounts& value,
+    std::shared_ptr<const surge::ShorelineRecord> shoreline) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->value = value;
+    it->second->shoreline = std::move(shoreline);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, value});
+  lru_.push_front(Entry{key, value, std::move(shoreline)});
   index_[key] = lru_.begin();
   while (lru_.size() > options_.memory_entries) {
     index_.erase(lru_.back().key);
@@ -263,6 +291,9 @@ ResultStore::Stats ResultStore::stats() const {
   s.disk_hits = disk_hits_.load(std::memory_order_relaxed);
   s.corrupt_discarded = corrupt_discarded_.load(std::memory_order_relaxed);
   s.write_failures = write_failures_.load(std::memory_order_relaxed);
+  s.memo_lookups = memo_lookups_.load(std::memory_order_relaxed);
+  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
+  s.memo_stores = memo_stores_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -16,16 +16,26 @@
 // truncation, garbage, checksum or version or key mismatch — makes the
 // lookup a miss (counted in stats), never an error; the next store()
 // rewrites the record. Bumping kFormatVersion invalidates every old entry.
+//
+// The memory LRU also holds the storm-stage memo: shoreline records the
+// EnsembleRunner keeps per (storm digest, realization index). They share
+// the memory_entries bound with outcome counts, never reach the disk layer,
+// and are counted under memo_* rather than lookups/hits.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+
+namespace ct::surge {
+struct ShorelineRecord;
+}  // namespace ct::surge
 
 namespace ct::runtime {
 
@@ -56,7 +66,7 @@ class ResultStore {
  public:
   /// On-disk format version; bump on any change to the record layout OR to
   /// the digest/key derivation (old entries must not alias new ones).
-  static constexpr int kFormatVersion = 1;
+  static constexpr int kFormatVersion = 2;
 
   explicit ResultStore(ResultStoreOptions options = {});
 
@@ -69,6 +79,13 @@ class ResultStore {
   /// itself off for the rest of the process — the cache is an accelerator,
   /// never a correctness dependency.
   void store(const std::string& key, const CachedCounts& value);
+
+  /// The storm-stage memo: memory only, counted in memo_lookups/memo_hits.
+  std::shared_ptr<const surge::ShorelineRecord> lookup_shoreline(
+      const std::string& key);
+  /// Inserts a shoreline record into the memory LRU (never to disk).
+  void store_shoreline(const std::string& key,
+                       std::shared_ptr<const surge::ShorelineRecord> record);
 
   /// Disk writes failing in a row before the layer self-disables.
   static constexpr unsigned kMaxConsecutiveWriteFailures = 3;
@@ -83,6 +100,9 @@ class ResultStore {
     std::uint64_t disk_hits = 0;
     std::uint64_t corrupt_discarded = 0;
     std::uint64_t write_failures = 0;  ///< soft disk-write failures
+    std::uint64_t memo_lookups = 0;    ///< shoreline-record lookups
+    std::uint64_t memo_hits = 0;
+    std::uint64_t memo_stores = 0;
     double hit_rate() const noexcept {
       return lookups == 0 ? 0.0
                           : static_cast<double>(hits) /
@@ -109,7 +129,8 @@ class ResultStore {
   /// Returns false on any write failure (directory, open, flush, rename,
   /// or injected); never throws.
   bool write_disk(const std::string& key, const CachedCounts& value);
-  void touch_locked(const std::string& key, const CachedCounts& value);
+  void touch_locked(const std::string& key, const CachedCounts& value,
+                    std::shared_ptr<const surge::ShorelineRecord> shoreline);
   /// Removes half-written "*.tmp" files a crashed process left behind in
   /// the fan-out directories (they never renamed, so they are garbage).
   void gc_leftover_tmp_files();
@@ -124,6 +145,8 @@ class ResultStore {
   struct Entry {
     std::string key;
     CachedCounts value;
+    /// Set for memo entries, whose `value` is unused.
+    std::shared_ptr<const surge::ShorelineRecord> shoreline;
   };
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
@@ -135,6 +158,9 @@ class ResultStore {
   std::atomic<std::uint64_t> disk_hits_{0};
   std::atomic<std::uint64_t> corrupt_discarded_{0};
   std::atomic<std::uint64_t> write_failures_{0};
+  std::atomic<std::uint64_t> memo_lookups_{0};
+  std::atomic<std::uint64_t> memo_hits_{0};
+  std::atomic<std::uint64_t> memo_stores_{0};
 };
 
 }  // namespace ct::runtime

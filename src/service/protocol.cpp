@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "util/digest.h"
@@ -202,8 +203,8 @@ Request decode_request(std::string_view payload) {
   request.kind = static_cast<RequestKind>(kind);
   request.realizations = r.u64();
   request.sea_level_offset_m = r.f64();
-  if (!(request.sea_level_offset_m == request.sea_level_offset_m)) {
-    fail("sea-level offset is NaN");
+  if (!std::isfinite(request.sea_level_offset_m)) {
+    fail("sea-level offset is not finite");
   }
   request.max_retries = r.u32();
   request.deadline_ms = r.u32();

@@ -117,14 +117,12 @@ Address parse_address(const std::string& spec) {
     }
     out.host = rest.substr(0, colon);
     if (out.host.empty()) out.host = "127.0.0.1";
-    const std::string port_str = rest.substr(colon + 1);
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(port_str.c_str(), &end, 10);
-    if (port_str.empty() || *end != '\0' || port > 65535) {
+    const auto port = util::parse_u64(rest.substr(colon + 1), 65535);
+    if (!port) {
       throw Error(ErrorCode::kInvalidInput, "server",
                   "bad port in address: " + spec);
     }
-    out.port = static_cast<std::uint16_t>(port);
+    out.port = static_cast<std::uint16_t>(*port);
   }
   if (out.is_unix && out.path.empty()) {
     throw Error(ErrorCode::kInvalidInput, "server",

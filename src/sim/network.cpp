@@ -5,7 +5,13 @@
 namespace ct::sim {
 
 std::string to_string(NodeAddr a) {
-  return "s" + std::to_string(a.site) + "/n" + std::to_string(a.node);
+  // Appended piecewise: `"s" + std::string&&` trips a GCC 12 -Wrestrict
+  // false positive at -O3.
+  std::string out = "s";
+  out += std::to_string(a.site);
+  out += "/n";
+  out += std::to_string(a.node);
+  return out;
 }
 
 std::string to_string(Message::Type t) {

@@ -439,7 +439,7 @@ double MeshBindings::interpolate_at(const mesh::NodeField& field,
   return field[s.nearest_node];
 }
 
-void MeshBindings::digest_into(util::Digest& d) const {
+void MeshBindings::digest_envelope_into(util::Digest& d) const {
   d.str("ct-mesh-bindings");
   d.f64(mesh_center_.x).f64(mesh_center_.y).f64(mesh_radius_);
   d.u64(plan_.band_nodes.size())
@@ -456,6 +456,9 @@ void MeshBindings::digest_into(util::Digest& d) const {
           .f64(active_gdepth_[k]);
     }
   }
+}
+
+void MeshBindings::digest_stencils_into(util::Digest& d) const {
   d.u64(stencils_.size());
   for (const AssetStencil& s : stencils_) {
     d.u64(s.station)

@@ -187,10 +187,15 @@ class MeshBindings {
     return asset_index_;
   }
 
-  /// Folds the frozen content into a digest. Mixed into the engine-batch
-  /// cache key so any terrain- or mesh-derived change to the precompute
-  /// (stations, depths, stencils, smoothing plan) invalidates disk caches.
-  void digest_into(util::Digest& d) const;
+  /// Folds the frozen envelope-side content (far-skip geometry, smoothing
+  /// plan, active nodes and their columns) into a digest. Part of the
+  /// engine's storm digest, so any terrain- or mesh-derived change to the
+  /// precompute invalidates disk caches and shoreline records.
+  void digest_envelope_into(util::Digest& d) const;
+  /// Folds the frozen asset stencils into a digest. They derive from the
+  /// mesh and the asset list alike, so the engine-batch key mixes them in
+  /// beside the engine's storm and bind digests.
+  void digest_stencils_into(util::Digest& d) const;
 
  private:
   const mesh::CoastalMesh& cm_;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "util/digest.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -104,6 +105,79 @@ double guarded_max(const std::vector<double>& values, std::uint64_t index,
   }
   return max;
 }
+
+/// One scratch per worker thread: TaskPool workers, run_batch_parallel
+/// threads and the caller's own thread each reuse their own buffers.
+RealizationScratch& thread_scratch() {
+  thread_local RealizationScratch scratch;
+  return scratch;
+}
+
+// The partition of RealizationConfig's 50 fields between the two stages.
+// A field the storm stage reads goes in the storm digest; a field only the
+// bind stage reads goes in the bind digest. A field added to any of these
+// structs belongs in exactly one of the two functions (and in
+// fastpath_test's kConfigKnobs) — a missed field would let a cached result
+// or a shoreline record answer for the OLD semantics.
+
+/// The 40 storm-side fields.
+void digest_storm_fields(util::Digest& d, const RealizationConfig& c) {
+  d.f64(c.mesh.shore_spacing_m)
+      .f64(c.mesh.cross_shore_spacing_m)
+      .f64(c.mesh.offshore_extent_m)
+      .f64(c.mesh.inland_extent_m);
+  d.f64(c.surge.dt_s)
+      .f64(c.surge.wind_setup_scale_m)
+      .f64(c.surge.wind_setup_exponent)
+      .f64(c.surge.wave_setup_per_ms)
+      .f64(c.surge.min_depth_m)
+      .f64(c.surge.max_considered_distance_m)
+      .f64(c.surge.wind_options.surface_wind_factor)
+      .f64(c.surge.wind_options.inflow_angle_deg)
+      .f64(c.surge.wind_options.translation_fraction);
+  const storm::TrackEnsembleConfig& e = c.ensemble;
+  d.f64(e.base_aim.lat_deg)
+      .f64(e.base_aim.lon_deg)
+      .f64(e.base_heading_deg)
+      .f64(e.approach_distance_m)
+      .f64(e.departure_distance_m)
+      .f64(e.forward_speed_ms)
+      .f64(e.forward_speed_jitter_ms)
+      .f64(e.cross_track_sigma_m)
+      .f64(e.heading_sigma_deg)
+      .f64(e.pressure_deficit_pa)
+      .f64(e.pressure_deficit_sigma_pa)
+      .f64(e.rmax_m)
+      .f64(e.rmax_sigma_m)
+      .f64(e.rmax_min_m)
+      .f64(e.rmax_max_m)
+      .f64(e.holland_b)
+      .f64(e.holland_b_sigma)
+      .f64(e.fix_interval_s)
+      .f64(e.ambient_pressure_pa);
+  // The shelter mask feeds the alongshore average; the amplification is
+  // the bind stage's.
+  d.boolean(c.harbor.enabled)
+      .f64(c.harbor.ray_length_m)
+      .f64(c.harbor.ray_step_m)
+      .f64(c.harbor.ray_clearance_m);
+  d.f64(c.smoothing_band_m)
+      .i64(c.smoothing_passes)
+      .i64(c.alongshore_window)
+      .u64(c.base_seed);
+}
+
+/// The 10 bind-side fields.
+void digest_bind_fields(util::Digest& d, const RealizationConfig& c) {
+  d.f64(c.sea_level_offset_m).f64(c.harbor.amplification);
+  d.f64(c.inundation.decay_length_m).f64(c.inundation.failure_threshold_m);
+  d.boolean(c.fragility.enabled)
+      .f64(c.fragility.substation.median_wind_ms)
+      .f64(c.fragility.substation.beta)
+      .f64(c.fragility.power_plant.median_wind_ms)
+      .f64(c.fragility.power_plant.beta)
+      .f64(c.fragility.scan_dt_s);
+}
 }  // namespace
 
 void validate_realization(const HurricaneRealization& realization,
@@ -184,14 +258,37 @@ void RealizationEngine::apply_wind_fragility(const storm::StormTrack& track,
 }
 
 HurricaneRealization RealizationEngine::run(std::uint64_t index) const {
-  // One scratch per worker thread: TaskPool workers, run_batch_parallel
-  // threads, and the caller's own thread each reuse their own buffers.
-  thread_local RealizationScratch scratch;
-  return run(index, scratch);
+  return run(index, thread_scratch());
 }
 
 HurricaneRealization RealizationEngine::run(std::uint64_t index,
                                             RealizationScratch& scratch) const {
+  const double peak_wind_ms = storm_into(index, scratch);
+  return bind_in_place(index, peak_wind_ms, scratch);
+}
+
+ShorelineRecord RealizationEngine::storm(std::uint64_t index) const {
+  RealizationScratch& scratch = thread_scratch();
+  ShorelineRecord record;
+  record.peak_wind_ms = storm_into(index, scratch);
+  record.station_wse_m = scratch.shore_wse;
+  return record;
+}
+
+HurricaneRealization RealizationEngine::bind(
+    std::uint64_t index, const ShorelineRecord& record) const {
+  if (record.station_wse_m.size() != cm_.stations.size()) {
+    throw std::invalid_argument(
+        "RealizationEngine::bind: record/station size mismatch");
+  }
+  RealizationScratch& scratch = thread_scratch();
+  scratch.shore_wse.assign(record.station_wse_m.begin(),
+                           record.station_wse_m.end());
+  return bind_in_place(index, record.peak_wind_ms, scratch);
+}
+
+double RealizationEngine::storm_into(std::uint64_t index,
+                                     RealizationScratch& scratch) const {
   const storm::StormTrack track =
       generator_.generate(config_.base_seed, index);
   const geo::EnuProjection& proj = terrain_->projection();
@@ -207,6 +304,12 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
   mesh::shoreline_values(cm_, scratch.envelope, scratch.shore_wse);
   alongshore_average(scratch.shore_wse, sheltered_, config_.alongshore_window,
                      scratch.station_snapshot);
+  return track.peak_surface_wind_ms();
+}
+
+HurricaneRealization RealizationEngine::bind_in_place(
+    std::uint64_t index, double peak_wind_ms,
+    RealizationScratch& scratch) const {
   if (config_.sea_level_offset_m != 0.0) {
     for (double& wse : scratch.shore_wse) wse += config_.sea_level_offset_m;
   }
@@ -220,16 +323,49 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
   out.index = index;
   bindings_.impacts_into(scratch.shore_wse, out.impacts);
   out.asset_index = bindings_.asset_index();
-  out.peak_wind_ms = track.peak_surface_wind_ms();
+  out.peak_wind_ms = peak_wind_ms;
 
-  // Optional wind-fragility stage (extension; see fragility.h).
+  // Optional wind-fragility stage (extension; see fragility.h). The track
+  // is a pure function of (base_seed, index), so redrawing it here gives
+  // the storm stage's track.
   if (config_.fragility.enabled) {
-    apply_wind_fragility(track, index, out);
+    apply_wind_fragility(generator_.generate(config_.base_seed, index), index,
+                         out);
   }
   out.max_shoreline_wse_m =
       guarded_max(scratch.shore_wse, index, config_.base_seed);
   validate_realization(out, config_.base_seed);
   return out;
+}
+
+const std::string& RealizationEngine::storm_digest() const {
+  std::call_once(digests_once_, [this] {
+    util::Digest storm;
+    storm.str("ct-storm-stage");
+    digest_storm_fields(storm, config_);
+    terrain::digest_terrain(*terrain_, storm);
+    bindings_.digest_envelope_into(storm);
+    storm_digest_ = storm.hex();
+
+    util::Digest bind;
+    bind.str("ct-bind-stage");
+    digest_bind_fields(bind, config_);
+    bind.u64(assets_.size());
+    for (const ExposedAsset& a : assets_) {
+      bind.str(a.id)
+          .f64(a.location.lat_deg)
+          .f64(a.location.lon_deg)
+          .f64(a.ground_elevation_m)
+          .i64(static_cast<int>(a.exposure_class));
+    }
+    bind_digest_ = bind.hex();
+  });
+  return storm_digest_;
+}
+
+const std::string& RealizationEngine::bind_digest() const {
+  storm_digest();  // computes both
+  return bind_digest_;
 }
 
 HurricaneRealization RealizationEngine::run_reference(

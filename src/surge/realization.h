@@ -9,10 +9,19 @@
 //    kernel, pruned active-node envelope, in-place smoothing, reusable
 //    scratch.
 //  - run_reference(): the original allocating pipeline, kept as the oracle.
+//
+// run() is two stages (DESIGN.md §10). The storm stage (track, envelope,
+// smoothing, alongshore average) yields a ShorelineRecord that depends only
+// on the fields storm_digest() covers; the bind stage (sea-level offset,
+// harbor transfer, asset impacts, wind fragility) reads only the record and
+// the fields bind_digest() covers. run(i) is bind(i, storm(i)) bit for bit,
+// which is what lets the ensemble runtime reuse one storm across engines
+// that differ only in bind knobs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,6 +90,14 @@ struct HurricaneRealization {
   const AssetImpact* find_impact(const std::string& id) const;
 };
 
+/// Output of the storm stage for one realization: the alongshore-averaged
+/// shoreline WSE at every station (before any sea-level offset or harbor
+/// transfer) and the storm's peak surface wind.
+struct ShorelineRecord {
+  std::vector<double> station_wse_m;
+  double peak_wind_ms = 0.0;
+};
+
 /// Per-worker reusable buffers for the realization hot path. One instance
 /// per thread (run() keeps a thread_local one); after the first realization
 /// the steady state allocates nothing but the output impact strings.
@@ -121,6 +138,28 @@ class RealizationEngine {
   HurricaneRealization run(std::uint64_t index,
                            RealizationScratch& scratch) const;
 
+  /// Storm stage of realization `index`: everything up to and including
+  /// the alongshore average.
+  ShorelineRecord storm(std::uint64_t index) const;
+
+  /// Bind stage of realization `index` over `record`, which must come from
+  /// storm(index) of an engine with this engine's storm_digest().
+  /// bind(i, storm(i)) is bit-identical to run(i).
+  HurricaneRealization bind(std::uint64_t index,
+                            const ShorelineRecord& record) const;
+
+  /// Digest of everything the storm stage reads: the terrain, the
+  /// envelope-side precompute and the 40 storm-side RealizationConfig
+  /// fields (mesh, surge, ensemble, harbor shelter detection, smoothing,
+  /// alongshore window, base seed). Computed once, on first use.
+  const std::string& storm_digest() const;
+  /// Digest of what the bind stage adds: the 10 bind-side fields (sea-level
+  /// offset, harbor amplification, inundation, fragility) and the asset
+  /// list. storm_digest() and bind_digest() together identify every output
+  /// of run(); the asset stencils derive from both (mesh and assets), so
+  /// the engine-batch key mixes them in beside the two.
+  const std::string& bind_digest() const;
+
   /// The original allocating pipeline, kept as the equivalence oracle and
   /// for apples-to-apples benchmarking.
   HurricaneRealization run_reference(std::uint64_t index) const;
@@ -144,6 +183,11 @@ class RealizationEngine {
   const MeshBindings& bindings() const noexcept { return bindings_; }
 
  private:
+  /// Storm stage into scratch.shore_wse; returns the peak surface wind.
+  double storm_into(std::uint64_t index, RealizationScratch& scratch) const;
+  /// Bind stage over scratch.shore_wse, which it modifies in place.
+  HurricaneRealization bind_in_place(std::uint64_t index, double peak_wind_ms,
+                                     RealizationScratch& scratch) const;
   /// Wind-fragility stage shared by both paths (track-scan + sampling).
   void apply_wind_fragility(const storm::StormTrack& track,
                             std::uint64_t index,
@@ -159,6 +203,9 @@ class RealizationEngine {
   MeshBindings bindings_;
   std::vector<bool> sheltered_;
   std::vector<std::size_t> harbor_sources_;
+  mutable std::once_flag digests_once_;
+  mutable std::string storm_digest_;
+  mutable std::string bind_digest_;
 };
 
 }  // namespace ct::surge

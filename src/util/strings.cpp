@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 
 namespace ct::util {
 
@@ -88,6 +90,29 @@ std::string closest_match(std::string_view name,
     }
   }
   return best;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view s,
+                                       std::uint64_t max) noexcept {
+  std::uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (s.empty() || ec != std::errc{} || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_double(std::string_view s) {
+  // strtod would skip leading whitespace; a strict token has none.
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s.front()))) {
+    return std::nullopt;
+  }
+  const std::string copy(s);  // strtod needs a terminated string
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (end != copy.c_str() + copy.size()) return std::nullopt;
+  return value;
 }
 
 std::string format_fixed(double v, int decimals) {

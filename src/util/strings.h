@@ -1,6 +1,9 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +36,18 @@ std::size_t edit_distance(std::string_view a, std::string_view b);
 std::string closest_match(std::string_view name,
                           const std::vector<std::string>& candidates,
                           std::size_t max_distance = 2);
+
+/// Strict parse of a whole token as a decimal count: digits only (no sign,
+/// no whitespace, no suffix), at most `max`. std::nullopt otherwise, so
+/// "4x", "-3" and "" never read as numbers.
+std::optional<std::uint64_t> parse_u64(
+    std::string_view s,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) noexcept;
+
+/// Strict parse of a whole token as a double (strtod syntax, no leading or
+/// trailing characters). "inf" and "nan" parse; callers that need a finite
+/// value check it.
+std::optional<double> parse_double(std::string_view s);
 
 /// Formats a double with fixed decimals (e.g. percentages in reports).
 std::string format_fixed(double v, int decimals);

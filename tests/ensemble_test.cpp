@@ -9,10 +9,13 @@
 // suite at 1 and 8).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "core/case_study.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "obs/metrics.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
 #include "surge/realization.h"
@@ -217,14 +221,15 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
 /// same key, any knob change (seed, SLR, count) -> different key, and it
 /// must agree with itself without generating the batch.
 TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
-  const auto base = runtime::EnsembleRunner::digest_engine_batch(
-      make_engine(kSeeds[0]), kRealizations);
-  EXPECT_EQ(base, runtime::EnsembleRunner::digest_engine_batch(
-                      make_engine(kSeeds[0]), kRealizations));
-  EXPECT_NE(base, runtime::EnsembleRunner::digest_engine_batch(
-                      make_engine(kSeeds[1]), kRealizations));
-  EXPECT_NE(base, runtime::EnsembleRunner::digest_engine_batch(
-                      make_engine(kSeeds[0]), kRealizations + 1));
+  runtime::EnsembleRunner runner(make_options(1));
+  const auto base =
+      runner.digest_engine_batch(make_engine(kSeeds[0]), kRealizations);
+  EXPECT_EQ(base,
+            runner.digest_engine_batch(make_engine(kSeeds[0]), kRealizations));
+  EXPECT_NE(base,
+            runner.digest_engine_batch(make_engine(kSeeds[1]), kRealizations));
+  EXPECT_NE(base, runner.digest_engine_batch(make_engine(kSeeds[0]),
+                                             kRealizations + 1));
 
   surge::RealizationConfig slr;
   slr.base_seed = kSeeds[0];
@@ -232,8 +237,7 @@ TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
   const surge::RealizationEngine slr_engine(
       terrain::make_oahu_terrain(), scada::oahu_topology().exposed_assets(),
       slr);
-  EXPECT_NE(base, runtime::EnsembleRunner::digest_engine_batch(slr_engine,
-                                                               kRealizations));
+  EXPECT_NE(base, runner.digest_engine_batch(slr_engine, kRealizations));
 }
 
 /// Every input of job_key must reach the key on its own: each field of
@@ -626,6 +630,264 @@ core::ScenarioResult make_result(std::size_t attempted, std::size_t completed) {
     r.failures.push_back(std::move(f));
   }
   return r;
+}
+
+// --- storm-stage memo -----------------------------------------------------
+
+constexpr std::size_t kPaperRealizations = 1000;
+
+/// Restores the obs gate on exit: these tests read surge.node_steps, so
+/// they switch collection on (CI also runs this suite with CT_OBS=0).
+struct ObsGateGuard {
+  bool was_enabled = obs::enabled();
+  ~ObsGateGuard() { obs::set_enabled(was_enabled); }
+};
+
+/// A memo-enabled runner (in-memory cache on) that ignores CT_FAULT.
+runtime::EnsembleOptions memo_options(unsigned jobs) {
+  runtime::EnsembleOptions options = make_options(jobs, /*cache=*/true);
+  options.fault_spec = "none";
+  return options;
+}
+
+/// An engine over the paper's storms at sea-level offset `offset_m`.
+surge::RealizationEngine offset_engine(double offset_m) {
+  surge::RealizationConfig config;
+  config.sea_level_offset_m = offset_m;
+  return surge::RealizationEngine(terrain::make_oahu_terrain(),
+                                  scada::oahu_topology().exposed_assets(),
+                                  config);
+}
+
+/// Every field of two realizations, doubles compared bit for bit.
+void expect_bit_identical(const surge::HurricaneRealization& got,
+                          const surge::HurricaneRealization& want,
+                          const std::string& context) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.index, want.index) << context;
+  EXPECT_EQ(bits(got.peak_wind_ms), bits(want.peak_wind_ms)) << context;
+  EXPECT_EQ(bits(got.max_shoreline_wse_m), bits(want.max_shoreline_wse_m))
+      << context;
+  ASSERT_EQ(got.impacts.size(), want.impacts.size()) << context;
+  for (std::size_t a = 0; a < want.impacts.size(); ++a) {
+    const surge::AssetImpact& g = got.impacts[a];
+    const surge::AssetImpact& w = want.impacts[a];
+    EXPECT_EQ(g.asset_id, w.asset_id) << context;
+    EXPECT_EQ(g.shoreline_station, w.shoreline_station) << context;
+    EXPECT_EQ(bits(g.shoreline_wse_m), bits(w.shoreline_wse_m)) << context;
+    EXPECT_EQ(bits(g.water_level_m), bits(w.water_level_m)) << context;
+    EXPECT_EQ(bits(g.inundation_depth_m), bits(w.inundation_depth_m))
+        << context;
+    EXPECT_EQ(g.failed, w.failed) << context;
+    EXPECT_EQ(bits(g.peak_wind_ms), bits(w.peak_wind_ms)) << context;
+    EXPECT_EQ(g.wind_failed, w.wind_failed) << context;
+  }
+}
+
+void expect_bit_identical(const std::vector<surge::HurricaneRealization>& got,
+                          const std::vector<surge::HurricaneRealization>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_bit_identical(got[i], want[i],
+                         context + " [" + std::to_string(i) + "]");
+  }
+}
+
+/// Engines over the paper's storms that differ in one bind knob each.
+struct BindVariant {
+  const char* name;
+  std::function<void(surge::RealizationConfig&)> knob;
+};
+
+const std::vector<BindVariant>& bind_variants() {
+  static const std::vector<BindVariant> variants = {
+      {"paper", [](surge::RealizationConfig&) {}},
+      {"offset",
+       [](surge::RealizationConfig& c) { c.sea_level_offset_m = 0.4; }},
+      {"amplification",
+       [](surge::RealizationConfig& c) { c.harbor.amplification = 1.3; }},
+      {"decay",
+       [](surge::RealizationConfig& c) {
+         c.inundation.decay_length_m = 2500.0;
+       }},
+      {"threshold",
+       [](surge::RealizationConfig& c) {
+         c.inundation.failure_threshold_m = 0.25;
+       }},
+      {"fragility",
+       [](surge::RealizationConfig& c) { c.fragility.enabled = true; }},
+  };
+  return variants;
+}
+
+/// Records through the memo bind bit-identically to engine.run over all
+/// 1000 paper realizations, for every bind knob, at jobs 1 and 8, and with
+/// an LRU small enough to evict records mid-sweep.
+TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
+  std::vector<std::unique_ptr<const surge::RealizationEngine>> engines;
+  for (const BindVariant& v : bind_variants()) {
+    surge::RealizationConfig config;
+    v.knob(config);
+    engines.push_back(std::make_unique<const surge::RealizationEngine>(
+        terrain::make_oahu_terrain(), scada::oahu_topology().exposed_assets(),
+        config));
+  }
+
+  // Reference: engine.run for every realization, memo bypassed.
+  runtime::EnsembleOptions reference_options = memo_options(8);
+  reference_options.cache = false;
+  runtime::EnsembleRunner reference_runner(reference_options);
+  std::vector<std::vector<surge::HurricaneRealization>> reference;
+  for (const auto& engine : engines) {
+    reference.push_back(reference_runner.generate(*engine, kPaperRealizations));
+  }
+
+  for (const unsigned jobs : {1u, 8u}) {
+    runtime::EnsembleRunner runner(memo_options(jobs));
+    // One paper realization registers the first bind digest, so the next
+    // engine's sweep is the one that keeps the records.
+    runner.generate(*engines[0], 1);
+    for (std::size_t e = 1; e < engines.size(); ++e) {
+      expect_bit_identical(runner.generate(*engines[e], kPaperRealizations),
+                           reference[e],
+                           std::string(bind_variants()[e].name) + " jobs " +
+                               std::to_string(jobs));
+    }
+    expect_bit_identical(runner.generate(*engines[0], kPaperRealizations),
+                         reference[0], "paper jobs " + std::to_string(jobs));
+    const runtime::ResultStore::Stats stats = runner.cache_stats();
+    EXPECT_EQ(stats.memo_stores, kPaperRealizations);
+    EXPECT_EQ(stats.memo_hits,
+              (engines.size() - 1) * kPaperRealizations);
+  }
+
+  // 100 entries against 1000 in-order realizations: every record is evicted
+  // before the next engine asks for it again.
+  runtime::EnsembleOptions small = memo_options(8);
+  small.memory_entries = 100;
+  runtime::EnsembleRunner evicting(small);
+  evicting.generate(*engines[0], 1);
+  for (const std::size_t e : {std::size_t{1}, std::size_t{4}}) {
+    expect_bit_identical(evicting.generate(*engines[e], kPaperRealizations),
+                         reference[e],
+                         std::string(bind_variants()[e].name) + " evicting");
+  }
+  EXPECT_EQ(evicting.cache_stats().memo_stores, 2 * kPaperRealizations);
+}
+
+/// CT_FAULT's throw, delay and nan rules act around the memo, so they
+/// quarantine the same indices, and the survivors are the same bits, with
+/// the memo on and off.
+TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
+  const surge::RealizationEngine engines[] = {
+      offset_engine(0.0), offset_engine(0.2), offset_engine(0.4)};
+  struct Case {
+    const char* spec;
+    std::size_t count;
+    std::chrono::milliseconds timeout;
+  };
+  const Case cases[] = {
+      {"throw:every=7", kRealizations, {}},
+      {"nan:every=9", kRealizations, {}},
+      {"delay:every=10,ms=500", 20, std::chrono::milliseconds(40)}};
+  for (const Case& c : cases) {
+    runtime::EnsembleOptions off_options = guarded_options(4, c.spec, 1);
+    off_options.task_timeout = c.timeout;
+    runtime::EnsembleOptions on_options = off_options;
+    on_options.cache = true;
+    runtime::EnsembleRunner memo_off(off_options);
+    runtime::EnsembleRunner memo_on(on_options);
+    for (const surge::RealizationEngine& engine : engines) {
+      const runtime::GeneratedBatch want =
+          memo_off.generate_guarded(engine, c.count);
+      const runtime::GeneratedBatch got =
+          memo_on.generate_guarded(engine, c.count);
+      ASSERT_FALSE(want.complete()) << c.spec;
+      ASSERT_EQ(got.ledger.failures.size(), want.ledger.failures.size())
+          << c.spec;
+      for (std::size_t i = 0; i < want.ledger.failures.size(); ++i) {
+        EXPECT_EQ(got.ledger.failures[i].realization,
+                  want.ledger.failures[i].realization)
+            << c.spec;
+        EXPECT_EQ(got.ledger.failures[i].code, want.ledger.failures[i].code)
+            << c.spec;
+        EXPECT_EQ(got.ledger.failures[i].attempts,
+                  want.ledger.failures[i].attempts)
+            << c.spec;
+      }
+      expect_bit_identical(got.realizations, want.realizations, c.spec);
+    }
+    EXPECT_GT(memo_on.cache_stats().memo_hits, 0u) << c.spec;
+  }
+}
+
+/// The admission rule: a runner that only ever serves one bind digest (any
+/// number of identical engines, every entry point) keeps no record.
+TEST(EnsembleMemoTest, RunnerServingOneEngineStoresNoRecord) {
+  runtime::EnsembleRunner runner(memo_options(4));
+  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  const surge::RealizationEngine twin = make_engine(kSeeds[0]);
+  runner.digest_engine_batch(engine, kRealizations);
+  runner.generate(engine, kRealizations);
+  runner.generate_guarded(twin, kRealizations);
+  runtime::SweepSpec spec;
+  spec.digest = "memo-admission";
+  spec.count = kRealizations;
+  spec.series = {"only"};
+  runner.run_resumable(
+      twin, spec, [](std::size_t, const surge::HurricaneRealization&) {
+        return 0;
+      },
+      runtime::CheckpointOptions{});
+  const runtime::ResultStore::Stats stats = runner.cache_stats();
+  EXPECT_EQ(stats.memo_lookups, 0u);
+  EXPECT_EQ(stats.memo_stores, 0u);
+}
+
+/// Once two offsets have asked, a third runs the bind stage only: it adds
+/// nothing to surge.node_steps and still matches engine.run bit for bit.
+TEST(EnsembleMemoTest, ThirdEngineRunsNoStorm) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  runtime::EnsembleRunner runner(memo_options(4));
+  runner.generate(offset_engine(0.0), kRealizations);
+  runner.generate(offset_engine(0.2), kRealizations);
+  EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
+
+  const surge::RealizationEngine third = offset_engine(0.4);
+  const std::uint64_t before = node_steps.value();
+  const std::vector<surge::HurricaneRealization> got =
+      runner.generate(third, kRealizations);
+  EXPECT_EQ(node_steps.value() - before, 0u);
+  EXPECT_EQ(runner.cache_stats().memo_hits, kRealizations);
+  EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
+  expect_bit_identical(got, third.run_batch(kRealizations), "third engine");
+}
+
+/// options.cache = false (--no-cache) bypasses the memo: every engine runs
+/// every storm stage.
+TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  runtime::EnsembleOptions options = memo_options(4);
+  options.cache = false;
+  runtime::EnsembleRunner runner(options);
+  std::vector<std::uint64_t> steps;
+  for (const double offset : {0.0, 0.2, 0.4}) {
+    const std::uint64_t before = node_steps.value();
+    runner.generate(offset_engine(offset), kRealizations);
+    steps.push_back(node_steps.value() - before);
+  }
+  if (obs::compiled_in()) {
+    EXPECT_GT(steps[0], 0u);
+  }
+  EXPECT_EQ(steps[1], steps[0]);
+  EXPECT_EQ(steps[2], steps[0]);
+  EXPECT_EQ(runner.cache_stats().memo_lookups, 0u);
+  EXPECT_EQ(runner.cache_stats().memo_stores, 0u);
 }
 
 TEST(ExitCodePolicyTest, CleanDegradedAndEmptyRuns) {

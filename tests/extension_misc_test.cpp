@@ -1,9 +1,14 @@
 // Coverage for the remaining extension surfaces: the simulator's event
-// limit (storm guard), sea-level-rise offsets, and hot- vs cold-backup
+// limit (storm guard), sea-level-rise offsets and inundation thresholds
+// (per-realization metamorphic relations), and hot- vs cold-backup
 // evaluator semantics for custom architectures.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
 #include "core/evaluator.h"
+#include "runtime/ensemble_runner.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "scada/configuration.h"
@@ -52,27 +57,103 @@ TEST(EventLimit, DesReportsTruncation) {
   EXPECT_LE(outcome.events, 200u);
 }
 
+unsigned test_jobs() {
+  if (const char* env = std::getenv("CT_TEST_JOBS")) {
+    const unsigned long n = std::strtoul(env, nullptr, 10);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+  return 4;
+}
+
+/// Per-realization metamorphic relations over every asset of all 1000 paper
+/// realizations. Raising the sea-level offset never lowers an asset's depth
+/// and never un-floods it; raising the failure threshold never floods a dry
+/// asset. Both hold exactly in IEEE arithmetic, because depth =
+/// max(0, wse * decay - ground) with decay > 0 and harbor amplification
+/// > 0. The 12 engines share one runner, so the storm-stage memo runs each
+/// storm at most twice.
 TEST(SeaLevelRise, FloodProbabilityMonotonic) {
   const scada::ScadaTopology topo = scada::oahu_topology();
-  double previous = -1.0;
-  for (const double slr : {0.0, 0.4, 0.8}) {
-    surge::RealizationConfig config;
-    config.sea_level_offset_m = slr;
-    const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
-                                          topo.exposed_assets(), config);
-    std::size_t failures = 0;
-    const std::size_t n = 150;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (engine.run(i).asset_failed(scada::oahu_ids::kHonoluluCc)) {
-        ++failures;
+  const double offsets[] = {-0.5, 0.0, 0.4, 0.8};
+  const double thresholds[] = {0.25, 0.5, 0.75};
+  constexpr std::size_t kRealizations = 1000;
+  runtime::EnsembleOptions options;
+  options.jobs = test_jobs();
+  options.fault_spec = "none";
+  runtime::EnsembleRunner runner(options);
+
+  // depth[o][t] and flooded[o][t]: realization-major, asset-minor.
+  std::vector<double> depth[4][3];
+  std::vector<char> flooded[4][3];
+  std::size_t assets = 0;
+  for (std::size_t o = 0; o < 4; ++o) {
+    for (std::size_t t = 0; t < 3; ++t) {
+      surge::RealizationConfig config;
+      config.sea_level_offset_m = offsets[o];
+      config.inundation.failure_threshold_m = thresholds[t];
+      const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
+                                            topo.exposed_assets(), config);
+      assets = engine.assets().size();
+      for (const surge::HurricaneRealization& r :
+           runner.generate(engine, kRealizations)) {
+        ASSERT_EQ(r.impacts.size(), assets);
+        for (const surge::AssetImpact& impact : r.impacts) {
+          depth[o][t].push_back(impact.inundation_depth_m);
+          flooded[o][t].push_back(impact.failed);
+        }
       }
     }
-    const double rate = static_cast<double>(failures) / static_cast<double>(n);
-    EXPECT_GE(rate, previous);
-    previous = rate;
   }
-  // 0.8 m of SLR must visibly worsen flooding over the baseline.
-  EXPECT_GT(previous, 0.25);
+  ASSERT_GT(assets, 0u);
+  EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
+
+  const std::size_t cells = kRealizations * assets;
+  for (std::size_t t = 0; t < 3; ++t) {
+    for (std::size_t o = 1; o < 4; ++o) {
+      std::size_t violations = 0;
+      for (std::size_t k = 0; k < cells; ++k) {
+        if (depth[o][t][k] < depth[o - 1][t][k]) ++violations;
+        if (flooded[o - 1][t][k] && !flooded[o][t][k]) ++violations;
+      }
+      EXPECT_EQ(violations, 0u)
+          << "offset " << offsets[o - 1] << " -> " << offsets[o]
+          << " at threshold " << thresholds[t];
+    }
+  }
+  for (std::size_t o = 0; o < 4; ++o) {
+    for (std::size_t t = 1; t < 3; ++t) {
+      std::size_t violations = 0;
+      for (std::size_t k = 0; k < cells; ++k) {
+        if (depth[o][t][k] != depth[o][t - 1][k]) ++violations;
+        if (flooded[o][t][k] && !flooded[o][t - 1][k]) ++violations;
+      }
+      EXPECT_EQ(violations, 0u)
+          << "threshold " << thresholds[t - 1] << " -> " << thresholds[t]
+          << " at offset " << offsets[o];
+    }
+  }
+
+  // The offsets move real floods: -0.5 m protects and 0.8 m of SLR
+  // visibly worsens flooding over the baseline (default threshold).
+  const auto flooded_count = [&](std::size_t o) {
+    std::size_t n = 0;
+    for (const char f : flooded[o][1]) n += f != 0;
+    return n;
+  };
+  EXPECT_LT(flooded_count(0), flooded_count(1));
+  EXPECT_GT(flooded_count(3), flooded_count(1));
+  const std::vector<surge::ExposedAsset> exposed = topo.exposed_assets();
+  std::size_t cc = 0;
+  while (cc < exposed.size() &&
+         exposed[cc].id != scada::oahu_ids::kHonoluluCc) {
+    ++cc;
+  }
+  ASSERT_LT(cc, assets);
+  std::size_t cc_floods = 0;
+  for (std::size_t i = 0; i < kRealizations; ++i) {
+    cc_floods += flooded[3][1][i * assets + cc] != 0;
+  }
+  EXPECT_GT(cc_floods, kRealizations / 4);
 }
 
 TEST(SeaLevelRise, NegativeOffsetProtects) {

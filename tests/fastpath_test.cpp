@@ -593,149 +593,190 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
 
 // ------------------------------------------------ digest / invalidation
 
-/// Engine-batch digest at count 0, where digest_engine_batch skips its
-/// probe realization: every knob must reach the key through the explicit
-/// field digests alone, since a served warm request reuses one probe per
-/// case study.
+/// An engine's stage digests and its engine-batch digest at count 0, where
+/// digest_engine_batch skips its probe realization: every knob must reach
+/// the key through the stage digests alone, since a served warm request
+/// reuses one probe per case study.
+struct EngineKeys {
+  std::string storm;
+  std::string bind;
+  std::string batch;
+};
+
+EngineKeys engine_keys(const RealizationConfig& config,
+                       std::shared_ptr<const terrain::Terrain> terrain) {
+  const RealizationEngine engine(std::move(terrain), oahu_assets(), config);
+  runtime::EnsembleOptions options;
+  options.jobs = 1;
+  runtime::EnsembleRunner runner(options);
+  return {engine.storm_digest(), engine.bind_digest(),
+          runner.digest_engine_batch(engine, 0)};
+}
+
 std::string engine_digest(const RealizationConfig& config,
                           std::shared_ptr<const terrain::Terrain> terrain) {
-  const RealizationEngine engine(std::move(terrain), oahu_assets(), config);
-  return runtime::EnsembleRunner::digest_engine_batch(engine, 0);
+  return engine_keys(config, std::move(terrain)).batch;
 }
+
+/// The realization stage that reads a RealizationConfig field.
+enum class Stage { kStorm, kBind };
 
 /// One field of RealizationConfig, moved off its default.
 struct ConfigKnob {
   const char* name;
+  Stage stage;
   void (*perturb)(RealizationConfig&);
 };
 
+constexpr Stage kStorm = Stage::kStorm;
+constexpr Stage kBind = Stage::kBind;
+
 // Every one of RealizationConfig's 50 fields: mesh 4, surge 6 + wind
-// options 3, inundation 2, ensemble 19, harbor 5, fragility 6, top level 5.
-// A field added to RealizationConfig belongs here and in
-// digest_realization_config.
+// options 3, inundation 2, ensemble 19, harbor 5, fragility 6, top level 5,
+// each tagged with the stage that reads it (40 storm, 10 bind). A field
+// added to RealizationConfig belongs here and in surge/realization.cpp's
+// digest_storm_fields or digest_bind_fields.
 const ConfigKnob kConfigKnobs[] = {
-    {"mesh.shore_spacing_m",
+    {"mesh.shore_spacing_m", kStorm,
      [](RealizationConfig& c) { c.mesh.shore_spacing_m = 2500.0; }},
-    {"mesh.cross_shore_spacing_m",
+    {"mesh.cross_shore_spacing_m", kStorm,
      [](RealizationConfig& c) { c.mesh.cross_shore_spacing_m = 900.0; }},
-    {"mesh.offshore_extent_m",
+    {"mesh.offshore_extent_m", kStorm,
      [](RealizationConfig& c) { c.mesh.offshore_extent_m = 9000.0; }},
-    {"mesh.inland_extent_m",
+    {"mesh.inland_extent_m", kStorm,
      [](RealizationConfig& c) { c.mesh.inland_extent_m = 2000.0; }},
-    {"surge.dt_s", [](RealizationConfig& c) { c.surge.dt_s = 1200.0; }},
-    {"surge.wind_setup_scale_m",
+    {"surge.dt_s", kStorm, [](RealizationConfig& c) { c.surge.dt_s = 1200.0; }},
+    {"surge.wind_setup_scale_m", kStorm,
      [](RealizationConfig& c) { c.surge.wind_setup_scale_m = 9.0e-4; }},
-    {"surge.wind_setup_exponent",
+    {"surge.wind_setup_exponent", kStorm,
      [](RealizationConfig& c) { c.surge.wind_setup_exponent = 2.5; }},
-    {"surge.wave_setup_per_ms",
+    {"surge.wave_setup_per_ms", kStorm,
      [](RealizationConfig& c) { c.surge.wave_setup_per_ms = 0.007; }},
-    {"surge.min_depth_m",
+    {"surge.min_depth_m", kStorm,
      [](RealizationConfig& c) { c.surge.min_depth_m = 3.0; }},
-    {"surge.max_considered_distance_m",
+    {"surge.max_considered_distance_m", kStorm,
      [](RealizationConfig& c) {
        c.surge.max_considered_distance_m = 300000.0;
      }},
-    {"surge.wind_options.surface_wind_factor",
+    {"surge.wind_options.surface_wind_factor", kStorm,
      [](RealizationConfig& c) {
        c.surge.wind_options.surface_wind_factor = 0.85;
      }},
-    {"surge.wind_options.inflow_angle_deg",
+    {"surge.wind_options.inflow_angle_deg", kStorm,
      [](RealizationConfig& c) {
        c.surge.wind_options.inflow_angle_deg = 25.0;
      }},
-    {"surge.wind_options.translation_fraction",
+    {"surge.wind_options.translation_fraction", kStorm,
      [](RealizationConfig& c) {
        c.surge.wind_options.translation_fraction = 0.6;
      }},
-    {"inundation.decay_length_m",
+    {"inundation.decay_length_m", kBind,
      [](RealizationConfig& c) { c.inundation.decay_length_m = 2500.0; }},
-    {"inundation.failure_threshold_m",
+    {"inundation.failure_threshold_m", kBind,
      [](RealizationConfig& c) { c.inundation.failure_threshold_m = 0.6; }},
-    {"ensemble.base_aim.lat_deg",
+    {"ensemble.base_aim.lat_deg", kStorm,
      [](RealizationConfig& c) { c.ensemble.base_aim.lat_deg = 21.3; }},
-    {"ensemble.base_aim.lon_deg",
+    {"ensemble.base_aim.lon_deg", kStorm,
      [](RealizationConfig& c) { c.ensemble.base_aim.lon_deg = -158.1; }},
-    {"ensemble.base_heading_deg",
+    {"ensemble.base_heading_deg", kStorm,
      [](RealizationConfig& c) { c.ensemble.base_heading_deg = 330.0; }},
-    {"ensemble.approach_distance_m",
+    {"ensemble.approach_distance_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.approach_distance_m = 450000.0; }},
-    {"ensemble.departure_distance_m",
+    {"ensemble.departure_distance_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.departure_distance_m = 350000.0; }},
-    {"ensemble.forward_speed_ms",
+    {"ensemble.forward_speed_ms", kStorm,
      [](RealizationConfig& c) { c.ensemble.forward_speed_ms = 6.5; }},
-    {"ensemble.forward_speed_jitter_ms",
+    {"ensemble.forward_speed_jitter_ms", kStorm,
      [](RealizationConfig& c) { c.ensemble.forward_speed_jitter_ms = 1.0; }},
-    {"ensemble.cross_track_sigma_m",
+    {"ensemble.cross_track_sigma_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.cross_track_sigma_m = 40000.0; }},
-    {"ensemble.heading_sigma_deg",
+    {"ensemble.heading_sigma_deg", kStorm,
      [](RealizationConfig& c) { c.ensemble.heading_sigma_deg = 5.0; }},
-    {"ensemble.pressure_deficit_pa",
+    {"ensemble.pressure_deficit_pa", kStorm,
      [](RealizationConfig& c) { c.ensemble.pressure_deficit_pa = 4500.0; }},
-    {"ensemble.pressure_deficit_sigma_pa",
+    {"ensemble.pressure_deficit_sigma_pa", kStorm,
      [](RealizationConfig& c) {
        c.ensemble.pressure_deficit_sigma_pa = 600.0;
      }},
-    {"ensemble.rmax_m",
+    {"ensemble.rmax_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.rmax_m = 47000.0; }},
-    {"ensemble.rmax_sigma_m",
+    {"ensemble.rmax_sigma_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.rmax_sigma_m = 6000.0; }},
-    {"ensemble.rmax_min_m",
+    {"ensemble.rmax_min_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.rmax_min_m = 30000.0; }},
-    {"ensemble.rmax_max_m",
+    {"ensemble.rmax_max_m", kStorm,
      [](RealizationConfig& c) { c.ensemble.rmax_max_m = 65000.0; }},
-    {"ensemble.holland_b",
+    {"ensemble.holland_b", kStorm,
      [](RealizationConfig& c) { c.ensemble.holland_b = 1.4; }},
-    {"ensemble.holland_b_sigma",
+    {"ensemble.holland_b_sigma", kStorm,
      [](RealizationConfig& c) { c.ensemble.holland_b_sigma = 0.15; }},
-    {"ensemble.fix_interval_s",
+    {"ensemble.fix_interval_s", kStorm,
      [](RealizationConfig& c) { c.ensemble.fix_interval_s = 1800.0; }},
-    {"ensemble.ambient_pressure_pa",
+    {"ensemble.ambient_pressure_pa", kStorm,
      [](RealizationConfig& c) { c.ensemble.ambient_pressure_pa = 101300.0; }},
-    {"harbor.enabled", [](RealizationConfig& c) { c.harbor.enabled = false; }},
-    {"harbor.ray_length_m",
+    {"harbor.enabled", kStorm,
+     [](RealizationConfig& c) { c.harbor.enabled = false; }},
+    {"harbor.ray_length_m", kStorm,
      [](RealizationConfig& c) { c.harbor.ray_length_m = 7000.0; }},
-    {"harbor.ray_step_m",
+    {"harbor.ray_step_m", kStorm,
      [](RealizationConfig& c) { c.harbor.ray_step_m = 120.0; }},
-    {"harbor.ray_clearance_m",
+    {"harbor.ray_clearance_m", kStorm,
      [](RealizationConfig& c) { c.harbor.ray_clearance_m = 300.0; }},
-    {"harbor.amplification",
+    {"harbor.amplification", kBind,
      [](RealizationConfig& c) { c.harbor.amplification = 1.1; }},
-    {"fragility.enabled",
+    {"fragility.enabled", kBind,
      [](RealizationConfig& c) { c.fragility.enabled = true; }},
-    {"fragility.substation.median_wind_ms",
+    {"fragility.substation.median_wind_ms", kBind,
      [](RealizationConfig& c) {
        c.fragility.substation.median_wind_ms = 50.0;
      }},
-    {"fragility.substation.beta",
+    {"fragility.substation.beta", kBind,
      [](RealizationConfig& c) { c.fragility.substation.beta = 0.3; }},
-    {"fragility.power_plant.median_wind_ms",
+    {"fragility.power_plant.median_wind_ms", kBind,
      [](RealizationConfig& c) {
        c.fragility.power_plant.median_wind_ms = 65.0;
      }},
-    {"fragility.power_plant.beta",
+    {"fragility.power_plant.beta", kBind,
      [](RealizationConfig& c) { c.fragility.power_plant.beta = 0.3; }},
-    {"fragility.scan_dt_s",
+    {"fragility.scan_dt_s", kBind,
      [](RealizationConfig& c) { c.fragility.scan_dt_s = 900.0; }},
-    {"smoothing_band_m",
+    {"smoothing_band_m", kStorm,
      [](RealizationConfig& c) { c.smoothing_band_m = 1000.0; }},
-    {"smoothing_passes", [](RealizationConfig& c) { c.smoothing_passes = 1; }},
-    {"alongshore_window",
+    {"smoothing_passes", kStorm,
+     [](RealizationConfig& c) { c.smoothing_passes = 1; }},
+    {"alongshore_window", kStorm,
      [](RealizationConfig& c) { c.alongshore_window = 6; }},
-    {"sea_level_offset_m",
+    {"sea_level_offset_m", kBind,
      [](RealizationConfig& c) { c.sea_level_offset_m = 0.25; }},
-    {"base_seed", [](RealizationConfig& c) { c.base_seed += 1; }},
+    {"base_seed", kStorm, [](RealizationConfig& c) { c.base_seed += 1; }},
 };
 
 TEST(Fastpath, EngineBatchDigestInvalidatesOnEveryPrecomputeKnob) {
   ASSERT_EQ(std::size(kConfigKnobs), 50u);
-  const std::string baseline = engine_digest({}, oahu());
-  EXPECT_EQ(engine_digest({}, oahu()), baseline)
+  const EngineKeys baseline = engine_keys({}, oahu());
+  const EngineKeys again = engine_keys({}, oahu());
+  EXPECT_EQ(again.storm, baseline.storm);
+  EXPECT_EQ(again.bind, baseline.bind);
+  EXPECT_EQ(again.batch, baseline.batch)
       << "identical configs must share the cache key";
+  std::size_t storm_knobs = 0;
   for (const ConfigKnob& knob : kConfigKnobs) {
     RealizationConfig config;
     knob.perturb(config);
-    EXPECT_NE(engine_digest(config, oahu()), baseline) << knob.name;
+    const EngineKeys keys = engine_keys(config, oahu());
+    EXPECT_NE(keys.batch, baseline.batch) << knob.name;
+    // Each knob moves exactly its own stage's digest: a storm knob must
+    // give the memo a new storm, a bind knob must reuse the old one.
+    if (knob.stage == kStorm) {
+      ++storm_knobs;
+      EXPECT_NE(keys.storm, baseline.storm) << knob.name;
+      EXPECT_EQ(keys.bind, baseline.bind) << knob.name;
+    } else {
+      EXPECT_EQ(keys.storm, baseline.storm) << knob.name;
+      EXPECT_NE(keys.bind, baseline.bind) << knob.name;
+    }
   }
+  EXPECT_EQ(storm_knobs, 40u);
 }
 
 TEST(Fastpath, EngineBatchDigestDistinguishesTerrains) {
@@ -786,7 +827,7 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
   {
     const RealizationEngine engine(oahu(), oahu_assets(), {});
     runtime::EnsembleRunner runner(options);
-    first_key = runtime::EnsembleRunner::digest_engine_batch(engine, 8);
+    first_key = runner.digest_engine_batch(engine, 8);
     const auto counts = runner.count_outcomes(
         engine.run_batch(8), outcome, first_key);
     EXPECT_FALSE(counts.from_cache);
@@ -796,8 +837,7 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     // same key and be served from the on-disk cache.
     const RealizationEngine engine(oahu(), oahu_assets(), {});
     runtime::EnsembleRunner runner(options);
-    const std::string key =
-        runtime::EnsembleRunner::digest_engine_batch(engine, 8);
+    const std::string key = runner.digest_engine_batch(engine, 8);
     EXPECT_EQ(key, first_key);
     const auto counts = runner.count_outcomes(
         [&] { return engine.run_batch(8); }, outcome, key);

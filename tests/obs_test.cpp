@@ -471,6 +471,64 @@ TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
   }
 }
 
+/// One analysis over realizations the storm-stage memo binds: two engines
+/// at other sea-level offsets fill the memo first, so the analyzed batch is
+/// bound from records without running a storm.
+core::ScenarioResult analyze_memoized(unsigned jobs) {
+  runtime::EnsembleOptions options;
+  options.jobs = jobs;
+  options.chunk = 7;
+  options.fault_spec = "none";
+  runtime::EnsembleRunner runtime(options);
+  std::vector<surge::HurricaneRealization> realizations;
+  for (const double offset : {0.0, 0.2, 0.4}) {
+    surge::RealizationConfig config;
+    config.sea_level_offset_m = offset;
+    const surge::RealizationEngine engine(
+        terrain::make_oahu_terrain(),
+        scada::oahu_topology().exposed_assets(), config);
+    realizations = runtime.generate(engine, 32);
+  }
+  const core::AnalysisPipeline pipeline;
+  return pipeline.analyze(paper_config(2),
+                          threat::ThreatScenario::kHurricaneIntrusionIsolation,
+                          realizations, runtime, "obs-memo-gate");
+}
+
+TEST(ObsDeterminismTest, MemoizedAnalyzeBitIdenticalWithObsOnAndOff) {
+  ObsGateGuard guard;
+  const obs::Counter lookups("memo.lookups");
+  const obs::Counter hits("memo.hits");
+  const obs::Counter stores("memo.stores");
+  for (const unsigned jobs : job_counts()) {
+    obs::set_enabled(true);
+    const std::uint64_t lookups_before = lookups.value();
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t stores_before = stores.value();
+    const core::ScenarioResult on = analyze_memoized(jobs);
+    if (obs::compiled_in()) {
+      EXPECT_EQ(lookups.value() - lookups_before, 64u) << "jobs=" << jobs;
+      EXPECT_EQ(hits.value() - hits_before, 32u) << "jobs=" << jobs;
+      EXPECT_EQ(stores.value() - stores_before, 32u) << "jobs=" << jobs;
+    }
+    obs::set_enabled(false);
+    const std::uint64_t lookups_off = lookups.value();
+    const std::uint64_t hits_off = hits.value();
+    const std::uint64_t stores_off = stores.value();
+    const core::ScenarioResult off = analyze_memoized(jobs);
+    EXPECT_EQ(lookups.value(), lookups_off) << "jobs=" << jobs;
+    EXPECT_EQ(hits.value(), hits_off) << "jobs=" << jobs;
+    EXPECT_EQ(stores.value(), stores_off) << "jobs=" << jobs;
+    for (const auto state :
+         {threat::OperationalState::kGreen, threat::OperationalState::kOrange,
+          threat::OperationalState::kRed, threat::OperationalState::kGray}) {
+      EXPECT_EQ(on.outcomes.count(state), off.outcomes.count(state))
+          << "jobs=" << jobs << " state=" << static_cast<int>(state);
+    }
+    EXPECT_EQ(on.outcomes.total(), off.outcomes.total()) << "jobs=" << jobs;
+  }
+}
+
 TEST(ObsDeterminismTest, ScadaDesRunBitIdenticalWithObsOnAndOff) {
   ObsGateGuard guard;
   const scada::Configuration config = paper_config(3);

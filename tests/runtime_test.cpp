@@ -472,7 +472,8 @@ TEST_F(DiskStoreTest, TamperedVersionInvalidatesRecord) {
   std::stringstream contents;
   contents << std::ifstream(record).rdbuf();
   std::string text = contents.str();
-  const std::string needle = "ctresult 1";
+  const std::string needle =
+      "ctresult " + std::to_string(runtime::ResultStore::kFormatVersion);
   const auto pos = text.find(needle);
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, needle.size(), "ctresult 0");

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +120,19 @@ TEST(Protocol, DecodersRejectSemanticGarbage) {
   // kind(1) + realizations(8), then the f64 — plant an all-ones pattern.
   for (std::size_t i = 9; i < 17; ++i) encoded[i] = '\xff';
   EXPECT_THROW(decode_request(encoded), Error);
+
+  // Infinite sea-level offsets, either sign.
+  for (const double offset : {std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    Request inf_request;
+    inf_request.sea_level_offset_m = offset;
+    try {
+      decode_request(encode_request(inf_request));
+      ADD_FAILURE() << "offset " << offset << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+    }
+  }
 
   // Empty hello version range.
   Hello hello;
@@ -444,7 +458,7 @@ TEST(Server, CacheHitOnLiveCaseStudyRunsNoRealization) {
   const ExecOutcome reread = execute_request(request, *fresh);
   EXPECT_TRUE(reread.all_from_cache);
   EXPECT_EQ(reread.output, cold.output);
-  const std::string batch = runtime::EnsembleRunner::digest_engine_batch(
+  const std::string batch = fresh->runtime().digest_engine_batch(
       fresh->engine(), fresh->options().realizations);
   const core::AnalysisPipeline pipeline(fresh->options().attacker);
   for (const scada::Configuration& config : scada::paper_configurations(

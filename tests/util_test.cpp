@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -644,6 +645,61 @@ TEST(Strings, ClosestMatchSuggestsNearbyFlag) {
 }
 
 // ---------------------------------------------------------------- table
+
+TEST(Strings, ParseU64AcceptsOnlyWholeUnsignedTokens) {
+  const struct {
+    const char* token;
+    std::optional<std::uint64_t> want;
+  } cases[] = {
+      {"0", 0},
+      {"4", 4},
+      {"007", 7},
+      {"18446744073709551615", 18446744073709551615ULL},
+      {"18446744073709551616", std::nullopt},  // overflow
+      {"", std::nullopt},
+      {"4x", std::nullopt},
+      {"x4", std::nullopt},
+      {"-3", std::nullopt},
+      {"+3", std::nullopt},
+      {" 3", std::nullopt},
+      {"3 ", std::nullopt},
+      {"3.0", std::nullopt},
+      {"1e3", std::nullopt},
+      {"0x10", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(util::parse_u64(c.token), c.want) << "'" << c.token << "'";
+  }
+  EXPECT_EQ(util::parse_u64("65535", 65535), 65535u);
+  EXPECT_EQ(util::parse_u64("65536", 65535), std::nullopt);
+}
+
+TEST(Strings, ParseDoubleAcceptsOnlyWholeTokens) {
+  const struct {
+    const char* token;
+    std::optional<double> want;
+  } cases[] = {
+      {"0", 0.0},
+      {"0.25", 0.25},
+      {"-0.5", -0.5},
+      {"+1.5", 1.5},
+      {"1e-3", 1e-3},
+      {"", std::nullopt},
+      {"abc", std::nullopt},
+      {"0.1x", std::nullopt},
+      {" 0.1", std::nullopt},
+      {"0.1 ", std::nullopt},
+      {"1,5", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(util::parse_double(c.token), c.want) << "'" << c.token << "'";
+  }
+  // Non-finite spellings parse; callers that need a finite value check it.
+  EXPECT_TRUE(std::isinf(*util::parse_double("inf")));
+  EXPECT_TRUE(std::isinf(*util::parse_double("-inf")));
+  EXPECT_TRUE(std::isnan(*util::parse_double("nan")));
+  EXPECT_TRUE(std::isinf(*util::parse_double("1e999")));
+}
 
 TEST(Table, RendersAlignedColumns) {
   TextTable t;
