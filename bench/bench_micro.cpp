@@ -98,6 +98,22 @@ void BM_CoastalMeshBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CoastalMeshBuild)->Unit(benchmark::kMillisecond);
 
+/// One Oahu RealizationEngine construction (coastal mesh, inundation
+/// mapper, bindings, harbor shelter rays): the setup every case study, and
+/// every served session rebuild, pays.
+void BM_EngineBuild(benchmark::State& state) {
+  const std::shared_ptr<const terrain::Terrain> terrain =
+      terrain::make_oahu_terrain();
+  const std::vector<surge::ExposedAsset> assets =
+      scada::oahu_topology().exposed_assets();
+  for (auto _ : state) {
+    const surge::RealizationEngine built(terrain, assets,
+                                         surge::RealizationConfig{});
+    benchmark::DoNotOptimize(built);
+  }
+}
+BENCHMARK(BM_EngineBuild)->Unit(benchmark::kMicrosecond);
+
 /// The reference full-mesh envelope (SurgeSolver::max_envelope).
 void BM_SurgeEnvelope(benchmark::State& state) {
   const auto cm = mesh::build_coastal_mesh(oahu(), mesh::CoastalMeshConfig{});

@@ -21,10 +21,23 @@ GridIndex::GridIndex(const std::vector<Vec2>& points, double cell_size)
   ny_ = std::max<std::ptrdiff_t>(
       1,
       static_cast<std::ptrdiff_t>(std::ceil(bbox_.height() / cell_size_)) + 1);
-  cells_.resize(static_cast<std::size_t>(nx_ * ny_));
+  // Counting sort by cell. Filling in ascending point order keeps every
+  // cell's items ascending, the order the queries visit them in.
+  const auto cells = static_cast<std::size_t>(nx_ * ny_);
+  cell_start_.assign(cells + 1, 0);
+  for (const Vec2 p : points_) ++cell_start_[cell_of(p) + 1];
+  for (std::size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
+  items_.resize(points_.size());
+  std::vector<std::size_t> next(cell_start_.begin(), cell_start_.end() - 1);
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    cells_[cell_of(points_[i])].items.push_back(i);
+    items_[next[cell_of(points_[i])]++] = i;
   }
+}
+
+std::span<const std::size_t> GridIndex::cell_items(
+    std::ptrdiff_t cx, std::ptrdiff_t cy) const noexcept {
+  const auto c = static_cast<std::size_t>(cy * nx_ + cx);
+  return {items_.data() + cell_start_[c], items_.data() + cell_start_[c + 1]};
 }
 
 void GridIndex::cell_coords(Vec2 p, std::ptrdiff_t& cx,
@@ -66,8 +79,7 @@ std::size_t GridIndex::nearest(Vec2 query) const noexcept {
         const std::ptrdiff_t cx = qx + dx;
         const std::ptrdiff_t cy = qy + dy;
         if (cx < 0 || cx >= nx_ || cy < 0 || cy >= ny_) continue;
-        for (const std::size_t i :
-             cells_[static_cast<std::size_t>(cy * nx_ + cx)].items) {
+        for (const std::size_t i : cell_items(cx, cy)) {
           const double d2 = (points_[i] - query).norm2();
           if (d2 < best_d2) {
             best_d2 = d2;
@@ -99,8 +111,7 @@ void GridIndex::within(Vec2 query, double radius,
   const double r2 = radius * radius;
   for (std::ptrdiff_t cy = lo_y; cy <= hi_y; ++cy) {
     for (std::ptrdiff_t cx = lo_x; cx <= hi_x; ++cx) {
-      for (const std::size_t i :
-           cells_[static_cast<std::size_t>(cy * nx_ + cx)].items) {
+      for (const std::size_t i : cell_items(cx, cy)) {
         if ((points_[i] - query).norm2() <= r2) out.push_back(i);
       }
     }

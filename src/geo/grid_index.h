@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "geo/polygon.h"
@@ -37,19 +38,20 @@ class GridIndex {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  struct Cell {
-    std::vector<std::size_t> items;
-  };
-
   std::size_t cell_of(Vec2 p) const noexcept;
   void cell_coords(Vec2 p, std::ptrdiff_t& cx, std::ptrdiff_t& cy) const noexcept;
+  /// Point indices in cell (cx, cy), ascending.
+  std::span<const std::size_t> cell_items(std::ptrdiff_t cx,
+                                          std::ptrdiff_t cy) const noexcept;
 
   std::vector<Vec2> points_;
   double cell_size_;
   BBox bbox_;
   std::ptrdiff_t nx_ = 0;
   std::ptrdiff_t ny_ = 0;
-  std::vector<Cell> cells_;
+  // Cells as CSR: cell c holds items_[cell_start_[c] .. cell_start_[c+1]).
+  std::vector<std::size_t> cell_start_;
+  std::vector<std::size_t> items_;
 };
 
 }  // namespace ct::geo

@@ -2,6 +2,7 @@
 // Used for the island outline (land mask) and the shoreline polyline.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -39,7 +40,8 @@ class Polygon {
 
   /// Even-odd (ray casting) point-in-polygon test. Points exactly on an
   /// edge may fall on either side; the terrain substrate never relies on
-  /// boundary-exact classification.
+  /// boundary-exact classification. Tests only the edges of the query's
+  /// y-bucket: the same answer as testing every edge.
   bool contains(Vec2 p) const noexcept;
 
   /// Signed area (positive for counter-clockwise winding).
@@ -53,8 +55,21 @@ class Polygon {
   double distance_to_boundary(Vec2 p) const noexcept;
 
  private:
+  /// Bucket of the y-band holding `y`; monotone in y, so an edge whose
+  /// y-range straddles y lies in the buckets from edge_bucket(min y) to
+  /// edge_bucket(max y), which include y's.
+  std::size_t edge_bucket(double y) const noexcept;
+
   std::vector<Vec2> vertices_;
   BBox bbox_;
+  // y-buckets of height bucket_height_ from bucket_lo_, as CSR: bucket k
+  // lists, in bucket_edges_[bucket_offsets_[k] .. bucket_offsets_[k+1]),
+  // the index i of every non-horizontal edge vertices_[i-1] -> vertices_[i]
+  // whose y-range reaches into it.
+  double bucket_lo_ = 0.0;
+  double bucket_height_ = 1.0;
+  std::vector<std::size_t> bucket_offsets_;
+  std::vector<std::size_t> bucket_edges_;
 };
 
 /// Open polyline.

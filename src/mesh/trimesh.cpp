@@ -10,24 +10,42 @@ TriMesh::TriMesh(std::vector<Node> nodes, std::vector<Element> elements)
     : nodes_(std::move(nodes)), elements_(std::move(elements)) {
   if (nodes_.empty()) throw std::invalid_argument("TriMesh: no nodes");
 
-  // Gather per-node lists first (preserving first-seen order), then flatten
-  // into CSR so the hot kernels iterate flat contiguous arrays.
-  std::vector<std::vector<NodeId>> adjacency(nodes_.size());
-  std::vector<std::vector<ElementId>> node_elements(nodes_.size());
+  // One counting pass sizes the incident-element rows (and checks every
+  // node id), then one pass over the elements fills both CSR arrays.
+  const std::size_t n_nodes = nodes_.size();
+  elem_offsets_.assign(n_nodes + 1, 0);
+  for (const Element& el : elements_) {
+    for (const NodeId n : el.nodes) {
+      if (n >= n_nodes) {
+        throw std::out_of_range("TriMesh: element references missing node");
+      }
+      ++elem_offsets_[n + 1];
+    }
+  }
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    elem_offsets_[n + 1] += elem_offsets_[n];
+  }
+  node_elements_.resize(elem_offsets_[n_nodes]);
+  std::vector<std::uint32_t> next(elem_offsets_.begin(),
+                                  elem_offsets_.end() - 1);
 
+  // Node n is the source of two add_edge calls per entry of its incident
+  // row, so a slot of twice the row's length holds its distinct neighbors.
+  // Each slot keeps them in first-seen order, the order smoothing sums them.
+  std::vector<NodeId> slots(2 * node_elements_.size());
+  std::vector<std::uint32_t> degree(n_nodes, 0);
   const auto add_edge = [&](NodeId a, NodeId b) {
-    auto& adj = adjacency[a];
-    if (std::find(adj.begin(), adj.end(), b) == adj.end()) adj.push_back(b);
+    NodeId* const row = slots.data() + 2 * std::size_t{elem_offsets_[a]};
+    NodeId* const end = row + degree[a];
+    if (std::find(row, end, b) == end) {
+      *end = b;
+      ++degree[a];
+    }
   };
 
   for (ElementId e = 0; e < elements_.size(); ++e) {
     const auto& el = elements_[e];
-    for (const NodeId n : el.nodes) {
-      if (n >= nodes_.size()) {
-        throw std::out_of_range("TriMesh: element references missing node");
-      }
-      node_elements[n].push_back(e);
-    }
+    for (const NodeId n : el.nodes) node_elements_[next[n]++] = e;
     add_edge(el.nodes[0], el.nodes[1]);
     add_edge(el.nodes[1], el.nodes[0]);
     add_edge(el.nodes[1], el.nodes[2]);
@@ -36,21 +54,15 @@ TriMesh::TriMesh(std::vector<Node> nodes, std::vector<Element> elements)
     add_edge(el.nodes[0], el.nodes[2]);
   }
 
-  const auto flatten = [&](const auto& lists, auto& offsets, auto& flat) {
-    offsets.assign(nodes_.size() + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t n = 0; n < lists.size(); ++n) {
-      offsets[n] = static_cast<std::uint32_t>(total);
-      total += lists[n].size();
-    }
-    offsets[nodes_.size()] = static_cast<std::uint32_t>(total);
-    flat.reserve(total);
-    for (const auto& list : lists) {
-      flat.insert(flat.end(), list.begin(), list.end());
-    }
-  };
-  flatten(adjacency, adj_offsets_, adjacency_);
-  flatten(node_elements, elem_offsets_, node_elements_);
+  adj_offsets_.assign(n_nodes + 1, 0);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    adj_offsets_[n + 1] = adj_offsets_[n] + degree[n];
+  }
+  adjacency_.resize(adj_offsets_[n_nodes]);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    std::copy_n(slots.data() + 2 * std::size_t{elem_offsets_[n]}, degree[n],
+                adjacency_.data() + adj_offsets_[n]);
+  }
 
   std::vector<geo::Vec2> positions;
   positions.reserve(nodes_.size());

@@ -118,8 +118,9 @@ class TriMesh {
   std::vector<Node> nodes_;
   std::vector<Element> elements_;
   // CSR adjacency: neighbors of node n live in
-  // adjacency_[adj_offsets_[n] .. adj_offsets_[n+1]), insertion-ordered
-  // (first-seen element order, matching the historical per-node vectors).
+  // adjacency_[adj_offsets_[n] .. adj_offsets_[n+1]) in first-seen element
+  // order. The smoothing kernels sum neighbors in row order, so this order
+  // is part of every surge result's bits.
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<NodeId> adjacency_;
   std::vector<std::uint32_t> elem_offsets_;

@@ -167,12 +167,6 @@ class RealizationEngine {
   /// Runs realizations [0, count) serially.
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
 
-  /// Runs realizations [0, count) across `threads` worker threads
-  /// (0 = hardware concurrency). Bit-identical to run_batch: realization i
-  /// is a pure function of (seed, i), so scheduling cannot change results.
-  std::vector<HurricaneRealization> run_batch_parallel(
-      std::size_t count, unsigned threads = 0) const;
-
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }
   const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }
   const RealizationConfig& config() const noexcept { return config_; }

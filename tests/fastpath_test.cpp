@@ -176,7 +176,12 @@ TEST(Fastpath, CallerOwnedScratchReuseIsBitStable) {
 
 TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
   const RealizationEngine engine(oahu(), oahu_assets(), {});
-  const auto parallel = engine.run_batch_parallel(12, 8);
+  runtime::EnsembleOptions options;
+  options.jobs = 8;
+  options.chunk = 1;  // one task per realization: all 8 workers take part
+  options.cache = false;
+  runtime::EnsembleRunner runner(options);
+  const auto parallel = runner.generate(engine, 12);
   ASSERT_EQ(parallel.size(), 12u);
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     expect_bit_identical(parallel[i],

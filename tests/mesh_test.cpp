@@ -1,6 +1,9 @@
 // Tests for the unstructured mesh, the coastal band builder, and field
 // operations (including the paper's shoreline averaging + extension).
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -330,6 +333,99 @@ TEST(TriMesh, CsrRowsAreConsistentWithElements) {
   EXPECT_EQ(mesh.node_elements(0)[0], 0u);
   EXPECT_THROW(mesh.node_elements(99), std::out_of_range);
   EXPECT_THROW(mesh.neighbors(99), std::out_of_range);
+}
+
+
+// ------------------------------------- CSR rows vs per-node-vector reference
+
+/// Neighbor and incident-element rows built the straightforward way: one
+/// growing vector per node, appended in element order with the same six
+/// edge insertions and per-row de-duplication as TriMesh. The CSR rows must
+/// hold the same ids in the same order (smoothing sums in row order).
+struct ReferenceRows {
+  std::vector<std::vector<NodeId>> neighbors;
+  std::vector<std::vector<ElementId>> elements;
+};
+
+ReferenceRows reference_rows(const TriMesh& mesh) {
+  ReferenceRows rows;
+  rows.neighbors.resize(mesh.node_count());
+  rows.elements.resize(mesh.node_count());
+  const auto add_edge = [&](NodeId a, NodeId b) {
+    auto& adj = rows.neighbors[a];
+    if (std::find(adj.begin(), adj.end(), b) == adj.end()) adj.push_back(b);
+  };
+  for (ElementId e = 0; e < mesh.element_count(); ++e) {
+    const auto& el = mesh.element(e).nodes;
+    for (const NodeId n : el) rows.elements[n].push_back(e);
+    add_edge(el[0], el[1]);
+    add_edge(el[1], el[0]);
+    add_edge(el[1], el[2]);
+    add_edge(el[2], el[1]);
+    add_edge(el[2], el[0]);
+    add_edge(el[0], el[2]);
+  }
+  return rows;
+}
+
+void expect_rows_match_reference(const TriMesh& mesh, const std::string& tag) {
+  const ReferenceRows want = reference_rows(mesh);
+  for (NodeId n = 0; n < mesh.node_count(); ++n) {
+    const auto neighbors = mesh.neighbors(n);
+    const auto elements = mesh.node_elements(n);
+    ASSERT_EQ(std::vector<NodeId>(neighbors.begin(), neighbors.end()),
+              want.neighbors[n])
+        << tag << " neighbors of node " << n;
+    ASSERT_EQ(std::vector<ElementId>(elements.begin(), elements.end()),
+              want.elements[n])
+        << tag << " elements of node " << n;
+  }
+}
+
+TEST(TriMesh, CsrRowsMatchPerNodeReferenceOnOahuMesh) {
+  const auto terrain = terrain::make_oahu_terrain();
+  const CoastalMesh cm = build_coastal_mesh(*terrain, CoastalMeshConfig{});
+  expect_rows_match_reference(cm.mesh, "oahu");
+}
+
+TEST(TriMesh, CsrRowsMatchPerNodeReferenceOnRandomMesh) {
+  // Random triangles over few nodes share many edges; some repeat an
+  // element (in the same or another node order) and some are degenerate,
+  // naming a node twice or three times.
+  util::Rng rng(18, "random-mesh");
+  constexpr int kNodes = 60;
+  std::vector<Node> nodes(kNodes);
+  for (Node& n : nodes) {
+    n.position = {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+  }
+  const auto pick = [&] {
+    return static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+  };
+  std::vector<Element> elements;
+  for (int e = 0; e < 400; ++e) {
+    const NodeId a = pick();
+    const NodeId b = pick();
+    const NodeId c = pick();
+    switch (e % 8) {
+      case 0: elements.push_back({{a, a, b}}); break;
+      case 1: elements.push_back({{a, b, a}}); break;
+      case 2: elements.push_back({{a, a, a}}); break;
+      case 3:
+        if (!elements.empty()) {
+          const auto& prev = elements[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(elements.size()) -
+                                     1))].nodes;
+          elements.push_back({{prev[2], prev[0], prev[1]}});
+        }
+        break;
+      case 4:
+        if (!elements.empty()) elements.push_back(elements.back());
+        break;
+      default: elements.push_back({{a, b, c}}); break;
+    }
+  }
+  const TriMesh mesh(std::move(nodes), std::move(elements));
+  expect_rows_match_reference(mesh, "random");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
 #include "surge/harbor.h"
 #include "surge/inundation.h"
@@ -278,12 +279,22 @@ TEST(RealizationEngine, NullTerrainRejected) {
   EXPECT_THROW(RealizationEngine(nullptr, {}, {}), std::invalid_argument);
 }
 
+/// A pool of 8 jobs, one realization per task, no result cache.
+runtime::EnsembleOptions pooled_options() {
+  runtime::EnsembleOptions options;
+  options.jobs = 8;
+  options.chunk = 1;
+  options.cache = false;
+  return options;
+}
+
 TEST(RealizationEngine, ParallelBatchMatchesSerial) {
   const scada::ScadaTopology topo = scada::oahu_topology();
   const RealizationEngine engine(terrain::make_oahu_terrain(),
                                  topo.exposed_assets(), {});
   const auto serial = engine.run_batch(8);
-  const auto parallel = engine.run_batch_parallel(8, 4);
+  runtime::EnsembleRunner runner(pooled_options());
+  const auto parallel = runner.generate(engine, 8);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, parallel[i].index);
@@ -300,9 +311,10 @@ TEST(RealizationEngine, ParallelBatchDegenerateCases) {
   const scada::ScadaTopology topo = scada::oahu_topology();
   const RealizationEngine engine(terrain::make_oahu_terrain(),
                                  topo.exposed_assets(), {});
-  EXPECT_TRUE(engine.run_batch_parallel(0).empty());
-  EXPECT_EQ(engine.run_batch_parallel(1, 8).size(), 1u);
-  EXPECT_EQ(engine.run_batch_parallel(3, 1).size(), 3u);
+  runtime::EnsembleRunner runner(pooled_options());
+  EXPECT_TRUE(runner.generate(engine, 0).empty());
+  EXPECT_EQ(runner.generate(engine, 1).size(), 1u);
+  EXPECT_EQ(runner.generate(engine, 3).size(), 3u);
 }
 
 TEST(RealizationEngine, BatchIndicesAreStable) {
