@@ -284,27 +284,14 @@ void BM_TaskPoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskPoolDispatch)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-/// Content digest of a realization set — the cache-key cost a sweep pays
-/// even on a hit, so it has to stay far below regeneration cost.
-void BM_DigestRealizations(benchmark::State& state) {
-  static const std::vector<surge::HurricaneRealization> rels = [] {
-    std::vector<surge::HurricaneRealization> r;
-    for (std::uint64_t i = 0; i < 8; ++i) r.push_back(engine().run(i));
-    return r;
-  }();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime::EnsembleRunner::digest_realizations(rels));
-  }
-}
-BENCHMARK(BM_DigestRealizations);
-
-/// Outcome counting over a pre-generated ensemble, cache off — isolates the
-/// map_reduce sharding from realization generation. Arg = jobs.
+/// Guarded outcome counting over a pre-generated batch, cache off —
+/// isolates the batch path's per-index classification and ascending fold
+/// from realization generation. Arg = jobs.
 void BM_EnsembleCount(benchmark::State& state) {
-  static const std::vector<surge::HurricaneRealization> rels = [] {
-    runtime::EnsembleRunner serial(runner_options(1, false));
-    return serial.generate(engine(), 64);
+  static const runtime::GeneratedBatch batch = [] {
+    runtime::EnsembleOptions options = runner_options(1, false);
+    options.fault_spec = "none";
+    return runtime::EnsembleRunner(options).generate_guarded(engine(), 64);
   }();
   const auto config = scada::make_config_6_6_6(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -317,7 +304,8 @@ void BM_EnsembleCount(benchmark::State& state) {
         config, threat::ThreatScenario::kHurricaneIntrusionIsolation, r));
   };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.count_outcomes(rels, outcome, ""));
+    benchmark::DoNotOptimize(
+        runner.count_outcomes_guarded([] { return &batch; }, outcome, ""));
   }
 }
 BENCHMARK(BM_EnsembleCount)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
@@ -675,9 +663,10 @@ bench::ObsBenchRecord micro_obs_record() {
   return record;
 }
 
-/// Times one small end-to-end sweep (all five paper configurations, one
-/// compound scenario) serial vs pooled vs cache-warm and merges the record
-/// into BENCH_runtime.json.
+/// Times one small sweep (all five paper configurations, one compound
+/// scenario) over a pre-generated batch: the serial analyze against the
+/// batch path, cold and cache-warm, and merges the record into
+/// BENCH_runtime.json.
 bench::RuntimeBenchRecord micro_runtime_record() {
   const std::size_t n = std::min<std::size_t>(bench::bench_realizations(), 200);
   const unsigned jobs = bench::bench_jobs();
@@ -687,10 +676,10 @@ bench::RuntimeBenchRecord micro_runtime_record() {
       scada::oahu_ids::kDrFortress);
   const core::AnalysisPipeline pipeline;
 
-  runtime::EnsembleRunner serial(runner_options(1, false));
-  const std::vector<surge::HurricaneRealization> rels =
-      serial.generate(engine(), n);
-  const std::string digest = runtime::EnsembleRunner::digest_realizations(rels);
+  runtime::EnsembleOptions serial_options = runner_options(1, false);
+  serial_options.fault_spec = "none";
+  const runtime::GeneratedBatch batch =
+      runtime::EnsembleRunner(serial_options).generate_guarded(engine(), n);
 
   const auto timed = [&](auto&& analyze) {
     const auto start = std::chrono::steady_clock::now();
@@ -703,17 +692,18 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   };
 
   const auto [serial_results, serial_s] = timed([&](const auto& config) {
-    return pipeline.analyze(config, scenario, rels);
+    return pipeline.analyze(config, scenario, batch.realizations);
   });
 
   runtime::EnsembleRunner pooled(runner_options(jobs, true));
-  const auto [parallel_results, parallel_s] = timed([&](const auto& config) {
-    return pipeline.analyze(config, scenario, rels, pooled, digest);
-  });
+  const std::string digest = pooled.digest_engine_batch(engine(), n);
+  const auto batch_path = [&](const auto& config) {
+    return pipeline.analyze_lazy(config, scenario, [&] { return &batch; },
+                                 pooled, digest);
+  };
+  const auto [parallel_results, parallel_s] = timed(batch_path);
   const auto cold_stats = pooled.cache_stats();
-  const auto [warm_results, warm_s] = timed([&](const auto& config) {
-    return pipeline.analyze(config, scenario, rels, pooled, digest);
-  });
+  const auto [warm_results, warm_s] = timed(batch_path);
   const auto stats = pooled.cache_stats();
 
   const auto identical = [&](const std::vector<core::ScenarioResult>& other) {
@@ -729,20 +719,6 @@ bench::RuntimeBenchRecord micro_runtime_record() {
     return true;
   };
 
-  // Healthy-path cost of the fault-isolation machinery: the identical
-  // sweep through the guarded entry points with the fault profile off.
-  // Must stay within noise of the plain pooled sweep (~2%).
-  runtime::EnsembleOptions guarded_options = runner_options(jobs, false);
-  guarded_options.fault_spec = "none";
-  runtime::EnsembleRunner guarded(guarded_options);
-  const runtime::EnsembleRunner::BatchFn healthy_batch = [&]() {
-    return runtime::BatchView{&rels, nullptr, rels.size()};
-  };
-  const auto [guarded_results, guarded_s] = timed([&](const auto& config) {
-    return pipeline.analyze_lazy(config, scenario, healthy_batch, guarded,
-                                 digest);
-  });
-
   // Degraded path: quarantine-and-retry under an injected fault profile,
   // generation included (that is where the faults fire).
   runtime::EnsembleOptions fault_options = runner_options(jobs, false);
@@ -754,7 +730,7 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   std::vector<core::ScenarioResult> fault_results;
   for (const auto& config : configs) {
     fault_results.push_back(pipeline.analyze_lazy(
-        config, scenario, [&]() { return degraded.view(); }, faulty, digest));
+        config, scenario, [&] { return &degraded; }, faulty, digest));
   }
   const double fault_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - fault_start)
@@ -767,11 +743,9 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   record.serial_s = serial_s;
   record.parallel_s = parallel_s;
   record.warm_s = warm_s;
-  record.identical = identical(parallel_results) && identical(warm_results) &&
-                     identical(guarded_results);
+  record.identical = identical(parallel_results) && identical(warm_results);
   record.cache_lookups = stats.lookups - cold_stats.lookups;
   record.cache_hits = stats.hits - cold_stats.hits;
-  record.guarded_s = guarded_s;
   record.fault_s = fault_s;
   record.fault_quarantined = degraded.ledger.failures.size();
   record.fault_retries = degraded.ledger.retries;
@@ -1007,10 +981,7 @@ bool run_records() {
             << util::format_fixed(record.warm_s, 3) << " s, "
             << (record.identical ? "bit-identical" : "NOT IDENTICAL")
             << "; recorded in BENCH_runtime.json\n";
-  std::cout << "fault isolation: guarded healthy path "
-            << util::format_fixed(record.guarded_s, 2) << " s ("
-            << util::format_fixed(record.guarded_overhead() * 100.0, 1)
-            << "% vs plain pool), fault path "
+  std::cout << "fault isolation: fault path "
             << util::format_fixed(record.fault_s, 2) << " s with "
             << record.fault_quarantined << " quarantined / "
             << record.fault_retries << " retries\n";

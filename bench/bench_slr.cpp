@@ -2,13 +2,18 @@
 // of every architecture as mean sea level rises — the climate-adaptation
 // version of the paper's question (its motivation section is explicitly
 // about climatic change compounding with man-made threats).
+//
+// Every offset is a case study over the same storms, borrowing one
+// EnsembleRunner (CT_BENCH_JOBS workers): from the third offset on, the
+// storm-stage memo binds the shared shoreline records instead of re-running
+// the storms.
 #include <iostream>
+#include <memory>
 
 #include "core/case_study.h"
-#include "core/pipeline.h"
 #include "figure_bench.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
-#include "surge/realization.h"
 #include "terrain/oahu.h"
 #include "threat/scenario.h"
 #include "util/strings.h"
@@ -18,9 +23,12 @@ using namespace ct;
 
 int main() {
   std::cout << "=== sea-level-rise sweep (hurricane scenario) ===\n\n";
-  const std::size_t n = bench::bench_realizations();
   const scada::ScadaTopology topo = scada::oahu_topology();
-  const core::AnalysisPipeline pipeline;
+  const std::shared_ptr<const terrain::Terrain> island =
+      terrain::make_oahu_terrain();
+  runtime::EnsembleOptions runtime_options;
+  runtime_options.jobs = bench::bench_jobs();
+  runtime::EnsembleRunner shared(runtime_options);
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
@@ -36,20 +44,15 @@ int main() {
                      util::Align::kRight, util::Align::kRight});
 
   for (const double slr : {0.0, 0.15, 0.3, 0.5, 0.75, 1.0}) {
-    surge::RealizationConfig config;
-    config.sea_level_offset_m = slr;
-    const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
-                                          topo.exposed_assets(), config);
-    const auto batch = engine.run_batch(n);
+    core::CaseStudyOptions options;
+    options.realizations = bench::bench_realizations();
+    options.realization.sea_level_offset_m = slr;
+    core::CaseStudyRunner runner(topo, island, options, &shared);
     const auto rate = [&](const char* id) {
-      std::size_t failures = 0;
-      for (const auto& r : batch) {
-        if (r.asset_failed(id)) ++failures;
-      }
-      return static_cast<double>(failures) / static_cast<double>(batch.size());
+      return runner.asset_flood_probability(id);
     };
     const auto green = [&](const scada::Configuration& c) {
-      return pipeline.analyze(c, threat::ThreatScenario::kHurricane, batch)
+      return runner.run(c, threat::ThreatScenario::kHurricane)
           .outcomes.probability(threat::OperationalState::kGreen);
     };
     table.add_row({util::format_fixed(slr, 2),

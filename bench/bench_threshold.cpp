@@ -2,12 +2,18 @@
 // paper fixes 0.5 m ("the typical height for switches in power plants and
 // substations"); this sweep shows how the case-study conclusions move if
 // equipment were mounted lower or higher.
+//
+// Every threshold is a case study over the same storms, borrowing one
+// EnsembleRunner (CT_BENCH_JOBS workers): from the third threshold on, the
+// storm-stage memo binds the shared shoreline records instead of re-running
+// the storms.
 #include <iostream>
+#include <memory>
 
-#include "core/pipeline.h"
-#include "core/report.h"
+#include "core/case_study.h"
+#include "figure_bench.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
-#include "surge/realization.h"
 #include "terrain/oahu.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -18,7 +24,11 @@ int main() {
   std::cout << "=== A3: failure-threshold sweep (paper: 0.5 m) ===\n\n";
 
   const scada::ScadaTopology topo = scada::oahu_topology();
-  const core::AnalysisPipeline pipeline;
+  const std::shared_ptr<const terrain::Terrain> island =
+      terrain::make_oahu_terrain();
+  runtime::EnsembleOptions runtime_options;
+  runtime_options.jobs = bench::bench_jobs();
+  runtime::EnsembleRunner shared(runtime_options);
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
@@ -30,27 +40,18 @@ int main() {
                      util::Align::kRight, util::Align::kRight,
                      util::Align::kRight, util::Align::kRight});
 
-  const std::size_t n = 500;
   for (const double threshold :
        {0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5}) {
-    surge::RealizationConfig config;
-    config.inundation.failure_threshold_m = threshold;
-    const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
-                                          topo.exposed_assets(), config);
-    const auto batch = engine.run_batch(n);
-
+    core::CaseStudyOptions options;
+    options.realizations = 500;
+    options.realization.inundation.failure_threshold_m = threshold;
+    core::CaseStudyRunner runner(topo, island, options, &shared);
     const auto rate = [&](const char* id) {
-      std::size_t failures = 0;
-      for (const auto& r : batch) {
-        if (r.asset_failed(id)) ++failures;
-      }
-      return static_cast<double>(failures) / static_cast<double>(n);
+      return runner.asset_flood_probability(id);
     };
-
-    const auto two = pipeline.analyze(
-        configs[0], threat::ThreatScenario::kHurricane, batch);
-    const auto triple = pipeline.analyze(
-        configs[4], threat::ThreatScenario::kHurricane, batch);
+    const auto two = runner.run(configs[0], threat::ThreatScenario::kHurricane);
+    const auto triple =
+        runner.run(configs[4], threat::ThreatScenario::kHurricane);
 
     table.add_row(
         {util::format_fixed(threshold, 2),

@@ -47,12 +47,9 @@ struct RuntimeBenchRecord {
   std::uint64_t cache_lookups = 0;  ///< result-cache lookups, warm pass only
   std::uint64_t cache_hits = 0;     ///< result-cache hits, warm pass only
 
-  // Fault-isolated runtime (PR 6): the same sweep through the guarded
-  // entry points with no fault profile (healthy-path overhead of the
-  // quarantine machinery) and under an injected fault profile (degraded
-  // path, quarantine accounting included).
-  double guarded_s = 0.0;  ///< cold guarded sweep, fault profile off
-  double fault_s = 0.0;    ///< guarded sweep incl. generation, faults injected
+  // Fault-isolated runtime: the same sweep under an injected fault
+  // profile (degraded path, generation and quarantine accounting included).
+  double fault_s = 0.0;  ///< guarded sweep incl. generation, faults injected
   std::size_t fault_quarantined = 0;  ///< realizations quarantined
   std::uint64_t fault_retries = 0;    ///< retry attempts spent
 
@@ -74,13 +71,6 @@ struct RuntimeBenchRecord {
                ? 0.0
                : static_cast<double>(cache_hits) /
                      static_cast<double>(cache_lookups);
-  }
-  /// Healthy-path cost of the guarded entry points relative to the plain
-  /// pooled sweep (0.02 = 2% slower; negative = in the noise).
-  double guarded_overhead() const noexcept {
-    return parallel_s > 0.0 && guarded_s > 0.0
-               ? guarded_s / parallel_s - 1.0
-               : 0.0;
   }
   /// Durability cost at the default checkpoint interval relative to the
   /// same sweep with checkpointing off (acceptance bound: <= 3%).

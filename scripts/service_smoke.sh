@@ -12,7 +12,10 @@
 #   4. the storm-stage memo: once two sea-level offsets have asked for the
 #      same storms, a third offset runs no storm stage (`surge.node_steps`
 #      unchanged), and every offset's answer matches local execution;
-#   5. SIGTERM drains gracefully (exit 0 after finishing admitted work).
+#   5. served siting (the batch path: one case study, one cell per
+#      candidate) at a fourth offset matches local execution and also runs
+#      no storm stage;
+#   6. SIGTERM drains gracefully (exit 0 after finishing admitted work).
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -119,6 +122,20 @@ for slr in 0.1 0.2; do
       --slr "$slr" > "$work/local-slr-$slr.txt" 2>/dev/null
   diff -u "$work/local-slr-$slr.txt" "$work/remote-slr-$slr.txt"
 done
+
+echo "== served siting: the batch path, storms from the memo"
+# A new session at offset 0.3 over the same 200 storms: every shoreline
+# record is already in the memo, so ranking the candidates runs no storm.
+steps_before=$(node_steps)
+"$ctctl" siting --connect "unix:$sock" "${run_flags[@]}" --slr 0.3 \
+    > "$work/remote-siting.txt" 2>/dev/null
+steps_after=$(node_steps)
+echo "surge.node_steps: $steps_before before siting, $steps_after after"
+[[ "$steps_after" == "$steps_before" ]] \
+    || { echo "FAIL: served siting ran storm stages"; exit 1; }
+CT_CACHE_DIR="$work/local-cache" "$ctctl" siting "${run_flags[@]}" \
+    --slr 0.3 > "$work/local-siting.txt" 2>/dev/null
+diff -u "$work/local-siting.txt" "$work/remote-siting.txt"
 
 echo "== graceful drain on SIGTERM"
 kill -TERM "$server_pid"

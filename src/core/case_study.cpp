@@ -51,7 +51,7 @@ ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
   // layer) never generates the realization batch at all. On a miss the
   // guarded batch's quarantine ledger flows into the ScenarioResult.
   return pipeline_.analyze_lazy(
-      config, scenario, [this]() { return generated().view(); }, *runtime_,
+      config, scenario, [this] { return &generated(); }, *runtime_,
       batch_digest());
 }
 

@@ -129,31 +129,14 @@ std::string_view AnalysisPipeline::attacker_tag() const noexcept {
 
 ScenarioResult AnalysisPipeline::analyze_lazy(
     const scada::Configuration& config, threat::ThreatScenario scenario,
-    const runtime::EnsembleRunner::RealizationsFn& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  // A caller-materialized set has no generation ledger: every realization
-  // in it already exists, so attempted == size and the batch is clean.
-  return analyze_lazy(
-      config, scenario,
-      [&realizations]() {
-        const std::vector<surge::HurricaneRealization>& r = realizations();
-        return runtime::BatchView{&r, nullptr, r.size()};
-      },
-      runtime, realization_set_digest);
-}
-
-ScenarioResult AnalysisPipeline::analyze_lazy(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
     const runtime::EnsembleRunner::BatchFn& batch,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
+    runtime::EnsembleRunner& runtime, std::string_view batch_digest) const {
   obs::Span span("pipeline.analyze");
   const std::string key =
-      realization_set_digest.empty()
+      batch_digest.empty()
           ? std::string()  // unidentified set: skip the cache, stay correct
           : runtime::EnsembleRunner::job_key(config, scenario, attacker_tag(),
-                                             realization_set_digest);
+                                             batch_digest);
   runtime::EnsembleReport report = runtime.count_outcomes_guarded(
       batch,
       [&](const surge::HurricaneRealization& r) {
@@ -161,23 +144,6 @@ ScenarioResult AnalysisPipeline::analyze_lazy(
       },
       key);
   return result_from_report(config, scenario, std::move(report));
-}
-
-ScenarioResult AnalysisPipeline::analyze(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  const std::string digest =
-      realization_set_digest.empty()
-          ? runtime::EnsembleRunner::digest_realizations(realizations)
-          : std::string(realization_set_digest);
-  return analyze_lazy(
-      config, scenario,
-      [&realizations]() -> const std::vector<surge::HurricaneRealization>& {
-        return realizations;
-      },
-      runtime, digest);
 }
 
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
@@ -192,26 +158,17 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
 
   // Pass 1 — cache: a cell whose full distribution is already stored needs
   // no realizations at all. Only the remaining LIVE cells join the sweep.
-  const bool use_cache = runtime.options().cache;
   std::vector<std::size_t> live;      // cell index per live series
   std::vector<std::string> live_keys; // job key per live series
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const SweepCell& cell = cells[i];
     const std::string key = runtime::EnsembleRunner::job_key(
         *cell.config, cell.scenario, attacker_tag(), batch_digest);
-    if (use_cache) {
-      if (const auto cached = runtime.store().lookup(key)) {
-        runtime::EnsembleReport hit;
-        hit.counts.counts = cached->counts;
-        hit.counts.total = cached->total;
-        hit.counts.from_cache = true;
-        hit.attempted = hit.completed =
-            static_cast<std::size_t>(cached->total);
-        out.results[i] =
-            result_from_report(*cell.config, cell.scenario, std::move(hit));
-        ++out.cached_cells;
-        continue;
-      }
+    if (auto hit = runtime.cached_report(key)) {
+      out.results[i] =
+          result_from_report(*cell.config, cell.scenario, *std::move(hit));
+      ++out.cached_cells;
+      continue;
     }
     live.push_back(i);
     live_keys.push_back(key);
@@ -247,37 +204,13 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
 
   for (std::size_t s = 0; s < live.size(); ++s) {
     const SweepCell& cell = cells[live[s]];
-    // Cache only a COMPLETE clean distribution: a stored record asserts
-    // "this key's full result" (same contract as the guarded paths), so
-    // interrupted or degraded series stay out.
-    if (use_cache && !report.interrupted &&
-        report.series[s].failures.empty() &&
-        report.series[s].attempted == count) {
-      runtime::CachedCounts record;
-      record.counts = report.series[s].counts.counts;
-      record.total = report.series[s].counts.total;
-      runtime.store().store(live_keys[s], record);
+    // Cache only a COMPLETE clean distribution (cache_report drops
+    // degraded ones): interrupted series stay out too.
+    if (!report.interrupted && report.series[s].attempted == count) {
+      runtime.cache_report(live_keys[s], report.series[s]);
     }
     out.results[live[s]] = result_from_report(*cell.config, cell.scenario,
                                               std::move(report.series[s]));
-  }
-  return out;
-}
-
-std::vector<ScenarioResult> AnalysisPipeline::analyze_all(
-    const std::vector<scada::Configuration>& configs,
-    threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  const std::string digest =
-      realization_set_digest.empty()
-          ? runtime::EnsembleRunner::digest_realizations(realizations)
-          : std::string(realization_set_digest);
-  std::vector<ScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& c : configs) {
-    out.push_back(analyze(c, scenario, realizations, runtime, digest));
   }
   return out;
 }
@@ -378,18 +311,6 @@ void write_realizations_csv(
         .field(r.max_shoreline_wse_m);
     writer.end_row();
   }
-}
-
-std::vector<ScenarioResult> AnalysisPipeline::analyze_all(
-    const std::vector<scada::Configuration>& configs,
-    threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations) const {
-  std::vector<ScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& c : configs) {
-    out.push_back(analyze(c, scenario, realizations));
-  }
-  return out;
 }
 
 }  // namespace ct::core

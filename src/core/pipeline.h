@@ -140,40 +140,22 @@ class AnalysisPipeline {
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const surge::HurricaneRealization& realization) const;
 
-  /// Aggregates outcome probabilities over a realization set.
+  /// Aggregates outcome probabilities over a realization set: the serial,
+  /// uncached reference the runner-routed paths are tested against.
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;
 
-  /// Runner-routed variant: shards the realization range across the
-  /// runtime's work-stealing pool (bit-identical to the serial analyze at
-  /// any --jobs value) and serves/records the result in its
-  /// content-addressed cache. `realization_set_digest` identifies the
-  /// realization set (EnsembleRunner::digest_* helpers); pass "" to derive
-  /// it from the content.
-  ScenarioResult analyze(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest = {}) const;
-
-  /// Lazy runner-routed variant: `realizations` is only invoked on a cache
-  /// miss, so a warm rerun never materializes the ensemble at all.
-  ScenarioResult analyze_lazy(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const runtime::EnsembleRunner::RealizationsFn& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest) const;
-
-  /// Guarded lazy variant: the batch producer (typically wrapping
-  /// EnsembleRunner::generate_guarded) reports generation failures via its
-  /// ledger, which merge with counting failures into the result's
-  /// quarantine accounting.
+  /// The batch path, one cell at a time: `batch` (typically a
+  /// CaseStudyRunner's generate_guarded output) is only invoked on a cache
+  /// miss, so a warm rerun never materializes the ensemble at all; its
+  /// ledger merges with counting failures into the result's quarantine
+  /// accounting. `batch_digest` is runtime.digest_engine_batch of the
+  /// batch's engine and count; "" skips the cache.
   ScenarioResult analyze_lazy(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const runtime::EnsembleRunner::BatchFn& batch,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest) const;
+      runtime::EnsembleRunner& runtime, std::string_view batch_digest) const;
 
   /// Like analyze(), but over realizations streamed from the interchange
   /// CSV. Malformed rows degrade gracefully: they are skipped and surfaced
@@ -204,20 +186,6 @@ class AnalysisPipeline {
       runtime::EnsembleRunner& runtime, std::string_view batch_digest,
       const runtime::CheckpointOptions& ckpt,
       runtime::CancellationToken* interrupt = nullptr) const;
-
-  /// Convenience: all configurations x one scenario.
-  std::vector<ScenarioResult> analyze_all(
-      const std::vector<scada::Configuration>& configs,
-      threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations) const;
-
-  /// Runner-routed analyze_all.
-  std::vector<ScenarioResult> analyze_all(
-      const std::vector<scada::Configuration>& configs,
-      threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest = {}) const;
 
   AttackerModel attacker_model() const noexcept { return model_; }
   /// Cache-key tag naming the attack algorithm of this pipeline.

@@ -61,6 +61,27 @@ RuntimeFaultProfile resolve_fault(const std::string& spec) {
                       : RuntimeFaultProfile::parse(spec);
 }
 
+/// The options' watchdog and retry policy for for_each_isolated.
+TaskOptions isolation_policy(const EnsembleOptions& o) {
+  TaskOptions t;
+  t.timeout = o.task_timeout;
+  t.max_retries = o.max_retries;
+  return t;
+}
+
+/// Realizations per task when generating: one realization (storm + surge
+/// solve) is the expensive unit, so 1-4 per task suffices.
+std::size_t realization_chunk(const EnsembleOptions& o) {
+  return std::max<std::size_t>(1, o.chunk / 8);
+}
+
+void sort_by_realization(std::vector<FailureRecord>& failures) {
+  std::sort(failures.begin(), failures.end(),
+            [](const FailureRecord& a, const FailureRecord& b) {
+              return a.realization < b.realization;
+            });
+}
+
 /// Cooperative stall for the delay rule: sleeps in small slices so the
 /// watchdog deadline is honored mid-stall, exactly like a long kernel
 /// polling between work units.
@@ -103,18 +124,16 @@ FailureRecord make_failure_record(const TaskFailure& failure,
 
 namespace {
 
-void digest_impact(util::Digest& d, const surge::AssetImpact& impact) {
-  d.str(impact.asset_id)
-      .boolean(impact.failed)
-      .f64(impact.inundation_depth_m)
-      .boolean(impact.wind_failed);
-}
-
 void digest_realization(util::Digest& d,
                         const surge::HurricaneRealization& r) {
   d.u64(r.index).f64(r.peak_wind_ms).f64(r.max_shoreline_wse_m);
   d.u64(r.impacts.size());
-  for (const surge::AssetImpact& impact : r.impacts) digest_impact(d, impact);
+  for (const surge::AssetImpact& impact : r.impacts) {
+    d.str(impact.asset_id)
+        .boolean(impact.failed)
+        .f64(impact.inundation_depth_m)
+        .boolean(impact.wind_failed);
+  }
 }
 
 void digest_configuration(util::Digest& d, const scada::Configuration& c) {
@@ -157,131 +176,23 @@ util::Interval EnsembleReport::mass_bound(std::size_t bucket,
   return {std::max(0.0, cp.lo * m / n), std::min(1.0, (cp.hi * m + q) / n)};
 }
 
-EnsembleCounts EnsembleRunner::count_outcomes(const RealizationsFn& realizations,
-                                              const OutcomeFn& outcome,
-                                              const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleCounts hit;
-      hit.counts = cached->counts;
-      hit.total = cached->total;
-      hit.from_cache = true;
-      return hit;
-    }
-  }
-  return count_fresh(realizations(), outcome, use_cache ? key : std::string());
-}
-
-EnsembleCounts EnsembleRunner::count_outcomes(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleCounts hit;
-      hit.counts = cached->counts;
-      hit.total = cached->total;
-      hit.from_cache = true;
-      return hit;
-    }
-  }
-  return count_fresh(realizations, outcome, use_cache ? key : std::string());
-}
-
-EnsembleCounts EnsembleRunner::count_fresh(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  obs::Span span("ensemble.count");
-  obs::ScopedTimer timer(ensemble_metrics().count_us);
-  EnsembleCounts fresh = pool_.map_reduce(
-      realizations.size(), options_.chunk, EnsembleCounts{},
-      [&](std::size_t begin, std::size_t end) {
-        EnsembleCounts partial;
-        for (std::size_t i = begin; i < end; ++i) {
-          const int bucket = outcome(realizations[i]);
-          ++partial.counts[static_cast<std::size_t>(bucket) &
-                           (partial.counts.size() - 1)];
-          ++partial.total;
-        }
-        return partial;
-      },
-      [](EnsembleCounts acc, EnsembleCounts part) {
-        for (std::size_t i = 0; i < acc.counts.size(); ++i) {
-          acc.counts[i] += part.counts[i];
-        }
-        acc.total += part.total;
-        return acc;
-      });
-
-  if (!key.empty()) {
-    CachedCounts record;
-    record.counts = fresh.counts;
-    record.total = fresh.total;
-    store_.store(key, record);
-  }
-  return fresh;
-}
-
-std::vector<surge::HurricaneRealization> EnsembleRunner::generate(
-    const surge::RealizationEngine& engine, std::size_t count) {
-  obs::Span span("ensemble.generate");
-  obs::ScopedTimer timer(ensemble_metrics().generate_us);
-  const std::string storm = memo_storm(engine);
-  std::vector<surge::HurricaneRealization> out(count);
-  // Generation chunks are larger than analysis chunks: one realization is
-  // the expensive unit (storm + surge solve), so 1-4 per task suffices.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, options_.chunk / 8);
-  pool_.parallel_for_ranges(count, chunk,
-                            [&](std::size_t begin, std::size_t end) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                out[i] = realize(
-                                    engine, storm,
-                                    static_cast<std::uint64_t>(i));
-                              }
-                            });
-  return out;
-}
-
 GeneratedBatch EnsembleRunner::generate_guarded(
     const surge::RealizationEngine& engine, std::size_t count) {
   obs::Span span("ensemble.generate");
   obs::ScopedTimer timer(ensemble_metrics().generate_us);
   GeneratedBatch batch;
   batch.attempted = count;
-  const std::uint64_t seed = engine.config().base_seed;
+  batch.seed = engine.config().base_seed;
   const std::string storm = memo_storm(engine);
-
-  // Same chunking as generate(): one realization is the expensive unit.
-  const std::size_t chunk = std::max<std::size_t>(1, options_.chunk / 8);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
 
   std::vector<surge::HurricaneRealization> slots(count);
   IsolatedRunResult run = pool_.for_each_isolated(
-      count, chunk,
+      count, realization_chunk(options_),
       [&](std::size_t i, unsigned attempt, const CancellationToken& token) {
-        const auto index = static_cast<std::uint64_t>(i);
-        if (fault_.throw_rule.fires(index, attempt)) {
-          throw util::Error(util::ErrorCode::kFaultInjected, "fault-injection",
-                            "injected realization failure", index, seed);
-        }
-        if (fault_.delay_rule.fires(index, attempt)) {
-          cooperative_delay(fault_.delay, token);
-        }
-        surge::HurricaneRealization r = realize(engine, storm, index);
-        if (fault_.nan_rule.fires(index, attempt)) {
-          // Poison the surge output, then run the SAME guard production
-          // data passes through — the injection proves the guard trips.
-          r.max_shoreline_wse_m = std::numeric_limits<double>::quiet_NaN();
-          surge::validate_realization(r, seed);
-        }
-        token.poll("ensemble-generate");
-        slots[i] = std::move(r);
+        slots[i] = realize_guarded(engine, storm, i, attempt, token,
+                                   "ensemble-generate");
       },
-      task_options);
+      isolation_policy(options_));
 
   fold_guard_result(run);
   batch.ledger.retries = run.retries;
@@ -289,8 +200,8 @@ GeneratedBatch EnsembleRunner::generate_guarded(
   batch.ledger.failures.reserve(run.failures.size());
   for (const TaskFailure& f : run.failures) {
     quarantined[f.index] = true;
-    batch.ledger.failures.push_back(
-        make_failure_record(f, static_cast<std::uint64_t>(f.index), seed));
+    batch.ledger.failures.push_back(make_failure_record(
+        f, static_cast<std::uint64_t>(f.index), batch.seed));
   }
   batch.realizations.reserve(count - run.failures.size());
   for (std::size_t i = 0; i < count; ++i) {
@@ -300,75 +211,42 @@ GeneratedBatch EnsembleRunner::generate_guarded(
 }
 
 EnsembleReport EnsembleRunner::count_outcomes_guarded(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  return count_outcomes_guarded(
-      [&realizations]() {
-        return BatchView{&realizations, nullptr, realizations.size()};
-      },
-      outcome, key);
-}
-
-EnsembleReport EnsembleRunner::count_outcomes_guarded(
     const BatchFn& batch_fn, const OutcomeFn& outcome,
     const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleReport hit;
-      hit.counts.counts = cached->counts;
-      hit.counts.total = cached->total;
-      hit.counts.from_cache = true;
-      // Only fully clean runs are ever stored, so a hit means every
-      // realization completed.
-      hit.attempted = hit.completed = cached->total;
-      return hit;
-    }
+  if (std::optional<EnsembleReport> hit = cached_report(key)) {
+    return *std::move(hit);
   }
-  const BatchView view = batch_fn();
-  return count_guarded_fresh(*view.realizations,
-                             view.ledger ? *view.ledger : FailureLedger{},
-                             view.attempted, outcome,
-                             use_cache ? key : std::string());
-}
+  const GeneratedBatch& batch = *batch_fn();
+  const std::vector<surge::HurricaneRealization>& realizations =
+      batch.realizations;
 
-EnsembleReport EnsembleRunner::count_guarded_fresh(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    FailureLedger generation, std::size_t attempted, const OutcomeFn& outcome,
-    const std::string& key) {
   obs::Span span("ensemble.count");
   obs::ScopedTimer timer(ensemble_metrics().count_us);
-  // Per-index bucket slots instead of map_reduce partials: a throwing
-  // classifier must quarantine ONE slot, and the serial ascending fold
-  // below keeps the histogram bit-identical at any jobs value.
+  // Per-index bucket slots: a throwing classifier must quarantine ONE slot,
+  // and the serial ascending fold below keeps the histogram bit-identical
+  // at any jobs value.
   std::vector<std::int8_t> buckets(realizations.size(), 0);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
   IsolatedRunResult run = pool_.for_each_isolated(
       realizations.size(), options_.chunk,
       [&](std::size_t i, unsigned /*attempt*/, const CancellationToken& token) {
         token.poll("ensemble-count");
         buckets[i] = static_cast<std::int8_t>(outcome(realizations[i]));
       },
-      task_options);
+      isolation_policy(options_));
   fold_guard_result(run);
 
   EnsembleReport report;
-  report.attempted = attempted;
-  report.retries = generation.retries + run.retries;
-  report.failures = std::move(generation.failures);
+  report.attempted = batch.attempted;
+  report.retries = batch.ledger.retries + run.retries;
+  report.failures = batch.ledger.failures;
 
   std::vector<bool> failed(realizations.size(), false);
   for (const TaskFailure& f : run.failures) {
     failed[f.index] = true;
     report.failures.push_back(
-        make_failure_record(f, realizations[f.index].index, 0));
+        make_failure_record(f, realizations[f.index].index, batch.seed));
   }
-  std::sort(report.failures.begin(), report.failures.end(),
-            [](const FailureRecord& a, const FailureRecord& b) {
-              return a.realization < b.realization;
-            });
+  sort_by_realization(report.failures);
 
   for (std::size_t i = 0; i < realizations.size(); ++i) {
     if (failed[i]) continue;
@@ -377,16 +255,34 @@ EnsembleReport EnsembleRunner::count_guarded_fresh(
     ++report.counts.total;
   }
   report.completed = report.attempted - report.failures.size();
-
-  // Cache only a fully clean run: a stored record asserts "this key's full
-  // distribution", and a partial one would poison every warm rerun.
-  if (!key.empty() && report.failures.empty()) {
-    CachedCounts record;
-    record.counts = report.counts.counts;
-    record.total = report.counts.total;
-    store_.store(key, record);
-  }
+  cache_report(key, report);
   return report;
+}
+
+std::optional<EnsembleReport> EnsembleRunner::cached_report(
+    const std::string& key) {
+  if (!options_.cache || key.empty()) return std::nullopt;
+  const std::optional<CachedCounts> cached = store_.lookup(key);
+  if (!cached) return std::nullopt;
+  EnsembleReport hit;
+  hit.counts.counts = cached->counts;
+  hit.counts.total = cached->total;
+  hit.counts.from_cache = true;
+  // Only fully clean runs are ever stored, so a hit means every
+  // realization completed.
+  hit.attempted = hit.completed = static_cast<std::size_t>(cached->total);
+  return hit;
+}
+
+void EnsembleRunner::cache_report(const std::string& key,
+                                  const EnsembleReport& report) {
+  // A stored record asserts "this key's full distribution"; a partial one
+  // would poison every warm rerun.
+  if (!options_.cache || key.empty() || report.degraded()) return;
+  CachedCounts record;
+  record.counts = report.counts.counts;
+  record.total = report.counts.total;
+  store_.store(key, record);
 }
 
 ResumableReport EnsembleRunner::run_resumable(
@@ -417,12 +313,6 @@ ResumableReport EnsembleRunner::run_resumable(
   const std::string storm = memo_storm(engine);
   const std::uint64_t interval =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ckpt.interval));
-  // Same chunking as generate_guarded: one realization is the expensive
-  // unit (storm + surge solve).
-  const std::size_t chunk = std::max<std::size_t>(1, options_.chunk / 8);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
 
   // Walk the MISSING set in ascending slices of `interval` realizations.
   // Each slice is generated + classified in parallel, folded in ascending
@@ -443,28 +333,11 @@ ResumableReport EnsembleRunner::run_resumable(
       obs::ScopedTimer slice_timer(ensemble_metrics().slice_us);
       std::vector<std::int8_t> buckets(n * nseries, 0);
       IsolatedRunResult run = pool_.for_each_isolated(
-          n, chunk,
+          n, realization_chunk(options_),
           [&](std::size_t k, unsigned attempt,
               const CancellationToken& token) {
-            const std::uint64_t index = b + k;
-            // Identical injection surface to generate_guarded: the
-            // resumable path must quarantine the SAME indices CT_FAULT
-            // quarantines in a plain guarded run.
-            if (fault_.throw_rule.fires(index, attempt)) {
-              throw util::Error(util::ErrorCode::kFaultInjected,
-                                "fault-injection",
-                                "injected realization failure", index, seed);
-            }
-            if (fault_.delay_rule.fires(index, attempt)) {
-              cooperative_delay(fault_.delay, token);
-            }
-            surge::HurricaneRealization r = realize(engine, storm, index);
-            if (fault_.nan_rule.fires(index, attempt)) {
-              r.max_shoreline_wse_m =
-                  std::numeric_limits<double>::quiet_NaN();
-              surge::validate_realization(r, seed);
-            }
-            token.poll("ensemble-resumable");
+            const surge::HurricaneRealization r = realize_guarded(
+                engine, storm, b + k, attempt, token, "ensemble-resumable");
             // One generation, K classifications: a quarantined index is
             // quarantined in every series.
             for (std::size_t s = 0; s < nseries; ++s) {
@@ -472,7 +345,7 @@ ResumableReport EnsembleRunner::run_resumable(
                   static_cast<std::int8_t>(outcome(s, r));
             }
           },
-          task_options);
+          isolation_policy(options_));
       fold_guard_result(run);
 
       std::vector<bool> failed(n, false);
@@ -483,10 +356,7 @@ ResumableReport EnsembleRunner::run_resumable(
         slice_failures.push_back(make_failure_record(
             f, b + static_cast<std::uint64_t>(f.index), seed));
       }
-      std::sort(slice_failures.begin(), slice_failures.end(),
-                [](const FailureRecord& x, const FailureRecord& y) {
-                  return x.realization < y.realization;
-                });
+      sort_by_realization(slice_failures);
 
       std::vector<SeriesCounts> delta(nseries, SeriesCounts{});
       for (std::size_t k = 0; k < n; ++k) {
@@ -537,10 +407,7 @@ ResumableReport EnsembleRunner::run_resumable(
 
   // Restored failures live inside `done` ranges, which interleave with the
   // gaps this run filled — re-sort so every series ledger is ascending.
-  std::sort(progress.failures.begin(), progress.failures.end(),
-            [](const FailureRecord& x, const FailureRecord& y) {
-              return x.realization < y.realization;
-            });
+  sort_by_realization(progress.failures);
   const std::uint64_t attempted = progress.completed();
   for (std::size_t s = 0; s < nseries; ++s) {
     EnsembleReport& r = report.series[s];
@@ -565,16 +432,6 @@ std::string EnsembleRunner::job_key(const scada::Configuration& config,
   d.i64(static_cast<int>(scenario));
   d.str(attacker_tag);
   d.str(realization_set_digest);
-  return d.hex();
-}
-
-std::string EnsembleRunner::digest_realizations(
-    const std::vector<surge::HurricaneRealization>& realizations) {
-  util::Digest d;
-  d.str("ct-realization-set").u64(realizations.size());
-  for (const surge::HurricaneRealization& r : realizations) {
-    digest_realization(d, r);
-  }
   return d.hex();
 }
 
@@ -618,6 +475,29 @@ surge::HurricaneRealization EnsembleRunner::realize(
     store_.store_shoreline(key, record);
   }
   return engine.bind(index, *record);
+}
+
+surge::HurricaneRealization EnsembleRunner::realize_guarded(
+    const surge::RealizationEngine& engine, const std::string& storm,
+    std::uint64_t index, unsigned attempt, const CancellationToken& token,
+    std::string_view origin) {
+  const std::uint64_t seed = engine.config().base_seed;
+  if (fault_.throw_rule.fires(index, attempt)) {
+    throw util::Error(util::ErrorCode::kFaultInjected, "fault-injection",
+                      "injected realization failure", index, seed);
+  }
+  if (fault_.delay_rule.fires(index, attempt)) {
+    cooperative_delay(fault_.delay, token);
+  }
+  surge::HurricaneRealization r = realize(engine, storm, index);
+  if (fault_.nan_rule.fires(index, attempt)) {
+    // Poison the surge output, then run the SAME guard production data
+    // passes through — the injection proves the guard trips.
+    r.max_shoreline_wse_m = std::numeric_limits<double>::quiet_NaN();
+    surge::validate_realization(r, seed);
+  }
+  token.poll(origin);
+  return r;
 }
 
 }  // namespace ct::runtime

@@ -3,24 +3,29 @@
 // core/restoration, core/chaos, the figure benches, ctctl).
 //
 // It combines the work-stealing TaskPool with the content-addressed
-// ResultStore:
+// ResultStore, and offers one path per access pattern:
 //
-//  * realization generation is sharded across workers (realization i is a
-//    pure function of (base_seed, i), so scheduling cannot change results);
-//  * outcome counting shards the realization range into fixed chunks and
-//    merges per-chunk histograms in ascending chunk order — bit-identical
-//    to the serial loop at any --jobs value;
-//  * a (topology, configuration, scenario, realization set, attacker)
-//    digest addresses the result cache, so repeated sweeps over the same
-//    inputs — warm `ctctl analyze` reruns, the fig6–fig11 benches sharing
-//    one hurricane ensemble — skip the recomputation entirely.
+//  * the batch path: generate_guarded materializes the ensemble once, and
+//    count_outcomes_guarded classifies it for one (configuration,
+//    scenario) cell at a time — for callers that ask cell by cell of one
+//    ensemble (siting, run_configs, downtime's cost folds);
+//  * the sweep: run_resumable generates each realization once, classifies
+//    it into every cell, and checkpoints — `analyze` on the CLI and the
+//    server.
+//
+// Both are bit-identical to the serial loop at any --jobs value
+// (realization i is a pure function of (base_seed, i), and per-index
+// results fold in ascending index order), and both address the result
+// cache with the same job keys: a (topology, configuration, scenario,
+// engine batch, attacker) digest, so warm `ctctl analyze` reruns and the
+// fig6-fig11 benches sharing one hurricane ensemble skip the work.
 //
 // Layering: runtime sits BELOW core (it sees configurations, scenarios and
 // realizations, but not the analysis pipeline); core passes the per-
 // realization outcome as a callable. This keeps the dependency graph
 // acyclic while letting every core module share one pool and one cache.
-// Fault isolation (PR 6): the *_guarded entry points run each realization
-// inside TaskPool::for_each_isolated — a failing realization is retried
+// Fault isolation: both paths run each realization inside
+// TaskPool::for_each_isolated — a failing realization is retried
 // deterministically with the SAME seed (realization i is a pure function of
 // (base_seed, i), so a retry either heals a transient fault or reproduces a
 // deterministic one), then quarantined into a FailureRecord. The surviving
@@ -41,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -96,31 +102,17 @@ FailureRecord make_failure_record(const TaskFailure& failure,
                                   std::uint64_t fallback_realization,
                                   std::uint64_t fallback_seed);
 
-struct BatchView;
-
 /// Output of generate_guarded: the surviving realizations (ascending index
 /// order, quarantined slots removed) plus the failure ledger.
 struct GeneratedBatch {
   std::vector<surge::HurricaneRealization> realizations;
   FailureLedger ledger;
   std::size_t attempted = 0;
+  /// The engine's base seed: the provenance a count over this batch gives
+  /// the realizations its classifier fails on.
+  std::uint64_t seed = 0;
   bool complete() const noexcept { return ledger.failures.empty(); }
-  BatchView view() const noexcept;
 };
-
-/// Non-owning view of a realization batch handed to guarded counting; the
-/// storage must outlive the count_outcomes_guarded call (it always does:
-/// the producer — a GeneratedBatch member or a caller-owned vector — lives
-/// across the call).
-struct BatchView {
-  const std::vector<surge::HurricaneRealization>* realizations = nullptr;
-  const FailureLedger* ledger = nullptr;  ///< null = clean generation
-  std::size_t attempted = 0;
-};
-
-inline BatchView GeneratedBatch::view() const noexcept {
-  return BatchView{&realizations, &ledger, attempted};
-}
 
 /// Outcome of a guarded analysis: the partial histogram over surviving
 /// realizations plus the quarantine ledger and enough accounting to bound
@@ -170,57 +162,29 @@ class EnsembleRunner {
   /// (configurations x scenarios) sweep matrix share one ensemble pass.
   using MultiOutcomeFn =
       std::function<int(std::size_t series, const surge::HurricaneRealization&)>;
-  /// Lazily materializes a realization set (only called on a cache miss).
-  using RealizationsFn =
-      std::function<const std::vector<surge::HurricaneRealization>&()>;
-  /// Lazily materializes a guarded batch view (survivors + failure
-  /// ledger); only called on a cache miss.
-  using BatchFn = std::function<BatchView()>;
+  /// Produces the guarded batch to count (only called on a cache miss). It
+  /// returns a pointer to a batch that outlives the count — typically a
+  /// member the caller generated once — so a temporary cannot bind to it.
+  using BatchFn = std::function<const GeneratedBatch*()>;
 
-  /// Counts outcomes over `realizations`, parallel + cached. `key` is the
-  /// content address from job_key(); pass "" to bypass the cache (the
-  /// computation is then unconditionally fresh).
-  EnsembleCounts count_outcomes(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
-
-  /// Lazy variant: a cache hit never calls `realizations` at all — a warm
-  /// rerun skips ensemble generation, not just the analysis.
-  EnsembleCounts count_outcomes(const RealizationsFn& realizations,
-                                const OutcomeFn& outcome,
-                                const std::string& key);
-
-  /// Runs realizations [0, count) across the pool; bit-identical to the
-  /// engine's serial run_batch at any jobs value. Batch-fatal: the first
-  /// realization failure aborts the whole call (use generate_guarded for
-  /// quarantine semantics).
-  std::vector<surge::HurricaneRealization> generate(
-      const surge::RealizationEngine& engine, std::size_t count);
-
-  // --- fault-isolated entry points ----------------------------------------
-
-  /// Fault-isolated generation: each realization runs under per-task
-  /// exception capture with the options' watchdog/retry policy, the active
-  /// fault profile injected around the engine call. Survivors come back in
-  /// ascending index order, so with an empty ledger the batch is
-  /// bit-identical to generate().
+  /// Fault-isolated generation of realizations [0, count): each one runs
+  /// under per-task exception capture with the options' watchdog/retry
+  /// policy, the active fault profile injected around the engine call.
+  /// Survivors come back in ascending index order; with an empty ledger the
+  /// batch is bit-identical to the engine's serial run_batch at any jobs
+  /// value.
   GeneratedBatch generate_guarded(const surge::RealizationEngine& engine,
                                   std::size_t count);
 
-  /// Guarded counting over an already-materialized realization set. Each
-  /// outcome evaluation is isolated (a throwing classifier quarantines one
-  /// sample, not the sweep); the fold over per-index buckets runs in
-  /// ascending index order, bit-identical at any jobs value. Results are
-  /// cached under `key` ONLY when nothing failed — a partial distribution
-  /// must never masquerade as the full one on the next warm run.
-  EnsembleReport count_outcomes_guarded(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
-
-  /// Lazy guarded variant: a cache hit never materializes the batch; a
-  /// miss materializes it (typically via generate_guarded) and merges its
-  /// ledger into the report.
-  EnsembleReport count_outcomes_guarded(const BatchFn& batch_fn,
+  /// Guarded counting over one batch for one cell. A cache hit under `key`
+  /// never calls `batch`; a miss counts the batch it returns and merges its
+  /// ledger into the report. Each outcome evaluation is isolated (a
+  /// throwing classifier quarantines one sample, not the sweep), and the
+  /// fold over per-index buckets runs in ascending index order,
+  /// bit-identical at any jobs value. Results are stored under `key` ONLY
+  /// when nothing failed — a partial distribution must never masquerade as
+  /// the full one on the next warm run. Pass "" to bypass the cache.
+  EnsembleReport count_outcomes_guarded(const BatchFn& batch,
                                         const OutcomeFn& outcome,
                                         const std::string& key);
 
@@ -248,20 +212,14 @@ class EnsembleRunner {
 
   // --- content addressing -------------------------------------------------
 
-  /// Cache key of one (configuration, scenario, attacker, realization-set)
-  /// evaluation. `realization_set_digest` comes from one of the digest_*
-  /// helpers below; `attacker_tag` names the attack algorithm ("greedy",
-  /// "exhaustive", ...).
+  /// Cache key of one (configuration, scenario, attacker, engine batch)
+  /// evaluation. `realization_set_digest` comes from digest_engine_batch;
+  /// `attacker_tag` names the attack algorithm ("greedy", "exhaustive",
+  /// ...).
   static std::string job_key(const scada::Configuration& config,
                              threat::ThreatScenario scenario,
                              std::string_view attacker_tag,
                              std::string_view realization_set_digest);
-
-  /// Content digest of a realization set (covers CSV-loaded ensembles and
-  /// any engine output: asset ids, failure flags, depths, winds all mix in,
-  /// so topology moves and SLR offsets change the address automatically).
-  static std::string digest_realizations(
-      const std::vector<surge::HurricaneRealization>& realizations);
 
   /// Cheap identity digest for an engine-generated set: the engine's storm
   /// and bind digests and the count determine the content, so hashing them
@@ -270,23 +228,19 @@ class EnsembleRunner {
   std::string digest_engine_batch(const surge::RealizationEngine& engine,
                                   std::size_t count);
 
+  /// The full distribution stored under `key`, as a clean report with
+  /// from_cache set; nullopt on a miss, with the cache off, or for "".
+  std::optional<EnsembleReport> cached_report(const std::string& key);
+  /// Stores `report`'s histogram under `key` unless the cache is off, the
+  /// key is "" or a realization was quarantined.
+  void cache_report(const std::string& key, const EnsembleReport& report);
+
   TaskPool& pool() noexcept { return pool_; }
   ResultStore& store() noexcept { return store_; }
   const EnsembleOptions& options() const noexcept { return options_; }
   ResultStore::Stats cache_stats() const { return store_.stats(); }
 
  private:
-  /// Parallel recount; stores under `key` unless it is empty.
-  EnsembleCounts count_fresh(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
-  /// Guarded recount over survivors; merges `generation` accounting into
-  /// the report and stores under `key` only on a fully clean run.
-  EnsembleReport count_guarded_fresh(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      FailureLedger generation, std::size_t attempted,
-      const OutcomeFn& outcome, const std::string& key);
-
   /// Registers `engine` with the memo's admission rule and returns its
   /// storm digest when this call should use the memo, "" otherwise.
   std::string memo_storm(const surge::RealizationEngine& engine);
@@ -296,6 +250,14 @@ class EnsembleRunner {
   surge::HurricaneRealization realize(const surge::RealizationEngine& engine,
                                       const std::string& storm,
                                       std::uint64_t index);
+  /// One isolated attempt at realization `index`: the fault profile's throw
+  /// and delay rules, realize(), the nan rule through the production NaN
+  /// guard, then a watchdog poll tagged `origin`. Both paths run it, so
+  /// they quarantine the same indices.
+  surge::HurricaneRealization realize_guarded(
+      const surge::RealizationEngine& engine, const std::string& storm,
+      std::uint64_t index, unsigned attempt, const CancellationToken& token,
+      std::string_view origin);
 
   EnsembleOptions options_;
   RuntimeFaultProfile fault_;  // must init before store_ (cache-write rule)

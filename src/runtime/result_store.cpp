@@ -254,34 +254,9 @@ bool ResultStore::write_disk(const std::string& key,
   for (const std::uint64_t c : value.counts) record << c << " ";
   record << "\n" << value.total << " " << value.skipped << "\n"
          << record_checksum(key, value) << "\n";
-
-  // Write-then-rename so a concurrent reader sees either the old record or
-  // the complete new one (and a crash mid-write leaves only a .tmp). The
-  // file is fsync'd before the rename and the directory after it: without
-  // the second fsync the rename itself can be lost on power failure,
-  // resurrecting a deleted-or-absent path (the durability hole the crash
-  // harness exercises).
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << record.str();
-    if (!out.flush()) {
-      out.close();
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  if (!util::fsync_file(tmp.string())) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return util::fsync_parent_dir(path.string());
+  // A concurrent reader sees either the old record or the complete new one,
+  // and a crash mid-write leaves only a .tmp (collected at the next start).
+  return util::atomic_write_file(path.string(), record.str());
 }
 
 ResultStore::Stats ResultStore::stats() const {

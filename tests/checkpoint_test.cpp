@@ -17,12 +17,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,21 @@ std::vector<runtime::SeriesCounts> fold_slice(runtime::SweepProgress& progress,
   return delta;
 }
 
+/// Every field of every failure record.
+void expect_failures_eq(const std::vector<runtime::FailureRecord>& a,
+                        const std::vector<runtime::FailureRecord>& b,
+                        const std::string& context = "") {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].realization, b[i].realization) << context;
+    EXPECT_EQ(a[i].seed, b[i].seed) << context;
+    EXPECT_EQ(a[i].attempts, b[i].attempts) << context;
+    EXPECT_EQ(a[i].code, b[i].code) << context;
+    EXPECT_EQ(a[i].origin, b[i].origin) << context;
+    EXPECT_EQ(a[i].message, b[i].message) << context;
+  }
+}
+
 void expect_progress_eq(const runtime::SweepProgress& a,
                         const runtime::SweepProgress& b) {
   EXPECT_EQ(a.done, b.done);
@@ -128,15 +145,7 @@ void expect_progress_eq(const runtime::SweepProgress& a,
   for (std::size_t s = 0; s < a.series.size(); ++s) {
     EXPECT_EQ(a.series[s], b.series[s]) << "series " << s;
   }
-  ASSERT_EQ(a.failures.size(), b.failures.size());
-  for (std::size_t i = 0; i < a.failures.size(); ++i) {
-    EXPECT_EQ(a.failures[i].realization, b.failures[i].realization);
-    EXPECT_EQ(a.failures[i].seed, b.failures[i].seed);
-    EXPECT_EQ(a.failures[i].attempts, b.failures[i].attempts);
-    EXPECT_EQ(a.failures[i].code, b.failures[i].code);
-    EXPECT_EQ(a.failures[i].origin, b.failures[i].origin);
-    EXPECT_EQ(a.failures[i].message, b.failures[i].message);
-  }
+  expect_failures_eq(a.failures, b.failures);
   EXPECT_EQ(a.retries, b.retries);
 }
 
@@ -444,34 +453,84 @@ std::vector<unsigned> job_counts() {
   return jobs;
 }
 
+/// The sweep and the batch path (generate_guarded, then
+/// count_outcomes_guarded one series at a time) share one job-key space in
+/// the result cache, so they must agree field for field — counts, every
+/// failure record, retries, attempted, completed — under fault profiles
+/// that quarantine or heal, at max_retries 0 and 1, and with a classifier
+/// that throws on one index.
 TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
   const surge::RealizationEngine engine = make_engine();
-  // Reference: the existing guarded path, one series at a time.
-  runtime::EnsembleRunner reference_runner(make_options(1));
-  const std::vector<surge::HurricaneRealization> batch =
-      reference_runner.generate(engine, kSweepCount);
-  std::vector<runtime::EnsembleReport> reference;
-  for (std::size_t s = 0; s < 2; ++s) {
-    reference.push_back(reference_runner.count_outcomes_guarded(
-        batch,
-        [s](const surge::HurricaneRealization& r) { return classify(s, r); },
-        ""));
-  }
+  constexpr std::size_t kCount = 20;
+  constexpr std::uint64_t kThrowingIndex = 7;  // no fault profile hits it
+  const runtime::EnsembleRunner::MultiOutcomeFn throwing =
+      [](std::size_t series, const surge::HurricaneRealization& r) {
+        if (r.index == kThrowingIndex) {
+          throw std::runtime_error("classifier failure");
+        }
+        return classify(series, r);
+      };
+  runtime::SweepSpec spec = sweep_spec();
+  spec.count = kCount;
 
-  for (const unsigned jobs : job_counts()) {
-    runtime::EnsembleRunner runner(make_options(jobs));
-    // No checkpoint dir: plain fused sweep.
-    const runtime::ResumableReport report = runner.run_resumable(
-        engine, sweep_spec(), classify, runtime::CheckpointOptions{});
-    ASSERT_EQ(report.series.size(), 2u);
-    EXPECT_FALSE(report.interrupted);
-    EXPECT_EQ(report.executed, kSweepCount);
-    EXPECT_EQ(report.checkpoints, 0u);
-    for (std::size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(report.series[s].counts.counts, reference[s].counts.counts)
-          << "jobs=" << jobs << " series=" << s;
-      EXPECT_EQ(report.series[s].counts.total, reference[s].counts.total);
-      EXPECT_TRUE(report.series[s].failures.empty());
+  for (const std::string fault :
+       {"none", "throw:every=5", "throw:every=5,attempts=1", "nan:every=4",
+        "nan:every=4,attempts=1"}) {
+    for (const unsigned retries : {0u, 1u}) {
+      for (const bool throws : {false, true}) {
+        const runtime::EnsembleRunner::MultiOutcomeFn outcome =
+            throws ? throwing
+                   : runtime::EnsembleRunner::MultiOutcomeFn(classify);
+        for (const unsigned jobs : job_counts()) {
+          const std::string context =
+              fault + " retries=" + std::to_string(retries) +
+              (throws ? " throwing" : "") + " jobs=" + std::to_string(jobs);
+          runtime::EnsembleOptions options = make_options(jobs, fault);
+          options.max_retries = retries;
+
+          runtime::EnsembleRunner batch_runner(options);
+          const runtime::GeneratedBatch batch =
+              batch_runner.generate_guarded(engine, kCount);
+          // No checkpoint dir: plain fused sweep.
+          runtime::EnsembleRunner runner(options);
+          const runtime::ResumableReport report = runner.run_resumable(
+              engine, spec, outcome, runtime::CheckpointOptions{});
+          ASSERT_EQ(report.series.size(), 2u);
+          EXPECT_FALSE(report.interrupted);
+          EXPECT_EQ(report.executed, kCount);
+          EXPECT_EQ(report.checkpoints, 0u);
+
+          for (std::size_t s = 0; s < 2; ++s) {
+            const runtime::EnsembleReport want =
+                batch_runner.count_outcomes_guarded(
+                    [&] { return &batch; },
+                    [&](const surge::HurricaneRealization& r) {
+                      return outcome(s, r);
+                    },
+                    "");
+            const runtime::EnsembleReport& got = report.series[s];
+            const std::string where = context + " series=" + std::to_string(s);
+            EXPECT_EQ(got.counts.counts, want.counts.counts) << where;
+            EXPECT_EQ(got.counts.total, want.counts.total) << where;
+            expect_failures_eq(got.failures, want.failures, where);
+            EXPECT_EQ(got.retries, want.retries) << where;
+            EXPECT_EQ(got.attempted, want.attempted) << where;
+            EXPECT_EQ(got.completed, want.completed) << where;
+            if (fault == "none" && !throws) {
+              EXPECT_TRUE(got.failures.empty()) << where;
+            }
+            if (throws) {
+              EXPECT_TRUE(std::any_of(
+                  got.failures.begin(), got.failures.end(),
+                  [](const runtime::FailureRecord& f) {
+                    return f.realization == kThrowingIndex &&
+                           f.seed == kSeed;
+                  }))
+                  << where;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -277,20 +277,6 @@ TEST(Pipeline, AnalyzeAggregates) {
   EXPECT_DOUBLE_EQ(result.outcomes.probability(OperationalState::kRed), 0.1);
 }
 
-TEST(Pipeline, AnalyzeAllCoversConfigs) {
-  const AnalysisPipeline pipeline;
-  const auto configs = scada::paper_configurations("hon", "waiau", "dc");
-  const std::vector<surge::HurricaneRealization> batch = {
-      synthetic_realization({})};
-  const auto results =
-      pipeline.analyze_all(configs, ThreatScenario::kHurricane, batch);
-  ASSERT_EQ(results.size(), 5u);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.outcomes.total(), 1u);
-    EXPECT_DOUBLE_EQ(r.outcomes.probability(OperationalState::kGreen), 1.0);
-  }
-}
-
 // ---------------------------------------------------------------- report
 
 TEST(Report, PaperExpectationsExistForAllFigures) {

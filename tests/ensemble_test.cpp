@@ -65,6 +65,16 @@ surge::RealizationEngine make_engine(std::uint64_t seed) {
                                   config);
 }
 
+/// The realizations of a guarded generation that must have quarantined
+/// nothing.
+std::vector<surge::HurricaneRealization> clean_batch(
+    runtime::EnsembleRunner& runner, const surge::RealizationEngine& engine,
+    std::size_t count) {
+  runtime::GeneratedBatch batch = runner.generate_guarded(engine, count);
+  EXPECT_TRUE(batch.complete());
+  return std::move(batch.realizations);
+}
+
 void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
                  const std::string& context) {
   for (const auto s :
@@ -86,17 +96,19 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
   for (const std::uint64_t seed : kSeeds) {
     const surge::RealizationEngine engine = make_engine(seed);
 
-    // Serial reference: inline pool, realizations generated one by one.
-    runtime::EnsembleRunner serial(make_options(1));
+    // Serial reference: the engine's own loop, realizations one by one.
     const std::vector<surge::HurricaneRealization> reference =
-        serial.generate(engine, kRealizations);
+        engine.run_batch(kRealizations);
 
     for (const unsigned jobs : job_counts()) {
       runtime::EnsembleRunner parallel(make_options(jobs));
 
       // Generation itself must be schedule-independent.
-      const std::vector<surge::HurricaneRealization> generated =
-          parallel.generate(engine, kRealizations);
+      const runtime::GeneratedBatch batch =
+          parallel.generate_guarded(engine, kRealizations);
+      ASSERT_TRUE(batch.complete());
+      const std::vector<surge::HurricaneRealization>& generated =
+          batch.realizations;
       ASSERT_EQ(generated.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(generated[i].index, reference[i].index);
@@ -109,8 +121,8 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
         for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
           const core::ScenarioResult want =
               pipeline.analyze(config, scenario, reference);
-          const core::ScenarioResult got =
-              pipeline.analyze(config, scenario, reference, parallel);
+          const core::ScenarioResult got = pipeline.analyze_lazy(
+              config, scenario, [&] { return &batch; }, parallel, "");
           expect_same(want, got,
                       config.name + " / " +
                           std::string(threat::scenario_name(scenario)) +
@@ -131,15 +143,17 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
 
   runtime::EnsembleRunner runner(make_options(4, /*cache=*/true));
-  const auto rels = runner.generate(engine, kRealizations);
-  const std::string digest = runtime::EnsembleRunner::digest_realizations(rels);
+  const runtime::GeneratedBatch batch =
+      runner.generate_guarded(engine, kRealizations);
+  const std::string digest = runner.digest_engine_batch(engine, kRealizations);
+  const runtime::EnsembleRunner::BatchFn provide = [&] { return &batch; };
 
   for (const auto& config : configs) {
     for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
       const core::ScenarioResult cold =
-          pipeline.analyze(config, scenario, rels, runner, digest);
+          pipeline.analyze_lazy(config, scenario, provide, runner, digest);
       const core::ScenarioResult warm =
-          pipeline.analyze(config, scenario, rels, runner, digest);
+          pipeline.analyze_lazy(config, scenario, provide, runner, digest);
       EXPECT_FALSE(cold.from_cache);
       EXPECT_TRUE(warm.from_cache) << config.name;
       expect_same(cold, warm, config.name);
@@ -153,13 +167,13 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
 TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   runtime::EnsembleRunner runner(make_options(2, /*cache=*/true));
-  const auto rels = runner.generate(engine, kRealizations);
+  const runtime::GeneratedBatch batch =
+      runner.generate_guarded(engine, kRealizations);
 
   int provider_calls = 0;
-  const runtime::EnsembleRunner::RealizationsFn provide =
-      [&]() -> const std::vector<surge::HurricaneRealization>& {
+  const runtime::EnsembleRunner::BatchFn provide = [&] {
     ++provider_calls;
-    return rels;
+    return &batch;
   };
   const runtime::EnsembleRunner::OutcomeFn outcome =
       [](const surge::HurricaneRealization& r) {
@@ -167,15 +181,15 @@ TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
       };
   const std::string key = "ab12cd34ab12cd34ab12cd34ab12cd34";
 
-  const auto cold = runner.count_outcomes(provide, outcome, key);
+  const auto cold = runner.count_outcomes_guarded(provide, outcome, key);
   EXPECT_EQ(provider_calls, 1);
-  EXPECT_FALSE(cold.from_cache);
+  EXPECT_FALSE(cold.counts.from_cache);
 
-  const auto warm = runner.count_outcomes(provide, outcome, key);
+  const auto warm = runner.count_outcomes_guarded(provide, outcome, key);
   EXPECT_EQ(provider_calls, 1) << "hit must not materialize the ensemble";
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.counts, cold.counts);
-  EXPECT_EQ(warm.total, cold.total);
+  EXPECT_TRUE(warm.counts.from_cache);
+  EXPECT_EQ(warm.counts.counts, cold.counts.counts);
+  EXPECT_EQ(warm.counts.total, cold.counts.total);
 }
 
 /// Disk cache: a second runner (fresh memory) in the same cache dir gets
@@ -199,17 +213,24 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   core::ScenarioResult cold;
   {
     runtime::EnsembleRunner writer(options);
-    const auto rels = writer.generate(engine, kRealizations);
-    cold = pipeline.analyze(configs[0], scenario, rels, writer,
-                            runtime::EnsembleRunner::digest_realizations(rels));
+    const runtime::GeneratedBatch batch =
+        writer.generate_guarded(engine, kRealizations);
+    cold = pipeline.analyze_lazy(
+        configs[0], scenario, [&] { return &batch; }, writer,
+        writer.digest_engine_batch(engine, kRealizations));
     EXPECT_FALSE(cold.from_cache);
   }
 
   runtime::EnsembleRunner reader(options);
-  const auto rels = reader.generate(engine, kRealizations);
-  const core::ScenarioResult warm =
-      pipeline.analyze(configs[0], scenario, rels, reader,
-                       runtime::EnsembleRunner::digest_realizations(rels));
+  runtime::GeneratedBatch unused;
+  const core::ScenarioResult warm = pipeline.analyze_lazy(
+      configs[0], scenario,
+      [&] {
+        ADD_FAILURE() << "a disk hit must not generate the batch";
+        unused = reader.generate_guarded(engine, kRealizations);
+        return &unused;
+      },
+      reader, reader.digest_engine_batch(engine, kRealizations));
   EXPECT_TRUE(warm.from_cache);
   expect_same(cold, warm, "disk round-trip");
   EXPECT_EQ(reader.cache_stats().disk_hits, 1u);
@@ -343,6 +364,26 @@ TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
   }
 }
 
+/// Quarantine accounting of two results, every field of every record.
+void expect_same_ledger(const core::ScenarioResult& a,
+                        const core::ScenarioResult& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.attempted, b.attempted) << context;
+  EXPECT_EQ(a.completed, b.completed) << context;
+  EXPECT_EQ(a.retries, b.retries) << context;
+  ASSERT_EQ(a.failures.size(), b.failures.size()) << context;
+  for (std::size_t i = 0; i < a.failures.size(); ++i) {
+    const runtime::FailureRecord& x = a.failures[i];
+    const runtime::FailureRecord& y = b.failures[i];
+    EXPECT_EQ(x.realization, y.realization) << context;
+    EXPECT_EQ(x.seed, y.seed) << context;
+    EXPECT_EQ(x.attempts, y.attempts) << context;
+    EXPECT_EQ(x.code, y.code) << context;
+    EXPECT_EQ(x.origin, y.origin) << context;
+    EXPECT_EQ(x.message, y.message) << context;
+  }
+}
+
 // --- fault isolation (PR 6) -------------------------------------------------
 
 /// Options for the guarded paths: fault_spec "none" (not "") so a CT_FAULT
@@ -361,8 +402,15 @@ int simple_outcome(const surge::HurricaneRealization& r) {
 
 TEST(EnsembleGuardedTest, CleanGuardedRunMatchesUnguarded) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  // Unguarded reference: the engine's serial loop and a plain count.
+  const auto reference = engine.run_batch(kRealizations);
+  runtime::EnsembleCounts plain;
+  for (const surge::HurricaneRealization& r : reference) {
+    ++plain.counts[static_cast<std::size_t>(simple_outcome(r))];
+    ++plain.total;
+  }
+
   runtime::EnsembleRunner runner(guarded_options(4, "none", 2));
-  const auto reference = runner.generate(engine, kRealizations);
   const runtime::GeneratedBatch batch =
       runner.generate_guarded(engine, kRealizations);
   EXPECT_TRUE(batch.complete());
@@ -374,10 +422,8 @@ TEST(EnsembleGuardedTest, CleanGuardedRunMatchesUnguarded) {
               reference[i].max_shoreline_wse_m);
   }
 
-  const runtime::EnsembleCounts plain =
-      runner.count_outcomes(reference, simple_outcome, "");
-  const runtime::EnsembleReport guarded =
-      runner.count_outcomes_guarded(batch.realizations, simple_outcome, "");
+  const runtime::EnsembleReport guarded = runner.count_outcomes_guarded(
+      [&] { return &batch; }, simple_outcome, "");
   EXPECT_FALSE(guarded.degraded());
   EXPECT_EQ(guarded.attempted, guarded.completed);
   EXPECT_EQ(guarded.counts.counts, plain.counts);
@@ -394,8 +440,8 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
   const runtime::GeneratedBatch reference =
       serial.generate_guarded(engine, kRealizations);
   const runtime::EnsembleReport reference_report =
-      serial.count_outcomes_guarded(reference.realizations, simple_outcome,
-                                    "");
+      serial.count_outcomes_guarded([&] { return &reference; },
+                                    simple_outcome, "");
 
   // Indices 0, 7, 14, 21, 28, 35 quarantine after 1 + 1 attempts.
   ASSERT_EQ(reference.ledger.failures.size(), 6u);
@@ -428,7 +474,7 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
                 reference.ledger.failures[i].attempts);
     }
     const runtime::EnsembleReport report = parallel.count_outcomes_guarded(
-        batch.realizations, simple_outcome, "");
+        [&] { return &batch; }, simple_outcome, "");
     EXPECT_EQ(report.counts.counts, reference_report.counts.counts)
         << "jobs " << jobs;
     EXPECT_EQ(report.counts.total, reference_report.counts.total);
@@ -437,8 +483,7 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
 
 TEST(EnsembleGuardedTest, RetryHealsFirstAttemptFault) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  runtime::EnsembleRunner clean(guarded_options(4, "none", 0));
-  const auto reference = clean.generate(engine, kRealizations);
+  const auto reference = engine.run_batch(kRealizations);
 
   // The rule fires only on attempt 1: one retry (same seed) heals every
   // injected failure, so the batch is complete AND bit-identical.
@@ -502,11 +547,9 @@ TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
   runtime::EnsembleRunner degraded(degraded_options);
   const runtime::GeneratedBatch batch =
       degraded.generate_guarded(engine, kRealizations);
-  // The batch view carries the quarantine ledger; counting over it keeps
-  // the generation failures in the report.
-  const runtime::EnsembleRunner::BatchFn batch_fn = [&]() {
-    return batch.view();
-  };
+  // The batch carries the quarantine ledger; counting over it keeps the
+  // generation failures in the report.
+  const runtime::EnsembleRunner::BatchFn batch_fn = [&] { return &batch; };
   const runtime::EnsembleReport first =
       degraded.count_outcomes_guarded(batch_fn, simple_outcome, key);
   EXPECT_TRUE(first.degraded());
@@ -521,12 +564,13 @@ TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
   runtime::EnsembleOptions clean_options = guarded_options(2, "none", 0);
   clean_options.cache = true;
   runtime::EnsembleRunner clean(clean_options);
-  const auto rels = clean.generate(engine, kRealizations);
-  const runtime::EnsembleReport cold =
-      clean.count_outcomes_guarded(rels, simple_outcome, key);
+  const runtime::GeneratedBatch full =
+      clean.generate_guarded(engine, kRealizations);
+  const runtime::EnsembleReport cold = clean.count_outcomes_guarded(
+      [&] { return &full; }, simple_outcome, key);
   EXPECT_FALSE(cold.counts.from_cache);
-  const runtime::EnsembleReport warm =
-      clean.count_outcomes_guarded(rels, simple_outcome, key);
+  const runtime::EnsembleReport warm = clean.count_outcomes_guarded(
+      [&] { return &full; }, simple_outcome, key);
   EXPECT_TRUE(warm.counts.from_cache);
   EXPECT_EQ(warm.attempted, warm.completed);
   EXPECT_EQ(warm.counts.counts, cold.counts.counts);
@@ -537,15 +581,16 @@ TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
 
   // Ground truth: the clean full ensemble.
   runtime::EnsembleRunner clean(guarded_options(2, "none", 0));
-  const auto full = clean.generate(engine, kRealizations);
-  const runtime::EnsembleReport truth =
-      clean.count_outcomes_guarded(full, simple_outcome, "");
+  const runtime::GeneratedBatch full =
+      clean.generate_guarded(engine, kRealizations);
+  const runtime::EnsembleReport truth = clean.count_outcomes_guarded(
+      [&] { return &full; }, simple_outcome, "");
 
   runtime::EnsembleRunner degraded(guarded_options(2, "throw:every=7", 0));
   const runtime::GeneratedBatch batch =
       degraded.generate_guarded(engine, kRealizations);
   const runtime::EnsembleReport partial = degraded.count_outcomes_guarded(
-      [&]() { return batch.view(); }, simple_outcome, "");
+      [&] { return &batch; }, simple_outcome, "");
   ASSERT_TRUE(partial.degraded());
   EXPECT_EQ(partial.attempted, kRealizations);
   EXPECT_EQ(partial.completed, kRealizations - 6);
@@ -608,6 +653,83 @@ TEST(EnsembleGuardedTest, CaseStudyDegradesGracefully) {
     for (std::size_t i = 0; i < serial.failures.size(); ++i) {
       EXPECT_EQ(parallel.failures[i].realization,
                 serial.failures[i].realization);
+    }
+  }
+}
+
+/// The batch path (run) and the sweep (run_all_resumable) share one job-key
+/// space: whichever runs first on a cache-on runner, the other is served
+/// from the cache with the same counts. A degraded run stores nothing, so
+/// under a fault profile the second pass recomputes and quarantines the
+/// same indices with the same records.
+TEST(EnsembleGuardedTest, SweepAndBatchPathShareCachedCells) {
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto scenarios = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenario_list(scenarios.begin(),
+                                                          scenarios.end());
+  const std::size_t cells = configs.size() * scenarios.size();
+  const auto make_runner = [](const char* spec) {
+    core::CaseStudyOptions options;
+    options.realizations = kRealizations;
+    options.runtime = guarded_options(4, spec, 1);
+    options.runtime.cache = true;
+    return core::make_oahu_case_study(options);
+  };
+
+  for (const std::string spec : {"none", "throw:every=13"}) {
+    const bool clean = spec == "none";
+    const auto context = [&](std::size_t cell) {
+      return spec + " cell " + std::to_string(cell);
+    };
+
+    // Sweep first, then the batch path on every cell (row-major order:
+    // configuration fastest within a scenario).
+    core::CaseStudyRunner sweep_first = make_runner(spec.c_str());
+    const core::ResumableAnalysis sweep = sweep_first.run_all_resumable(
+        configs, scenario_list, runtime::CheckpointOptions{});
+    ASSERT_EQ(sweep.results.size(), cells);
+    EXPECT_EQ(sweep.cached_cells, 0u);
+    std::size_t hits = 0;
+    std::vector<core::ScenarioResult> batch;
+    for (const threat::ThreatScenario scenario : scenarios) {
+      for (const scada::Configuration& config : configs) {
+        batch.push_back(sweep_first.run(config, scenario));
+        if (batch.back().from_cache) ++hits;
+      }
+    }
+    EXPECT_EQ(hits, clean ? cells : 0u) << spec;
+    for (std::size_t i = 0; i < cells; ++i) {
+      expect_same(sweep.results[i], batch[i], context(i));
+      expect_same_ledger(sweep.results[i], batch[i], context(i));
+    }
+
+    // Batch path first, then the sweep, on a fresh runner.
+    core::CaseStudyRunner batch_first = make_runner(spec.c_str());
+    std::vector<core::ScenarioResult> cold;
+    for (const threat::ThreatScenario scenario : scenarios) {
+      for (const scada::Configuration& config : configs) {
+        cold.push_back(batch_first.run(config, scenario));
+        EXPECT_FALSE(cold.back().from_cache) << spec;
+      }
+    }
+    const core::ResumableAnalysis warm = batch_first.run_all_resumable(
+        configs, scenario_list, runtime::CheckpointOptions{});
+    EXPECT_EQ(warm.cached_cells, clean ? cells : 0u) << spec;
+    EXPECT_EQ(warm.executed, clean ? 0u : kRealizations) << spec;
+    ASSERT_EQ(warm.results.size(), cells);
+    for (std::size_t i = 0; i < cells; ++i) {
+      expect_same(cold[i], warm.results[i], context(i));
+      expect_same_ledger(cold[i], warm.results[i], context(i));
+      expect_same(sweep.results[i], warm.results[i], context(i));
+    }
+
+    if (!clean) {
+      ASSERT_EQ(sweep.results[0].failures.size(), 4u);
+      for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(sweep.results[0].failures[k].realization, 13 * k);
+      }
     }
   }
 }
@@ -740,21 +862,22 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
   runtime::EnsembleRunner reference_runner(reference_options);
   std::vector<std::vector<surge::HurricaneRealization>> reference;
   for (const auto& engine : engines) {
-    reference.push_back(reference_runner.generate(*engine, kPaperRealizations));
+    reference.push_back(
+        clean_batch(reference_runner, *engine, kPaperRealizations));
   }
 
   for (const unsigned jobs : {1u, 8u}) {
     runtime::EnsembleRunner runner(memo_options(jobs));
     // One paper realization registers the first bind digest, so the next
     // engine's sweep is the one that keeps the records.
-    runner.generate(*engines[0], 1);
+    runner.generate_guarded(*engines[0], 1);
     for (std::size_t e = 1; e < engines.size(); ++e) {
-      expect_bit_identical(runner.generate(*engines[e], kPaperRealizations),
+      expect_bit_identical(clean_batch(runner, *engines[e], kPaperRealizations),
                            reference[e],
                            std::string(bind_variants()[e].name) + " jobs " +
                                std::to_string(jobs));
     }
-    expect_bit_identical(runner.generate(*engines[0], kPaperRealizations),
+    expect_bit_identical(clean_batch(runner, *engines[0], kPaperRealizations),
                          reference[0], "paper jobs " + std::to_string(jobs));
     const runtime::ResultStore::Stats stats = runner.cache_stats();
     EXPECT_EQ(stats.memo_stores, kPaperRealizations);
@@ -767,9 +890,9 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
   runtime::EnsembleOptions small = memo_options(8);
   small.memory_entries = 100;
   runtime::EnsembleRunner evicting(small);
-  evicting.generate(*engines[0], 1);
+  evicting.generate_guarded(*engines[0], 1);
   for (const std::size_t e : {std::size_t{1}, std::size_t{4}}) {
-    expect_bit_identical(evicting.generate(*engines[e], kPaperRealizations),
+    expect_bit_identical(clean_batch(evicting, *engines[e], kPaperRealizations),
                          reference[e],
                          std::string(bind_variants()[e].name) + " evicting");
   }
@@ -829,7 +952,7 @@ TEST(EnsembleMemoTest, RunnerServingOneEngineStoresNoRecord) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   const surge::RealizationEngine twin = make_engine(kSeeds[0]);
   runner.digest_engine_batch(engine, kRealizations);
-  runner.generate(engine, kRealizations);
+  runner.generate_guarded(engine, kRealizations);
   runner.generate_guarded(twin, kRealizations);
   runtime::SweepSpec spec;
   spec.digest = "memo-admission";
@@ -852,14 +975,14 @@ TEST(EnsembleMemoTest, ThirdEngineRunsNoStorm) {
   obs::set_enabled(true);
   const obs::Counter node_steps("surge.node_steps");
   runtime::EnsembleRunner runner(memo_options(4));
-  runner.generate(offset_engine(0.0), kRealizations);
-  runner.generate(offset_engine(0.2), kRealizations);
+  runner.generate_guarded(offset_engine(0.0), kRealizations);
+  runner.generate_guarded(offset_engine(0.2), kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
 
   const surge::RealizationEngine third = offset_engine(0.4);
   const std::uint64_t before = node_steps.value();
   const std::vector<surge::HurricaneRealization> got =
-      runner.generate(third, kRealizations);
+      clean_batch(runner, third, kRealizations);
   EXPECT_EQ(node_steps.value() - before, 0u);
   EXPECT_EQ(runner.cache_stats().memo_hits, kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
@@ -878,7 +1001,7 @@ TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
   std::vector<std::uint64_t> steps;
   for (const double offset : {0.0, 0.2, 0.4}) {
     const std::uint64_t before = node_steps.value();
-    runner.generate(offset_engine(offset), kRealizations);
+    runner.generate_guarded(offset_engine(offset), kRealizations);
     steps.push_back(node_steps.value() - before);
   }
   if (obs::compiled_in()) {

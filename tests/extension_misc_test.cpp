@@ -94,8 +94,10 @@ TEST(SeaLevelRise, FloodProbabilityMonotonic) {
       const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
                                             topo.exposed_assets(), config);
       assets = engine.assets().size();
-      for (const surge::HurricaneRealization& r :
-           runner.generate(engine, kRealizations)) {
+      const runtime::GeneratedBatch batch =
+          runner.generate_guarded(engine, kRealizations);
+      ASSERT_TRUE(batch.complete());
+      for (const surge::HurricaneRealization& r : batch.realizations) {
         ASSERT_EQ(r.impacts.size(), assets);
         for (const surge::AssetImpact& impact : r.impacts) {
           depth[o][t].push_back(impact.inundation_depth_m);

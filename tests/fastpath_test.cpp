@@ -181,7 +181,7 @@ TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
   options.chunk = 1;  // one task per realization: all 8 workers take part
   options.cache = false;
   runtime::EnsembleRunner runner(options);
-  const auto parallel = runner.generate(engine, 12);
+  const auto parallel = runner.generate_guarded(engine, 12).realizations;
   ASSERT_EQ(parallel.size(), 12u);
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     expect_bit_identical(parallel[i],
@@ -565,8 +565,9 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
     options.jobs = jobs;
     options.cache = false;
     runtime::EnsembleRunner runner(options);
-    const std::vector<HurricaneRealization> fast =
-        runner.generate(engine, kCount);
+    const runtime::GeneratedBatch batch =
+        runner.generate_guarded(engine, kCount);
+    const std::vector<HurricaneRealization>& fast = batch.realizations;
     ASSERT_EQ(fast.size(), legacy.size());
     for (std::size_t i = 0; i < kCount; ++i) {
       expect_bit_identical(fast[i], legacy[i],
@@ -578,8 +579,8 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
       for (const threat::ThreatScenario scenario :
            {threat::ThreatScenario::kHurricane,
             threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
-        const core::ScenarioResult from_fast =
-            pipeline.analyze(config, scenario, fast, runner);
+        const core::ScenarioResult from_fast = pipeline.analyze_lazy(
+            config, scenario, [&] { return &batch; }, runner, "");
         const core::ScenarioResult from_legacy =
             pipeline.analyze(config, scenario, legacy);
         ASSERT_EQ(from_fast.outcomes.total(), from_legacy.outcomes.total());
@@ -833,9 +834,10 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     const RealizationEngine engine(oahu(), oahu_assets(), {});
     runtime::EnsembleRunner runner(options);
     first_key = runner.digest_engine_batch(engine, 8);
-    const auto counts = runner.count_outcomes(
-        engine.run_batch(8), outcome, first_key);
-    EXPECT_FALSE(counts.from_cache);
+    const runtime::GeneratedBatch batch = runner.generate_guarded(engine, 8);
+    const auto counts = runner.count_outcomes_guarded(
+        [&] { return &batch; }, outcome, first_key);
+    EXPECT_FALSE(counts.counts.from_cache);
   }
   {
     // A separate engine instance with an identical config must produce the
@@ -844,9 +846,15 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     runtime::EnsembleRunner runner(options);
     const std::string key = runner.digest_engine_batch(engine, 8);
     EXPECT_EQ(key, first_key);
-    const auto counts = runner.count_outcomes(
-        [&] { return engine.run_batch(8); }, outcome, key);
-    EXPECT_TRUE(counts.from_cache);
+    runtime::GeneratedBatch unused;
+    const auto counts = runner.count_outcomes_guarded(
+        [&] {
+          ADD_FAILURE() << "a disk hit must not generate the batch";
+          unused = runner.generate_guarded(engine, 8);
+          return &unused;
+        },
+        outcome, key);
+    EXPECT_TRUE(counts.counts.from_cache);
   }
   std::filesystem::remove_all(dir);
 }

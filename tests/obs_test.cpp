@@ -423,12 +423,11 @@ core::ScenarioResult analyze_once(unsigned jobs) {
   options.chunk = 7;
   options.cache = false;  // no cache: both runs must actually compute
   runtime::EnsembleRunner runtime(options);
-  const std::vector<surge::HurricaneRealization> realizations =
-      runtime.generate(engine, 32);
+  const runtime::GeneratedBatch batch = runtime.generate_guarded(engine, 32);
   const core::AnalysisPipeline pipeline;
-  return pipeline.analyze(paper_config(2),
-                          threat::ThreatScenario::kHurricaneIntrusionIsolation,
-                          realizations, runtime, "obs-determinism-gate");
+  return pipeline.analyze_lazy(
+      paper_config(2), threat::ThreatScenario::kHurricaneIntrusionIsolation,
+      [&] { return &batch; }, runtime, "obs-determinism-gate");
 }
 
 TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
@@ -480,19 +479,19 @@ core::ScenarioResult analyze_memoized(unsigned jobs) {
   options.chunk = 7;
   options.fault_spec = "none";
   runtime::EnsembleRunner runtime(options);
-  std::vector<surge::HurricaneRealization> realizations;
+  runtime::GeneratedBatch batch;
   for (const double offset : {0.0, 0.2, 0.4}) {
     surge::RealizationConfig config;
     config.sea_level_offset_m = offset;
     const surge::RealizationEngine engine(
         terrain::make_oahu_terrain(),
         scada::oahu_topology().exposed_assets(), config);
-    realizations = runtime.generate(engine, 32);
+    batch = runtime.generate_guarded(engine, 32);
   }
   const core::AnalysisPipeline pipeline;
-  return pipeline.analyze(paper_config(2),
-                          threat::ThreatScenario::kHurricaneIntrusionIsolation,
-                          realizations, runtime, "obs-memo-gate");
+  return pipeline.analyze_lazy(
+      paper_config(2), threat::ThreatScenario::kHurricaneIntrusionIsolation,
+      [&] { return &batch; }, runtime, "obs-memo-gate");
 }
 
 TEST(ObsDeterminismTest, MemoizedAnalyzeBitIdenticalWithObsOnAndOff) {

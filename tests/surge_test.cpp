@@ -294,7 +294,7 @@ TEST(RealizationEngine, ParallelBatchMatchesSerial) {
                                  topo.exposed_assets(), {});
   const auto serial = engine.run_batch(8);
   runtime::EnsembleRunner runner(pooled_options());
-  const auto parallel = runner.generate(engine, 8);
+  const auto parallel = runner.generate_guarded(engine, 8).realizations;
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, parallel[i].index);
@@ -312,9 +312,9 @@ TEST(RealizationEngine, ParallelBatchDegenerateCases) {
   const RealizationEngine engine(terrain::make_oahu_terrain(),
                                  topo.exposed_assets(), {});
   runtime::EnsembleRunner runner(pooled_options());
-  EXPECT_TRUE(runner.generate(engine, 0).empty());
-  EXPECT_EQ(runner.generate(engine, 1).size(), 1u);
-  EXPECT_EQ(runner.generate(engine, 3).size(), 3u);
+  EXPECT_TRUE(runner.generate_guarded(engine, 0).realizations.empty());
+  EXPECT_EQ(runner.generate_guarded(engine, 1).realizations.size(), 1u);
+  EXPECT_EQ(runner.generate_guarded(engine, 3).realizations.size(), 3u);
 }
 
 TEST(RealizationEngine, BatchIndicesAreStable) {
