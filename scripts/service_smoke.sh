@@ -15,7 +15,11 @@
 #   5. served siting (the batch path: one case study, one cell per
 #      candidate) at a fourth offset matches local execution and also runs
 #      no storm stage;
-#   6. SIGTERM drains gracefully (exit 0 after finishing admitted work).
+#   6. SIGTERM drains gracefully (exit 0 after finishing admitted work);
+#   7. a local checkpointed sweep survives a real process death: CT_CRASH
+#      tears its third durable write (exit 86), and `--resume` restores the
+#      32 realizations journaled before it and prints, after its two
+#      checkpoint lines, the uninterrupted report byte for byte.
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -145,5 +149,21 @@ server_pid=
 [[ "$rc" -eq 0 ]] || { echo "FAIL: drain exited $rc"; cat "$work/server.log"; exit 1; }
 grep -q "stopped" "$work/server.log" \
     || { echo "FAIL: no clean-shutdown marker in server log"; exit 1; }
+
+echo "== local crash and resume: a torn journal write, then --resume"
+crash_run=(analyze "${run_flags[@]}" --no-cache
+           --checkpoint-dir "$work/checkpoint" --checkpoint-interval 32)
+rc=0
+CT_CACHE_DIR="$work/local-cache" CT_CRASH=torn:at=3 "$ctctl" "${crash_run[@]}" \
+    > /dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 86 ]] || { echo "FAIL: injected crash exited $rc, not 86"; exit 1; }
+CT_CACHE_DIR="$work/local-cache" "$ctctl" "${crash_run[@]}" --resume \
+    > "$work/resumed.txt" 2>/dev/null
+head -n 1 "$work/resumed.txt"
+head -n 1 "$work/resumed.txt" | grep -q "restored 32 and" \
+    || { echo "FAIL: the resume did not restore 32 realizations"; exit 1; }
+CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" --no-cache \
+    > "$work/uninterrupted.txt" 2>/dev/null
+tail -n +3 "$work/resumed.txt" | diff -u "$work/uninterrupted.txt" -
 
 echo "service smoke OK"

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "util/digest.h"
-#include "util/error.h"
 #include "util/json_writer.h"
 
 namespace ct::obs {
@@ -16,8 +14,6 @@ namespace ct::obs {
 namespace {
 
 constexpr std::size_t kDefaultRingCapacity = 4096;
-constexpr char kTraceMagic[4] = {'C', 'T', 'O', 'B'};
-constexpr std::uint32_t kTraceVersion = 1;
 
 std::uint64_t now_ns() noexcept {
   // Relative to a process-lifetime epoch so exported timestamps are small.
@@ -154,60 +150,6 @@ void record_span(const char* name, std::uint64_t start_ns,
   }
 }
 
-// --- binary frame helpers ---------------------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-struct Reader {
-  std::string_view bytes;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - pos < n) {
-      throw ct::Error(ct::ErrorCode::kParse, "obs",
-                      "truncated trace frame");
-    }
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::string_view take(std::size_t n) {
-    need(n);
-    std::string_view v = bytes.substr(pos, n);
-    pos += n;
-    return v;
-  }
-};
-
 }  // namespace
 
 bool tracing_enabled() noexcept {
@@ -294,105 +236,6 @@ void write_chrome_trace(std::ostream& out, const TraceDump& dump) {
   w.kv("droppedSpans", dump.dropped);
   w.end_object();
   out << "\n";
-}
-
-std::string encode_binary_trace(const TraceDump& dump) {
-  std::string payload;
-  for (const SpanRecord& s : dump.spans) {
-    put_u32(payload, static_cast<std::uint32_t>(s.name.size()));
-    payload.append(s.name);
-    put_u64(payload, s.start_ns);
-    put_u64(payload, s.dur_ns);
-    put_u64(payload, s.id);
-    put_u64(payload, s.parent);
-    put_u32(payload, s.tid);
-  }
-
-  util::Digest payload_digest;
-  payload_digest.bytes(payload.data(), payload.size());
-  const auto pd = payload_digest.value();
-
-  std::string frame(kTraceMagic, sizeof(kTraceMagic));
-  put_u32(frame, kTraceVersion);
-  put_u64(frame, dump.spans.size());
-  put_u64(frame, dump.dropped);
-  put_u64(frame, payload.size());
-  put_u64(frame, pd[0]);
-  put_u64(frame, pd[1]);
-
-  // Header digest covers everything before it, so flipping any header
-  // byte (magic included) is caught even when the payload still matches.
-  util::Digest header_digest;
-  header_digest.bytes(frame.data(), frame.size());
-  const auto hd = header_digest.value();
-  put_u64(frame, hd[0]);
-  put_u64(frame, hd[1]);
-
-  frame.append(payload);
-  return frame;
-}
-
-TraceDump decode_binary_trace(std::string_view bytes) {
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 8 * 5;  // up to header digest
-  Reader r{bytes};
-  r.need(kHeaderBytes + 16);
-
-  // Validate the header digest FIRST: it authenticates every later field,
-  // so all subsequent mismatches are genuine parse decisions, not noise.
-  util::Digest header_digest;
-  header_digest.bytes(bytes.data(), kHeaderBytes);
-  const auto hd = header_digest.value();
-
-  if (std::memcmp(bytes.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs", "bad trace magic");
-  }
-  r.pos = sizeof(kTraceMagic);
-  const std::uint32_t version = r.u32();
-  if (version != kTraceVersion) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs",
-                    "unsupported trace version " + std::to_string(version));
-  }
-  const std::uint64_t count = r.u64();
-  const std::uint64_t dropped = r.u64();
-  const std::uint64_t payload_size = r.u64();
-  const std::uint64_t pd0 = r.u64();
-  const std::uint64_t pd1 = r.u64();
-  if (r.u64() != hd[0] || r.u64() != hd[1]) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs",
-                    "trace header checksum mismatch");
-  }
-  if (bytes.size() - r.pos != payload_size) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs",
-                    "trace payload length mismatch");
-  }
-
-  util::Digest payload_digest;
-  payload_digest.bytes(bytes.data() + r.pos, payload_size);
-  const auto pd = payload_digest.value();
-  if (pd[0] != pd0 || pd[1] != pd1) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs",
-                    "trace payload checksum mismatch");
-  }
-
-  TraceDump dump;
-  dump.dropped = dropped;
-  dump.spans.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SpanRecord s;
-    const std::uint32_t name_len = r.u32();
-    s.name = std::string(r.take(name_len));
-    s.start_ns = r.u64();
-    s.dur_ns = r.u64();
-    s.id = r.u64();
-    s.parent = r.u64();
-    s.tid = r.u32();
-    dump.spans.push_back(std::move(s));
-  }
-  if (r.pos != bytes.size()) {
-    throw ct::Error(ct::ErrorCode::kParse, "obs",
-                    "trailing bytes after trace payload");
-  }
-  return dump;
 }
 
 }  // namespace ct::obs

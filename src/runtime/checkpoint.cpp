@@ -5,16 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/metrics.h"
 #include "util/digest.h"
 #include "util/fsio.h"
 #include "util/log.h"
+#include "util/wire.h"
 
 namespace ct::runtime {
 
@@ -23,7 +20,7 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Durable-write telemetry: fsync'd-publish latency and total journal
-/// bytes, folded at the single site every checkpoint flush funnels through.
+/// bytes, folded at the single site every checkpoint publish funnels through.
 struct CheckpointMetrics {
   obs::Histogram flush_us{"checkpoint.flush_us"};
   obs::Counter flushes{"checkpoint.flushes"};
@@ -42,170 +39,118 @@ CheckpointMetrics& checkpoint_metrics() {
 /// instant — which is what makes CT_CRASH reproducible.
 std::atomic<std::uint64_t> g_crash_sites{0};
 
-std::uint64_t next_crash_site() noexcept {
-  return g_crash_sites.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-/// Injected process death: no unwinding, no stream flushing, no atexit —
-/// the same observable behavior as an OOM kill or power loss.
-[[noreturn]] void die() { ::_exit(CrashProfile::kExitCode); }
-
-bool write_all(int fd, const char* data, std::size_t n) noexcept {
-  std::size_t written = 0;
-  while (written < n) {
-    const ::ssize_t r = ::write(fd, data + written, n - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// Numbers the next durable write as a crash site and returns the hook
+/// that ends the process where the CT_CRASH profile says (none when the
+/// profile is off): no unwinding, no stream flushing, no atexit — the same
+/// observable behavior as an OOM kill or power loss.
+util::CrashHook crash_site(const CrashProfile& crash) {
+  const std::uint64_t site =
+      g_crash_sites.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (!crash.enabled()) return {};
+  return [&crash, site](util::WriteStage stage) {
+    static constexpr CrashPoint kPoint[] = {
+        CrashPoint::kBeforeWrite, CrashPoint::kTornWrite,
+        CrashPoint::kAfterWrite};
+    if (crash.fires(kPoint[static_cast<int>(stage)], site)) {
+      ::_exit(CrashProfile::kExitCode);
     }
-    written += static_cast<std::size_t>(r);
-  }
-  return true;
+  };
 }
 
-/// Durable atomic publish with the three CT_CRASH points wired in: die
-/// before any byte, die after a torn prefix of the tmp file, die after the
-/// rename + directory fsync completed.
-bool publish_with_crash_points(const std::string& path,
-                               const std::string& contents,
-                               const CrashProfile& crash) {
+/// Durable atomic publish of a snapshot or a fresh journal header.
+bool publish(const std::string& path, const std::string& contents,
+             const CrashProfile& crash) {
   CheckpointMetrics& m = checkpoint_metrics();
   obs::ScopedTimer timer(m.flush_us);
   m.flushes.inc();
   m.journal_bytes.inc(contents.size());
-  const std::uint64_t site = next_crash_site();
-  if (crash.fires(CrashPoint::kBeforeWrite, site)) die();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  if (crash.fires(CrashPoint::kTornWrite, site)) {
-    // A prefix of the write reaches the disk, then the process dies — the
-    // tmp never renames, so replay must ignore and GC it.
-    write_all(fd, contents.data(), std::max<std::size_t>(1, contents.size() / 2));
-    ::fsync(fd);
-    die();
-  }
-  const bool ok = write_all(fd, contents.data(), contents.size()) &&
-                  ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  const bool synced = util::fsync_parent_dir(path);
-  if (crash.fires(CrashPoint::kAfterWrite, site)) die();
-  return synced;
+  return util::atomic_write_file(path, contents, crash_site(crash));
 }
 
-// --- text framing -----------------------------------------------------------
+// --- frames -----------------------------------------------------------------
 
-/// Journal/snapshot fields are space-separated; strings are percent-
-/// escaped so an arbitrary error message can never break record framing.
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
-    if (c <= 0x20 || c == '%' || c >= 0x7f) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  if (out.empty()) out = "%00";  // empty field would vanish in a split
-  return out;
+/// Frame magic of both checkpoint files ("CTCK" little-endian) and the
+/// three frame types: the journal header, one journal record, a snapshot.
+constexpr std::uint32_t kMagic = 0x4b435443u;
+enum CheckpointFrame : std::uint8_t { kHeader = 1, kRecord = 2, kSnapshot = 3 };
+
+util::FrameFields fields(CheckpointFrame type, std::uint32_t tag = 0) {
+  return {kMagic, SweepJournal::kFormatVersion, type, tag};
 }
 
-bool unescape(std::string_view s, std::string& out) {
-  out.clear();
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) return false;
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
-    };
-    const int hi = hex(s[i + 1]);
-    const int lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) return false;
-    const char decoded = static_cast<char>(hi * 16 + lo);
-    // %00 doubles as the empty-field marker; a stray NUL in a message is
-    // dropped rather than poisoning downstream C strings.
-    if (decoded != '\0') out += decoded;
-    i += 2;
+/// The payload prefix of every journal header and snapshot of `spec`.
+std::string encode_spec(const SweepSpec& spec) {
+  util::WireWriter w;
+  w.str(spec.digest).u64(spec.count).u64(spec.series.size());
+  for (const std::string& s : spec.series) w.str(s);
+  return w.take();
+}
+
+/// Sweep state as a snapshot holds it and a record holds its delta:
+/// completed ranges, retries, per-series counts, quarantined indices.
+void put_state(util::WireWriter& w,
+               const std::vector<std::pair<std::uint64_t, std::uint64_t>>& done,
+               std::uint64_t retries, const std::vector<SeriesCounts>& counts,
+               const std::vector<FailureRecord>& failures) {
+  w.u64(done.size());
+  for (const auto& [b, e] : done) w.u64(b).u64(e);
+  w.u64(retries);
+  for (const SeriesCounts& s : counts) {
+    for (const std::uint64_t c : s) w.u64(c);
   }
+  w.u64(failures.size());
+  for (const FailureRecord& f : failures) {
+    w.u64(f.realization).u64(f.seed).u32(f.attempts);
+    w.i32(static_cast<std::int32_t>(f.code)).str(f.origin).str(f.message);
+  }
+}
+
+/// Folds the rest of `r`, written by put_state, into `progress`. False on
+/// a range past `count` or overlapping one already done.
+bool fold_state(util::WireReader& r, std::uint64_t count,
+                SweepProgress& progress) {
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    const std::uint64_t b = r.u64();
+    const std::uint64_t e = r.u64();
+    if (e > count || !progress.merge_range(b, e)) return false;
+  }
+  progress.retries += r.u64();
+  for (SeriesCounts& s : progress.series) {
+    for (std::uint64_t& c : s) c += r.u64();
+  }
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    FailureRecord f;
+    f.realization = r.u64();
+    f.seed = r.u64();
+    f.attempts = r.u32();
+    f.code = static_cast<util::ErrorCode>(r.i32());
+    f.origin = r.str();
+    f.message = r.str();
+    progress.failures.push_back(std::move(f));
+  }
+  r.require_end();
   return true;
 }
 
-/// Line-scoped tokenizer: whitespace-split with typed extraction.
-struct LineReader {
-  std::istringstream in;
-  bool ok = true;
-
-  explicit LineReader(const std::string& line) : in(line) {}
-
-  std::string tok() {
-    std::string t;
-    if (!(in >> t)) ok = false;
-    return t;
+/// Folds journal record `seq` into `progress`; false when it does not
+/// apply. The tag orders records, and the leading header digest binds each
+/// one to its journal and epoch, so a spliced, reordered or replayed
+/// record never applies.
+bool replay_record(const util::OpenedFrame& record, std::uint32_t seq,
+                   const std::array<std::uint64_t, 2>& binding,
+                   std::uint64_t count, SweepProgress& progress) {
+  if (record.fields.type != kRecord ||
+      record.fields.version != SweepJournal::kFormatVersion ||
+      record.fields.tag != seq) {
+    return false;
   }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (!(in >> v)) ok = false;
-    return v;
+  try {
+    util::WireReader r(record.payload);
+    return r.u64() == binding[0] && r.u64() == binding[1] &&
+           fold_state(r, count, progress);
+  } catch (const util::Error&) {
+    return false;
   }
-  std::string text() {  // unescaped string token
-    std::string raw = tok();
-    std::string out;
-    if (ok && !unescape(raw, out)) ok = false;
-    return out;
-  }
-  bool done() {  // true when the whole line was consumed
-    std::string rest;
-    return ok && !(in >> rest);
-  }
-};
-
-std::vector<std::string> read_lines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::ifstream in(path);
-  if (!in) return lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-void failure_to_stream(std::ostringstream& out, const FailureRecord& f) {
-  out << "F " << f.realization << ' ' << f.seed << ' ' << f.attempts << ' '
-      << static_cast<int>(f.code) << ' ' << escape(f.origin) << ' '
-      << escape(f.message) << '\n';
-}
-
-bool failure_from_line(const std::string& line, FailureRecord& f) {
-  LineReader r(line);
-  if (r.tok() != "F") return false;
-  f.realization = r.u64();
-  f.seed = r.u64();
-  f.attempts = static_cast<unsigned>(r.u64());
-  f.code = static_cast<util::ErrorCode>(r.u64());
-  f.origin = r.text();
-  f.message = r.text();
-  return r.done();
-}
-
-void digest_failure(util::Digest& d, const FailureRecord& f) {
-  d.u64(f.realization)
-      .u64(f.seed)
-      .u64(f.attempts)
-      .i64(static_cast<int>(f.code))
-      .str(f.origin)
-      .str(f.message);
 }
 
 }  // namespace
@@ -288,170 +233,18 @@ void SweepJournal::close() {
 }
 
 std::string SweepJournal::journal_path() const {
-  util::Digest d;
-  d.str("ct-sweep-file").str(spec_.digest);
-  return options_.dir + "/" + d.hex() + ".jrnl";
+  return options_.dir + "/" + file_stem() + ".jrnl";
 }
 
 std::string SweepJournal::snapshot_path() const {
+  return options_.dir + "/" + file_stem() + ".snap";
+}
+
+std::string SweepJournal::file_stem() const {
   util::Digest d;
   d.str("ct-sweep-file").str(spec_.digest);
-  return options_.dir + "/" + d.hex() + ".snap";
-}
-
-std::string SweepJournal::header_text() const {
-  std::ostringstream out;
-  out << "ctjournal " << kFormatVersion << ' ' << spec_.count << ' '
-      << spec_.series.size() << ' ' << epoch_ << '\n';
-  out << "D " << escape(spec_.digest) << '\n';
-  for (const std::string& s : spec_.series) out << "S " << escape(s) << '\n';
-  out << "H " << header_checksum() << '\n';
-  return out.str();
-}
-
-std::string SweepJournal::header_checksum() const {
-  util::Digest d;
-  d.str("ct-journal-header")
-      .i64(kFormatVersion)
-      .str(spec_.digest)
-      .u64(spec_.count)
-      .u64(spec_.series.size())
-      .u64(epoch_);
-  for (const std::string& s : spec_.series) d.str(s);
   return d.hex();
 }
-
-namespace {
-
-/// Checksum binding one journal record to its header, sequence position,
-/// and full payload — a bit flip, splice, or reorder can never verify.
-std::string record_checksum(const std::string& header_checksum,
-                            std::uint64_t seq, std::uint64_t begin,
-                            std::uint64_t end, std::uint64_t retries,
-                            const std::vector<SeriesCounts>& delta,
-                            const std::vector<FailureRecord>& failures) {
-  util::Digest d;
-  d.str("ct-journal-record").str(header_checksum).u64(seq).u64(begin).u64(end)
-      .u64(retries);
-  d.u64(delta.size());
-  for (const SeriesCounts& s : delta) {
-    for (const std::uint64_t c : s) d.u64(c);
-  }
-  d.u64(failures.size());
-  for (const FailureRecord& f : failures) digest_failure(d, f);
-  return d.hex();
-}
-
-std::string snapshot_checksum(const SweepSpec& spec, std::uint64_t epoch,
-                              const SweepProgress& p) {
-  util::Digest d;
-  d.str("ct-snapshot")
-      .i64(SweepJournal::kFormatVersion)
-      .str(spec.digest)
-      .u64(spec.count)
-      .u64(spec.series.size())
-      .u64(epoch)
-      .u64(p.retries);
-  for (const std::string& s : spec.series) d.str(s);
-  d.u64(p.done.size());
-  for (const auto& [b, e] : p.done) d.u64(b).u64(e);
-  d.u64(p.series.size());
-  for (const SeriesCounts& s : p.series) {
-    for (const std::uint64_t c : s) d.u64(c);
-  }
-  d.u64(p.failures.size());
-  for (const FailureRecord& f : p.failures) digest_failure(d, f);
-  return d.hex();
-}
-
-/// One parsed journal record.
-struct ParsedRecord {
-  std::uint64_t seq = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t retries = 0;
-  std::vector<SeriesCounts> delta;
-  std::vector<FailureRecord> failures;
-};
-
-enum class RecordParse { kOk, kTorn, kBad };
-
-/// Parses one record starting at lines[idx] (which must be an "R " line).
-/// kTorn = the file ended mid-record (the only shape a crash can leave);
-/// kBad = framing or checksum violation.
-RecordParse parse_record(const std::vector<std::string>& lines,
-                         std::size_t idx, std::size_t nseries,
-                         const std::string& header_checksum,
-                         ParsedRecord& out, std::size_t& next_idx) {
-  if (idx >= lines.size()) return RecordParse::kTorn;
-  LineReader r(lines[idx]);
-  if (r.tok() != "R") return RecordParse::kBad;
-  out.seq = r.u64();
-  out.begin = r.u64();
-  out.end = r.u64();
-  out.retries = r.u64();
-  const std::uint64_t nfail = r.u64();
-  if (!r.done()) return RecordParse::kBad;
-  std::size_t at = idx + 1;
-  out.delta.assign(nseries, SeriesCounts{});
-  for (std::size_t s = 0; s < nseries; ++s, ++at) {
-    if (at >= lines.size()) return RecordParse::kTorn;
-    LineReader k(lines[at]);
-    if (k.tok() != "K") return RecordParse::kBad;
-    for (std::uint64_t& c : out.delta[s]) c = k.u64();
-    if (!k.done()) return RecordParse::kBad;
-  }
-  out.failures.clear();
-  for (std::uint64_t f = 0; f < nfail; ++f, ++at) {
-    if (at >= lines.size()) return RecordParse::kTorn;
-    FailureRecord record;
-    if (!failure_from_line(lines[at], record)) return RecordParse::kBad;
-    out.failures.push_back(std::move(record));
-  }
-  if (at >= lines.size()) return RecordParse::kTorn;
-  LineReader e(lines[at]);
-  if (e.tok() != "E") return RecordParse::kBad;
-  const std::string checksum = e.tok();
-  if (!e.done()) return RecordParse::kBad;
-  if (checksum != record_checksum(header_checksum, out.seq, out.begin,
-                                  out.end, out.retries, out.delta,
-                                  out.failures)) {
-    return RecordParse::kBad;
-  }
-  next_idx = at + 1;
-  return RecordParse::kOk;
-}
-
-/// True when any complete, checksum-valid record exists at or after
-/// lines[from] — the discriminator between a torn tail (nothing valid
-/// follows) and interior corruption (valid data follows the damage).
-bool any_valid_record_after(const std::vector<std::string>& lines,
-                            std::size_t from, std::size_t nseries,
-                            const std::string& header_checksum) {
-  for (std::size_t i = from; i < lines.size(); ++i) {
-    if (lines[i].rfind("R ", 0) != 0) continue;
-    ParsedRecord record;
-    std::size_t next = 0;
-    if (parse_record(lines, i, nseries, header_checksum, record, next) ==
-        RecordParse::kOk) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void remove_leftover_tmp(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::error_code ec;
-  if (fs::exists(tmp, ec)) {
-    fs::remove(tmp, ec);
-    CT_LOG(kInfo, "checkpoint")
-        << "event=checkpoint_gc file=" << tmp
-        << " reason=half-written-tmp-from-crash";
-  }
-}
-
-}  // namespace
 
 ResumeInfo SweepJournal::load(SweepProgress& progress) {
   ResumeInfo info;
@@ -459,121 +252,71 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
   progress.series.assign(spec_.series.size(), SeriesCounts{});
   // A crash mid-publish leaves only a ".tmp"; it never renamed, so it is
   // garbage by construction — ignore and collect it.
-  remove_leftover_tmp(snapshot_path());
-  remove_leftover_tmp(journal_path());
+  if (const std::size_t removed =
+          util::remove_tmp_files(options_.dir, file_stem() + ".")) {
+    CT_LOG(kInfo, "checkpoint")
+        << "event=checkpoint_gc removed=" << removed
+        << " reason=half-written-tmp-from-crash";
+  }
 
-  const auto corrupt = [&](const std::string& file, const std::string& why) {
-    const util::Error error(util::ErrorCode::kCheckpointCorrupt, "checkpoint",
-                            why + " (" + file + ")");
+  const auto cold_start = [&](ResumeStatus status, std::string detail) {
+    progress = SweepProgress{};
+    progress.series.assign(spec_.series.size(), SeriesCounts{});
+    info = ResumeInfo{};
+    info.status = status;
+    info.detail = std::move(detail);
+    return info;
+  };
+  const auto corrupt = [&](const std::string& file, std::string_view why) {
     CT_LOG(kError, "checkpoint")
-        << "event=checkpoint_corrupt file=" << file << " reason=" << escape(why)
-        << " action=cold-start";
-    progress = SweepProgress{};
-    progress.series.assign(spec_.series.size(), SeriesCounts{});
-    info = ResumeInfo{};
-    info.status = ResumeStatus::kCorrupt;
-    info.detail = error.what();
-    return info;
+        << "event=checkpoint_corrupt file=" << file << " reason=\"" << why
+        << "\" action=cold-start";
+    return cold_start(ResumeStatus::kCorrupt,
+                      util::Error(util::ErrorCode::kCheckpointCorrupt,
+                                  "checkpoint",
+                                  std::string(why) + " (" + file + ")")
+                          .what());
   };
-  const auto stale = [&](const std::string& file, const std::string& why) {
+  const auto stale = [&](const std::string& file, std::string_view why) {
     CT_LOG(kWarn, "checkpoint")
-        << "event=checkpoint_stale file=" << file << " reason=" << escape(why)
-        << " action=cold-start";
-    progress = SweepProgress{};
-    progress.series.assign(spec_.series.size(), SeriesCounts{});
-    info = ResumeInfo{};
-    info.status = ResumeStatus::kStale;
-    info.detail = why;
-    return info;
+        << "event=checkpoint_stale file=" << file << " reason=\"" << why
+        << "\" action=cold-start";
+    return cold_start(ResumeStatus::kStale, std::string(why));
   };
 
-  // --- snapshot -------------------------------------------------------------
+  // --- snapshot: exactly one frame ------------------------------------------
+  const std::string spec = encode_spec(spec_);
   std::uint64_t snap_epoch = 0;
-  std::error_code ec;
-  if (fs::exists(snapshot_path(), ec)) {
-    const std::vector<std::string> lines = read_lines(snapshot_path());
-    if (lines.size() < 3) {
-      return corrupt(snapshot_path(), "snapshot too short");
+  if (const std::optional<std::string> bytes = util::read_file(snapshot_path())) {
+    const util::OpenedFrame frame = util::open_frame(*bytes, 0, kMagic);
+    if (frame.status != util::FrameStatus::kComplete ||
+        frame.size != bytes->size() || frame.fields.type != kSnapshot) {
+      return corrupt(snapshot_path(), frame.status == util::FrameStatus::kBad
+                                          ? frame.reason
+                                          : "not one whole snapshot frame");
     }
-    LineReader h(lines[0]);
-    std::uint64_t version = 0, count = 0, nseries = 0, retries = 0, nfail = 0,
-                  nranges = 0;
-    if (h.tok() != "ctsnapshot") {
-      return corrupt(snapshot_path(), "bad snapshot magic");
-    }
-    version = h.u64();
-    count = h.u64();
-    nseries = h.u64();
-    snap_epoch = h.u64();
-    retries = h.u64();
-    nfail = h.u64();
-    nranges = h.u64();
-    if (!h.done()) return corrupt(snapshot_path(), "bad snapshot header");
-    if (version != static_cast<std::uint64_t>(kFormatVersion)) {
+    if (frame.fields.version != kFormatVersion) {
       return stale(snapshot_path(), "snapshot format version mismatch");
     }
-    std::size_t at = 1;
-    LineReader d(lines[at++]);
-    std::string digest;
-    if (d.tok() != "D" || (digest = d.text(), !d.done())) {
-      return corrupt(snapshot_path(), "bad snapshot digest line");
-    }
-    if (digest != spec_.digest || count != spec_.count ||
-        nseries != spec_.series.size()) {
+    if (!frame.payload.starts_with(spec)) {
       return stale(snapshot_path(),
                    "snapshot was taken under different sweep inputs");
     }
-    for (std::size_t s = 0; s < nseries; ++s, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader sr(lines[at]);
-      std::string key;
-      if (sr.tok() != "S" || (key = sr.text(), !sr.done())) {
-        return corrupt(snapshot_path(), "bad series line");
-      }
-      if (key != spec_.series[s]) {
-        return stale(snapshot_path(), "snapshot series keys differ");
-      }
-    }
-    for (std::uint64_t g = 0; g < nranges; ++g, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader gr(lines[at]);
-      if (gr.tok() != "G") return corrupt(snapshot_path(), "bad range line");
-      const std::uint64_t b = gr.u64();
-      const std::uint64_t e = gr.u64();
-      if (!gr.done() || e > spec_.count || !progress.merge_range(b, e)) {
+    try {
+      util::WireReader r(frame.payload.substr(spec.size()));
+      snap_epoch = r.u64();
+      if (!fold_state(r, spec_.count, progress)) {
         return corrupt(snapshot_path(), "invalid or overlapping range");
       }
-    }
-    for (std::size_t s = 0; s < nseries; ++s, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader k(lines[at]);
-      if (k.tok() != "K") return corrupt(snapshot_path(), "bad counts line");
-      for (std::uint64_t& c : progress.series[s]) c = k.u64();
-      if (!k.done()) return corrupt(snapshot_path(), "bad counts line");
-    }
-    for (std::uint64_t f = 0; f < nfail; ++f, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      FailureRecord record;
-      if (!failure_from_line(lines[at], record)) {
-        return corrupt(snapshot_path(), "bad failure line");
-      }
-      progress.failures.push_back(std::move(record));
-    }
-    progress.retries = retries;
-    if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-    LineReader e(lines[at]);
-    if (e.tok() != "E" ||
-        e.tok() != snapshot_checksum(spec_, snap_epoch, progress) ||
-        !e.done()) {
-      return corrupt(snapshot_path(), "snapshot checksum mismatch");
+    } catch (const util::Error& e) {
+      return corrupt(snapshot_path(), e.message());
     }
   }
 
-  // --- journal --------------------------------------------------------------
-  if (fs::exists(journal_path(), ec)) {
-    const std::vector<std::string> lines = read_lines(journal_path());
-    const std::size_t header_lines = 3 + spec_.series.size();
-    if (lines.size() < header_lines) {
+  // --- journal: a header frame, then one frame per record -------------------
+  if (const std::optional<std::string> bytes = util::read_file(journal_path())) {
+    const util::OpenedFrame header = util::open_frame(*bytes, 0, kMagic);
+    if (header.status == util::FrameStatus::kIncomplete) {
       // A journal header is published atomically, so a short file can only
       // be external damage — but with no records at stake, a quiet cold
       // journal (keeping any snapshot state) is both safe and forgiving.
@@ -581,58 +324,24 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
           << "event=checkpoint_replay file=" << journal_path()
           << " note=truncated-header records=0";
     } else {
-      LineReader h(lines[0]);
-      std::uint64_t version = 0, count = 0, nseries = 0, jrnl_epoch = 0;
-      bool header_ok = h.tok() == "ctjournal";
-      version = h.u64();
-      count = h.u64();
-      nseries = h.u64();
-      jrnl_epoch = h.u64();
-      header_ok = header_ok && h.done() && h.ok;
-      std::string digest;
-      if (header_ok) {
-        LineReader d(lines[1]);
-        header_ok = d.tok() == "D" && (digest = d.text(), d.done());
-      }
-      std::vector<std::string> series;
-      if (header_ok) {
-        for (std::size_t s = 0; s < nseries; ++s) {
-          if (2 + s >= lines.size()) {
-            header_ok = false;
-            break;
-          }
-          LineReader sr(lines[2 + s]);
-          std::string key;
-          if (sr.tok() != "S" || (key = sr.text(), !sr.done())) {
-            header_ok = false;
-            break;
-          }
-          series.push_back(std::move(key));
-        }
-      }
-      std::string checksum;
-      if (header_ok && 2 + nseries < lines.size()) {
-        LineReader c(lines[2 + nseries]);
-        header_ok = c.tok() == "H" && (checksum = c.tok(), c.done());
-      } else {
-        header_ok = false;
-      }
-      if (!header_ok) {
+      if (header.status == util::FrameStatus::kBad ||
+          header.fields.type != kHeader) {
         return corrupt(journal_path(), "malformed journal header");
       }
-      if (version != static_cast<std::uint64_t>(kFormatVersion) ||
-          digest != spec_.digest || count != spec_.count ||
-          series != spec_.series) {
+      if (header.fields.version != kFormatVersion) {
+        return stale(journal_path(), "journal format version mismatch");
+      }
+      if (!header.payload.starts_with(spec)) {
         return stale(journal_path(),
                      "journal was written under different sweep inputs");
       }
-      // Recompute the header checksum against the JOURNAL's own epoch.
-      const std::uint64_t saved_epoch = epoch_;
-      epoch_ = jrnl_epoch;
-      const std::string expect = header_checksum();
-      epoch_ = saved_epoch;
-      if (checksum != expect) {
-        return corrupt(journal_path(), "journal header checksum mismatch");
+      std::uint64_t jrnl_epoch = 0;
+      try {
+        util::WireReader r(header.payload.substr(spec.size()));
+        jrnl_epoch = r.u64();
+        r.require_end();
+      } catch (const util::Error&) {
+        return corrupt(journal_path(), "malformed journal header");
       }
       if (jrnl_epoch > snap_epoch) {
         // The journal claims a snapshot that does not exist (deleted or
@@ -641,22 +350,13 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
                        "journal epoch is ahead of the snapshot");
       }
       if (jrnl_epoch == snap_epoch) {
-        std::size_t idx = header_lines;
-        std::uint64_t expect_seq = 1;
-        while (idx < lines.size()) {
-          if (lines[idx].empty()) {
-            ++idx;
-            continue;
-          }
-          ParsedRecord record;
-          std::size_t next = 0;
-          const RecordParse status =
-              parse_record(lines, idx, spec_.series.size(), checksum, record,
-                           next);
-          if (status != RecordParse::kOk) {
-            if (status == RecordParse::kBad &&
-                any_valid_record_after(lines, idx + 1, spec_.series.size(),
-                                       checksum)) {
+        const auto binding = util::payload_digest(header.payload);
+        std::uint32_t seq = 1;
+        for (std::size_t at = header.size; at < bytes->size(); ++seq) {
+          const util::OpenedFrame record = util::open_frame(*bytes, at, kMagic);
+          if (record.status != util::FrameStatus::kComplete) {
+            if (record.status == util::FrameStatus::kBad &&
+                util::find_frame(*bytes, at + 1, kMagic) != std::string::npos) {
               return corrupt(journal_path(),
                              "interior journal record is corrupt");
             }
@@ -665,25 +365,14 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
             info.torn_tail_dropped = true;
             CT_LOG(kInfo, "checkpoint")
                 << "event=checkpoint_replay file=" << journal_path()
-                << " note=torn-tail-dropped at_record=" << expect_seq;
+                << " note=torn-tail-dropped at_record=" << seq;
             break;
           }
-          if (record.seq != expect_seq || record.end > spec_.count ||
-              !progress.merge_range(record.begin, record.end)) {
+          if (!replay_record(record, seq, binding, spec_.count, progress)) {
             return corrupt(journal_path(),
                            "journal record sequence/range violation");
           }
-          for (std::size_t s = 0; s < spec_.series.size(); ++s) {
-            for (std::size_t c = 0; c < 4; ++c) {
-              progress.series[s][c] += record.delta[s][c];
-            }
-          }
-          for (FailureRecord& f : record.failures) {
-            progress.failures.push_back(std::move(f));
-          }
-          progress.retries += record.retries;
-          ++expect_seq;
-          idx = next;
+          at += record.size;
         }
       } else {
         CT_LOG(kInfo, "checkpoint")
@@ -738,30 +427,12 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
                           std::uint64_t retries_delta,
                           const SweepProgress& full) {
   if (fd_ < 0) return false;
-  std::ostringstream out;
-  out << "R " << next_seq_ << ' ' << begin << ' ' << end << ' '
-      << retries_delta << ' ' << slice_failures.size() << '\n';
-  for (const SeriesCounts& s : delta) {
-    out << "K " << s[0] << ' ' << s[1] << ' ' << s[2] << ' ' << s[3] << '\n';
-  }
-  for (const FailureRecord& f : slice_failures) failure_to_stream(out, f);
-  out << "E "
-      << record_checksum(header_checksum(), next_seq_, begin, end,
-                         retries_delta, delta, slice_failures)
-      << '\n';
-  const std::string record = out.str();
-
-  const std::uint64_t site = next_crash_site();
-  if (crash_.fires(CrashPoint::kBeforeWrite, site)) die();
-  if (crash_.fires(CrashPoint::kTornWrite, site)) {
-    // Torn record: a prefix reaches the disk, then the process dies —
-    // exactly the tail shape load() must silently drop.
-    write_all(fd_, record.data(),
-              std::max<std::size_t>(1, record.size() / 2));
-    ::fsync(fd_);
-    die();
-  }
-  if (!write_all(fd_, record.data(), record.size()) || ::fsync(fd_) != 0) {
+  util::WireWriter w;
+  w.u64(binding_[0]).u64(binding_[1]);
+  put_state(w, {{begin, end}}, retries_delta, delta, slice_failures);
+  const std::string record =
+      util::seal_frame(fields(kRecord, next_seq_), w.bytes());
+  if (!util::durable_append(fd_, record, crash_site(crash_))) {
     CT_LOG(kWarn, "checkpoint")
         << "event=checkpoint_disabled file=" << journal_path()
         << " reason=append-write-failed";
@@ -773,7 +444,6 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
       << "event=checkpoint_write kind=record seq=" << next_seq_ << " range=["
       << begin << ',' << end << ") bytes=" << record.size()
       << " completed=" << full.completed() << "/" << spec_.count;
-  if (crash_.fires(CrashPoint::kAfterWrite, site)) die();
   ++next_seq_;
   if (++records_since_snapshot_ >= options_.snapshot_every) {
     if (!publish_snapshot(full) || !reset_journal()) return false;
@@ -783,20 +453,12 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
 
 bool SweepJournal::publish_snapshot(const SweepProgress& full) {
   const std::uint64_t epoch = epoch_ + 1;
-  std::ostringstream out;
-  out << "ctsnapshot " << kFormatVersion << ' ' << spec_.count << ' '
-      << spec_.series.size() << ' ' << epoch << ' ' << full.retries << ' '
-      << full.failures.size() << ' ' << full.done.size() << '\n';
-  out << "D " << escape(spec_.digest) << '\n';
-  for (const std::string& s : spec_.series) out << "S " << escape(s) << '\n';
-  for (const auto& [b, e] : full.done) out << "G " << b << ' ' << e << '\n';
-  for (const SeriesCounts& s : full.series) {
-    out << "K " << s[0] << ' ' << s[1] << ' ' << s[2] << ' ' << s[3] << '\n';
-  }
-  for (const FailureRecord& f : full.failures) failure_to_stream(out, f);
-  out << "E " << snapshot_checksum(spec_, epoch, full) << '\n';
-
-  if (!publish_with_crash_points(snapshot_path(), out.str(), crash_)) {
+  util::WireWriter w;
+  w.u64(epoch);
+  put_state(w, full.done, full.retries, full.series, full.failures);
+  if (!publish(snapshot_path(),
+               util::seal_frame(fields(kSnapshot), encode_spec(spec_) + w.take()),
+               crash_)) {
     CT_LOG(kWarn, "checkpoint")
         << "event=checkpoint_disabled file=" << snapshot_path()
         << " reason=snapshot-publish-failed";
@@ -816,7 +478,12 @@ bool SweepJournal::reset_journal() {
   close();
   next_seq_ = 1;
   records_since_snapshot_ = 0;
-  if (!publish_with_crash_points(journal_path(), header_text(), crash_)) {
+  util::WireWriter w;
+  w.u64(epoch_);
+  const std::string header = encode_spec(spec_) + w.take();
+  binding_ = util::payload_digest(header);
+  if (!publish(journal_path(), util::seal_frame(fields(kHeader), header),
+               crash_)) {
     CT_LOG(kWarn, "checkpoint")
         << "event=checkpoint_disabled file=" << journal_path()
         << " reason=header-publish-failed";
@@ -842,7 +509,7 @@ void SweepJournal::finish() {
   fs::remove(snapshot_path(), ec);
   util::fsync_parent_dir(journal_path());
   CT_LOG(kInfo, "checkpoint")
-      << "event=checkpoint_finish digest=" << escape(spec_.digest)
+      << "event=checkpoint_finish digest=" << spec_.digest
       << " writes=" << writes_;
 }
 

@@ -3,29 +3,30 @@
 // A sweep (realizations [0, count) × K outcome series) is made preemption-
 // safe by two files under the checkpoint directory, both keyed by the
 // sweep's content digest (the PR-4 engine-batch digest + the series keys),
-// so a checkpoint taken under different knobs can never be resumed:
+// so a checkpoint taken under different knobs can never be resumed. Both
+// hold util sealed frames (util/wire.h):
 //
-//  * `<digest>.jrnl` — an append-only, record-framed journal. Every
-//    checkpoint interval the sweep appends one checksummed record holding
-//    a completed index range, the per-series outcome-count deltas for that
-//    range, and the PR-6 failure/quarantine records that fell inside it;
-//    the record is fsync'd before the sweep moves on.
-//  * `<digest>.snap` — a periodic atomic snapshot compacting the journal
-//    (full merged state: completed ranges, per-series counts, the whole
-//    failure ledger). Published tmp-write → fsync file → rename → fsync
-//    directory, then the journal is reset with a bumped epoch; a journal
-//    whose epoch predates the snapshot is a strict subset of it and is
-//    ignored on replay.
+//  * `<digest>.jrnl` — an append-only journal: a header frame, then one
+//    record frame (tag = sequence number) per checkpoint interval, holding
+//    a completed index range, its per-series outcome-count deltas and the
+//    quarantine records inside it; fsync'd before the sweep moves on.
+//    Each record starts with the header frame's payload digest, so a
+//    record from another journal or epoch never applies.
+//  * `<digest>.snap` — one frame, a periodic atomic snapshot compacting
+//    the journal (completed ranges, per-series counts, the whole failure
+//    ledger). After it is published the journal is reset with a bumped
+//    epoch; a journal whose epoch predates the snapshot is ignored.
 //
 // Crash model and the atomicity argument (DESIGN.md §12): the process may
 // die at ANY instant (`_exit`, OOM kill, power loss). Because records are
-// appended sequentially and checksummed, a crash can only ever produce a
-// TORN TAIL — a final record prefix — which replay silently drops (that
-// range is simply recomputed). Any OTHER anomaly (a bad record with a
-// valid record after it, a checksum/sequence mismatch, an overlapping
-// range) cannot be produced by a crash, only by corruption or tampering,
-// and is reported as a typed kCheckpointCorrupt event followed by a cold
-// start — a checkpoint is an accelerator, never a correctness dependency.
+// appended sequentially and sealed, a crash can only ever produce a TORN
+// TAIL — an incomplete final frame, or a bad one with no valid frame after
+// it — which replay silently drops (that range is simply recomputed). Any
+// OTHER anomaly (a bad frame with a valid frame after it, a sequence or
+// binding mismatch, an overlapping range) cannot be produced by a crash,
+// only by corruption or tampering, and is reported as a typed
+// kCheckpointCorrupt event followed by a cold start — a checkpoint is an
+// accelerator, never a correctness dependency.
 //
 // Replayed state is merged IN ASCENDING RANGE ORDER and all folds are
 // integer count sums, so a resumed sweep is bit-identical at any --jobs
@@ -34,8 +35,8 @@
 // Deterministic process-death injection: every durable write (journal
 // record, snapshot publish, journal reset) is a numbered crash SITE; the
 // CT_CRASH profile (see fault_profile.h) kills the process before / mid-
-// write (torn) / after a chosen site, which is how the self-exec crash
-// harness proves every instant is recoverable.
+// write (torn) / after a chosen site through util's crash hook, which is
+// how the self-exec crash harness proves every instant is recoverable.
 #pragma once
 
 #include <array>
@@ -159,7 +160,7 @@ struct ResumeInfo {
 class SweepJournal {
  public:
   /// On-disk format version; bump on any layout or checksum change.
-  static constexpr int kFormatVersion = 1;
+  static constexpr int kFormatVersion = 2;
 
   SweepJournal(CheckpointOptions options, SweepSpec spec);
   ~SweepJournal();
@@ -208,15 +209,16 @@ class SweepJournal {
   /// Rewrites the journal to just a header at `epoch_` (atomic publish),
   /// then reopens it for appending.
   bool reset_journal();
-  std::string header_text() const;
-  std::string header_checksum() const;
+  /// File name of both files, without extension.
+  std::string file_stem() const;
 
   CheckpointOptions options_;
   SweepSpec spec_;
   CrashProfile crash_;
   int fd_ = -1;             ///< journal fd (O_APPEND) while open
   std::uint64_t epoch_ = 0; ///< snapshot epoch the journal is relative to
-  std::uint64_t next_seq_ = 1;  ///< sequence number of the next record
+  std::uint32_t next_seq_ = 1;  ///< frame tag of the next record
+  std::array<std::uint64_t, 2> binding_{};  ///< header frame's payload digest
   std::uint64_t records_since_snapshot_ = 0;
   std::uint64_t writes_ = 0;
 };

@@ -2,13 +2,12 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/metrics.h"
-#include "util/digest.h"
+#include "util/error.h"
 #include "util/fsio.h"
 #include "util/log.h"
+#include "util/wire.h"
 
 namespace ct::runtime {
 
@@ -35,15 +34,9 @@ CacheMetrics& cache_metrics() {
   return m;
 }
 
-/// Checksum line binding a record's payload to its key and version, so a
-/// truncated or hand-edited record can never parse as a hit.
-std::string record_checksum(const std::string& key, const CachedCounts& v) {
-  util::Digest d;
-  d.str("ct-result-record").i64(ResultStore::kFormatVersion).str(key);
-  for (const std::uint64_t c : v.counts) d.u64(c);
-  d.u64(v.total).u64(v.skipped);
-  return d.hex();
-}
+/// Frame magic of a disk record ("CTRS" little-endian) and its one type.
+constexpr std::uint32_t kRecordMagic = 0x53525443u;
+constexpr std::uint8_t kCountsRecord = 1;
 
 bool key_is_safe(const std::string& key) {
   if (key.empty() || key.size() > 128) return false;
@@ -97,14 +90,7 @@ void ResultStore::gc_leftover_tmp_files() {
   std::size_t removed = 0;
   for (fs::directory_iterator dir(disk_dir_, ec);
        !ec && dir != fs::directory_iterator(); dir.increment(ec)) {
-    if (!dir->is_directory(ec)) continue;
-    for (fs::directory_iterator entry(dir->path(), ec);
-         !ec && entry != fs::directory_iterator(); entry.increment(ec)) {
-      if (entry->path().extension() == ".tmp") {
-        std::error_code remove_ec;
-        if (fs::remove(entry->path(), remove_ec)) ++removed;
-      }
-    }
+    if (dir->is_directory(ec)) removed += util::remove_tmp_files(dir->path());
   }
   if (removed > 0) {
     CT_LOG(kInfo, "runtime")
@@ -215,30 +201,31 @@ void ResultStore::touch_locked(
 }
 
 std::optional<CachedCounts> ResultStore::read_disk(const std::string& key) {
-  std::ifstream in(record_path(key));
-  if (!in) return std::nullopt;  // plain miss: never cached here
+  const std::optional<std::string> bytes = util::read_file(record_path(key));
+  if (!bytes) return std::nullopt;  // plain miss: never cached here
 
-  const auto corrupt = [this]() -> std::optional<CachedCounts> {
-    corrupt_discarded_.fetch_add(1, std::memory_order_relaxed);
-    cache_metrics().corrupt_discarded.inc();
-    return std::nullopt;
-  };
-
-  std::string magic, file_key, check;
-  int version = -1;
-  CachedCounts v;
-  in >> magic >> version >> file_key;
-  if (!in || magic != "ctresult") return corrupt();
-  if (version != kFormatVersion) return corrupt();  // old format: miss
-  if (file_key != key) return corrupt();            // hash-bucket collision
-  for (std::uint64_t& c : v.counts) in >> c;
-  in >> v.total >> v.skipped >> check;
-  if (!in) return corrupt();  // truncated / non-numeric payload
-  if (check != record_checksum(key, v)) return corrupt();
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : v.counts) sum += c;
-  if (sum != v.total) return corrupt();  // internally inconsistent
-  return v;
+  // Anything but one whole frame of this version holding this key and
+  // self-consistent counts is a counted miss the next store() rewrites.
+  const util::OpenedFrame frame = util::open_frame(*bytes, 0, kRecordMagic);
+  if (frame.status == util::FrameStatus::kComplete &&
+      frame.size == bytes->size() && frame.fields.type == kCountsRecord &&
+      frame.fields.version == kFormatVersion) {
+    try {
+      util::WireReader r(frame.payload);
+      const bool same_key = r.str() == key;
+      CachedCounts v;
+      std::uint64_t sum = 0;
+      for (std::uint64_t& c : v.counts) sum += (c = r.u64());
+      v.total = r.u64();
+      r.require_end();
+      if (same_key && sum == v.total) return v;
+    } catch (const util::Error&) {
+      // Falls through to the counted miss.
+    }
+  }
+  corrupt_discarded_.fetch_add(1, std::memory_order_relaxed);
+  cache_metrics().corrupt_discarded.inc();
+  return std::nullopt;
 }
 
 bool ResultStore::write_disk(const std::string& key,
@@ -249,14 +236,16 @@ bool ResultStore::write_disk(const std::string& key,
   fs::create_directories(path.parent_path(), ec);
   if (ec) return false;
 
-  std::ostringstream record;
-  record << "ctresult " << kFormatVersion << " " << key << "\n";
-  for (const std::uint64_t c : value.counts) record << c << " ";
-  record << "\n" << value.total << " " << value.skipped << "\n"
-         << record_checksum(key, value) << "\n";
+  util::WireWriter w;
+  w.str(key);
+  for (const std::uint64_t c : value.counts) w.u64(c);
+  w.u64(value.total);
   // A concurrent reader sees either the old record or the complete new one,
   // and a crash mid-write leaves only a .tmp (collected at the next start).
-  return util::atomic_write_file(path.string(), record.str());
+  return util::atomic_write_file(
+      path.string(),
+      util::seal_frame({kRecordMagic, kFormatVersion, kCountsRecord, 0},
+                       w.bytes()));
 }
 
 ResultStore::Stats ResultStore::stats() const {

@@ -2,20 +2,21 @@
 //
 // A key is the hex digest of everything that determines an
 // OutcomeDistribution — topology, configuration, threat scenario,
-// realization set (seed/count/SLR or CSV content), attacker model — so a
-// hit can only ever return the value the computation would have produced.
+// realization set (the engine-batch digest), attacker model — so a hit
+// can only ever return the value the computation would have produced.
 // Two layers:
 //
 //  * in-memory LRU (bounded entries, thread-safe), and
-//  * an optional on-disk layer (one small versioned text record per key,
-//    default ~/.cache/ct/, override with CT_CACHE_DIR or options), shared
-//    across processes so a repeated `ctctl analyze` or bench rerun skips
-//    the whole sweep.
+//  * an optional on-disk layer (one record per key: a util sealed frame
+//    holding the key, the counts and the total; default ~/.cache/ct/,
+//    override with CT_CACHE_DIR or options), shared across processes so a
+//    repeated `ctctl analyze` or bench rerun skips the whole sweep.
 //
-// Disk records are corruption-tolerant by construction: any anomaly —
-// truncation, garbage, checksum or version or key mismatch — makes the
-// lookup a miss (counted in stats), never an error; the next store()
-// rewrites the record. Bumping kFormatVersion invalidates every old entry.
+// Disk records are corruption-tolerant by construction: anything but one
+// complete, valid frame of this version whose key equals the lookup key
+// and whose counts sum to the total makes the lookup a miss (counted in
+// stats), never an error; the next store() rewrites the record. Bumping
+// kFormatVersion invalidates every old entry.
 //
 // The memory LRU also holds the storm-stage memo: shoreline records the
 // EnsembleRunner keeps per (storm digest, realization index). They share
@@ -39,12 +40,10 @@ struct ShorelineRecord;
 
 namespace ct::runtime {
 
-/// The cached payload: an outcome histogram (green/orange/red/gray counts)
-/// plus the skipped-row count CSV-driven sweeps carry along.
+/// The cached payload: an outcome histogram (green/orange/red/gray counts).
 struct CachedCounts {
   std::array<std::uint64_t, 4> counts{};
   std::uint64_t total = 0;
-  std::uint64_t skipped = 0;
 
   bool operator==(const CachedCounts&) const = default;
 };
@@ -66,7 +65,7 @@ class ResultStore {
  public:
   /// On-disk format version; bump on any change to the record layout OR to
   /// the digest/key derivation (old entries must not alias new ones).
-  static constexpr int kFormatVersion = 2;
+  static constexpr int kFormatVersion = 3;
 
   explicit ResultStore(ResultStoreOptions options = {});
 

@@ -2,23 +2,14 @@
 // the analysis server and its clients speak over a TCP or Unix-domain
 // byte stream.
 //
-// Every frame is a fixed 32-byte header followed by `payload_size` bytes:
-//
-//   offset  size  field
-//   0       4     magic "CTSV" (0x56535443 little-endian)
-//   4       1     protocol version (kProtocolVersion)
-//   5       1     frame type (FrameType)
-//   6       2     flags (must be zero in version 1)
-//   8       4     payload size (bounded by kMaxPayload)
-//   12      4     request id (echoed on every response/chunk/error)
-//   16      8     payload digest (util::Digest over the payload bytes)
-//   24      8     header digest (util::Digest over bytes [0, 24))
-//
-// Both digests reuse the runtime's framed 128-bit hasher (low lane), so a
-// flipped header bit, a truncated stream, or a foreign protocol banging on
-// the port is detected before any payload field is interpreted. Decoding
-// NEVER trusts a length before the header digest verifies, and every
-// payload read is bounds-checked — a malformed frame surfaces as a typed
+// Every message is one util sealed frame (util/wire.h has the 40-byte
+// header layout) with the magic "CTSV", the version kProtocolVersion, a
+// FrameType, and the request id as its tag (echoed on every response,
+// chunk and error). A flipped header bit, a truncated stream, or a
+// foreign protocol banging on the port is detected before any payload
+// field is interpreted. Decoding NEVER trusts a length before the header
+// digest verifies, payloads are bounded by kMaxPayload, and every payload
+// read is bounds-checked — a malformed frame surfaces as a typed
 // ct::Error{kProtocol}, not UB (the fuzz test feeds seeded-random bytes
 // straight into the decoder under ASan/UBSan to hold that line).
 //
@@ -26,8 +17,8 @@
 // version handshake), then any number of kRequest frames each answered by
 // zero or more kStreamChunk frames (slice-boundary progress of a running
 // sweep) followed by exactly one kResponse or kError. Frame payloads are
-// encoded with WireWriter/WireReader (little-endian fixed-width fields,
-// length-prefixed strings).
+// encoded with util::WireWriter/WireReader (little-endian fixed-width
+// fields, length-prefixed strings).
 #pragma once
 
 #include <cstdint>
@@ -36,16 +27,17 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/wire.h"
 
 namespace ct::service {
 
 inline constexpr std::uint32_t kMagic = 0x56535443u;  // "CTSV" little-endian
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 /// Upper bound on a frame payload; anything larger is a malformed frame
 /// (an analysis report is a few KiB — 16 MiB leaves room for topology
 /// uploads without letting a corrupt length field allocate the moon).
-inline constexpr std::uint32_t kMaxPayload = 16u * 1024u * 1024u;
-inline constexpr std::size_t kHeaderSize = 32;
+inline constexpr std::uint32_t kMaxPayload = util::kMaxWireString;
+inline constexpr std::size_t kHeaderSize = util::kFrameHeaderSize;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,        ///< client -> server: version handshake
@@ -166,55 +158,6 @@ struct Welcome {
   bool operator==(const Welcome&) const = default;
 };
 
-// --- payload encoding ------------------------------------------------------
-
-/// Little-endian bounds-unchecked appender (writing cannot overrun — the
-/// buffer grows); strings are u32-length-prefixed.
-class WireWriter {
- public:
-  WireWriter& u8(std::uint8_t v);
-  WireWriter& u16(std::uint16_t v);
-  WireWriter& u32(std::uint32_t v);
-  WireWriter& u64(std::uint64_t v);
-  WireWriter& i32(std::int32_t v);
-  WireWriter& f64(double v);  ///< IEEE-754 bit pattern
-  WireWriter& boolean(bool v);
-  WireWriter& str(std::string_view s);
-
-  const std::string& bytes() const noexcept { return out_; }
-  std::string take() noexcept { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian reader over a payload. Every overrun,
-/// oversize string, or trailing-garbage condition throws
-/// ct::Error{kProtocol} — malformed input is a typed error, never UB.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int32_t i32();
-  double f64();
-  bool boolean();
-  std::string str();
-
-  std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  /// Throws unless the payload was consumed exactly.
-  void require_end() const;
-
- private:
-  const std::uint8_t* take(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
 // --- frames ----------------------------------------------------------------
 
 /// A decoded frame: type + request id + raw payload bytes.
@@ -245,11 +188,13 @@ ErrorInfo decode_error(std::string_view payload);
 
 /// Incremental frame decoder for a byte stream: feed() whatever recv()
 /// returned, then drain next() until it reports no complete frame.
-/// Validation order is strict — magic, version, flags, header digest,
-/// payload bound — so a corrupt length can never commit the decoder to a
-/// bogus read. All errors are ct::Error{kProtocol}; after one the stream
-/// is unsynchronized and the connection must be dropped (the caller
-/// decides; the decoder itself stays inert).
+/// util::open_frame checks magic, header digest, flags, payload bound and
+/// payload digest in that order, so a corrupt length can never commit the
+/// decoder to a bogus read; the decoder then refuses any version but
+/// kProtocolVersion and any unknown frame type. All errors are
+/// ct::Error{kProtocol}; after one the stream is unsynchronized and the
+/// connection must be dropped (the caller decides; the decoder itself
+/// stays inert).
 class FrameDecoder {
  public:
   /// Appends raw bytes from the stream.
@@ -266,9 +211,5 @@ class FrameDecoder {
   std::string buffer_;
   std::size_t consumed_ = 0;
 };
-
-/// Low 64 bits of the framed content digest of `bytes` (the checksum the
-/// header carries for itself and for the payload).
-std::uint64_t frame_digest(std::string_view bytes) noexcept;
 
 }  // namespace ct::service

@@ -37,6 +37,7 @@
 #include "terrain/oahu.h"
 #include "util/error.h"
 #include "util/fsio.h"
+#include "util/wire.h"
 
 namespace ct {
 namespace {
@@ -159,6 +160,20 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
+}
+
+/// Offsets of the complete frames a checkpoint file starts with, walked
+/// one after another (its magic is the first four bytes).
+std::vector<std::size_t> frame_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  if (bytes.size() < 4) return offsets;
+  const std::uint32_t magic = util::WireReader(bytes.substr(0, 4)).u32();
+  for (std::size_t at = 0;;) {
+    const util::OpenedFrame frame = util::open_frame(bytes, at, magic);
+    if (frame.status != util::FrameStatus::kComplete) return offsets;
+    offsets.push_back(at);
+    at += frame.size;
+  }
 }
 
 // --- SweepProgress ----------------------------------------------------------
@@ -301,15 +316,13 @@ TEST(SweepJournalTest, InteriorBitFlipIsTypedCorruptionAndColdStarts) {
     }
     journal_path = j.journal_path();
   }
-  // Flip one digit inside the FIRST record's counts line. Complete valid
+  // Flip one byte inside the FIRST record's payload. Complete valid
   // records follow, so this cannot be a torn tail — it must be reported
   // as corruption (kCheckpointCorrupt), not silently replayed or dropped.
   std::string contents = read_file(journal_path);
-  const std::size_t k = contents.find("\nK ");
-  ASSERT_NE(k, std::string::npos);
-  const std::size_t digit = contents.find_first_of("0123456789", k + 1);
-  ASSERT_NE(digit, std::string::npos);
-  contents[digit] = contents[digit] == '9' ? '8' : '9';
+  const std::vector<std::size_t> frames = frame_offsets(contents);
+  ASSERT_EQ(frames.size(), 4u);  // header + 3 records
+  contents[frames[1] + util::kFrameHeaderSize + 20] ^= 0x01;
   write_file(journal_path, contents);
 
   runtime::SweepJournal j2(make_ckpt(dir, 10, 100), spec);
@@ -368,13 +381,8 @@ TEST(SweepJournalTest, SnapshotCompactionBoundsReplayAndRestoresAll) {
   // 5 records, compaction every 2: snapshots after records 2 and 4, so the
   // journal holds ONLY the one record since — replay length is bounded.
   EXPECT_TRUE(fs::exists(snapshot_path));
-  const std::string journal = read_file(journal_path);
-  std::size_t records = 0;
-  for (std::size_t at = journal.find("R ", 0); at != std::string::npos;
-       at = journal.find("\nR ", at + 1)) {
-    ++records;
-  }
-  EXPECT_EQ(records, 1u);
+  // The header frame, then one record frame.
+  EXPECT_EQ(frame_offsets(read_file(journal_path)).size(), 2u);
 
   runtime::SweepJournal j2(make_ckpt(dir, 10, 2), spec);
   runtime::SweepProgress restored;
@@ -430,6 +438,191 @@ TEST(SweepJournalTest, JournalAheadOfMissingSnapshotIsCorrupt) {
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt);
   EXPECT_EQ(restored.completed(), 0u);
+}
+
+// --- corruption matrix ------------------------------------------------------
+
+/// Journals three 10-index slices, the second carrying a quarantine record
+/// with hostile content. Returns the merged progress after 0, 1, 2 and 3
+/// records.
+std::vector<runtime::SweepProgress> journal_three_records(
+    const std::string& dir, std::size_t snapshot_every) {
+  runtime::SweepProgress p;
+  p.series.assign(2, runtime::SeriesCounts{});
+  std::vector<runtime::SweepProgress> prefixes = {p};
+  runtime::SweepJournal j(make_ckpt(dir, 10, snapshot_every), unit_spec());
+  EXPECT_TRUE(j.begin(p, true));
+  for (std::uint64_t b = 0; b < 30; b += 10) {
+    const auto delta = fold_slice(p, b, b + 10);
+    std::vector<runtime::FailureRecord> failures;
+    if (b == 10) {
+      runtime::FailureRecord f;
+      f.realization = 13;
+      f.seed = kSeed;
+      f.attempts = 3;
+      f.code = util::ErrorCode::kFaultInjected;
+      f.origin = "fault injection";
+      f.message = std::string("bad\nmessage with spaces, 100% chaos and a ") +
+                  '\0' + " byte";
+      failures.push_back(f);
+      p.failures.push_back(std::move(f));
+      p.retries += 2;
+    }
+    EXPECT_TRUE(j.append(b, b + 10, delta, failures, b == 10 ? 2 : 0, p));
+    prefixes.push_back(p);
+  }
+  return prefixes;
+}
+
+/// Every truncation, every byte flip (one list per frame) and one
+/// trailing byte of `bytes`.
+struct Mutations {
+  std::vector<std::string> truncated;
+  std::vector<std::vector<std::string>> flipped;  ///< per frame
+  std::string trailing;
+};
+
+Mutations mutate(const std::string& bytes,
+                 const std::vector<std::size_t>& frames) {
+  Mutations m;
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    m.truncated.push_back(bytes.substr(0, n));
+  }
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const std::size_t end = f + 1 < frames.size() ? frames[f + 1] : bytes.size();
+    m.flipped.emplace_back();
+    for (std::size_t i = frames[f]; i < end; ++i) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x5a);
+      m.flipped.back().push_back(std::move(flipped));
+    }
+  }
+  m.trailing = bytes + "x";
+  return m;
+}
+
+runtime::ResumeInfo load_from(const std::string& dir,
+                              runtime::SweepProgress& restored) {
+  runtime::SweepJournal j(make_ckpt(dir, 10, 100), unit_spec());
+  return j.load(restored);
+}
+
+TEST(SweepJournalTest, EveryJournalMutationKeepsAPrefixOrIsCorrupt) {
+  const std::string dir = scratch_dir("matrix-journal");
+  const std::vector<runtime::SweepProgress> prefixes =
+      journal_three_records(dir, 100);
+  const std::string path =
+      runtime::SweepJournal(make_ckpt(dir), unit_spec()).journal_path();
+  const std::string good = read_file(path);
+  const std::vector<std::size_t> frames = frame_offsets(good);
+  ASSERT_EQ(frames.size(), 4u);  // header + 3 records
+  const Mutations m = mutate(good, frames);
+
+  // Truncations and a trailing byte are what a crash can leave: a prefix
+  // of the records (the whole ones before the cut) comes back.
+  const auto expect_prefix = [&](const std::string& bytes, std::size_t kept,
+                                 const std::string& context) {
+    write_file(path, bytes);
+    runtime::SweepProgress restored;
+    const runtime::ResumeInfo info = load_from(dir, restored);
+    EXPECT_EQ(info.status, kept > 0 ? runtime::ResumeStatus::kResumed
+                                    : runtime::ResumeStatus::kColdStart)
+        << context;
+    EXPECT_EQ(info.restored, 10u * kept) << context;
+    expect_progress_eq(restored, prefixes[kept]);
+  };
+  for (std::size_t n = 0; n < m.truncated.size(); ++n) {
+    std::size_t kept = 0;
+    while (kept < 3 && (kept + 2 < frames.size() ? frames[kept + 2]
+                                                 : good.size()) <= n) {
+      ++kept;
+    }
+    expect_prefix(m.truncated[n], kept, "truncated to " + std::to_string(n));
+  }
+  expect_prefix(m.trailing, 3, "trailing byte");
+
+  // A flip in the header or a non-final record has a valid frame after
+  // it, so no crash made it: corrupt, nothing restored.
+  for (std::size_t f = 0; f + 1 < frames.size(); ++f) {
+    for (std::size_t i = 0; i < m.flipped[f].size(); ++i) {
+      write_file(path, m.flipped[f][i]);
+      runtime::SweepProgress restored;
+      const runtime::ResumeInfo info = load_from(dir, restored);
+      EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt)
+          << "frame " << f << " byte " << i;
+      EXPECT_EQ(info.restored, 0u);
+      EXPECT_EQ(restored.completed(), 0u);
+    }
+  }
+  // A flip in the final record is a torn tail: dropped, two restored.
+  for (std::size_t i = 0; i < m.flipped.back().size(); ++i) {
+    write_file(path, m.flipped.back()[i]);
+    runtime::SweepProgress restored;
+    const runtime::ResumeInfo info = load_from(dir, restored);
+    EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed) << "byte " << i;
+    EXPECT_TRUE(info.torn_tail_dropped) << "byte " << i;
+    expect_progress_eq(restored, prefixes[2]);
+  }
+}
+
+TEST(SweepJournalTest, SplicedReorderedOrReplayedRecordNeverApplies) {
+  const std::string dir = scratch_dir("splice");
+  journal_three_records(dir, 100);
+  const std::string path =
+      runtime::SweepJournal(make_ckpt(dir), unit_spec()).journal_path();
+  const std::string good = read_file(path);
+  const std::vector<std::size_t> f = frame_offsets(good);
+  ASSERT_EQ(f.size(), 4u);
+  const auto frame = [&](std::size_t i) {
+    const std::size_t end = i + 1 < f.size() ? f[i + 1] : good.size();
+    return good.substr(f[i], end - f[i]);
+  };
+  // A journal of the same sweep one epoch later: its record is sequence 1
+  // of a different header.
+  const std::string later_dir = scratch_dir("splice-later");
+  journal_three_records(later_dir, 2);
+  const std::string later = read_file(
+      runtime::SweepJournal(make_ckpt(later_dir), unit_spec()).journal_path());
+  const std::vector<std::size_t> lf = frame_offsets(later);
+  ASSERT_EQ(lf.size(), 2u);
+
+  for (const std::string& bytes :
+       {frame(0) + frame(2) + frame(1) + frame(3),    // reordered
+        frame(0) + frame(1) + frame(1) + frame(2),    // replayed
+        frame(0) + later.substr(lf[1])}) {            // spliced
+    write_file(path, bytes);
+    runtime::SweepProgress restored;
+    const runtime::ResumeInfo info = load_from(dir, restored);
+    EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt);
+    EXPECT_EQ(restored.completed(), 0u);
+  }
+}
+
+TEST(SweepJournalTest, EverySnapshotMutationIsCorrupt) {
+  const std::string dir = scratch_dir("matrix-snapshot");
+  // Compaction every 2 records: a snapshot of records 1-2 plus a journal
+  // holding record 3.
+  journal_three_records(dir, 2);
+  const std::string path =
+      runtime::SweepJournal(make_ckpt(dir), unit_spec()).snapshot_path();
+  const std::string good = read_file(path);
+  const std::vector<std::size_t> frames = frame_offsets(good);
+  ASSERT_EQ(frames.size(), 1u);
+  {
+    runtime::SweepProgress restored;
+    EXPECT_EQ(load_from(dir, restored).restored, 30u);  // unmutated
+  }
+  const Mutations m = mutate(good, frames);
+  std::vector<std::string> all = m.truncated;
+  all.insert(all.end(), m.flipped[0].begin(), m.flipped[0].end());
+  all.push_back(m.trailing);
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    write_file(path, all[k]);
+    runtime::SweepProgress restored;
+    const runtime::ResumeInfo info = load_from(dir, restored);
+    EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt) << "mutation " << k;
+    EXPECT_EQ(restored.completed(), 0u) << "mutation " << k;
+  }
 }
 
 // --- run_resumable ----------------------------------------------------------

@@ -20,6 +20,8 @@
 #include "runtime/task_pool.h"
 #include "util/digest.h"
 #include "util/error.h"
+#include "util/fsio.h"
+#include "util/wire.h"
 
 namespace ct {
 namespace {
@@ -326,7 +328,6 @@ runtime::CachedCounts sample_counts() {
   runtime::CachedCounts c;
   c.counts = {700, 150, 100, 50};
   c.total = 1000;
-  c.skipped = 2;
   return c;
 }
 
@@ -441,23 +442,56 @@ TEST_F(DiskStoreTest, TamperedVersionInvalidatesRecord) {
     runtime::ResultStore writer(options_);
     writer.store(test_key(), sample_counts());
   }
-  // Rewrite the header's version field: a record written by any other
-  // format version must read as a miss (the checksum binds the version, so
-  // old-format records can never alias new-format ones).
+  // Re-seal the same payload at the previous format version: a record
+  // written by any other format version must read as a miss (the frame
+  // carries the version, so old-format records can never alias new ones).
   const fs::path record = record_path();
-  std::stringstream contents;
-  contents << std::ifstream(record).rdbuf();
-  std::string text = contents.str();
-  const std::string needle =
-      "ctresult " + std::to_string(runtime::ResultStore::kFormatVersion);
-  const auto pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, needle.size(), "ctresult 0");
-  std::ofstream(record, std::ios::trunc) << text;
+  const std::string bytes = *util::read_file(record.string());
+  const std::uint32_t magic = util::WireReader(bytes).u32();
+  const util::OpenedFrame frame = util::open_frame(bytes, 0, magic);
+  ASSERT_EQ(frame.status, util::FrameStatus::kComplete);
+  ASSERT_EQ(frame.fields.version, runtime::ResultStore::kFormatVersion);
+  util::FrameFields older = frame.fields;
+  older.version = runtime::ResultStore::kFormatVersion - 1;
+  std::ofstream(record, std::ios::trunc | std::ios::binary)
+      << util::seal_frame(older, frame.payload);
 
   runtime::ResultStore store(options_);
   EXPECT_FALSE(store.lookup(test_key()).has_value());
   EXPECT_EQ(store.stats().corrupt_discarded, 1u);
+}
+
+TEST_F(DiskStoreTest, EveryMutationIsACountedMissThenRewritten) {
+  {
+    runtime::ResultStore writer(options_);
+    writer.store(test_key(), sample_counts());
+  }
+  const fs::path record = record_path();
+  const std::string good = *util::read_file(record.string());
+  // Every truncation, every byte flip and one trailing byte.
+  std::vector<std::string> mutations;
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    mutations.push_back(good.substr(0, n));
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string flipped = good;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x5a);
+    mutations.push_back(flipped);
+  }
+  mutations.push_back(good + "x");
+  for (std::size_t m = 0; m < mutations.size(); ++m) {
+    std::ofstream(record, std::ios::trunc | std::ios::binary) << mutations[m];
+    runtime::ResultStore store(options_);
+    EXPECT_FALSE(store.lookup(test_key()).has_value()) << "mutation " << m;
+    EXPECT_EQ(store.stats().corrupt_discarded, 1u) << "mutation " << m;
+    EXPECT_EQ(store.stats().hits, 0u) << "mutation " << m;
+    // The next store() heals the record for future processes.
+    store.store(test_key(), sample_counts());
+    runtime::ResultStore reader(options_);
+    const auto hit = reader.lookup(test_key());
+    ASSERT_TRUE(hit.has_value()) << "mutation " << m;
+    EXPECT_EQ(*hit, sample_counts());
+  }
 }
 
 TEST_F(DiskStoreTest, HalfWrittenTmpIsIgnoredAndCollectedOnOpen) {

@@ -221,7 +221,7 @@ TEST(Frames, DetectsEveryHeaderCorruption) {
   }
   {
     std::string bad = good;
-    bad[4] = '\x02';  // unsupported version
+    bad[4] = '\x01';  // unsupported version
     expect_protocol_error(bad);
   }
   {
@@ -241,7 +241,7 @@ TEST(Frames, DetectsEveryHeaderCorruption) {
   }
   {
     std::string bad = good;
-    bad[24] ^= '\x01';  // header digest itself
+    bad[32] ^= '\x01';  // header digest itself
     expect_protocol_error(bad);
   }
   {
@@ -249,6 +249,43 @@ TEST(Frames, DetectsEveryHeaderCorruption) {
     bad[kHeaderSize] ^= '\x01';  // first payload byte -> payload checksum
     expect_protocol_error(bad);
   }
+}
+
+TEST(Frames, EveryTruncationWaitsAndEveryFlipIsAProtocolError) {
+  const std::string good =
+      encode_frame(FrameType::kRequest, 9, encode_request(Request{}));
+  Frame frame;
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    FrameDecoder decoder;
+    decoder.feed(good.data(), n);
+    EXPECT_FALSE(decoder.next(frame)) << "truncated to " << n;
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+    expect_protocol_error(bad);
+  }
+  // A trailing byte is the start of the next frame: the frame decodes and
+  // the decoder then waits for more.
+  FrameDecoder decoder;
+  const std::string trailing = good + "x";
+  decoder.feed(trailing.data(), trailing.size());
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.request_id, 9u);
+  EXPECT_FALSE(decoder.next(frame));
+  EXPECT_EQ(decoder.buffered(), 1u);
+}
+
+TEST(Frames, SealedForeignVersionOrTypeIsAProtocolError) {
+  // Validly sealed frames the decoder must still refuse: another protocol
+  // version, and a frame type outside FrameType.
+  const std::string payload = encode_request(Request{});
+  expect_protocol_error(util::seal_frame(
+      {kMagic, kProtocolVersion - 1,
+       static_cast<std::uint8_t>(FrameType::kRequest), 1},
+      payload));
+  expect_protocol_error(util::seal_frame({kMagic, kProtocolVersion, 0x7f, 1},
+                                         payload));
 }
 
 TEST(Frames, CorruptLengthCannotCommitToBogusRead) {

@@ -1,7 +1,11 @@
 // Unit tests for the util substrate: RNG, statistics, CSV/JSON writers,
-// string helpers, tables, logging.
+// string helpers, tables, logging, durable writes, the wire codec and frames.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/error.h"
 #include "util/fsio.h"
 #include "util/json_writer.h"
 #include "util/log.h"
@@ -20,6 +25,7 @@
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/wire.h"
 
 namespace ct::util {
 namespace {
@@ -589,6 +595,137 @@ TEST(Fsio, AtomicWriteFilePublishesAllOrNothing) {
 TEST(Fsio, FsyncHelpersTolerateMissingPaths) {
   EXPECT_FALSE(fsync_file("/no/such/file/anywhere"));
   EXPECT_FALSE(fsync_parent_dir("/no/such/dir/anywhere/x"));
+}
+
+TEST(Fsio, CrashHookSeesEveryStageWithTheTornPrefixOnDisk) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ct_fsio_hook_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "record.bin").string();
+  const std::string contents = "0123456789abcdefXYZ";  // 19 bytes: torn at 9
+
+  std::vector<std::pair<WriteStage, std::uintmax_t>> seen;
+  const auto size_of = [](const std::string& p) -> std::uintmax_t {
+    std::error_code ec;
+    const std::uintmax_t n = fs::file_size(p, ec);
+    return ec ? 0 : n;
+  };
+  ASSERT_TRUE(atomic_write_file(path, contents, [&](WriteStage stage) {
+    seen.emplace_back(stage, size_of(stage == WriteStage::kTorn ? path + ".tmp"
+                                                                : path));
+  }));
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], std::make_pair(WriteStage::kBefore, std::uintmax_t{0}));
+  EXPECT_EQ(seen[1], std::make_pair(WriteStage::kTorn, std::uintmax_t{9}));
+  EXPECT_EQ(seen[2], std::make_pair(WriteStage::kAfter, std::uintmax_t{19}));
+  EXPECT_EQ(read_file(path), contents);
+
+  // The same stages for an append, with the prefix landing in the file.
+  seen.clear();
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(durable_append(fd, "abc", [&](WriteStage stage) {
+    seen.emplace_back(stage, size_of(path));
+  }));
+  ::close(fd);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1], std::make_pair(WriteStage::kTorn, std::uintmax_t{20}));
+  EXPECT_EQ(seen[2], std::make_pair(WriteStage::kAfter, std::uintmax_t{22}));
+  EXPECT_EQ(read_file(path), contents + "abc");
+
+  // The collector removes only ".tmp" files with the given name prefix.
+  std::ofstream(dir / "mine.jrnl.tmp") << "x";
+  std::ofstream(dir / "other.snap.tmp") << "x";
+  EXPECT_EQ(remove_tmp_files(dir.string(), "mine."), 1u);
+  EXPECT_TRUE(fs::exists(dir / "other.snap.tmp"));
+  EXPECT_EQ(remove_tmp_files(dir.string()), 1u);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(read_file((dir / "missing").string()).has_value());
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------- wire
+
+TEST(Wire, FieldsRoundTripBitForBit) {
+  WireWriter w;
+  w.u8(0xab).u16(0xbeef).u32(0xdeadbeefu).u64(0x0123456789abcdefULL);
+  w.i32(-7).f64(-0.0).f64(std::nan("0x5")).boolean(true);
+  w.str(std::string("nul\0inside", 10)).str("");
+  WireReader r(w.bytes());
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u16(), 0xbeef);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(r.i32(), -7);
+  const double zero = r.f64();
+  EXPECT_TRUE(zero == 0.0 && std::signbit(zero));
+  const double nan = r.f64();
+  const double expect_nan = std::nan("0x5");
+  EXPECT_EQ(std::memcmp(&nan, &expect_nan, sizeof nan), 0);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_EQ(r.str(), std::string("nul\0inside", 10));
+  EXPECT_EQ(r.str(), "");
+  r.require_end();
+  EXPECT_THROW(WireReader(w.bytes() + "x").require_end(), Error);
+  EXPECT_THROW(WireReader("ab").u32(), Error);
+}
+
+constexpr std::uint32_t kTestMagic = 0x54534554u;  // "TEST"
+
+TEST(Frame, SealOpenFindRoundTrip) {
+  const std::string payload = std::string("pay\0load", 8);
+  const std::string frame = seal_frame({kTestMagic, 3, 7, 99}, payload);
+  ASSERT_EQ(frame.size(), kFrameHeaderSize + payload.size());
+  const OpenedFrame opened = open_frame(frame, 0, kTestMagic);
+  ASSERT_EQ(opened.status, FrameStatus::kComplete);
+  EXPECT_EQ(opened.fields.magic, kTestMagic);
+  EXPECT_EQ(opened.fields.version, 3);
+  EXPECT_EQ(opened.fields.type, 7);
+  EXPECT_EQ(opened.fields.tag, 99u);
+  EXPECT_EQ(opened.payload, payload);
+  EXPECT_EQ(opened.size, frame.size());
+  // An empty payload is a frame too.
+  EXPECT_EQ(open_frame(seal_frame({kTestMagic, 1, 1, 0}, ""), 0, kTestMagic)
+                .status,
+            FrameStatus::kComplete);
+  // Another format's magic and a payload over the caller's bound are bad.
+  EXPECT_EQ(open_frame(frame, 0, kTestMagic + 1).status, FrameStatus::kBad);
+  EXPECT_EQ(open_frame(frame, 0, kTestMagic, 7).status, FrameStatus::kBad);
+  EXPECT_EQ(open_frame(frame, 0, kTestMagic, 8).status, FrameStatus::kComplete);
+  // find_frame skips garbage to the next frame that opens.
+  const std::string stream = "garbage" + frame + frame;
+  EXPECT_EQ(find_frame(stream, 0, kTestMagic), 7u);
+  EXPECT_EQ(find_frame(stream, 8, kTestMagic), 7u + frame.size());
+  EXPECT_EQ(find_frame(stream, 8 + frame.size(), kTestMagic),
+            std::string_view::npos);
+  EXPECT_EQ(find_frame(stream, 0, kTestMagic + 1), std::string_view::npos);
+}
+
+TEST(Frame, EveryTruncationIsIncompleteAndEveryFlipIsBad) {
+  const std::string frame =
+      seal_frame({kTestMagic, 2, 3, 4}, "a payload of several bytes");
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_EQ(open_frame(frame.substr(0, n), 0, kTestMagic).status,
+              FrameStatus::kIncomplete)
+        << "truncated to " << n;
+  }
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    std::string flipped = frame;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x5a);
+    const OpenedFrame opened = open_frame(flipped, 0, kTestMagic);
+    EXPECT_EQ(opened.status, FrameStatus::kBad)
+        << (i < kFrameHeaderSize ? "header" : "payload") << " byte " << i;
+    EXPECT_FALSE(opened.reason.empty());
+  }
+  // A trailing byte is not part of the frame: it opens whole, and what
+  // follows it is an incomplete next frame.
+  const std::string trailing = frame + "x";
+  const OpenedFrame opened = open_frame(trailing, 0, kTestMagic);
+  ASSERT_EQ(opened.status, FrameStatus::kComplete);
+  EXPECT_EQ(opened.size, frame.size());
+  EXPECT_EQ(open_frame(trailing, opened.size, kTestMagic).status,
+            FrameStatus::kIncomplete);
 }
 
 // ---------------------------------------------------------------- strings
