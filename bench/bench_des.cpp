@@ -3,12 +3,11 @@
 // evidence that the paper's state classification rules follow from
 // protocol behaviour rather than being assumed.
 //
-// Since the DES hot-path overhaul, every run in the corpus also executes
-// on the verbatim reference engine (sim/reference_des.cpp): the table
-// reports both engines' ms/run, the identity column asserts every outcome
-// is field-identical, and the totals are merged into BENCH_des.json as
-// the "bench_des" record.
-#include <chrono>
+// Every run in the corpus also executes on the verbatim reference engine
+// (sim/reference_des.cpp): the table reports both engines' ms/run, the
+// identity column asserts every outcome is field-identical, and the corpus
+// totals are merged into BENCH_records.json as "bench_des" rows. The
+// corpus is timed once per engine, so those rows have reps 1.
 #include <iostream>
 
 #include "core/evaluator.h"
@@ -44,9 +43,11 @@ int main() {
                      util::Align::kRight, util::Align::kRight,
                      util::Align::kRight, util::Align::kRight});
 
-  bench::DesBenchRecord record;
-  record.name = "bench_des";
-  record.identical = true;
+  std::uint64_t total_runs = 0;
+  std::uint64_t total_events = 0;
+  double fast_s = 0.0;
+  double reference_s = 0.0;
+  bool all_identical = true;
   bool all_agree = true;
 
   const threat::GreedyWorstCaseAttacker attacker;
@@ -73,16 +74,14 @@ int main() {
       for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
         const threat::SystemState attacked =
             attacker.attack(config, base, threat::capability_for(scenario));
-        const auto fast_start = std::chrono::steady_clock::now();
-        const sim::DesOutcome outcome = des.run(attacked, arena);
-        fast_ms += std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - fast_start)
-                       .count();
-        const auto ref_start = std::chrono::steady_clock::now();
-        const sim::DesOutcome reference = des.run_reference(attacked);
-        reference_ms += std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - ref_start)
-                            .count();
+        sim::DesOutcome outcome;
+        fast_ms += 1e3 * bench::time_reps(1, [&] {
+                           outcome = des.run(attacked, arena);
+                         }).median;
+        sim::DesOutcome reference;
+        reference_ms += 1e3 * bench::time_reps(1, [&] {
+                                reference = des.run_reference(attacked);
+                              }).median;
         identical = identical && sim::des_outcomes_identical(outcome,
                                                              reference);
         ++runs;
@@ -93,11 +92,11 @@ int main() {
         }
       }
     }
-    record.runs += runs;
-    record.events += events;
-    record.fast_s += fast_ms / 1000.0;
-    record.reference_s += reference_ms / 1000.0;
-    record.identical = record.identical && identical;
+    total_runs += runs;
+    total_events += events;
+    fast_s += fast_ms / 1000.0;
+    reference_s += reference_ms / 1000.0;
+    all_identical = all_identical && identical;
     all_agree = all_agree && agreements == runs;
     table.add_row({config.name, std::to_string(runs),
                    std::to_string(agreements),
@@ -109,15 +108,22 @@ int main() {
                    identical ? "yes" : "NO"});
   }
   table.render(std::cout);
-  bench::write_des_bench_record(record);
-  std::cout << "\nexpected: agreements == runs for every configuration.\n"
-            << "corpus: " << record.runs << " runs, pooled "
-            << util::format_fixed(record.fast_s, 2) << " s ("
-            << util::format_fixed(record.fast_events_per_s() / 1e6, 2)
-            << " M ev/s), reference "
-            << util::format_fixed(record.reference_s, 2) << " s ("
-            << util::format_fixed(record.speedup(), 2) << "x), "
-            << (record.identical ? "bit-identical" : "NOT IDENTICAL")
-            << "; recorded in BENCH_des.json\n";
-  return record.identical && all_agree ? 0 : 1;
+  std::cout << "\nexpected: agreements == runs for every configuration.\n";
+
+  constexpr const char* kBench = "bench_des";
+  std::vector<bench::BenchRow> rows = {
+      bench::count_row(kBench, "des.runs", total_runs),
+      bench::count_row(kBench, "des.events", total_events),
+      bench::timing_row(kBench, "des.fast_s", "s", {1, fast_s, 0.0}),
+      bench::timing_row(kBench, "des.reference_s", "s",
+                        {1, reference_s, 0.0})};
+  for (bench::BenchRow& row : rows) row.identical = all_identical;
+  bench::write_bench_rows(rows);
+  std::cout << "corpus, one timed pass per engine, merged into "
+               "BENCH_records.json:\n";
+  bench::print_bench_rows(std::cout, rows);
+  std::cout << "derived: pooled "
+            << static_cast<double>(total_events) / fast_s / 1e6
+            << " M ev/s, " << reference_s / fast_s << "x the reference\n";
+  return all_identical && all_agree ? 0 : 1;
 }

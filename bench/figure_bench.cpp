@@ -1,177 +1,161 @@
 #include "figure_bench.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "core/case_study.h"
 #include "core/report.h"
 #include "scada/oahu.h"
+#include "util/fsio.h"
+#include "util/json_writer.h"
 #include "util/strings.h"
 
 namespace ct::bench {
 
-std::size_t bench_realizations() {
-  if (const char* env = std::getenv("CT_BENCH_REALIZATIONS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) return n;
-  }
-  return 1000;  // the paper's ensemble size
-}
-
-unsigned bench_jobs() {
-  if (const char* env = std::getenv("CT_BENCH_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return 8;
-}
-
 namespace {
 
-std::string record_json(const RuntimeBenchRecord& r) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << '"' << r.name << "\": {"
-      << "\"realizations\": " << r.realizations << ", \"jobs\": " << r.jobs
-      << std::setprecision(4) << ", \"serial_s\": " << r.serial_s
-      << ", \"parallel_s\": " << r.parallel_s << ", \"warm_s\": " << r.warm_s
-      << std::setprecision(3) << ", \"speedup\": " << r.speedup()
-      << ", \"identical\": " << (r.identical ? "true" : "false")
-      << ", \"cache_lookups\": " << r.cache_lookups
-      << ", \"cache_hits\": " << r.cache_hits
-      << ", \"warm_hit_rate\": " << r.warm_hit_rate();
-  if (r.fault_s > 0.0) {
-    out << std::setprecision(4) << ", \"fault_s\": " << r.fault_s
-        << ", \"fault_quarantined\": " << r.fault_quarantined
-        << ", \"fault_retries\": " << r.fault_retries;
+/// Strict value of a positive count in the environment variable `name`:
+/// unset gives `fallback`; a malformed, signed or zero value exits 2.
+std::uint64_t env_count(const char* name, std::uint64_t fallback,
+                        std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::optional<std::uint64_t> value = util::parse_u64(env, max);
+  if (!value || *value == 0) {
+    std::cerr << name << " expects a whole number from 1 to " << max
+              << ", got '" << env << "'\n";
+    std::exit(2);
   }
-  if (r.resumable_s > 0.0) {
-    out << std::setprecision(4) << ", \"resumable_s\": " << r.resumable_s
-        << ", \"checkpoint32_s\": " << r.checkpoint32_s
-        << ", \"checkpoint_s\": " << r.checkpoint_s
-        << ", \"checkpoint512_s\": " << r.checkpoint512_s
-        << ", \"checkpoint_overhead\": " << r.checkpoint_overhead()
-        << ", \"checkpoint_writes\": " << r.checkpoint_writes;
-  }
-  out << '}';
-  return out.str();
-}
-
-std::string record_json(const SurgeBenchRecord& r) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << '"' << r.name << "\": {"
-      << "\"realizations\": " << r.realizations << std::setprecision(4)
-      << ", \"reference_ms\": " << r.reference_ms
-      << ", \"fast_ms\": " << r.fast_ms
-      << ", \"smoothing_ms\": " << r.smoothing_ms
-      << ", \"asset_bind_ms\": " << r.asset_bind_ms << std::setprecision(3)
-      << ", \"speedup\": " << r.speedup()
-      << ", \"active_nodes\": " << r.active_nodes
-      << ", \"mesh_nodes\": " << r.mesh_nodes
-      << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
-  return out.str();
-}
-
-std::string record_json(const DesBenchRecord& r) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << '"' << r.name << "\": {"
-      << "\"runs\": " << r.runs
-      << ", \"events\": " << r.events << std::setprecision(4)
-      << ", \"reference_s\": " << r.reference_s
-      << ", \"fast_s\": " << r.fast_s << std::setprecision(0)
-      << ", \"reference_events_per_s\": " << r.reference_events_per_s()
-      << ", \"fast_events_per_s\": " << r.fast_events_per_s()
-      << std::setprecision(3) << ", \"speedup\": " << r.speedup()
-      << std::setprecision(4)
-      << ", \"quorum_round_ms\": " << r.quorum_round_ms
-      << ", \"sweep_reference_s\": " << r.sweep_reference_s
-      << ", \"sweep_fast_s\": " << r.sweep_fast_s << std::setprecision(3)
-      << ", \"sweep_speedup\": " << r.sweep_speedup()
-      << ", \"sweep_runs\": " << r.sweep_runs
-      << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
-  return out.str();
-}
-
-std::string record_json(const ObsBenchRecord& r) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << '"' << r.name << "\": {" << std::setprecision(2)
-      << "\"counter_inc_ns\": " << r.counter_inc_ns
-      << ", \"counter_disabled_ns\": " << r.counter_disabled_ns
-      << ", \"histogram_observe_ns\": " << r.histogram_observe_ns
-      << ", \"span_ns\": " << r.span_ns
-      << ", \"span_idle_ns\": " << r.span_idle_ns
-      << ", \"des_runs\": " << r.des_runs << std::setprecision(4)
-      << ", \"des_obs_off_s\": " << r.des_obs_off_s
-      << ", \"des_obs_on_s\": " << r.des_obs_on_s << std::setprecision(3)
-      << ", \"des_overhead\": " << r.des_overhead()
-      << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
-  return out.str();
-}
-
-// The bench files are JSON objects with one record per line so every bench
-// binary can update its own row with a line-level merge — no JSON parser
-// needed, and `jq` still reads the whole file.
-void merge_record_line(const std::string& path, const std::string& name,
-                       const std::string& json) {
-  std::vector<std::pair<std::string, std::string>> rows;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (in && std::getline(in, line)) {
-      std::string body{util::trim(line)};
-      if (body.empty() || body == "{" || body == "}") continue;
-      if (body.back() == ',') body.pop_back();
-      if (body.size() < 2 || body.front() != '"') continue;  // not a record
-      const std::size_t name_end = body.find('"', 1);
-      if (name_end == std::string::npos) continue;
-      const std::string row_name = body.substr(1, name_end - 1);
-      if (row_name == name) continue;  // superseded by the new record
-      rows.emplace_back(row_name, std::move(body));
-    }
-  }
-  rows.emplace_back(name, json);
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << rows[i].second << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
+  return *value;
 }
 
 }  // namespace
 
-void write_runtime_bench_record(const RuntimeBenchRecord& record,
-                                const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+std::size_t bench_realizations() {
+  // 1000 is the paper's ensemble size.
+  return env_count("CT_BENCH_REALIZATIONS", 1000,
+                   std::numeric_limits<std::size_t>::max());
 }
 
-void write_surge_bench_record(const SurgeBenchRecord& record,
-                              const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+unsigned bench_jobs() {
+  return static_cast<unsigned>(
+      env_count("CT_BENCH_JOBS", 8, std::numeric_limits<unsigned>::max()));
 }
 
-void write_des_bench_record(const DesBenchRecord& record,
-                            const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+Spread spread_of(std::vector<double> readings) {
+  Spread spread;
+  spread.reps = readings.size();
+  if (readings.empty()) return spread;
+  const auto median_of = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+  };
+  spread.median = median_of(readings);
+  for (double& r : readings) r = std::abs(r - spread.median);
+  spread.mad = median_of(readings);
+  return spread;
 }
 
-void write_obs_bench_record(const ObsBenchRecord& record,
-                            const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+Spread time_reps(std::size_t reps, const std::function<void()>& body) {
+  std::vector<double> readings;
+  readings.reserve(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    readings.push_back(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  return spread_of(std::move(readings));
+}
+
+BenchRow timing_row(std::string bench, std::string metric, std::string unit,
+                    const Spread& spread, double scale) {
+  return {std::move(bench), std::move(metric), std::move(unit), spread.reps,
+          spread.median * scale, spread.mad * scale, false};
+}
+
+BenchRow count_row(std::string bench, std::string metric,
+                   std::uint64_t count) {
+  return {std::move(bench), std::move(metric), "count", 1,
+          static_cast<double>(count), 0.0, false};
+}
+
+// The record file is a JSON object with one row per line, so a write is a
+// line-level merge — no JSON parser needed, and `jq` or `json.load` still
+// read the whole file.
+void write_bench_rows(const std::vector<BenchRow>& rows,
+                      const std::string& path) {
+  std::set<std::string> replaced;  // "<bench>/" of every bench in `rows`
+  for (const BenchRow& row : rows) replaced.insert(row.bench + "/");
+  std::vector<std::pair<std::string, std::string>> lines;  // key, line
+  if (const std::optional<std::string> text = util::read_file(path)) {
+    std::istringstream in(*text);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::string body{util::trim(line)};
+      if (body.size() < 2 || body.front() != '"') continue;  // not a row
+      if (body.back() == ',') body.pop_back();
+      const std::size_t key_end = body.find('"', 1);
+      if (key_end == std::string::npos) continue;
+      std::string key = body.substr(1, key_end - 1);
+      const std::string bench = key.substr(0, key.find('/') + 1);
+      if (replaced.count(bench) != 0) continue;
+      lines.emplace_back(std::move(key), std::move(body));
+    }
+  }
+  for (const BenchRow& row : rows) {
+    if (!std::isfinite(row.median) || !std::isfinite(row.mad)) {
+      std::cerr << "warning: " << row.bench << "/" << row.metric
+                << " is not finite; row left out of " << path << "\n";
+      continue;
+    }
+    std::string key = row.bench + "/" + row.metric;
+    std::ostringstream out;
+    out << '"' << util::json_escape(key) << "\": ";
+    util::JsonWriter json(out);
+    json.begin_object()
+        .kv("bench", row.bench)
+        .kv("metric", row.metric)
+        .kv("unit", row.unit)
+        .kv("reps", row.reps)
+        .kv("median", row.median)
+        .kv("mad", row.mad)
+        .kv("identical", row.identical)
+        .end_object();
+    lines.emplace_back(std::move(key), out.str());
+  }
+  std::sort(lines.begin(), lines.end());
+
+  std::string file = "{\n";
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    file += lines[i].second + (i + 1 < lines.size() ? ",\n" : "\n");
+  }
+  file += "}\n";
+  if (!util::atomic_write_file(path, file)) {
+    std::cerr << "warning: cannot write " << path << "\n";
+  }
+}
+
+void print_bench_rows(std::ostream& out, const std::vector<BenchRow>& rows) {
+  for (const BenchRow& row : rows) {
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "  %-30s %12.7g %-5s mad %-9.3g reps %zu%s\n",
+                  row.metric.c_str(), row.median, row.unit.c_str(), row.mad,
+                  row.reps, row.identical ? "" : "  NOT IDENTICAL");
+    out << line;
+  }
 }
 
 namespace {
@@ -212,11 +196,10 @@ int run_figure_bench(const std::string& figure_id,
             << " + DRFortress), " << realizations << " realizations ===\n\n";
 
   const auto timed_run = [&](core::CaseStudyRunner& runner) {
-    const auto start = std::chrono::steady_clock::now();
-    auto results = runner.run_configs(configs, scenario);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+    std::vector<core::ScenarioResult> results;
+    const double seconds = time_reps(1, [&] {
+                             results = runner.run_configs(configs, scenario);
+                           }).median;
     return std::pair(std::move(results), seconds);
   };
 
@@ -259,30 +242,24 @@ int run_figure_bench(const std::string& figure_id,
   // Hit rate of the warm replay alone (the cold pass is all misses by
   // construction, so folding it in would halve the number for no reason).
   const auto stats = parallel_runner.runtime().cache_stats();
-  RuntimeBenchRecord record;
-  record.name = "bench_" + figure_id;
-  record.realizations = realizations;
-  record.jobs = jobs;
-  record.serial_s = serial_s;
-  record.parallel_s = parallel_s;
-  record.warm_s = warm_s;
-  record.identical = identical;
-  record.cache_lookups = stats.lookups - cold_stats.lookups;
-  record.cache_hits = stats.hits - cold_stats.hits;
-  write_runtime_bench_record(record);
+  const std::uint64_t lookups = stats.lookups - cold_stats.lookups;
+  const std::uint64_t hits = stats.hits - cold_stats.hits;
+  const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
+  const double hit_rate =
+      lookups == 0 ? 0.0
+                   : static_cast<double>(hits) / static_cast<double>(lookups);
 
   std::cout << "\nruntime: serial " << util::format_fixed(serial_s, 2)
             << " s, parallel(" << jobs << ") "
             << util::format_fixed(parallel_s, 2) << " s ("
-            << util::format_fixed(record.speedup(), 2) << "x), warm replay "
-            << util::format_fixed(warm_s, 3) << " s, cache "
-            << record.cache_hits << "/" << record.cache_lookups << " hits ("
-            << util::format_fixed(record.warm_hit_rate() * 100.0, 1)
-            << "%)\n"
+            << util::format_fixed(speedup, 2) << "x), warm replay "
+            << util::format_fixed(warm_s, 3) << " s, cache " << hits << "/"
+            << lookups << " hits ("
+            << util::format_fixed(hit_rate * 100.0, 1) << "%)\n"
             << "parallel outcomes "
             << (identical ? "bit-identical to serial"
                           : "DIFFER FROM SERIAL — determinism violation")
-            << "; record appended to BENCH_runtime.json\n\n";
+            << "\n\n";
   return identical ? 0 : 1;
 }
 

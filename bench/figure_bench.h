@@ -1,23 +1,28 @@
-// Shared driver for the figure-regeneration benches: each bench binary
-// reproduces one of the paper's evaluation figures (operational profiles
-// of the five SCADA architectures under one threat scenario and siting),
-// prints measured-vs-paper tables, and reports the worst probability
-// delta.
+// Shared bench code: the driver of the figure-regeneration benches, the
+// CT_BENCH_* environment, and the one record schema every bench writes.
 //
-// Since the ensemble runtime landed, every figure bench also measures the
-// runtime itself: the sweep runs once serially (--jobs 1, cache off) and
-// once on the work-stealing pool, asserts the two outcome distributions
-// are bit-identical, replays the sweep warm to measure the result-cache
-// hit rate, and appends the numbers to BENCH_runtime.json so the perf
-// trajectory is tracked per commit.
+// Each figure bench reproduces one of the paper's evaluation figures
+// (operational profiles of the five SCADA architectures under one threat
+// scenario and siting), prints measured-vs-paper tables and the worst
+// probability delta. It also runs the sweep once serially (--jobs 1, cache
+// off) and once on the work-stealing pool, fails when the two outcome
+// distributions differ, and prints the timings and the warm replay's cache
+// hit rate.
+//
+// Benches that keep a record (bench_micro, bench_des) write BenchRows:
+// one measured quantity each, a median and its spread over repeated runs,
+// merged into BENCH_records.json.
 //
 // Realization count defaults to the paper's 1000; set CT_BENCH_REALIZATIONS
 // to override (e.g. 200 for a quick pass). CT_BENCH_JOBS sets the parallel
-// worker count (default 8).
+// worker count (default 8). Either one malformed, signed or zero exits 2.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "threat/scenario.h"
 
@@ -35,152 +40,53 @@ std::size_t bench_realizations();
 /// Parallel worker count for the runtime measurement (CT_BENCH_JOBS or 8).
 unsigned bench_jobs();
 
-/// One serial-vs-parallel runtime measurement, recorded per bench binary.
-struct RuntimeBenchRecord {
-  std::string name;            ///< bench binary name ("bench_fig6", ...)
-  std::size_t realizations = 0;
-  unsigned jobs = 0;           ///< parallel worker count
-  double serial_s = 0.0;       ///< cold sweep, --jobs 1, cache off
-  double parallel_s = 0.0;     ///< cold sweep on the pool
-  double warm_s = 0.0;         ///< repeated sweep served from the cache
-  bool identical = false;      ///< parallel outcomes bit-identical to serial
-  std::uint64_t cache_lookups = 0;  ///< result-cache lookups, warm pass only
-  std::uint64_t cache_hits = 0;     ///< result-cache hits, warm pass only
-
-  // Fault-isolated runtime: the same sweep under an injected fault
-  // profile (degraded path, generation and quarantine accounting included).
-  double fault_s = 0.0;  ///< guarded sweep incl. generation, faults injected
-  std::size_t fault_quarantined = 0;  ///< realizations quarantined
-  std::uint64_t fault_retries = 0;    ///< retry attempts spent
-
-  // Checkpointed runtime (PR 7): the same fused sweep through
-  // run_resumable with checkpointing off (baseline) and with the journal
-  // on at three intervals; overhead is fsync-bound, so it shrinks as the
-  // interval grows.
-  double resumable_s = 0.0;      ///< run_resumable, checkpointing off
-  double checkpoint32_s = 0.0;   ///< journal on, --checkpoint-interval 32
-  double checkpoint_s = 0.0;     ///< journal on, default interval (128)
-  double checkpoint512_s = 0.0;  ///< journal on, --checkpoint-interval 512
-  std::uint64_t checkpoint_writes = 0;  ///< durable writes, default interval
-
-  double speedup() const noexcept {
-    return parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  }
-  double warm_hit_rate() const noexcept {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) /
-                     static_cast<double>(cache_lookups);
-  }
-  /// Durability cost at the default checkpoint interval relative to the
-  /// same sweep with checkpointing off (acceptance bound: <= 3%).
-  double checkpoint_overhead() const noexcept {
-    return resumable_s > 0.0 && checkpoint_s > 0.0
-               ? checkpoint_s / resumable_s - 1.0
-               : 0.0;
-  }
+/// Median and MAD (median absolute deviation) over repeated readings.
+struct Spread {
+  std::size_t reps = 0;
+  double median = 0.0;
+  double mad = 0.0;
 };
 
-/// Merges the record into `path` (default BENCH_runtime.json in the cwd):
-/// one JSON object keyed by record name, one record per line, existing
-/// records for other benches preserved. An unreadable file is rebuilt.
-void write_runtime_bench_record(const RuntimeBenchRecord& record,
-                                const std::string& path = "BENCH_runtime.json");
+/// Spread of `readings` (all zero when there are none).
+Spread spread_of(std::vector<double> readings);
 
-/// Realization hot-path timings, recorded by bench_micro: the legacy
-/// allocating pipeline vs the MeshBindings fast path, plus the two
-/// post-processing kernels the fast path made allocation-free.
-struct SurgeBenchRecord {
-  std::string name;              ///< record key ("bench_micro")
-  std::size_t realizations = 0;  ///< cold realizations timed per variant
-  double reference_ms = 0.0;     ///< legacy pipeline, per realization
-  double fast_ms = 0.0;          ///< MeshBindings hot path, per realization
-  double smoothing_ms = 0.0;     ///< in-place shoreline smoothing, per call
-  double asset_bind_ms = 0.0;    ///< stencil impacts_into, per call
-  std::size_t active_nodes = 0;  ///< influence-set size the fast path visits
-  std::size_t mesh_nodes = 0;    ///< total mesh nodes the legacy path visits
-  bool identical = false;        ///< fast path bit-identical to reference
+/// Runs `body` `reps` times and returns the spread of its wall time, in
+/// seconds.
+Spread time_reps(std::size_t reps, const std::function<void()>& body);
 
-  double speedup() const noexcept {
-    return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0;
-  }
+/// One measured quantity. A timing's median and mad are over `reps` runs;
+/// a count (unit "count") has reps 1 and mad 0. `identical` is the verdict
+/// of the bit-identity check of the group the row was measured in.
+struct BenchRow {
+  std::string bench;   ///< binary that measured it ("bench_micro", ...)
+  std::string metric;  ///< "surge.fast_ms", "des.events", ...
+  std::string unit;    ///< "ms", "s", "ns", "ratio", "count", ...
+  std::size_t reps = 1;
+  double median = 0.0;
+  double mad = 0.0;
+  bool identical = false;
 };
 
-/// Same line-merge format as write_runtime_bench_record, separate file so
-/// the hot-path trajectory is tracked independently of sweep runtimes.
-void write_surge_bench_record(const SurgeBenchRecord& record,
-                              const std::string& path = "BENCH_surge.json");
+/// A timing row: `spread` is in seconds, and `scale` converts it to
+/// `unit` (1e3 for ms, 1e3 / calls for ms per call).
+BenchRow timing_row(std::string bench, std::string metric, std::string unit,
+                    const Spread& spread, double scale = 1.0);
 
-/// DES engine throughput: the pooled hot path (slab events, message
-/// freelist, indexed quorum state) vs the verbatim reference engine in
-/// sim/reference_des.cpp, over the same run corpus. Recorded by
-/// bench_micro ("bench_micro": event loop + quorum round + chaos-style
-/// sweep) and bench_des ("bench_des": the A4 flood-mask corpus).
-struct DesBenchRecord {
-  std::string name;                ///< record key
-  std::uint64_t runs = 0;          ///< simulated runs timed per engine
-  std::uint64_t events = 0;        ///< events processed per engine pass
-  double reference_s = 0.0;        ///< run corpus wall time, reference
-  double fast_s = 0.0;             ///< run corpus wall time, pooled engine
-  double quorum_round_ms = 0.0;    ///< BFT request->quorum->execute round
-  double sweep_reference_s = 0.0;  ///< fault-plan sweep, reference engine
-  double sweep_fast_s = 0.0;       ///< fault-plan sweep, pooled + arena
-  std::uint64_t sweep_runs = 0;
-  bool identical = false;          ///< every outcome field-identical
+/// A count row: unit "count", reps 1, mad 0.
+BenchRow count_row(std::string bench, std::string metric, std::uint64_t count);
 
-  double reference_events_per_s() const noexcept {
-    return reference_s > 0.0 ? static_cast<double>(events) / reference_s : 0.0;
-  }
-  double fast_events_per_s() const noexcept {
-    return fast_s > 0.0 ? static_cast<double>(events) / fast_s : 0.0;
-  }
-  /// Events/sec ratio, pooled over reference (acceptance bound: >= 3x).
-  double speedup() const noexcept {
-    return reference_events_per_s() > 0.0 && fast_events_per_s() > 0.0
-               ? fast_events_per_s() / reference_events_per_s()
-               : 0.0;
-  }
-  double sweep_speedup() const noexcept {
-    return sweep_fast_s > 0.0 && sweep_reference_s > 0.0
-               ? sweep_reference_s / sweep_fast_s
-               : 0.0;
-  }
-};
+/// Merges `rows` into `path`: every earlier row of a bench that `rows`
+/// come from is replaced, including rows it no longer emits, and every
+/// other bench's rows are kept byte for byte. The file is a JSON object
+/// with one row per line, keyed "<bench>/<metric>" and sorted by key. A
+/// row with a non-finite median or mad is left out with a warning, as
+/// JSON has no inf or nan. An unreadable file is rebuilt.
+void write_bench_rows(const std::vector<BenchRow>& rows,
+                      const std::string& path = "BENCH_records.json");
 
-/// Same line-merge format, separate BENCH_des.json file tracking the DES
-/// engine's throughput trajectory.
-void write_des_bench_record(const DesBenchRecord& record,
-                            const std::string& path = "BENCH_des.json");
-
-/// Observability overhead (PR 10): per-op cost of the ct_obs primitives
-/// and the enabled-vs-disabled cost of the instrumented DES hot loop.
-/// Recorded by bench_micro, which prints the <2% enabled-but-idle target
-/// but does not gate on this timing.
-struct ObsBenchRecord {
-  std::string name;                  ///< record key ("bench_micro")
-  double counter_inc_ns = 0.0;       ///< Counter::inc, registry enabled
-  double counter_disabled_ns = 0.0;  ///< Counter::inc, registry disabled
-  double histogram_observe_ns = 0.0; ///< Histogram::observe, enabled
-  double span_ns = 0.0;              ///< Span ctor+dtor, tracing enabled
-  double span_idle_ns = 0.0;         ///< Span ctor+dtor, tracing off
-  std::uint64_t des_runs = 0;        ///< DES runs timed per variant
-  double des_obs_off_s = 0.0;        ///< instrumented loop, CT_OBS off
-  double des_obs_on_s = 0.0;         ///< instrumented loop, CT_OBS on
-  bool identical = false;            ///< outcomes bit-identical on vs off
-
-  /// Enabled-but-idle cost of the instrumentation on the DES hot loop
-  /// (0.02 = 2% slower; the acceptance bound).
-  double des_overhead() const noexcept {
-    return des_obs_off_s > 0.0 && des_obs_on_s > 0.0
-               ? des_obs_on_s / des_obs_off_s - 1.0
-               : 0.0;
-  }
-};
-
-/// Same line-merge format, separate BENCH_obs.json file tracking the
-/// observability overhead trajectory.
-void write_obs_bench_record(const ObsBenchRecord& record,
-                            const std::string& path = "BENCH_obs.json");
+/// Prints `rows` one per line: metric, median, unit, mad and reps, and
+/// NOT IDENTICAL when the row's group failed its identity check.
+void print_bench_rows(std::ostream& out, const std::vector<BenchRow>& rows);
 
 /// Runs the figure bench: returns 0 when the parallel outcome
 /// distributions are bit-identical to the serial ones (fidelity to the

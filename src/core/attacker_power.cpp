@@ -54,16 +54,4 @@ PowerScenarioResult analyze_with_power(
   return result;
 }
 
-std::vector<PowerScenarioResult> analyze_all_with_power(
-    const std::vector<scada::Configuration>& configs,
-    const threat::AttackerPower& power,
-    const std::vector<surge::HurricaneRealization>& realizations) {
-  std::vector<PowerScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& config : configs) {
-    out.push_back(analyze_with_power(config, power, realizations));
-  }
-  return out;
-}
-
 }  // namespace ct::core

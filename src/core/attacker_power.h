@@ -48,10 +48,4 @@ PowerScenarioResult analyze_with_power(
     const scada::Configuration& config, const threat::AttackerPower& power,
     const std::vector<surge::HurricaneRealization>& realizations);
 
-/// All configurations at once.
-std::vector<PowerScenarioResult> analyze_all_with_power(
-    const std::vector<scada::Configuration>& configs,
-    const threat::AttackerPower& power,
-    const std::vector<surge::HurricaneRealization>& realizations);
-
 }  // namespace ct::core

@@ -102,16 +102,18 @@ sim::FaultPlan ChaosRunner::shrink(const scada::Configuration& config,
 }
 
 ChaosReport ChaosRunner::sweep(const scada::Configuration& config) const {
-  return sweep_impl(config, nullptr);
+  // A one-thread pool has no workers: plans run inline, in plan order.
+  runtime::TaskPool serial(1);
+  return sweep_impl(config, serial);
 }
 
 ChaosReport ChaosRunner::sweep(const scada::Configuration& config,
                                runtime::EnsembleRunner& runtime) const {
-  return sweep_impl(config, &runtime.pool());
+  return sweep_impl(config, runtime.pool());
 }
 
 ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
-                                    runtime::TaskPool* pool) const {
+                                    runtime::TaskPool& pool) const {
   ChaosReport report;
   report.config_name = config.name;
   const sim::ScadaDes des(config, options_.des);
@@ -191,25 +193,13 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
   // Per-plan containment: one throwing plan (a DES bug, an injected fault)
   // must cost that plan, not the sweep. No retries — the DES is a pure
   // function of the plan, so a second attempt cannot heal anything.
-  if (pool != nullptr) {
-    const runtime::IsolatedRunResult isolated = pool->for_each_isolated(
-        plans, 1,
-        [&](std::size_t p, unsigned /*attempt*/,
-            const runtime::CancellationToken& /*token*/) { run_plan(p); });
-    for (const runtime::TaskFailure& f : isolated.failures) {
-      report.plan_failures.push_back(runtime::make_failure_record(
-          f, static_cast<std::uint64_t>(f.index), options_.base_seed));
-    }
-  } else {
-    for (std::size_t p = 0; p < plans; ++p) {
-      try {
-        run_plan(p);
-      } catch (...) {
-        runtime::TaskFailure f{p, 1, std::current_exception()};
-        report.plan_failures.push_back(runtime::make_failure_record(
-            f, static_cast<std::uint64_t>(p), options_.base_seed));
-      }
-    }
+  const runtime::IsolatedRunResult isolated = pool.for_each_isolated(
+      plans, 1,
+      [&](std::size_t p, unsigned /*attempt*/,
+          const runtime::CancellationToken& /*token*/) { run_plan(p); });
+  for (const runtime::TaskFailure& f : isolated.failures) {
+    report.plan_failures.push_back(runtime::make_failure_record(
+        f, static_cast<std::uint64_t>(f.index), options_.base_seed));
   }
 
   for (PlanResult& slot : per_plan) {
@@ -223,16 +213,6 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
     }
   }
   return report;
-}
-
-std::vector<ChaosReport> ChaosRunner::sweep_all(
-    const std::vector<scada::Configuration>& configs) const {
-  std::vector<ChaosReport> reports;
-  reports.reserve(configs.size());
-  for (const scada::Configuration& config : configs) {
-    reports.push_back(sweep(config));
-  }
-  return reports;
 }
 
 std::vector<ChaosReport> ChaosRunner::sweep_all(

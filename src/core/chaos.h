@@ -92,7 +92,7 @@ class ChaosRunner {
   explicit ChaosRunner(ChaosOptions options = {});
 
   /// Sweeps `options.plans` seeded benign plans x `options.scenarios`
-  /// over one configuration; any failure is shrunk and reported.
+  /// over one configuration, serially; any failure is shrunk and reported.
   ChaosReport sweep(const scada::Configuration& config) const;
 
   /// Runner-routed sweep: plans are simulated (and failing ones shrunk) on
@@ -102,11 +102,7 @@ class ChaosRunner {
   ChaosReport sweep(const scada::Configuration& config,
                     runtime::EnsembleRunner& runtime) const;
 
-  /// All configurations, one report each.
-  std::vector<ChaosReport> sweep_all(
-      const std::vector<scada::Configuration>& configs) const;
-
-  /// Runner-routed sweep_all (per-plan parallelism within each config).
+  /// Runner-routed sweep of every configuration, one report each.
   std::vector<ChaosReport> sweep_all(
       const std::vector<scada::Configuration>& configs,
       runtime::EnsembleRunner& runtime) const;
@@ -135,7 +131,7 @@ class ChaosRunner {
              const sim::FaultPlan& plan) const;
 
   ChaosReport sweep_impl(const scada::Configuration& config,
-                         runtime::TaskPool* pool) const;
+                         runtime::TaskPool& pool) const;
 
   ChaosOptions options_;
 };

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/csv.h"
-#include "util/json_writer.h"
 #include "util/strings.h"
 
 namespace ct::core {
@@ -88,10 +87,6 @@ const std::vector<PaperProfile>& paper_expected(std::string_view figure_id) {
   if (figure_id == "fig11") return profiles_fig11();
   throw std::invalid_argument("paper_expected: unknown figure id: " +
                               std::string(figure_id));
-}
-
-std::vector<std::string> paper_figure_ids() {
-  return {"fig6", "fig7", "fig8", "fig9", "fig10", "fig11"};
 }
 
 util::TextTable profile_table(const std::vector<ScenarioResult>& results) {
@@ -189,52 +184,6 @@ void write_profiles_csv(std::ostream& out, std::string_view figure_id,
       csv.end_row();
     }
   }
-}
-
-void write_profiles_json(std::ostream& out, std::string_view figure_id,
-                         const std::vector<ScenarioResult>& results,
-                         bool pretty) {
-  const std::vector<PaperProfile>* expected = nullptr;
-  try {
-    expected = &paper_expected(figure_id);
-  } catch (const std::invalid_argument&) {
-    expected = nullptr;  // custom figure id: no paper reference
-  }
-
-  util::JsonWriter json(out, pretty);
-  json.begin_object();
-  json.kv("figure", figure_id);
-  if (!results.empty()) {
-    json.kv("scenario", threat::scenario_name(results.front().scenario));
-    json.kv("realizations", results.front().outcomes.total());
-  }
-  json.key("configs").begin_array();
-  for (const ScenarioResult& r : results) {
-    json.begin_object();
-    json.kv("name", r.config_name);
-    json.key("measured").begin_object();
-    for (const OperationalState s :
-         {OperationalState::kGreen, OperationalState::kOrange,
-          OperationalState::kRed, OperationalState::kGray}) {
-      json.kv(threat::state_name(s), r.outcomes.probability(s));
-    }
-    json.end_object();
-    if (expected != nullptr) {
-      if (const PaperProfile* p = find_profile(*expected, r.config_name)) {
-        json.key("paper").begin_object();
-        json.kv("green", p->green).kv("orange", p->orange);
-        json.kv("red", p->red).kv("gray", p->gray);
-        json.end_object();
-      }
-    }
-    json.end_object();
-  }
-  json.end_array();
-  if (expected != nullptr) {
-    json.kv("max_abs_delta", max_abs_delta(results, *expected));
-  }
-  json.end_object();
-  out << '\n';
 }
 
 util::TextTable failure_summary_table(

@@ -27,9 +27,6 @@ struct PaperProfile {
 /// Throws std::invalid_argument for unknown ids.
 const std::vector<PaperProfile>& paper_expected(std::string_view figure_id);
 
-/// Valid figure ids, in paper order.
-std::vector<std::string> paper_figure_ids();
-
 /// Renders config x {green, orange, red, gray} probabilities.
 util::TextTable profile_table(const std::vector<ScenarioResult>& results);
 
@@ -45,13 +42,6 @@ double max_abs_delta(const std::vector<ScenarioResult>& results,
 /// Machine-readable CSV: figure, config, state, probability.
 void write_profiles_csv(std::ostream& out, std::string_view figure_id,
                         const std::vector<ScenarioResult>& results);
-
-/// Machine-readable JSON: one object per figure with per-config profiles,
-/// paper expectations (when the figure id is known), and deltas. Suitable
-/// for dashboards / notebooks.
-void write_profiles_json(std::ostream& out, std::string_view figure_id,
-                         const std::vector<ScenarioResult>& results,
-                         bool pretty = false);
 
 /// Renders the quarantine ledger of degraded results: one row per failed
 /// realization (config, realization index, seed, attempts, error code,

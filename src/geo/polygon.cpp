@@ -156,83 +156,6 @@ double Polygon::distance_to_boundary(Vec2 p) const noexcept {
   return std::sqrt(best2);
 }
 
-LineString::LineString(std::vector<Vec2> points) : points_(std::move(points)) {}
-
-double LineString::length() const noexcept {
-  double total = 0.0;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    total += ct::geo::distance(points_[i - 1], points_[i]);
-  }
-  return total;
-}
-
-std::optional<Vec2> LineString::nearest_point(Vec2 p) const noexcept {
-  if (points_.empty()) return std::nullopt;
-  if (points_.size() == 1) return points_.front();
-  Vec2 best = points_.front();
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    const Vec2 q = closest_point_on_segment(points_[i - 1], points_[i], p);
-    const double d2 = (q - p).norm2();
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = q;
-    }
-  }
-  return best;
-}
-
-double LineString::distance(Vec2 p) const noexcept {
-  const auto q = nearest_point(p);
-  if (!q) return std::numeric_limits<double>::infinity();
-  return ct::geo::distance(p, *q);
-}
-
-Vec2 LineString::at_arclength(double s) const {
-  if (points_.empty()) throw std::logic_error("LineString::at_arclength empty");
-  if (s <= 0.0) return points_.front();
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    const double seg = ct::geo::distance(points_[i - 1], points_[i]);
-    if (s <= seg && seg > 0.0) {
-      return points_[i - 1] + (points_[i] - points_[i - 1]) * (s / seg);
-    }
-    s -= seg;
-  }
-  return points_.back();
-}
-
-std::vector<Vec2> convex_hull(std::vector<Vec2> points) {
-  if (points.size() < 3) return points;
-  std::sort(points.begin(), points.end(), [](Vec2 a, Vec2 b) {
-    return a.x != b.x ? a.x < b.x : a.y < b.y;
-  });
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  if (points.size() < 3) return points;
-
-  std::vector<Vec2> hull(2 * points.size());
-  std::size_t k = 0;
-  // Lower hull.
-  for (const Vec2 p : points) {
-    while (k >= 2 &&
-           (hull[k - 1] - hull[k - 2]).cross(p - hull[k - 2]) <= 0.0) {
-      --k;
-    }
-    hull[k++] = p;
-  }
-  // Upper hull.
-  const std::size_t lower_size = k + 1;
-  for (std::size_t i = points.size() - 1; i-- > 0;) {
-    const Vec2 p = points[i];
-    while (k >= lower_size &&
-           (hull[k - 1] - hull[k - 2]).cross(p - hull[k - 2]) <= 0.0) {
-      --k;
-    }
-    hull[k++] = p;
-  }
-  hull.resize(k - 1);  // last point equals the first
-  return hull;
-}
-
 Vec2 closest_point_on_segment(Vec2 a, Vec2 b, Vec2 p) noexcept {
   const Vec2 ab = b - a;
   const double len2 = ab.norm2();

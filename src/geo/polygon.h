@@ -1,9 +1,8 @@
-// Planar polygon and polyline geometry: containment, area, distance.
-// Used for the island outline (land mask) and the shoreline polyline.
+// Planar polygon geometry: containment, area, distance. Used for the
+// island outline (land mask).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "geo/vec2.h"
@@ -72,35 +71,7 @@ class Polygon {
   std::vector<std::size_t> bucket_edges_;
 };
 
-/// Open polyline.
-class LineString {
- public:
-  LineString() = default;
-  explicit LineString(std::vector<Vec2> points);
-
-  const std::vector<Vec2>& points() const noexcept { return points_; }
-  std::size_t size() const noexcept { return points_.size(); }
-  bool empty() const noexcept { return points_.empty(); }
-  double length() const noexcept;
-
-  /// Closest point on the polyline to `p` (nullopt when empty).
-  std::optional<Vec2> nearest_point(Vec2 p) const noexcept;
-  /// Distance from `p` to the polyline (+inf when empty).
-  double distance(Vec2 p) const noexcept;
-
-  /// Point at arc-length `s` from the start, clamped to [0, length].
-  Vec2 at_arclength(double s) const;
-
- private:
-  std::vector<Vec2> points_;
-};
-
 /// Closest point on segment [a,b] to p.
 Vec2 closest_point_on_segment(Vec2 a, Vec2 b, Vec2 p) noexcept;
-
-/// Convex hull of a point set (Andrew's monotone chain), counter-clockwise,
-/// without the closing duplicate. Returns the input for fewer than 3
-/// points. Collinear boundary points are dropped.
-std::vector<Vec2> convex_hull(std::vector<Vec2> points);
 
 }  // namespace ct::geo

@@ -87,14 +87,6 @@ NodeId TriMesh::nearest_node(geo::Vec2 p) const noexcept {
   return static_cast<NodeId>(index_->nearest(p));
 }
 
-double TriMesh::element_signed_area2(ElementId id) const {
-  const auto& el = elements_.at(id);
-  const geo::Vec2 a = nodes_[el.nodes[0]].position;
-  const geo::Vec2 b = nodes_[el.nodes[1]].position;
-  const geo::Vec2 c = nodes_[el.nodes[2]].position;
-  return (b - a).cross(c - a);
-}
-
 std::optional<Barycentric> TriMesh::locate(geo::Vec2 p) const noexcept {
   // Candidate elements: those incident to the few nodes nearest p. For a
   // band mesh with bounded aspect ratio this covers the containing element
@@ -141,14 +133,6 @@ double TriMesh::interpolate(const NodeField& field, geo::Vec2 p) const {
     return v;
   }
   return field[nearest_node(p)];
-}
-
-double TriMesh::total_area() const noexcept {
-  double total = 0.0;
-  for (ElementId e = 0; e < elements_.size(); ++e) {
-    total += std::abs(element_signed_area2(e)) / 2.0;
-  }
-  return total;
 }
 
 }  // namespace ct::mesh

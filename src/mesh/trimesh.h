@@ -106,12 +106,6 @@ class TriMesh {
   /// value per node.
   double interpolate(const NodeField& field, geo::Vec2 p) const;
 
-  /// Signed double-area of an element (positive when counter-clockwise).
-  double element_signed_area2(ElementId id) const;
-
-  /// Total meshed area (sum of |element areas|).
-  double total_area() const noexcept;
-
  private:
   void check_node(NodeId id) const;
 

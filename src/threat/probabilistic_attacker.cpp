@@ -31,19 +31,6 @@ double binomial_pmf(int n, int k, double p) {
   return result;
 }
 
-AttackerCapability sample_capability(const AttackerPower& power,
-                                     util::Rng& rng) {
-  validate(power);
-  AttackerCapability capability;
-  for (int i = 0; i < power.intrusion_attempts; ++i) {
-    if (rng.bernoulli(power.intrusion_success)) ++capability.intrusions;
-  }
-  for (int i = 0; i < power.isolation_attempts; ++i) {
-    if (rng.bernoulli(power.isolation_success)) ++capability.isolations;
-  }
-  return capability;
-}
-
 double capability_probability(const AttackerPower& power, int intrusions,
                               int isolations) {
   validate(power);
@@ -51,18 +38,6 @@ double capability_probability(const AttackerPower& power, int intrusions,
                       power.intrusion_success) *
          binomial_pmf(power.isolation_attempts, isolations,
                       power.isolation_success);
-}
-
-ProbabilisticAttacker::ProbabilisticAttacker(AttackerPower power)
-    : power_(power) {
-  validate(power_);
-}
-
-SystemState ProbabilisticAttacker::attack(const scada::Configuration& config,
-                                          SystemState state,
-                                          util::Rng& rng) const {
-  const AttackerCapability capability = sample_capability(power_, rng);
-  return greedy_.attack(config, std::move(state), capability);
 }
 
 }  // namespace ct::threat

@@ -15,7 +15,6 @@
 
 #include "threat/attacker.h"
 #include "threat/scenario.h"
-#include "util/rng.h"
 
 namespace ct::threat {
 
@@ -31,30 +30,9 @@ struct AttackerPower {
 /// throws std::invalid_argument otherwise.
 void validate(const AttackerPower& power);
 
-/// Draws the realized capability: Binomial(attempts, success) per attack
-/// class.
-AttackerCapability sample_capability(const AttackerPower& power,
-                                     util::Rng& rng);
-
 /// Exact probability that the realized capability equals {i, s}.
 double capability_probability(const AttackerPower& power, int intrusions,
                               int isolations);
-
-/// Samples a capability and applies the greedy worst-case attack with it.
-class ProbabilisticAttacker {
- public:
-  explicit ProbabilisticAttacker(AttackerPower power);
-
-  /// One realization of the attack (consumes randomness from `rng`).
-  SystemState attack(const scada::Configuration& config, SystemState state,
-                     util::Rng& rng) const;
-
-  const AttackerPower& power() const noexcept { return power_; }
-
- private:
-  AttackerPower power_;
-  GreedyWorstCaseAttacker greedy_;
-};
 
 /// Exact binomial pmf helper (n up to ~60; uses the multiplicative form to
 /// stay stable).

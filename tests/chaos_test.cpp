@@ -4,6 +4,10 @@
 // replayable reproducer.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/chaos.h"
 #include "core/evaluator.h"
 #include "scada/configuration.h"
@@ -61,6 +65,83 @@ TEST(Chaos, RestartHeavySweepIsCleanOnPrimaryBackup) {
   const ChaosReport report = runner.sweep(scada::make_config_2_2("p", "b"));
   EXPECT_TRUE(report.ok()) << report.findings.size() << " finding(s), first: "
                            << report.findings.front().replay_schedule;
+}
+
+void expect_same_report(const ChaosReport& serial, const ChaosReport& pooled) {
+  EXPECT_EQ(serial.config_name, pooled.config_name);
+  EXPECT_EQ(serial.plans_run, pooled.plans_run);
+  EXPECT_EQ(serial.runs, pooled.runs);
+  EXPECT_EQ(serial.total_drops, pooled.total_drops);
+  EXPECT_EQ(serial.total_duplicates, pooled.total_duplicates);
+  EXPECT_EQ(serial.total_rejoins, pooled.total_rejoins);
+  ASSERT_EQ(serial.findings.size(), pooled.findings.size());
+  for (std::size_t i = 0; i < serial.findings.size(); ++i) {
+    const ChaosFinding& a = serial.findings[i];
+    const ChaosFinding& b = pooled.findings[i];
+    EXPECT_EQ(a.config_name, b.config_name);
+    EXPECT_EQ(a.plan_seed, b.plan_seed);
+    EXPECT_EQ(a.scenario, b.scenario);
+    EXPECT_EQ(a.expected, b.expected);
+    EXPECT_EQ(a.observed, b.observed);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.minimal_plan, b.minimal_plan);
+    EXPECT_EQ(a.replay_schedule, b.replay_schedule);
+  }
+  ASSERT_EQ(serial.plan_failures.size(), pooled.plan_failures.size());
+  for (std::size_t i = 0; i < serial.plan_failures.size(); ++i) {
+    const runtime::FailureRecord& a = serial.plan_failures[i];
+    const runtime::FailureRecord& b = pooled.plan_failures[i];
+    EXPECT_EQ(a.realization, b.realization);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.attempts, b.attempts);
+    EXPECT_EQ(a.code, b.code);
+    EXPECT_EQ(a.origin, b.origin);
+    EXPECT_EQ(a.message, b.message);
+  }
+}
+
+TEST(Chaos, PooledSweepEqualsSerialAtJobs2And8) {
+  // Benign and restart-heavy plans, plus two variants that fill the
+  // report's other fields: long outages moved into the availability
+  // window (findings, shrunk to replayable schedules) and restart bounds
+  // no plan can meet (every plan throws: plan failures).
+  ChaosOptions benign;
+  benign.plans = 3;
+  ChaosOptions restart = benign;
+  restart.plans = 2;
+  restart.plan_style = ChaosOptions::PlanStyle::kRestartHeavy;
+  ChaosOptions late = benign;
+  late.plans = 2;
+  late.shape.window_from_s = late.des.horizon_s - late.des.settle_window_s;
+  late.shape.max_site_flap_duration_s = late.des.settle_window_s;
+  late.shape.max_crash_duration_s = late.des.settle_window_s;
+  ChaosOptions throwing = restart;
+  throwing.restart_shape.min_restarts = 0;
+
+  std::vector<std::unique_ptr<runtime::EnsembleRunner>> runners;
+  for (const unsigned jobs : {2u, 8u}) {
+    runtime::EnsembleOptions options;
+    options.jobs = jobs;
+    runners.push_back(std::make_unique<runtime::EnsembleRunner>(options));
+  }
+  std::size_t findings = 0;
+  std::size_t plan_failures = 0;
+  for (const ChaosOptions& options : {benign, restart, late, throwing}) {
+    const ChaosRunner chaos(options);
+    for (const scada::Configuration& config :
+         scada::paper_configurations("p", "b", "d")) {
+      const ChaosReport serial = chaos.sweep(config);
+      findings += serial.findings.size();
+      plan_failures += serial.plan_failures.size();
+      for (const auto& runner : runners) {
+        SCOPED_TRACE(config.name + " at jobs " +
+                     std::to_string(runner->pool().parallelism()));
+        expect_same_report(serial, chaos.sweep(config, *runner));
+      }
+    }
+  }
+  EXPECT_GT(findings, 0u);
+  EXPECT_EQ(plan_failures, 5u * 2u);
 }
 
 class CompromiseProbe

@@ -360,67 +360,11 @@ TEST(PolygonIndex, NonFiniteOutlinesMatchPlainScan) {
   }
 }
 
-// ---------------------------------------------------------------- linestring
-
-TEST(LineString, LengthAndArclength) {
-  const LineString line({{0, 0}, {3, 0}, {3, 4}});
-  EXPECT_DOUBLE_EQ(line.length(), 7.0);
-  EXPECT_EQ(line.at_arclength(0.0), (Vec2{0, 0}));
-  EXPECT_EQ(line.at_arclength(3.0), (Vec2{3, 0}));
-  EXPECT_EQ(line.at_arclength(5.0), (Vec2{3, 2}));
-  EXPECT_EQ(line.at_arclength(100.0), (Vec2{3, 4}));  // clamped
-}
-
-TEST(LineString, NearestPointAndDistance) {
-  const LineString line({{0, 0}, {10, 0}});
-  const auto nearest = line.nearest_point({5.0, 3.0});
-  ASSERT_TRUE(nearest.has_value());
-  EXPECT_EQ(*nearest, (Vec2{5.0, 0.0}));
-  EXPECT_DOUBLE_EQ(line.distance({5.0, 3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(line.distance({-3.0, 4.0}), 5.0);  // clamps to endpoint
-  EXPECT_TRUE(std::isinf(LineString().distance({0, 0})));
-}
-
 TEST(ClosestPointOnSegment, ClampsToEndpoints) {
   EXPECT_EQ(closest_point_on_segment({0, 0}, {10, 0}, {5, 5}), (Vec2{5, 0}));
   EXPECT_EQ(closest_point_on_segment({0, 0}, {10, 0}, {-5, 5}), (Vec2{0, 0}));
   EXPECT_EQ(closest_point_on_segment({0, 0}, {10, 0}, {15, 5}), (Vec2{10, 0}));
   EXPECT_EQ(closest_point_on_segment({2, 2}, {2, 2}, {0, 0}), (Vec2{2, 2}));
-}
-
-// ---------------------------------------------------------------- hull
-
-TEST(ConvexHull, SquareWithInteriorPoints) {
-  const std::vector<Vec2> pts = {{0, 0}, {2, 0}, {2, 2}, {0, 2}, {1, 1},
-                                 {0.5, 0.5}, {1.5, 0.2}};
-  const auto hull = convex_hull(pts);
-  EXPECT_EQ(hull.size(), 4u);
-}
-
-TEST(ConvexHull, CollinearPointsDropped) {
-  const auto hull = convex_hull({{0, 0}, {1, 0}, {2, 0}, {2, 2}, {1, 1}});
-  EXPECT_EQ(hull.size(), 3u);
-}
-
-TEST(ConvexHull, HullContainsAllPoints) {
-  util::Rng rng(35);
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 200; ++i) {
-    pts.push_back({rng.normal(0, 10), rng.normal(0, 10)});
-  }
-  const auto hull_pts = convex_hull(pts);
-  ASSERT_GE(hull_pts.size(), 3u);
-  const Polygon hull(hull_pts);
-  for (const Vec2 p : pts) {
-    // Interior or on boundary: allow a tiny tolerance via inflation check.
-    EXPECT_TRUE(hull.contains(p) || hull.distance_to_boundary(p) < 1e-6);
-  }
-}
-
-TEST(ConvexHull, SmallInputsPassThrough) {
-  EXPECT_TRUE(convex_hull({}).empty());
-  EXPECT_EQ(convex_hull({{1, 2}}).size(), 1u);
-  EXPECT_EQ(convex_hull({{1, 2}, {3, 4}}).size(), 2u);
 }
 
 // ---------------------------------------------------------------- grid index

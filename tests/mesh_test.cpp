@@ -84,9 +84,6 @@ TEST(TriMesh, InterpolationFallsBackToNearestOutside) {
 }
 
 TEST(TriMesh, AreasAndValidation) {
-  const TriMesh mesh = square_mesh();
-  EXPECT_DOUBLE_EQ(mesh.element_signed_area2(0), 1.0);  // 2 * 0.5
-  EXPECT_NEAR(mesh.total_area(), 1.0, 1e-12);
   EXPECT_THROW(TriMesh({}, {}), std::invalid_argument);
   std::vector<Node> one(1);
   EXPECT_THROW(TriMesh(std::move(one), {{{0, 1, 2}}}), std::out_of_range);

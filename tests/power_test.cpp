@@ -7,7 +7,6 @@
 #include "core/pipeline.h"
 #include "scada/configuration.h"
 #include "threat/probabilistic_attacker.h"
-#include "util/rng.h"
 
 namespace ct::threat {
 namespace {
@@ -59,53 +58,6 @@ TEST(AttackerPower, CapabilityProbabilityFactorizes) {
     for (int s = 0; s <= 1; ++s) total += capability_probability(power, i, s);
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(AttackerPower, SampleMatchesExactDistribution) {
-  AttackerPower power;
-  power.intrusion_attempts = 1;
-  power.isolation_attempts = 1;
-  power.intrusion_success = 0.3;
-  power.isolation_success = 0.7;
-  util::Rng rng(101);
-  const int n = 50000;
-  int intrusions = 0;
-  int isolations = 0;
-  for (int i = 0; i < n; ++i) {
-    const AttackerCapability c = sample_capability(power, rng);
-    intrusions += c.intrusions;
-    isolations += c.isolations;
-  }
-  EXPECT_NEAR(static_cast<double>(intrusions) / n, 0.3, 0.01);
-  EXPECT_NEAR(static_cast<double>(isolations) / n, 0.7, 0.01);
-}
-
-TEST(ProbabilisticAttacker, FullPowerEqualsWorstCase) {
-  const scada::Configuration config = scada::make_config_6_6("p", "b");
-  SystemState base;
-  base.site_status = {SiteStatus::kUp, SiteStatus::kUp};
-  base.intrusions = {0, 0};
-
-  AttackerPower certain;  // defaults: 1 attempt each, success 1.0
-  const ProbabilisticAttacker attacker(certain);
-  util::Rng rng(5);
-  const SystemState probabilistic = attacker.attack(config, base, rng);
-  const SystemState worst =
-      GreedyWorstCaseAttacker{}.attack(config, base, {1, 1});
-  EXPECT_EQ(probabilistic, worst);
-}
-
-TEST(ProbabilisticAttacker, ZeroPowerLeavesStateUntouched) {
-  const scada::Configuration config = scada::make_config_2("p");
-  SystemState base;
-  base.site_status = {SiteStatus::kUp};
-  base.intrusions = {0};
-  AttackerPower powerless;
-  powerless.intrusion_success = 0.0;
-  powerless.isolation_success = 0.0;
-  const ProbabilisticAttacker attacker(powerless);
-  util::Rng rng(6);
-  EXPECT_EQ(attacker.attack(config, base, rng), base);
 }
 
 }  // namespace
@@ -227,15 +179,6 @@ TEST(AnalyzeWithPower, MultipleAttemptsStrictlyStronger) {
                               .outcomes.probability(OperationalState::kGray);
   EXPECT_DOUBLE_EQ(gray_one, 0.0);
   EXPECT_NEAR(gray_two, 0.81, 1e-12);
-}
-
-TEST(AnalyzeAllWithPower, CoversConfigs) {
-  const auto configs = scada::paper_configurations("hon", "waiau", "dc");
-  const std::vector<surge::HurricaneRealization> batch = {realization_with({})};
-  const auto results =
-      analyze_all_with_power(configs, threat::AttackerPower{}, batch);
-  ASSERT_EQ(results.size(), 5u);
-  EXPECT_EQ(results[4].config_name, "6+6+6");
 }
 
 }  // namespace
