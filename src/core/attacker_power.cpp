@@ -18,15 +18,6 @@ double OutcomeMixture::probability(threat::OperationalState s) const noexcept {
   return total_ > 0.0 ? mass(s) / total_ : 0.0;
 }
 
-double OutcomeMixture::expected_badness() const noexcept {
-  if (total_ <= 0.0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < mass_.size(); ++i) {
-    sum += static_cast<double>(i) * mass_[i];
-  }
-  return sum / total_;
-}
-
 PowerScenarioResult analyze_with_power(
     const scada::Configuration& config, const threat::AttackerPower& power,
     const std::vector<surge::HurricaneRealization>& realizations) {

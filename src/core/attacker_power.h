@@ -28,7 +28,6 @@ class OutcomeMixture {
   double total() const noexcept { return total_; }
   /// Normalized probability (0 when empty).
   double probability(threat::OperationalState s) const noexcept;
-  double expected_badness() const noexcept;
 
  private:
   std::array<double, 4> mass_{};

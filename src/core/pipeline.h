@@ -141,7 +141,8 @@ class AnalysisPipeline {
       const surge::HurricaneRealization& realization) const;
 
   /// Aggregates outcome probabilities over a realization set: the serial,
-  /// uncached reference the runner-routed paths are tested against.
+  /// uncached reference the runner-routed paths are tested against. No
+  /// command runs it; tests compare the batch path and the sweep with it.
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;

@@ -128,7 +128,7 @@ RealizationCosts realization_costs(
     const scada::Configuration& config,
     const threat::GreedyWorstCaseAttacker& attacker,
     const threat::AttackerCapability& capability,
-    const surge::HurricaneRealization& realization, std::size_t index,
+    const surge::HurricaneRealization& realization,
     const RestorationModel& model, std::size_t samples_per_realization,
     const util::Rng& base) {
   const SystemState post_disaster = threat::post_disaster_state(
@@ -141,7 +141,7 @@ RealizationCosts realization_costs(
   RealizationCosts costs;
   costs.expected = expected_incident_costs(config, attacked, model);
   if (samples_per_realization > 0) {
-    util::Rng rng = base.child("realization", index);
+    util::Rng rng = base.child("realization", realization.index);
     costs.sampled_downtimes.reserve(samples_per_realization);
     for (std::size_t s = 0; s < samples_per_realization; ++s) {
       costs.sampled_downtimes.push_back(
@@ -204,7 +204,7 @@ RestorationResult analyze_restoration(
   std::vector<RealizationCosts> per_realization(realizations.size());
   for (std::size_t r = 0; r < realizations.size(); ++r) {
     per_realization[r] =
-        realization_costs(config, attacker, capability, realizations[r], r,
+        realization_costs(config, attacker, capability, realizations[r],
                           model, samples_per_realization, base);
   }
   return fold_costs(config, scenario, per_realization);
@@ -225,7 +225,7 @@ RestorationResult analyze_restoration(
       realizations.size(), runtime.options().chunk, [&](std::size_t r) {
         per_realization[r] =
             realization_costs(config, attacker, capability, realizations[r],
-                              r, model, samples_per_realization, base);
+                              model, samples_per_realization, base);
       });
   return fold_costs(config, scenario, per_realization);
 }

@@ -13,28 +13,6 @@ double rad_to_deg(double rad) noexcept {
   return rad * 180.0 / std::numbers::pi;
 }
 
-double haversine_m(GeoPoint a, GeoPoint b) noexcept {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  const double lat2 = deg_to_rad(b.lat_deg);
-  const double dlat = lat2 - lat1;
-  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
-  const double s1 = std::sin(dlat / 2.0);
-  const double s2 = std::sin(dlon / 2.0);
-  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
-  return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(h)));
-}
-
-double initial_bearing_deg(GeoPoint a, GeoPoint b) noexcept {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  const double lat2 = deg_to_rad(b.lat_deg);
-  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  const double bearing = rad_to_deg(std::atan2(y, x));
-  return std::fmod(bearing + 360.0, 360.0);
-}
-
 GeoPoint destination(GeoPoint start, double bearing_deg,
                      double distance_m) noexcept {
   const double delta = distance_m / kEarthRadiusM;

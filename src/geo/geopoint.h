@@ -23,12 +23,6 @@ struct GeoPoint {
 double deg_to_rad(double deg) noexcept;
 double rad_to_deg(double rad) noexcept;
 
-/// Great-circle distance in meters (haversine formula).
-double haversine_m(GeoPoint a, GeoPoint b) noexcept;
-
-/// Initial bearing from `a` to `b`, degrees clockwise from north in [0,360).
-double initial_bearing_deg(GeoPoint a, GeoPoint b) noexcept;
-
 /// Point reached from `start` travelling `distance_m` along `bearing_deg`
 /// on a sphere.
 GeoPoint destination(GeoPoint start, double bearing_deg,

@@ -92,12 +92,6 @@ std::size_t GridIndex::nearest(Vec2 query) const noexcept {
   return best;
 }
 
-std::vector<std::size_t> GridIndex::within(Vec2 query, double radius) const {
-  std::vector<std::size_t> out;
-  within(query, radius, out);
-  return out;
-}
-
 void GridIndex::within(Vec2 query, double radius,
                        std::vector<std::size_t>& out) const {
   out.clear();

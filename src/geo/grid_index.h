@@ -1,6 +1,5 @@
-// Uniform-grid spatial index over planar points. The mesh uses it for
-// nearest-node queries (asset -> mesh node lookup happens for every asset in
-// every one of the 1000 realizations, so brute force would dominate).
+// Uniform-grid spatial index over planar points: the inundation mapper's
+// nearest-station queries and the harbor's shelter scan use it.
 #pragma once
 
 #include <cstddef>
@@ -25,11 +24,8 @@ class GridIndex {
   /// Index of the nearest point, or npos when the set is empty.
   std::size_t nearest(Vec2 query) const noexcept;
 
-  /// All point indices within `radius` of `query` (unordered).
-  std::vector<std::size_t> within(Vec2 query, double radius) const;
-
-  /// Allocation-free variant for hot callers: clears `out` and appends the
-  /// indices within `radius`. Reusing one `out` vector across queries makes
+  /// Clears `out` and appends the indices of the points within `radius` of
+  /// `query` (unordered). Reusing one `out` vector across queries makes
   /// steady-state lookups allocation-free once its capacity has grown.
   void within(Vec2 query, double radius, std::vector<std::size_t>& out) const;
 

@@ -1,16 +1,12 @@
 // Unstructured triangular mesh, the discretization the surge solver runs
 // on (the stand-in for the paper's ADCIRC mesh). Stores nodes with
-// elevation, triangle elements, node adjacency, and supports point
-// location + barycentric interpolation of node fields.
+// elevation, triangle elements and node adjacency.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "geo/grid_index.h"
 #include "geo/vec2.h"
 
 namespace ct::mesh {
@@ -40,14 +36,8 @@ struct Element {
 /// A scalar field sampled at mesh nodes (e.g. water surface elevation).
 using NodeField = std::vector<double>;
 
-/// Barycentric coordinates of a point within an element.
-struct Barycentric {
-  ElementId element = 0;
-  std::array<double, 3> weights{};
-};
-
-/// Contiguous read-only view over one CSR row (a node's neighbor or
-/// incident-element list). Cheap to copy; valid while the mesh lives.
+/// Contiguous read-only view over one CSR row (a node's neighbor list).
+/// Cheap to copy; valid while the mesh lives.
 template <typename T>
 class CsrRow {
  public:
@@ -87,25 +77,6 @@ class TriMesh {
             adjacency_.data() + adj_offsets_[id + 1]};
   }
 
-  /// Element ids incident to node `id` (CSR row).
-  CsrRow<ElementId> node_elements(NodeId id) const {
-    check_node(id);
-    return {node_elements_.data() + elem_offsets_[id],
-            node_elements_.data() + elem_offsets_[id + 1]};
-  }
-
-  /// Nearest mesh node to a planar point.
-  NodeId nearest_node(geo::Vec2 p) const noexcept;
-
-  /// Locates the element containing `p`, if any; checks elements incident
-  /// to nodes near `p` (sufficient for points inside the meshed band).
-  std::optional<Barycentric> locate(geo::Vec2 p) const noexcept;
-
-  /// Interpolates a node field at `p`: barycentric inside the mesh, nearest
-  /// node value when `p` falls outside all elements. `field` must have one
-  /// value per node.
-  double interpolate(const NodeField& field, geo::Vec2 p) const;
-
  private:
   void check_node(NodeId id) const;
 
@@ -117,9 +88,6 @@ class TriMesh {
   // is part of every surge result's bits.
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<NodeId> adjacency_;
-  std::vector<std::uint32_t> elem_offsets_;
-  std::vector<ElementId> node_elements_;
-  std::unique_ptr<geo::GridIndex> index_;
 };
 
 }  // namespace ct::mesh

@@ -19,8 +19,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Durable-write telemetry: fsync'd-publish latency and total journal
-/// bytes, folded at the single site every checkpoint publish funnels through.
+/// Durable-write telemetry: fsync'd-write latency, write count and total
+/// bytes, folded at the single site every checkpoint write funnels through.
 struct CheckpointMetrics {
   obs::Histogram flush_us{"checkpoint.flush_us"};
   obs::Counter flushes{"checkpoint.flushes"};
@@ -57,14 +57,23 @@ util::CrashHook crash_site(const CrashProfile& crash) {
   };
 }
 
-/// Durable atomic publish of a snapshot or a fresh journal header.
-bool publish(const std::string& path, const std::string& contents,
-             const CrashProfile& crash) {
+/// Meters one durable write of `bytes`, which `write` performs: a
+/// published header or snapshot, or an appended journal record.
+template <typename Write>
+bool metered_write(std::string_view bytes, const Write& write) {
   CheckpointMetrics& m = checkpoint_metrics();
   obs::ScopedTimer timer(m.flush_us);
   m.flushes.inc();
-  m.journal_bytes.inc(contents.size());
-  return util::atomic_write_file(path, contents, crash_site(crash));
+  m.journal_bytes.inc(bytes.size());
+  return write();
+}
+
+/// Durable atomic publish of a snapshot or a fresh journal header.
+bool publish(const std::string& path, const std::string& contents,
+             const CrashProfile& crash) {
+  return metered_write(contents, [&] {
+    return util::atomic_write_file(path, contents, crash_site(crash));
+  });
 }
 
 // --- frames -----------------------------------------------------------------
@@ -432,7 +441,9 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
   put_state(w, {{begin, end}}, retries_delta, delta, slice_failures);
   const std::string record =
       util::seal_frame(fields(kRecord, next_seq_), w.bytes());
-  if (!util::durable_append(fd_, record, crash_site(crash_))) {
+  if (!metered_write(record, [&] {
+        return util::durable_append(fd_, record, crash_site(crash_));
+      })) {
     CT_LOG(kWarn, "checkpoint")
         << "event=checkpoint_disabled file=" << journal_path()
         << " reason=append-write-failed";

@@ -2,15 +2,6 @@
 
 namespace ct::scada {
 
-std::string_view site_role_name(SiteRole r) noexcept {
-  switch (r) {
-    case SiteRole::kPrimary: return "primary";
-    case SiteRole::kBackup: return "backup";
-    case SiteRole::kDataCenter: return "data center";
-  }
-  return "?";
-}
-
 int Configuration::total_replicas() const noexcept {
   int total = 0;
   for (const ControlSite& s : sites) total += s.replicas;
@@ -23,13 +14,6 @@ std::vector<std::size_t> Configuration::sites_with_role(SiteRole r) const {
     if (sites[i].role == r) out.push_back(i);
   }
   return out;
-}
-
-std::size_t Configuration::site_index(std::string_view asset_id) const noexcept {
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (sites[i].asset_id == asset_id) return i;
-  }
-  return npos;
 }
 
 // Each factory initializes the name instead of assigning a literal to it:

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace ct::scada {
@@ -17,8 +16,6 @@ enum class SiteRole {
   kBackup,      ///< Backup control center (cold in "2-2"/"6-6", hot in "6+6+6").
   kDataCenter,  ///< Additional active replication site ("6+6+6").
 };
-
-std::string_view site_role_name(SiteRole r) noexcept;
 
 /// One control site of a configuration.
 struct ControlSite {
@@ -62,10 +59,6 @@ struct Configuration {
   int total_replicas() const noexcept;
   /// Sites with the given role, in declaration order.
   std::vector<std::size_t> sites_with_role(SiteRole r) const;
-  /// Index of the site hosted on `asset_id`, or npos.
-  std::size_t site_index(std::string_view asset_id) const noexcept;
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
 /// Factories for the paper's five architectures. Arguments are the asset

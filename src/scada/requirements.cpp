@@ -39,14 +39,6 @@ int bft_quorum(int n, int f) {
   return (n + f + 2) / 2;  // ceil((n + f + 1) / 2)
 }
 
-bool bft_can_make_progress(int n, int connected, int f, int k) {
-  check_fk(f, k);
-  if (connected < 0 || connected > n) {
-    throw std::invalid_argument("bft_can_make_progress: bad connected count");
-  }
-  return connected - f - k >= bft_quorum(n, f);
-}
-
 std::string explain_single_site(int f, int k) {
   const int n = min_replicas_single_site(f, k);
   return "tolerating f=" + std::to_string(f) + " intrusions with k=" +

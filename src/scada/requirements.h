@@ -29,13 +29,6 @@ int min_replicas_per_site_active(int sites, int f, int k);
 ///   q = ceil((n + f + 1) / 2)    (4 of 6 for f=1).
 int bft_quorum(int n, int f);
 
-/// True when `connected` replicas (correct + compromised, still reachable)
-/// out of an n-replica group suffice for liveness given f intrusions and k
-/// concurrently recovering replicas among the connected ones: the attacker
-/// and recovery may silence f + k of them, so progress needs
-///   connected - f - k >= bft_quorum(n, f).
-bool bft_can_make_progress(int n, int connected, int f, int k);
-
 /// Human-readable derivation (used by the quickstart example and docs).
 std::string explain_single_site(int f, int k);
 std::string explain_active_multisite(int sites, int f, int k);

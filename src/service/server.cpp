@@ -248,8 +248,6 @@ ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ServerStats out = stats_;
   out.queue_depth = queue_.size();
-  out.cache = shared_runtime_.cache_stats();
-  out.des = sim::des_counters_snapshot();
   return out;
 }
 
@@ -581,21 +579,6 @@ std::string Server::render_stats(bool json) const {
     w.kv("max_latency_ms", s.max_latency_ms);
     w.kv("quarantined", s.quarantined);
     w.kv("chunks_streamed", s.chunks_streamed);
-    w.key("cache");
-    w.begin_object();
-    w.kv("lookups", s.cache.lookups);
-    w.kv("hits", s.cache.hits);
-    w.kv("disk_hits", s.cache.disk_hits);
-    w.kv("corrupt_discarded", s.cache.corrupt_discarded);
-    w.kv("write_failures", s.cache.write_failures);
-    w.end_object();
-    w.key("des");
-    w.begin_object();
-    w.kv("runs", s.des.runs);
-    w.kv("events", s.des.events);
-    w.kv("wall_ms", s.des.wall_ms);
-    w.kv("events_per_second", s.des.events_per_second());
-    w.end_object();
     w.end_object();
     os << "\n";
     return os.str();
@@ -619,13 +602,6 @@ std::string Server::render_stats(bool json) const {
   row("max latency ms", s.max_latency_ms);
   row("quarantined", s.quarantined);
   row("chunks streamed", s.chunks_streamed);
-  row("cache lookups", s.cache.lookups);
-  row("cache hits", s.cache.hits);
-  row("cache disk hits", s.cache.disk_hits);
-  row("des runs", s.des.runs);
-  row("des events", s.des.events);
-  row("des events/sec",
-      static_cast<std::uint64_t>(s.des.events_per_second()));
   table.render(os);
   return os.str();
 }

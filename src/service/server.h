@@ -42,7 +42,6 @@
 #include "runtime/ensemble_runner.h"
 #include "service/exec.h"
 #include "service/protocol.h"
-#include "sim/scada_des.h"
 
 namespace ct::service {
 
@@ -82,7 +81,9 @@ struct ServerOptions {
   core::CaseStudyOptions defaults;
 };
 
-/// Counters behind the kStats request (and the test hooks).
+/// The server's own counters: the kStats reply (and the test hooks). The
+/// result cache and the DES count into the metrics registry, which the
+/// kMetrics reply serves as `cache.*` and `des.*`.
 struct ServerStats {
   std::uint64_t connections = 0;        ///< accepted over the lifetime
   std::uint64_t active_sessions = 0;    ///< currently connected
@@ -97,8 +98,6 @@ struct ServerStats {
   std::uint64_t max_latency_ms = 0;
   std::uint64_t quarantined = 0;        ///< summed over completed requests
   std::uint64_t chunks_streamed = 0;
-  runtime::ResultStore::Stats cache;    ///< shared runtime's result cache
-  sim::DesCounters des;                 ///< process-wide DES throughput
 };
 
 class Server {

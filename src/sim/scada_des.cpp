@@ -115,15 +115,6 @@ bool des_outcomes_identical(const DesOutcome& a, const DesOutcome& b) {
          a.stable_checkpoints == b.stable_checkpoints;
 }
 
-DesCounters des_counters_snapshot() {
-  DesMetrics& m = des_metrics();
-  DesCounters c;
-  c.runs = m.runs.value();
-  c.events = m.events.value();
-  c.wall_ms = static_cast<double>(m.wall_us.value()) / 1000.0;
-  return c;
-}
-
 ScadaDes::ScadaDes(scada::Configuration config, DesOptions options)
     : config_(std::move(config)), options_(options) {
   if (config_.sites.empty()) {

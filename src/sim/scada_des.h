@@ -102,20 +102,6 @@ struct DesOutcome {
 /// timeline, must match exactly.
 bool des_outcomes_identical(const DesOutcome& a, const DesOutcome& b);
 
-/// Aggregate DES throughput counters, accumulated process-wide across every
-/// ScadaDes run (fast or reference). Surfaced by `ctctl stats` and the
-/// service kStats reply next to the cache statistics.
-struct DesCounters {
-  std::uint64_t runs = 0;
-  std::uint64_t events = 0;
-  double wall_ms = 0.0;
-
-  double events_per_second() const noexcept {
-    return wall_ms > 0.0 ? events / (wall_ms / 1000.0) : 0.0;
-  }
-};
-DesCounters des_counters_snapshot();
-
 /// Reusable simulator + network arena. A chaos sweep runs hundreds of
 /// plans back-to-back; constructing the engine fresh each time re-pays the
 /// event-slab, heap, and message-pool warmup. Passing one DesArena across
@@ -189,7 +175,8 @@ class ScadaDes {
   /// binary heap, per-delivery message copies, std::map bookkeeping) kept
   /// verbatim in sim/reference_des.cpp. Every run() outcome must equal the
   /// matching run_reference() outcome field-for-field (excluding the
-  /// sim_wall_ms / events_per_second measurements).
+  /// sim_wall_ms / events_per_second measurements). No command runs it;
+  /// des_fastpath_test and bench_micro compare run() with it.
   DesOutcome run_reference(const threat::SystemState& attacked_state) const;
   DesOutcome run_reference(const threat::SystemState& attacked_state,
                            const FaultPlan& plan) const;

@@ -1,8 +1,5 @@
 #include "storm/saffir_simpson.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace ct::storm {
 
 double category_min_wind_ms(Category c) noexcept {
@@ -36,29 +33,6 @@ Category category_for_wind(double wind_ms) noexcept {
   if (wind_ms >= 43.0) return Category::kCat2;
   if (wind_ms >= 33.0) return Category::kCat1;
   return Category::kTropicalStorm;
-}
-
-double central_pressure_for_wind(double wind_ms, double ambient_pa) noexcept {
-  // Atkinson-Holliday: v[m/s] = 3.4 * dp[hPa]^0.644  =>  dp = (v/3.4)^(1/0.644)
-  const double dp_hpa = std::pow(std::max(0.0, wind_ms) / 3.4, 1.0 / 0.644);
-  return ambient_pa - dp_hpa * 100.0;
-}
-
-double wind_for_central_pressure(double pc_pa, double ambient_pa) noexcept {
-  const double dp_hpa = std::max(0.0, (ambient_pa - pc_pa) / 100.0);
-  return 3.4 * std::pow(dp_hpa, 0.644);
-}
-
-std::string_view category_name(Category c) noexcept {
-  switch (c) {
-    case Category::kTropicalStorm: return "TS";
-    case Category::kCat1: return "Cat1";
-    case Category::kCat2: return "Cat2";
-    case Category::kCat3: return "Cat3";
-    case Category::kCat4: return "Cat4";
-    case Category::kCat5: return "Cat5";
-  }
-  return "?";
 }
 
 }  // namespace ct::storm

@@ -1,8 +1,6 @@
-// Saffir-Simpson hurricane wind scale and the standard wind/pressure
-// relationships used to parameterize synthetic storms.
+// Saffir-Simpson hurricane wind scale, the bands synthetic storms are
+// calibrated against.
 #pragma once
-
-#include <string_view>
 
 namespace ct::storm {
 
@@ -25,17 +23,5 @@ double category_max_wind_ms(Category c) noexcept;
 
 /// Category for a 1-minute sustained wind speed.
 Category category_for_wind(double wind_ms) noexcept;
-
-/// Typical central pressure (Pa) for a storm of the given maximum wind,
-/// via the Atkinson-Holliday style wind-pressure relationship
-/// v = 3.4 (p_env_hpa - p_c_hpa)^0.644 inverted.
-double central_pressure_for_wind(double wind_ms,
-                                 double ambient_pa = 101000.0) noexcept;
-
-/// Maximum wind implied by a central pressure (inverse of the above).
-double wind_for_central_pressure(double pc_pa,
-                                 double ambient_pa = 101000.0) noexcept;
-
-std::string_view category_name(Category c) noexcept;
 
 }  // namespace ct::storm

@@ -51,7 +51,8 @@ std::vector<bool> sheltered_stations(const mesh::CoastalMesh& cm,
 std::vector<std::size_t> harbor_source_map(const mesh::CoastalMesh& cm,
                                            const std::vector<bool>& sheltered);
 
-/// Reference O(stations^2) scan the indexed version is tested against.
+/// Reference O(stations^2) scan the indexed version is tested against; no
+/// engine runs it.
 std::vector<std::size_t> harbor_source_map_reference(
     const mesh::CoastalMesh& cm, const std::vector<bool>& sheltered);
 

@@ -187,18 +187,11 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     asset_ground_m_.push_back(asset.ground_elevation_m);
     index->emplace(asset.id, static_cast<std::uint32_t>(a));  // first wins
 
+    const geo::Vec2 enu = proj.to_enu(asset.location);
     AssetStencil s;
-    s.enu = proj.to_enu(asset.location);
-    s.station = mapper.nearest_station(s.enu);
-    s.station_distance_m = geo::distance(s.enu, cm.stations[s.station].position);
+    s.station = mapper.nearest_station(enu);
+    s.station_distance_m = geo::distance(enu, cm.stations[s.station].position);
     s.decay = std::exp(-s.station_distance_m / inundation_.decay_length_m);
-    s.nearest_node = cm.mesh.nearest_node(s.enu);
-    if (const auto bary = cm.mesh.locate(s.enu)) {
-      s.inside_mesh = true;
-      s.element = bary->element;
-      s.stencil_nodes = cm.mesh.element(bary->element).nodes;
-      s.stencil_weights = bary->weights;
-    }
     stencils_.push_back(s);
   }
   asset_index_ = std::move(index);
@@ -423,22 +416,6 @@ void MeshBindings::impacts_into(const std::vector<double>& shoreline_wse,
   }
 }
 
-double MeshBindings::interpolate_at(const mesh::NodeField& field,
-                                    std::size_t asset) const {
-  if (field.size() != cm_.mesh.node_count()) {
-    throw std::invalid_argument("MeshBindings::interpolate_at: size mismatch");
-  }
-  const AssetStencil& s = stencils_.at(asset);
-  if (s.inside_mesh) {
-    double v = 0.0;
-    for (int i = 0; i < 3; ++i) {
-      v += s.stencil_weights[i] * field[s.stencil_nodes[i]];
-    }
-    return v;
-  }
-  return field[s.nearest_node];
-}
-
 void MeshBindings::digest_envelope_into(util::Digest& d) const {
   d.str("ct-mesh-bindings");
   d.f64(mesh_center_.x).f64(mesh_center_.y).f64(mesh_radius_);
@@ -461,14 +438,7 @@ void MeshBindings::digest_envelope_into(util::Digest& d) const {
 void MeshBindings::digest_stencils_into(util::Digest& d) const {
   d.u64(stencils_.size());
   for (const AssetStencil& s : stencils_) {
-    d.u64(s.station)
-        .f64(s.station_distance_m)
-        .f64(s.decay)
-        .u64(s.nearest_node)
-        .boolean(s.inside_mesh);
-    for (int i = 0; i < 3; ++i) {
-      d.u64(s.stencil_nodes[i]).f64(s.stencil_weights[i]);
-    }
+    d.u64(s.station).f64(s.station_distance_m).f64(s.decay);
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // Every one of the 1000 realizations used to re-derive the same facts from
 // the mesh: which nodes can ever influence the shoreline output, each
-// node's onshore direction and depth floor, which station/triangle each
-// asset binds to, and the inland decay factor. MeshBindings freezes all of
+// node's onshore direction and depth floor, which station each asset
+// binds to, and the inland decay factor. MeshBindings freezes all of
 // that once per RealizationEngine (shared read-only across realizations
 // and threads) and exposes allocation-free kernels over the frozen arrays.
 //
@@ -19,7 +19,6 @@
 // argument.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -40,7 +39,7 @@
 
 namespace ct::surge {
 
-/// Frozen binding of one asset to the mesh and shoreline.
+/// Frozen binding of one asset to the shoreline.
 struct AssetStencil {
   /// Shoreline station the asset draws water from (same index the
   /// InundationMapper's nearest-station query returns).
@@ -49,15 +48,6 @@ struct AssetStencil {
   /// Precomputed inland decay exp(-distance / decay_length) — the exact
   /// factor the legacy impact() computes per realization.
   double decay = 1.0;
-  /// Asset position in the ENU frame.
-  geo::Vec2 enu;
-  /// Nearest mesh node (interpolation fallback outside the band).
-  mesh::NodeId nearest_node = 0;
-  /// Barycentric stencil when the asset lies inside the meshed band.
-  bool inside_mesh = false;
-  mesh::ElementId element = 0;
-  std::array<mesh::NodeId, 3> stencil_nodes{};
-  std::array<double, 3> stencil_weights{};
 };
 
 /// Asset id -> position in the engine's asset list (first occurrence wins
@@ -113,7 +103,8 @@ struct EnvelopeBound {
   /// onshore share of a wind within the direction cone.
   ColumnBound column(geo::Vec2 onshore) const noexcept;
   /// column(onshore) at a node whose g * depth is `gdepth`; +inf when
-  /// `gdepth` is not positive.
+  /// `gdepth` is not positive. Only tests call it: fastpath_test checks
+  /// the solver's WSE against this per-node form of the bound.
   double at(geo::Vec2 onshore, double gdepth) const noexcept;
 };
 
@@ -164,10 +155,6 @@ class MeshBindings {
   void impacts_into(const std::vector<double>& shoreline_wse,
                     std::vector<AssetImpact>& out) const;
 
-  /// Samples a node field at asset `asset` via the frozen barycentric
-  /// stencil; bit-equal to TriMesh::interpolate at the asset position.
-  double interpolate_at(const mesh::NodeField& field, std::size_t asset) const;
-
   const mesh::ShorelinePlan& shoreline_plan() const noexcept { return plan_; }
   /// Nodes whose envelope values the pipeline can consume (ascending).
   const std::vector<mesh::NodeId>& active_nodes() const noexcept {
@@ -192,9 +179,10 @@ class MeshBindings {
   /// engine's storm digest, so any terrain- or mesh-derived change to the
   /// precompute invalidates disk caches and shoreline records.
   void digest_envelope_into(util::Digest& d) const;
-  /// Folds the frozen asset stencils into a digest. They derive from the
-  /// mesh and the asset list alike, so the engine-batch key mixes them in
-  /// beside the engine's storm and bind digests.
+  /// Folds the frozen asset stencils (station, distance, decay) into a
+  /// digest. They derive from the mesh and the asset list alike, so the
+  /// engine-batch key mixes them in beside the engine's storm and bind
+  /// digests.
   void digest_stencils_into(util::Digest& d) const;
 
  private:

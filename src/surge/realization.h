@@ -161,10 +161,13 @@ class RealizationEngine {
   const std::string& bind_digest() const;
 
   /// The original allocating pipeline, kept as the equivalence oracle and
-  /// for apples-to-apples benchmarking.
+  /// for apples-to-apples benchmarking: fastpath_test compares run() with
+  /// it bit for bit.
   HurricaneRealization run_reference(std::uint64_t index) const;
 
-  /// Runs realizations [0, count) serially.
+  /// Runs realizations [0, count) serially: the reference tests compare
+  /// the runtime's pooled generation with (benches and examples use it
+  /// for small batches).
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
 
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }

@@ -59,6 +59,8 @@ class SurgeSolver {
  public:
   explicit SurgeSolver(SurgeConfig config = {}) : config_(config) {}
 
+  /// The reference envelope run_reference uses; fastpath_test compares
+  /// MeshBindings::accumulate_envelope with it bit for bit.
   mesh::NodeField max_envelope(const mesh::CoastalMesh& cm,
                                const storm::StormTrack& track,
                                const geo::EnuProjection& proj) const;

@@ -4,15 +4,6 @@
 
 namespace ct::threat {
 
-std::string_view site_status_name(SiteStatus s) noexcept {
-  switch (s) {
-    case SiteStatus::kUp: return "up";
-    case SiteStatus::kFlooded: return "flooded";
-    case SiteStatus::kIsolated: return "isolated";
-  }
-  return "?";
-}
-
 std::string_view state_name(OperationalState s) noexcept {
   switch (s) {
     case OperationalState::kGreen: return "green";

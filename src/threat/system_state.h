@@ -19,8 +19,6 @@ enum class SiteStatus {
   kIsolated,  ///< Cut off from the network by a site-isolation attack.
 };
 
-std::string_view site_status_name(SiteStatus s) noexcept;
-
 /// Operational state of the whole system (paper's color scheme, from [16]).
 /// Order matters: later enumerators are strictly worse outcomes.
 enum class OperationalState {

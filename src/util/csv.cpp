@@ -1,6 +1,5 @@
 #include "util/csv.h"
 
-#include <cassert>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -104,12 +103,6 @@ void CsvWriter::end_row() {
   out_ << '\n';
   row_open_ = false;
   ++rows_;
-}
-
-void CsvWriter::row(const std::vector<std::string>& fields) {
-  assert(!row_open_);
-  for (const auto& f : fields) raw_field(f);
-  end_row();
 }
 
 }  // namespace ct::util

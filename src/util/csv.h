@@ -25,9 +25,6 @@ class CsvWriter {
   CsvWriter& field(std::size_t value);
   void end_row();
 
-  /// Convenience: writes a complete row of already-formatted fields.
-  void row(const std::vector<std::string>& fields);
-
   std::size_t rows_written() const noexcept { return rows_; }
 
  private:

@@ -15,7 +15,6 @@ constexpr std::uint64_t kHiPrime = 0x9ddfea08eb382d69ULL;
 // Type tags framing each value; a tag change is a format change and must
 // come with a ResultStore version bump.
 enum : std::uint8_t {
-  kTagBytes = 1,
   kTagStr = 2,
   kTagU64 = 3,
   kTagI64 = 4,
@@ -35,12 +34,6 @@ Digest& Digest::raw(const void* data, std::size_t n) noexcept {
 }
 
 Digest& Digest::tag(std::uint8_t t) noexcept { return raw(&t, 1); }
-
-Digest& Digest::bytes(const void* data, std::size_t n) noexcept {
-  tag(kTagBytes);
-  u64(n);
-  return raw(data, n);
-}
 
 Digest& Digest::str(std::string_view s) noexcept {
   tag(kTagStr);

@@ -18,8 +18,6 @@ namespace ct::util {
 /// a splitmix64 avalanche). Feed fields in a fixed order, then read hex().
 class Digest {
  public:
-  Digest& bytes(const void* data, std::size_t n) noexcept;
-
   /// Length-prefixed string (self-delimiting).
   Digest& str(std::string_view s) noexcept;
   Digest& u64(std::uint64_t v) noexcept;

@@ -16,14 +16,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool fsync_fd_path(const char* path, int flags) noexcept {
-  const int fd = ::open(path, flags);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
 bool write_fully(int fd, std::string_view bytes) noexcept {
   std::size_t written = 0;
   while (written < bytes.size()) {
@@ -55,14 +47,14 @@ bool write_synced(int fd, std::string_view bytes,
 
 }  // namespace
 
-bool fsync_file(const std::string& path) noexcept {
-  return fsync_fd_path(path.c_str(), O_RDONLY);
-}
-
 bool fsync_parent_dir(const std::string& path) noexcept {
   fs::path parent = fs::path(path).parent_path();
   if (parent.empty()) parent = ".";
-  return fsync_fd_path(parent.c_str(), O_RDONLY | O_DIRECTORY);
+  const int fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 bool atomic_write_file(const std::string& path, std::string_view contents,

@@ -153,11 +153,4 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ << "null";
-  wrote_root_ = true;
-  return *this;
-}
-
 }  // namespace ct::util

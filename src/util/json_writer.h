@@ -48,7 +48,6 @@ class JsonWriter {
     return value(static_cast<std::uint64_t>(v));
   }
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// key + scalar value in one call.
   template <typename T>

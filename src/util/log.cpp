@@ -1,6 +1,5 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,8 +9,6 @@
 namespace ct::util {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::once_flag g_env_once;
 std::mutex g_emit_mutex;
 
 const char* level_name(LogLevel level) noexcept {
@@ -24,14 +21,6 @@ const char* level_name(LogLevel level) noexcept {
     case LogLevel::kOff: return "OFF";
   }
   return "?";
-}
-
-void init_from_env() {
-  std::call_once(g_env_once, [] {
-    if (const char* env = std::getenv("CT_LOG_LEVEL")) {
-      g_level.store(parse_log_level(env), std::memory_order_relaxed);
-    }
-  });
 }
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
@@ -76,13 +65,12 @@ LogLevel parse_log_level(std::string_view name) noexcept {
   return LogLevel::kWarn;
 }
 
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 LogLevel log_level() noexcept {
-  init_from_env();
-  return g_level.load(std::memory_order_relaxed);
+  static const LogLevel level = [] {
+    const char* env = std::getenv("CT_LOG_LEVEL");
+    return env != nullptr ? parse_log_level(env) : LogLevel::kWarn;
+  }();
+  return level;
 }
 
 bool log_enabled(LogLevel level) noexcept {

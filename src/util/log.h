@@ -1,6 +1,6 @@
 // Leveled logging. Quiet by default (warnings and errors only) so benches
-// and tests stay readable; verbosity is raised via set_level or the
-// CT_LOG_LEVEL environment variable (trace|debug|info|warn|error|off).
+// and tests stay readable; verbosity is raised via the CT_LOG_LEVEL
+// environment variable (trace|debug|info|warn|error|off).
 //
 // Every line carries a monotonic timestamp (seconds since process start,
 // steady clock, so it never jumps with wall-clock adjustments): durable-
@@ -20,8 +20,7 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 /// Parses a case-insensitive level name; returns kWarn on unknown input.
 LogLevel parse_log_level(std::string_view name) noexcept;
 
-/// Global log threshold. Thread-safe (atomic).
-void set_log_level(LogLevel level) noexcept;
+/// Global log threshold: CT_LOG_LEVEL at first use, else kWarn.
 LogLevel log_level() noexcept;
 
 /// True if `level` messages would currently be emitted.

@@ -46,22 +46,6 @@ std::uint64_t Xoshiro256::next() noexcept {
   return result;
 }
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::array<std::uint64_t, 4> t{};
-  for (const std::uint64_t jump_word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump_word & (1ULL << b)) {
-        for (std::size_t i = 0; i < 4; ++i) t[i] ^= s_[i];
-      }
-      next();
-    }
-  }
-  s_ = t;
-}
-
 Rng Rng::child(std::string_view stream, std::uint64_t index) const noexcept {
   std::uint64_t mix = base_seed_ ^ hash_name(stream);
   mix ^= 0x9E3779B97F4A7C15ULL + index;
@@ -135,18 +119,5 @@ double Rng::exponential(double mean) noexcept {
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (const double w : weights) total += (w > 0.0 ? w : 0.0);
-  assert(total > 0.0);
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (target < w) return i;
-    target -= w;
-  }
-  return weights.size() - 1;  // numerical edge: return last positive index
-}
 
 }  // namespace ct::util

@@ -38,10 +38,6 @@ class Xoshiro256 {
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
-  /// Jump function: advances the state by 2^128 calls; used to create
-  /// non-overlapping parallel substreams.
-  void jump() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };
@@ -80,9 +76,6 @@ class Rng {
   double exponential(double mean) noexcept;
   /// Bernoulli trial.
   bool bernoulli(double p) noexcept;
-  /// Index in [0, weights.size()) with probability proportional to weight.
-  /// Requires at least one strictly positive weight.
-  std::size_t weighted_index(const std::vector<double>& weights) noexcept;
 
   /// Fisher–Yates shuffle.
   template <typename T>

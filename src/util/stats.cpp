@@ -17,34 +17,6 @@ void RunningStats::add(double x) noexcept {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::sem() const noexcept {
-  return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
 }
 
 Interval wilson_interval(std::size_t successes, std::size_t n,
@@ -58,11 +30,6 @@ Interval wilson_interval(std::size_t successes, std::size_t n,
   const double half =
       z * std::sqrt(p * (1.0 - p) / nn + z2 / (4.0 * nn * nn)) / denom;
   return {std::max(0.0, center - half), std::min(1.0, center + half)};
-}
-
-Interval mean_interval(const RunningStats& stats, double z) noexcept {
-  const double half = z * stats.sem();
-  return {stats.mean() - half, stats.mean() + half};
 }
 
 namespace {
@@ -174,26 +141,6 @@ std::size_t Histogram::bin_count(std::size_t bin) const {
 double Histogram::bin_lo(std::size_t i) const {
   if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
   return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-std::optional<double> Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return std::nullopt;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] > 0 ? (target - cum) / static_cast<double>(counts_[i])
-                         : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
 }
 
 double exact_quantile(std::vector<double> values, double q) {

@@ -3,32 +3,23 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace ct::util {
 
-/// Welford's online algorithm: numerically stable running mean/variance.
+/// Running count, mean (Welford's incremental update), min and max.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  /// Merge another accumulator (parallel reduction), Chan et al. update.
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
-  /// Standard error of the mean.
-  double sem() const noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -47,9 +38,6 @@ struct Interval {
 /// important here because several paper outcomes are exactly 0% or 100%.
 Interval wilson_interval(std::size_t successes, std::size_t n,
                          double z = 1.96) noexcept;
-
-/// Normal-approximation CI for a mean from running stats.
-Interval mean_interval(const RunningStats& stats, double z = 1.96) noexcept;
 
 /// Exact (Clopper-Pearson) two-sided binomial CI for `successes` out of
 /// `n` at `confidence` (default 95%). Inverts the regularized incomplete
@@ -72,10 +60,6 @@ class Histogram {
   std::size_t total() const noexcept { return total_; }
   /// Left edge of bin `i`.
   double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Empirical quantile in [0,1] via linear interpolation across bins.
-  /// Returns nullopt when empty.
-  std::optional<double> quantile(double q) const noexcept;
 
  private:
   double lo_;

@@ -35,11 +35,6 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) noexcept {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) {

@@ -17,9 +17,8 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view s) noexcept;
 
-/// True if `s` begins with / ends with the given prefix/suffix.
+/// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
-bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 
 /// Lower-cases ASCII.
 std::string to_lower(std::string_view s);

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/report.h"
+#include "obs/metrics.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ensemble_runner.h"
 #include "runtime/fault_profile.h"
@@ -774,6 +775,37 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
     // The sweep completed: the checkpoint files are gone.
     EXPECT_FALSE(fs::exists(dir) && !fs::is_empty(dir));
   }
+}
+
+TEST(RunResumableTest, CheckpointMetricsMeterEveryDurableWrite) {
+  // Journal headers, records and snapshots are all metered, so over one
+  // sweep the flush count and the flush-latency samples each move by the
+  // durable writes the report counts.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto reading = [](const char* name) {
+    const obs::MetricsSnapshot snapshot = obs::capture_metrics();
+    const obs::MetricValue* m = snapshot.find(name);
+    if (m == nullptr) return std::uint64_t{0};
+    return m->kind == obs::MetricKind::kHistogram ? m->count : m->value;
+  };
+  const std::uint64_t flushes = reading("checkpoint.flushes");
+  const std::uint64_t samples = reading("checkpoint.flush_us");
+  const std::uint64_t bytes = reading("checkpoint.journal_bytes");
+
+  const surge::RealizationEngine engine = make_engine();
+  runtime::EnsembleRunner runner(make_options(2));
+  const runtime::ResumableReport report = runner.run_resumable(
+      engine, sweep_spec(), classify, make_ckpt(scratch_dir("metered"), 8, 2));
+  obs::set_enabled(was_enabled);
+
+  // 1 header, 5 records and 2 snapshots, each snapshot followed by a
+  // fresh header.
+  EXPECT_EQ(report.checkpoints, 10u);
+  EXPECT_EQ(reading("checkpoint.flushes") - flushes, report.checkpoints);
+  EXPECT_EQ(reading("checkpoint.flush_us") - samples, report.checkpoints);
+  EXPECT_GT(reading("checkpoint.journal_bytes") - bytes,
+            report.checkpoints * util::kFrameHeaderSize);
 }
 
 TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {

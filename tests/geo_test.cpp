@@ -47,26 +47,26 @@ TEST(Vec2, NormalizedAndPerp) {
 
 // ---------------------------------------------------------------- geodesy
 
-TEST(Geodesy, HaversineKnownDistances) {
-  // Honolulu CC to Kahe point: about 28 km.
-  const GeoPoint honolulu{21.3069, -157.8583};
-  const GeoPoint kahe{21.3542, -158.1297};
-  const double d = haversine_m(honolulu, kahe);
-  EXPECT_NEAR(d, 28600.0, 1500.0);
-  EXPECT_DOUBLE_EQ(haversine_m(honolulu, honolulu), 0.0);
+/// Great-circle distance and initial bearing (degrees clockwise from
+/// north), the references `destination` and the ENU projection are
+/// checked against.
+double great_circle_m(GeoPoint a, GeoPoint b) {
+  const double lat1 = deg_to_rad(a.lat_deg);
+  const double lat2 = deg_to_rad(b.lat_deg);
+  const double s1 = std::sin((lat2 - lat1) / 2.0);
+  const double s2 = std::sin(deg_to_rad(b.lon_deg - a.lon_deg) / 2.0);
+  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
+  return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-TEST(Geodesy, OneDegreeLatitude) {
-  const double d = haversine_m({21.0, -158.0}, {22.0, -158.0});
-  EXPECT_NEAR(d, 111195.0, 100.0);  // pi/180 * R
-}
-
-TEST(Geodesy, BearingCardinalDirections) {
-  const GeoPoint origin{21.0, -158.0};
-  EXPECT_NEAR(initial_bearing_deg(origin, {22.0, -158.0}), 0.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, {20.0, -158.0}), 180.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, {21.0, -157.0}), 90.0, 0.5);
-  EXPECT_NEAR(initial_bearing_deg(origin, {21.0, -159.0}), 270.0, 0.5);
+double bearing_deg(GeoPoint a, GeoPoint b) {
+  const double lat1 = deg_to_rad(a.lat_deg);
+  const double lat2 = deg_to_rad(b.lat_deg);
+  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
+  const double y = std::sin(dlon) * std::cos(lat2);
+  const double x = std::cos(lat1) * std::sin(lat2) -
+                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
+  return std::fmod(rad_to_deg(std::atan2(y, x)) + 360.0, 360.0);
 }
 
 TEST(Geodesy, DestinationRoundTrip) {
@@ -76,8 +76,8 @@ TEST(Geodesy, DestinationRoundTrip) {
     const double bearing = rng.uniform(0.0, 360.0);
     const double dist = rng.uniform(100.0, 300000.0);
     const GeoPoint end = destination(start, bearing, dist);
-    EXPECT_NEAR(haversine_m(start, end), dist, dist * 1e-9 + 0.01);
-    EXPECT_NEAR(initial_bearing_deg(start, end), bearing, 0.5);
+    EXPECT_NEAR(great_circle_m(start, end), dist, dist * 1e-9 + 0.01);
+    EXPECT_NEAR(bearing_deg(start, end), bearing, 0.5);
   }
 }
 
@@ -99,7 +99,7 @@ TEST(EnuProjection, MatchesHaversineLocally) {
     const GeoPoint a{rng.uniform(21.2, 21.7), rng.uniform(-158.3, -157.6)};
     const GeoPoint b{rng.uniform(21.2, 21.7), rng.uniform(-158.3, -157.6)};
     const double planar = distance(proj.to_enu(a), proj.to_enu(b));
-    const double spherical = haversine_m(a, b);
+    const double spherical = great_circle_m(a, b);
     if (spherical > 1000.0) {
       EXPECT_NEAR(planar / spherical, 1.0, 0.005);
     }
@@ -402,10 +402,11 @@ TEST(GridIndex, WithinMatchesBruteForce) {
     pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
   }
   const GridIndex index(pts, 10.0);
+  std::vector<std::size_t> got{999, 999, 999};  // must be cleared per call
   for (int q = 0; q < 50; ++q) {
     const Vec2 query{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
     const double radius = rng.uniform(1.0, 30.0);
-    auto got = index.within(query, radius);
+    index.within(query, radius, got);
     std::sort(got.begin(), got.end());
     std::vector<std::size_t> want;
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -413,6 +414,8 @@ TEST(GridIndex, WithinMatchesBruteForce) {
     }
     EXPECT_EQ(got, want);
   }
+  index.within({50.0, 50.0}, -1.0, got);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(GridIndex, NearestTiesResolveInVisitOrder) {
@@ -463,32 +466,12 @@ TEST(GridIndex, NearestTiesResolveInVisitOrder) {
 TEST(GridIndex, EmptyAndDegenerate) {
   const GridIndex empty({}, 10.0);
   EXPECT_EQ(empty.nearest({0, 0}), GridIndex::npos);
-  EXPECT_TRUE(empty.within({0, 0}, 5.0).empty());
+  std::vector<std::size_t> found{7};
+  empty.within({0, 0}, 5.0, found);
+  EXPECT_TRUE(found.empty());
   const GridIndex one({{3.0, 4.0}}, 10.0);
   EXPECT_EQ(one.nearest({100.0, 100.0}), 0u);
   EXPECT_THROW(GridIndex({{0, 0}}, 0.0), std::invalid_argument);
-}
-
-TEST(GridIndex, WithinOutParamMatchesAllocatingForm) {
-  util::Rng rng(23, "within-out");
-  std::vector<Vec2> points(400);
-  for (Vec2& p : points) {
-    p = {rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0)};
-  }
-  const GridIndex index(points, 750.0);
-
-  std::vector<std::size_t> reused{999, 999, 999};  // must be cleared per call
-  for (int q = 0; q < 25; ++q) {
-    const Vec2 query{rng.uniform(-6000.0, 6000.0),
-                     rng.uniform(-6000.0, 6000.0)};
-    const double radius = rng.uniform(0.0, 2500.0);
-    const std::vector<std::size_t> allocated = index.within(query, radius);
-    index.within(query, radius, reused);
-    EXPECT_EQ(reused, allocated);
-  }
-
-  index.within({0.0, 0.0}, -1.0, reused);
-  EXPECT_TRUE(reused.empty());
 }
 
 }  // namespace

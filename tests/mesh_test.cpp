@@ -40,56 +40,11 @@ TEST(TriMesh, AdjacencyIsSymmetric) {
   EXPECT_EQ(std::find(n1.begin(), n1.end(), NodeId{3}), n1.end());
 }
 
-TEST(TriMesh, NearestNode) {
-  const TriMesh mesh = square_mesh();
-  EXPECT_EQ(mesh.nearest_node({0.1, 0.1}), 0u);
-  EXPECT_EQ(mesh.nearest_node({0.9, 0.2}), 1u);
-  EXPECT_EQ(mesh.nearest_node({5.0, 5.0}), 2u);
-}
-
-TEST(TriMesh, LocateInsideAndOutside) {
-  const TriMesh mesh = square_mesh();
-  const auto inside = mesh.locate({0.7, 0.2});
-  ASSERT_TRUE(inside.has_value());
-  EXPECT_EQ(inside->element, 0u);
-  double weight_sum = 0.0;
-  for (const double w : inside->weights) {
-    EXPECT_GE(w, 0.0);
-    weight_sum += w;
-  }
-  EXPECT_NEAR(weight_sum, 1.0, 1e-9);
-  EXPECT_FALSE(mesh.locate({2.0, 2.0}).has_value());
-}
-
-TEST(TriMesh, InterpolationExactForLinearFields) {
-  const TriMesh mesh = square_mesh();
-  // f(x,y) = 3x - 2y + 1 is reproduced exactly by barycentric interp.
-  NodeField f(mesh.node_count());
-  for (NodeId n = 0; n < mesh.node_count(); ++n) {
-    const auto p = mesh.node(n).position;
-    f[n] = 3.0 * p.x - 2.0 * p.y + 1.0;
-  }
-  util::Rng rng(41);
-  for (int i = 0; i < 100; ++i) {
-    const geo::Vec2 p{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    EXPECT_NEAR(mesh.interpolate(f, p), 3.0 * p.x - 2.0 * p.y + 1.0, 1e-9);
-  }
-}
-
-TEST(TriMesh, InterpolationFallsBackToNearestOutside) {
-  const TriMesh mesh = square_mesh();
-  NodeField f = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(mesh.interpolate(f, {-5.0, -5.0}), 10.0);
-  EXPECT_DOUBLE_EQ(mesh.interpolate(f, {6.0, 6.0}), 30.0);
-}
-
-TEST(TriMesh, AreasAndValidation) {
+TEST(TriMesh, Validation) {
   EXPECT_THROW(TriMesh({}, {}), std::invalid_argument);
   std::vector<Node> one(1);
   EXPECT_THROW(TriMesh(std::move(one), {{{0, 1, 2}}}), std::out_of_range);
-  NodeField wrong(3);
-  EXPECT_THROW(square_mesh().interpolate(wrong, {0, 0}),
-               std::invalid_argument);
+  EXPECT_THROW(square_mesh().neighbors(99), std::out_of_range);
 }
 
 // ------------------------------------------------------------- coastal band
@@ -313,48 +268,25 @@ TEST_F(CoastalMeshTest, ShorelinePlanInPlaceBitEqualToAllocatingForm) {
   EXPECT_THROW(make_shoreline_plan(*cm_, 1000.0, -1), std::invalid_argument);
 }
 
-TEST(TriMesh, CsrRowsAreConsistentWithElements) {
-  const TriMesh mesh = square_mesh();
-  // Every element must appear in the incidence row of each of its nodes.
-  for (ElementId e = 0; e < mesh.element_count(); ++e) {
-    for (const NodeId n : mesh.element(e).nodes) {
-      const auto row = mesh.node_elements(n);
-      EXPECT_NE(std::find(row.begin(), row.end(), e), row.end());
-    }
-  }
-  // Diagonal nodes 0 and 2 touch both elements; 1 and 3 touch one.
-  EXPECT_EQ(mesh.node_elements(0).size(), 2u);
-  EXPECT_EQ(mesh.node_elements(1).size(), 1u);
-  EXPECT_EQ(mesh.node_elements(2).size(), 2u);
-  EXPECT_EQ(mesh.node_elements(3).size(), 1u);
-  EXPECT_EQ(mesh.node_elements(0)[0], 0u);
-  EXPECT_THROW(mesh.node_elements(99), std::out_of_range);
-  EXPECT_THROW(mesh.neighbors(99), std::out_of_range);
-}
-
-
 // ------------------------------------- CSR rows vs per-node-vector reference
 
-/// Neighbor and incident-element rows built the straightforward way: one
-/// growing vector per node, appended in element order with the same six
-/// edge insertions and per-row de-duplication as TriMesh. The CSR rows must
-/// hold the same ids in the same order (smoothing sums in row order).
+/// Neighbor rows built the straightforward way: one growing vector per
+/// node, appended in element order with the same six edge insertions and
+/// per-row de-duplication as TriMesh. The CSR rows must hold the same ids
+/// in the same order (smoothing sums in row order).
 struct ReferenceRows {
   std::vector<std::vector<NodeId>> neighbors;
-  std::vector<std::vector<ElementId>> elements;
 };
 
 ReferenceRows reference_rows(const TriMesh& mesh) {
   ReferenceRows rows;
   rows.neighbors.resize(mesh.node_count());
-  rows.elements.resize(mesh.node_count());
   const auto add_edge = [&](NodeId a, NodeId b) {
     auto& adj = rows.neighbors[a];
     if (std::find(adj.begin(), adj.end(), b) == adj.end()) adj.push_back(b);
   };
   for (ElementId e = 0; e < mesh.element_count(); ++e) {
     const auto& el = mesh.element(e).nodes;
-    for (const NodeId n : el) rows.elements[n].push_back(e);
     add_edge(el[0], el[1]);
     add_edge(el[1], el[0]);
     add_edge(el[1], el[2]);
@@ -369,13 +301,9 @@ void expect_rows_match_reference(const TriMesh& mesh, const std::string& tag) {
   const ReferenceRows want = reference_rows(mesh);
   for (NodeId n = 0; n < mesh.node_count(); ++n) {
     const auto neighbors = mesh.neighbors(n);
-    const auto elements = mesh.node_elements(n);
     ASSERT_EQ(std::vector<NodeId>(neighbors.begin(), neighbors.end()),
               want.neighbors[n])
         << tag << " neighbors of node " << n;
-    ASSERT_EQ(std::vector<ElementId>(elements.begin(), elements.end()),
-              want.elements[n])
-        << tag << " elements of node " << n;
   }
 }
 

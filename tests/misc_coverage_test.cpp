@@ -7,7 +7,6 @@
 
 #include "core/restoration.h"
 #include "geo/polygon.h"
-#include "mesh/trimesh.h"
 #include "storm/track.h"
 #include "surge/harbor.h"
 #include "util/csv.h"
@@ -24,20 +23,6 @@ TEST(PolygonDegenerate, CollinearCentroidFallsBackToVertexMean) {
   EXPECT_NEAR(c.x, 1.0, 1e-9);
   EXPECT_NEAR(c.y, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(line.abs_area(), 0.0);
-}
-
-TEST(TriMeshDegenerate, LocateSkipsZeroAreaElements) {
-  // A sliver element (all three nodes collinear) next to a proper one.
-  std::vector<mesh::Node> nodes(4);
-  nodes[0].position = {0, 0};
-  nodes[1].position = {1, 0};
-  nodes[2].position = {2, 0};  // collinear with 0 and 1
-  nodes[3].position = {0.5, 1.0};
-  const mesh::TriMesh tri({nodes[0], nodes[1], nodes[2], nodes[3]},
-                          {{{0, 1, 2}}, {{0, 1, 3}}});
-  const auto hit = tri.locate({0.5, 0.3});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->element, 1u);  // the degenerate element cannot match
 }
 
 TEST(StormTrack, VortexParametersInterpolateLinearly) {

@@ -86,7 +86,6 @@ TEST(OutcomeMixture, NormalizesWeights) {
   m.add(OperationalState::kGray, 0.3);
   EXPECT_NEAR(m.probability(OperationalState::kGreen), 0.7, 1e-12);
   EXPECT_NEAR(m.probability(OperationalState::kGray), 0.3, 1e-12);
-  EXPECT_NEAR(m.expected_badness(), 0.3 * 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(OutcomeMixture{}.probability(OperationalState::kRed), 0.0);
 }
 

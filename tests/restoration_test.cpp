@@ -1,8 +1,14 @@
 // Tests for the restoration/downtime model that quantifies the paper's
 // orange / red / gray state semantics.
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/restoration.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "util/stats.h"
 
@@ -126,6 +132,43 @@ TEST(Restoration, AnalyzeAggregatesOverRealizations) {
   EXPECT_DOUBLE_EQ(result.expected_incorrect_hours, 0.0);
   EXPECT_NEAR(result.p_any_downtime, 0.2, 1e-12);
   EXPECT_EQ(result.config_name, "2-2");
+}
+
+TEST(Restoration, DrawsFollowTheRealizationIndexNotItsPosition) {
+  // A batch with a quarantined realization skips an index, so positions
+  // and indices part ways; reversing the batch parts them everywhere. The
+  // sampled downtimes must come from each realization's own stream.
+  const auto config = scada::make_config_2_2("hon", "waiau");
+  const std::vector<std::vector<std::string>> patterns = {
+      {}, {"hon"}, {"hon", "waiau"}, {"waiau"}};
+  std::vector<surge::HurricaneRealization> batch;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    surge::HurricaneRealization r;
+    r.index = i;
+    for (const std::string& id : patterns[i % patterns.size()]) {
+      surge::AssetImpact impact;
+      impact.asset_id = id;
+      impact.failed = true;
+      r.impacts.push_back(std::move(impact));
+    }
+    batch.push_back(std::move(r));
+  }
+  std::vector<surge::HurricaneRealization> reversed(batch.rbegin(),
+                                                    batch.rend());
+  runtime::EnsembleOptions options;
+  options.jobs = 2;
+  runtime::EnsembleRunner runner(options);
+  const auto scenario = threat::ThreatScenario::kHurricaneIsolation;
+  const RestorationResult forward =
+      analyze_restoration(config, scenario, batch, kModel, 8);
+  for (const RestorationResult& other :
+       {analyze_restoration(config, scenario, reversed, kModel, 8),
+        analyze_restoration(config, scenario, reversed, kModel, runner, 8)}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(other.p95_downtime_hours),
+              std::bit_cast<std::uint64_t>(forward.p95_downtime_hours));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(other.p_any_downtime),
+              std::bit_cast<std::uint64_t>(forward.p_any_downtime));
+  }
 }
 
 TEST(Restoration, IntrusionScenarioAccruesIncorrectHours) {

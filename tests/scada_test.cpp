@@ -77,8 +77,6 @@ TEST(Configuration, TwoTwoHasColdBackup) {
   EXPECT_TRUE(c.sites[0].hot);
   EXPECT_FALSE(c.sites[1].hot);
   EXPECT_EQ(c.total_replicas(), 4);
-  EXPECT_EQ(c.site_index("waiau"), 1u);
-  EXPECT_EQ(c.site_index("nope"), Configuration::npos);
 }
 
 TEST(Configuration, SixToleratesOneIntrusion) {
@@ -133,7 +131,6 @@ TEST(Configuration, SitesWithRole) {
             (std::vector<std::size_t>{0}));
   EXPECT_EQ(c.sites_with_role(SiteRole::kDataCenter),
             (std::vector<std::size_t>{2}));
-  EXPECT_EQ(site_role_name(SiteRole::kBackup), "backup");
 }
 
 // ---------------------------------------------------------------- sizing
@@ -158,19 +155,6 @@ TEST(Requirements, QuorumFormula) {
   EXPECT_EQ(bft_quorum(6, 1), 4);    // the paper's "6"
   EXPECT_EQ(bft_quorum(18, 1), 10);  // the paper's "6+6+6"
   EXPECT_THROW(bft_quorum(3, 1), std::invalid_argument);
-}
-
-TEST(Requirements, ProgressConditions) {
-  // "6": all six connected, one compromised + one recovering -> progress.
-  EXPECT_TRUE(bft_can_make_progress(6, 6, 1, 1));
-  // One crashed replica on top of that -> stalled (6 is minimal).
-  EXPECT_FALSE(bft_can_make_progress(6, 5, 1, 1));
-  // "6+6+6": losing a full site leaves exactly enough.
-  EXPECT_TRUE(bft_can_make_progress(18, 12, 1, 1));
-  EXPECT_FALSE(bft_can_make_progress(18, 11, 1, 1));
-  // Losing two sites stalls the group (the paper's red state).
-  EXPECT_FALSE(bft_can_make_progress(18, 6, 1, 1));
-  EXPECT_THROW(bft_can_make_progress(6, 7, 1, 1), std::invalid_argument);
 }
 
 TEST(Requirements, Explanations) {

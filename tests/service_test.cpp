@@ -671,28 +671,6 @@ TEST(Server, MalformedRequestAnsweredWithTypedError) {
   server.stop();
 }
 
-TEST(Server, StatsRequestReportsCounters) {
-  const std::string path = test_socket_path("stats");
-  Server server(loopback_options(path));
-  server.start();
-  Client client(path, "unit");
-  client.connect();
-  ASSERT_TRUE(client.call(analyze_request(16)).ok);
-
-  Request stats_request;
-  stats_request.kind = RequestKind::kStats;
-  const CallResult text = client.call(stats_request);
-  ASSERT_TRUE(text.ok);
-  EXPECT_NE(text.response.output.find("completed"), std::string::npos);
-
-  stats_request.json = true;
-  const CallResult json = client.call(stats_request);
-  ASSERT_TRUE(json.ok);
-  EXPECT_EQ(json.response.output.front(), '{');
-  EXPECT_NE(json.response.output.find("\"cache\""), std::string::npos);
-  server.stop();
-}
-
 /// Pulls a scalar metric out of a kMetrics JSON reply. Returns 0 when the
 /// metric has not been registered yet (nothing has touched it).
 std::uint64_t json_metric(const std::string& json, const std::string& name) {
@@ -714,6 +692,35 @@ CallResult call_metrics(Client& client, bool json) {
   request.kind = RequestKind::kMetrics;
   request.json = json;
   return client.call(request);
+}
+
+TEST(Server, StatsRequestReportsCounters) {
+  const std::string path = test_socket_path("stats");
+  Server server(loopback_options(path));
+  server.start();
+  Client client(path, "unit");
+  client.connect();
+  ASSERT_TRUE(client.call(analyze_request(16)).ok);
+
+  Request stats_request;
+  stats_request.kind = RequestKind::kStats;
+  const CallResult text = client.call(stats_request);
+  ASSERT_TRUE(text.ok);
+  EXPECT_NE(text.response.output.find("completed"), std::string::npos);
+
+  stats_request.json = true;
+  const CallResult json = client.call(stats_request);
+  ASSERT_TRUE(json.ok);
+  EXPECT_EQ(json.response.output.front(), '{');
+  EXPECT_NE(json.response.output.find("\"completed\""), std::string::npos);
+  // The cache and DES counters live in the metrics registry only.
+  EXPECT_EQ(json.response.output.find("\"cache\""), std::string::npos);
+  EXPECT_EQ(json.response.output.find("\"des\""), std::string::npos);
+  EXPECT_EQ(text.response.output.find("cache"), std::string::npos);
+  const CallResult metrics = call_metrics(client, /*json=*/true);
+  ASSERT_TRUE(metrics.ok);
+  EXPECT_GE(json_metric(metrics.response.output, "cache.lookups"), 1u);
+  server.stop();
 }
 
 TEST(Server, MetricsRequestColdVsWarmCacheCountersMonotone) {

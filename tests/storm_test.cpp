@@ -39,22 +39,6 @@ TEST(SaffirSimpson, BandsAreContiguous) {
   }
 }
 
-TEST(SaffirSimpson, WindPressureRoundTrip) {
-  for (const double wind : {25.0, 35.0, 45.0, 60.0}) {
-    const double pc = central_pressure_for_wind(wind);
-    EXPECT_LT(pc, 101000.0);
-    EXPECT_NEAR(wind_for_central_pressure(pc), wind, 0.1);
-  }
-}
-
-TEST(SaffirSimpson, Cat2PressureIsPlausible) {
-  // CAT-2 storms typically have central pressures ~ 965-980 hPa.
-  const double pc = central_pressure_for_wind(46.0);
-  EXPECT_GT(pc, 94500.0);
-  EXPECT_LT(pc, 98500.0);
-  EXPECT_EQ(category_name(Category::kCat2), "Cat2");
-}
-
 // ---------------------------------------------------------------- holland
 
 VortexParams cat2_vortex() {

@@ -51,7 +51,6 @@ TEST(SystemState, PriorityOrderPrimaryBackupDataCenter) {
 TEST(SystemState, Names) {
   EXPECT_EQ(state_name(OperationalState::kGreen), "green");
   EXPECT_EQ(state_name(OperationalState::kGray), "gray");
-  EXPECT_EQ(site_status_name(SiteStatus::kIsolated), "isolated");
   EXPECT_LT(badness(OperationalState::kGreen),
             badness(OperationalState::kOrange));
   EXPECT_LT(badness(OperationalState::kOrange),

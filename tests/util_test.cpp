@@ -120,20 +120,32 @@ TEST(Rng, UniformIntIsRoughlyUniform) {
   }
 }
 
+/// Mean and sample standard deviation of `n` draws.
+template <typename Draw>
+std::pair<double, double> moments(int n, Draw draw) {
+  double sum = 0.0;
+  double sum2 = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = draw();
+    sum += x;
+    sum2 += x * x;
+  }
+  const double mean = sum / n;
+  return {mean, std::sqrt((sum2 - n * mean * mean) / (n - 1))};
+}
+
 TEST(Rng, NormalMoments) {
   Rng rng(9);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(rng.normal());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+  const auto [mean, sd] = moments(200000, [&] { return rng.normal(); });
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  EXPECT_NEAR(sd, 1.0, 0.02);
 }
 
 TEST(Rng, NormalScaled) {
   Rng rng(10);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) stats.add(rng.normal(5.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 5.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+  const auto [mean, sd] = moments(100000, [&] { return rng.normal(5.0, 2.0); });
+  EXPECT_NEAR(mean, 5.0, 0.05);
+  EXPECT_NEAR(sd, 2.0, 0.05);
 }
 
 TEST(Rng, TruncatedNormalRespectsBounds) {
@@ -163,18 +175,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, WeightedIndexMatchesWeights) {
-  Rng rng(14);
-  const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::array<int, 4> counts{};
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) counts[rng.weighted_index(weights)]++;
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
 TEST(Rng, ShuffleIsAPermutation) {
   Rng rng(15);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -190,13 +190,6 @@ TEST(Rng, HashNameStableAndSensitive) {
   EXPECT_NE(hash_name(""), hash_name("a"));
 }
 
-TEST(Xoshiro, JumpChangesState) {
-  Xoshiro256 a(1);
-  Xoshiro256 b(1);
-  b.jump();
-  EXPECT_NE(a.next(), b.next());
-}
-
 // ---------------------------------------------------------------- stats
 
 TEST(RunningStats, KnownValues) {
@@ -204,7 +197,6 @@ TEST(RunningStats, KnownValues) {
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
@@ -213,38 +205,6 @@ TEST(RunningStats, EmptyIsSafe) {
   const RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sem(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsBulk) {
-  Rng rng(20);
-  RunningStats bulk;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    bulk.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), bulk.count());
-  EXPECT_NEAR(a.mean(), bulk.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), bulk.variance(), 1e-9);
-  EXPECT_EQ(a.min(), bulk.min());
-  EXPECT_EQ(a.max(), bulk.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
 TEST(WilsonInterval, ContainsPointEstimate) {
@@ -323,17 +283,6 @@ TEST(ClopperPearson, DegenerateInputs) {
   EXPECT_EQ(clamped.hi, 1.0);
 }
 
-TEST(MeanInterval, CoversTrueMeanUsually) {
-  Rng rng(21);
-  int covered = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    RunningStats s;
-    for (int i = 0; i < 200; ++i) s.add(rng.normal(10.0, 3.0));
-    if (mean_interval(s).contains(10.0)) ++covered;
-  }
-  EXPECT_GE(covered, 85);  // nominally 95
-}
-
 TEST(Histogram, CountsAndEdges) {
   Histogram h(0.0, 10.0, 5);
   for (const double x : {0.5, 1.5, 2.5, 2.6, 9.9}) h.add(x);
@@ -342,7 +291,6 @@ TEST(Histogram, CountsAndEdges) {
   EXPECT_EQ(h.bin_count(1), 2u);
   EXPECT_EQ(h.bin_count(4), 1u);
   EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
 
 TEST(Histogram, OutOfRangeSaturates) {
@@ -352,15 +300,6 @@ TEST(Histogram, OutOfRangeSaturates) {
   EXPECT_EQ(h.bin_count(0), 1u);
   EXPECT_EQ(h.bin_count(1), 1u);
   EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  const auto median = h.quantile(0.5);
-  ASSERT_TRUE(median.has_value());
-  EXPECT_NEAR(*median, 5.0, 1.0);
-  EXPECT_FALSE(Histogram(0, 1, 1).quantile(0.5).has_value());
 }
 
 TEST(Histogram, InvalidArguments) {
@@ -433,13 +372,6 @@ TEST(Csv, ParseRoundTripsEscape) {
     ASSERT_EQ(parsed.size(), 2u) << field;
     EXPECT_EQ(parsed[0], field);
   }
-}
-
-TEST(Csv, RowConvenience) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.row({"p", "q,r"});
-  EXPECT_EQ(out.str(), "p,\"q,r\"\n");
 }
 
 // ---------------------------------------------------------------- json
@@ -544,12 +476,12 @@ TEST(Log, ParsesLevels) {
 }
 
 TEST(Log, LevelGating) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
+  for (const LogLevel level :
+       {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
+        LogLevel::kError}) {
+    EXPECT_EQ(log_enabled(level), level >= log_level());
+  }
   EXPECT_FALSE(log_enabled(LogLevel::kOff));
-  set_log_level(before);
 }
 
 TEST(Log, MonotonicTimestampFormatIsByteStable) {
@@ -593,7 +525,6 @@ TEST(Fsio, AtomicWriteFilePublishesAllOrNothing) {
 }
 
 TEST(Fsio, FsyncHelpersTolerateMissingPaths) {
-  EXPECT_FALSE(fsync_file("/no/such/file/anywhere"));
   EXPECT_FALSE(fsync_parent_dir("/no/such/dir/anywhere/x"));
 }
 
@@ -743,11 +674,9 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("no-trim"), "no-trim");
 }
 
-TEST(Strings, StartsEndsWith) {
+TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("config-6", "config"));
   EXPECT_FALSE(starts_with("6", "config"));
-  EXPECT_TRUE(ends_with("fig6.csv", ".csv"));
-  EXPECT_FALSE(ends_with("csv", "figure.csv"));
 }
 
 TEST(Strings, ToLowerJoinFormat) {
