@@ -7,12 +7,16 @@
 // (back-to-back crash/restart windows plus recovery-plane message loss,
 // exercising the checkpoint / state-transfer / rejoin machinery). Also
 // runs the f+1 compromise detection probe and prints the shrunk minimal
-// reproducer for any finding.
+// reproducer for any finding. The sweeps run on the pool at CT_BENCH_JOBS
+// (default 8); only the ms column depends on it.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/chaos.h"
+#include "figure_bench.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "threat/scenario.h"
 #include "util/strings.h"
@@ -22,7 +26,8 @@ using namespace ct;
 
 namespace {
 
-int run_sweep(const core::ChaosRunner& runner, const char* title) {
+int run_sweep(const core::ChaosRunner& runner, runtime::EnsembleRunner& pool,
+              const char* title) {
   std::cout << "=== chaos sweep: " << title << " ===\n\n";
   util::TextTable table;
   table.set_columns(
@@ -36,7 +41,7 @@ int run_sweep(const core::ChaosRunner& runner, const char* title) {
   for (const auto& config :
        scada::paper_configurations("primary", "backup", "dc")) {
     const auto start = std::chrono::steady_clock::now();
-    const core::ChaosReport report = runner.sweep(config);
+    const core::ChaosReport report = runner.sweep(config, pool);
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
     table.add_row({report.config_name, std::to_string(report.plans_run),
@@ -73,23 +78,31 @@ int main(int argc, char** argv) {
   }
 
   int total_findings = 0;
+  runtime::EnsembleOptions pool_options;
+  pool_options.jobs = bench::bench_jobs();
+  runtime::EnsembleRunner pool(pool_options);
 
   core::ChaosOptions benign;
   benign.plans = plans;
-  total_findings +=
-      run_sweep(core::ChaosRunner(benign), "benign fault plans vs Table I");
+  total_findings += run_sweep(core::ChaosRunner(benign), pool,
+                              "benign fault plans vs Table I");
 
   core::ChaosOptions restart_heavy;
   restart_heavy.plans = plans;
   restart_heavy.plan_style = core::ChaosOptions::PlanStyle::kRestartHeavy;
-  total_findings += run_sweep(core::ChaosRunner(restart_heavy),
+  total_findings += run_sweep(core::ChaosRunner(restart_heavy), pool,
                               "restart-heavy plans with transfer loss");
 
   std::cout << "=== detection probe: f+1 compromised replicas ===\n\n";
   const core::ChaosRunner runner(benign);
-  for (const auto& config :
-       scada::paper_configurations("primary", "backup", "dc")) {
-    const core::ChaosFinding finding = runner.compromise_probe(config);
+  const auto configs = scada::paper_configurations("primary", "backup", "dc");
+  std::vector<core::ChaosFinding> probes(configs.size());
+  pool.pool().parallel_for_each(configs.size(), 1, [&](std::size_t i) {
+    probes[i] = runner.compromise_probe(configs[i]);
+  });
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const scada::Configuration& config = configs[i];
+    const core::ChaosFinding& finding = probes[i];
     const bool detected = finding.observed != finding.expected;
     std::cout << "config " << config.name << ": "
               << (detected ? "DETECTED" : "MISSED") << " (expected "

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the framework's hot paths: wind
 // sampling, the surge envelope, a full hurricane realization, the analysis
 // pipeline, the evaluators, and the ensemble runtime (task-pool dispatch,
-// content digests, parallel outcome counting). These bound the cost of
+// content digests, the mask fold). These bound the cost of
 // scaling the methodology (more realizations, finer meshes, larger
 // ensembles).
 //
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -283,31 +284,30 @@ void BM_TaskPoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskPoolDispatch)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-/// Guarded outcome counting over a pre-generated batch, cache off —
-/// isolates the batch path's per-index classification and ascending fold
-/// from realization generation. Arg = jobs.
-void BM_EnsembleCount(benchmark::State& state) {
-  static const runtime::GeneratedBatch batch = [] {
+/// One cell's fold over the mask table of 64 realizations, the distinct
+/// masks found afresh each time: what a cache miss costs once the sweep's
+/// table exists.
+void BM_MaskFold(benchmark::State& state) {
+  static const runtime::FailureMasks masks = [] {
     runtime::EnsembleOptions options = runner_options(1, false);
     options.fault_spec = "none";
-    return runtime::EnsembleRunner(options).generate_guarded(engine(), 64);
+    runtime::SweepSpec spec;
+    spec.count = 64;
+    return runtime::EnsembleRunner(options)
+        .run_resumable(engine(), spec, runtime::CheckpointOptions{})
+        .masks;
   }();
   const auto config = scada::make_config_6_6_6(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
   const core::AnalysisPipeline pipeline;
-  runtime::EnsembleRunner runner(
-      runner_options(static_cast<unsigned>(state.range(0)), false));
-  const auto outcome = [&](const surge::HurricaneRealization& r) {
-    return static_cast<int>(pipeline.outcome_for(
-        config, threat::ThreatScenario::kHurricaneIntrusionIsolation, r));
-  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runner.count_outcomes_guarded([] { return &batch; }, outcome, ""));
+    benchmark::DoNotOptimize(pipeline.fold(
+        config, threat::ThreatScenario::kHurricaneIntrusionIsolation, masks,
+        core::MaskClasses(masks)));
   }
 }
-BENCHMARK(BM_EnsembleCount)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MaskFold)->Unit(benchmark::kMicrosecond);
 
 /// Serving-mode framing overhead: encode + checksum + decode one
 /// request-sized and one response-sized frame (a few-KiB analysis report).
@@ -654,12 +654,12 @@ std::vector<bench::BenchRow> micro_obs_rows() {
                       sim::des_outcomes_identical(on_outcome, off_outcome));
 }
 
-/// Times the degraded path (quarantine-and-retry under an injected fault
-/// profile, generation included, as that is where the faults fire) and the
-/// fused run_resumable sweep `ctctl analyze --checkpoint-dir` runs: all
-/// five paper configurations x one compound scenario, with checkpointing
-/// off and with the journal on at three intervals. Checks that every
-/// checkpointed sweep counts the same outcomes as the sweep without one.
+/// Times the degraded path (the mask sweep, quarantining and retrying under
+/// an injected fault profile, then the fold of all five paper
+/// configurations x one compound scenario) and the run_resumable sweep
+/// `ctctl analyze --checkpoint-dir` runs, with checkpointing off and with
+/// the journal on at three intervals. Checks that every checkpointed sweep
+/// yields the same mask table as the sweep without one.
 std::vector<bench::BenchRow> micro_runtime_rows() {
   const std::size_t n = std::min<std::size_t>(bench::bench_realizations(), 200);
   const unsigned jobs = bench::bench_jobs();
@@ -675,30 +675,24 @@ std::vector<bench::BenchRow> micro_runtime_rows() {
   fault_options.fault_spec = "throw:every=17";
   fault_options.max_retries = 1;
   runtime::EnsembleRunner faulty(fault_options);
-  std::size_t quarantined = 0;
-  std::uint64_t retries = 0;
-  const bench::Spread fault_s = bench::time_reps(kReps, [&] {
-    const runtime::GeneratedBatch degraded =
-        faulty.generate_guarded(engine(), n);
-    quarantined = degraded.ledger.failures.size();
-    retries = degraded.ledger.retries;
-    for (const auto& config : configs) {
-      retries += pipeline
-                     .analyze_lazy(config, scenario,
-                                   [&] { return &degraded; }, faulty, "")
-                     .retries;
-    }
-  });
-
   runtime::SweepSpec sweep;
   sweep.digest = "bench-micro-checkpoint";
   sweep.count = n;
-  for (const auto& config : configs) sweep.series.push_back(config.name);
-  const auto sweep_outcome = [&](std::size_t series,
-                                 const surge::HurricaneRealization& r) {
-    return static_cast<int>(
-        pipeline.outcome_for(configs[series], scenario, r));
-  };
+  std::size_t quarantined = 0;
+  std::uint64_t retries = 0;
+  const bench::Spread fault_s = bench::time_reps(kReps, [&] {
+    const runtime::FailureMasks degraded =
+        faulty.run_resumable(engine(), sweep, runtime::CheckpointOptions{})
+            .masks;
+    quarantined = degraded.ledger.failures.size();
+    retries = degraded.ledger.retries;
+    const core::MaskClasses classes(degraded);
+    for (const auto& config : configs) {
+      benchmark::DoNotOptimize(
+          pipeline.fold(config, scenario, degraded, classes));
+    }
+  });
+
   runtime::EnsembleOptions sweep_options = runner_options(jobs, false);
   sweep_options.fault_spec = "none";
   runtime::EnsembleRunner sweeper(sweep_options);
@@ -721,7 +715,7 @@ std::vector<bench::BenchRow> micro_runtime_rows() {
   };
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  std::vector<runtime::SeriesCounts> baseline;
+  std::optional<runtime::FailureMasks> baseline;
   bool identical = true;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     for (std::size_t v = 0; v < std::size(kIntervals); ++v) {
@@ -734,20 +728,20 @@ std::vector<bench::BenchRow> micro_runtime_rows() {
       runtime::ResumableReport report;
       const std::uint64_t flushed_before = flush_us();
       readings[v].push_back(bench::time_reps(1, [&] {
-                              report = sweeper.run_resumable(
-                                  engine(), sweep, sweep_outcome, ckpt);
+                              report = sweeper.run_resumable(engine(), sweep,
+                                                             ckpt);
                             }).median);
       if (kIntervals[v] == 128) {
         writes = report.checkpoints;
         flush_readings.push_back(
             static_cast<double>(flush_us() - flushed_before) * 1e-6);
       }
-      std::vector<runtime::SeriesCounts> counts;
-      for (const runtime::EnsembleReport& s : report.series) {
-        counts.push_back(s.counts.counts);
-      }
-      if (baseline.empty()) baseline = counts;
-      identical = identical && counts == baseline;
+      const runtime::FailureMasks& masks = report.masks;
+      if (!baseline) baseline = masks;
+      identical = identical && masks.indices == baseline->indices &&
+                  masks.bits == baseline->bits &&
+                  masks.ledger.failures.size() ==
+                      baseline->ledger.failures.size();
     }
   }
   obs::set_enabled(was_enabled);

@@ -4,6 +4,7 @@
 // the exact binomial mixture — showing how much of the worst-case loss
 // materializes against weaker, more realistic adversaries.
 #include <iostream>
+#include <vector>
 
 #include "core/attacker_power.h"
 #include "core/case_study.h"
@@ -19,7 +20,11 @@ int main() {
   core::CaseStudyOptions options;
   options.realizations = bench::bench_realizations();
   core::CaseStudyRunner runner = core::make_oahu_case_study(options);
-  const auto& realizations = runner.realizations();
+  // The power mixture reads whole realizations: run them on the pool.
+  std::vector<surge::HurricaneRealization> realizations(options.realizations);
+  runner.runtime().pool().parallel_for_each(
+      realizations.size(), 1,
+      [&](std::size_t i) { realizations[i] = runner.engine().run(i); });
 
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,

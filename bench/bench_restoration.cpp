@@ -21,7 +21,7 @@ int main() {
   core::CaseStudyOptions options;
   options.realizations = bench::bench_realizations();
   core::CaseStudyRunner runner = core::make_oahu_case_study(options);
-  const auto& realizations = runner.realizations();
+  const runtime::FailureMasks& masks = *runner.masks();
 
   const core::RestorationModel model;
   std::cout << "model: cold activation " << model.activation_minutes
@@ -44,7 +44,7 @@ int main() {
                        util::Align::kRight});
     for (const auto& config : configs) {
       const core::RestorationResult r = core::analyze_restoration(
-          config, scenario, realizations, model, /*samples=*/4);
+          config, scenario, masks, model, /*samples=*/4);
       table.add_row({config.name,
                      util::format_fixed(r.expected_downtime_hours, 2),
                      util::format_fixed(r.p95_downtime_hours, 2),

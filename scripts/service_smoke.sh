@@ -9,14 +9,17 @@
 #   3. that cache-warm answer runs no realization: the server's
 #      `surge.node_steps` counter reads the same after it as before
 #      (a count, not a timing);
-#   4. the storm-stage memo: once two sea-level offsets have asked for the
+#   4. served downtime after a served analyze of the same session runs no
+#      storm: it folds over the session's memoized mask table
+#      (`surge.node_steps` unchanged) and matches local execution;
+#   5. the storm-stage memo: once two sea-level offsets have asked for the
 #      same storms, a third offset runs no storm stage (`surge.node_steps`
 #      unchanged), and every offset's answer matches local execution;
-#   5. served siting (the batch path: one case study, one cell per
-#      candidate) at a fourth offset matches local execution and also runs
-#      no storm stage;
-#   6. SIGTERM drains gracefully (exit 0 after finishing admitted work);
-#   7. a local checkpointed sweep survives a real process death: CT_CRASH
+#   6. served siting (a new session's mask sweep, one fold per candidate)
+#      at a fourth offset matches local execution and also runs no storm
+#      stage;
+#   7. SIGTERM drains gracefully (exit 0 after finishing admitted work);
+#   8. a local checkpointed sweep survives a real process death: CT_CRASH
 #      tears its third durable write (exit 86), and `--resume` restores the
 #      32 realizations journaled before it and prints, after its two
 #      checkpoint lines, the uninterrupted report byte for byte.
@@ -96,9 +99,14 @@ diff -u "$work/local.txt" "$work/remote-cold.txt"
 echo "== byte-identity: remote(warm) vs local"
 diff -u "$work/local.txt" "$work/remote-warm.txt"
 
-echo "== downtime report over the same socket"
+echo "== downtime over the same socket: the session's masks, no storm"
+steps_before=$(node_steps)
 "$ctctl" downtime --connect "unix:$sock" "${run_flags[@]}" \
     > "$work/remote-downtime.txt" 2>/dev/null
+steps_after=$(node_steps)
+echo "surge.node_steps: $steps_before before downtime, $steps_after after"
+[[ "$steps_after" == "$steps_before" ]] \
+    || { echo "FAIL: served downtime ran storms"; exit 1; }
 CT_CACHE_DIR="$work/local-cache" "$ctctl" downtime "${run_flags[@]}" \
     > "$work/local-downtime.txt" 2>/dev/null
 diff -u "$work/local-downtime.txt" "$work/remote-downtime.txt"
@@ -127,7 +135,7 @@ for slr in 0.1 0.2; do
   diff -u "$work/local-slr-$slr.txt" "$work/remote-slr-$slr.txt"
 done
 
-echo "== served siting: the batch path, storms from the memo"
+echo "== served siting: a new session's mask sweep, storms from the memo"
 # A new session at offset 0.3 over the same 200 storms: every shoreline
 # record is already in the memo, so ranking the candidates runs no storm.
 steps_before=$(node_steps)

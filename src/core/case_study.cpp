@@ -20,20 +20,20 @@ CaseStudyRunner::CaseStudyRunner(scada::ScadaTopology topology,
       runtime_(shared_runtime == nullptr ? owned_runtime_.get()
                                          : shared_runtime) {}
 
-const runtime::GeneratedBatch& CaseStudyRunner::generated() {
-  if (!cached_) {
-    batch_ = runtime_->generate_guarded(engine_, options_.realizations);
-    cached_ = true;
+const runtime::FailureMasks* CaseStudyRunner::masks(
+    const runtime::CheckpointOptions& ckpt,
+    runtime::CancellationToken* interrupt) {
+  if (!masks_) {
+    // Only a journal reads the digest, whose probe realization costs a run.
+    runtime::ResumableReport report = runtime_->run_resumable(
+        engine_,
+        mask_sweep_spec(ckpt.dir.empty() ? "" : batch_digest(),
+                        options_.realizations),
+        ckpt, interrupt);
+    if (report.interrupted) return nullptr;
+    masks_ = std::move(report.masks);
   }
-  return batch_;
-}
-
-const std::vector<surge::HurricaneRealization>& CaseStudyRunner::realizations() {
-  return generated().realizations;
-}
-
-const runtime::FailureLedger& CaseStudyRunner::generation_failures() {
-  return batch_.ledger;
+  return &*masks_;
 }
 
 const std::string& CaseStudyRunner::batch_digest() {
@@ -45,14 +45,17 @@ const std::string& CaseStudyRunner::batch_digest() {
 }
 
 ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
-                                    threat::ThreatScenario scenario) {
+                                    threat::ThreatScenario scenario,
+                                    const runtime::CheckpointOptions& sweep,
+                                    runtime::CancellationToken* interrupt) {
   // Lazy: a result-cache hit (same topology, configuration, scenario,
   // ensemble, attacker — possibly from a previous process via the disk
-  // layer) never generates the realization batch at all. On a miss the
-  // guarded batch's quarantine ledger flows into the ScenarioResult.
-  return pipeline_.analyze_lazy(
-      config, scenario, [this] { return &generated(); }, *runtime_,
-      batch_digest());
+  // layer) never sweeps; on a miss the table's ledger reaches the result.
+  return pipeline_
+      .analyze_resumable({SweepCell{&config, scenario}}, engine_,
+                         options_.realizations, *runtime_, batch_digest(),
+                         sweep, interrupt, masks_)
+      .results.front();
 }
 
 std::vector<ScenarioResult> CaseStudyRunner::run_configs(
@@ -80,31 +83,28 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
   }
   return pipeline_.analyze_resumable(cells, engine_, options_.realizations,
                                      *runtime_, batch_digest(), ckpt,
-                                     interrupt);
+                                     interrupt, masks_);
 }
 
 double CaseStudyRunner::asset_flood_probability(std::string_view asset_id) {
-  const auto& batch = realizations();
-  if (batch.empty()) return 0.0;
+  const runtime::FailureMasks& table = *masks();
+  if (table.size() == 0) return 0.0;
   std::size_t failures = 0;
-  const std::string id(asset_id);
-  for (const surge::HurricaneRealization& r : batch) {
-    if (r.asset_failed(id)) ++failures;
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    if (table.flooded(k, asset_id)) ++failures;
   }
-  return static_cast<double>(failures) / static_cast<double>(batch.size());
+  return static_cast<double>(failures) / static_cast<double>(table.size());
 }
 
 double CaseStudyRunner::conditional_flood_probability(std::string_view a,
                                                       std::string_view b) {
-  const auto& batch = realizations();
-  const std::string id_a(a);
-  const std::string id_b(b);
+  const runtime::FailureMasks& table = *masks();
   std::size_t b_failures = 0;
   std::size_t joint = 0;
-  for (const surge::HurricaneRealization& r : batch) {
-    if (r.asset_failed(id_b)) {
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    if (table.flooded(k, b)) {
       ++b_failures;
-      if (r.asset_failed(id_a)) ++joint;
+      if (table.flooded(k, a)) ++joint;
     }
   }
   if (b_failures == 0) return 0.0;

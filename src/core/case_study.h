@@ -1,11 +1,12 @@
 // Case-study runner: binds a terrain, a SCADA topology, and the hurricane
-// realization engine together and caches the (expensive) realization batch
+// realization engine together and memoizes the ensemble's flood-mask table
 // so many configurations/scenarios/sitings can be analyzed against the
 // same natural-disaster input — exactly how the paper's §VI evaluation is
 // structured.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -45,27 +46,33 @@ class CaseStudyRunner {
                   CaseStudyOptions options = {},
                   runtime::EnsembleRunner* shared_runtime = nullptr);
 
-  /// The cached realization batch (computed on first use). Contains the
-  /// SURVIVORS when generation quarantined realizations — see
-  /// generation_failures() for the ledger.
-  const std::vector<surge::HurricaneRealization>& realizations();
+  /// The ensemble's mask table (DESIGN.md §9): the one an earlier complete
+  /// sweep memoized, else a sweep under `ckpt` and `interrupt`, memoized
+  /// when it completes; nullptr when it was interrupted.
+  const runtime::FailureMasks* masks(
+      const runtime::CheckpointOptions& ckpt = {},
+      runtime::CancellationToken* interrupt = nullptr);
 
-  /// Quarantine ledger of the generation stage (empty until the batch has
-  /// been generated, and on every clean run).
-  const runtime::FailureLedger& generation_failures();
+  /// The memoized table, or nullptr while no sweep has completed.
+  const runtime::FailureMasks* memoized_masks() const noexcept {
+    return masks_ ? &*masks_ : nullptr;
+  }
 
-  /// Analyzes one configuration under one scenario.
+  /// Analyzes one configuration under one scenario: the result cache, else
+  /// a fold over masks(sweep, interrupt), partial if it was interrupted.
   ScenarioResult run(const scada::Configuration& config,
-                     threat::ThreatScenario scenario);
+                     threat::ThreatScenario scenario,
+                     const runtime::CheckpointOptions& sweep = {},
+                     runtime::CancellationToken* interrupt = nullptr);
 
   /// Analyzes several configurations under one scenario.
   std::vector<ScenarioResult> run_configs(
       const std::vector<scada::Configuration>& configs,
       threat::ThreatScenario scenario);
 
-  /// Crash-consistent (configurations x scenarios) sweep matrix: every
-  /// realization is generated once and classified into every live cell,
-  /// with completed slices journaled under `ckpt` so a killed or
+  /// Crash-consistent (configurations x scenarios) sweep matrix: the live
+  /// cells fold over the memoized table, or over one mask sweep whose
+  /// completed slices are journaled under `ckpt` so a killed or
   /// interrupted run resumes from where it stopped (bit-identical to an
   /// uninterrupted run). Results come back in row-major order (config
   /// varies fastest within a scenario). See AnalysisPipeline::
@@ -76,7 +83,7 @@ class CaseStudyRunner {
       const runtime::CheckpointOptions& ckpt,
       runtime::CancellationToken* interrupt = nullptr);
 
-  /// Empirical probability that the asset flooded across realizations.
+  /// Fraction of the surviving realizations that flooded the asset.
   double asset_flood_probability(std::string_view asset_id);
 
   /// P(asset `a` flooded | asset `b` flooded); 0 when `b` never floods.
@@ -88,9 +95,6 @@ class CaseStudyRunner {
   /// The shared execution runtime (pool + result cache) every analysis of
   /// this case study routes through.
   runtime::EnsembleRunner& runtime() noexcept { return *runtime_; }
-  /// True when the runtime is borrowed from an external owner (service
-  /// mode) rather than owned by this runner.
-  bool shares_runtime() const noexcept { return owned_runtime_ == nullptr; }
 
  private:
   /// Content address of the (engine, realization count) ensemble; computed
@@ -100,8 +104,6 @@ class CaseStudyRunner {
   /// Safe even under quarantine: a degraded run is never stored, so the
   /// full-ensemble address can only ever resolve to full-ensemble results.
   const std::string& batch_digest();
-  /// The guarded batch (generated on first use).
-  const runtime::GeneratedBatch& generated();
 
   scada::ScadaTopology topology_;
   CaseStudyOptions options_;
@@ -111,8 +113,8 @@ class CaseStudyRunner {
   std::unique_ptr<runtime::EnsembleRunner> owned_runtime_;
   runtime::EnsembleRunner* runtime_;
   std::string batch_digest_;
-  runtime::GeneratedBatch batch_;
-  bool cached_ = false;
+  /// The table of the first sweep that completed.
+  std::optional<runtime::FailureMasks> masks_;
 };
 
 /// Builds the paper's Oahu case study: synthetic Oahu terrain + the Fig. 4

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/evaluator.h"
@@ -18,23 +19,33 @@ namespace ct::core {
 
 namespace {
 
-/// EnsembleReport -> ScenarioResult (histogram + quarantine accounting).
-ScenarioResult result_from_report(const scada::Configuration& config,
-                                  threat::ThreatScenario scenario,
-                                  runtime::EnsembleReport report) {
+/// A cached full distribution as a clean result with from_cache set.
+ScenarioResult result_from_cache(const scada::Configuration& config,
+                                 threat::ThreatScenario scenario,
+                                 const runtime::CachedCounts& cached) {
   ScenarioResult result;
   result.config_name = config.name;
   result.scenario = scenario;
-  for (std::size_t i = 0; i < report.counts.counts.size(); ++i) {
+  for (std::size_t i = 0; i < cached.counts.size(); ++i) {
     result.outcomes.add(static_cast<threat::OperationalState>(i),
-                        static_cast<std::size_t>(report.counts.counts[i]));
+                        static_cast<std::size_t>(cached.counts[i]));
   }
-  result.from_cache = report.counts.from_cache;
-  result.failures = std::move(report.failures);
-  result.retries = report.retries;
-  result.attempted = report.attempted;
-  result.completed = report.completed;
+  result.from_cache = true;
+  // Only fully clean runs are ever stored, so a hit means every
+  // realization completed.
+  result.attempted = result.completed = result.outcomes.total();
   return result;
+}
+
+/// The histogram of `outcomes` as the result cache stores it.
+runtime::CachedCounts counts_of(const OutcomeDistribution& outcomes) {
+  runtime::CachedCounts cached;
+  for (std::size_t i = 0; i < cached.counts.size(); ++i) {
+    cached.counts[i] = static_cast<std::uint64_t>(
+        outcomes.count(static_cast<threat::OperationalState>(i)));
+  }
+  cached.total = outcomes.total();
+  return cached;
 }
 
 }  // namespace
@@ -42,14 +53,10 @@ ScenarioResult result_from_report(const scada::Configuration& config,
 util::Interval ScenarioResult::mass_bound(threat::OperationalState s,
                                           double confidence) const noexcept {
   // Rebuild the runtime report so both layers share ONE bound formula. A
-  // result that never went through the guarded path (serial analyze) has
+  // result that never went through a sweep (serial analyze) has
   // attempted == 0; treat it as a clean full run.
   runtime::EnsembleReport report;
-  for (std::size_t i = 0; i < report.counts.counts.size(); ++i) {
-    report.counts.counts[i] = static_cast<std::uint64_t>(
-        outcomes.count(static_cast<threat::OperationalState>(i)));
-  }
-  report.counts.total = outcomes.total();
+  report.counts = counts_of(outcomes).counts;
   report.attempted = attempted == 0 ? outcomes.total() : attempted;
   report.completed = attempted == 0 ? outcomes.total() : completed;
   return report.mass_bound(static_cast<std::size_t>(s), confidence);
@@ -84,14 +91,48 @@ double OutcomeDistribution::expected_badness() const noexcept {
   return sum / static_cast<double>(total_);
 }
 
+MaskClasses::MaskClasses(const runtime::FailureMasks& masks) {
+  std::unordered_map<std::string, std::size_t> seen;
+  class_of.reserve(masks.size());
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    const std::span<const std::uint64_t> mask = masks.mask(k);
+    std::string key(reinterpret_cast<const char*>(mask.data()),
+                    mask.size_bytes());
+    const auto [it, fresh] =
+        seen.try_emplace(std::move(key), representative.size());
+    if (fresh) {
+      representative.push_back(k);
+      count.push_back(0);
+    }
+    class_of.push_back(it->second);
+    ++count[it->second];
+  }
+}
+
+runtime::SweepSpec mask_sweep_spec(std::string_view batch_digest,
+                                   std::size_t count) {
+  runtime::SweepSpec spec;
+  util::Digest d;
+  d.str("ct-sweep").str(batch_digest);
+  spec.digest = d.hex();
+  spec.count = count;
+  return spec;
+}
+
 threat::OperationalState AnalysisPipeline::outcome_for(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const surge::HurricaneRealization& realization) const {
+  return classify(config, scenario, [&realization](std::string_view asset_id) {
+    return realization.asset_failed(std::string(asset_id));
+  });
+}
+
+threat::OperationalState AnalysisPipeline::classify(
+    const scada::Configuration& config, threat::ThreatScenario scenario,
+    const std::function<bool(std::string_view)>& flooded) const {
   // Stage 1 (Fig. 5): apply the natural-disaster impact.
-  const threat::SystemState post_disaster = threat::post_disaster_state(
-      config, [&realization](std::string_view asset_id) {
-        return realization.asset_failed(std::string(asset_id));
-      });
+  const threat::SystemState post_disaster =
+      threat::post_disaster_state(config, flooded);
 
   // Stage 2: apply the worst-case cyberattack for the scenario.
   const threat::AttackerCapability capability =
@@ -127,23 +168,25 @@ std::string_view AnalysisPipeline::attacker_tag() const noexcept {
   return model_ == AttackerModel::kGreedy ? "greedy" : "exhaustive";
 }
 
-ScenarioResult AnalysisPipeline::analyze_lazy(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const runtime::EnsembleRunner::BatchFn& batch,
-    runtime::EnsembleRunner& runtime, std::string_view batch_digest) const {
-  obs::Span span("pipeline.analyze");
-  const std::string key =
-      batch_digest.empty()
-          ? std::string()  // unidentified set: skip the cache, stay correct
-          : runtime::EnsembleRunner::job_key(config, scenario, attacker_tag(),
-                                             batch_digest);
-  runtime::EnsembleReport report = runtime.count_outcomes_guarded(
-      batch,
-      [&](const surge::HurricaneRealization& r) {
-        return static_cast<int>(outcome_for(config, scenario, r));
-      },
-      key);
-  return result_from_report(config, scenario, std::move(report));
+ScenarioResult AnalysisPipeline::fold(const scada::Configuration& config,
+                                      threat::ThreatScenario scenario,
+                                      const runtime::FailureMasks& masks,
+                                      const MaskClasses& classes) const {
+  ScenarioResult result;
+  result.config_name = config.name;
+  result.scenario = scenario;
+  for (std::size_t c = 0; c < classes.representative.size(); ++c) {
+    const std::size_t k = classes.representative[c];
+    result.outcomes.add(
+        classify(config, scenario,
+                 [&](std::string_view id) { return masks.flooded(k, id); }),
+        classes.count[c]);
+  }
+  result.failures = masks.ledger.failures;
+  result.retries = masks.ledger.retries;
+  result.attempted = masks.attempted;
+  result.completed = masks.attempted - masks.ledger.failures.size();
+  return result;
 }
 
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
@@ -151,22 +194,22 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
     const surge::RealizationEngine& engine, std::size_t count,
     runtime::EnsembleRunner& runtime, std::string_view batch_digest,
     const runtime::CheckpointOptions& ckpt,
-    runtime::CancellationToken* interrupt) const {
+    runtime::CancellationToken* interrupt,
+    std::optional<runtime::FailureMasks>& memo) const {
   obs::Span span("pipeline.analyze_resumable");
   ResumableAnalysis out;
   out.results.resize(cells.size());
 
   // Pass 1 — cache: a cell whose full distribution is already stored needs
-  // no realizations at all. Only the remaining LIVE cells join the sweep.
-  std::vector<std::size_t> live;      // cell index per live series
-  std::vector<std::string> live_keys; // job key per live series
+  // no realizations at all. Only the remaining LIVE cells fold.
+  std::vector<std::size_t> live;      // index of each live cell
+  std::vector<std::string> live_keys; // job key of each live cell
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const SweepCell& cell = cells[i];
     const std::string key = runtime::EnsembleRunner::job_key(
         *cell.config, cell.scenario, attacker_tag(), batch_digest);
-    if (auto hit = runtime.cached_report(key)) {
-      out.results[i] =
-          result_from_report(*cell.config, cell.scenario, *std::move(hit));
+    if (const auto hit = runtime.cached_counts(key)) {
+      out.results[i] = result_from_cache(*cell.config, cell.scenario, *hit);
       ++out.cached_cells;
       continue;
     }
@@ -175,53 +218,28 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
   }
   if (live.empty()) return out;
 
-  // Pass 2 — one fused sweep over the live cells. The journal is keyed by
-  // the engine-batch digest AND the live-series keys, so a checkpoint
-  // taken under different knobs, a different attacker, or a different
-  // set of outstanding cells can never resume.
-  runtime::SweepSpec spec;
-  {
-    util::Digest d;
-    d.str("ct-sweep").str(batch_digest).str(attacker_tag());
-    spec.digest = d.hex();
+  // Pass 2 — the live cells fold over the memo's table or a sweep's, whose
+  // journal key names the engine batch only (any cell set resumes it).
+  runtime::ResumableReport report;
+  if (!memo) {
+    report = runtime.run_resumable(engine, mask_sweep_spec(batch_digest, count),
+                                   ckpt, interrupt);
+    static_cast<runtime::SweepStats&>(out) = report;
   }
-  spec.count = count;
-  spec.series = live_keys;
-
-  runtime::ResumableReport report = runtime.run_resumable(
-      engine, spec,
-      [&](std::size_t series, const surge::HurricaneRealization& r) {
-        const SweepCell& cell = cells[live[series]];
-        return static_cast<int>(outcome_for(*cell.config, cell.scenario, r));
-      },
-      ckpt, interrupt);
-
-  out.resume = report.resume;
-  out.interrupted = report.interrupted;
-  out.restored = report.restored;
-  out.executed = report.executed;
-  out.checkpoints = report.checkpoints;
-
+  const runtime::FailureMasks& masks = memo ? *memo : report.masks;
+  const MaskClasses classes(masks);
   for (std::size_t s = 0; s < live.size(); ++s) {
     const SweepCell& cell = cells[live[s]];
-    // Cache only a COMPLETE clean distribution (cache_report drops
-    // degraded ones): interrupted series stay out too.
-    if (!report.interrupted && report.series[s].attempted == count) {
-      runtime.cache_report(live_keys[s], report.series[s]);
+    ScenarioResult& result = out.results[live[s]];
+    result = fold(*cell.config, cell.scenario, masks, classes);
+    // Cache only a COMPLETE clean distribution: a partial one would
+    // poison every warm rerun.
+    if (!out.interrupted && !result.degraded() && masks.attempted == count) {
+      runtime.cache_counts(live_keys[s], counts_of(result.outcomes));
     }
-    out.results[live[s]] = result_from_report(*cell.config, cell.scenario,
-                                              std::move(report.series[s]));
   }
+  if (!memo && !out.interrupted) memo = std::move(report.masks);
   return out;
-}
-
-ScenarioResult AnalysisPipeline::analyze_csv(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    std::istream& in, std::string_view source_name) const {
-  const LoadedRealizations loaded = load_realizations_csv(in, source_name);
-  ScenarioResult result = analyze(config, scenario, loaded.realizations);
-  result.skipped_realizations = loaded.skipped_rows;
-  return result;
 }
 
 LoadedRealizations load_realizations_csv(std::istream& in,

@@ -8,8 +8,11 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/ensemble_runner.h"
@@ -46,14 +49,10 @@ struct ScenarioResult {
   threat::ThreatScenario scenario{};
   /// PARTIAL distribution when degraded(): only completed realizations.
   OutcomeDistribution outcomes;
-  /// Realization rows that were malformed and skipped (only non-zero when
-  /// the realizations came from an external CSV; see analyze_csv).
-  std::size_t skipped_realizations = 0;
-  /// True when the outcomes were served by the runtime's result cache
-  /// instead of being recomputed (runner-routed analyze paths only).
+  /// True when the outcomes were served by the runtime's result cache.
   bool from_cache = false;
 
-  // Fault-isolation accounting (runner-routed analyze paths; serial
+  // Fault-isolation accounting (folds over a sweep's mask table; serial
   // analyze() is batch-fatal and always reports a clean run).
   /// Quarantined realizations, ascending by realization index.
   std::vector<runtime::FailureRecord> failures;
@@ -99,6 +98,21 @@ void write_realizations_csv(
     std::ostream& out,
     const std::vector<surge::HurricaneRealization>& realizations);
 
+/// The distinct masks of a table, numbered in first-seen (index) order: a
+/// fold classifies one representative per class, not every survivor.
+struct MaskClasses {
+  explicit MaskClasses(const runtime::FailureMasks& masks);
+  std::vector<std::size_t> class_of;        ///< class of each survivor
+  std::vector<std::size_t> representative;  ///< first survivor of each class
+  std::vector<std::size_t> count;           ///< survivors of each class
+};
+
+/// The journal identity of the mask sweep over one engine batch:
+/// H("ct-sweep", batch digest) and the count. No cell and no attacker
+/// enters it, so a checkpoint taken for one cell set resumes another.
+runtime::SweepSpec mask_sweep_spec(std::string_view batch_digest,
+                                   std::size_t count);
+
 /// One cell of a resumable sweep matrix: a (configuration, scenario)
 /// pair analyzed over the same realization ensemble. The configuration is
 /// borrowed; it must outlive the analyze_resumable call.
@@ -107,15 +121,10 @@ struct SweepCell {
   threat::ThreatScenario scenario{};
 };
 
-/// Output of analyze_resumable: per-cell results plus how the checkpoint
-/// layer behaved.
-struct ResumableAnalysis {
+/// Output of analyze_resumable: per-cell results plus how its sweep went
+/// (all zero when the cache or the memo answered).
+struct ResumableAnalysis : runtime::SweepStats {
   std::vector<ScenarioResult> results;  ///< one per cell, in cell order
-  runtime::ResumeInfo resume;
-  bool interrupted = false;     ///< cancelled mid-sweep; progress saved
-  std::uint64_t restored = 0;   ///< realization indices replayed from disk
-  std::uint64_t executed = 0;   ///< realization indices computed this run
-  std::uint64_t checkpoints = 0;  ///< durable checkpoint writes this run
   std::size_t cached_cells = 0;   ///< cells served whole from the cache
 
   bool complete() const noexcept { return !interrupted; }
@@ -140,55 +149,40 @@ class AnalysisPipeline {
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const surge::HurricaneRealization& realization) const;
 
-  /// Aggregates outcome probabilities over a realization set: the serial,
-  /// uncached reference the runner-routed paths are tested against. No
-  /// command runs it; tests compare the batch path and the sweep with it.
+  /// outcome_for over a flood predicate: the routine the mask fold shares.
+  threat::OperationalState classify(
+      const scada::Configuration& config, threat::ThreatScenario scenario,
+      const std::function<bool(std::string_view asset_id)>& flooded) const;
+
+  /// Aggregates outcome probabilities over a realization set: the serial
+  /// reference the mask fold is tested against.
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;
 
-  /// The batch path, one cell at a time: `batch` (typically a
-  /// CaseStudyRunner's generate_guarded output) is only invoked on a cache
-  /// miss, so a warm rerun never materializes the ensemble at all; its
-  /// ledger merges with counting failures into the result's quarantine
-  /// accounting. `batch_digest` is runtime.digest_engine_batch of the
-  /// batch's engine and count; "" skips the cache.
-  ScenarioResult analyze_lazy(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const runtime::EnsembleRunner::BatchFn& batch,
-      runtime::EnsembleRunner& runtime, std::string_view batch_digest) const;
+  /// The fold: one cell over a mask table, one classification per
+  /// distinct mask added with its multiplicity, and the table's quarantine
+  /// accounting. Equal to analyze() over the table's realizations.
+  ScenarioResult fold(const scada::Configuration& config,
+                      threat::ThreatScenario scenario,
+                      const runtime::FailureMasks& masks,
+                      const MaskClasses& classes) const;
 
-  /// Like analyze(), but over realizations streamed from the interchange
-  /// CSV. Malformed rows degrade gracefully: they are skipped and surfaced
-  /// in ScenarioResult::skipped_realizations rather than aborting the run.
-  /// `source_name` labels the stream in per-row error records.
-  ScenarioResult analyze_csv(const scada::Configuration& config,
-                             threat::ThreatScenario scenario, std::istream& in,
-                             std::string_view source_name =
-                                 "realizations.csv") const;
-
-  /// Crash-consistent sweep matrix: analyzes every (configuration,
-  /// scenario) cell over realizations [0, count) from `engine`, generating
-  /// each realization ONCE and classifying it into every live cell (a
-  /// cell already in the result cache is served from it and never touches
-  /// the sweep). With ckpt.resume, prior journal/snapshot state is
-  /// validated and replayed so only missing realizations run; the merged
-  /// results are bit-identical at any --jobs value to an uninterrupted
-  /// run. `interrupt` stops the sweep at the next checkpoint boundary
-  /// after a final flush (SIGINT/SIGTERM path): the returned analysis then
-  /// has interrupted=true and partial distributions, and the on-disk state
-  /// feeds the next --resume. See runtime/checkpoint.h for the journal.
-  /// `batch_digest` must be runtime.digest_engine_batch(engine,
-  /// count); the caller memoizes it (CaseStudyRunner::batch_digest), so a
-  /// sweep served whole from the cache runs no realization at all.
+  /// Crash-consistent sweep matrix over realizations [0, count) from
+  /// `engine`: cells in the result cache are served from it, the rest fold
+  /// over `memo`, else over one mask sweep under `ckpt` (resumable, see
+  /// runtime/checkpoint.h) and `interrupt` that leaves a complete table in
+  /// `memo`; an interrupted one yields partial distributions. The caller
+  /// memoizes `batch_digest` (runtime.digest_engine_batch(engine, count)),
+  /// so a sweep served whole from the cache runs no realization at all.
   ResumableAnalysis analyze_resumable(
       const std::vector<SweepCell>& cells,
       const surge::RealizationEngine& engine, std::size_t count,
       runtime::EnsembleRunner& runtime, std::string_view batch_digest,
       const runtime::CheckpointOptions& ckpt,
-      runtime::CancellationToken* interrupt = nullptr) const;
+      runtime::CancellationToken* interrupt,
+      std::optional<runtime::FailureMasks>& memo) const;
 
-  AttackerModel attacker_model() const noexcept { return model_; }
   /// Cache-key tag naming the attack algorithm of this pipeline.
   std::string_view attacker_tag() const noexcept;
 

@@ -1,6 +1,7 @@
 #include "core/restoration.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "core/evaluator.h"
@@ -116,78 +117,70 @@ IncidentCosts sample_incident_costs(const scada::Configuration& config,
 
 namespace {
 
-/// Costs of one realization: the deterministic expectation plus the
-/// stochastic downtime draws. Pure in (config, scenario, model, seed,
-/// realization index) — the unit of parallelism.
-struct RealizationCosts {
-  IncidentCosts expected;
-  std::vector<double> sampled_downtimes;
-};
+/// The worst-case attacked state of `config` after `flooded`'s floods.
+SystemState attacked_state(
+    const scada::Configuration& config, threat::ThreatScenario scenario,
+    const std::function<bool(std::string_view)>& flooded) {
+  return threat::GreedyWorstCaseAttacker{}.attack(
+      config, threat::post_disaster_state(config, flooded),
+      threat::capability_for(scenario));
+}
 
-RealizationCosts realization_costs(
-    const scada::Configuration& config,
-    const threat::GreedyWorstCaseAttacker& attacker,
-    const threat::AttackerCapability& capability,
-    const surge::HurricaneRealization& realization,
-    const RestorationModel& model, std::size_t samples_per_realization,
-    const util::Rng& base) {
-  const SystemState post_disaster = threat::post_disaster_state(
-      config, [&](std::string_view asset_id) {
-        return realization.asset_failed(std::string(asset_id));
-      });
-  const SystemState attacked =
-      attacker.attack(config, post_disaster, capability);
+/// Folds per-realization costs in realization order, whether the attacked
+/// states came from realizations or a mask table: each expectation, and
+/// the downtime draws from each realization's own stream.
+class CostFold {
+ public:
+  CostFold(const scada::Configuration& config, const RestorationModel& model,
+           std::size_t samples_per_realization, std::uint64_t seed)
+      : config_(config), model_(model), samples_(samples_per_realization),
+        base_(seed, "restoration") {}
 
-  RealizationCosts costs;
-  costs.expected = expected_incident_costs(config, attacked, model);
-  if (samples_per_realization > 0) {
-    util::Rng rng = base.child("realization", realization.index);
-    costs.sampled_downtimes.reserve(samples_per_realization);
-    for (std::size_t s = 0; s < samples_per_realization; ++s) {
-      costs.sampled_downtimes.push_back(
-          sample_incident_costs(config, attacked, model, rng).downtime_hours);
+  void add(const SystemState& attacked, const IncidentCosts& expected,
+           std::uint64_t index) {
+    downtime_.add(expected.downtime_hours);
+    incorrect_.add(expected.incorrect_hours);
+    if (expected.downtime_hours > 0.0) ++with_downtime_;
+    ++realizations_;
+    if (samples_ == 0) {
+      sampled_downtimes_.push_back(expected.downtime_hours);
+      return;
     }
-  } else {
-    costs.sampled_downtimes.push_back(costs.expected.downtime_hours);
-  }
-  return costs;
-}
-
-/// Aggregates per-realization costs in realization order (the fold is the
-/// same whether the costs were computed serially or on the pool).
-RestorationResult fold_costs(const scada::Configuration& config,
-                             threat::ThreatScenario scenario,
-                             const std::vector<RealizationCosts>& per_realization) {
-  RestorationResult result;
-  result.config_name = config.name;
-  result.scenario = scenario;
-
-  util::RunningStats downtime;
-  util::RunningStats incorrect;
-  std::vector<double> sampled_downtimes;
-  std::size_t with_downtime = 0;
-  for (const RealizationCosts& costs : per_realization) {
-    downtime.add(costs.expected.downtime_hours);
-    incorrect.add(costs.expected.incorrect_hours);
-    if (costs.expected.downtime_hours > 0.0) ++with_downtime;
-    sampled_downtimes.insert(sampled_downtimes.end(),
-                             costs.sampled_downtimes.begin(),
-                             costs.sampled_downtimes.end());
+    util::Rng rng = base_.child("realization", index);
+    for (std::size_t s = 0; s < samples_; ++s) {
+      sampled_downtimes_.push_back(
+          sample_incident_costs(config_, attacked, model_, rng).downtime_hours);
+    }
   }
 
-  result.expected_downtime_hours = downtime.mean();
-  result.expected_incorrect_hours = incorrect.mean();
-  result.p95_downtime_hours =
-      sampled_downtimes.empty()
-          ? 0.0
-          : util::exact_quantile(sampled_downtimes, 0.95);
-  result.p_any_downtime =
-      per_realization.empty()
-          ? 0.0
-          : static_cast<double>(with_downtime) /
-                static_cast<double>(per_realization.size());
-  return result;
-}
+  RestorationResult result(threat::ThreatScenario scenario) const {
+    RestorationResult result;
+    result.config_name = config_.name;
+    result.scenario = scenario;
+    result.expected_downtime_hours = downtime_.mean();
+    result.expected_incorrect_hours = incorrect_.mean();
+    result.p95_downtime_hours =
+        sampled_downtimes_.empty()
+            ? 0.0
+            : util::exact_quantile(sampled_downtimes_, 0.95);
+    result.p_any_downtime =
+        realizations_ == 0 ? 0.0
+                           : static_cast<double>(with_downtime_) /
+                                 static_cast<double>(realizations_);
+    return result;
+  }
+
+ private:
+  const scada::Configuration& config_;
+  const RestorationModel& model_;
+  std::size_t samples_;
+  util::Rng base_;
+  util::RunningStats downtime_;
+  util::RunningStats incorrect_;
+  std::vector<double> sampled_downtimes_;
+  std::size_t with_downtime_ = 0;
+  std::size_t realizations_ = 0;
+};
 
 }  // namespace
 
@@ -196,38 +189,38 @@ RestorationResult analyze_restoration(
     const std::vector<surge::HurricaneRealization>& realizations,
     const RestorationModel& model, std::size_t samples_per_realization,
     std::uint64_t seed) {
-  const threat::GreedyWorstCaseAttacker attacker;
-  const threat::AttackerCapability capability =
-      threat::capability_for(scenario);
-  const util::Rng base(seed, "restoration");
-
-  std::vector<RealizationCosts> per_realization(realizations.size());
-  for (std::size_t r = 0; r < realizations.size(); ++r) {
-    per_realization[r] =
-        realization_costs(config, attacker, capability, realizations[r],
-                          model, samples_per_realization, base);
+  CostFold fold(config, model, samples_per_realization, seed);
+  for (const surge::HurricaneRealization& r : realizations) {
+    const SystemState attacked =
+        attacked_state(config, scenario, [&](std::string_view id) {
+          return r.asset_failed(std::string(id));
+        });
+    fold.add(attacked, expected_incident_costs(config, attacked, model),
+             r.index);
   }
-  return fold_costs(config, scenario, per_realization);
+  return fold.result(scenario);
 }
 
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const RestorationModel& model, runtime::EnsembleRunner& runtime,
+    const runtime::FailureMasks& masks, const RestorationModel& model,
     std::size_t samples_per_realization, std::uint64_t seed) {
-  const threat::GreedyWorstCaseAttacker attacker;
-  const threat::AttackerCapability capability =
-      threat::capability_for(scenario);
-  const util::Rng base(seed, "restoration");
-
-  std::vector<RealizationCosts> per_realization(realizations.size());
-  runtime.pool().parallel_for_each(
-      realizations.size(), runtime.options().chunk, [&](std::size_t r) {
-        per_realization[r] =
-            realization_costs(config, attacker, capability, realizations[r],
-                              model, samples_per_realization, base);
-      });
-  return fold_costs(config, scenario, per_realization);
+  const MaskClasses classes(masks);
+  std::vector<SystemState> attacked;
+  std::vector<IncidentCosts> expected;
+  for (const std::size_t k : classes.representative) {
+    attacked.push_back(attacked_state(
+        config, scenario,
+        [&](std::string_view id) { return masks.flooded(k, id); }));
+    expected.push_back(
+        expected_incident_costs(config, attacked.back(), model));
+  }
+  CostFold fold(config, model, samples_per_realization, seed);
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    const std::size_t c = classes.class_of[k];
+    fold.add(attacked[c], expected[c], masks.indices[k]);
+  }
+  return fold.result(scenario);
 }
 
 }  // namespace ct::core

@@ -73,21 +73,20 @@ struct RestorationResult {
 /// Runs the compound-threat pipeline per realization and aggregates
 /// restoration costs. `samples_per_realization` controls the stochastic
 /// percentile estimate (0 disables sampling; p95 falls back to the
-/// deterministic value distribution).
+/// deterministic value distribution). The serial reference the mask fold
+/// is tested against.
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const std::vector<surge::HurricaneRealization>& realizations,
     const RestorationModel& model, std::size_t samples_per_realization = 8,
     std::uint64_t seed = 7);
 
-/// Runner-routed variant: per-realization incident costs are computed on
-/// the runtime's work-stealing pool and folded in realization order, so the
-/// result is bit-identical to the serial overload at any --jobs value (the
-/// per-realization RNG is already derived from (seed, realization index)).
+/// The fold over a mask table: attacked state and expected costs memoized
+/// per distinct mask, folded in realization order with each survivor's own
+/// draws, so it equals the serial overload over the same realizations.
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const RestorationModel& model, runtime::EnsembleRunner& runtime,
+    const runtime::FailureMasks& masks, const RestorationModel& model,
     std::size_t samples_per_realization = 8, std::uint64_t seed = 7);
 
 }  // namespace ct::core

@@ -46,7 +46,8 @@ std::vector<SitingScore> SitingOptimizer::rank(
         SitingScore score;
         score.chosen = chosen;
         score.config = builder(chosen);
-        const ScenarioResult result = runner_.run(score.config, scenario);
+        const ScenarioResult result =
+            runner_.run(score.config, scenario, sweep_, interrupt_);
         using threat::OperationalState;
         score.green_probability =
             result.outcomes.probability(OperationalState::kGreen);

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/case_study.h"
@@ -35,12 +36,13 @@ using ConfigBuilder =
 
 class SitingOptimizer {
  public:
-  /// The optimizer reuses the runner's cached realizations; the runner must
-  /// outlive the optimizer. Every candidate is scored through the runner's
-  /// ensemble runtime, so scoring is sharded across the work-stealing pool
-  /// and repeated candidates (across scenarios or rank calls) are served
-  /// from the content-addressed result cache instead of being re-swept.
-  explicit SitingOptimizer(CaseStudyRunner& runner) : runner_(runner) {}
+  /// Scores every candidate through CaseStudyRunner::run: the result cache,
+  /// else a fold over the masks, swept on the first miss under `sweep` and
+  /// `interrupt` (which must outlive the optimizer, as must the runner).
+  explicit SitingOptimizer(CaseStudyRunner& runner,
+                           runtime::CheckpointOptions sweep = {},
+                           runtime::CancellationToken* interrupt = nullptr)
+      : runner_(runner), sweep_(std::move(sweep)), interrupt_(interrupt) {}
 
   /// Scores every `slots`-combination of `candidates` (no repetition,
   /// order-insensitive) and returns results sorted best-first (lowest
@@ -63,6 +65,8 @@ class SitingOptimizer {
 
  private:
   CaseStudyRunner& runner_;
+  runtime::CheckpointOptions sweep_;
+  runtime::CancellationToken* interrupt_;
 };
 
 }  // namespace ct::core

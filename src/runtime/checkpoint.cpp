@@ -90,43 +90,44 @@ util::FrameFields fields(CheckpointFrame type, std::uint32_t tag = 0) {
 /// The payload prefix of every journal header and snapshot of `spec`.
 std::string encode_spec(const SweepSpec& spec) {
   util::WireWriter w;
-  w.str(spec.digest).u64(spec.count).u64(spec.series.size());
-  for (const std::string& s : spec.series) w.str(s);
+  w.str(spec.digest).u64(spec.count).u64(spec.words);
   return w.take();
 }
 
-/// Sweep state as a snapshot holds it and a record holds its delta:
-/// completed ranges, retries, per-series counts, quarantined indices.
+/// Sweep state as a snapshot holds it and a record holds its slice:
+/// completed ranges, retries, quarantined indices, then the masks of the
+/// ranges' other indices (the survivors), in index order.
 void put_state(util::WireWriter& w,
                const std::vector<std::pair<std::uint64_t, std::uint64_t>>& done,
-               std::uint64_t retries, const std::vector<SeriesCounts>& counts,
-               const std::vector<FailureRecord>& failures) {
+               const FailureMasks& masks) {
   w.u64(done.size());
   for (const auto& [b, e] : done) w.u64(b).u64(e);
-  w.u64(retries);
-  for (const SeriesCounts& s : counts) {
-    for (const std::uint64_t c : s) w.u64(c);
-  }
-  w.u64(failures.size());
-  for (const FailureRecord& f : failures) {
+  w.u64(masks.ledger.retries);
+  w.u64(masks.ledger.failures.size());
+  for (const FailureRecord& f : masks.ledger.failures) {
     w.u64(f.realization).u64(f.seed).u32(f.attempts);
     w.i32(static_cast<std::int32_t>(f.code)).str(f.origin).str(f.message);
   }
+  for (const std::uint64_t word : masks.bits) w.u64(word);
 }
 
 /// Folds the rest of `r`, written by put_state, into `progress`. False on
-/// a range past `count` or overlapping one already done.
+/// a range past `count` or overlapping one already done, or when the
+/// failures do not name distinct indices of the ranges.
 bool fold_state(util::WireReader& r, std::uint64_t count,
                 SweepProgress& progress) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  std::uint64_t covered = 0;
   for (std::uint64_t n = r.u64(); n > 0; --n) {
     const std::uint64_t b = r.u64();
     const std::uint64_t e = r.u64();
     if (e > count || !progress.merge_range(b, e)) return false;
+    ranges.emplace_back(b, e);
+    covered += e - b;
   }
-  progress.retries += r.u64();
-  for (SeriesCounts& s : progress.series) {
-    for (std::uint64_t& c : s) c += r.u64();
-  }
+  FailureLedger& ledger = progress.masks.ledger;
+  ledger.retries += r.u64();
+  std::vector<std::uint64_t> quarantined;
   for (std::uint64_t n = r.u64(); n > 0; --n) {
     FailureRecord f;
     f.realization = r.u64();
@@ -135,10 +136,26 @@ bool fold_state(util::WireReader& r, std::uint64_t count,
     f.code = static_cast<util::ErrorCode>(r.i32());
     f.origin = r.str();
     f.message = r.str();
-    progress.failures.push_back(std::move(f));
+    quarantined.push_back(f.realization);
+    ledger.failures.push_back(std::move(f));
+  }
+  std::sort(quarantined.begin(), quarantined.end());
+  std::vector<std::uint64_t> indices;
+  std::vector<std::uint64_t> bits;
+  for (const auto& [b, e] : ranges) {
+    for (std::uint64_t i = b; i < e; ++i) {
+      if (std::binary_search(quarantined.begin(), quarantined.end(), i)) {
+        continue;
+      }
+      indices.push_back(i);
+      for (std::size_t w = 0; w < progress.masks.words; ++w) {
+        bits.push_back(r.u64());
+      }
+    }
   }
   r.require_end();
-  return true;
+  return indices.size() + quarantined.size() == covered &&
+         progress.masks.splice(indices, bits);
 }
 
 /// Folds journal record `seq` into `progress`; false when it does not
@@ -163,6 +180,27 @@ bool replay_record(const util::OpenedFrame& record, std::uint32_t seq,
 }
 
 }  // namespace
+
+// --- FailureMasks -----------------------------------------------------------
+
+bool FailureMasks::flooded(std::size_t k, std::string_view id) const {
+  if (!assets) return false;
+  const auto it = assets->find(std::string(id));
+  return it != assets->end() && test(k, it->second);
+}
+
+bool FailureMasks::splice(std::span<const std::uint64_t> run_indices,
+                          std::span<const std::uint64_t> run_bits) {
+  if (run_indices.empty()) return true;
+  const auto at =
+      std::lower_bound(indices.begin(), indices.end(), run_indices.front());
+  if (at != indices.end() && *at <= run_indices.back()) return false;
+  const std::size_t k = static_cast<std::size_t>(at - indices.begin());
+  indices.insert(at, run_indices.begin(), run_indices.end());
+  bits.insert(bits.begin() + static_cast<std::ptrdiff_t>(k * words),
+              run_bits.begin(), run_bits.end());
+  return true;
+}
 
 // --- SweepProgress ----------------------------------------------------------
 
@@ -258,7 +296,7 @@ std::string SweepJournal::file_stem() const {
 ResumeInfo SweepJournal::load(SweepProgress& progress) {
   ResumeInfo info;
   progress = SweepProgress{};
-  progress.series.assign(spec_.series.size(), SeriesCounts{});
+  progress.masks.words = spec_.words;
   // A crash mid-publish leaves only a ".tmp"; it never renamed, so it is
   // garbage by construction — ignore and collect it.
   if (const std::size_t removed =
@@ -270,7 +308,7 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
 
   const auto cold_start = [&](ResumeStatus status, std::string detail) {
     progress = SweepProgress{};
-    progress.series.assign(spec_.series.size(), SeriesCounts{});
+    progress.masks.words = spec_.words;
     info = ResumeInfo{};
     info.status = status;
     info.detail = std::move(detail);
@@ -315,7 +353,7 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
       util::WireReader r(frame.payload.substr(spec.size()));
       snap_epoch = r.u64();
       if (!fold_state(r, spec_.count, progress)) {
-        return corrupt(snapshot_path(), "invalid or overlapping range");
+        return corrupt(snapshot_path(), "invalid range or mask index");
       }
     } catch (const util::Error& e) {
       return corrupt(snapshot_path(), e.message());
@@ -392,7 +430,8 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
     }
   }
 
-  std::sort(progress.failures.begin(), progress.failures.end(),
+  std::vector<FailureRecord>& failures = progress.masks.ledger.failures;
+  std::sort(failures.begin(), failures.end(),
             [](const FailureRecord& a, const FailureRecord& b) {
               return a.realization < b.realization;
             });
@@ -403,7 +442,7 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
   if (info.status == ResumeStatus::kResumed) {
     CT_LOG(kInfo, "checkpoint")
         << "event=checkpoint_replay status=resumed restored=" << info.restored
-        << "/" << spec_.count << " failures=" << progress.failures.size()
+        << "/" << spec_.count << " failures=" << failures.size()
         << " epoch=" << snap_epoch
         << " torn_tail=" << (info.torn_tail_dropped ? 1 : 0);
   }
@@ -431,14 +470,12 @@ bool SweepJournal::begin(const SweepProgress& progress, bool cold) {
 }
 
 bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
-                          const std::vector<SeriesCounts>& delta,
-                          const std::vector<FailureRecord>& slice_failures,
-                          std::uint64_t retries_delta,
+                          const FailureMasks& slice,
                           const SweepProgress& full) {
   if (fd_ < 0) return false;
   util::WireWriter w;
   w.u64(binding_[0]).u64(binding_[1]);
-  put_state(w, {{begin, end}}, retries_delta, delta, slice_failures);
+  put_state(w, {{begin, end}}, slice);
   const std::string record =
       util::seal_frame(fields(kRecord, next_seq_), w.bytes());
   if (!metered_write(record, [&] {
@@ -466,7 +503,7 @@ bool SweepJournal::publish_snapshot(const SweepProgress& full) {
   const std::uint64_t epoch = epoch_ + 1;
   util::WireWriter w;
   w.u64(epoch);
-  put_state(w, full.done, full.retries, full.series, full.failures);
+  put_state(w, full.done, full.masks);
   if (!publish(snapshot_path(),
                util::seal_frame(fields(kSnapshot), encode_spec(spec_) + w.take()),
                crash_)) {
@@ -481,7 +518,7 @@ bool SweepJournal::publish_snapshot(const SweepProgress& full) {
   CT_LOG(kInfo, "checkpoint")
       << "event=checkpoint_write kind=snapshot epoch=" << epoch
       << " completed=" << full.completed() << "/" << spec_.count
-      << " failures=" << full.failures.size();
+      << " failures=" << full.masks.ledger.failures.size();
   return true;
 }
 

@@ -1,21 +1,22 @@
 // Crash-consistent checkpoint/resume for ensemble sweeps.
 //
-// A sweep (realizations [0, count) × K outcome series) is made preemption-
-// safe by two files under the checkpoint directory, both keyed by the
-// sweep's content digest (the PR-4 engine-batch digest + the series keys),
-// so a checkpoint taken under different knobs can never be resumed. Both
-// hold util sealed frames (util/wire.h):
+// A sweep (realizations [0, count), one flood mask each) is made
+// preemption-safe by two files under the checkpoint directory, both keyed
+// by the sweep's content digest (the engine-batch digest: no cell, no
+// attacker), so a checkpoint taken under different knobs can never be
+// resumed, and one taken for any cell set resumes another. Both hold util
+// sealed frames (util/wire.h):
 //
 //  * `<digest>.jrnl` — an append-only journal: a header frame, then one
 //    record frame (tag = sequence number) per checkpoint interval, holding
-//    a completed index range, its per-series outcome-count deltas and the
+//    a completed index range, the flood masks of its survivors and the
 //    quarantine records inside it; fsync'd before the sweep moves on.
 //    Each record starts with the header frame's payload digest, so a
 //    record from another journal or epoch never applies.
 //  * `<digest>.snap` — one frame, a periodic atomic snapshot compacting
-//    the journal (completed ranges, per-series counts, the whole failure
-//    ledger). After it is published the journal is reset with a bumped
-//    epoch; a journal whose epoch predates the snapshot is ignored.
+//    the journal (completed ranges, every survivor's mask, the whole
+//    failure ledger). After it is published the journal is reset with a
+//    bumped epoch; a journal whose epoch predates the snapshot is ignored.
 //
 // Crash model and the atomicity argument (DESIGN.md §12): the process may
 // die at ANY instant (`_exit`, OOM kill, power loss). Because records are
@@ -28,9 +29,8 @@
 // kCheckpointCorrupt event followed by a cold start — a checkpoint is an
 // accelerator, never a correctness dependency.
 //
-// Replayed state is merged IN ASCENDING RANGE ORDER and all folds are
-// integer count sums, so a resumed sweep is bit-identical at any --jobs
-// value to an uninterrupted one.
+// Replayed masks land at their indices, so a resumed sweep's table is
+// bit-identical at any --jobs value to an uninterrupted one.
 //
 // Deterministic process-death injection: every durable write (journal
 // record, snapshot publish, journal reset) is a numbered crash SITE; the
@@ -42,7 +42,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,10 +67,46 @@ struct FailureRecord {
   std::string message;            ///< last attempt's what()
 };
 
-/// Failure accounting threaded between the generation and counting stages.
+/// Failure accounting of a sweep.
 struct FailureLedger {
   std::vector<FailureRecord> failures;  ///< sorted by realization index
   std::uint64_t retries = 0;            ///< extra attempts (healed + exhausted)
+};
+
+/// The sweep's product (DESIGN.md §9): one flood mask per surviving
+/// realization plus the quarantine ledger. Bit `a` of a mask is
+/// `impacts[a].failed` of the engine's asset `a`, 64 assets to a word: all
+/// that analyze, downtime and siting read of a realization.
+struct FailureMasks {
+  /// 64-bit words per mask: ceil(exposed assets / 64).
+  std::size_t words = 0;
+  /// Survivors' realization indices, ascending.
+  std::vector<std::uint64_t> indices;
+  /// `words` words per survivor, in `indices` order.
+  std::vector<std::uint64_t> bits;
+  FailureLedger ledger;
+  /// Realizations the table covers: survivors plus quarantined.
+  std::size_t attempted = 0;
+  /// Asset id -> bit, first id wins (the engine's surge::AssetIndex).
+  std::shared_ptr<const std::unordered_map<std::string, std::uint32_t>> assets;
+
+  std::size_t size() const noexcept { return indices.size(); }
+  /// Survivor `k`'s mask.
+  std::span<const std::uint64_t> mask(std::size_t k) const noexcept {
+    return {bits.data() + k * words, words};
+  }
+  /// True when survivor `k`'s mask has bit `b` set.
+  bool test(std::size_t k, std::size_t b) const noexcept {
+    return (bits[k * words + b / 64] >> (b % 64)) & 1u;
+  }
+  /// True when survivor `k` flooded asset `id`: the mask form of
+  /// HurricaneRealization::asset_failed, so an id the engine does not
+  /// expose never floods.
+  bool flooded(std::size_t k, std::string_view id) const;
+  /// Inserts a run of survivors, ascending, that falls between two
+  /// neighbouring indices of the table; false (table unchanged) otherwise.
+  bool splice(std::span<const std::uint64_t> run_indices,
+              std::span<const std::uint64_t> run_bits);
 };
 
 /// Progress of a sweep as observed at a slice boundary; handed to
@@ -103,26 +143,22 @@ struct CheckpointOptions {
 };
 
 /// Identity of a resumable sweep: the content digest binding the journal
-/// to its inputs, the realization count, and one key per outcome series
-/// (a single-distribution sweep has exactly one).
+/// to its inputs, the realization count and the words per mask.
 struct SweepSpec {
   std::string digest;
   std::size_t count = 0;
-  std::vector<std::string> series;
+  std::size_t words = 0;
 };
-
-/// Outcome histogram of one series (green/orange/red/gray).
-using SeriesCounts = std::array<std::uint64_t, 4>;
 
 /// Merged sweep state: what a checkpoint persists and a resume restores.
 struct SweepProgress {
   /// Completed [begin, end) index ranges — disjoint, ascending, coalesced.
-  /// Quarantined indices count as completed (attempted, outcome recorded
-  /// in `failures`), so a resume never re-runs them.
+  /// Quarantined indices count as completed (attempted, recorded in the
+  /// ledger), so a resume never re-runs them.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> done;
-  std::vector<SeriesCounts> series;
-  std::vector<FailureRecord> failures;  ///< ascending by realization index
-  std::uint64_t retries = 0;
+  /// Survivors' masks, ascending, and the ledger (failures ascending once
+  /// loaded or finished).
+  FailureMasks masks;
 
   /// Total indices covered by `done`.
   std::uint64_t completed() const noexcept;
@@ -140,7 +176,7 @@ struct SweepProgress {
 enum class ResumeStatus {
   kColdStart,  ///< nothing usable on disk (or resume not requested)
   kResumed,    ///< snapshot/journal validated and replayed
-  kStale,      ///< digest/count/series mismatch — different knobs; cold start
+  kStale,      ///< digest/count/words/format mismatch; cold start
   kCorrupt,    ///< interior corruption (typed kCheckpointCorrupt); cold start
 };
 
@@ -160,7 +196,7 @@ struct ResumeInfo {
 class SweepJournal {
  public:
   /// On-disk format version; bump on any layout or checksum change.
-  static constexpr int kFormatVersion = 2;
+  static constexpr int kFormatVersion = 3;
 
   SweepJournal(CheckpointOptions options, SweepSpec spec);
   ~SweepJournal();
@@ -180,14 +216,12 @@ class SweepJournal {
   /// (checkpointing is then off for this run — soft, like the cache).
   bool begin(const SweepProgress& progress, bool cold);
 
-  /// Appends one completed-slice record (the DELTA for [begin, end)) and
-  /// fsyncs it; every `snapshot_every` records compacts `full` (the merged
-  /// state INCLUDING this delta) into an atomic snapshot and resets the
-  /// journal. Soft-fails like begin().
+  /// Appends one completed-slice record (the survivors' masks and the
+  /// failures of [begin, end)) and fsyncs it; every `snapshot_every`
+  /// records compacts `full` (the merged state INCLUDING this slice) into
+  /// an atomic snapshot and resets the journal. Soft-fails like begin().
   bool append(std::uint64_t begin, std::uint64_t end,
-              const std::vector<SeriesCounts>& delta,
-              const std::vector<FailureRecord>& slice_failures,
-              std::uint64_t retries_delta, const SweepProgress& full);
+              const FailureMasks& slice, const SweepProgress& full);
 
   /// Sweep fully completed: removes both files (the result now lives in
   /// the result cache / the caller's output, not the checkpoint).

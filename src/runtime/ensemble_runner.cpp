@@ -14,11 +14,9 @@ namespace ct::runtime {
 
 namespace {
 
-/// Ensemble-phase telemetry: per-batch latency histograms plus the
-/// quarantine/retry counters the fault-isolation machinery folds in.
+/// Sweep telemetry: per-slice latency plus the quarantine/retry counters
+/// the fault-isolation machinery folds in.
 struct EnsembleMetrics {
-  obs::Histogram generate_us{"ensemble.generate_us"};
-  obs::Histogram count_us{"ensemble.count_us"};
   obs::Histogram slice_us{"ensemble.slice_us"};
   obs::Counter quarantined{"ensemble.quarantined"};
   obs::Counter retries{"ensemble.retries"};
@@ -69,8 +67,8 @@ TaskOptions isolation_policy(const EnsembleOptions& o) {
   return t;
 }
 
-/// Realizations per task when generating: one realization (storm + surge
-/// solve) is the expensive unit, so 1-4 per task suffices.
+/// Realizations per task: one realization (storm + surge solve) is the
+/// expensive unit, so 1-4 per task suffices.
 std::size_t realization_chunk(const EnsembleOptions& o) {
   return std::max<std::size_t>(1, o.chunk / 8);
 }
@@ -162,12 +160,10 @@ EnsembleRunner::EnsembleRunner(EnsembleOptions options)
 
 util::Interval EnsembleReport::mass_bound(std::size_t bucket,
                                           double confidence) const noexcept {
-  if (attempted == 0 || bucket >= counts.counts.size()) return {0.0, 1.0};
-  const std::uint64_t k = counts.counts[bucket];
+  if (attempted == 0 || bucket >= counts.size()) return {0.0, 1.0};
   // Exact CI for the bucket probability among the COMPLETED samples...
-  const util::Interval cp =
-      util::clopper_pearson_interval(static_cast<std::size_t>(k), completed,
-                                     confidence);
+  const util::Interval cp = util::clopper_pearson_interval(
+      static_cast<std::size_t>(counts[bucket]), completed, confidence);
   // ...then account for the quarantined mass: at one extreme none of the
   // quarantined realizations belong to this bucket, at the other all do.
   const double n = static_cast<double>(attempted);
@@ -176,126 +172,25 @@ util::Interval EnsembleReport::mass_bound(std::size_t bucket,
   return {std::max(0.0, cp.lo * m / n), std::min(1.0, (cp.hi * m + q) / n)};
 }
 
-GeneratedBatch EnsembleRunner::generate_guarded(
-    const surge::RealizationEngine& engine, std::size_t count) {
-  obs::Span span("ensemble.generate");
-  obs::ScopedTimer timer(ensemble_metrics().generate_us);
-  GeneratedBatch batch;
-  batch.attempted = count;
-  batch.seed = engine.config().base_seed;
-  const std::string storm = memo_storm(engine);
-
-  std::vector<surge::HurricaneRealization> slots(count);
-  IsolatedRunResult run = pool_.for_each_isolated(
-      count, realization_chunk(options_),
-      [&](std::size_t i, unsigned attempt, const CancellationToken& token) {
-        slots[i] = realize_guarded(engine, storm, i, attempt, token,
-                                   "ensemble-generate");
-      },
-      isolation_policy(options_));
-
-  fold_guard_result(run);
-  batch.ledger.retries = run.retries;
-  std::vector<bool> quarantined(count, false);
-  batch.ledger.failures.reserve(run.failures.size());
-  for (const TaskFailure& f : run.failures) {
-    quarantined[f.index] = true;
-    batch.ledger.failures.push_back(make_failure_record(
-        f, static_cast<std::uint64_t>(f.index), batch.seed));
-  }
-  batch.realizations.reserve(count - run.failures.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!quarantined[i]) batch.realizations.push_back(std::move(slots[i]));
-  }
-  return batch;
-}
-
-EnsembleReport EnsembleRunner::count_outcomes_guarded(
-    const BatchFn& batch_fn, const OutcomeFn& outcome,
-    const std::string& key) {
-  if (std::optional<EnsembleReport> hit = cached_report(key)) {
-    return *std::move(hit);
-  }
-  const GeneratedBatch& batch = *batch_fn();
-  const std::vector<surge::HurricaneRealization>& realizations =
-      batch.realizations;
-
-  obs::Span span("ensemble.count");
-  obs::ScopedTimer timer(ensemble_metrics().count_us);
-  // Per-index bucket slots: a throwing classifier must quarantine ONE slot,
-  // and the serial ascending fold below keeps the histogram bit-identical
-  // at any jobs value.
-  std::vector<std::int8_t> buckets(realizations.size(), 0);
-  IsolatedRunResult run = pool_.for_each_isolated(
-      realizations.size(), options_.chunk,
-      [&](std::size_t i, unsigned /*attempt*/, const CancellationToken& token) {
-        token.poll("ensemble-count");
-        buckets[i] = static_cast<std::int8_t>(outcome(realizations[i]));
-      },
-      isolation_policy(options_));
-  fold_guard_result(run);
-
-  EnsembleReport report;
-  report.attempted = batch.attempted;
-  report.retries = batch.ledger.retries + run.retries;
-  report.failures = batch.ledger.failures;
-
-  std::vector<bool> failed(realizations.size(), false);
-  for (const TaskFailure& f : run.failures) {
-    failed[f.index] = true;
-    report.failures.push_back(
-        make_failure_record(f, realizations[f.index].index, batch.seed));
-  }
-  sort_by_realization(report.failures);
-
-  for (std::size_t i = 0; i < realizations.size(); ++i) {
-    if (failed[i]) continue;
-    ++report.counts.counts[static_cast<std::size_t>(buckets[i]) &
-                           (report.counts.counts.size() - 1)];
-    ++report.counts.total;
-  }
-  report.completed = report.attempted - report.failures.size();
-  cache_report(key, report);
-  return report;
-}
-
-std::optional<EnsembleReport> EnsembleRunner::cached_report(
+std::optional<CachedCounts> EnsembleRunner::cached_counts(
     const std::string& key) {
   if (!options_.cache || key.empty()) return std::nullopt;
-  const std::optional<CachedCounts> cached = store_.lookup(key);
-  if (!cached) return std::nullopt;
-  EnsembleReport hit;
-  hit.counts.counts = cached->counts;
-  hit.counts.total = cached->total;
-  hit.counts.from_cache = true;
-  // Only fully clean runs are ever stored, so a hit means every
-  // realization completed.
-  hit.attempted = hit.completed = static_cast<std::size_t>(cached->total);
-  return hit;
+  return store_.lookup(key);
 }
 
-void EnsembleRunner::cache_report(const std::string& key,
-                                  const EnsembleReport& report) {
-  // A stored record asserts "this key's full distribution"; a partial one
-  // would poison every warm rerun.
-  if (!options_.cache || key.empty() || report.degraded()) return;
-  CachedCounts record;
-  record.counts = report.counts.counts;
-  record.total = report.counts.total;
-  store_.store(key, record);
+void EnsembleRunner::cache_counts(const std::string& key,
+                                  const CachedCounts& counts) {
+  if (options_.cache && !key.empty()) store_.store(key, counts);
 }
 
 ResumableReport EnsembleRunner::run_resumable(
-    const surge::RealizationEngine& engine, const SweepSpec& spec,
-    const MultiOutcomeFn& outcome, const CheckpointOptions& ckpt,
-    CancellationToken* interrupt) {
+    const surge::RealizationEngine& engine, SweepSpec spec,
+    const CheckpointOptions& ckpt, CancellationToken* interrupt) {
   ResumableReport report;
-  const std::size_t nseries = spec.series.size();
-  report.series.assign(nseries, EnsembleReport{});
-  if (nseries == 0) return report;
-
+  const std::size_t words = (engine.assets().size() + 63) / 64;
+  spec.words = words;
   SweepProgress progress;
-  progress.series.assign(nseries, SeriesCounts{});
+  progress.masks.words = words;
 
   // The journal is optional and soft: an empty dir means a plain sweep,
   // and any durable-write failure downgrades to one mid-flight.
@@ -315,10 +210,10 @@ ResumableReport EnsembleRunner::run_resumable(
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ckpt.interval));
 
   // Walk the MISSING set in ascending slices of `interval` realizations.
-  // Each slice is generated + classified in parallel, folded in ascending
-  // index order (bit-identity at any --jobs), then journaled as one
-  // record. Interruption is honored at slice boundaries only: the previous
-  // slice's record is already fsync'd, so there is nothing left to flush.
+  // Each slice runs in parallel, its masks land at their indices, and it
+  // is journaled as one record. Interruption is honored at slice
+  // boundaries only: the previous slice's record is already fsync'd, so
+  // there is nothing left to flush.
   for (const auto& [gap_begin, gap_end] : progress.missing(spec.count)) {
     for (std::uint64_t b = gap_begin; b < gap_end && !report.interrupted;
          b += interval) {
@@ -331,64 +226,57 @@ ResumableReport EnsembleRunner::run_resumable(
 
       obs::Span slice_span("ensemble.slice");
       obs::ScopedTimer slice_timer(ensemble_metrics().slice_us);
-      std::vector<std::int8_t> buckets(n * nseries, 0);
+      std::vector<std::uint64_t> bits(n * words, 0);
       IsolatedRunResult run = pool_.for_each_isolated(
           n, realization_chunk(options_),
           [&](std::size_t k, unsigned attempt,
               const CancellationToken& token) {
-            const surge::HurricaneRealization r = realize_guarded(
-                engine, storm, b + k, attempt, token, "ensemble-resumable");
-            // One generation, K classifications: a quarantined index is
-            // quarantined in every series.
-            for (std::size_t s = 0; s < nseries; ++s) {
-              buckets[k * nseries + s] =
-                  static_cast<std::int8_t>(outcome(s, r));
+            const surge::HurricaneRealization r =
+                realize_guarded(engine, storm, b + k, attempt, token);
+            std::uint64_t* mask = bits.data() + k * words;
+            for (std::size_t a = 0; a < r.impacts.size(); ++a) {
+              if (r.impacts[a].failed) {
+                mask[a / 64] |= std::uint64_t{1} << (a % 64);
+              }
             }
           },
           isolation_policy(options_));
       fold_guard_result(run);
 
+      FailureMasks slice;
+      slice.words = words;
+      slice.ledger.retries = run.retries;
       std::vector<bool> failed(n, false);
-      std::vector<FailureRecord> slice_failures;
-      slice_failures.reserve(run.failures.size());
       for (const TaskFailure& f : run.failures) {
         failed[f.index] = true;
-        slice_failures.push_back(make_failure_record(
+        slice.ledger.failures.push_back(make_failure_record(
             f, b + static_cast<std::uint64_t>(f.index), seed));
       }
-      sort_by_realization(slice_failures);
-
-      std::vector<SeriesCounts> delta(nseries, SeriesCounts{});
+      sort_by_realization(slice.ledger.failures);
       for (std::size_t k = 0; k < n; ++k) {
         if (failed[k]) continue;
-        for (std::size_t s = 0; s < nseries; ++s) {
-          ++delta[s][static_cast<std::size_t>(buckets[k * nseries + s]) &
-                     (delta[s].size() - 1)];
-        }
+        slice.indices.push_back(b + k);
+        slice.bits.insert(slice.bits.end(), bits.begin() + k * words,
+                          bits.begin() + (k + 1) * words);
       }
 
       progress.merge_range(b, e);
-      for (std::size_t s = 0; s < nseries; ++s) {
-        for (std::size_t c = 0; c < delta[s].size(); ++c) {
-          progress.series[s][c] += delta[s][c];
-        }
-      }
-      progress.failures.insert(progress.failures.end(),
-                               slice_failures.begin(), slice_failures.end());
-      progress.retries += run.retries;
+      progress.masks.splice(slice.indices, slice.bits);
+      FailureLedger& ledger = progress.masks.ledger;
+      ledger.failures.insert(ledger.failures.end(),
+                             slice.ledger.failures.begin(),
+                             slice.ledger.failures.end());
+      ledger.retries += run.retries;
       report.executed += n;
 
-      if (journal_on) {
-        journal_on = journal->append(b, e, delta, slice_failures,
-                                     run.retries, progress);
-      }
+      if (journal_on) journal_on = journal->append(b, e, slice, progress);
 
       if (ckpt.on_progress) {
         SweepProgressEvent event;
         event.done = progress.completed();
         event.total = spec.count;
-        event.quarantined = progress.failures.size();
-        event.retries = progress.retries;
+        event.quarantined = ledger.failures.size();
+        event.retries = ledger.retries;
         ckpt.on_progress(event);
       }
     }
@@ -406,19 +294,11 @@ ResumableReport EnsembleRunner::run_resumable(
   }
 
   // Restored failures live inside `done` ranges, which interleave with the
-  // gaps this run filled — re-sort so every series ledger is ascending.
-  sort_by_realization(progress.failures);
-  const std::uint64_t attempted = progress.completed();
-  for (std::size_t s = 0; s < nseries; ++s) {
-    EnsembleReport& r = report.series[s];
-    r.counts.counts = progress.series[s];
-    r.counts.total = 0;
-    for (const std::uint64_t c : progress.series[s]) r.counts.total += c;
-    r.failures = progress.failures;
-    r.retries = progress.retries;
-    r.attempted = static_cast<std::size_t>(attempted);
-    r.completed = static_cast<std::size_t>(attempted) - progress.failures.size();
-  }
+  // gaps this run filled — re-sort so the ledger is ascending.
+  sort_by_realization(progress.masks.ledger.failures);
+  report.masks = std::move(progress.masks);
+  report.masks.attempted = static_cast<std::size_t>(progress.completed());
+  report.masks.assets = engine.bindings().asset_index();
   return report;
 }
 
@@ -479,8 +359,7 @@ surge::HurricaneRealization EnsembleRunner::realize(
 
 surge::HurricaneRealization EnsembleRunner::realize_guarded(
     const surge::RealizationEngine& engine, const std::string& storm,
-    std::uint64_t index, unsigned attempt, const CancellationToken& token,
-    std::string_view origin) {
+    std::uint64_t index, unsigned attempt, const CancellationToken& token) {
   const std::uint64_t seed = engine.config().base_seed;
   if (fault_.throw_rule.fires(index, attempt)) {
     throw util::Error(util::ErrorCode::kFaultInjected, "fault-injection",
@@ -496,7 +375,7 @@ surge::HurricaneRealization EnsembleRunner::realize_guarded(
     r.max_shoreline_wse_m = std::numeric_limits<double>::quiet_NaN();
     surge::validate_realization(r, seed);
   }
-  token.poll(origin);
+  token.poll("ensemble-resumable");
   return r;
 }
 

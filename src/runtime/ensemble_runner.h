@@ -3,48 +3,32 @@
 // core/restoration, core/chaos, the figure benches, ctctl).
 //
 // It combines the work-stealing TaskPool with the content-addressed
-// ResultStore, and offers one path per access pattern:
+// ResultStore. Its one path over realizations is the sweep: run_resumable
+// runs each realization once and keeps its flood mask (FailureMasks,
+// checkpoint.h), which every command folds over in core (DESIGN.md §9).
+// Runtime sits BELOW core: it sees configurations, scenarios and
+// realizations, not the analysis pipeline, which keeps the dependency
+// graph acyclic. The table is bit-identical at any --jobs value
+// (realization i is a pure function of (base_seed, i), and each mask lands
+// at its index). Per-cell results live in the result cache under job keys,
+// a (topology, configuration, scenario, engine batch, attacker) digest.
 //
-//  * the batch path: generate_guarded materializes the ensemble once, and
-//    count_outcomes_guarded classifies it for one (configuration,
-//    scenario) cell at a time — for callers that ask cell by cell of one
-//    ensemble (siting, run_configs, downtime's cost folds);
-//  * the sweep: run_resumable generates each realization once, classifies
-//    it into every cell, and checkpoints — `analyze` on the CLI and the
-//    server.
+// Fault isolation: a failing realization is retried with the SAME seed (a
+// retry either heals a transient fault or reproduces a deterministic one),
+// then quarantined into a FailureRecord; EnsembleReport bounds how much
+// probability mass the quarantined samples could move (Clopper-Pearson).
 //
-// Both are bit-identical to the serial loop at any --jobs value
-// (realization i is a pure function of (base_seed, i), and per-index
-// results fold in ascending index order), and both address the result
-// cache with the same job keys: a (topology, configuration, scenario,
-// engine batch, attacker) digest, so warm `ctctl analyze` reruns and the
-// fig6-fig11 benches sharing one hurricane ensemble skip the work.
-//
-// Layering: runtime sits BELOW core (it sees configurations, scenarios and
-// realizations, but not the analysis pipeline); core passes the per-
-// realization outcome as a callable. This keeps the dependency graph
-// acyclic while letting every core module share one pool and one cache.
-// Fault isolation: both paths run each realization inside
-// TaskPool::for_each_isolated — a failing realization is retried
-// deterministically with the SAME seed (realization i is a pure function of
-// (base_seed, i), so a retry either heals a transient fault or reproduces a
-// deterministic one), then quarantined into a FailureRecord. The surviving
-// samples still produce the partial distribution, bit-identical at any
-// --jobs value, and EnsembleReport bounds how much probability mass the
-// quarantined samples could move (Clopper-Pearson).
-//
-// Storm-stage memo (DESIGN.md §9): every realization the runner produces
-// goes through one helper. Once a second engine with a different bind
-// digest (another sea-level offset, threshold, asset list, ...) has asked
-// for a storm digest, the helper keeps that storm's shoreline records in
-// the store's memory LRU and binds them for whichever engine asks, so a
-// what-if over the same storms runs only the bind stage. A runner that
-// serves one engine stores nothing; options.cache = false bypasses it.
+// Storm-stage memo (DESIGN.md §9): once a second engine with a different
+// bind digest (another sea-level offset, threshold, asset list, ...) has
+// asked for a storm digest, the runner keeps that storm's shoreline
+// records in the store's memory LRU and binds them for whichever engine
+// asks, so a what-if over the same storms runs only the bind stage. A
+// runner that serves one engine stores nothing; options.cache = false
+// bypasses it.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -85,14 +69,6 @@ struct EnsembleOptions {
   std::string fault_spec;
 };
 
-/// An outcome histogram as the runtime sees it (core converts to its
-/// OutcomeDistribution).
-struct EnsembleCounts {
-  std::array<std::uint64_t, 4> counts{};
-  std::uint64_t total = 0;
-  bool from_cache = false;
-};
-
 // FailureRecord / FailureLedger live in runtime/checkpoint.h (the journal
 // persists them), re-exported here for every existing consumer.
 
@@ -102,30 +78,12 @@ FailureRecord make_failure_record(const TaskFailure& failure,
                                   std::uint64_t fallback_realization,
                                   std::uint64_t fallback_seed);
 
-/// Output of generate_guarded: the surviving realizations (ascending index
-/// order, quarantined slots removed) plus the failure ledger.
-struct GeneratedBatch {
-  std::vector<surge::HurricaneRealization> realizations;
-  FailureLedger ledger;
-  std::size_t attempted = 0;
-  /// The engine's base seed: the provenance a count over this batch gives
-  /// the realizations its classifier fails on.
-  std::uint64_t seed = 0;
-  bool complete() const noexcept { return ledger.failures.empty(); }
-};
-
-/// Outcome of a guarded analysis: the partial histogram over surviving
-/// realizations plus the quarantine ledger and enough accounting to bound
-/// what the quarantined mass could have changed.
+/// A cell's histogram over the surviving realizations, with enough
+/// accounting to bound what the quarantined mass could have changed.
 struct EnsembleReport {
-  EnsembleCounts counts;                ///< partial distribution (survivors)
-  std::vector<FailureRecord> failures;  ///< generation + counting, by index
-  std::uint64_t retries = 0;
+  std::array<std::uint64_t, 4> counts{};  ///< partial distribution
   std::size_t attempted = 0;  ///< realizations the caller asked for
-  std::size_t completed = 0;  ///< attempted - failures.size()
-
-  std::size_t quarantined() const noexcept { return failures.size(); }
-  bool degraded() const noexcept { return !failures.empty(); }
+  std::size_t completed = 0;  ///< attempted - quarantined
 
   /// Conservative bounds on the TRUE probability of outcome `bucket` had
   /// every quarantined realization completed: a Clopper-Pearson interval
@@ -136,79 +94,36 @@ struct EnsembleReport {
                             double confidence = 0.95) const noexcept;
 };
 
-/// Output of run_resumable: one EnsembleReport per sweep series, plus how
-/// the checkpoint layer behaved.
-struct ResumableReport {
-  std::vector<EnsembleReport> series;  ///< one per SweepSpec::series entry
-  ResumeInfo resume;                   ///< how the prior state was used
+/// How a sweep went: what the checkpoint layer did, and if it was cut.
+struct SweepStats {
+  ResumeInfo resume;          ///< how the prior state was used
   bool interrupted = false;   ///< cancelled before completion; state saved
   std::uint64_t restored = 0;  ///< indices restored from the checkpoint
   std::uint64_t executed = 0;  ///< indices actually computed by THIS run
   std::uint64_t checkpoints = 0;  ///< durable writes performed by this run
+};
 
-  bool complete() const noexcept { return !interrupted; }
+/// Output of run_resumable: the mask table, partial when interrupted.
+struct ResumableReport : SweepStats {
+  FailureMasks masks;
 };
 
 class EnsembleRunner {
  public:
   explicit EnsembleRunner(EnsembleOptions options = {});
 
-  /// Classifies one realization into an outcome bucket [0, 4).
-  using OutcomeFn = std::function<int(const surge::HurricaneRealization&)>;
-  /// Classifies one realization into a bucket [0, 4) PER SERIES: called
-  /// once per (series, realization) pair; `series` indexes
-  /// SweepSpec::series. run_resumable generates each realization exactly
-  /// once and classifies it into every series — this is what lets a
-  /// (configurations x scenarios) sweep matrix share one ensemble pass.
-  using MultiOutcomeFn =
-      std::function<int(std::size_t series, const surge::HurricaneRealization&)>;
-  /// Produces the guarded batch to count (only called on a cache miss). It
-  /// returns a pointer to a batch that outlives the count — typically a
-  /// member the caller generated once — so a temporary cannot bind to it.
-  using BatchFn = std::function<const GeneratedBatch*()>;
-
-  /// Fault-isolated generation of realizations [0, count): each one runs
-  /// under per-task exception capture with the options' watchdog/retry
-  /// policy, the active fault profile injected around the engine call.
-  /// Survivors come back in ascending index order; with an empty ledger the
-  /// batch is bit-identical to the engine's serial run_batch at any jobs
-  /// value.
-  GeneratedBatch generate_guarded(const surge::RealizationEngine& engine,
-                                  std::size_t count);
-
-  /// Guarded counting over one batch for one cell. A cache hit under `key`
-  /// never calls `batch`; a miss counts the batch it returns and merges its
-  /// ledger into the report. Each outcome evaluation is isolated (a
-  /// throwing classifier quarantines one sample, not the sweep), and the
-  /// fold over per-index buckets runs in ascending index order,
-  /// bit-identical at any jobs value. Results are stored under `key` ONLY
-  /// when nothing failed — a partial distribution must never masquerade as
-  /// the full one on the next warm run. Pass "" to bypass the cache.
-  EnsembleReport count_outcomes_guarded(const BatchFn& batch,
-                                        const OutcomeFn& outcome,
-                                        const std::string& key);
-
-  /// Crash-consistent sweep: generates realizations [0, spec.count) in
-  /// slices of ckpt.interval, classifies each survivor into every series
-  /// via `outcome`, and journals every completed slice (see checkpoint.h).
-  /// With ckpt.resume set, prior journal/snapshot state is validated and
-  /// replayed first and only the MISSING indices run; the merged result is
-  /// bit-identical at any --jobs value to an uninterrupted run. Fault
-  /// semantics match the guarded entry points (same CT_FAULT injection,
-  /// same retry-then-quarantine policy; a quarantined index is quarantined
-  /// in ALL series). `interrupt` (optional) stops the sweep at the next
-  /// slice boundary after a final checkpoint flush — the SIGINT/SIGTERM
-  /// path; the report then has interrupted=true and partial counts. An
-  /// empty ckpt.dir degrades to a plain non-durable sweep.
+  /// Crash-consistent sweep: runs realizations [0, spec.count) in slices
+  /// of ckpt.interval, each under the options' watchdog and retry policy
+  /// with CT_FAULT injected, keeps each survivor's flood mask, and
+  /// journals every completed slice when ckpt.dir is set (checkpoint.h).
+  /// With ckpt.resume, only the indices the journal lacks run; the table
+  /// is bit-identical at any --jobs value to an uninterrupted run's.
+  /// `interrupt` stops the sweep at the next slice boundary (SIGINT,
+  /// SIGTERM, deadlines), leaving interrupted=true and a partial table.
+  /// spec.words is set from the engine.
   ResumableReport run_resumable(const surge::RealizationEngine& engine,
-                                const SweepSpec& spec,
-                                const MultiOutcomeFn& outcome,
-                                const CheckpointOptions& ckpt,
+                                SweepSpec spec, const CheckpointOptions& ckpt,
                                 CancellationToken* interrupt = nullptr);
-
-  /// The active fault-injection profile (empty unless CT_FAULT or
-  /// options.fault_spec configured one).
-  const RuntimeFaultProfile& fault_profile() const noexcept { return fault_; }
 
   // --- content addressing -------------------------------------------------
 
@@ -228,12 +143,13 @@ class EnsembleRunner {
   std::string digest_engine_batch(const surge::RealizationEngine& engine,
                                   std::size_t count);
 
-  /// The full distribution stored under `key`, as a clean report with
-  /// from_cache set; nullopt on a miss, with the cache off, or for "".
-  std::optional<EnsembleReport> cached_report(const std::string& key);
-  /// Stores `report`'s histogram under `key` unless the cache is off, the
-  /// key is "" or a realization was quarantined.
-  void cache_report(const std::string& key, const EnsembleReport& report);
+  /// The full distribution stored under `key`; nullopt on a miss, with the
+  /// cache off, or for "".
+  std::optional<CachedCounts> cached_counts(const std::string& key);
+  /// Stores `counts` under `key` unless the cache is off or the key is "".
+  /// Callers store only complete, clean distributions: a partial one
+  /// would poison every warm rerun.
+  void cache_counts(const std::string& key, const CachedCounts& counts);
 
   TaskPool& pool() noexcept { return pool_; }
   ResultStore& store() noexcept { return store_; }
@@ -252,12 +168,10 @@ class EnsembleRunner {
                                       std::uint64_t index);
   /// One isolated attempt at realization `index`: the fault profile's throw
   /// and delay rules, realize(), the nan rule through the production NaN
-  /// guard, then a watchdog poll tagged `origin`. Both paths run it, so
-  /// they quarantine the same indices.
+  /// guard, then a watchdog poll.
   surge::HurricaneRealization realize_guarded(
       const surge::RealizationEngine& engine, const std::string& storm,
-      std::uint64_t index, unsigned attempt, const CancellationToken& token,
-      std::string_view origin);
+      std::uint64_t index, unsigned attempt, const CancellationToken& token);
 
   EnsembleOptions options_;
   RuntimeFaultProfile fault_;  // must init before store_ (cache-write rule)

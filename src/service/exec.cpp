@@ -150,37 +150,53 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
   return out;
 }
 
-/// Synthesizes the "(generation)" accounting row commands that consume
-/// the raw batch (downtime, siting) surface quarantines through.
-core::ScenarioResult generation_result(core::CaseStudyRunner& runner) {
+/// Downtime's and siting's ending: the "(generation)" row through which
+/// they surface the mask table's quarantines. No table (siting served
+/// whole from the result cache) means nothing was swept or failed.
+ExecOutcome finish_fold(std::ostringstream& os, core::CaseStudyRunner& runner,
+                        const runtime::FailureMasks* masks, bool strict) {
   core::ScenarioResult generation;
   generation.config_name = "(generation)";
-  generation.failures = runner.generation_failures().failures;
-  generation.retries = runner.generation_failures().retries;
   generation.attempted = runner.options().realizations;
+  if (masks != nullptr) {
+    generation.failures = masks->ledger.failures;
+    generation.retries = masks->ledger.retries;
+  }
   generation.completed = generation.attempted - generation.failures.size();
-  return generation;
+  const std::vector<core::ScenarioResult> results = {std::move(generation)};
+  ExecOutcome out;
+  accumulate(out, results);
+  out.exit_code = finish_analysis(os, results, strict);
+  out.output = os.str();
+  return out;
+}
+
+/// Downtime and siting print no table once their sweep was interrupted.
+ExecOutcome stopped() {
+  ExecOutcome out;
+  out.interrupted = true;
+  out.exit_code = 5;
+  return out;
 }
 
 ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
+                         const runtime::CheckpointOptions& ckpt,
                          runtime::CancellationToken* interrupt) {
-  ExecOutcome out;
   const std::vector<scada::Configuration> configs =
       request_configs(request, runner.topology());
+  const runtime::FailureMasks* masks = runner.masks(ckpt, interrupt);
+  if (masks == nullptr) return stopped();
+
   const core::RestorationModel model;
   std::ostringstream os;
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    if (interrupt != nullptr && interrupt->cancelled()) {
-      out.interrupted = true;
-      break;
-    }
     util::TextTable table;
     table.set_columns({"config", "E[downtime] h", "E[incorrect] h"},
                       {util::Align::kLeft, util::Align::kRight,
                        util::Align::kRight});
     for (const auto& config : configs) {
-      const core::RestorationResult r = core::analyze_restoration(
-          config, scenario, runner.realizations(), model, runner.runtime(), 0);
+      const core::RestorationResult r =
+          core::analyze_restoration(config, scenario, *masks, model, 0);
       table.add_row({config.name,
                      util::format_fixed(r.expected_downtime_hours, 2),
                      util::format_fixed(r.expected_incorrect_hours, 2)});
@@ -189,14 +205,7 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
     table.render(os);
     os << "\n";
   }
-  // Restoration consumes the raw batch, so quarantine accounting lives in
-  // the generation ledger rather than per-scenario results.
-  const std::vector<core::ScenarioResult> results = {generation_result(runner)};
-  accumulate(out, results);
-  const int code = finish_analysis(os, results, request.strict);
-  out.exit_code = out.interrupted ? 5 : code;
-  out.output = os.str();
-  return out;
+  return finish_fold(os, runner, masks, request.strict);
 }
 
 /// Backup-site candidates of a siting request: the paper's curated list
@@ -219,22 +228,18 @@ std::vector<std::string> siting_candidates(
 }
 
 ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
+                       const runtime::CheckpointOptions& ckpt,
                        runtime::CancellationToken* interrupt) {
-  ExecOutcome out;
   const std::string primary = pick_asset(runner.topology(), request.primary,
                                          scada::oahu_ids::kHonoluluCc);
   const std::vector<std::string> candidates =
       siting_candidates(request, runner.topology());
-  core::SitingOptimizer optimizer(runner);
+  core::SitingOptimizer optimizer(runner, ckpt, interrupt);
 
   std::ostringstream os;
   os << "backup-site ranking for \"6-6\" (primary " << primary << ", "
      << runner.options().realizations << " realizations)\n\n";
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    if (interrupt != nullptr && interrupt->cancelled()) {
-      out.interrupted = true;
-      break;
-    }
     util::TextTable table;
     table.set_columns({"rank", "backup site", "green", "E[badness]"},
                       {util::Align::kRight, util::Align::kLeft,
@@ -246,16 +251,14 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
                      util::format_percent(score.green_probability, 1),
                      util::format_fixed(score.expected_badness, 3)});
     }
+    // The first cache miss sweeps; a sweep the interrupt stopped leaves
+    // every later miss unswept too.
+    if (interrupt != nullptr && interrupt->cancelled()) return stopped();
     os << "=== " << threat::scenario_name(scenario) << " ===\n";
     table.render(os);
     os << "\n";
   }
-  const std::vector<core::ScenarioResult> results = {generation_result(runner)};
-  accumulate(out, results);
-  const int code = finish_analysis(os, results, request.strict);
-  out.exit_code = out.interrupted ? 5 : code;
-  out.output = os.str();
-  return out;
+  return finish_fold(os, runner, runner.memoized_masks(), request.strict);
 }
 
 /// The stats line print_cache_stats always produced, computed over the
@@ -332,10 +335,10 @@ ExecOutcome execute_request(const Request& request,
       out = run_analyze(request, runner, ckpt, interrupt);
       break;
     case RequestKind::kDowntime:
-      out = run_downtime(request, runner, interrupt);
+      out = run_downtime(request, runner, ckpt, interrupt);
       break;
     case RequestKind::kSiting:
-      out = run_siting(request, runner, interrupt);
+      out = run_siting(request, runner, ckpt, interrupt);
       break;
     case RequestKind::kStats:
     case RequestKind::kMetrics:

@@ -63,11 +63,12 @@ std::unique_ptr<core::CaseStudyRunner> make_case_study(
     runtime::EnsembleRunner* shared_runtime);
 
 /// Executes an analyze / downtime / siting / ping request against the
-/// runner and renders the report. `ckpt` threads the CLI's checkpoint
-/// options through (the server always passes stream-interval-only
-/// options with an empty dir); `interrupt` is the cooperative
-/// cancellation handle (SIGINT locally, deadline/disconnect/drain on the
-/// server), honored at sweep slice boundaries.
+/// runner and renders the report. `ckpt` is the options of the request's
+/// sweep: the CLI's checkpoint flags (which ctctl accepts for analyze
+/// only), or the server's stream interval and progress observer with an
+/// empty dir; `interrupt` is the cooperative cancellation handle (SIGINT
+/// locally, deadline/disconnect/drain on the server), honored at sweep
+/// slice boundaries by every command.
 /// Throws ct::Error{kInvalidInput} for unknown asset ids or a kStats
 /// request (stats are answered by the server, not by execution).
 ExecOutcome execute_request(const Request& request,

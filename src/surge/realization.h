@@ -166,8 +166,8 @@ class RealizationEngine {
   HurricaneRealization run_reference(std::uint64_t index) const;
 
   /// Runs realizations [0, count) serially: the reference tests compare
-  /// the runtime's pooled generation with (benches and examples use it
-  /// for small batches).
+  /// the runtime's mask sweep with (benches and examples use it for small
+  /// batches).
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
 
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }

@@ -6,6 +6,7 @@
 #include "core/case_study.h"
 #include "core/report.h"
 #include "core/siting.h"
+#include "obs/metrics.h"
 #include "scada/oahu.h"
 
 namespace ct::core {
@@ -29,11 +30,51 @@ class CaseStudyTest : public ::testing::Test {
 
 CaseStudyRunner* CaseStudyTest::runner_ = nullptr;
 
-TEST_F(CaseStudyTest, RealizationsAreCachedAndStable) {
-  const auto& first = runner_->realizations();
-  EXPECT_EQ(first.size(), 150u);
-  const auto& second = runner_->realizations();
-  EXPECT_EQ(&first, &second);  // same cached vector
+TEST_F(CaseStudyTest, MasksAreMemoizedAndStable) {
+  const runtime::FailureMasks* first = runner_->masks();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->attempted, 150u);
+  EXPECT_EQ(first->size(), 150u);
+  EXPECT_EQ(first->words, 1u);  // 20 exposed assets
+  EXPECT_EQ(runner_->masks(), first);  // the same memoized table
+  EXPECT_EQ(runner_->memoized_masks(), first);
+}
+
+/// After a complete sweep, a cell the result cache has never seen and the
+/// flood probabilities fold over the memoized table: no realization runs.
+TEST(CaseStudyMemoTest, NewCellAndFloodProbabilitiesRunNoRealization) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  CaseStudyOptions options;
+  options.realizations = 60;
+  CaseStudyRunner runner = make_oahu_case_study(options);
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto all = threat::all_scenarios();
+  const std::uint64_t before_sweep = node_steps.value();
+  const ResumableAnalysis analysis = runner.run_all_resumable(
+      configs, {all.begin(), all.end()}, runtime::CheckpointOptions{});
+  ASSERT_TRUE(analysis.complete());
+  EXPECT_EQ(analysis.executed, 60u);
+  ASSERT_NE(runner.memoized_masks(), nullptr);
+  const std::uint64_t after_sweep = node_steps.value();
+  if (obs::compiled_in()) {
+    EXPECT_GT(after_sweep, before_sweep);
+  }
+
+  const ScenarioResult kahe = runner.run(
+      scada::make_config_6_6(scada::oahu_ids::kHonoluluCc,
+                             scada::oahu_ids::kKaheCc),
+      ThreatScenario::kHurricane);
+  EXPECT_FALSE(kahe.from_cache);
+  EXPECT_EQ(kahe.outcomes.total(), 60u);
+  runner.asset_flood_probability(scada::oahu_ids::kHonoluluCc);
+  runner.conditional_flood_probability(scada::oahu_ids::kWaiauCc,
+                                       scada::oahu_ids::kHonoluluCc);
+  EXPECT_EQ(node_steps.value(), after_sweep);
+  obs::set_enabled(was_enabled);
 }
 
 TEST_F(CaseStudyTest, ProbabilitiesSumToOneForEveryConfigAndScenario) {

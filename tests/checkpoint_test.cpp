@@ -3,7 +3,7 @@
 //  * SweepProgress range algebra (merge, coalesce, overlap, missing);
 //  * journal round-trips, torn-tail drop, interior-corruption detection,
 //    stale-digest refusal, snapshot compaction, tmp-file GC;
-//  * run_resumable equivalence with the guarded paths, interrupt + resume
+//  * run_resumable's ledger against the fault rules, interrupt + resume
 //    bit-identity across --jobs, resume under CT_FAULT (quarantined
 //    indices must not be re-counted), knob-change cold start;
 //  * the self-exec crash matrix: a child process is killed by CT_CRASH at
@@ -18,13 +18,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,22 +55,6 @@ surge::RealizationEngine make_engine(std::uint64_t seed = kSeed) {
   return surge::RealizationEngine(terrain::make_oahu_terrain(),
                                   scada::oahu_topology().exposed_assets(),
                                   config);
-}
-
-/// Cheap deterministic 2-series classifier shared by the in-process tests
-/// and the crash-harness child (pure function of the realization).
-int classify(std::size_t series, const surge::HurricaneRealization& r) {
-  if (series == 0) {
-    std::size_t flooded = 0;
-    for (const surge::AssetImpact& impact : r.impacts) {
-      if (impact.failed) ++flooded;
-    }
-    return static_cast<int>(flooded % 4);
-  }
-  if (r.peak_wind_ms > 45.0) return 3;
-  if (r.peak_wind_ms > 35.0) return 2;
-  if (r.peak_wind_ms > 25.0) return 1;
-  return 0;
 }
 
 runtime::EnsembleOptions make_options(unsigned jobs,
@@ -104,25 +90,45 @@ runtime::SweepSpec unit_spec(std::string digest = "unit-digest") {
   runtime::SweepSpec spec;
   spec.digest = std::move(digest);
   spec.count = 100;
-  spec.series = {"series-a", "series-b"};
+  spec.words = 2;
   return spec;
 }
 
-/// Fabricates the deterministic delta of slice [begin, end) and folds it
-/// into `progress` the way run_resumable does.
-std::vector<runtime::SeriesCounts> fold_slice(runtime::SweepProgress& progress,
-                                              std::uint64_t begin,
-                                              std::uint64_t end) {
-  std::vector<runtime::SeriesCounts> delta(2, runtime::SeriesCounts{});
+/// Empty progress of a unit_spec() sweep.
+runtime::SweepProgress unit_progress() {
+  runtime::SweepProgress p;
+  p.masks.words = 2;
+  return p;
+}
+
+/// Fabricates the deterministic masks of slice [begin, end) (two words per
+/// index, so every bit position is in play), quarantines the indices of
+/// `failures`, and folds the slice into `progress` the way run_resumable
+/// does. Returns the slice, as the journal appends it.
+runtime::FailureMasks fold_slice(
+    runtime::SweepProgress& progress, std::uint64_t begin, std::uint64_t end,
+    const std::vector<runtime::FailureRecord>& failures = {},
+    std::uint64_t retries = 0) {
+  runtime::FailureMasks slice;
+  slice.words = 2;
+  slice.ledger.failures = failures;
+  slice.ledger.retries = retries;
   for (std::uint64_t i = begin; i < end; ++i) {
-    ++delta[0][i % 4];
-    ++delta[1][(i / 2) % 4];
+    if (std::any_of(failures.begin(), failures.end(),
+                    [i](const auto& f) { return f.realization == i; })) {
+      continue;
+    }
+    slice.indices.push_back(i);
+    slice.bits.push_back(i * 0x9e3779b97f4a7c15ull);
+    slice.bits.push_back(~i);
   }
   EXPECT_TRUE(progress.merge_range(begin, end));
-  for (std::size_t s = 0; s < 2; ++s) {
-    for (std::size_t c = 0; c < 4; ++c) progress.series[s][c] += delta[s][c];
-  }
-  return delta;
+  EXPECT_TRUE(progress.masks.splice(slice.indices, slice.bits));
+  runtime::FailureLedger& ledger = progress.masks.ledger;
+  ledger.failures.insert(ledger.failures.end(), failures.begin(),
+                         failures.end());
+  ledger.retries += retries;
+  return slice;
 }
 
 /// Every field of every failure record.
@@ -140,15 +146,35 @@ void expect_failures_eq(const std::vector<runtime::FailureRecord>& a,
   }
 }
 
+/// Two mask tables, survivor for survivor, with their ledgers.
+void expect_masks_eq(const runtime::FailureMasks& a,
+                     const runtime::FailureMasks& b,
+                     const std::string& context = "") {
+  EXPECT_EQ(a.words, b.words) << context;
+  EXPECT_EQ(a.indices, b.indices) << context;
+  EXPECT_EQ(a.bits, b.bits) << context;
+  expect_failures_eq(a.ledger.failures, b.ledger.failures, context);
+  EXPECT_EQ(a.ledger.retries, b.ledger.retries) << context;
+}
+
 void expect_progress_eq(const runtime::SweepProgress& a,
                         const runtime::SweepProgress& b) {
   EXPECT_EQ(a.done, b.done);
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (std::size_t s = 0; s < a.series.size(); ++s) {
-    EXPECT_EQ(a.series[s], b.series[s]) << "series " << s;
-  }
-  expect_failures_eq(a.failures, b.failures);
-  EXPECT_EQ(a.retries, b.retries);
+  expect_masks_eq(a.masks, b.masks);
+}
+
+/// The quarantine record slice [10, 20) of the journal tests carries:
+/// hostile content the framing must survive.
+runtime::FailureRecord hostile_failure() {
+  runtime::FailureRecord f;
+  f.realization = 13;
+  f.seed = kSeed;
+  f.attempts = 3;
+  f.code = util::ErrorCode::kFaultInjected;
+  f.origin = "fault injection";
+  f.message = std::string("bad\nmessage with spaces, 100% chaos and a ") +
+              '\0' + " byte";
+  return f;
 }
 
 std::string read_file(const std::string& path) {
@@ -181,7 +207,6 @@ std::vector<std::size_t> frame_offsets(const std::string& bytes) {
 
 TEST(SweepProgressTest, MergeCoalesceOverlapAndMissing) {
   runtime::SweepProgress p;
-  p.series.assign(1, runtime::SeriesCounts{});
   EXPECT_TRUE(p.merge_range(0, 10));
   EXPECT_TRUE(p.merge_range(20, 30));
   EXPECT_EQ(p.done.size(), 2u);
@@ -205,6 +230,27 @@ TEST(SweepProgressTest, MergeCoalesceOverlapAndMissing) {
   EXPECT_EQ(missing[0], (std::pair<std::uint64_t, std::uint64_t>{30, 40}));
   EXPECT_EQ(missing[1], (std::pair<std::uint64_t, std::uint64_t>{50, 60}));
   EXPECT_TRUE(runtime::SweepProgress{}.missing(0).empty());
+}
+
+TEST(FailureMasksTest, SpliceKeepsIndicesAscendingAndRefusesOverlap) {
+  runtime::FailureMasks m;
+  m.words = 1;
+  const std::vector<std::uint64_t> high = {20, 21};
+  const std::vector<std::uint64_t> low = {3, 5};
+  const std::vector<std::uint64_t> mid = {10};
+  EXPECT_TRUE(m.splice(high, std::vector<std::uint64_t>{0xa, 0xb}));
+  EXPECT_TRUE(m.splice(low, std::vector<std::uint64_t>{0x1, 0x2}));
+  EXPECT_TRUE(m.splice(mid, std::vector<std::uint64_t>{0x3}));
+  EXPECT_EQ(m.indices, (std::vector<std::uint64_t>{3, 5, 10, 20, 21}));
+  EXPECT_EQ(m.bits, (std::vector<std::uint64_t>{0x1, 0x2, 0x3, 0xa, 0xb}));
+  // A run that straddles an existing index, or repeats one, is refused.
+  const std::vector<std::uint64_t> straddle = {9, 11};
+  EXPECT_FALSE(m.splice(straddle, std::vector<std::uint64_t>{0, 0}));
+  const std::vector<std::uint64_t> repeat = {21};
+  EXPECT_FALSE(m.splice(repeat, std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(m.size(), 5u);
+  // No asset index: every id reads as not flooded.
+  EXPECT_FALSE(m.flooded(0, "sub-honolulu"));
 }
 
 // --- CrashProfile grammar ---------------------------------------------------
@@ -235,31 +281,19 @@ TEST(CrashProfileTest, ParseGrammar) {
 TEST(SweepJournalTest, RoundTripRestoresEverything) {
   const std::string dir = scratch_dir("roundtrip");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
     ASSERT_TRUE(j.begin(p, true));
     for (const auto& [b, e] : {std::pair<std::uint64_t, std::uint64_t>{0, 10},
                                {10, 20},
                                {20, 30}}) {
-      const auto delta = fold_slice(p, b, e);
       // Slice 2 carries a quarantine record with hostile content: the
       // framing must survive newlines, spaces and percent signs.
-      std::vector<runtime::FailureRecord> failures;
-      if (b == 10) {
-        runtime::FailureRecord f;
-        f.realization = 13;
-        f.seed = kSeed;
-        f.attempts = 3;
-        f.code = util::ErrorCode::kFaultInjected;
-        f.origin = "fault injection";
-        f.message = "bad\nmessage with spaces and 100% chaos";
-        failures.push_back(f);
-        p.failures.push_back(std::move(f));
-        p.retries += 2;
-      }
-      ASSERT_TRUE(j.append(b, e, delta, failures, b == 10 ? 2 : 0, p));
+      const runtime::FailureMasks slice =
+          b == 10 ? fold_slice(p, b, e, {hostile_failure()}, 2)
+                  : fold_slice(p, b, e);
+      ASSERT_TRUE(j.append(b, e, slice, p));
     }
     j.close();  // interrupted, not finished: files stay
   }
@@ -269,20 +303,20 @@ TEST(SweepJournalTest, RoundTripRestoresEverything) {
   EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed);
   EXPECT_EQ(info.restored, 30u);
   EXPECT_FALSE(info.torn_tail_dropped);
+  EXPECT_EQ(restored.masks.size(), 29u);
   expect_progress_eq(restored, p);
 }
 
 TEST(SweepJournalTest, TornTailIsDroppedSilently) {
   const std::string dir = scratch_dir("torn");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::string journal_path;
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
     ASSERT_TRUE(j.begin(p, true));
     for (std::uint64_t b = 0; b < 30; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), p));
     }
     journal_path = j.journal_path();
   }
@@ -301,19 +335,19 @@ TEST(SweepJournalTest, TornTailIsDroppedSilently) {
   ASSERT_EQ(restored.done.size(), 1u);
   EXPECT_EQ(restored.done[0],
             (std::pair<std::uint64_t, std::uint64_t>{0, 20}));
+  EXPECT_EQ(restored.masks.size(), 20u);
 }
 
 TEST(SweepJournalTest, InteriorBitFlipIsTypedCorruptionAndColdStarts) {
   const std::string dir = scratch_dir("bitflip");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::string journal_path;
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
     ASSERT_TRUE(j.begin(p, true));
     for (std::uint64_t b = 0; b < 30; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), p));
     }
     journal_path = j.journal_path();
   }
@@ -334,16 +368,16 @@ TEST(SweepJournalTest, InteriorBitFlipIsTypedCorruptionAndColdStarts) {
       << info.detail;
   EXPECT_EQ(info.restored, 0u);  // cold start: nothing salvaged
   EXPECT_EQ(restored.completed(), 0u);
+  EXPECT_EQ(restored.masks.size(), 0u);
 }
 
-TEST(SweepJournalTest, DifferentDigestOrSeriesIsStaleNotCorrupt) {
+TEST(SweepJournalTest, DifferentDigestOrWordsIsStaleNotCorrupt) {
   const std::string dir = scratch_dir("stale");
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   {
     runtime::SweepJournal j(make_ckpt(dir), unit_spec("digest-one"));
     ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
+    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), p));
   }
   {
     // Same directory, different sweep digest (changed knobs).
@@ -353,9 +387,9 @@ TEST(SweepJournalTest, DifferentDigestOrSeriesIsStaleNotCorrupt) {
     EXPECT_EQ(j.load(restored).status, runtime::ResumeStatus::kColdStart);
   }
   {
-    // Same digest but a different series set: the header refuses it.
+    // Same digest but another mask width: the header refuses it.
     runtime::SweepSpec spec = unit_spec("digest-one");
-    spec.series = {"series-a", "series-CHANGED"};
+    spec.words = 3;
     runtime::SweepJournal j(make_ckpt(dir), spec);
     runtime::SweepProgress restored;
     const runtime::ResumeInfo info = j.load(restored);
@@ -364,17 +398,54 @@ TEST(SweepJournalTest, DifferentDigestOrSeriesIsStaleNotCorrupt) {
   }
 }
 
+/// Rewrites the first frame of the file at `path` with format version 2,
+/// its payload unchanged and resealed.
+void reseal_as_format_two(const std::string& path) {
+  const std::string bytes = read_file(path);
+  const std::uint32_t magic = util::WireReader(bytes.substr(0, 4)).u32();
+  const util::OpenedFrame frame = util::open_frame(bytes, 0, magic);
+  ASSERT_EQ(frame.status, util::FrameStatus::kComplete);
+  util::FrameFields fields = frame.fields;
+  fields.version = 2;
+  write_file(path, util::seal_frame(fields, frame.payload) +
+                       bytes.substr(frame.size));
+}
+
+/// A journal or snapshot of format 2 (per-cell counts, before the mask
+/// table) reads as stale: a cold start, never a replay.
+TEST(SweepJournalTest, FormatTwoCheckpointReadsAsStale) {
+  for (const bool snapshot : {false, true}) {
+    const std::string dir =
+        scratch_dir(snapshot ? "format2-snap" : "format2-jrnl");
+    runtime::SweepProgress p = unit_progress();
+    std::string path;
+    {
+      runtime::SweepJournal j(make_ckpt(dir, 10, snapshot ? 1 : 100),
+                              unit_spec());
+      ASSERT_TRUE(j.begin(p, true));
+      ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), p));
+      path = snapshot ? j.snapshot_path() : j.journal_path();
+    }
+    ASSERT_TRUE(fs::exists(path));
+    reseal_as_format_two(path);
+    runtime::SweepJournal j(make_ckpt(dir), unit_spec());
+    runtime::SweepProgress restored;
+    const runtime::ResumeInfo info = j.load(restored);
+    EXPECT_EQ(info.status, runtime::ResumeStatus::kStale) << path;
+    EXPECT_EQ(restored.completed(), 0u);
+  }
+}
+
 TEST(SweepJournalTest, SnapshotCompactionBoundsReplayAndRestoresAll) {
   const std::string dir = scratch_dir("compact");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::string journal_path, snapshot_path;
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, /*snapshot_every=*/2), spec);
     ASSERT_TRUE(j.begin(p, true));
     for (std::uint64_t b = 0; b < 50; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), p));
     }
     journal_path = j.journal_path();
     snapshot_path = j.snapshot_path();
@@ -396,13 +467,12 @@ TEST(SweepJournalTest, SnapshotCompactionBoundsReplayAndRestoresAll) {
 TEST(SweepJournalTest, HalfWrittenSnapshotTmpIsIgnoredAndCollected) {
   const std::string dir = scratch_dir("snaptmp");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::string snapshot_path;
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
     ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
+    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), p));
     snapshot_path = j.snapshot_path();
   }
   // A crash mid-snapshot leaves a half-written tmp that never renamed.
@@ -419,14 +489,13 @@ TEST(SweepJournalTest, HalfWrittenSnapshotTmpIsIgnoredAndCollected) {
 TEST(SweepJournalTest, JournalAheadOfMissingSnapshotIsCorrupt) {
   const std::string dir = scratch_dir("epoch");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::string snapshot_path;
   {
     runtime::SweepJournal j(make_ckpt(dir, 10, /*snapshot_every=*/1), spec);
     ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
-    ASSERT_TRUE(j.append(10, 20, fold_slice(p, 10, 20), {}, 0, p));
+    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), p));
+    ASSERT_TRUE(j.append(10, 20, fold_slice(p, 10, 20), p));
     snapshot_path = j.snapshot_path();
   }
   // The journal's records are deltas on top of the snapshot; with the
@@ -448,28 +517,15 @@ TEST(SweepJournalTest, JournalAheadOfMissingSnapshotIsCorrupt) {
 /// records.
 std::vector<runtime::SweepProgress> journal_three_records(
     const std::string& dir, std::size_t snapshot_every) {
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
+  runtime::SweepProgress p = unit_progress();
   std::vector<runtime::SweepProgress> prefixes = {p};
   runtime::SweepJournal j(make_ckpt(dir, 10, snapshot_every), unit_spec());
   EXPECT_TRUE(j.begin(p, true));
   for (std::uint64_t b = 0; b < 30; b += 10) {
-    const auto delta = fold_slice(p, b, b + 10);
-    std::vector<runtime::FailureRecord> failures;
-    if (b == 10) {
-      runtime::FailureRecord f;
-      f.realization = 13;
-      f.seed = kSeed;
-      f.attempts = 3;
-      f.code = util::ErrorCode::kFaultInjected;
-      f.origin = "fault injection";
-      f.message = std::string("bad\nmessage with spaces, 100% chaos and a ") +
-                  '\0' + " byte";
-      failures.push_back(f);
-      p.failures.push_back(std::move(f));
-      p.retries += 2;
-    }
-    EXPECT_TRUE(j.append(b, b + 10, delta, failures, b == 10 ? 2 : 0, p));
+    const runtime::FailureMasks slice =
+        b == 10 ? fold_slice(p, b, b + 10, {hostile_failure()}, 2)
+                : fold_slice(p, b, b + 10);
+    EXPECT_TRUE(j.append(b, b + 10, slice, p));
     prefixes.push_back(p);
   }
   return prefixes;
@@ -634,7 +690,6 @@ runtime::SweepSpec sweep_spec(std::string digest = "sweep-digest") {
   runtime::SweepSpec spec;
   spec.digest = std::move(digest);
   spec.count = kSweepCount;
-  spec.series = {"cell-a", "cell-b"};
   return spec;
 }
 
@@ -647,83 +702,116 @@ std::vector<unsigned> job_counts() {
   return jobs;
 }
 
-/// The sweep and the batch path (generate_guarded, then
-/// count_outcomes_guarded one series at a time) share one job-key space in
-/// the result cache, so they must agree field for field — counts, every
-/// failure record, retries, attempted, completed — under fault profiles
-/// that quarantine or heal, at max_retries 0 and 1, and with a classifier
-/// that throws on one index.
-TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
+/// Progress observer that cancels `interrupt` once `at` indices are done.
+std::function<void(const runtime::SweepProgressEvent&)> cancel_at(
+    runtime::CancellationToken& interrupt, std::uint64_t at) {
+  return [&interrupt, at](const runtime::SweepProgressEvent& event) {
+    if (event.done >= at) interrupt.request_cancel();
+  };
+}
+
+/// The ledger a sweep of `count` realizations must end with under `fault`
+/// and `retries`, worked out from RuntimeFaultProfile's rules alone: an
+/// index fails an attempt when a throw, nan or (watchdog-bound) delay rule
+/// fires on it, heals on the first attempt none fires, and is quarantined
+/// when all 1 + retries attempts fail. The code is the first rule's that
+/// fires on the last attempt, in the order the sweep applies them.
+runtime::FailureLedger predicted_ledger(const std::string& fault,
+                                        unsigned retries, std::size_t count) {
+  const runtime::RuntimeFaultProfile profile =
+      runtime::RuntimeFaultProfile::parse(fault);
+  runtime::FailureLedger ledger;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    unsigned attempt = 1;
+    const auto code = [&](unsigned a) -> std::optional<util::ErrorCode> {
+      if (profile.throw_rule.fires(i, a)) {
+        return util::ErrorCode::kFaultInjected;
+      }
+      if (profile.delay_rule.fires(i, a)) return util::ErrorCode::kTimeout;
+      if (profile.nan_rule.fires(i, a)) return util::ErrorCode::kNumeric;
+      return std::nullopt;
+    };
+    while (attempt <= retries && code(attempt)) ++attempt;
+    ledger.retries += attempt - 1;
+    if (const std::optional<util::ErrorCode> failed = code(attempt)) {
+      runtime::FailureRecord f;
+      f.realization = i;
+      f.seed = kSeed;
+      f.attempts = attempt;
+      f.code = *failed;
+      ledger.failures.push_back(f);
+    }
+  }
+  return ledger;
+}
+
+/// Under the throw, nan and delay profiles (quarantining or healed on the
+/// retry) and at max_retries 0 and 1, the sweep's ledger is exactly the one
+/// the fault rules predict, at every jobs value, and the survivors' masks
+/// are run_batch's flood bits.
+TEST(RunResumableTest, ColdRunLedgerMatchesFaultRulesAtAnyJobs) {
   const surge::RealizationEngine engine = make_engine();
   constexpr std::size_t kCount = 20;
-  constexpr std::uint64_t kThrowingIndex = 7;  // no fault profile hits it
-  const runtime::EnsembleRunner::MultiOutcomeFn throwing =
-      [](std::size_t series, const surge::HurricaneRealization& r) {
-        if (r.index == kThrowingIndex) {
-          throw std::runtime_error("classifier failure");
-        }
-        return classify(series, r);
-      };
+  const std::vector<surge::HurricaneRealization> batch =
+      engine.run_batch(kCount);
   runtime::SweepSpec spec = sweep_spec();
   spec.count = kCount;
 
   for (const std::string fault :
        {"none", "throw:every=5", "throw:every=5,attempts=1", "nan:every=4",
-        "nan:every=4,attempts=1"}) {
+        "nan:every=4,attempts=1", "delay:every=10,ms=500",
+        "delay:every=10,ms=500,attempts=1"}) {
     for (const unsigned retries : {0u, 1u}) {
-      for (const bool throws : {false, true}) {
-        const runtime::EnsembleRunner::MultiOutcomeFn outcome =
-            throws ? throwing
-                   : runtime::EnsembleRunner::MultiOutcomeFn(classify);
-        for (const unsigned jobs : job_counts()) {
-          const std::string context =
-              fault + " retries=" + std::to_string(retries) +
-              (throws ? " throwing" : "") + " jobs=" + std::to_string(jobs);
-          runtime::EnsembleOptions options = make_options(jobs, fault);
-          options.max_retries = retries;
+      const runtime::FailureLedger want =
+          predicted_ledger(fault, retries, kCount);
+      // A delayed attempt waits out the watchdog, so the delay profiles
+      // run at one jobs value; the others need no watchdog at all.
+      const bool delay = fault.starts_with("delay");
+      for (const unsigned jobs :
+           delay ? std::vector<unsigned>{2} : job_counts()) {
+        const std::string context = fault + " retries=" +
+                                    std::to_string(retries) +
+                                    " jobs=" + std::to_string(jobs);
+        runtime::EnsembleOptions options = make_options(jobs, fault);
+        options.max_retries = retries;
+        if (delay) options.task_timeout = std::chrono::milliseconds(40);
+        // No checkpoint dir: plain sweep.
+        runtime::EnsembleRunner runner(options);
+        const runtime::ResumableReport report =
+            runner.run_resumable(engine, spec, runtime::CheckpointOptions{});
+        EXPECT_FALSE(report.interrupted) << context;
+        EXPECT_EQ(report.executed, kCount) << context;
+        EXPECT_EQ(report.checkpoints, 0u) << context;
 
-          runtime::EnsembleRunner batch_runner(options);
-          const runtime::GeneratedBatch batch =
-              batch_runner.generate_guarded(engine, kCount);
-          // No checkpoint dir: plain fused sweep.
-          runtime::EnsembleRunner runner(options);
-          const runtime::ResumableReport report = runner.run_resumable(
-              engine, spec, outcome, runtime::CheckpointOptions{});
-          ASSERT_EQ(report.series.size(), 2u);
-          EXPECT_FALSE(report.interrupted);
-          EXPECT_EQ(report.executed, kCount);
-          EXPECT_EQ(report.checkpoints, 0u);
-
-          for (std::size_t s = 0; s < 2; ++s) {
-            const runtime::EnsembleReport want =
-                batch_runner.count_outcomes_guarded(
-                    [&] { return &batch; },
-                    [&](const surge::HurricaneRealization& r) {
-                      return outcome(s, r);
-                    },
-                    "");
-            const runtime::EnsembleReport& got = report.series[s];
-            const std::string where = context + " series=" + std::to_string(s);
-            EXPECT_EQ(got.counts.counts, want.counts.counts) << where;
-            EXPECT_EQ(got.counts.total, want.counts.total) << where;
-            expect_failures_eq(got.failures, want.failures, where);
-            EXPECT_EQ(got.retries, want.retries) << where;
-            EXPECT_EQ(got.attempted, want.attempted) << where;
-            EXPECT_EQ(got.completed, want.completed) << where;
-            if (fault == "none" && !throws) {
-              EXPECT_TRUE(got.failures.empty()) << where;
-            }
-            if (throws) {
-              EXPECT_TRUE(std::any_of(
-                  got.failures.begin(), got.failures.end(),
-                  [](const runtime::FailureRecord& f) {
-                    return f.realization == kThrowingIndex &&
-                           f.seed == kSeed;
-                  }))
-                  << where;
-            }
-          }
+        const runtime::FailureMasks& got = report.masks;
+        EXPECT_EQ(got.attempted, kCount) << context;
+        EXPECT_EQ(got.ledger.retries, want.retries) << context;
+        ASSERT_EQ(got.ledger.failures.size(), want.failures.size()) << context;
+        for (std::size_t f = 0; f < want.failures.size(); ++f) {
+          const runtime::FailureRecord& g = got.ledger.failures[f];
+          const runtime::FailureRecord& w = want.failures[f];
+          EXPECT_EQ(g.realization, w.realization) << context;
+          EXPECT_EQ(g.seed, w.seed) << context;
+          EXPECT_EQ(g.attempts, w.attempts) << context;
+          EXPECT_EQ(g.code, w.code) << context;
         }
+        std::size_t k = 0;
+        for (const surge::HurricaneRealization& r : batch) {
+          if (std::any_of(want.failures.begin(), want.failures.end(),
+                          [&](const runtime::FailureRecord& f) {
+                            return f.realization == r.index;
+                          })) {
+            continue;
+          }
+          ASSERT_LT(k, got.size()) << context;
+          EXPECT_EQ(got.indices[k], r.index) << context;
+          for (std::size_t a = 0; a < r.impacts.size(); ++a) {
+            EXPECT_EQ(got.test(k, a), r.impacts[a].failed)
+                << context << " realization " << r.index << " asset " << a;
+          }
+          ++k;
+        }
+        EXPECT_EQ(k, got.size()) << context;
       }
     }
   }
@@ -733,45 +821,39 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
   const surge::RealizationEngine engine = make_engine();
   runtime::EnsembleRunner cold_runner(make_options(1));
   const runtime::ResumableReport reference = cold_runner.run_resumable(
-      engine, sweep_spec(), classify, runtime::CheckpointOptions{});
+      engine, sweep_spec(), runtime::CheckpointOptions{});
 
   for (const unsigned jobs : job_counts()) {
     const std::string dir =
         scratch_dir("interrupt-jobs" + std::to_string(jobs));
     const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
 
-    // Phase 1: cancel once realization 20 is seen. Cancellation is only
-    // honored at slice boundaries, so the active slice completes and is
-    // flushed — deterministically 24 of 40 indices at interval 8.
+    // Phase 1: cancel once 20 indices are done. Cancellation is only
+    // honored at slice boundaries, so it lands after the slice that
+    // crosses 20 — deterministically 24 of 40 indices at interval 8.
     runtime::CancellationToken interrupt;
+    runtime::CheckpointOptions cancelling = ckpt;
+    cancelling.on_progress = cancel_at(interrupt, 20);
     runtime::EnsembleRunner partial_runner(make_options(jobs));
     const runtime::ResumableReport partial = partial_runner.run_resumable(
-        engine, sweep_spec(),
-        [&](std::size_t series, const surge::HurricaneRealization& r) {
-          if (r.index >= 20) interrupt.request_cancel();
-          return classify(series, r);
-        },
-        ckpt, &interrupt);
+        engine, sweep_spec(), cancelling, &interrupt);
     ASSERT_TRUE(partial.interrupted) << "jobs=" << jobs;
-    EXPECT_LT(partial.executed, kSweepCount);
-    EXPECT_GE(partial.executed, 21u);
+    EXPECT_EQ(partial.executed, 24u);
+    EXPECT_EQ(partial.masks.attempted, 24u);
 
     // Phase 2: resume (possibly at a different jobs value) and finish.
     runtime::CheckpointOptions resume_ckpt = ckpt;
     resume_ckpt.resume = true;
     runtime::EnsembleRunner resume_runner(make_options(jobs == 1 ? 8 : 1));
-    const runtime::ResumableReport resumed = resume_runner.run_resumable(
-        engine, sweep_spec(), classify, resume_ckpt);
+    const runtime::ResumableReport resumed =
+        resume_runner.run_resumable(engine, sweep_spec(), resume_ckpt);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kResumed);
-    EXPECT_GT(resumed.restored, 0u);
+    EXPECT_EQ(resumed.restored, 24u);
     EXPECT_EQ(resumed.restored + resumed.executed, kSweepCount);
-    for (std::size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(resumed.series[s].counts.counts,
-                reference.series[s].counts.counts)
-          << "jobs=" << jobs << " series=" << s;
-      EXPECT_EQ(resumed.series[s].attempted, kSweepCount);
-    }
+    expect_masks_eq(resumed.masks, reference.masks,
+                    "jobs=" + std::to_string(jobs));
+    EXPECT_EQ(resumed.masks.attempted, kSweepCount);
     // The sweep completed: the checkpoint files are gone.
     EXPECT_FALSE(fs::exists(dir) && !fs::is_empty(dir));
   }
@@ -796,7 +878,7 @@ TEST(RunResumableTest, CheckpointMetricsMeterEveryDurableWrite) {
   const surge::RealizationEngine engine = make_engine();
   runtime::EnsembleRunner runner(make_options(2));
   const runtime::ResumableReport report = runner.run_resumable(
-      engine, sweep_spec(), classify, make_ckpt(scratch_dir("metered"), 8, 2));
+      engine, sweep_spec(), make_ckpt(scratch_dir("metered"), 8, 2));
   obs::set_enabled(was_enabled);
 
   // 1 header, 5 records and 2 snapshots, each snapshot followed by a
@@ -816,41 +898,27 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
   const surge::RealizationEngine engine = make_engine();
   runtime::EnsembleRunner clean_runner(make_options(2, fault));
   const runtime::ResumableReport reference = clean_runner.run_resumable(
-      engine, sweep_spec(), classify, runtime::CheckpointOptions{});
-  ASSERT_EQ(reference.series[0].failures.size(), 6u);
+      engine, sweep_spec(), runtime::CheckpointOptions{});
+  ASSERT_EQ(reference.masks.ledger.failures.size(), 6u);
 
   const std::string dir = scratch_dir("fault-resume");
   const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
   runtime::CancellationToken interrupt;
+  runtime::CheckpointOptions cancelling = ckpt;
+  cancelling.on_progress = cancel_at(interrupt, 20);
   runtime::EnsembleRunner partial_runner(make_options(2, fault));
   const runtime::ResumableReport partial = partial_runner.run_resumable(
-      engine, sweep_spec(),
-      [&](std::size_t series, const surge::HurricaneRealization& r) {
-        if (r.index >= 20) interrupt.request_cancel();
-        return classify(series, r);
-      },
-      ckpt, &interrupt);
+      engine, sweep_spec(), cancelling, &interrupt);
   ASSERT_TRUE(partial.interrupted);
 
   runtime::CheckpointOptions resume_ckpt = ckpt;
   resume_ckpt.resume = true;
   runtime::EnsembleRunner resume_runner(make_options(2, fault));
-  const runtime::ResumableReport resumed = resume_runner.run_resumable(
-      engine, sweep_spec(), classify, resume_ckpt);
+  const runtime::ResumableReport resumed =
+      resume_runner.run_resumable(engine, sweep_spec(), resume_ckpt);
   EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kResumed);
-  for (std::size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(resumed.series[s].counts.counts,
-              reference.series[s].counts.counts);
-    ASSERT_EQ(resumed.series[s].failures.size(),
-              reference.series[s].failures.size());
-    for (std::size_t f = 0; f < resumed.series[s].failures.size(); ++f) {
-      EXPECT_EQ(resumed.series[s].failures[f].realization,
-                reference.series[s].failures[f].realization);
-      EXPECT_EQ(resumed.series[s].failures[f].code,
-                reference.series[s].failures[f].code);
-    }
-    EXPECT_EQ(resumed.series[s].completed, kSweepCount - 6);
-  }
+  expect_masks_eq(resumed.masks, reference.masks, "resumed under fault");
+  EXPECT_EQ(resumed.masks.size(), kSweepCount - 6);
 }
 
 TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
@@ -859,14 +927,11 @@ TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
   const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
 
   runtime::CancellationToken interrupt;
+  runtime::CheckpointOptions cancelling = ckpt;
+  cancelling.on_progress = cancel_at(interrupt, 20);
   runtime::EnsembleRunner partial_runner(make_options(2));
   const runtime::ResumableReport partial = partial_runner.run_resumable(
-      engine, sweep_spec("knobs-v1"),
-      [&](std::size_t series, const surge::HurricaneRealization& r) {
-        if (r.index >= 20) interrupt.request_cancel();
-        return classify(series, r);
-      },
-      ckpt, &interrupt);
+      engine, sweep_spec("knobs-v1"), cancelling, &interrupt);
   ASSERT_TRUE(partial.interrupted);
 
   // Same checkpoint dir, different sweep digest (e.g. a changed
@@ -877,7 +942,7 @@ TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
   resume_ckpt.resume = true;
   runtime::EnsembleRunner resume_runner(make_options(2));
   const runtime::ResumableReport resumed = resume_runner.run_resumable(
-      engine, sweep_spec("knobs-v2"), classify, resume_ckpt);
+      engine, sweep_spec("knobs-v2"), resume_ckpt);
   EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kColdStart);
   EXPECT_EQ(resumed.restored, 0u);
   EXPECT_EQ(resumed.executed, kSweepCount);
@@ -943,22 +1008,21 @@ int spawn_child(const std::string& dir, const std::string& result_path,
 }
 
 /// The text the child writes on completion; also computable in-process
-/// for the reference (same engine, same classifier, same fault profile).
+/// for the reference (same engine, same fault profile).
 std::string result_text(const runtime::ResumableReport& report) {
   std::ostringstream out;
-  for (const runtime::EnsembleReport& series : report.series) {
-    out << "counts";
-    for (const std::uint64_t c : series.counts.counts) out << ' ' << c;
-    out << '\n';
+  const runtime::FailureMasks& masks = report.masks;
+  out << "masks";
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    out << ' ' << masks.indices[k] << ':' << std::hex;
+    for (const std::uint64_t word : masks.mask(k)) out << word;
+    out << std::dec;
   }
-  out << "failures";
-  for (const runtime::FailureRecord& f : report.series.empty()
-                                             ? std::vector<runtime::FailureRecord>{}
-                                             : report.series[0].failures) {
+  out << "\nfailures";
+  for (const runtime::FailureRecord& f : masks.ledger.failures) {
     out << ' ' << f.realization;
   }
-  out << "\nattempted "
-      << (report.series.empty() ? 0 : report.series[0].attempted) << '\n';
+  out << "\nattempted " << masks.attempted << '\n';
   return out.str();
 }
 
@@ -966,14 +1030,13 @@ runtime::SweepSpec child_spec() {
   runtime::SweepSpec spec;
   spec.digest = "crash-harness-sweep";
   spec.count = kChildCount;
-  spec.series = {"series-a", "series-b"};
   return spec;
 }
 
 std::string reference_text(unsigned jobs, const std::string& fault) {
   runtime::EnsembleRunner runner(make_options(jobs, fault));
   const runtime::ResumableReport report = runner.run_resumable(
-      make_engine(), child_spec(), classify, runtime::CheckpointOptions{});
+      make_engine(), child_spec(), runtime::CheckpointOptions{});
   return result_text(report);
 }
 
@@ -1058,8 +1121,8 @@ static int run_crash_child(int argc, char** argv) {
     ckpt.resume = true;         // cold on a fresh dir, warm after a crash
     ckpt.crash_spec = "";       // defer to CT_CRASH (set by the parent)
 
-    const runtime::ResumableReport report = runner.run_resumable(
-        make_engine(), child_spec(), classify, ckpt);
+    const runtime::ResumableReport report =
+        runner.run_resumable(make_engine(), child_spec(), ckpt);
     if (report.interrupted) return 7;
     util::atomic_write_file(args["result"], result_text(report));
     return 0;

@@ -436,17 +436,19 @@ TEST(RealizationCsv, TrailingBlankLinesAreNeitherRowsNorSkips) {
   EXPECT_EQ(loaded.realizations.size(), 1u);
 }
 
-TEST(RealizationCsv, AnalyzeCsvCountsSkippedAndClassifiesTheRest) {
+TEST(RealizationCsv, LoadedRowsClassifyAndSkipsAreCounted) {
   const std::string csv =
       "realization,flooded_assets,peak_wind_ms,max_wse_m\n"
       "0,,40.0,1.0\n"           // nothing flooded: green
       "garbage row here\n"      // skipped
       "1,p,45.0,2.0\n";         // primary flooded: red for config "2"
   std::istringstream in(csv);
+  const LoadedRealizations loaded = load_realizations_csv(in);
   const AnalysisPipeline pipeline;
-  const ScenarioResult result = pipeline.analyze_csv(
-      scada::make_config_2("p"), ThreatScenario::kHurricane, in);
-  EXPECT_EQ(result.skipped_realizations, 1u);
+  const ScenarioResult result = pipeline.analyze(
+      scada::make_config_2("p"), ThreatScenario::kHurricane,
+      loaded.realizations);
+  EXPECT_EQ(loaded.skipped_rows, 1u);
   EXPECT_EQ(result.outcomes.total(), 2u);
   EXPECT_EQ(result.outcomes.count(OperationalState::kGreen), 1u);
   EXPECT_EQ(result.outcomes.count(OperationalState::kRed), 1u);

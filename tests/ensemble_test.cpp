@@ -1,9 +1,10 @@
 // Determinism and cache-correctness tests for the EnsembleRunner — the
-// acceptance gate of the parallel runtime: at any --jobs value the outcome
-// histograms must be bit-identical to the serial sweep for all five paper
-// configurations x four threat scenarios x multiple seeds, and the cache-
-// hit path must reproduce the cold path exactly (including when the hit
-// comes from disk, across runner instances).
+// acceptance gate of the parallel runtime: at any --jobs value the sweep's
+// mask table must equal the engine's serial run_batch, and the fold over it
+// must equal the serial analyze for all five paper configurations x four
+// threat scenarios x multiple seeds, and the cache-hit path must reproduce
+// the cold path exactly (including when the hit comes from disk, across
+// runner instances).
 //
 // CT_TEST_JOBS adds one extra thread count to the matrix (CI runs the
 // suite at 1 and 8).
@@ -16,6 +17,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +60,16 @@ runtime::EnsembleOptions make_options(unsigned jobs, bool cache = false) {
   return options;
 }
 
+/// Options for the sweeps under test: fault_spec "none" (not "") so a CT_FAULT
+/// set by a CI fault-matrix job cannot leak into clean-path expectations.
+runtime::EnsembleOptions guarded_options(unsigned jobs, const char* spec,
+                                         unsigned retries) {
+  runtime::EnsembleOptions options = make_options(jobs);
+  options.fault_spec = spec;
+  options.max_retries = retries;
+  return options;
+}
+
 surge::RealizationEngine make_engine(std::uint64_t seed) {
   surge::RealizationConfig config;
   config.base_seed = seed;
@@ -65,14 +78,44 @@ surge::RealizationEngine make_engine(std::uint64_t seed) {
                                   config);
 }
 
-/// The realizations of a guarded generation that must have quarantined
-/// nothing.
-std::vector<surge::HurricaneRealization> clean_batch(
-    runtime::EnsembleRunner& runner, const surge::RealizationEngine& engine,
-    std::size_t count) {
-  runtime::GeneratedBatch batch = runner.generate_guarded(engine, count);
-  EXPECT_TRUE(batch.complete());
-  return std::move(batch.realizations);
+/// The sweep's mask table of realizations [0, count) of `engine`.
+runtime::FailureMasks sweep_masks(runtime::EnsembleRunner& runner,
+                                  const surge::RealizationEngine& engine,
+                                  std::size_t count) {
+  runtime::SweepSpec spec;
+  spec.count = count;
+  return runner.run_resumable(engine, spec, runtime::CheckpointOptions{})
+      .masks;
+}
+
+/// Expects `masks` to hold exactly `realizations`, in order: each one's
+/// index, and its flood bits word for word.
+void expect_masks_of(
+    const runtime::FailureMasks& masks,
+    const std::vector<surge::HurricaneRealization>& realizations,
+    const std::string& context) {
+  ASSERT_EQ(masks.size(), realizations.size()) << context;
+  for (std::size_t k = 0; k < realizations.size(); ++k) {
+    const surge::HurricaneRealization& r = realizations[k];
+    std::vector<std::uint64_t> want(masks.words, 0);
+    for (std::size_t a = 0; a < r.impacts.size(); ++a) {
+      if (r.impacts[a].failed) want[a / 64] |= std::uint64_t{1} << (a % 64);
+    }
+    const std::span<const std::uint64_t> got = masks.mask(k);
+    EXPECT_EQ(masks.indices[k], r.index) << context;
+    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want)
+        << context << " [" << k << "]";
+  }
+}
+
+/// The two tables hold the same survivors with the same masks.
+void expect_same_masks(const runtime::FailureMasks& got,
+                       const runtime::FailureMasks& want,
+                       const std::string& context) {
+  EXPECT_EQ(got.words, want.words) << context;
+  EXPECT_EQ(got.indices, want.indices) << context;
+  EXPECT_EQ(got.bits, want.bits) << context;
+  EXPECT_EQ(got.attempted, want.attempted) << context;
 }
 
 void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
@@ -85,13 +128,16 @@ void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
   EXPECT_EQ(a.outcomes.total(), b.outcomes.total()) << context;
 }
 
-/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, every
-/// parallel jobs value against the serial reference.
+/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, the
+/// fold over the sweep's masks at every jobs value against the serial
+/// analyze over the engine's own loop.
 TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
   const core::AnalysisPipeline pipeline;
+  std::vector<unsigned> jobs_values = job_counts();
+  jobs_values.insert(jobs_values.begin(), 1);
 
   for (const std::uint64_t seed : kSeeds) {
     const surge::RealizationEngine engine = make_engine(seed);
@@ -100,36 +146,94 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
     const std::vector<surge::HurricaneRealization> reference =
         engine.run_batch(kRealizations);
 
-    for (const unsigned jobs : job_counts()) {
-      runtime::EnsembleRunner parallel(make_options(jobs));
+    for (const unsigned jobs : jobs_values) {
+      runtime::EnsembleRunner parallel(guarded_options(jobs, "none", 2));
+      const std::string where =
+          " / seed " + std::to_string(seed) + " / jobs " + std::to_string(jobs);
 
-      // Generation itself must be schedule-independent.
-      const runtime::GeneratedBatch batch =
-          parallel.generate_guarded(engine, kRealizations);
-      ASSERT_TRUE(batch.complete());
-      const std::vector<surge::HurricaneRealization>& generated =
-          batch.realizations;
-      ASSERT_EQ(generated.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(generated[i].index, reference[i].index);
-        EXPECT_EQ(generated[i].peak_wind_ms, reference[i].peak_wind_ms);
-        EXPECT_EQ(generated[i].max_shoreline_wse_m,
-                  reference[i].max_shoreline_wse_m);
-      }
+      // The sweep itself must be schedule-independent.
+      const runtime::FailureMasks masks =
+          sweep_masks(parallel, engine, kRealizations);
+      ASSERT_TRUE(masks.ledger.failures.empty());
+      expect_masks_of(masks, reference, "masks" + where);
 
+      const core::MaskClasses classes(masks);
       for (const auto& config : configs) {
         for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
           const core::ScenarioResult want =
               pipeline.analyze(config, scenario, reference);
-          const core::ScenarioResult got = pipeline.analyze_lazy(
-              config, scenario, [&] { return &batch; }, parallel, "");
+          const core::ScenarioResult got =
+              pipeline.fold(config, scenario, masks, classes);
           expect_same(want, got,
                       config.name + " / " +
-                          std::string(threat::scenario_name(scenario)) +
-                          " / seed " + std::to_string(seed) + " / jobs " +
-                          std::to_string(jobs));
+                          std::string(threat::scenario_name(scenario)) + where);
         }
       }
+    }
+  }
+}
+
+/// Masks of more than 64 exposed assets span words: with copies of the
+/// paper's sites at bits 70 and 71, the fold over two-word masks equals the
+/// serial analyze for configurations whose sites sit on either side of the
+/// word boundary.
+TEST(EnsembleDeterminismTest, MultiWordMasksFoldLikeSerialAnalyze) {
+  std::vector<surge::ExposedAsset> assets =
+      scada::oahu_topology().exposed_assets();
+  const std::vector<surge::ExposedAsset> paper = assets;
+  for (std::size_t i = 0; assets.size() < 70; ++i) {
+    surge::ExposedAsset extra = paper[i % paper.size()];
+    extra.id = "extra-" + std::to_string(i);
+    assets.push_back(std::move(extra));
+  }
+  for (const surge::ExposedAsset& site : paper) {
+    if (site.id == scada::oahu_ids::kHonoluluCc ||
+        site.id == scada::oahu_ids::kWaiauCc) {
+      surge::ExposedAsset high = site;
+      high.id = site.id + "-high";
+      assets.push_back(std::move(high));
+    }
+  }
+  ASSERT_EQ(assets.size(), 72u);
+  const surge::RealizationEngine engine(terrain::make_oahu_terrain(), assets);
+  const std::string hon_high =
+      std::string(scada::oahu_ids::kHonoluluCc) + "-high";
+  const std::string waiau_high =
+      std::string(scada::oahu_ids::kWaiauCc) + "-high";
+
+  constexpr std::size_t kCount = 100;
+  runtime::EnsembleRunner runner(guarded_options(4, "none", 0));
+  const runtime::FailureMasks masks = sweep_masks(runner, engine, kCount);
+  ASSERT_EQ(masks.words, 2u);
+  const std::vector<surge::HurricaneRealization> reference =
+      engine.run_batch(kCount);
+  expect_masks_of(masks, reference, "72 assets");
+  // Bit 70 is the Honolulu copy: it floods in some realizations, always
+  // with the original's bit, and an unexposed id never floods.
+  std::size_t high_floods = 0;
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    EXPECT_EQ(masks.flooded(k, hon_high), masks.test(k, 70));
+    EXPECT_EQ(masks.test(k, 70),
+              masks.flooded(k, scada::oahu_ids::kHonoluluCc));
+    EXPECT_FALSE(masks.flooded(k, "no-such-asset"));
+    high_floods += masks.test(k, 70);
+  }
+  EXPECT_GT(high_floods, 0u) << "no realization floods bit 70";
+
+  const core::AnalysisPipeline pipeline;
+  const core::MaskClasses classes(masks);
+  const std::vector<scada::Configuration> configs = {
+      scada::make_config_6_6(hon_high, waiau_high),
+      scada::make_config_6_6(hon_high, scada::oahu_ids::kWaiauCc),
+      scada::make_config_6_6_6(scada::oahu_ids::kHonoluluCc, waiau_high,
+                               scada::oahu_ids::kDrFortress),
+      scada::make_config_2_2(hon_high, "no-such-asset")};
+  for (const scada::Configuration& config : configs) {
+    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+      expect_same(pipeline.analyze(config, scenario, reference),
+                  pipeline.fold(config, scenario, masks, classes),
+                  config.name + " over " + config.sites[0].asset_id + " / " +
+                      std::string(threat::scenario_name(scenario)));
     }
   }
 }
@@ -139,57 +243,48 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
-  const core::AnalysisPipeline pipeline;
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-
-  runtime::EnsembleRunner runner(make_options(4, /*cache=*/true));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
-  const std::string digest = runner.digest_engine_batch(engine, kRealizations);
-  const runtime::EnsembleRunner::BatchFn provide = [&] { return &batch; };
+  core::CaseStudyOptions options;
+  options.realizations = kRealizations;
+  options.runtime = make_options(4, /*cache=*/true);
+  core::CaseStudyRunner runner = core::make_oahu_case_study(options);
 
   for (const auto& config : configs) {
     for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-      const core::ScenarioResult cold =
-          pipeline.analyze_lazy(config, scenario, provide, runner, digest);
-      const core::ScenarioResult warm =
-          pipeline.analyze_lazy(config, scenario, provide, runner, digest);
+      const core::ScenarioResult cold = runner.run(config, scenario);
+      const core::ScenarioResult warm = runner.run(config, scenario);
       EXPECT_FALSE(cold.from_cache);
       EXPECT_TRUE(warm.from_cache) << config.name;
       expect_same(cold, warm, config.name);
     }
   }
-  const auto stats = runner.cache_stats();
+  const auto stats = runner.runtime().cache_stats();
   EXPECT_EQ(stats.hits, configs.size() * threat::all_scenarios().size());
 }
 
-/// On a hit the lazy path must not materialize the ensemble at all.
-TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  runtime::EnsembleRunner runner(make_options(2, /*cache=*/true));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
+/// On a hit a case study must not sweep the ensemble at all: a second case
+/// study on the same runtime answers from the cache with no mask table.
+TEST(EnsembleCacheTest, CacheHitSweepsNothing) {
+  core::CaseStudyOptions options;
+  options.realizations = kRealizations;
+  options.runtime = make_options(2, /*cache=*/true);
+  runtime::EnsembleRunner shared(options.runtime);
+  const scada::Configuration config = scada::make_config_2_2(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc);
+  const auto scenario = threat::ThreatScenario::kHurricane;
 
-  int provider_calls = 0;
-  const runtime::EnsembleRunner::BatchFn provide = [&] {
-    ++provider_calls;
-    return &batch;
-  };
-  const runtime::EnsembleRunner::OutcomeFn outcome =
-      [](const surge::HurricaneRealization& r) {
-        return r.impacts.empty() ? 0 : 1;
-      };
-  const std::string key = "ab12cd34ab12cd34ab12cd34ab12cd34";
+  core::CaseStudyRunner first(scada::oahu_topology(),
+                              terrain::make_oahu_terrain(), options, &shared);
+  const core::ScenarioResult cold = first.run(config, scenario);
+  EXPECT_FALSE(cold.from_cache);
+  EXPECT_NE(first.memoized_masks(), nullptr);
 
-  const auto cold = runner.count_outcomes_guarded(provide, outcome, key);
-  EXPECT_EQ(provider_calls, 1);
-  EXPECT_FALSE(cold.counts.from_cache);
-
-  const auto warm = runner.count_outcomes_guarded(provide, outcome, key);
-  EXPECT_EQ(provider_calls, 1) << "hit must not materialize the ensemble";
-  EXPECT_TRUE(warm.counts.from_cache);
-  EXPECT_EQ(warm.counts.counts, cold.counts.counts);
-  EXPECT_EQ(warm.counts.total, cold.counts.total);
+  core::CaseStudyRunner second(scada::oahu_topology(),
+                               terrain::make_oahu_terrain(), options, &shared);
+  const core::ScenarioResult warm = second.run(config, scenario);
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(second.memoized_masks(), nullptr)
+      << "hit must not sweep the ensemble";
+  expect_same(cold, warm, "shared runtime");
 }
 
 /// Disk cache: a second runner (fresh memory) in the same cache dir gets
@@ -202,38 +297,28 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
-  const core::AnalysisPipeline pipeline;
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   const auto scenario = threat::ThreatScenario::kHurricaneIntrusionIsolation;
 
-  runtime::EnsembleOptions options = make_options(2, /*cache=*/true);
-  options.disk_cache = true;
-  options.cache_dir = dir.string();
+  core::CaseStudyOptions options;
+  options.realizations = kRealizations;
+  options.runtime = make_options(2, /*cache=*/true);
+  options.runtime.disk_cache = true;
+  options.runtime.cache_dir = dir.string();
 
   core::ScenarioResult cold;
   {
-    runtime::EnsembleRunner writer(options);
-    const runtime::GeneratedBatch batch =
-        writer.generate_guarded(engine, kRealizations);
-    cold = pipeline.analyze_lazy(
-        configs[0], scenario, [&] { return &batch; }, writer,
-        writer.digest_engine_batch(engine, kRealizations));
+    core::CaseStudyRunner writer = core::make_oahu_case_study(options);
+    cold = writer.run(configs[0], scenario);
     EXPECT_FALSE(cold.from_cache);
   }
 
-  runtime::EnsembleRunner reader(options);
-  runtime::GeneratedBatch unused;
-  const core::ScenarioResult warm = pipeline.analyze_lazy(
-      configs[0], scenario,
-      [&] {
-        ADD_FAILURE() << "a disk hit must not generate the batch";
-        unused = reader.generate_guarded(engine, kRealizations);
-        return &unused;
-      },
-      reader, reader.digest_engine_batch(engine, kRealizations));
+  core::CaseStudyRunner reader = core::make_oahu_case_study(options);
+  const core::ScenarioResult warm = reader.run(configs[0], scenario);
   EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(reader.memoized_masks(), nullptr)
+      << "a disk hit must not sweep the ensemble";
   expect_same(cold, warm, "disk round-trip");
-  EXPECT_EQ(reader.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(reader.runtime().cache_stats().disk_hits, 1u);
 
   fs::remove_all(dir);
 }
@@ -386,62 +471,27 @@ void expect_same_ledger(const core::ScenarioResult& a,
 
 // --- fault isolation (PR 6) -------------------------------------------------
 
-/// Options for the guarded paths: fault_spec "none" (not "") so a CT_FAULT
-/// set by a CI fault-matrix job cannot leak into clean-path expectations.
-runtime::EnsembleOptions guarded_options(unsigned jobs, const char* spec,
-                                         unsigned retries) {
-  runtime::EnsembleOptions options = make_options(jobs);
-  options.fault_spec = spec;
-  options.max_retries = retries;
-  return options;
-}
-
-int simple_outcome(const surge::HurricaneRealization& r) {
-  return r.impacts.empty() ? 0 : (r.impacts.size() > 2 ? 2 : 1);
-}
-
-TEST(EnsembleGuardedTest, CleanGuardedRunMatchesUnguarded) {
+TEST(EnsembleGuardedTest, CleanSweepMatchesRunBatch) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  // Unguarded reference: the engine's serial loop and a plain count.
-  const auto reference = engine.run_batch(kRealizations);
-  runtime::EnsembleCounts plain;
-  for (const surge::HurricaneRealization& r : reference) {
-    ++plain.counts[static_cast<std::size_t>(simple_outcome(r))];
-    ++plain.total;
-  }
-
   runtime::EnsembleRunner runner(guarded_options(4, "none", 2));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
-  EXPECT_TRUE(batch.complete());
-  EXPECT_EQ(batch.attempted, kRealizations);
-  ASSERT_EQ(batch.realizations.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(batch.realizations[i].index, reference[i].index);
-    EXPECT_EQ(batch.realizations[i].max_shoreline_wse_m,
-              reference[i].max_shoreline_wse_m);
-  }
-
-  const runtime::EnsembleReport guarded = runner.count_outcomes_guarded(
-      [&] { return &batch; }, simple_outcome, "");
-  EXPECT_FALSE(guarded.degraded());
-  EXPECT_EQ(guarded.attempted, guarded.completed);
-  EXPECT_EQ(guarded.counts.counts, plain.counts);
-  EXPECT_EQ(guarded.counts.total, plain.total);
+  const runtime::FailureMasks masks =
+      sweep_masks(runner, engine, kRealizations);
+  EXPECT_TRUE(masks.ledger.failures.empty());
+  EXPECT_EQ(masks.ledger.retries, 0u);
+  EXPECT_EQ(masks.attempted, kRealizations);
+  EXPECT_EQ(masks.words, 1u);
+  expect_masks_of(masks, engine.run_batch(kRealizations), "clean sweep");
 }
 
 /// The acceptance gate of the quarantine machinery: the ledger AND the
-/// partial distribution must be bit-identical at any --jobs value.
+/// surviving masks must be bit-identical at any --jobs value.
 TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   constexpr const char* kSpec = "throw:every=7";  // fires on every attempt
 
   runtime::EnsembleRunner serial(guarded_options(1, kSpec, 1));
-  const runtime::GeneratedBatch reference =
-      serial.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport reference_report =
-      serial.count_outcomes_guarded([&] { return &reference; },
-                                    simple_outcome, "");
+  const runtime::FailureMasks reference =
+      sweep_masks(serial, engine, kRealizations);
 
   // Indices 0, 7, 14, 21, 28, 35 quarantine after 1 + 1 attempts.
   ASSERT_EQ(reference.ledger.failures.size(), 6u);
@@ -453,70 +503,56 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
     EXPECT_EQ(f.attempts, 2u);
     EXPECT_EQ(f.code, util::ErrorCode::kFaultInjected);
   }
-  EXPECT_EQ(reference.realizations.size(), kRealizations - 6);
+  EXPECT_EQ(reference.attempted, kRealizations);
+  std::vector<surge::HurricaneRealization> survivors;
+  for (surge::HurricaneRealization& r : engine.run_batch(kRealizations)) {
+    if (r.index % 7 != 0) survivors.push_back(std::move(r));
+  }
+  expect_masks_of(reference, survivors, "survivors");
 
   for (const unsigned jobs : job_counts()) {
     runtime::EnsembleRunner parallel(guarded_options(jobs, kSpec, 1));
-    const runtime::GeneratedBatch batch =
-        parallel.generate_guarded(engine, kRealizations);
-    ASSERT_EQ(batch.realizations.size(), reference.realizations.size())
-        << "jobs " << jobs;
-    for (std::size_t i = 0; i < reference.realizations.size(); ++i) {
-      EXPECT_EQ(batch.realizations[i].index, reference.realizations[i].index);
-      EXPECT_EQ(batch.realizations[i].max_shoreline_wse_m,
-                reference.realizations[i].max_shoreline_wse_m);
-    }
-    ASSERT_EQ(batch.ledger.failures.size(), reference.ledger.failures.size());
+    const runtime::FailureMasks masks =
+        sweep_masks(parallel, engine, kRealizations);
+    expect_same_masks(masks, reference, "jobs " + std::to_string(jobs));
+    ASSERT_EQ(masks.ledger.failures.size(), reference.ledger.failures.size());
     for (std::size_t i = 0; i < reference.ledger.failures.size(); ++i) {
-      EXPECT_EQ(batch.ledger.failures[i].realization,
+      EXPECT_EQ(masks.ledger.failures[i].realization,
                 reference.ledger.failures[i].realization);
-      EXPECT_EQ(batch.ledger.failures[i].attempts,
+      EXPECT_EQ(masks.ledger.failures[i].attempts,
                 reference.ledger.failures[i].attempts);
     }
-    const runtime::EnsembleReport report = parallel.count_outcomes_guarded(
-        [&] { return &batch; }, simple_outcome, "");
-    EXPECT_EQ(report.counts.counts, reference_report.counts.counts)
-        << "jobs " << jobs;
-    EXPECT_EQ(report.counts.total, reference_report.counts.total);
+    EXPECT_EQ(masks.ledger.retries, reference.ledger.retries);
   }
 }
 
 TEST(EnsembleGuardedTest, RetryHealsFirstAttemptFault) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  const auto reference = engine.run_batch(kRealizations);
-
   // The rule fires only on attempt 1: one retry (same seed) heals every
-  // injected failure, so the batch is complete AND bit-identical.
+  // injected failure, so the table is complete AND bit-identical.
   runtime::EnsembleRunner runner(guarded_options(4, "throw:every=5,attempts=1", 2));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
-  EXPECT_TRUE(batch.complete());
-  EXPECT_EQ(batch.ledger.retries, 8u);  // indices 0, 5, ..., 35 healed
-  ASSERT_EQ(batch.realizations.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(batch.realizations[i].index, reference[i].index);
-    EXPECT_EQ(batch.realizations[i].peak_wind_ms, reference[i].peak_wind_ms);
-    EXPECT_EQ(batch.realizations[i].max_shoreline_wse_m,
-              reference[i].max_shoreline_wse_m);
-  }
+  const runtime::FailureMasks masks =
+      sweep_masks(runner, engine, kRealizations);
+  EXPECT_TRUE(masks.ledger.failures.empty());
+  EXPECT_EQ(masks.ledger.retries, 8u);  // indices 0, 5, ..., 35 healed
+  expect_masks_of(masks, engine.run_batch(kRealizations), "healed");
 }
 
 TEST(EnsembleGuardedTest, NanGuardTripsAsTypedNumericFailure) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   runtime::EnsembleRunner runner(guarded_options(2, "nan:every=9", 0));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
+  const runtime::FailureMasks masks =
+      sweep_masks(runner, engine, kRealizations);
   // Indices 0, 9, 18, 27, 36: the planted NaN must fail the realization
-  // (typed, with provenance), never poison the distribution.
-  ASSERT_EQ(batch.ledger.failures.size(), 5u);
-  for (const runtime::FailureRecord& f : batch.ledger.failures) {
+  // (typed, with provenance), never reach the table.
+  ASSERT_EQ(masks.ledger.failures.size(), 5u);
+  for (const runtime::FailureRecord& f : masks.ledger.failures) {
     EXPECT_EQ(f.code, util::ErrorCode::kNumeric);
     EXPECT_EQ(f.origin, "surge");
     EXPECT_EQ(f.seed, kSeeds[0]);
   }
-  for (const surge::HurricaneRealization& r : batch.realizations) {
-    EXPECT_TRUE(std::isfinite(r.max_shoreline_wse_m));
-  }
+  EXPECT_EQ(masks.size(), kRealizations - 5);
+  for (const std::uint64_t index : masks.indices) EXPECT_NE(index % 9, 0u);
 }
 
 TEST(EnsembleGuardedTest, WatchdogTimesOutDelayedRealizations) {
@@ -525,95 +561,90 @@ TEST(EnsembleGuardedTest, WatchdogTimesOutDelayedRealizations) {
       guarded_options(2, "delay:every=10,ms=500", 0);
   options.task_timeout = std::chrono::milliseconds(40);
   runtime::EnsembleRunner runner(options);
-  const runtime::GeneratedBatch batch = runner.generate_guarded(engine, 20);
+  const runtime::FailureMasks masks = sweep_masks(runner, engine, 20);
   // Indices 0 and 10 stall past the deadline; the cooperative delay polls
   // the token, so each attempt unwinds as a typed timeout.
-  ASSERT_EQ(batch.ledger.failures.size(), 2u);
-  EXPECT_EQ(batch.ledger.failures[0].realization, 0u);
-  EXPECT_EQ(batch.ledger.failures[1].realization, 10u);
-  for (const runtime::FailureRecord& f : batch.ledger.failures) {
+  ASSERT_EQ(masks.ledger.failures.size(), 2u);
+  EXPECT_EQ(masks.ledger.failures[0].realization, 0u);
+  EXPECT_EQ(masks.ledger.failures[1].realization, 10u);
+  for (const runtime::FailureRecord& f : masks.ledger.failures) {
     EXPECT_EQ(f.code, util::ErrorCode::kTimeout);
   }
-  EXPECT_EQ(batch.realizations.size(), 18u);
+  EXPECT_EQ(masks.size(), 18u);
+}
+
+/// Case-study options over kRealizations with the cache on and `spec`.
+core::CaseStudyOptions cached_case(const char* spec, unsigned retries) {
+  core::CaseStudyOptions options;
+  options.realizations = kRealizations;
+  options.runtime = guarded_options(2, spec, retries);
+  options.runtime.cache = true;
+  return options;
 }
 
 TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  const std::string key = "fe12fe12fe12fe12fe12fe12fe12fe12";
+  const scada::Configuration config = scada::make_config_2_2(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc);
+  const auto scenario = threat::ThreatScenario::kHurricane;
 
-  runtime::EnsembleOptions degraded_options =
-      guarded_options(2, "throw:every=7", 0);
-  degraded_options.cache = true;
-  runtime::EnsembleRunner degraded(degraded_options);
-  const runtime::GeneratedBatch batch =
-      degraded.generate_guarded(engine, kRealizations);
-  // The batch carries the quarantine ledger; counting over it keeps the
-  // generation failures in the report.
-  const runtime::EnsembleRunner::BatchFn batch_fn = [&] { return &batch; };
-  const runtime::EnsembleReport first =
-      degraded.count_outcomes_guarded(batch_fn, simple_outcome, key);
-  EXPECT_TRUE(first.degraded());
-  EXPECT_FALSE(first.counts.from_cache);
+  const core::CaseStudyOptions degraded_options =
+      cached_case("throw:every=7", 0);
+  runtime::EnsembleRunner degraded(degraded_options.runtime);
+  core::CaseStudyRunner first(scada::oahu_topology(),
+                              terrain::make_oahu_terrain(), degraded_options,
+                              &degraded);
+  const core::ScenarioResult partial = first.run(config, scenario);
+  EXPECT_TRUE(partial.degraded());
+  EXPECT_FALSE(partial.from_cache);
   // A degraded result must NOT have been stored under the full-ensemble
-  // key: the rerun recomputes instead of serving the partial histogram.
-  const runtime::EnsembleReport second =
-      degraded.count_outcomes_guarded(batch_fn, simple_outcome, key);
-  EXPECT_FALSE(second.counts.from_cache);
+  // key: a second case study on the same runtime recomputes instead of
+  // serving the partial histogram.
+  core::CaseStudyRunner second(scada::oahu_topology(),
+                               terrain::make_oahu_terrain(), degraded_options,
+                               &degraded);
+  EXPECT_FALSE(second.run(config, scenario).from_cache);
 
   // A clean runner stores under the same key and the hit is complete.
-  runtime::EnsembleOptions clean_options = guarded_options(2, "none", 0);
-  clean_options.cache = true;
-  runtime::EnsembleRunner clean(clean_options);
-  const runtime::GeneratedBatch full =
-      clean.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport cold = clean.count_outcomes_guarded(
-      [&] { return &full; }, simple_outcome, key);
-  EXPECT_FALSE(cold.counts.from_cache);
-  const runtime::EnsembleReport warm = clean.count_outcomes_guarded(
-      [&] { return &full; }, simple_outcome, key);
-  EXPECT_TRUE(warm.counts.from_cache);
+  core::CaseStudyRunner clean =
+      core::make_oahu_case_study(cached_case("none", 0));
+  const core::ScenarioResult cold = clean.run(config, scenario);
+  EXPECT_FALSE(cold.from_cache);
+  const core::ScenarioResult warm = clean.run(config, scenario);
+  EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.attempted, warm.completed);
-  EXPECT_EQ(warm.counts.counts, cold.counts.counts);
+  expect_same(warm, cold, "clean");
 }
 
 TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  const scada::Configuration config = scada::make_config_2_2(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc);
+  const auto scenario = threat::ThreatScenario::kHurricane;
 
   // Ground truth: the clean full ensemble.
-  runtime::EnsembleRunner clean(guarded_options(2, "none", 0));
-  const runtime::GeneratedBatch full =
-      clean.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport truth = clean.count_outcomes_guarded(
-      [&] { return &full; }, simple_outcome, "");
+  core::CaseStudyRunner clean =
+      core::make_oahu_case_study(cached_case("none", 0));
+  const core::ScenarioResult truth = clean.run(config, scenario);
 
-  runtime::EnsembleRunner degraded(guarded_options(2, "throw:every=7", 0));
-  const runtime::GeneratedBatch batch =
-      degraded.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport partial = degraded.count_outcomes_guarded(
-      [&] { return &batch; }, simple_outcome, "");
+  core::CaseStudyRunner degraded =
+      core::make_oahu_case_study(cached_case("throw:every=7", 0));
+  const core::ScenarioResult partial = degraded.run(config, scenario);
   ASSERT_TRUE(partial.degraded());
   EXPECT_EQ(partial.attempted, kRealizations);
   EXPECT_EQ(partial.completed, kRealizations - 6);
 
-  for (std::size_t bucket = 0; bucket < 4; ++bucket) {
-    const util::Interval bound = partial.mass_bound(bucket);
+  for (const auto state :
+       {threat::OperationalState::kGreen, threat::OperationalState::kOrange,
+        threat::OperationalState::kRed, threat::OperationalState::kGray}) {
+    const util::Interval bound = partial.mass_bound(state);
     EXPECT_GE(bound.lo, 0.0);
     EXPECT_LE(bound.hi, 1.0);
     EXPECT_LE(bound.lo, bound.hi);
-    const double true_p =
-        static_cast<double>(truth.counts.counts[bucket]) /
-        static_cast<double>(truth.counts.total);
+    const double true_p = truth.outcomes.probability(state);
     EXPECT_TRUE(bound.contains(true_p))
-        << "bucket " << bucket << ": true " << true_p << " not in ["
-        << bound.lo << ", " << bound.hi << "]";
-  }
-
-  // A clean report's bound still contains its own point estimate.
-  for (std::size_t bucket = 0; bucket < 4; ++bucket) {
-    const util::Interval bound = truth.mass_bound(bucket);
-    const double p = static_cast<double>(truth.counts.counts[bucket]) /
-                     static_cast<double>(truth.counts.total);
-    EXPECT_TRUE(bound.contains(p)) << "bucket " << bucket;
+        << "state " << static_cast<int>(state) << ": true " << true_p
+        << " not in [" << bound.lo << ", " << bound.hi << "]";
+    // A clean result's bound still contains its own point estimate.
+    EXPECT_TRUE(truth.mass_bound(state).contains(true_p));
   }
 }
 
@@ -657,12 +688,13 @@ TEST(EnsembleGuardedTest, CaseStudyDegradesGracefully) {
   }
 }
 
-/// The batch path (run) and the sweep (run_all_resumable) share one job-key
-/// space: whichever runs first on a cache-on runner, the other is served
-/// from the cache with the same counts. A degraded run stores nothing, so
-/// under a fault profile the second pass recomputes and quarantines the
-/// same indices with the same records.
-TEST(EnsembleGuardedTest, SweepAndBatchPathShareCachedCells) {
+/// run() and the sweep (run_all_resumable) share one job-key space and one
+/// mask memo: whichever runs first on a cache-on runner, the other is
+/// served from the cache with the same counts. A degraded run stores
+/// nothing, so under a fault profile the second pass folds over the
+/// memoized table and reports the same quarantined indices with the same
+/// records, running no realization.
+TEST(EnsembleGuardedTest, SweepAndRunShareCachedCellsAndMasks) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
@@ -684,7 +716,7 @@ TEST(EnsembleGuardedTest, SweepAndBatchPathShareCachedCells) {
       return spec + " cell " + std::to_string(cell);
     };
 
-    // Sweep first, then the batch path on every cell (row-major order:
+    // Sweep first, then run() on every cell (row-major order:
     // configuration fastest within a scenario).
     core::CaseStudyRunner sweep_first = make_runner(spec.c_str());
     const core::ResumableAnalysis sweep = sweep_first.run_all_resumable(
@@ -705,7 +737,7 @@ TEST(EnsembleGuardedTest, SweepAndBatchPathShareCachedCells) {
       expect_same_ledger(sweep.results[i], batch[i], context(i));
     }
 
-    // Batch path first, then the sweep, on a fresh runner.
+    // run() first, then the sweep, on a fresh runner.
     core::CaseStudyRunner batch_first = make_runner(spec.c_str());
     std::vector<core::ScenarioResult> cold;
     for (const threat::ThreatScenario scenario : scenarios) {
@@ -717,7 +749,7 @@ TEST(EnsembleGuardedTest, SweepAndBatchPathShareCachedCells) {
     const core::ResumableAnalysis warm = batch_first.run_all_resumable(
         configs, scenario_list, runtime::CheckpointOptions{});
     EXPECT_EQ(warm.cached_cells, clean ? cells : 0u) << spec;
-    EXPECT_EQ(warm.executed, clean ? 0u : kRealizations) << spec;
+    EXPECT_EQ(warm.executed, 0u) << spec;
     ASSERT_EQ(warm.results.size(), cells);
     for (std::size_t i = 0; i < cells; ++i) {
       expect_same(cold[i], warm.results[i], context(i));
@@ -806,16 +838,6 @@ void expect_bit_identical(const surge::HurricaneRealization& got,
   }
 }
 
-void expect_bit_identical(const std::vector<surge::HurricaneRealization>& got,
-                          const std::vector<surge::HurricaneRealization>& want,
-                          const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    expect_bit_identical(got[i], want[i],
-                         context + " [" + std::to_string(i) + "]");
-  }
-}
-
 /// Engines over the paper's storms that differ in one bind knob each.
 struct BindVariant {
   const char* name;
@@ -843,9 +865,49 @@ const std::vector<BindVariant>& bind_variants() {
   return variants;
 }
 
-/// Records through the memo bind bit-identically to engine.run over all
-/// 1000 paper realizations, for every bind knob, at jobs 1 and 8, and with
-/// an LRU small enough to evict records mid-sweep.
+/// engine.run over realizations [0, count) on `runner`'s pool.
+std::vector<surge::HurricaneRealization> pooled_run(
+    runtime::EnsembleRunner& runner, const surge::RealizationEngine& engine,
+    std::size_t count) {
+  std::vector<surge::HurricaneRealization> out(count);
+  runner.pool().parallel_for_each(count, 1, [&](std::size_t i) {
+    out[i] = engine.run(i);
+  });
+  return out;
+}
+
+/// The shoreline records `runner`'s memo keeps for realizations [0, count)
+/// of `storm_digest` (the runner keys them by storm digest and index) are
+/// engine.storm(i) bit for bit, and every engine binds them to its run(i).
+void expect_memo_records(
+    runtime::EnsembleRunner& runner,
+    const std::vector<std::unique_ptr<const surge::RealizationEngine>>& engines,
+    const std::vector<surge::ShorelineRecord>& storms,
+    const std::vector<std::vector<surge::HurricaneRealization>>& reference) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint64_t i = 0; i < storms.size(); ++i) {
+    const auto record = runner.store().lookup_shoreline(
+        engines[0]->storm_digest() + "#" + std::to_string(i));
+    ASSERT_NE(record, nullptr) << i;
+    EXPECT_EQ(bits(record->peak_wind_ms), bits(storms[i].peak_wind_ms)) << i;
+    ASSERT_EQ(record->station_wse_m.size(), storms[i].station_wse_m.size());
+    for (std::size_t k = 0; k < storms[i].station_wse_m.size(); ++k) {
+      EXPECT_EQ(bits(record->station_wse_m[k]),
+                bits(storms[i].station_wse_m[k]))
+          << i << " station " << k;
+    }
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      expect_bit_identical(engines[e]->bind(i, *record), reference[e][i],
+                           std::string(bind_variants()[e].name) + " bind " +
+                               std::to_string(i));
+    }
+  }
+}
+
+/// The memo's masks equal engine.run's over all 1000 paper realizations,
+/// for every bind knob, at jobs 1 and 8, and with an LRU small enough to
+/// evict records mid-sweep; the records it keeps are the storm stage bit
+/// for bit and bind to run() bit for bit.
 TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
   std::vector<std::unique_ptr<const surge::RealizationEngine>> engines;
   for (const BindVariant& v : bind_variants()) {
@@ -856,33 +918,36 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
         config));
   }
 
-  // Reference: engine.run for every realization, memo bypassed.
-  runtime::EnsembleOptions reference_options = memo_options(8);
-  reference_options.cache = false;
-  runtime::EnsembleRunner reference_runner(reference_options);
+  // Reference: engine.run and engine.storm for every realization, on a
+  // pool, the memo out of the way.
+  runtime::EnsembleRunner pool(memo_options(8));
   std::vector<std::vector<surge::HurricaneRealization>> reference;
   for (const auto& engine : engines) {
-    reference.push_back(
-        clean_batch(reference_runner, *engine, kPaperRealizations));
+    reference.push_back(pooled_run(pool, *engine, kPaperRealizations));
   }
+  std::vector<surge::ShorelineRecord> storms(kPaperRealizations);
+  pool.pool().parallel_for_each(kPaperRealizations, 1, [&](std::size_t i) {
+    storms[i] = engines[0]->storm(i);
+  });
 
   for (const unsigned jobs : {1u, 8u}) {
     runtime::EnsembleRunner runner(memo_options(jobs));
     // One paper realization registers the first bind digest, so the next
     // engine's sweep is the one that keeps the records.
-    runner.generate_guarded(*engines[0], 1);
+    sweep_masks(runner, *engines[0], 1);
     for (std::size_t e = 1; e < engines.size(); ++e) {
-      expect_bit_identical(clean_batch(runner, *engines[e], kPaperRealizations),
-                           reference[e],
-                           std::string(bind_variants()[e].name) + " jobs " +
-                               std::to_string(jobs));
+      expect_masks_of(sweep_masks(runner, *engines[e], kPaperRealizations),
+                      reference[e],
+                      std::string(bind_variants()[e].name) + " jobs " +
+                          std::to_string(jobs));
     }
-    expect_bit_identical(clean_batch(runner, *engines[0], kPaperRealizations),
-                         reference[0], "paper jobs " + std::to_string(jobs));
+    expect_masks_of(sweep_masks(runner, *engines[0], kPaperRealizations),
+                    reference[0], "paper jobs " + std::to_string(jobs));
     const runtime::ResultStore::Stats stats = runner.cache_stats();
     EXPECT_EQ(stats.memo_stores, kPaperRealizations);
     EXPECT_EQ(stats.memo_hits,
               (engines.size() - 1) * kPaperRealizations);
+    if (jobs == 8) expect_memo_records(runner, engines, storms, reference);
   }
 
   // 100 entries against 1000 in-order realizations: every record is evicted
@@ -890,17 +955,17 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
   runtime::EnsembleOptions small = memo_options(8);
   small.memory_entries = 100;
   runtime::EnsembleRunner evicting(small);
-  evicting.generate_guarded(*engines[0], 1);
+  sweep_masks(evicting, *engines[0], 1);
   for (const std::size_t e : {std::size_t{1}, std::size_t{4}}) {
-    expect_bit_identical(clean_batch(evicting, *engines[e], kPaperRealizations),
-                         reference[e],
-                         std::string(bind_variants()[e].name) + " evicting");
+    expect_masks_of(sweep_masks(evicting, *engines[e], kPaperRealizations),
+                    reference[e],
+                    std::string(bind_variants()[e].name) + " evicting");
   }
   EXPECT_EQ(evicting.cache_stats().memo_stores, 2 * kPaperRealizations);
 }
 
 /// CT_FAULT's throw, delay and nan rules act around the memo, so they
-/// quarantine the same indices, and the survivors are the same bits, with
+/// quarantine the same indices, and the survivors have the same masks, with
 /// the memo on and off.
 TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
   const surge::RealizationEngine engines[] = {
@@ -922,71 +987,57 @@ TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
     runtime::EnsembleRunner memo_off(off_options);
     runtime::EnsembleRunner memo_on(on_options);
     for (const surge::RealizationEngine& engine : engines) {
-      const runtime::GeneratedBatch want =
-          memo_off.generate_guarded(engine, c.count);
-      const runtime::GeneratedBatch got =
-          memo_on.generate_guarded(engine, c.count);
-      ASSERT_FALSE(want.complete()) << c.spec;
+      const runtime::FailureMasks want = sweep_masks(memo_off, engine, c.count);
+      const runtime::FailureMasks got = sweep_masks(memo_on, engine, c.count);
+      ASSERT_FALSE(want.ledger.failures.empty()) << c.spec;
       ASSERT_EQ(got.ledger.failures.size(), want.ledger.failures.size())
           << c.spec;
       for (std::size_t i = 0; i < want.ledger.failures.size(); ++i) {
-        EXPECT_EQ(got.ledger.failures[i].realization,
-                  want.ledger.failures[i].realization)
-            << c.spec;
-        EXPECT_EQ(got.ledger.failures[i].code, want.ledger.failures[i].code)
-            << c.spec;
-        EXPECT_EQ(got.ledger.failures[i].attempts,
-                  want.ledger.failures[i].attempts)
-            << c.spec;
+        const runtime::FailureRecord& g = got.ledger.failures[i];
+        const runtime::FailureRecord& w = want.ledger.failures[i];
+        EXPECT_EQ(g.realization, w.realization) << c.spec;
+        EXPECT_EQ(g.code, w.code) << c.spec;
+        EXPECT_EQ(g.attempts, w.attempts) << c.spec;
       }
-      expect_bit_identical(got.realizations, want.realizations, c.spec);
+      expect_same_masks(got, want, c.spec);
     }
     EXPECT_GT(memo_on.cache_stats().memo_hits, 0u) << c.spec;
   }
 }
 
 /// The admission rule: a runner that only ever serves one bind digest (any
-/// number of identical engines, every entry point) keeps no record.
+/// number of identical engines, the batch digest's probe included) keeps
+/// no record.
 TEST(EnsembleMemoTest, RunnerServingOneEngineStoresNoRecord) {
   runtime::EnsembleRunner runner(memo_options(4));
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   const surge::RealizationEngine twin = make_engine(kSeeds[0]);
   runner.digest_engine_batch(engine, kRealizations);
-  runner.generate_guarded(engine, kRealizations);
-  runner.generate_guarded(twin, kRealizations);
-  runtime::SweepSpec spec;
-  spec.digest = "memo-admission";
-  spec.count = kRealizations;
-  spec.series = {"only"};
-  runner.run_resumable(
-      twin, spec, [](std::size_t, const surge::HurricaneRealization&) {
-        return 0;
-      },
-      runtime::CheckpointOptions{});
+  sweep_masks(runner, engine, kRealizations);
+  sweep_masks(runner, twin, kRealizations);
   const runtime::ResultStore::Stats stats = runner.cache_stats();
   EXPECT_EQ(stats.memo_lookups, 0u);
   EXPECT_EQ(stats.memo_stores, 0u);
 }
 
 /// Once two offsets have asked, a third runs the bind stage only: it adds
-/// nothing to surge.node_steps and still matches engine.run bit for bit.
+/// nothing to surge.node_steps and still matches engine.run's masks.
 TEST(EnsembleMemoTest, ThirdEngineRunsNoStorm) {
   ObsGateGuard guard;
   obs::set_enabled(true);
   const obs::Counter node_steps("surge.node_steps");
   runtime::EnsembleRunner runner(memo_options(4));
-  runner.generate_guarded(offset_engine(0.0), kRealizations);
-  runner.generate_guarded(offset_engine(0.2), kRealizations);
+  sweep_masks(runner, offset_engine(0.0), kRealizations);
+  sweep_masks(runner, offset_engine(0.2), kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
 
   const surge::RealizationEngine third = offset_engine(0.4);
   const std::uint64_t before = node_steps.value();
-  const std::vector<surge::HurricaneRealization> got =
-      clean_batch(runner, third, kRealizations);
+  const runtime::FailureMasks got = sweep_masks(runner, third, kRealizations);
   EXPECT_EQ(node_steps.value() - before, 0u);
   EXPECT_EQ(runner.cache_stats().memo_hits, kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
-  expect_bit_identical(got, third.run_batch(kRealizations), "third engine");
+  expect_masks_of(got, third.run_batch(kRealizations), "third engine");
 }
 
 /// options.cache = false (--no-cache) bypasses the memo: every engine runs
@@ -1001,7 +1052,7 @@ TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
   std::vector<std::uint64_t> steps;
   for (const double offset : {0.0, 0.2, 0.4}) {
     const std::uint64_t before = node_steps.value();
-    runner.generate_guarded(offset_engine(offset), kRealizations);
+    sweep_masks(runner, offset_engine(offset), kRealizations);
     steps.push_back(node_steps.value() - before);
   }
   if (obs::compiled_in()) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -82,32 +84,56 @@ TEST(SeaLevelRise, FloodProbabilityMonotonic) {
   options.fault_spec = "none";
   runtime::EnsembleRunner runner(options);
 
-  // depth[o][t] and flooded[o][t]: realization-major, asset-minor.
+  // depth[o][t] and flooded[o][t]: realization-major, asset-minor. The
+  // sweep's masks give the floods. The depths come from binding the
+  // shoreline records the memo kept (the runner keys them by storm digest
+  // and index), and the floods those binds find must be the masks' bits.
   std::vector<double> depth[4][3];
   std::vector<char> flooded[4][3];
+  std::vector<std::unique_ptr<const surge::RealizationEngine>> engines;
   std::size_t assets = 0;
   for (std::size_t o = 0; o < 4; ++o) {
     for (std::size_t t = 0; t < 3; ++t) {
       surge::RealizationConfig config;
       config.sea_level_offset_m = offsets[o];
       config.inundation.failure_threshold_m = thresholds[t];
-      const surge::RealizationEngine engine(terrain::make_oahu_terrain(),
-                                            topo.exposed_assets(), config);
-      assets = engine.assets().size();
-      const runtime::GeneratedBatch batch =
-          runner.generate_guarded(engine, kRealizations);
-      ASSERT_TRUE(batch.complete());
-      for (const surge::HurricaneRealization& r : batch.realizations) {
-        ASSERT_EQ(r.impacts.size(), assets);
-        for (const surge::AssetImpact& impact : r.impacts) {
-          depth[o][t].push_back(impact.inundation_depth_m);
-          flooded[o][t].push_back(impact.failed);
+      engines.push_back(std::make_unique<const surge::RealizationEngine>(
+          terrain::make_oahu_terrain(), topo.exposed_assets(), config));
+      assets = engines.back()->assets().size();
+      runtime::SweepSpec spec;
+      spec.count = kRealizations;
+      const runtime::FailureMasks masks =
+          runner.run_resumable(*engines.back(), spec, {}).masks;
+      ASSERT_EQ(masks.size(), kRealizations);
+      for (std::size_t k = 0; k < masks.size(); ++k) {
+        for (std::size_t a = 0; a < assets; ++a) {
+          flooded[o][t].push_back(masks.test(k, a));
         }
       }
     }
   }
   ASSERT_GT(assets, 0u);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    const surge::RealizationEngine& engine = *engines[e];
+    std::size_t mask_mismatches = 0;
+    for (std::uint64_t i = 0; i < kRealizations; ++i) {
+      const auto record = runner.store().lookup_shoreline(
+          engine.storm_digest() + "#" + std::to_string(i));
+      ASSERT_NE(record, nullptr) << i;
+      const surge::HurricaneRealization r = engine.bind(i, *record);
+      ASSERT_EQ(r.impacts.size(), assets);
+      std::vector<double>& depths = depth[e / 3][e % 3];
+      const std::vector<char>& floods = flooded[e / 3][e % 3];
+      for (std::size_t a = 0; a < assets; ++a) {
+        depths.push_back(r.impacts[a].inundation_depth_m);
+        if (r.impacts[a].failed != (floods[i * assets + a] != 0)) {
+          ++mask_mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mask_mismatches, 0u) << "engine " << e;
+  }
 
   const std::size_t cells = kRealizations * assets;
   for (std::size_t t = 0; t < 3; ++t) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/case_study.h"
 #include "core/pipeline.h"
 #include "geo/polygon.h"
 #include "runtime/ensemble_runner.h"
@@ -181,8 +182,10 @@ TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
   options.chunk = 1;  // one task per realization: all 8 workers take part
   options.cache = false;
   runtime::EnsembleRunner runner(options);
-  const auto parallel = runner.generate_guarded(engine, 12).realizations;
-  ASSERT_EQ(parallel.size(), 12u);
+  std::vector<HurricaneRealization> parallel(12);
+  runner.pool().parallel_for_each(parallel.size(), 1, [&](std::size_t i) {
+    parallel[i] = engine.run(i);
+  });
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     expect_bit_identical(parallel[i],
                          engine.run_reference(static_cast<std::uint64_t>(i)),
@@ -546,8 +549,8 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
   constexpr std::size_t kCount = 40;
   const RealizationEngine engine(oahu(), oahu_assets(), {});
 
-  // Legacy ensemble via the reference path; fast ensemble via the runner
-  // (which routes through run()).
+  // Legacy ensemble via the reference path; the fast one as the runner's
+  // mask sweep (which routes through run()).
   std::vector<HurricaneRealization> legacy;
   legacy.reserve(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
@@ -564,23 +567,37 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
     runtime::EnsembleOptions options;
     options.jobs = jobs;
     options.cache = false;
+    options.fault_spec = "none";
     runtime::EnsembleRunner runner(options);
-    const runtime::GeneratedBatch batch =
-        runner.generate_guarded(engine, kCount);
-    const std::vector<HurricaneRealization>& fast = batch.realizations;
-    ASSERT_EQ(fast.size(), legacy.size());
+    std::vector<HurricaneRealization> pooled(kCount);
+    runner.pool().parallel_for_each(kCount, 1, [&](std::size_t i) {
+      pooled[i] = engine.run(i);
+    });
     for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(fast[i], legacy[i],
+      expect_bit_identical(pooled[i], legacy[i],
                            "jobs" + std::to_string(jobs) + "[" +
                                std::to_string(i) + "]");
     }
+    runtime::SweepSpec spec;
+    spec.count = kCount;
+    const runtime::FailureMasks masks =
+        runner.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
+    ASSERT_EQ(masks.size(), legacy.size());
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(masks.indices[i], legacy[i].index);
+      for (std::size_t a = 0; a < legacy[i].impacts.size(); ++a) {
+        EXPECT_EQ(masks.test(i, a), legacy[i].impacts[a].failed)
+            << "jobs" << jobs << "[" << i << "] asset " << a;
+      }
+    }
 
+    const core::MaskClasses classes(masks);
     for (const scada::Configuration& config : configs) {
       for (const threat::ThreatScenario scenario :
            {threat::ThreatScenario::kHurricane,
             threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
-        const core::ScenarioResult from_fast = pipeline.analyze_lazy(
-            config, scenario, [&] { return &batch; }, runner, "");
+        const core::ScenarioResult from_fast =
+            pipeline.fold(config, scenario, masks, classes);
         const core::ScenarioResult from_legacy =
             pipeline.analyze(config, scenario, legacy);
         ASSERT_EQ(from_fast.outcomes.total(), from_legacy.outcomes.total());
@@ -820,41 +837,31 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
                    "ct_fastpath_cache_test";
   std::filesystem::remove_all(dir);
 
-  runtime::EnsembleOptions options;
-  options.jobs = 1;
-  options.disk_cache = true;
-  options.cache_dir = dir.string();
-
-  const auto outcome = [](const HurricaneRealization& r) {
-    return r.asset_failed(scada::oahu_ids::kHonoluluCc) ? 1 : 0;
-  };
+  core::CaseStudyOptions options;
+  options.realizations = 8;
+  options.runtime.jobs = 1;
+  options.runtime.disk_cache = true;
+  options.runtime.cache_dir = dir.string();
+  options.runtime.fault_spec = "none";
+  const scada::Configuration config = scada::make_config_2(
+      scada::oahu_ids::kHonoluluCc);
+  const auto scenario = threat::ThreatScenario::kHurricane;
 
   std::string first_key;
   {
-    const RealizationEngine engine(oahu(), oahu_assets(), {});
-    runtime::EnsembleRunner runner(options);
-    first_key = runner.digest_engine_batch(engine, 8);
-    const runtime::GeneratedBatch batch = runner.generate_guarded(engine, 8);
-    const auto counts = runner.count_outcomes_guarded(
-        [&] { return &batch; }, outcome, first_key);
-    EXPECT_FALSE(counts.counts.from_cache);
+    core::CaseStudyRunner runner = core::make_oahu_case_study(options);
+    first_key = runner.runtime().digest_engine_batch(runner.engine(), 8);
+    EXPECT_FALSE(runner.run(config, scenario).from_cache);
   }
   {
     // A separate engine instance with an identical config must produce the
-    // same key and be served from the on-disk cache.
-    const RealizationEngine engine(oahu(), oahu_assets(), {});
-    runtime::EnsembleRunner runner(options);
-    const std::string key = runner.digest_engine_batch(engine, 8);
-    EXPECT_EQ(key, first_key);
-    runtime::GeneratedBatch unused;
-    const auto counts = runner.count_outcomes_guarded(
-        [&] {
-          ADD_FAILURE() << "a disk hit must not generate the batch";
-          unused = runner.generate_guarded(engine, 8);
-          return &unused;
-        },
-        outcome, key);
-    EXPECT_TRUE(counts.counts.from_cache);
+    // same key and be served from the on-disk cache, sweeping nothing.
+    core::CaseStudyRunner runner = core::make_oahu_case_study(options);
+    EXPECT_EQ(runner.runtime().digest_engine_batch(runner.engine(), 8),
+              first_key);
+    EXPECT_TRUE(runner.run(config, scenario).from_cache);
+    EXPECT_EQ(runner.memoized_masks(), nullptr)
+        << "a disk hit must not sweep the masks";
   }
   std::filesystem::remove_all(dir);
 }

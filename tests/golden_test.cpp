@@ -120,11 +120,15 @@ TEST(Golden, CommandOutputsMatchCommittedDigests) {
           "exit code " + std::to_string(out.exit_code) + ", it printed:\n" +
               out.output);
   }
-  // The default session's batch: downtime and siting generated it.
-  check("realizations",
-        realizations_digest(
-            sessions[service::session_key(goldens().front().request, defaults)]
-                ->realizations()),
+  // The default session's realizations, run on the shared pool.
+  const core::CaseStudyRunner& session =
+      *sessions[service::session_key(goldens().front().request, defaults)];
+  std::vector<surge::HurricaneRealization> batch(
+      session.options().realizations);
+  shared.pool().parallel_for_each(batch.size(), 1, [&](std::size_t i) {
+    batch[i] = session.engine().run(i);
+  });
+  check("realizations", realizations_digest(batch),
         "a bit of the realizations the outputs are computed from moved");
   if (HasFailure()) {
     std::ofstream("golden_outputs.actual") << actual.str();

@@ -341,11 +341,14 @@ core::ScenarioResult analyze_once(unsigned jobs) {
   options.chunk = 7;
   options.cache = false;  // no cache: both runs must actually compute
   runtime::EnsembleRunner runtime(options);
-  const runtime::GeneratedBatch batch = runtime.generate_guarded(engine, 32);
+  runtime::SweepSpec spec;
+  spec.count = 32;
+  const runtime::FailureMasks masks =
+      runtime.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
   const core::AnalysisPipeline pipeline;
-  return pipeline.analyze_lazy(
-      paper_config(2), threat::ThreatScenario::kHurricaneIntrusionIsolation,
-      [&] { return &batch; }, runtime, "obs-determinism-gate");
+  return pipeline.fold(paper_config(2),
+                       threat::ThreatScenario::kHurricaneIntrusionIsolation,
+                       masks, core::MaskClasses(masks));
 }
 
 TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
@@ -397,19 +400,22 @@ core::ScenarioResult analyze_memoized(unsigned jobs) {
   options.chunk = 7;
   options.fault_spec = "none";
   runtime::EnsembleRunner runtime(options);
-  runtime::GeneratedBatch batch;
+  runtime::SweepSpec spec;
+  spec.count = 32;
+  runtime::FailureMasks masks;
   for (const double offset : {0.0, 0.2, 0.4}) {
     surge::RealizationConfig config;
     config.sea_level_offset_m = offset;
     const surge::RealizationEngine engine(
         terrain::make_oahu_terrain(),
         scada::oahu_topology().exposed_assets(), config);
-    batch = runtime.generate_guarded(engine, 32);
+    masks =
+        runtime.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
   }
   const core::AnalysisPipeline pipeline;
-  return pipeline.analyze_lazy(
-      paper_config(2), threat::ThreatScenario::kHurricaneIntrusionIsolation,
-      [&] { return &batch; }, runtime, "obs-memo-gate");
+  return pipeline.fold(paper_config(2),
+                       threat::ThreatScenario::kHurricaneIntrusionIsolation,
+                       masks, core::MaskClasses(masks));
 }
 
 TEST(ObsDeterminismTest, MemoizedAnalyzeBitIdenticalWithObsOnAndOff) {

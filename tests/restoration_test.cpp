@@ -10,6 +10,8 @@
 #include "core/restoration.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
+#include "scada/oahu.h"
+#include "terrain/oahu.h"
 #include "util/stats.h"
 
 namespace ct::core {
@@ -134,6 +136,22 @@ TEST(Restoration, AnalyzeAggregatesOverRealizations) {
   EXPECT_EQ(result.config_name, "2-2");
 }
 
+/// Two results equal bit for bit.
+void expect_same_bits(const RestorationResult& got,
+                      const RestorationResult& want,
+                      const std::string& context) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(got.expected_downtime_hours),
+            bits(want.expected_downtime_hours))
+      << context;
+  EXPECT_EQ(bits(got.expected_incorrect_hours),
+            bits(want.expected_incorrect_hours))
+      << context;
+  EXPECT_EQ(bits(got.p95_downtime_hours), bits(want.p95_downtime_hours))
+      << context;
+  EXPECT_EQ(bits(got.p_any_downtime), bits(want.p_any_downtime)) << context;
+}
+
 TEST(Restoration, DrawsFollowTheRealizationIndexNotItsPosition) {
   // A batch with a quarantined realization skips an index, so positions
   // and indices part ways; reversing the batch parts them everywhere. The
@@ -155,19 +173,64 @@ TEST(Restoration, DrawsFollowTheRealizationIndexNotItsPosition) {
   }
   std::vector<surge::HurricaneRealization> reversed(batch.rbegin(),
                                                     batch.rend());
-  runtime::EnsembleOptions options;
-  options.jobs = 2;
-  runtime::EnsembleRunner runner(options);
+  // The same batch as a mask table with index 5 quarantined, against the
+  // batch without it.
+  runtime::FailureMasks masks;
+  masks.words = 1;
+  masks.assets = std::make_shared<const surge::AssetIndex>(
+      surge::AssetIndex{{"hon", 0}, {"waiau", 1}});
+  std::vector<surge::HurricaneRealization> survivors;
+  for (const surge::HurricaneRealization& r : batch) {
+    if (r.index == 5) continue;
+    survivors.push_back(r);
+    masks.indices.push_back(r.index);
+    masks.bits.push_back((r.asset_failed("hon") ? 1u : 0u) |
+                         (r.asset_failed("waiau") ? 2u : 0u));
+  }
   const auto scenario = threat::ThreatScenario::kHurricaneIsolation;
   const RestorationResult forward =
       analyze_restoration(config, scenario, batch, kModel, 8);
-  for (const RestorationResult& other :
-       {analyze_restoration(config, scenario, reversed, kModel, 8),
-        analyze_restoration(config, scenario, reversed, kModel, runner, 8)}) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(other.p95_downtime_hours),
-              std::bit_cast<std::uint64_t>(forward.p95_downtime_hours));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(other.p_any_downtime),
-              std::bit_cast<std::uint64_t>(forward.p_any_downtime));
+  const RestorationResult reversed_result =
+      analyze_restoration(config, scenario, reversed, kModel, 8);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed_result.p95_downtime_hours),
+            std::bit_cast<std::uint64_t>(forward.p95_downtime_hours));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed_result.p_any_downtime),
+            std::bit_cast<std::uint64_t>(forward.p_any_downtime));
+  expect_same_bits(analyze_restoration(config, scenario, masks, kModel, 8),
+                   analyze_restoration(config, scenario, survivors, kModel, 8),
+                   "mask fold with index 5 quarantined");
+}
+
+/// The mask fold equals the serial fold over the engine's realizations,
+/// bit for bit, on every paper configuration and scenario, with and
+/// without sampled draws.
+TEST(Restoration, MaskFoldMatchesSerialOverRealizations) {
+  constexpr std::size_t kCount = 40;
+  const surge::RealizationEngine engine(
+      terrain::make_oahu_terrain(), scada::oahu_topology().exposed_assets());
+  runtime::EnsembleOptions options;
+  options.jobs = 2;
+  options.fault_spec = "none";
+  runtime::EnsembleRunner runner(options);
+  runtime::SweepSpec spec;
+  spec.count = kCount;
+  const runtime::FailureMasks masks =
+      runner.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
+  const std::vector<surge::HurricaneRealization> batch =
+      engine.run_batch(kCount);
+  for (const scada::Configuration& config : scada::paper_configurations(
+           scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+           scada::oahu_ids::kDrFortress)) {
+    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+      for (const std::size_t samples : {0, 4}) {
+        expect_same_bits(
+            analyze_restoration(config, scenario, masks, kModel, samples),
+            analyze_restoration(config, scenario, batch, kModel, samples),
+            config.name + " / " +
+                std::string(threat::scenario_name(scenario)) + " / " +
+                std::to_string(samples));
+      }
+    }
   }
 }
 

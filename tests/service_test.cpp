@@ -1047,5 +1047,103 @@ TEST(Checkpoint, OnProgressFiresWithoutJournalDir) {
   EXPECT_EQ(events.back().done, events.back().total);
 }
 
+/// Downtime and siting run their storms inside the mask sweep, so a
+/// request cancelled from its first progress event (a deadline or SIGINT
+/// while the storms run) ends there: exit 5, no table, and fewer envelope
+/// steps than the full run.
+TEST(Checkpoint, DowntimeAndSitingStopWhileTheirStormsRun) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  core::CaseStudyOptions defaults;
+  defaults.runtime.disk_cache = false;
+  defaults.runtime.jobs = 2;
+  defaults.runtime.fault_spec = "none";
+  for (const RequestKind kind :
+       {RequestKind::kDowntime, RequestKind::kSiting}) {
+    Request request;
+    request.kind = kind;
+    request.realizations = 200;
+    request.no_cache = true;  // every run sweeps its own storms
+
+    std::uint64_t before = node_steps.value();
+    const ExecOutcome full = execute_request(
+        request, *make_case_study(request, defaults, nullptr));
+    const std::uint64_t full_steps = node_steps.value() - before;
+    EXPECT_EQ(full.exit_code, 0);
+    EXPECT_FALSE(full.output.empty());
+
+    runtime::CancellationToken token;
+    runtime::CheckpointOptions ckpt;
+    ckpt.interval = 32;
+    std::size_t events = 0;
+    ckpt.on_progress = [&](const runtime::SweepProgressEvent&) {
+      ++events;
+      token.request_cancel();
+    };
+    before = node_steps.value();
+    const ExecOutcome cut = execute_request(
+        request, *make_case_study(request, defaults, nullptr), ckpt, &token);
+    const std::uint64_t cut_steps = node_steps.value() - before;
+    const std::string what =
+        kind == RequestKind::kDowntime ? "downtime" : "siting";
+    EXPECT_EQ(cut.exit_code, 5) << what;
+    EXPECT_TRUE(cut.interrupted) << what;
+    EXPECT_TRUE(cut.output.empty()) << what;
+    EXPECT_EQ(events, 1u) << what;
+    if (obs::compiled_in()) {
+      EXPECT_LT(cut_steps, full_steps) << what;
+    }
+  }
+}
+
+/// The journal key names the ensemble only: a Waiau analyze interrupted
+/// mid-sweep resumes in the same directory as a Kahe analyze, which
+/// restores the Waiau run's masks and prints a clean Kahe run's report.
+TEST(Checkpoint, InterruptedWaiauAnalyzeResumesAsKahe) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("ct_svc_resume_kahe_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  core::CaseStudyOptions defaults;
+  defaults.runtime.disk_cache = false;
+  defaults.runtime.jobs = 2;
+  defaults.runtime.fault_spec = "none";
+  Request waiau = analyze_request(200);
+  waiau.no_cache = true;
+  Request kahe = waiau;
+  kahe.backup = scada::oahu_ids::kKaheCc;
+
+  runtime::CancellationToken token;
+  runtime::CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval = 32;
+  ckpt.crash_spec = "none";
+  ckpt.on_progress = [&](const runtime::SweepProgressEvent&) {
+    token.request_cancel();
+  };
+  const ExecOutcome cut = execute_request(
+      waiau, *make_case_study(waiau, defaults, nullptr), ckpt, &token);
+  ASSERT_TRUE(cut.interrupted);
+
+  ckpt.on_progress = nullptr;
+  ckpt.resume = true;
+  const ExecOutcome resumed =
+      execute_request(kahe, *make_case_study(kahe, defaults, nullptr), ckpt);
+  EXPECT_EQ(resumed.exit_code, 0);
+  const std::size_t line_end = resumed.output.find('\n');
+  ASSERT_NE(line_end, std::string::npos);
+  const std::string header = resumed.output.substr(0, line_end);
+  EXPECT_EQ(header.rfind("checkpoint: resumed, restored 32 and computed 168",
+                         0),
+            0u)
+      << header;
+  const ExecOutcome clean =
+      execute_request(kahe, *make_case_study(kahe, defaults, nullptr));
+  EXPECT_EQ(resumed.output.substr(line_end + 2), clean.output);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ct::service

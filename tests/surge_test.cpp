@@ -285,6 +285,7 @@ runtime::EnsembleOptions pooled_options() {
   options.jobs = 8;
   options.chunk = 1;
   options.cache = false;
+  options.fault_spec = "none";
   return options;
 }
 
@@ -294,7 +295,10 @@ TEST(RealizationEngine, ParallelBatchMatchesSerial) {
                                  topo.exposed_assets(), {});
   const auto serial = engine.run_batch(8);
   runtime::EnsembleRunner runner(pooled_options());
-  const auto parallel = runner.generate_guarded(engine, 8).realizations;
+  std::vector<HurricaneRealization> parallel(8);
+  runner.pool().parallel_for_each(parallel.size(), 1, [&](std::size_t i) {
+    parallel[i] = engine.run(i);
+  });
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, parallel[i].index);
@@ -312,9 +316,15 @@ TEST(RealizationEngine, ParallelBatchDegenerateCases) {
   const RealizationEngine engine(terrain::make_oahu_terrain(),
                                  topo.exposed_assets(), {});
   runtime::EnsembleRunner runner(pooled_options());
-  EXPECT_TRUE(runner.generate_guarded(engine, 0).realizations.empty());
-  EXPECT_EQ(runner.generate_guarded(engine, 1).realizations.size(), 1u);
-  EXPECT_EQ(runner.generate_guarded(engine, 3).realizations.size(), 3u);
+  for (const std::size_t count : {0, 1, 3}) {
+    runtime::SweepSpec spec;
+    spec.count = count;
+    const runtime::FailureMasks masks =
+        runner.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
+    EXPECT_EQ(masks.size(), count);
+    EXPECT_EQ(masks.attempted, count);
+    EXPECT_EQ(masks.bits.size(), count * masks.words);
+  }
 }
 
 TEST(RealizationEngine, BatchIndicesAreStable) {
