@@ -2,49 +2,20 @@
 // operational state for each SCADA configuration. The table is derived
 // from the generic evaluator by sweeping every reachable system state, and
 // cross-checked two ways: against the hand-transcribed Table I rows and
-// against the discrete-event protocol simulation.
+// against the discrete-event protocol simulation. Exits 1 when either
+// cross-check disagrees.
 #include <iostream>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "figure_bench.h"
 #include "scada/configuration.h"
 #include "sim/scada_des.h"
-#include "threat/attacker.h"
-#include "threat/scenario.h"
 #include "util/table.h"
 
 using namespace ct;
 
 namespace {
-
-std::vector<threat::SystemState> reachable_states(
-    const scada::Configuration& config) {
-  // Site status in {up, flooded, isolated}, intrusions 0..2 per site.
-  std::vector<threat::SystemState> out;
-  const std::size_t n = config.sites.size();
-  std::size_t status_combos = 1;
-  for (std::size_t i = 0; i < n; ++i) status_combos *= 3;
-  std::size_t intrusion_combos = 1;
-  for (std::size_t i = 0; i < n; ++i) intrusion_combos *= 3;
-  const std::array<threat::SiteStatus, 3> statuses = {
-      threat::SiteStatus::kUp, threat::SiteStatus::kFlooded,
-      threat::SiteStatus::kIsolated};
-  for (std::size_t sc = 0; sc < status_combos; ++sc) {
-    for (std::size_t ic = 0; ic < intrusion_combos; ++ic) {
-      threat::SystemState s;
-      std::size_t sr = sc;
-      std::size_t ir = ic;
-      for (std::size_t i = 0; i < n; ++i) {
-        s.site_status.push_back(statuses[sr % 3]);
-        s.intrusions.push_back(static_cast<int>(ir % 3));
-        sr /= 3;
-        ir /= 3;
-      }
-      out.push_back(std::move(s));
-    }
-  }
-  return out;
-}
 
 std::string describe_conditions(const scada::Configuration& config,
                                 threat::OperationalState target) {
@@ -52,7 +23,7 @@ std::string describe_conditions(const scada::Configuration& config,
   // Table I is re-derived as counts over the full reachable state space.
   std::size_t count = 0;
   std::size_t total = 0;
-  for (const threat::SystemState& s : reachable_states(config)) {
+  for (const threat::SystemState& s : bench::reachable_states(config)) {
     ++total;
     if (core::evaluate(config, s) == target) ++count;
   }
@@ -88,7 +59,7 @@ int main() {
   std::size_t disagreements = 0;
   std::size_t checked = 0;
   for (const auto& config : configs) {
-    for (const threat::SystemState& s : reachable_states(config)) {
+    for (const threat::SystemState& s : bench::reachable_states(config)) {
       ++checked;
       if (core::evaluate(config, s) != core::evaluate_table1(config, s)) {
         ++disagreements;
@@ -100,42 +71,19 @@ int main() {
 
   // Part 3: analytic classification vs the discrete-event protocol
   // simulation across every flood pattern and threat scenario.
-  sim::DesOptions des_options;
-  des_options.horizon_s = 600.0;
-  des_options.attack_time_s = 120.0;
-  des_options.settle_window_s = 150.0;
-  des_options.orange_gap_s = 70.0;
-  des_options.pb.activation_delay_s = 120.0;
-  des_options.pb.controller_outage_threshold_s = 15.0;
-  des_options.pb.controller_check_interval_s = 3.0;
-  des_options.bft.activation_delay_s = 120.0;
-  des_options.bft.view_timeout_s = 8.0;
-
   std::size_t des_runs = 0;
   std::size_t des_matches = 0;
-  const threat::GreedyWorstCaseAttacker attacker;
   for (const auto& config : configs) {
-    const sim::ScadaDes des(config, des_options);
-    const std::size_t n = config.sites.size();
-    for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
-      threat::SystemState base;
-      base.intrusions.assign(n, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        base.site_status.push_back((mask >> i) & 1
-                                       ? threat::SiteStatus::kFlooded
-                                       : threat::SiteStatus::kUp);
-      }
-      for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-        const threat::SystemState attacked = attacker.attack(
-            config, base, threat::capability_for(scenario));
-        ++des_runs;
-        if (des.run(attacked).observed == core::evaluate(config, attacked)) {
-          ++des_matches;
-        }
+    const sim::ScadaDes des(config, bench::table1_des_options());
+    for (const bench::FloodScenario& run : bench::flood_scenarios(config)) {
+      ++des_runs;
+      if (des.run(run.attacked).observed ==
+          core::evaluate(config, run.attacked)) {
+        ++des_matches;
       }
     }
   }
   std::cout << "protocol simulation vs Table I: " << des_matches << "/"
             << des_runs << " scenario runs agree\n";
-  return 0;
+  return disagreements == 0 && des_matches == des_runs ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "figure_bench.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,16 +16,13 @@
 #include "core/case_study.h"
 #include "core/report.h"
 #include "scada/oahu.h"
+#include "threat/attacker.h"
 #include "util/fsio.h"
 #include "util/json_writer.h"
 #include "util/strings.h"
 
 namespace ct::bench {
 
-namespace {
-
-/// Strict value of a positive count in the environment variable `name`:
-/// unset gives `fallback`; a malformed, signed or zero value exits 2.
 std::uint64_t env_count(const char* name, std::uint64_t fallback,
                         std::uint64_t max) {
   const char* env = std::getenv(name);
@@ -38,8 +36,6 @@ std::uint64_t env_count(const char* name, std::uint64_t fallback,
   return *value;
 }
 
-}  // namespace
-
 std::size_t bench_realizations() {
   // 1000 is the paper's ensemble size.
   return env_count("CT_BENCH_REALIZATIONS", 1000,
@@ -49,6 +45,71 @@ std::size_t bench_realizations() {
 unsigned bench_jobs() {
   return static_cast<unsigned>(
       env_count("CT_BENCH_JOBS", 8, std::numeric_limits<unsigned>::max()));
+}
+
+unsigned test_jobs(unsigned fallback) {
+  return static_cast<unsigned>(env_count("CT_TEST_JOBS", fallback, 256));
+}
+
+std::vector<threat::SystemState> reachable_states(
+    const scada::Configuration& config) {
+  std::vector<threat::SystemState> out;
+  const std::size_t n = config.sites.size();
+  std::size_t combos = 1;  // per axis: 3 statuses, and 0-2 intrusions
+  for (std::size_t i = 0; i < n; ++i) combos *= 3;
+  const std::array<threat::SiteStatus, 3> statuses = {
+      threat::SiteStatus::kUp, threat::SiteStatus::kFlooded,
+      threat::SiteStatus::kIsolated};
+  for (std::size_t sc = 0; sc < combos; ++sc) {
+    for (std::size_t ic = 0; ic < combos; ++ic) {
+      threat::SystemState s;
+      std::size_t sr = sc;
+      std::size_t ir = ic;
+      for (std::size_t i = 0; i < n; ++i) {
+        s.site_status.push_back(statuses[sr % 3]);
+        s.intrusions.push_back(static_cast<int>(ir % 3));
+        sr /= 3;
+        ir /= 3;
+      }
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
+std::vector<FloodScenario> flood_scenarios(
+    const scada::Configuration& config) {
+  std::vector<FloodScenario> out;
+  const threat::GreedyWorstCaseAttacker attacker;
+  const std::size_t n = config.sites.size();
+  for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+    threat::SystemState base;
+    base.intrusions.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      base.site_status.push_back((mask >> i) & 1 ? threat::SiteStatus::kFlooded
+                                                 : threat::SiteStatus::kUp);
+    }
+    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+      out.push_back({mask, scenario,
+                     attacker.attack(config, base,
+                                     threat::capability_for(scenario))});
+    }
+  }
+  return out;
+}
+
+sim::DesOptions table1_des_options() {
+  sim::DesOptions options;
+  options.horizon_s = 600.0;
+  options.attack_time_s = 120.0;
+  options.settle_window_s = 150.0;
+  options.orange_gap_s = 70.0;
+  options.pb.activation_delay_s = 120.0;
+  options.pb.controller_outage_threshold_s = 15.0;
+  options.pb.controller_check_interval_s = 3.0;
+  options.bft.activation_delay_s = 120.0;
+  options.bft.view_timeout_s = 8.0;
+  return options;
 }
 
 Spread spread_of(std::vector<double> readings) {

@@ -1,5 +1,6 @@
 // Shared bench code: the driver of the figure-regeneration benches, the
-// CT_BENCH_* environment, and the one record schema every bench writes.
+// strict count reader behind the CT_BENCH_* and test environments, the
+// Table-I state enumerators, and the one record schema every bench writes.
 //
 // Each figure bench reproduces one of the paper's evaluation figures
 // (operational profiles of the five SCADA architectures under one threat
@@ -24,9 +25,18 @@
 #include <string>
 #include <vector>
 
+#include "scada/configuration.h"
+#include "sim/scada_des.h"
 #include "threat/scenario.h"
+#include "threat/system_state.h"
 
 namespace ct::bench {
+
+/// Strict value of a positive count in the environment variable `name`:
+/// unset gives `fallback`; a malformed, signed or zero value, or one above
+/// `max`, exits 2.
+std::uint64_t env_count(const char* name, std::uint64_t fallback,
+                        std::uint64_t max);
 
 /// Which backup control center the siting uses (the paper's two variants).
 enum class Siting {
@@ -39,6 +49,32 @@ std::size_t bench_realizations();
 
 /// Parallel worker count for the runtime measurement (CT_BENCH_JOBS or 8).
 unsigned bench_jobs();
+
+/// Worker count the tests add to their job matrix (CT_TEST_JOBS, 1 to
+/// 256), or `fallback` when unset.
+unsigned test_jobs(unsigned fallback);
+
+/// Every system state bench_table1 sweeps for `config`: each site up,
+/// flooded or isolated, and 0-2 intrusions per site (3^n x 3^n states).
+std::vector<threat::SystemState> reachable_states(
+    const scada::Configuration& config);
+
+/// One plan-less DES input of the Table-I cross-check: a flood pattern
+/// (bit i set: site i flooded) under a threat scenario, as the paper's
+/// greedy worst-case attacker leaves it.
+struct FloodScenario {
+  std::size_t mask = 0;
+  threat::ThreatScenario scenario = threat::ThreatScenario::kHurricane;
+  threat::SystemState attacked;
+};
+
+/// Every flood pattern of `config`'s sites under every threat scenario,
+/// mask-major.
+std::vector<FloodScenario> flood_scenarios(const scada::Configuration& config);
+
+/// bench_table1's DES timeline: a 600 s horizon with the attack at 120 s
+/// and 120 s cold-backup activation.
+sim::DesOptions table1_des_options();
 
 /// Median and MAD (median absolute deviation) over repeated readings.
 struct Spread {
