@@ -372,21 +372,6 @@ void BM_DesEventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DesEventLoop)->Unit(benchmark::kMillisecond);
 
-/// The same runs through the verbatim pre-overhaul engine
-/// (sim/reference_des.cpp) — the denominator of the >=3x speedup gate.
-void BM_DesEventLoopReference(benchmark::State& state) {
-  const sim::ScadaDes des(des_config(), core::chaos_des_options());
-  const threat::SystemState attacked = des_attacked_state(des.config());
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const sim::DesOutcome outcome = des.run_reference(attacked);
-    events += outcome.events;
-    benchmark::DoNotOptimize(outcome.observed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_DesEventLoopReference)->Unit(benchmark::kMillisecond);
-
 /// One f=1 BFT group and a client. Each round() drives one request ->
 /// proposal -> quorum -> execute, isolating the indexed vote/checkpoint
 /// bookkeeping from the rest of the simulation.
@@ -491,9 +476,10 @@ std::vector<bench::BenchRow> with_verdict(std::vector<bench::BenchRow> rows,
   return rows;
 }
 
-/// Times the pooled DES engine against the reference over the same run
-/// corpus (plain runs plus a chaos-style fault-plan sweep), checking every
-/// outcome with des_outcomes_identical, and one BFT quorum round.
+/// Times the pooled DES engine on one arena over a run corpus (plain runs
+/// plus a chaos-style fault-plan sweep), checking every arena run against
+/// a fresh-construction run of the same input with des_outcomes_identical
+/// (the DesArena contract), and one BFT quorum round.
 std::vector<bench::BenchRow> micro_des_rows() {
   const scada::Configuration& config = des_config();
   const sim::DesOptions options = core::chaos_des_options();
@@ -501,22 +487,16 @@ std::vector<bench::BenchRow> micro_des_rows() {
   const threat::SystemState attacked = des_attacked_state(config);
 
   constexpr std::size_t kRuns = 10;
-  std::vector<sim::DesOutcome> reference;
-  const bench::Spread reference_s = bench::time_reps(kReps, [&] {
-    reference.clear();
-    for (std::size_t i = 0; i < kRuns; ++i) {
-      reference.push_back(des.run_reference(attacked));
-    }
-  });
+  const sim::DesOutcome fresh = des.run(attacked);
   sim::DesArena arena;
   bool identical = true;
   std::uint64_t events = 0;  // per pass of kRuns runs
   const bench::Spread fast_s = bench::time_reps(kReps, [&] {
     events = 0;
     for (std::size_t i = 0; i < kRuns; ++i) {
-      const sim::DesOutcome fast = des.run(attacked, arena);
-      events += fast.events;
-      identical = identical && sim::des_outcomes_identical(fast, reference[i]);
+      const sim::DesOutcome pooled = des.run(attacked, arena);
+      events += pooled.events;
+      identical = identical && sim::des_outcomes_identical(pooled, fresh);
     }
   });
 
@@ -527,7 +507,7 @@ std::vector<bench::BenchRow> micro_des_rows() {
   });
 
   // Chaos-corpus sweep: the exact plans ChaosRunner would generate
-  // (child RNG per plan index), through both engines.
+  // (child RNG per plan index).
   std::vector<int> nodes_per_site;
   for (const auto& site : config.sites) nodes_per_site.push_back(site.replicas);
   sim::BenignPlanShape shape;
@@ -537,35 +517,27 @@ std::vector<bench::BenchRow> micro_des_rows() {
   constexpr std::size_t kPlans = 6;
   const util::Rng base_rng(1, "chaos");
   std::vector<sim::FaultPlan> plans;
+  std::vector<sim::DesOutcome> sweep_fresh;
   for (std::size_t p = 0; p < kPlans; ++p) {
     util::Rng plan_rng = base_rng.child("plan", p);
     plans.push_back(sim::random_benign_plan(shape, nodes_per_site, plan_rng));
+    sweep_fresh.push_back(des.run(attacked, plans.back()));
   }
-  std::vector<sim::DesOutcome> sweep_reference;
-  const bench::Spread sweep_reference_s = bench::time_reps(kReps, [&] {
-    sweep_reference.clear();
-    for (const sim::FaultPlan& plan : plans) {
-      sweep_reference.push_back(des.run_reference(attacked, plan));
-    }
-  });
   const bench::Spread sweep_fast_s = bench::time_reps(kReps, [&] {
     for (std::size_t p = 0; p < plans.size(); ++p) {
-      const sim::DesOutcome fast = des.run(attacked, plans[p], arena);
-      identical = identical &&
-                  sim::des_outcomes_identical(fast, sweep_reference[p]);
+      const sim::DesOutcome pooled = des.run(attacked, plans[p], arena);
+      identical =
+          identical && sim::des_outcomes_identical(pooled, sweep_fresh[p]);
     }
   });
 
   return with_verdict(
       {bench::count_row(kBench, "des.runs", kRuns),
        bench::count_row(kBench, "des.events", events),
-       bench::timing_row(kBench, "des.reference_s", "s", reference_s),
        bench::timing_row(kBench, "des.fast_s", "s", fast_s),
        bench::timing_row(kBench, "des.quorum_round_us", "us", quorum_s,
                          1e6 / static_cast<double>(kRounds)),
        bench::count_row(kBench, "des.sweep_runs", kPlans),
-       bench::timing_row(kBench, "des.sweep_reference_s", "s",
-                         sweep_reference_s),
        bench::timing_row(kBench, "des.sweep_fast_s", "s", sweep_fast_s)},
       identical);
 }
@@ -903,8 +875,6 @@ bool run_records() {
                              median("runtime.checkpoint128_s");
   std::cout << "derived: surge speedup "
             << median("surge.reference_ms") / median("surge.fast_ms")
-            << "x, DES speedup "
-            << median("des.reference_s") / median("des.fast_s")
             << "x, checkpoint overhead at interval 128 "
             << 100.0 * (median("runtime.checkpoint128_s") /
                             median("runtime.checkpoint_off_s") -

@@ -92,7 +92,8 @@ Spread time_reps(std::size_t reps, const std::function<void()>& body);
 
 /// One measured quantity. A timing's median and mad are over `reps` runs;
 /// a count (unit "count") has reps 1 and mad 0. `identical` is the verdict
-/// of the bit-identity check of the group the row was measured in.
+/// of the check that gates the group the row was measured in: a
+/// bit-identity check, or bench_des's Table-I agreement.
 struct BenchRow {
   std::string bench;   ///< binary that measured it ("bench_micro", ...)
   std::string metric;  ///< "surge.fast_ms", "des.events", ...

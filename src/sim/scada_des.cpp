@@ -1,14 +1,12 @@
 #include "sim/scada_des.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/reference_des.h"
 #include "threat/attacker.h"
 #include "util/log.h"
 
@@ -156,26 +154,6 @@ DesOutcome ScadaDes::run(const threat::SystemState& attacked_state,
 DesOutcome ScadaDes::run(const threat::SystemState& attacked_state,
                          const FaultPlan& plan, DesArena& arena) const {
   return run_impl(attacked_state, &plan, arena);
-}
-
-DesOutcome ScadaDes::run_reference(
-    const threat::SystemState& attacked_state) const {
-  obs::Span span("des.run_reference");
-  const auto started = std::chrono::steady_clock::now();
-  DesOutcome outcome =
-      refdes::run_reference_des(config_, options_, attacked_state, nullptr);
-  finish_run_timing(outcome, started);
-  return outcome;
-}
-
-DesOutcome ScadaDes::run_reference(const threat::SystemState& attacked_state,
-                                   const FaultPlan& plan) const {
-  obs::Span span("des.run_reference");
-  const auto started = std::chrono::steady_clock::now();
-  DesOutcome outcome =
-      refdes::run_reference_des(config_, options_, attacked_state, &plan);
-  finish_run_timing(outcome, started);
-  return outcome;
 }
 
 DesOutcome ScadaDes::run_impl(const threat::SystemState& attacked_state,

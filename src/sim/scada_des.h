@@ -89,14 +89,15 @@ struct DesOutcome {
   /// Stable checkpoints formed, summed over BFT replicas.
   int stable_checkpoints = 0;
 
-  // ---- wall-clock throughput (measurement only: these two fields are
-  // excluded from bit-identity comparisons against run_reference) ----
+  // ---- wall-clock throughput (measurement only: des_outcomes_identical
+  // and the DES goldens leave these two fields out) ----
   double sim_wall_ms = 0.0;
   double events_per_second = 0.0;
 };
 
-/// Field-for-field equality over everything the simulation computed —
-/// the bit-identity predicate for run() vs run_reference(). The two
+/// Field-for-field equality over everything the simulation computed: the
+/// bit-identity predicate for an arena run vs a fresh one and for
+/// observability on vs off. golden_test digests the same fields. The two
 /// wall-clock measurement fields (sim_wall_ms, events_per_second) are
 /// excluded; everything else, including the full trace and availability
 /// timeline, must match exactly.
@@ -170,16 +171,6 @@ class ScadaDes {
   /// simulates it.
   DesOutcome run(const std::vector<bool>& site_flooded,
                  threat::AttackerCapability capability) const;
-
-  /// Bit-identity oracle: the pre-overhaul engine (std::function events,
-  /// binary heap, per-delivery message copies, std::map bookkeeping) kept
-  /// verbatim in sim/reference_des.cpp. Every run() outcome must equal the
-  /// matching run_reference() outcome field-for-field (excluding the
-  /// sim_wall_ms / events_per_second measurements). No command runs it;
-  /// des_fastpath_test and bench_micro compare run() with it.
-  DesOutcome run_reference(const threat::SystemState& attacked_state) const;
-  DesOutcome run_reference(const threat::SystemState& attacked_state,
-                           const FaultPlan& plan) const;
 
   const scada::Configuration& config() const noexcept { return config_; }
   const DesOptions& options() const noexcept { return options_; }

@@ -160,6 +160,33 @@ TEST(BenchEnv, StrictCountsExitTwoOnMalformedSignedOrZero) {
   EXPECT_EXIT(bench_jobs(), ::testing::ExitedWithCode(2), "CT_BENCH_JOBS");
   ::unsetenv("CT_BENCH_REALIZATIONS");
   ::unsetenv("CT_BENCH_JOBS");
+
+  // The tests' counts: unset gives the caller's fallback, and a value out
+  // of range exits before any worker or run starts.
+  ::unsetenv("CT_TEST_JOBS");
+  ::unsetenv("CT_DES_IDENTITY_PLANS");
+  EXPECT_EQ(test_jobs(0), 0u);
+  EXPECT_EQ(test_jobs(4), 4u);
+  EXPECT_EQ(env_count("CT_DES_IDENTITY_PLANS", 4, 50), 4u);
+  ::setenv("CT_TEST_JOBS", "8", 1);
+  ::setenv("CT_DES_IDENTITY_PLANS", "50", 1);
+  EXPECT_EQ(test_jobs(0), 8u);
+  EXPECT_EQ(env_count("CT_DES_IDENTITY_PLANS", 4, 50), 50u);
+  for (const char* bad : {"abc", "8x", "-1", "-3", "0", "", "257"}) {
+    ::setenv("CT_TEST_JOBS", bad, 1);
+    EXPECT_EXIT(test_jobs(4), ::testing::ExitedWithCode(2),
+                "CT_TEST_JOBS expects a whole number from 1 to 256")
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"abc", "5x", "-1", "0", "51"}) {
+    ::setenv("CT_DES_IDENTITY_PLANS", bad, 1);
+    EXPECT_EXIT(env_count("CT_DES_IDENTITY_PLANS", 4, 50),
+                ::testing::ExitedWithCode(2),
+                "CT_DES_IDENTITY_PLANS expects a whole number from 1 to 50")
+        << "'" << bad << "'";
+  }
+  ::unsetenv("CT_TEST_JOBS");
+  ::unsetenv("CT_DES_IDENTITY_PLANS");
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/report.h"
+#include "figure_bench.h"
 #include "obs/metrics.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ensemble_runner.h"
@@ -695,10 +696,7 @@ runtime::SweepSpec sweep_spec(std::string digest = "sweep-digest") {
 
 std::vector<unsigned> job_counts() {
   std::vector<unsigned> jobs = {1, 2, 8};
-  if (const char* env = std::getenv("CT_TEST_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) jobs.push_back(static_cast<unsigned>(n));
-  }
+  if (const unsigned extra = bench::test_jobs(0)) jobs.push_back(extra);
   return jobs;
 }
 

@@ -13,7 +13,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "core/case_study.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "figure_bench.h"
 #include "obs/metrics.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
@@ -45,10 +45,7 @@ constexpr std::uint64_t kSeeds[] = {20220627, 7, 424242};
 
 std::vector<unsigned> job_counts() {
   std::vector<unsigned> jobs = {2, 4, 8};
-  if (const char* env = std::getenv("CT_TEST_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) jobs.push_back(static_cast<unsigned>(n));
-  }
+  if (const unsigned extra = bench::test_jobs(0)) jobs.push_back(extra);
   return jobs;
 }
 

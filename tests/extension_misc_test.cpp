@@ -4,12 +4,12 @@
 // evaluator semantics for custom architectures.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "figure_bench.h"
 #include "runtime/ensemble_runner.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -59,14 +59,6 @@ TEST(EventLimit, DesReportsTruncation) {
   EXPECT_LE(outcome.events, 200u);
 }
 
-unsigned test_jobs() {
-  if (const char* env = std::getenv("CT_TEST_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return 4;
-}
-
 /// Per-realization metamorphic relations over every asset of all 1000 paper
 /// realizations. Raising the sea-level offset never lowers an asset's depth
 /// and never un-floods it; raising the failure threshold never floods a dry
@@ -80,7 +72,7 @@ TEST(SeaLevelRise, FloodProbabilityMonotonic) {
   const double thresholds[] = {0.25, 0.5, 0.75};
   constexpr std::size_t kRealizations = 1000;
   runtime::EnsembleOptions options;
-  options.jobs = test_jobs();
+  options.jobs = bench::test_jobs(4);
   options.fault_spec = "none";
   runtime::EnsembleRunner runner(options);
 

@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "figure_bench.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/ensemble_runner.h"
@@ -317,10 +317,7 @@ TEST(ObsTraceTest, ChromeTraceJsonWellFormed) {
 
 std::vector<unsigned> job_counts() {
   std::vector<unsigned> jobs = {1, 8};
-  if (const char* env = std::getenv("CT_TEST_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) jobs.push_back(static_cast<unsigned>(n));
-  }
+  if (const unsigned extra = bench::test_jobs(0)) jobs.push_back(extra);
   return jobs;
 }
 
