@@ -44,11 +44,12 @@ std::size_t bench_realizations() {
 
 unsigned bench_jobs() {
   return static_cast<unsigned>(
-      env_count("CT_BENCH_JOBS", 8, std::numeric_limits<unsigned>::max()));
+      env_count("CT_BENCH_JOBS", 8, runtime::TaskPool::kMaxJobs));
 }
 
 unsigned test_jobs(unsigned fallback) {
-  return static_cast<unsigned>(env_count("CT_TEST_JOBS", fallback, 256));
+  return static_cast<unsigned>(
+      env_count("CT_TEST_JOBS", fallback, runtime::TaskPool::kMaxJobs));
 }
 
 std::vector<threat::SystemState> reachable_states(
@@ -256,12 +257,22 @@ int run_figure_bench(const std::string& figure_id,
             << (siting == Siting::kWaiau ? "Waiau" : "Kahe")
             << " + DRFortress), " << realizations << " realizations ===\n\n";
 
-  const auto timed_run = [&](core::CaseStudyRunner& runner) {
+  // One pass: the five configurations under the scenario, and the
+  // realizations its sweep ran (0 when the table was already at hand).
+  struct Pass {
     std::vector<core::ScenarioResult> results;
-    const double seconds = time_reps(1, [&] {
-                             results = runner.run_configs(configs, scenario);
-                           }).median;
-    return std::pair(std::move(results), seconds);
+    double seconds = 0.0;
+    std::uint64_t swept = 0;
+  };
+  const auto timed_run = [&](core::CaseStudyRunner& runner) {
+    Pass pass;
+    pass.seconds = time_reps(1, [&] {
+                     core::ResumableAnalysis analysis =
+                         runner.run_all_resumable(configs, {scenario}, {});
+                     pass.results = std::move(analysis.results);
+                     pass.swept = analysis.executed;
+                   }).median;
+    return pass;
   };
 
   // Cold serial reference: one worker, cache off — the pre-runtime code
@@ -272,51 +283,41 @@ int run_figure_bench(const std::string& figure_id,
   serial_options.runtime.cache = false;
   core::CaseStudyRunner serial_runner =
       core::make_oahu_case_study(serial_options);
-  const auto [serial_results, serial_s] = timed_run(serial_runner);
+  const Pass serial = timed_run(serial_runner);
 
   // Cold parallel sweep on a fresh runner (nothing shared with the serial
-  // one), then a warm replay on the same runner to measure the cache.
+  // one), then a warm replay on the same runner, a fold over its table.
   core::CaseStudyOptions parallel_options;
   parallel_options.realizations = realizations;
   parallel_options.runtime.jobs = jobs;
   core::CaseStudyRunner parallel_runner =
       core::make_oahu_case_study(parallel_options);
-  const auto [parallel_results, parallel_s] = timed_run(parallel_runner);
-  const auto cold_stats = parallel_runner.runtime().cache_stats();
-  const auto [warm_results, warm_s] = timed_run(parallel_runner);
+  const Pass parallel = timed_run(parallel_runner);
+  const Pass warm = timed_run(parallel_runner);
 
-  const bool identical = identical_outcomes(serial_results, parallel_results) &&
-                         identical_outcomes(serial_results, warm_results);
+  const bool identical = identical_outcomes(serial.results, parallel.results) &&
+                         identical_outcomes(serial.results, warm.results);
 
   std::cout << "measured operational profiles:\n";
-  core::profile_table(parallel_results).render(std::cout);
+  core::profile_table(parallel.results).render(std::cout);
 
   const auto& expected = core::paper_expected(figure_id);
   std::cout << "\nmeasured vs paper:\n";
-  core::comparison_table(parallel_results, expected).render(std::cout);
+  core::comparison_table(parallel.results, expected).render(std::cout);
 
-  const double delta = core::max_abs_delta(parallel_results, expected);
+  const double delta = core::max_abs_delta(parallel.results, expected);
   std::cout << "\nmax |measured - paper| = "
             << util::format_fixed(delta * 100.0, 2) << " pp across all "
-            << parallel_results.size() * 4 << " cells\n";
+            << parallel.results.size() * 4 << " cells\n";
 
-  // Hit rate of the warm replay alone (the cold pass is all misses by
-  // construction, so folding it in would halve the number for no reason).
-  const auto stats = parallel_runner.runtime().cache_stats();
-  const std::uint64_t lookups = stats.lookups - cold_stats.lookups;
-  const std::uint64_t hits = stats.hits - cold_stats.hits;
-  const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  const double hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(hits) / static_cast<double>(lookups);
-
-  std::cout << "\nruntime: serial " << util::format_fixed(serial_s, 2)
+  const double speedup =
+      parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
+  std::cout << "\nruntime: serial " << util::format_fixed(serial.seconds, 2)
             << " s, parallel(" << jobs << ") "
-            << util::format_fixed(parallel_s, 2) << " s ("
+            << util::format_fixed(parallel.seconds, 2) << " s ("
             << util::format_fixed(speedup, 2) << "x), warm replay "
-            << util::format_fixed(warm_s, 3) << " s, cache " << hits << "/"
-            << lookups << " hits ("
-            << util::format_fixed(hit_rate * 100.0, 1) << "%)\n"
+            << util::format_fixed(warm.seconds, 3) << " s, swept "
+            << warm.swept << " realization(s)\n"
             << "parallel outcomes "
             << (identical ? "bit-identical to serial"
                           : "DIFFER FROM SERIAL — determinism violation")

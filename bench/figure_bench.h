@@ -7,8 +7,8 @@
 // scenario and siting), prints measured-vs-paper tables and the worst
 // probability delta. It also runs the sweep once serially (--jobs 1, cache
 // off) and once on the work-stealing pool, fails when the two outcome
-// distributions differ, and prints the timings and the warm replay's cache
-// hit rate.
+// distributions differ, and prints the timings and the realizations the
+// warm replay swept (0: it folds over the runner's table).
 //
 // Benches that keep a record (bench_micro, bench_des) write BenchRows:
 // one measured quantity each, a median and its spread over repeated runs,
@@ -16,7 +16,8 @@
 //
 // Realization count defaults to the paper's 1000; set CT_BENCH_REALIZATIONS
 // to override (e.g. 200 for a quick pass). CT_BENCH_JOBS sets the parallel
-// worker count (default 8). Either one malformed, signed or zero exits 2.
+// worker count (default 8, at most runtime::TaskPool::kMaxJobs). Either
+// one malformed, signed, zero or too large exits 2.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,12 @@ enum class Siting {
 /// Number of realizations to run (CT_BENCH_REALIZATIONS or 1000).
 std::size_t bench_realizations();
 
-/// Parallel worker count for the runtime measurement (CT_BENCH_JOBS or 8).
+/// Parallel worker count for the runtime measurement (CT_BENCH_JOBS, 1 to
+/// runtime::TaskPool::kMaxJobs, or 8).
 unsigned bench_jobs();
 
 /// Worker count the tests add to their job matrix (CT_TEST_JOBS, 1 to
-/// 256), or `fallback` when unset.
+/// runtime::TaskPool::kMaxJobs), or `fallback` when unset.
 unsigned test_jobs(unsigned fallback);
 
 /// Every system state bench_table1 sweeps for `config`: each site up,

@@ -79,7 +79,8 @@ int usage() {
       "  --realizations <n>         hurricane realizations (default: 1000)\n"
       "  --slr <meters>             sea-level-rise offset\n"
       "  --jobs <n>                 worker threads (0 = all cores, 1 =\n"
-      "                             serial; default 0; local only)\n"
+      "                             serial, at most 256; default 0; local\n"
+      "                             only)\n"
       "  --no-cache                 recompute everything: disable the result\n"
       "                             cache (default: on-disk cache under\n"
       "                             CT_CACHE_DIR or ~/.cache/ct)\n"
@@ -316,7 +317,7 @@ int run_local(service::RequestKind kind,
   defaults.runtime.disk_cache = true;
   if (const auto it = flags.find("jobs"); it != flags.end()) {
     defaults.runtime.jobs = static_cast<unsigned>(
-        count_flag(it, std::numeric_limits<unsigned>::max()));
+        count_flag(it, runtime::TaskPool::kMaxJobs));
   }
   std::optional<runtime::CancellationToken> deadline_token;
   if (request.deadline_ms != 0) {
@@ -331,9 +332,7 @@ int run_local(service::RequestKind kind,
       service::execute_request(request, *runner, ckpt, g_interrupt);
 
   std::cout << outcome.output;
-  if (kind == service::RequestKind::kAnalyze) {
-    std::cerr << outcome.cache_line << "\n";
-  }
+  std::cerr << outcome.cache_line << "\n";
   if (trace_out != flags.end()) {
     // Diagnostics on stderr: stdout stays byte-identical to an untraced run.
     std::ofstream trace_file(trace_out->second);

@@ -66,8 +66,11 @@ std::uint64_t parse_count(
     const std::string& value, const char* flag,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (const auto v = util::parse_u64(value, max)) return *v;
-  throw std::invalid_argument(std::string(flag) + " expects a number, got " +
-                              value);
+  std::string message = std::string(flag) + " expects a number";
+  if (max != std::numeric_limits<std::uint64_t>::max()) {
+    message += " up to " + std::to_string(max);
+  }
+  throw std::invalid_argument(message + ", got " + value);
 }
 
 }  // namespace
@@ -93,9 +96,8 @@ int main(int argc, char** argv) {
           options.tcp_port = addr.port;
         }
       } else if (key == "--jobs") {
-        options.defaults.runtime.jobs =
-            static_cast<unsigned>(parse_count(
-                value(), "--jobs", std::numeric_limits<unsigned>::max()));
+        options.defaults.runtime.jobs = static_cast<unsigned>(
+            parse_count(value(), "--jobs", runtime::TaskPool::kMaxJobs));
       } else if (key == "--queue-capacity") {
         options.queue_capacity = parse_count(value(), "--queue-capacity");
       } else if (key == "--deadline-ms") {

@@ -22,7 +22,15 @@
 #   8. a local checkpointed sweep survives a real process death: CT_CRASH
 #      tears its third durable write (exit 86), and `--resume` restores the
 #      32 realizations journaled before it and prints, after its two
-#      checkpoint lines, the uninterrupted report byte for byte.
+#      checkpoint lines, the uninterrupted report byte for byte;
+#   9. one cached table serves every command of a new process: after a
+#      local default analyze, new local processes over the same
+#      CT_CACHE_DIR run `analyze --backup kahe_cc`, `downtime` and `siting`,
+#      each reads the mask table from disk (`1 from disk` on its stderr
+#      cache line) and prints what a `--no-cache` run prints.
+#
+# Usage errors exit 2: a garbage number (`--slr abc`) and a worker count
+# above the jobs cap (`--jobs 257`).
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -89,10 +97,13 @@ echo "== local reference run"
 CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" \
     > "$work/local.txt" 2>/dev/null
 
-echo "== a garbage number is a usage error (exit 2)"
+echo "== a garbage number or too many workers is a usage error (exit 2)"
 rc=0
 "$ctctl" analyze --slr abc > /dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || { echo "FAIL: --slr abc exited $rc, not 2"; exit 1; }
+rc=0
+"$ctctl" analyze --jobs 257 --realizations 1 > /dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || { echo "FAIL: --jobs 257 exited $rc, not 2"; exit 1; }
 
 echo "== byte-identity: remote(cold) vs local"
 diff -u "$work/local.txt" "$work/remote-cold.txt"
@@ -173,5 +184,22 @@ head -n 1 "$work/resumed.txt" | grep -q "restored 32 and" \
 CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" --no-cache \
     > "$work/uninterrupted.txt" 2>/dev/null
 tail -n +3 "$work/resumed.txt" | diff -u "$work/uninterrupted.txt" -
+
+echo "== one cached table serves every command of a new process"
+CT_CACHE_DIR="$work/table-cache" "$ctctl" analyze "${run_flags[@]}" \
+    > /dev/null 2>&1
+for query in "analyze --backup kahe_cc" downtime siting; do
+  name=${query// /_}
+  # shellcheck disable=SC2086  # $query is a command and its flags
+  CT_CACHE_DIR="$work/table-cache" "$ctctl" $query "${run_flags[@]}" \
+      > "$work/table-$name.txt" 2> "$work/table-$name.err"
+  grep "result cache:" "$work/table-$name.err"
+  grep -q "), 1 from disk" "$work/table-$name.err" \
+      || { echo "FAIL: $query did not read the table from disk"; exit 1; }
+  # shellcheck disable=SC2086
+  "$ctctl" $query "${run_flags[@]}" --no-cache > "$work/table-$name.ref" \
+      2>/dev/null
+  diff -u "$work/table-$name.ref" "$work/table-$name.txt"
+done
 
 echo "service smoke OK"

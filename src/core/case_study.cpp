@@ -1,5 +1,6 @@
 #include "core/case_study.h"
 
+#include "obs/trace.h"
 #include "scada/oahu.h"
 #include "terrain/oahu.h"
 
@@ -20,20 +21,39 @@ CaseStudyRunner::CaseStudyRunner(scada::ScadaTopology topology,
       runtime_(shared_runtime == nullptr ? owned_runtime_.get()
                                          : shared_runtime) {}
 
+std::shared_ptr<const runtime::FailureMasks> CaseStudyRunner::table(
+    const runtime::CheckpointOptions& ckpt,
+    runtime::CancellationToken* interrupt, ResumableAnalysis& how) {
+  if (masks_) return masks_;
+  // Only the result cache and a journal read the digest, whose probe
+  // realization costs a run.
+  const bool cache = runtime_->options().cache;
+  runtime::SweepSpec spec =
+      mask_sweep_spec(cache || !ckpt.dir.empty() ? batch_digest() : "",
+                      options_.realizations);
+  spec.words = runtime::mask_words(engine_);
+  if (cache) {
+    masks_ = runtime_->store().lookup(spec, engine_.bindings().asset_index());
+    if (masks_) return masks_;
+  }
+  runtime::ResumableReport report =
+      runtime_->run_resumable(engine_, spec, ckpt, interrupt);
+  static_cast<runtime::SweepStats&>(how) = report;
+  how.swept = true;
+  auto swept =
+      std::make_shared<const runtime::FailureMasks>(std::move(report.masks));
+  if (report.interrupted) return swept;
+  if (cache) runtime_->store().store(spec, *swept);
+  masks_ = std::move(swept);
+  return masks_;
+}
+
 const runtime::FailureMasks* CaseStudyRunner::masks(
     const runtime::CheckpointOptions& ckpt,
     runtime::CancellationToken* interrupt) {
-  if (!masks_) {
-    // Only a journal reads the digest, whose probe realization costs a run.
-    runtime::ResumableReport report = runtime_->run_resumable(
-        engine_,
-        mask_sweep_spec(ckpt.dir.empty() ? "" : batch_digest(),
-                        options_.realizations),
-        ckpt, interrupt);
-    if (report.interrupted) return nullptr;
-    masks_ = std::move(report.masks);
-  }
-  return &*masks_;
+  ResumableAnalysis how;
+  table(ckpt, interrupt, how);
+  return masks_.get();
 }
 
 const std::string& CaseStudyRunner::batch_digest() {
@@ -48,14 +68,10 @@ ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
                                     threat::ThreatScenario scenario,
                                     const runtime::CheckpointOptions& sweep,
                                     runtime::CancellationToken* interrupt) {
-  // Lazy: a result-cache hit (same topology, configuration, scenario,
-  // ensemble, attacker — possibly from a previous process via the disk
-  // layer) never sweeps; on a miss the table's ledger reaches the result.
-  return pipeline_
-      .analyze_resumable({SweepCell{&config, scenario}}, engine_,
-                         options_.realizations, *runtime_, batch_digest(),
-                         sweep, interrupt, masks_)
-      .results.front();
+  ResumableAnalysis how;
+  const std::shared_ptr<const runtime::FailureMasks> masks =
+      table(sweep, interrupt, how);
+  return pipeline_.fold(config, scenario, *masks, MaskClasses(*masks));
 }
 
 std::vector<ScenarioResult> CaseStudyRunner::run_configs(
@@ -74,16 +90,18 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
     const std::vector<threat::ThreatScenario>& scenarios,
     const runtime::CheckpointOptions& ckpt,
     runtime::CancellationToken* interrupt) {
-  std::vector<SweepCell> cells;
-  cells.reserve(configs.size() * scenarios.size());
+  obs::Span span("case_study.run_all_resumable");
+  ResumableAnalysis out;
+  const std::shared_ptr<const runtime::FailureMasks> masks =
+      table(ckpt, interrupt, out);
+  const MaskClasses classes(*masks);
+  out.results.reserve(configs.size() * scenarios.size());
   for (const threat::ThreatScenario scenario : scenarios) {
     for (const scada::Configuration& config : configs) {
-      cells.push_back(SweepCell{&config, scenario});
+      out.results.push_back(pipeline_.fold(config, scenario, *masks, classes));
     }
   }
-  return pipeline_.analyze_resumable(cells, engine_, options_.realizations,
-                                     *runtime_, batch_digest(), ckpt,
-                                     interrupt, masks_);
+  return out;
 }
 
 double CaseStudyRunner::asset_flood_probability(std::string_view asset_id) {

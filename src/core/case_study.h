@@ -1,12 +1,19 @@
 // Case-study runner: binds a terrain, a SCADA topology, and the hurricane
-// realization engine together and memoizes the ensemble's flood-mask table
-// so many configurations/scenarios/sitings can be analyzed against the
-// same natural-disaster input — exactly how the paper's §VI evaluation is
-// structured.
+// realization engine together, obtains the ensemble's flood-mask table once
+// and folds every configuration/scenario/siting/downtime question over it
+// against the same natural-disaster input — exactly how the paper's §VI
+// evaluation is structured.
+//
+// The table comes from one step (DESIGN.md §9): the runner's memo; else,
+// with the cache on, the result cache under the engine-batch digest
+// (memory, then disk, so another session or process may have swept it);
+// else the checkpointed sweep, whose table is stored when complete and
+// clean. A live-session request is a fold over the memo, a hit from another
+// session or process one lookup and a fold.
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -46,20 +53,20 @@ class CaseStudyRunner {
                   CaseStudyOptions options = {},
                   runtime::EnsembleRunner* shared_runtime = nullptr);
 
-  /// The ensemble's mask table (DESIGN.md §9): the one an earlier complete
-  /// sweep memoized, else a sweep under `ckpt` and `interrupt`, memoized
-  /// when it completes; nullptr when it was interrupted.
+  /// The ensemble's mask table from the table step, its sweep (if one
+  /// runs) under `ckpt` and `interrupt`; nullptr when that sweep was
+  /// interrupted.
   const runtime::FailureMasks* masks(
       const runtime::CheckpointOptions& ckpt = {},
       runtime::CancellationToken* interrupt = nullptr);
 
-  /// The memoized table, or nullptr while no sweep has completed.
+  /// The memoized table, or nullptr while none is memoized.
   const runtime::FailureMasks* memoized_masks() const noexcept {
-    return masks_ ? &*masks_ : nullptr;
+    return masks_.get();
   }
 
-  /// Analyzes one configuration under one scenario: the result cache, else
-  /// a fold over masks(sweep, interrupt), partial if it was interrupted.
+  /// Analyzes one configuration under one scenario: a fold over the table
+  /// step's table, partial if its sweep was interrupted.
   ScenarioResult run(const scada::Configuration& config,
                      threat::ThreatScenario scenario,
                      const runtime::CheckpointOptions& sweep = {},
@@ -70,13 +77,13 @@ class CaseStudyRunner {
       const std::vector<scada::Configuration>& configs,
       threat::ThreatScenario scenario);
 
-  /// Crash-consistent (configurations x scenarios) sweep matrix: the live
-  /// cells fold over the memoized table, or over one mask sweep whose
-  /// completed slices are journaled under `ckpt` so a killed or
-  /// interrupted run resumes from where it stopped (bit-identical to an
-  /// uninterrupted run). Results come back in row-major order (config
-  /// varies fastest within a scenario). See AnalysisPipeline::
-  /// analyze_resumable and runtime/checkpoint.h.
+  /// Crash-consistent (configurations x scenarios) sweep matrix: every
+  /// cell folds over the table step's table, whose sweep (if one runs)
+  /// journals its completed slices under `ckpt` so a killed or interrupted
+  /// run resumes from where it stopped (bit-identical to an uninterrupted
+  /// run; see runtime/checkpoint.h). An interrupted sweep's partial table
+  /// is folded too. Results come back in row-major order (config varies
+  /// fastest within a scenario).
   ResumableAnalysis run_all_resumable(
       const std::vector<scada::Configuration>& configs,
       const std::vector<threat::ThreatScenario>& scenarios,
@@ -97,12 +104,21 @@ class CaseStudyRunner {
   runtime::EnsembleRunner& runtime() noexcept { return *runtime_; }
 
  private:
+  /// The table step: the memo; else, with the cache on, the result cache
+  /// under the batch digest; else a sweep under `ckpt` and `interrupt`,
+  /// stored when complete and clean, and memoized when complete (a
+  /// degraded table serves the rest of the session). An interrupted
+  /// sweep's partial table is returned, not kept. `how` records the sweep,
+  /// when one ran.
+  std::shared_ptr<const runtime::FailureMasks> table(
+      const runtime::CheckpointOptions& ckpt,
+      runtime::CancellationToken* interrupt, ResumableAnalysis& how);
+
   /// Content address of the (engine, realization count) ensemble; computed
-  /// once per runner (its probe realization included) and shared by run()
-  /// and run_all_resumable(), so warm runs hit the result cache without
-  /// running a realization.
-  /// Safe even under quarantine: a degraded run is never stored, so the
-  /// full-ensemble address can only ever resolve to full-ensemble results.
+  /// once per runner (its probe realization included), and only when the
+  /// result cache or a journal reads it, so a warm run costs no
+  /// realization. Safe even under quarantine: a degraded table is never
+  /// stored, so the full-ensemble address only resolves to full tables.
   const std::string& batch_digest();
 
   scada::ScadaTopology topology_;
@@ -113,8 +129,8 @@ class CaseStudyRunner {
   std::unique_ptr<runtime::EnsembleRunner> owned_runtime_;
   runtime::EnsembleRunner* runtime_;
   std::string batch_digest_;
-  /// The table of the first sweep that completed.
-  std::optional<runtime::FailureMasks> masks_;
+  /// The first complete table: a cache hit's or a sweep's.
+  std::shared_ptr<const runtime::FailureMasks> masks_;
 };
 
 /// Builds the paper's Oahu case study: synthetic Oahu terrain + the Fig. 4

@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <istream>
@@ -17,49 +18,23 @@
 
 namespace ct::core {
 
-namespace {
-
-/// A cached full distribution as a clean result with from_cache set.
-ScenarioResult result_from_cache(const scada::Configuration& config,
-                                 threat::ThreatScenario scenario,
-                                 const runtime::CachedCounts& cached) {
-  ScenarioResult result;
-  result.config_name = config.name;
-  result.scenario = scenario;
-  for (std::size_t i = 0; i < cached.counts.size(); ++i) {
-    result.outcomes.add(static_cast<threat::OperationalState>(i),
-                        static_cast<std::size_t>(cached.counts[i]));
-  }
-  result.from_cache = true;
-  // Only fully clean runs are ever stored, so a hit means every
-  // realization completed.
-  result.attempted = result.completed = result.outcomes.total();
-  return result;
-}
-
-/// The histogram of `outcomes` as the result cache stores it.
-runtime::CachedCounts counts_of(const OutcomeDistribution& outcomes) {
-  runtime::CachedCounts cached;
-  for (std::size_t i = 0; i < cached.counts.size(); ++i) {
-    cached.counts[i] = static_cast<std::uint64_t>(
-        outcomes.count(static_cast<threat::OperationalState>(i)));
-  }
-  cached.total = outcomes.total();
-  return cached;
-}
-
-}  // namespace
-
 util::Interval ScenarioResult::mass_bound(threat::OperationalState s,
                                           double confidence) const noexcept {
-  // Rebuild the runtime report so both layers share ONE bound formula. A
-  // result that never went through a sweep (serial analyze) has
+  // A result that never went through a sweep (serial analyze) has
   // attempted == 0; treat it as a clean full run.
-  runtime::EnsembleReport report;
-  report.counts = counts_of(outcomes).counts;
-  report.attempted = attempted == 0 ? outcomes.total() : attempted;
-  report.completed = attempted == 0 ? outcomes.total() : completed;
-  return report.mass_bound(static_cast<std::size_t>(s), confidence);
+  const std::size_t n = attempted == 0 ? outcomes.total() : attempted;
+  const std::size_t m = attempted == 0 ? outcomes.total() : completed;
+  if (n == 0) return {0.0, 1.0};
+  // Exact CI for the state's probability among the COMPLETED samples...
+  const util::Interval cp =
+      util::clopper_pearson_interval(outcomes.count(s), m, confidence);
+  // ...then account for the quarantined mass: at one extreme none of the
+  // quarantined realizations are in this state, at the other all are.
+  const double total = static_cast<double>(n);
+  const double done = static_cast<double>(m);
+  const double quarantined = static_cast<double>(n - m);
+  return {std::max(0.0, cp.lo * done / total),
+          std::min(1.0, (cp.hi * done + quarantined) / total)};
 }
 
 void OutcomeDistribution::add(threat::OperationalState s) noexcept {
@@ -131,24 +106,24 @@ threat::OperationalState AnalysisPipeline::classify(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const std::function<bool(std::string_view)>& flooded) const {
   // Stage 1 (Fig. 5): apply the natural-disaster impact.
-  const threat::SystemState post_disaster =
-      threat::post_disaster_state(config, flooded);
+  threat::SystemState state = threat::post_disaster_state(config, flooded);
 
-  // Stage 2: apply the worst-case cyberattack for the scenario.
+  // Stage 2: apply the worst-case cyberattack for the scenario. The state
+  // moves through the attacker uncopied: a request's folds classify many
+  // times, and every copy is a heap allocation.
   const threat::AttackerCapability capability =
       threat::capability_for(scenario);
-  threat::SystemState final_state = post_disaster;
   if (model_ == AttackerModel::kGreedy) {
-    final_state = threat::GreedyWorstCaseAttacker{}.attack(
-        config, post_disaster, capability);
+    state = threat::GreedyWorstCaseAttacker{}.attack(config, std::move(state),
+                                                     capability);
   } else {
     threat::ExhaustiveAttacker exhaustive(
         [&config](const threat::SystemState& s) { return evaluate(config, s); });
-    final_state = exhaustive.attack(config, post_disaster, capability);
+    state = exhaustive.attack(config, std::move(state), capability);
   }
 
   // Stage 3: evaluate the final system state (Table I).
-  return evaluate(config, final_state);
+  return evaluate(config, state);
 }
 
 ScenarioResult AnalysisPipeline::analyze(
@@ -162,10 +137,6 @@ ScenarioResult AnalysisPipeline::analyze(
     result.outcomes.add(outcome_for(config, scenario, r));
   }
   return result;
-}
-
-std::string_view AnalysisPipeline::attacker_tag() const noexcept {
-  return model_ == AttackerModel::kGreedy ? "greedy" : "exhaustive";
 }
 
 ScenarioResult AnalysisPipeline::fold(const scada::Configuration& config,
@@ -187,59 +158,6 @@ ScenarioResult AnalysisPipeline::fold(const scada::Configuration& config,
   result.attempted = masks.attempted;
   result.completed = masks.attempted - masks.ledger.failures.size();
   return result;
-}
-
-ResumableAnalysis AnalysisPipeline::analyze_resumable(
-    const std::vector<SweepCell>& cells,
-    const surge::RealizationEngine& engine, std::size_t count,
-    runtime::EnsembleRunner& runtime, std::string_view batch_digest,
-    const runtime::CheckpointOptions& ckpt,
-    runtime::CancellationToken* interrupt,
-    std::optional<runtime::FailureMasks>& memo) const {
-  obs::Span span("pipeline.analyze_resumable");
-  ResumableAnalysis out;
-  out.results.resize(cells.size());
-
-  // Pass 1 — cache: a cell whose full distribution is already stored needs
-  // no realizations at all. Only the remaining LIVE cells fold.
-  std::vector<std::size_t> live;      // index of each live cell
-  std::vector<std::string> live_keys; // job key of each live cell
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    const std::string key = runtime::EnsembleRunner::job_key(
-        *cell.config, cell.scenario, attacker_tag(), batch_digest);
-    if (const auto hit = runtime.cached_counts(key)) {
-      out.results[i] = result_from_cache(*cell.config, cell.scenario, *hit);
-      ++out.cached_cells;
-      continue;
-    }
-    live.push_back(i);
-    live_keys.push_back(key);
-  }
-  if (live.empty()) return out;
-
-  // Pass 2 — the live cells fold over the memo's table or a sweep's, whose
-  // journal key names the engine batch only (any cell set resumes it).
-  runtime::ResumableReport report;
-  if (!memo) {
-    report = runtime.run_resumable(engine, mask_sweep_spec(batch_digest, count),
-                                   ckpt, interrupt);
-    static_cast<runtime::SweepStats&>(out) = report;
-  }
-  const runtime::FailureMasks& masks = memo ? *memo : report.masks;
-  const MaskClasses classes(masks);
-  for (std::size_t s = 0; s < live.size(); ++s) {
-    const SweepCell& cell = cells[live[s]];
-    ScenarioResult& result = out.results[live[s]];
-    result = fold(*cell.config, cell.scenario, masks, classes);
-    // Cache only a COMPLETE clean distribution: a partial one would
-    // poison every warm rerun.
-    if (!out.interrupted && !result.degraded() && masks.attempted == count) {
-      runtime.cache_counts(live_keys[s], counts_of(result.outcomes));
-    }
-  }
-  if (!memo && !out.interrupted) memo = std::move(report.masks);
-  return out;
 }
 
 LoadedRealizations load_realizations_csv(std::istream& in,

@@ -10,7 +10,6 @@
 #include <array>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "threat/attacker.h"
 #include "threat/scenario.h"
 #include "threat/system_state.h"
+#include "util/stats.h"
 
 namespace ct::core {
 
@@ -28,7 +28,7 @@ namespace ct::core {
 class OutcomeDistribution {
  public:
   void add(threat::OperationalState s) noexcept;
-  /// Bulk insert: `n` outcomes in state `s` (cache hydration, chunk merge).
+  /// Bulk insert: `n` outcomes in state `s` (a mask class's multiplicity).
   void add(threat::OperationalState s, std::size_t n) noexcept;
 
   std::size_t count(threat::OperationalState s) const noexcept;
@@ -49,8 +49,6 @@ struct ScenarioResult {
   threat::ThreatScenario scenario{};
   /// PARTIAL distribution when degraded(): only completed realizations.
   OutcomeDistribution outcomes;
-  /// True when the outcomes were served by the runtime's result cache.
-  bool from_cache = false;
 
   // Fault-isolation accounting (folds over a sweep's mask table; serial
   // analyze() is batch-fatal and always reports a clean run).
@@ -64,8 +62,10 @@ struct ScenarioResult {
 
   bool degraded() const noexcept { return !failures.empty(); }
   /// Conservative bounds on the true probability of state `s` had every
-  /// quarantined realization completed (Clopper-Pearson widened by the
-  /// quarantined mass; see EnsembleReport::mass_bound).
+  /// quarantined realization completed: a Clopper-Pearson interval on
+  /// (count, completed) widened by the quarantined mass, which might all
+  /// have landed in `s` (upper) or none of it (lower). Exact-method
+  /// coverage >= `confidence`.
   util::Interval mass_bound(threat::OperationalState s,
                             double confidence = 0.95) const noexcept;
 };
@@ -113,19 +113,12 @@ struct MaskClasses {
 runtime::SweepSpec mask_sweep_spec(std::string_view batch_digest,
                                    std::size_t count);
 
-/// One cell of a resumable sweep matrix: a (configuration, scenario)
-/// pair analyzed over the same realization ensemble. The configuration is
-/// borrowed; it must outlive the analyze_resumable call.
-struct SweepCell {
-  const scada::Configuration* config = nullptr;
-  threat::ThreatScenario scenario{};
-};
-
-/// Output of analyze_resumable: per-cell results plus how its sweep went
-/// (all zero when the cache or the memo answered).
+/// Output of CaseStudyRunner::run_all_resumable: per-cell results plus how
+/// its sweep went (all zero when the memo or the result cache answered).
 struct ResumableAnalysis : runtime::SweepStats {
   std::vector<ScenarioResult> results;  ///< one per cell, in cell order
-  std::size_t cached_cells = 0;   ///< cells served whole from the cache
+  /// The table came from a sweep, not from the memo or the result cache.
+  bool swept = false;
 
   bool complete() const noexcept { return !interrupted; }
 };
@@ -167,24 +160,6 @@ class AnalysisPipeline {
                       threat::ThreatScenario scenario,
                       const runtime::FailureMasks& masks,
                       const MaskClasses& classes) const;
-
-  /// Crash-consistent sweep matrix over realizations [0, count) from
-  /// `engine`: cells in the result cache are served from it, the rest fold
-  /// over `memo`, else over one mask sweep under `ckpt` (resumable, see
-  /// runtime/checkpoint.h) and `interrupt` that leaves a complete table in
-  /// `memo`; an interrupted one yields partial distributions. The caller
-  /// memoizes `batch_digest` (runtime.digest_engine_batch(engine, count)),
-  /// so a sweep served whole from the cache runs no realization at all.
-  ResumableAnalysis analyze_resumable(
-      const std::vector<SweepCell>& cells,
-      const surge::RealizationEngine& engine, std::size_t count,
-      runtime::EnsembleRunner& runtime, std::string_view batch_digest,
-      const runtime::CheckpointOptions& ckpt,
-      runtime::CancellationToken* interrupt,
-      std::optional<runtime::FailureMasks>& memo) const;
-
-  /// Cache-key tag naming the attack algorithm of this pipeline.
-  std::string_view attacker_tag() const noexcept;
 
  private:
   AttackerModel model_;

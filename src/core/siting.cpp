@@ -46,8 +46,7 @@ std::vector<SitingScore> SitingOptimizer::rank(
         SitingScore score;
         score.chosen = chosen;
         score.config = builder(chosen);
-        const ScenarioResult result =
-            runner_.run(score.config, scenario, sweep_, interrupt_);
+        const ScenarioResult result = runner_.run(score.config, scenario);
         using threat::OperationalState;
         score.green_probability =
             result.outcomes.probability(OperationalState::kGreen);

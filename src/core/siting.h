@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/case_study.h"
@@ -36,13 +35,9 @@ using ConfigBuilder =
 
 class SitingOptimizer {
  public:
-  /// Scores every candidate through CaseStudyRunner::run: the result cache,
-  /// else a fold over the masks, swept on the first miss under `sweep` and
-  /// `interrupt` (which must outlive the optimizer, as must the runner).
-  explicit SitingOptimizer(CaseStudyRunner& runner,
-                           runtime::CheckpointOptions sweep = {},
-                           runtime::CancellationToken* interrupt = nullptr)
-      : runner_(runner), sweep_(std::move(sweep)), interrupt_(interrupt) {}
+  /// Scores every candidate through CaseStudyRunner::run, a fold over the
+  /// runner's mask table (the runner must outlive the optimizer).
+  explicit SitingOptimizer(CaseStudyRunner& runner) : runner_(runner) {}
 
   /// Scores every `slots`-combination of `candidates` (no repetition,
   /// order-insensitive) and returns results sorted best-first (lowest
@@ -65,8 +60,6 @@ class SitingOptimizer {
 
  private:
   CaseStudyRunner& runner_;
-  runtime::CheckpointOptions sweep_;
-  runtime::CancellationToken* interrupt_;
 };
 
 }  // namespace ct::core

@@ -94,70 +94,6 @@ std::string encode_spec(const SweepSpec& spec) {
   return w.take();
 }
 
-/// Sweep state as a snapshot holds it and a record holds its slice:
-/// completed ranges, retries, quarantined indices, then the masks of the
-/// ranges' other indices (the survivors), in index order.
-void put_state(util::WireWriter& w,
-               const std::vector<std::pair<std::uint64_t, std::uint64_t>>& done,
-               const FailureMasks& masks) {
-  w.u64(done.size());
-  for (const auto& [b, e] : done) w.u64(b).u64(e);
-  w.u64(masks.ledger.retries);
-  w.u64(masks.ledger.failures.size());
-  for (const FailureRecord& f : masks.ledger.failures) {
-    w.u64(f.realization).u64(f.seed).u32(f.attempts);
-    w.i32(static_cast<std::int32_t>(f.code)).str(f.origin).str(f.message);
-  }
-  for (const std::uint64_t word : masks.bits) w.u64(word);
-}
-
-/// Folds the rest of `r`, written by put_state, into `progress`. False on
-/// a range past `count` or overlapping one already done, or when the
-/// failures do not name distinct indices of the ranges.
-bool fold_state(util::WireReader& r, std::uint64_t count,
-                SweepProgress& progress) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  std::uint64_t covered = 0;
-  for (std::uint64_t n = r.u64(); n > 0; --n) {
-    const std::uint64_t b = r.u64();
-    const std::uint64_t e = r.u64();
-    if (e > count || !progress.merge_range(b, e)) return false;
-    ranges.emplace_back(b, e);
-    covered += e - b;
-  }
-  FailureLedger& ledger = progress.masks.ledger;
-  ledger.retries += r.u64();
-  std::vector<std::uint64_t> quarantined;
-  for (std::uint64_t n = r.u64(); n > 0; --n) {
-    FailureRecord f;
-    f.realization = r.u64();
-    f.seed = r.u64();
-    f.attempts = r.u32();
-    f.code = static_cast<util::ErrorCode>(r.i32());
-    f.origin = r.str();
-    f.message = r.str();
-    quarantined.push_back(f.realization);
-    ledger.failures.push_back(std::move(f));
-  }
-  std::sort(quarantined.begin(), quarantined.end());
-  std::vector<std::uint64_t> indices;
-  std::vector<std::uint64_t> bits;
-  for (const auto& [b, e] : ranges) {
-    for (std::uint64_t i = b; i < e; ++i) {
-      if (std::binary_search(quarantined.begin(), quarantined.end(), i)) {
-        continue;
-      }
-      indices.push_back(i);
-      for (std::size_t w = 0; w < progress.masks.words; ++w) {
-        bits.push_back(r.u64());
-      }
-    }
-  }
-  r.require_end();
-  return indices.size() + quarantined.size() == covered &&
-         progress.masks.splice(indices, bits);
-}
-
 /// Folds journal record `seq` into `progress`; false when it does not
 /// apply. The tag orders records, and the leading header digest binds each
 /// one to its journal and epoch, so a spliced, reordered or replayed
@@ -247,6 +183,66 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> SweepProgress::missing(
   }
   if (cursor < count) out.emplace_back(cursor, count);
   return out;
+}
+
+// --- the state codec ---------------------------------------------------------
+
+void put_state(util::WireWriter& w,
+               const std::vector<std::pair<std::uint64_t, std::uint64_t>>& done,
+               const FailureMasks& masks) {
+  w.u64(done.size());
+  for (const auto& [b, e] : done) w.u64(b).u64(e);
+  w.u64(masks.ledger.retries);
+  w.u64(masks.ledger.failures.size());
+  for (const FailureRecord& f : masks.ledger.failures) {
+    w.u64(f.realization).u64(f.seed).u32(f.attempts);
+    w.i32(static_cast<std::int32_t>(f.code)).str(f.origin).str(f.message);
+  }
+  for (const std::uint64_t word : masks.bits) w.u64(word);
+}
+
+bool fold_state(util::WireReader& r, std::uint64_t count,
+                SweepProgress& progress) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  std::uint64_t covered = 0;
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    const std::uint64_t b = r.u64();
+    const std::uint64_t e = r.u64();
+    if (e > count || !progress.merge_range(b, e)) return false;
+    ranges.emplace_back(b, e);
+    covered += e - b;
+  }
+  FailureLedger& ledger = progress.masks.ledger;
+  ledger.retries += r.u64();
+  std::vector<std::uint64_t> quarantined;
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    FailureRecord f;
+    f.realization = r.u64();
+    f.seed = r.u64();
+    f.attempts = r.u32();
+    f.code = static_cast<util::ErrorCode>(r.i32());
+    f.origin = r.str();
+    f.message = r.str();
+    quarantined.push_back(f.realization);
+    ledger.failures.push_back(std::move(f));
+  }
+  std::sort(quarantined.begin(), quarantined.end());
+  std::vector<std::uint64_t> indices;
+  std::vector<std::uint64_t> bits;
+  for (const auto& [b, e] : ranges) {
+    for (std::uint64_t i = b; i < e; ++i) {
+      if (std::binary_search(quarantined.begin(), quarantined.end(), i)) {
+        continue;
+      }
+      indices.push_back(i);
+      for (std::size_t w = 0; w < progress.masks.words; ++w) {
+        bits.push_back(r.u64());
+      }
+    }
+  }
+  r.require_end();
+  return indices.size() + quarantined.size() == covered &&
+         progress.masks.splice(indices, bits);
 }
 
 std::string_view resume_status_name(ResumeStatus status) noexcept {

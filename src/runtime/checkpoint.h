@@ -53,6 +53,11 @@
 #include "runtime/fault_profile.h"
 #include "util/error.h"
 
+namespace ct::util {
+class WireReader;
+class WireWriter;
+}  // namespace ct::util
+
 namespace ct::runtime {
 
 /// One quarantined realization: everything needed to aggregate, report,
@@ -88,7 +93,8 @@ struct FailureMasks {
   /// Realizations the table covers: survivors plus quarantined.
   std::size_t attempted = 0;
   /// Asset id -> bit, first id wins (the engine's surge::AssetIndex).
-  std::shared_ptr<const std::unordered_map<std::string, std::uint32_t>> assets;
+  using AssetIndex = std::unordered_map<std::string, std::uint32_t>;
+  std::shared_ptr<const AssetIndex> assets;
 
   std::size_t size() const noexcept { return indices.size(); }
   /// Survivor `k`'s mask.
@@ -172,6 +178,22 @@ struct SweepProgress {
       std::uint64_t count) const;
 };
 
+/// The one mask-table encoding: completed ranges, retries, quarantined
+/// indices, then the masks of the ranges' other indices (the survivors), in
+/// index order. A journal record holds its slice in it, a snapshot the
+/// merged state, and a result-cache record a whole clean table
+/// (result_store.h).
+void put_state(util::WireWriter& w,
+               const std::vector<std::pair<std::uint64_t, std::uint64_t>>& done,
+               const FailureMasks& masks);
+
+/// Folds the rest of `r`, written by put_state, into `progress` (whose
+/// masks.words says how wide a mask is). False on a range past `count` or
+/// overlapping one already done, or when the failures do not name distinct
+/// indices of the ranges.
+bool fold_state(util::WireReader& r, std::uint64_t count,
+                SweepProgress& progress);
+
 /// How a resume attempt went.
 enum class ResumeStatus {
   kColdStart,  ///< nothing usable on disk (or resume not requested)
@@ -223,8 +245,9 @@ class SweepJournal {
   bool append(std::uint64_t begin, std::uint64_t end,
               const FailureMasks& slice, const SweepProgress& full);
 
-  /// Sweep fully completed: removes both files (the result now lives in
-  /// the result cache / the caller's output, not the checkpoint).
+  /// Sweep fully completed: removes both files. The table now lives in
+  /// the caller's memo and, when it is clean and the cache is on, in the
+  /// result cache (result_store.h), not in the checkpoint.
   void finish();
 
   /// Closes the journal fd without removing files (interrupted sweep: the

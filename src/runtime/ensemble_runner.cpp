@@ -5,6 +5,7 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -134,23 +135,11 @@ void digest_realization(util::Digest& d,
   }
 }
 
-void digest_configuration(util::Digest& d, const scada::Configuration& c) {
-  d.str(c.name)
-      .i64(static_cast<int>(c.style))
-      .i64(c.intrusion_tolerance_f)
-      .i64(c.proactive_recovery_k)
-      .boolean(c.active_multisite)
-      .i64(c.min_active_sites);
-  d.u64(c.sites.size());
-  for (const scada::ControlSite& s : c.sites) {
-    d.str(s.asset_id)
-        .i64(static_cast<int>(s.role))
-        .i64(s.replicas)
-        .boolean(s.hot);
-  }
-}
-
 }  // namespace
+
+std::size_t mask_words(const surge::RealizationEngine& engine) noexcept {
+  return (engine.assets().size() + 63) / 64;
+}
 
 EnsembleRunner::EnsembleRunner(EnsembleOptions options)
     : options_(std::move(options)), fault_(resolve_fault(options_.fault_spec)),
@@ -158,36 +147,11 @@ EnsembleRunner::EnsembleRunner(EnsembleOptions options)
   if (options_.chunk == 0) options_.chunk = 1;
 }
 
-util::Interval EnsembleReport::mass_bound(std::size_t bucket,
-                                          double confidence) const noexcept {
-  if (attempted == 0 || bucket >= counts.size()) return {0.0, 1.0};
-  // Exact CI for the bucket probability among the COMPLETED samples...
-  const util::Interval cp = util::clopper_pearson_interval(
-      static_cast<std::size_t>(counts[bucket]), completed, confidence);
-  // ...then account for the quarantined mass: at one extreme none of the
-  // quarantined realizations belong to this bucket, at the other all do.
-  const double n = static_cast<double>(attempted);
-  const double m = static_cast<double>(completed);
-  const double q = static_cast<double>(attempted - completed);
-  return {std::max(0.0, cp.lo * m / n), std::min(1.0, (cp.hi * m + q) / n)};
-}
-
-std::optional<CachedCounts> EnsembleRunner::cached_counts(
-    const std::string& key) {
-  if (!options_.cache || key.empty()) return std::nullopt;
-  return store_.lookup(key);
-}
-
-void EnsembleRunner::cache_counts(const std::string& key,
-                                  const CachedCounts& counts) {
-  if (options_.cache && !key.empty()) store_.store(key, counts);
-}
-
 ResumableReport EnsembleRunner::run_resumable(
     const surge::RealizationEngine& engine, SweepSpec spec,
     const CheckpointOptions& ckpt, CancellationToken* interrupt) {
   ResumableReport report;
-  const std::size_t words = (engine.assets().size() + 63) / 64;
+  const std::size_t words = mask_words(engine);
   spec.words = words;
   SweepProgress progress;
   progress.masks.words = words;
@@ -300,19 +264,6 @@ ResumableReport EnsembleRunner::run_resumable(
   report.masks.attempted = static_cast<std::size_t>(progress.completed());
   report.masks.assets = engine.bindings().asset_index();
   return report;
-}
-
-std::string EnsembleRunner::job_key(const scada::Configuration& config,
-                                    threat::ThreatScenario scenario,
-                                    std::string_view attacker_tag,
-                                    std::string_view realization_set_digest) {
-  util::Digest d;
-  d.str("ct-job").i64(ResultStore::kFormatVersion);
-  digest_configuration(d, config);
-  d.i64(static_cast<int>(scenario));
-  d.str(attacker_tag);
-  d.str(realization_set_digest);
-  return d.hex();
 }
 
 std::string EnsembleRunner::digest_engine_batch(

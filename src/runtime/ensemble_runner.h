@@ -6,17 +6,18 @@
 // ResultStore. Its one path over realizations is the sweep: run_resumable
 // runs each realization once and keeps its flood mask (FailureMasks,
 // checkpoint.h), which every command folds over in core (DESIGN.md §9).
-// Runtime sits BELOW core: it sees configurations, scenarios and
-// realizations, not the analysis pipeline, which keeps the dependency
+// Runtime sits BELOW core: it sees realizations and their masks only, no
+// configuration, scenario or analysis pipeline, which keeps the dependency
 // graph acyclic. The table is bit-identical at any --jobs value
 // (realization i is a pure function of (base_seed, i), and each mask lands
-// at its index). Per-cell results live in the result cache under job keys,
-// a (topology, configuration, scenario, engine batch, attacker) digest.
+// at its index). The result cache holds whole tables under the sweep's
+// identity, derived from digest_engine_batch (result_store.h).
 //
 // Fault isolation: a failing realization is retried with the SAME seed (a
 // retry either heals a transient fault or reproduces a deterministic one),
-// then quarantined into a FailureRecord; EnsembleReport bounds how much
-// probability mass the quarantined samples could move (Clopper-Pearson).
+// then quarantined into a FailureRecord; core::ScenarioResult::mass_bound
+// bounds how much probability mass the quarantined samples could move
+// (Clopper-Pearson).
 //
 // Storm-stage memo (DESIGN.md §9): once a second engine with a different
 // bind digest (another sea-level offset, threshold, asset list, ...) has
@@ -30,21 +31,15 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "runtime/checkpoint.h"
 #include "runtime/fault_profile.h"
 #include "runtime/result_store.h"
 #include "runtime/task_pool.h"
-#include "scada/configuration.h"
 #include "surge/realization.h"
-#include "threat/scenario.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace ct::runtime {
 
@@ -78,21 +73,8 @@ FailureRecord make_failure_record(const TaskFailure& failure,
                                   std::uint64_t fallback_realization,
                                   std::uint64_t fallback_seed);
 
-/// A cell's histogram over the surviving realizations, with enough
-/// accounting to bound what the quarantined mass could have changed.
-struct EnsembleReport {
-  std::array<std::uint64_t, 4> counts{};  ///< partial distribution
-  std::size_t attempted = 0;  ///< realizations the caller asked for
-  std::size_t completed = 0;  ///< attempted - quarantined
-
-  /// Conservative bounds on the TRUE probability of outcome `bucket` had
-  /// every quarantined realization completed: a Clopper-Pearson interval
-  /// on (count, completed) widened by the quarantined mass — the
-  /// quarantined samples might all have landed in this bucket (upper) or
-  /// none of them (lower). Exact-method coverage >= `confidence`.
-  util::Interval mass_bound(std::size_t bucket,
-                            double confidence = 0.95) const noexcept;
-};
+/// 64-bit words per flood mask of `engine`: ceil(exposed assets / 64).
+std::size_t mask_words(const surge::RealizationEngine& engine) noexcept;
 
 /// How a sweep went: what the checkpoint layer did, and if it was cut.
 struct SweepStats {
@@ -120,21 +102,10 @@ class EnsembleRunner {
   /// is bit-identical at any --jobs value to an uninterrupted run's.
   /// `interrupt` stops the sweep at the next slice boundary (SIGINT,
   /// SIGTERM, deadlines), leaving interrupted=true and a partial table.
-  /// spec.words is set from the engine.
+  /// spec.words is set from the engine (mask_words).
   ResumableReport run_resumable(const surge::RealizationEngine& engine,
                                 SweepSpec spec, const CheckpointOptions& ckpt,
                                 CancellationToken* interrupt = nullptr);
-
-  // --- content addressing -------------------------------------------------
-
-  /// Cache key of one (configuration, scenario, attacker, engine batch)
-  /// evaluation. `realization_set_digest` comes from digest_engine_batch;
-  /// `attacker_tag` names the attack algorithm ("greedy", "exhaustive",
-  /// ...).
-  static std::string job_key(const scada::Configuration& config,
-                             threat::ThreatScenario scenario,
-                             std::string_view attacker_tag,
-                             std::string_view realization_set_digest);
 
   /// Cheap identity digest for an engine-generated set: the engine's storm
   /// and bind digests and the count determine the content, so hashing them
@@ -142,14 +113,6 @@ class EnsembleRunner {
   /// With count > 0 it also mixes in realization 0 (through the memo).
   std::string digest_engine_batch(const surge::RealizationEngine& engine,
                                   std::size_t count);
-
-  /// The full distribution stored under `key`; nullopt on a miss, with the
-  /// cache off, or for "".
-  std::optional<CachedCounts> cached_counts(const std::string& key);
-  /// Stores `counts` under `key` unless the cache is off or the key is "".
-  /// Callers store only complete, clean distributions: a partial one
-  /// would poison every warm rerun.
-  void cache_counts(const std::string& key, const CachedCounts& counts);
 
   TaskPool& pool() noexcept { return pool_; }
   ResultStore& store() noexcept { return store_; }

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -36,7 +37,7 @@ CacheMetrics& cache_metrics() {
 
 /// Frame magic of a disk record ("CTRS" little-endian) and its one type.
 constexpr std::uint32_t kRecordMagic = 0x53525443u;
-constexpr std::uint8_t kCountsRecord = 1;
+constexpr std::uint8_t kTableRecord = 1;
 
 bool key_is_safe(const std::string& key) {
   if (key.empty() || key.size() > 128) return false;
@@ -104,51 +105,61 @@ std::string ResultStore::record_path(const std::string& key) const {
   return disk_dir_ + "/" + key.substr(0, 2) + "/" + key + ".ctr";
 }
 
-std::optional<CachedCounts> ResultStore::lookup(const std::string& key) {
+std::shared_ptr<const FailureMasks> ResultStore::lookup(
+    const SweepSpec& spec,
+    std::shared_ptr<const FailureMasks::AssetIndex> assets) {
   CacheMetrics& m = cache_metrics();
   obs::ScopedTimer timer(m.lookup_us);
   lookups_.fetch_add(1, std::memory_order_relaxed);
   m.lookups.inc();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end() && !it->second->shoreline) {
+    const auto it = index_.find(spec.digest);
+    if (it != index_.end() && it->second->table) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       m.hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->value;
+      return it->second->table;
     }
   }
-  if (!disk_active() || !key_is_safe(key)) return std::nullopt;
-  const std::optional<CachedCounts> from_disk = read_disk(key);
-  if (!from_disk) return std::nullopt;
+  if (!disk_active() || !key_is_safe(spec.digest)) return nullptr;
+  std::shared_ptr<const FailureMasks> table =
+      read_disk(spec, std::move(assets));
+  if (!table) return nullptr;
   hits_.fetch_add(1, std::memory_order_relaxed);
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   m.hits.inc();
   m.disk_hits.inc();
   std::lock_guard<std::mutex> lock(mutex_);
-  touch_locked(key, *from_disk, nullptr);
-  return from_disk;
+  touch_locked(spec.digest, table, nullptr);
+  return table;
 }
 
-void ResultStore::store(const std::string& key, const CachedCounts& value) {
+void ResultStore::store(const SweepSpec& spec, const FailureMasks& table) {
+  if (table.words != spec.words || table.attempted != spec.count ||
+      table.size() != spec.count || spec.count == 0) {
+    return;  // partial, quarantined or empty: nothing a rerun could use
+  }
+  auto clean = std::make_shared<FailureMasks>(table);
+  clean->ledger = {};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    touch_locked(key, value, nullptr);
+    touch_locked(spec.digest, clean, nullptr);
   }
-  if (!disk_active() || !key_is_safe(key)) return;
-  if (write_disk(key, value)) {
+  if (!disk_active() || !key_is_safe(spec.digest)) return;
+  if (write_disk(spec, *clean)) {
     consecutive_write_failures_.store(0, std::memory_order_relaxed);
     return;
   }
-  // Soft failure: the memory layer already holds the value, so this run
+  // Soft failure: the memory layer already holds the table, so this run
   // loses nothing — only future processes lose the warm start.
   write_failures_.fetch_add(1, std::memory_order_relaxed);
   cache_metrics().write_failures.inc();
   const unsigned in_a_row =
       consecutive_write_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
-  CT_LOG(kWarn, "runtime") << "result cache: disk write failed for " << key
-                           << " (" << in_a_row << " consecutive); "
+  CT_LOG(kWarn, "runtime") << "result cache: disk write failed for "
+                           << spec.digest << " (" << in_a_row
+                           << " consecutive); "
                            << "continuing memory-only for this entry";
   if (in_a_row >= kMaxConsecutiveWriteFailures && disk_active()) {
     disk_enabled_.store(false, std::memory_order_release);
@@ -179,20 +190,20 @@ void ResultStore::store_shoreline(
   memo_stores_.fetch_add(1, std::memory_order_relaxed);
   cache_metrics().memo_stores.inc();
   std::lock_guard<std::mutex> lock(mutex_);
-  touch_locked(key, CachedCounts{}, std::move(record));
+  touch_locked(key, nullptr, std::move(record));
 }
 
 void ResultStore::touch_locked(
-    const std::string& key, const CachedCounts& value,
+    const std::string& key, std::shared_ptr<const FailureMasks> table,
     std::shared_ptr<const surge::ShorelineRecord> shoreline) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->value = value;
+    it->second->table = std::move(table);
     it->second->shoreline = std::move(shoreline);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, value, std::move(shoreline)});
+  lru_.push_front(Entry{key, std::move(table), std::move(shoreline)});
   index_[key] = lru_.begin();
   while (lru_.size() > options_.memory_entries) {
     index_.erase(lru_.back().key);
@@ -200,51 +211,56 @@ void ResultStore::touch_locked(
   }
 }
 
-std::optional<CachedCounts> ResultStore::read_disk(const std::string& key) {
-  const std::optional<std::string> bytes = util::read_file(record_path(key));
-  if (!bytes) return std::nullopt;  // plain miss: never cached here
+std::shared_ptr<const FailureMasks> ResultStore::read_disk(
+    const SweepSpec& spec,
+    std::shared_ptr<const FailureMasks::AssetIndex> assets) {
+  const std::optional<std::string> bytes =
+      util::read_file(record_path(spec.digest));
+  if (!bytes) return nullptr;  // plain miss: never cached here
 
-  // Anything but one whole frame of this version holding this key and
-  // self-consistent counts is a counted miss the next store() rewrites.
+  // Anything but one whole frame of this version holding this key, the
+  // engine's counts and one complete, clean table is a counted miss the
+  // next store() rewrites.
   const util::OpenedFrame frame = util::open_frame(*bytes, 0, kRecordMagic);
   if (frame.status == util::FrameStatus::kComplete &&
-      frame.size == bytes->size() && frame.fields.type == kCountsRecord &&
+      frame.size == bytes->size() && frame.fields.type == kTableRecord &&
       frame.fields.version == kFormatVersion) {
     try {
       util::WireReader r(frame.payload);
-      const bool same_key = r.str() == key;
-      CachedCounts v;
-      std::uint64_t sum = 0;
-      for (std::uint64_t& c : v.counts) sum += (c = r.u64());
-      v.total = r.u64();
-      r.require_end();
-      if (same_key && sum == v.total) return v;
+      SweepProgress state;
+      state.masks.words = spec.words;
+      if (r.str() == spec.digest && r.u64() == spec.count &&
+          r.u64() == spec.words && fold_state(r, spec.count, state) &&
+          state.completed() == spec.count && state.masks.ledger.retries == 0 &&
+          state.masks.ledger.failures.empty()) {
+        state.masks.attempted = spec.count;
+        state.masks.assets = std::move(assets);
+        return std::make_shared<const FailureMasks>(std::move(state.masks));
+      }
     } catch (const util::Error&) {
       // Falls through to the counted miss.
     }
   }
   corrupt_discarded_.fetch_add(1, std::memory_order_relaxed);
   cache_metrics().corrupt_discarded.inc();
-  return std::nullopt;
+  return nullptr;
 }
 
-bool ResultStore::write_disk(const std::string& key,
-                             const CachedCounts& value) {
+bool ResultStore::write_disk(const SweepSpec& spec, const FailureMasks& table) {
   if (options_.inject_write_failure) return false;  // simulated ENOSPC
   std::error_code ec;
-  const fs::path path = record_path(key);
+  const fs::path path = record_path(spec.digest);
   fs::create_directories(path.parent_path(), ec);
   if (ec) return false;
 
   util::WireWriter w;
-  w.str(key);
-  for (const std::uint64_t c : value.counts) w.u64(c);
-  w.u64(value.total);
+  w.str(spec.digest).u64(spec.count).u64(spec.words);
+  put_state(w, {{0, spec.count}}, table);
   // A concurrent reader sees either the old record or the complete new one,
   // and a crash mid-write leaves only a .tmp (collected at the next start).
   return util::atomic_write_file(
       path.string(),
-      util::seal_frame({kRecordMagic, kFormatVersion, kCountsRecord, 0},
+      util::seal_frame({kRecordMagic, kFormatVersion, kTableRecord, 0},
                        w.bytes()));
 }
 

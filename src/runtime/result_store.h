@@ -1,52 +1,49 @@
-// Content-addressed result cache for ensemble analyses.
+// Content-addressed result cache for ensemble analyses (DESIGN.md §9).
 //
-// A key is the hex digest of everything that determines an
-// OutcomeDistribution — topology, configuration, threat scenario,
-// realization set (the engine-batch digest), attacker model — so a hit
-// can only ever return the value the computation would have produced.
+// Its one product is the flood-mask table (FailureMasks, checkpoint.h) of a
+// complete, clean sweep, keyed like the sweep's journal: H("ct-sweep",
+// engine-batch digest), which names the storms, the bind side (offset,
+// threshold, fragility, the exposed assets and their order) and the
+// realization count. No configuration, scenario or attacker enters the key:
+// every analyze cell, downtime and siting folds over the same table, and a
+// hit can only ever return the table the sweep would have produced.
 // Two layers:
 //
-//  * in-memory LRU (bounded entries, thread-safe), and
+//  * in-memory LRU (bounded entries, thread-safe) holding each table as a
+//    shared object, so a hit from another session decodes nothing, and
 //  * an optional on-disk layer (one record per key: a util sealed frame
-//    holding the key, the counts and the total; default ~/.cache/ct/,
-//    override with CT_CACHE_DIR or options), shared across processes so a
-//    repeated `ctctl analyze` or bench rerun skips the whole sweep.
+//    holding the key, the realization and word counts, and the table in
+//    the journal snapshot's state codec; default ~/.cache/ct/, override
+//    with CT_CACHE_DIR or options), shared across processes so a new
+//    process folds over the table instead of re-running the storms.
 //
 // Disk records are corruption-tolerant by construction: anything but one
-// complete, valid frame of this version whose key equals the lookup key
-// and whose counts sum to the total makes the lookup a miss (counted in
+// complete, valid frame of this version whose key, counts and payload agree
+// with the lookup and with each other makes the lookup a miss (counted in
 // stats), never an error; the next store() rewrites the record. Bumping
 // kFormatVersion invalidates every old entry.
 //
 // The memory LRU also holds the storm-stage memo: shoreline records the
 // EnsembleRunner keeps per (storm digest, realization index). They share
-// the memory_entries bound with outcome counts, never reach the disk layer,
+// the memory_entries bound with the tables, never reach the disk layer,
 // and are counted under memo_* rather than lookups/hits.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
+
+#include "runtime/checkpoint.h"
 
 namespace ct::surge {
 struct ShorelineRecord;
 }  // namespace ct::surge
 
 namespace ct::runtime {
-
-/// The cached payload: an outcome histogram (green/orange/red/gray counts).
-struct CachedCounts {
-  std::array<std::uint64_t, 4> counts{};
-  std::uint64_t total = 0;
-
-  bool operator==(const CachedCounts&) const = default;
-};
 
 struct ResultStoreOptions {
   /// Max in-memory entries before LRU eviction.
@@ -65,19 +62,28 @@ class ResultStore {
  public:
   /// On-disk format version; bump on any change to the record layout OR to
   /// the digest/key derivation (old entries must not alias new ones).
-  static constexpr int kFormatVersion = 3;
+  static constexpr int kFormatVersion = 4;
 
   explicit ResultStore(ResultStoreOptions options = {});
 
-  /// Memory first, then disk (a disk hit is promoted into memory).
-  std::optional<CachedCounts> lookup(const std::string& key);
-  /// Inserts/refreshes both layers. A disk write failure (ENOSPC, read-only
-  /// mount, permission flip, injected fault) is a SOFT failure: it is
-  /// counted in stats and logged, the memory layer keeps the value, and
-  /// after kMaxConsecutiveWriteFailures in a row the disk layer turns
-  /// itself off for the rest of the process — the cache is an accelerator,
-  /// never a correctness dependency.
-  void store(const std::string& key, const CachedCounts& value);
+  /// The table of the sweep `spec` names, stored under spec.digest: memory
+  /// first, then disk (a disk hit is promoted into memory); nullptr on a
+  /// miss. A disk record must hold a complete, clean table of spec.count
+  /// realizations at spec.words words per mask. Records do not hold the
+  /// asset index, so `assets` is attached to a table read from disk.
+  std::shared_ptr<const FailureMasks> lookup(
+      const SweepSpec& spec,
+      std::shared_ptr<const FailureMasks::AssetIndex> assets);
+  /// Inserts/refreshes both layers with `table` under spec.digest, with an
+  /// empty ledger (a hit reports 0 retries), when it is complete (spec.count
+  /// > 0 realizations of spec.words words) and clean (nothing quarantined);
+  /// anything else would poison every warm rerun, so it is not stored. A
+  /// disk write failure (ENOSPC, read-only mount, permission flip, injected
+  /// fault) is a SOFT failure: it is counted in stats and logged, the
+  /// memory layer keeps the table, and after kMaxConsecutiveWriteFailures
+  /// in a row the disk layer turns itself off for the rest of the process
+  /// — the cache is an accelerator, never a correctness dependency.
+  void store(const SweepSpec& spec, const FailureMasks& table);
 
   /// The storm-stage memo: memory only, counted in memo_lookups/memo_hits.
   std::shared_ptr<const surge::ShorelineRecord> lookup_shoreline(
@@ -94,7 +100,7 @@ class ResultStore {
   /// process-wide metrics registry ("cache.*" counters), which is what
   /// `ctctl stats --metrics` and the service kMetrics reply surface.
   struct Stats {
-    std::uint64_t lookups = 0;
+    std::uint64_t lookups = 0;      ///< table lookups
     std::uint64_t hits = 0;         ///< memory + disk
     std::uint64_t disk_hits = 0;
     std::uint64_t corrupt_discarded = 0;
@@ -124,11 +130,14 @@ class ResultStore {
 
  private:
   std::string record_path(const std::string& key) const;
-  std::optional<CachedCounts> read_disk(const std::string& key);
+  std::shared_ptr<const FailureMasks> read_disk(
+      const SweepSpec& spec,
+      std::shared_ptr<const FailureMasks::AssetIndex> assets);
   /// Returns false on any write failure (directory, open, flush, rename,
   /// or injected); never throws.
-  bool write_disk(const std::string& key, const CachedCounts& value);
-  void touch_locked(const std::string& key, const CachedCounts& value,
+  bool write_disk(const SweepSpec& spec, const FailureMasks& table);
+  void touch_locked(const std::string& key,
+                    std::shared_ptr<const FailureMasks> table,
                     std::shared_ptr<const surge::ShorelineRecord> shoreline);
   /// Removes half-written "*.tmp" files a crashed process left behind in
   /// the fan-out directories (they never renamed, so they are garbage).
@@ -143,8 +152,8 @@ class ResultStore {
   // LRU: list front = most recent; map points into the list.
   struct Entry {
     std::string key;
-    CachedCounts value;
-    /// Set for memo entries, whose `value` is unused.
+    /// Exactly one is set: a table, or a memo entry's shoreline record.
+    std::shared_ptr<const FailureMasks> table;
     std::shared_ptr<const surge::ShorelineRecord> shoreline;
   };
   std::list<Entry> lru_;

@@ -90,6 +90,11 @@ struct IsolatedRunResult {
 
 class TaskPool {
  public:
+  /// The most workers a user may ask for (`--jobs`, CT_BENCH_JOBS,
+  /// CT_TEST_JOBS): the pool starts one thread per worker, so the readers
+  /// reject a larger count as a usage error.
+  static constexpr unsigned kMaxJobs = 256;
+
   /// `threads` = worker count; 0 picks std::thread::hardware_concurrency().
   /// 1 (or a 1-core machine) spawns no workers: all work runs inline.
   explicit TaskPool(unsigned threads = 0);

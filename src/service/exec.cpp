@@ -139,8 +139,7 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
   }
 
   out.interrupted = analysis.interrupted;
-  out.all_from_cache = !analysis.results.empty() &&
-                       analysis.cached_cells == analysis.results.size();
+  out.all_from_cache = !analysis.swept;
   accumulate(out, all_results);
   const int code = finish_analysis(os, all_results, request.strict);
   out.exit_code = analysis.interrupted
@@ -151,17 +150,14 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
 }
 
 /// Downtime's and siting's ending: the "(generation)" row through which
-/// they surface the mask table's quarantines. No table (siting served
-/// whole from the result cache) means nothing was swept or failed.
+/// they surface the mask table's quarantines.
 ExecOutcome finish_fold(std::ostringstream& os, core::CaseStudyRunner& runner,
-                        const runtime::FailureMasks* masks, bool strict) {
+                        const runtime::FailureMasks& masks, bool strict) {
   core::ScenarioResult generation;
   generation.config_name = "(generation)";
   generation.attempted = runner.options().realizations;
-  if (masks != nullptr) {
-    generation.failures = masks->ledger.failures;
-    generation.retries = masks->ledger.retries;
-  }
+  generation.failures = masks.ledger.failures;
+  generation.retries = masks.ledger.retries;
   generation.completed = generation.attempted - generation.failures.size();
   const std::vector<core::ScenarioResult> results = {std::move(generation)};
   ExecOutcome out;
@@ -205,7 +201,7 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
     table.render(os);
     os << "\n";
   }
-  return finish_fold(os, runner, masks, request.strict);
+  return finish_fold(os, runner, *masks, request.strict);
 }
 
 /// Backup-site candidates of a siting request: the paper's curated list
@@ -234,7 +230,9 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
                                          scada::oahu_ids::kHonoluluCc);
   const std::vector<std::string> candidates =
       siting_candidates(request, runner.topology());
-  core::SitingOptimizer optimizer(runner, ckpt, interrupt);
+  const runtime::FailureMasks* masks = runner.masks(ckpt, interrupt);
+  if (masks == nullptr) return stopped();
+  core::SitingOptimizer optimizer(runner);
 
   std::ostringstream os;
   os << "backup-site ranking for \"6-6\" (primary " << primary << ", "
@@ -251,14 +249,11 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
                      util::format_percent(score.green_probability, 1),
                      util::format_fixed(score.expected_badness, 3)});
     }
-    // The first cache miss sweeps; a sweep the interrupt stopped leaves
-    // every later miss unswept too.
-    if (interrupt != nullptr && interrupt->cancelled()) return stopped();
     os << "=== " << threat::scenario_name(scenario) << " ===\n";
     table.render(os);
     os << "\n";
   }
-  return finish_fold(os, runner, runner.memoized_masks(), request.strict);
+  return finish_fold(os, runner, *masks, request.strict);
 }
 
 /// The stats line print_cache_stats always produced, computed over the

@@ -27,7 +27,8 @@ struct ExecOutcome {
   int exit_code = 0;
   bool interrupted = false;
   bool degraded = false;
-  /// Every analysis cell was served whole from the result cache.
+  /// No sweep ran: the mask table came from the session's memo or the
+  /// result cache.
   bool all_from_cache = false;
   // Cell-summed quarantine accounting (a realization that quarantines in
   // several (config, scenario) cells counts once per cell, matching the

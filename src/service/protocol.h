@@ -109,8 +109,8 @@ struct Request {
 struct Response {
   std::int32_t exit_code = 0;
   bool degraded = false;
-  /// Every analysis cell was served from the result cache (the signal the
-  /// cache-warm smoke assertion reads).
+  /// No sweep ran: the mask table came from the session's memo or the
+  /// result cache (the signal the cache-warm smoke assertion reads).
   bool all_from_cache = false;
   std::uint64_t attempted = 0;
   std::uint64_t completed = 0;

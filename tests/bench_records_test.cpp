@@ -158,6 +158,13 @@ TEST(BenchEnv, StrictCountsExitTwoOnMalformedSignedOrZero) {
   }
   ::setenv("CT_BENCH_JOBS", "4294967296", 1);  // does not fit an unsigned
   EXPECT_EXIT(bench_jobs(), ::testing::ExitedWithCode(2), "CT_BENCH_JOBS");
+  // One thread per worker: more than the jobs cap is a usage error, read
+  // before any pool starts.
+  ::setenv("CT_BENCH_JOBS", "256", 1);
+  EXPECT_EQ(bench_jobs(), 256u);
+  ::setenv("CT_BENCH_JOBS", "257", 1);
+  EXPECT_EXIT(bench_jobs(), ::testing::ExitedWithCode(2),
+              "CT_BENCH_JOBS expects a whole number from 1 to 256");
   ::unsetenv("CT_BENCH_REALIZATIONS");
   ::unsetenv("CT_BENCH_JOBS");
 

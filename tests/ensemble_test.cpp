@@ -10,6 +10,7 @@
 // suite at 1 and 8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -235,7 +236,9 @@ TEST(EnsembleDeterminismTest, MultiWordMasksFoldLikeSerialAnalyze) {
   }
 }
 
-/// A cache hit must reproduce the cold result exactly and must be flagged.
+/// A warm run must reproduce the cold result exactly: the first run misses
+/// the result cache, sweeps and stores the table, and every later cell
+/// folds over the memo without another lookup.
 TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -249,17 +252,16 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
     for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
       const core::ScenarioResult cold = runner.run(config, scenario);
       const core::ScenarioResult warm = runner.run(config, scenario);
-      EXPECT_FALSE(cold.from_cache);
-      EXPECT_TRUE(warm.from_cache) << config.name;
       expect_same(cold, warm, config.name);
     }
   }
   const auto stats = runner.runtime().cache_stats();
-  EXPECT_EQ(stats.hits, configs.size() * threat::all_scenarios().size());
+  EXPECT_EQ(stats.lookups, 1u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 /// On a hit a case study must not sweep the ensemble at all: a second case
-/// study on the same runtime answers from the cache with no mask table.
+/// study on the same runtime finds the first one's table in the store.
 TEST(EnsembleCacheTest, CacheHitSweepsNothing) {
   core::CaseStudyOptions options;
   options.realizations = kRealizations;
@@ -271,21 +273,26 @@ TEST(EnsembleCacheTest, CacheHitSweepsNothing) {
 
   core::CaseStudyRunner first(scada::oahu_topology(),
                               terrain::make_oahu_terrain(), options, &shared);
-  const core::ScenarioResult cold = first.run(config, scenario);
-  EXPECT_FALSE(cold.from_cache);
-  EXPECT_NE(first.memoized_masks(), nullptr);
+  const core::ResumableAnalysis cold =
+      first.run_all_resumable({config}, {scenario}, {});
+  EXPECT_TRUE(cold.swept);
+  ASSERT_NE(first.memoized_masks(), nullptr);
 
   core::CaseStudyRunner second(scada::oahu_topology(),
                                terrain::make_oahu_terrain(), options, &shared);
-  const core::ScenarioResult warm = second.run(config, scenario);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(second.memoized_masks(), nullptr)
-      << "hit must not sweep the ensemble";
-  expect_same(cold, warm, "shared runtime");
+  const core::ResumableAnalysis warm =
+      second.run_all_resumable({config}, {scenario}, {});
+  EXPECT_FALSE(warm.swept) << "hit must not sweep the ensemble";
+  EXPECT_EQ(warm.executed, 0u);
+  EXPECT_EQ(shared.cache_stats().hits, 1u);
+  ASSERT_NE(second.memoized_masks(), nullptr);
+  expect_same_masks(*second.memoized_masks(), *first.memoized_masks(),
+                    "shared runtime");
+  expect_same(cold.results[0], warm.results[0], "shared runtime");
 }
 
 /// Disk cache: a second runner (fresh memory) in the same cache dir gets
-/// the result without recomputing — the cross-process warm-rerun story.
+/// the table without recomputing — the cross-process warm-rerun story.
 TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   const fs::path dir = fs::path(::testing::TempDir()) / "ct_ensemble_disk";
   fs::remove_all(dir);
@@ -303,18 +310,21 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   options.runtime.cache_dir = dir.string();
 
   core::ScenarioResult cold;
+  runtime::FailureMasks written;
   {
     core::CaseStudyRunner writer = core::make_oahu_case_study(options);
     cold = writer.run(configs[0], scenario);
-    EXPECT_FALSE(cold.from_cache);
+    ASSERT_NE(writer.memoized_masks(), nullptr);
+    written = *writer.memoized_masks();
   }
 
   core::CaseStudyRunner reader = core::make_oahu_case_study(options);
-  const core::ScenarioResult warm = reader.run(configs[0], scenario);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(reader.memoized_masks(), nullptr)
-      << "a disk hit must not sweep the ensemble";
-  expect_same(cold, warm, "disk round-trip");
+  const core::ResumableAnalysis warm =
+      reader.run_all_resumable({configs[0]}, {scenario}, {});
+  EXPECT_FALSE(warm.swept) << "a disk hit must not sweep the ensemble";
+  ASSERT_NE(reader.memoized_masks(), nullptr);
+  expect_same_masks(*reader.memoized_masks(), written, "disk round-trip");
+  expect_same(cold, warm.results[0], "disk round-trip");
   EXPECT_EQ(reader.runtime().cache_stats().disk_hits, 1u);
 
   fs::remove_all(dir);
@@ -322,7 +332,8 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
 
 /// The cheap engine-batch digest must identify the ensemble: same knobs ->
 /// same key, any knob change (seed, SLR, count) -> different key, and it
-/// must agree with itself without generating the batch.
+/// must agree with itself without generating the batch. Reordering the
+/// exposed assets moves the key too, since it moves the masks' bit layout.
 TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
   runtime::EnsembleRunner runner(make_options(1));
   const auto base =
@@ -341,82 +352,23 @@ TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
       terrain::make_oahu_terrain(), scada::oahu_topology().exposed_assets(),
       slr);
   EXPECT_NE(base, runner.digest_engine_batch(slr_engine, kRealizations));
-}
 
-/// Every input of job_key must reach the key on its own: each field of
-/// the configuration and of every one of its control sites, the site
-/// order, the scenario, the attacker tag and the realization-set digest.
-TEST(EnsembleCacheTest, JobKeyTracksEveryField) {
-  const scada::Configuration base = scada::make_config_6_6_6(
-      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
-      scada::oahu_ids::kDrFortress);
-  const auto scenario = threat::ThreatScenario::kHurricaneIntrusion;
-  const std::string_view greedy = core::AnalysisPipeline().attacker_tag();
-  const auto key = [&](const scada::Configuration& config) {
-    return runtime::EnsembleRunner::job_key(config, scenario, greedy, "set");
-  };
-  const std::string baseline = key(base);
-  EXPECT_EQ(key(base), baseline);
-
-  std::vector<std::pair<std::string, scada::Configuration>> variants;
-  const auto vary = [&](std::string name, auto perturb) {
-    scada::Configuration c = base;
-    perturb(c);
-    variants.emplace_back(std::move(name), std::move(c));
-  };
-  using scada::Configuration;
-  vary("name", [](Configuration& c) { c.name += "'"; });
-  vary("style", [](Configuration& c) {
-    c.style = scada::ReplicationStyle::kPrimaryBackup;
-  });
-  vary("intrusion_tolerance_f",
-       [](Configuration& c) { ++c.intrusion_tolerance_f; });
-  vary("proactive_recovery_k",
-       [](Configuration& c) { ++c.proactive_recovery_k; });
-  vary("active_multisite",
-       [](Configuration& c) { c.active_multisite = !c.active_multisite; });
-  vary("min_active_sites", [](Configuration& c) { ++c.min_active_sites; });
-  vary("sites.size", [](Configuration& c) { c.sites.pop_back(); });
-  vary("sites.order",
-       [](Configuration& c) { std::swap(c.sites[1], c.sites[2]); });
-  for (std::size_t i = 0; i < base.sites.size(); ++i) {
-    const std::string site = "sites[" + std::to_string(i) + "].";
-    vary(site + "asset_id",
-         [i](Configuration& c) { c.sites[i].asset_id += "'"; });
-    vary(site + "role", [i](Configuration& c) {
-      c.sites[i].role = c.sites[i].role == scada::SiteRole::kPrimary
-                            ? scada::SiteRole::kBackup
-                            : scada::SiteRole::kPrimary;
-    });
-    vary(site + "replicas", [i](Configuration& c) { ++c.sites[i].replicas; });
-    vary(site + "hot",
-         [i](Configuration& c) { c.sites[i].hot = !c.sites[i].hot; });
-  }
-  for (const auto& [name, config] : variants) {
-    EXPECT_NE(key(config), baseline) << name;
-  }
-
-  for (const threat::ThreatScenario other : threat::all_scenarios()) {
-    if (other == scenario) continue;
-    EXPECT_NE(runtime::EnsembleRunner::job_key(base, other, greedy, "set"),
-              baseline)
-        << threat::scenario_name(other);
-  }
-  EXPECT_NE(runtime::EnsembleRunner::job_key(
-                base, scenario,
-                core::AnalysisPipeline(core::AttackerModel::kExhaustive)
-                    .attacker_tag(),
-                "set"),
-            baseline)
-      << "attacker tag";
-  EXPECT_NE(runtime::EnsembleRunner::job_key(base, scenario, greedy, "set'"),
-            baseline)
-      << "realization-set digest";
+  std::vector<surge::ExposedAsset> reversed =
+      scada::oahu_topology().exposed_assets();
+  std::reverse(reversed.begin(), reversed.end());
+  surge::RealizationConfig paper;
+  paper.base_seed = kSeeds[0];
+  const surge::RealizationEngine reversed_engine(terrain::make_oahu_terrain(),
+                                                 reversed, paper);
+  EXPECT_NE(base, runner.digest_engine_batch(reversed_engine, kRealizations));
+  EXPECT_NE(runner.digest_engine_batch(make_engine(kSeeds[0]), 0),
+            runner.digest_engine_batch(reversed_engine, 0))
+      << "without the probe realization";
 }
 
 /// End-to-end through the CaseStudyRunner facade: run_configs at several
-/// jobs values matches the serial runner, and a repeated run() is served
-/// from the cache.
+/// jobs values matches the serial runner, and a repeated run() folds over
+/// the memoized table (one lookup per runner, the first run's miss).
 TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -441,8 +393,9 @@ TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
                   configs[i].name + " jobs " + std::to_string(jobs));
     }
     const auto again = runner.run(configs[0], scenario);
-    EXPECT_TRUE(again.from_cache);
-    expect_same(want[0], again, "cached rerun");
+    expect_same(want[0], again, "memoized rerun");
+    EXPECT_EQ(runner.runtime().cache_stats().lookups, 1u);
+    EXPECT_EQ(runner.runtime().cache_stats().hits, 0u);
   }
 }
 
@@ -583,33 +536,54 @@ TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
   const scada::Configuration config = scada::make_config_2_2(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc);
   const auto scenario = threat::ThreatScenario::kHurricane;
+  const auto session = [](const core::CaseStudyOptions& options,
+                          runtime::EnsembleRunner& shared) {
+    return core::CaseStudyRunner(scada::oahu_topology(),
+                                 terrain::make_oahu_terrain(), options,
+                                 &shared);
+  };
 
+  // A degraded table must NOT be stored under the full-ensemble key: a
+  // second case study on the same runtime sweeps again instead of serving
+  // the partial table.
   const core::CaseStudyOptions degraded_options =
       cached_case("throw:every=7", 0);
   runtime::EnsembleRunner degraded(degraded_options.runtime);
-  core::CaseStudyRunner first(scada::oahu_topology(),
-                              terrain::make_oahu_terrain(), degraded_options,
-                              &degraded);
+  core::CaseStudyRunner first = session(degraded_options, degraded);
   const core::ScenarioResult partial = first.run(config, scenario);
   EXPECT_TRUE(partial.degraded());
-  EXPECT_FALSE(partial.from_cache);
-  // A degraded result must NOT have been stored under the full-ensemble
-  // key: a second case study on the same runtime recomputes instead of
-  // serving the partial histogram.
-  core::CaseStudyRunner second(scada::oahu_topology(),
-                               terrain::make_oahu_terrain(), degraded_options,
-                               &degraded);
-  EXPECT_FALSE(second.run(config, scenario).from_cache);
+  core::CaseStudyRunner second = session(degraded_options, degraded);
+  EXPECT_TRUE(second.run_all_resumable({config}, {scenario}, {}).swept);
+  EXPECT_EQ(degraded.cache_stats().hits, 0u);
 
-  // A clean runner stores under the same key and the hit is complete.
-  core::CaseStudyRunner clean =
-      core::make_oahu_case_study(cached_case("none", 0));
-  const core::ScenarioResult cold = clean.run(config, scenario);
-  EXPECT_FALSE(cold.from_cache);
-  const core::ScenarioResult warm = clean.run(config, scenario);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.attempted, warm.completed);
-  expect_same(warm, cold, "clean");
+  // Nor an interrupted one: its partial table is folded, not kept.
+  const core::CaseStudyOptions clean_options = cached_case("none", 0);
+  runtime::EnsembleRunner clean(clean_options.runtime);
+  runtime::CancellationToken token;
+  runtime::CheckpointOptions cut;
+  cut.interval = 8;
+  cut.on_progress = [&](const runtime::SweepProgressEvent&) {
+    token.request_cancel();
+  };
+  core::CaseStudyRunner interrupted = session(clean_options, clean);
+  const core::ResumableAnalysis stopped =
+      interrupted.run_all_resumable({config}, {scenario}, cut, &token);
+  ASSERT_TRUE(stopped.interrupted);
+  EXPECT_EQ(stopped.results[0].outcomes.total(), 8u);
+  EXPECT_EQ(interrupted.memoized_masks(), nullptr);
+
+  // A clean table is stored under the same key and the hit is complete.
+  core::CaseStudyRunner writer = session(clean_options, clean);
+  const core::ResumableAnalysis cold =
+      writer.run_all_resumable({config}, {scenario}, {});
+  EXPECT_TRUE(cold.swept);
+  core::CaseStudyRunner reader = session(clean_options, clean);
+  const core::ResumableAnalysis warm =
+      reader.run_all_resumable({config}, {scenario}, {});
+  EXPECT_FALSE(warm.swept);
+  EXPECT_EQ(warm.results[0].attempted, kRealizations);
+  EXPECT_EQ(warm.results[0].attempted, warm.results[0].completed);
+  expect_same(warm.results[0], cold.results[0], "clean");
 }
 
 TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
@@ -685,13 +659,12 @@ TEST(EnsembleGuardedTest, CaseStudyDegradesGracefully) {
   }
 }
 
-/// run() and the sweep (run_all_resumable) share one job-key space and one
-/// mask memo: whichever runs first on a cache-on runner, the other is
-/// served from the cache with the same counts. A degraded run stores
-/// nothing, so under a fault profile the second pass folds over the
-/// memoized table and reports the same quarantined indices with the same
-/// records, running no realization.
-TEST(EnsembleGuardedTest, SweepAndRunShareCachedCellsAndMasks) {
+/// run() and the sweep (run_all_resumable) share one table: whichever runs
+/// first on a cache-on runner, the other folds over its memo with the same
+/// counts and the same quarantine records, running no realization and
+/// making no lookup. A clean table reaches the result cache; a degraded one
+/// does not, so a second case study on the same runtime sweeps again.
+TEST(EnsembleGuardedTest, SweepAndRunShareOneTable) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
@@ -699,60 +672,67 @@ TEST(EnsembleGuardedTest, SweepAndRunShareCachedCellsAndMasks) {
   const std::vector<threat::ThreatScenario> scenario_list(scenarios.begin(),
                                                           scenarios.end());
   const std::size_t cells = configs.size() * scenarios.size();
-  const auto make_runner = [](const char* spec) {
+  const auto options_for = [](const char* spec) {
     core::CaseStudyOptions options;
     options.realizations = kRealizations;
     options.runtime = guarded_options(4, spec, 1);
     options.runtime.cache = true;
-    return core::make_oahu_case_study(options);
+    return options;
   };
 
   for (const std::string spec : {"none", "throw:every=13"}) {
     const bool clean = spec == "none";
+    const core::CaseStudyOptions options = options_for(spec.c_str());
     const auto context = [&](std::size_t cell) {
       return spec + " cell " + std::to_string(cell);
     };
 
     // Sweep first, then run() on every cell (row-major order:
     // configuration fastest within a scenario).
-    core::CaseStudyRunner sweep_first = make_runner(spec.c_str());
+    core::CaseStudyRunner sweep_first = core::make_oahu_case_study(options);
     const core::ResumableAnalysis sweep = sweep_first.run_all_resumable(
         configs, scenario_list, runtime::CheckpointOptions{});
     ASSERT_EQ(sweep.results.size(), cells);
-    EXPECT_EQ(sweep.cached_cells, 0u);
-    std::size_t hits = 0;
+    EXPECT_TRUE(sweep.swept);
     std::vector<core::ScenarioResult> batch;
     for (const threat::ThreatScenario scenario : scenarios) {
       for (const scada::Configuration& config : configs) {
         batch.push_back(sweep_first.run(config, scenario));
-        if (batch.back().from_cache) ++hits;
       }
     }
-    EXPECT_EQ(hits, clean ? cells : 0u) << spec;
+    EXPECT_EQ(sweep_first.runtime().cache_stats().lookups, 1u) << spec;
     for (std::size_t i = 0; i < cells; ++i) {
       expect_same(sweep.results[i], batch[i], context(i));
       expect_same_ledger(sweep.results[i], batch[i], context(i));
     }
 
     // run() first, then the sweep, on a fresh runner.
-    core::CaseStudyRunner batch_first = make_runner(spec.c_str());
+    core::CaseStudyRunner batch_first = core::make_oahu_case_study(options);
     std::vector<core::ScenarioResult> cold;
     for (const threat::ThreatScenario scenario : scenarios) {
       for (const scada::Configuration& config : configs) {
         cold.push_back(batch_first.run(config, scenario));
-        EXPECT_FALSE(cold.back().from_cache) << spec;
       }
     }
     const core::ResumableAnalysis warm = batch_first.run_all_resumable(
         configs, scenario_list, runtime::CheckpointOptions{});
-    EXPECT_EQ(warm.cached_cells, clean ? cells : 0u) << spec;
+    EXPECT_FALSE(warm.swept) << spec;
     EXPECT_EQ(warm.executed, 0u) << spec;
+    EXPECT_EQ(batch_first.runtime().cache_stats().lookups, 1u) << spec;
     ASSERT_EQ(warm.results.size(), cells);
     for (std::size_t i = 0; i < cells; ++i) {
       expect_same(cold[i], warm.results[i], context(i));
       expect_same_ledger(cold[i], warm.results[i], context(i));
       expect_same(sweep.results[i], warm.results[i], context(i));
     }
+
+    // Only the clean table was stored.
+    core::CaseStudyRunner again(scada::oahu_topology(),
+                                terrain::make_oahu_terrain(), options,
+                                &batch_first.runtime());
+    EXPECT_EQ(again.run_all_resumable(configs, scenario_list, {}).swept,
+              !clean)
+        << spec;
 
     if (!clean) {
       ASSERT_EQ(sweep.results[0].failures.size(), 4u);

@@ -851,7 +851,7 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
   {
     core::CaseStudyRunner runner = core::make_oahu_case_study(options);
     first_key = runner.runtime().digest_engine_batch(runner.engine(), 8);
-    EXPECT_FALSE(runner.run(config, scenario).from_cache);
+    EXPECT_TRUE(runner.run_all_resumable({config}, {scenario}, {}).swept);
   }
   {
     // A separate engine instance with an identical config must produce the
@@ -859,9 +859,9 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     core::CaseStudyRunner runner = core::make_oahu_case_study(options);
     EXPECT_EQ(runner.runtime().digest_engine_batch(runner.engine(), 8),
               first_key);
-    EXPECT_TRUE(runner.run(config, scenario).from_cache);
-    EXPECT_EQ(runner.memoized_masks(), nullptr)
+    EXPECT_FALSE(runner.run_all_resumable({config}, {scenario}, {}).swept)
         << "a disk hit must not sweep the masks";
+    EXPECT_EQ(runner.runtime().cache_stats().disk_hits, 1u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -14,8 +14,9 @@
 // des_outcomes_identical compares, that is, everything ScadaDes computes
 // except its two wall-clock fields. The runs are the chaos corpora
 // (benign and restart-heavy plans, generated as ChaosRunner generates
-// them, for the 5 paper configurations at seeds {1, 2, 3}, 50 plans each)
-// and bench_table1's 80 plan-less flood-pattern x scenario runs. Next to
+// them, for the 5 paper configurations at seeds {1, 2, 3}, 50 plans each),
+// bench_table1's 80 plan-less flood-pattern x scenario runs, and one run
+// past the cap of each capped backoff schedule. Next to
 // them are bench_table1's reachable-state census and its evaluator vs
 // transcription count. The DES draws no libm result (plans and jitter are
 // uniform draws, backoff is a multiply and a min), so these digests do not
@@ -303,6 +304,48 @@ TEST(Golden, DesOutcomesMatchCommittedDigests) {
   golden.check("table1/evaluator_vs_transcription",
                "checked=" + std::to_string(checked) +
                    ",disagreements=" + std::to_string(disagreements));
+
+  // One run per capped backoff schedule whose outage outlasts the capped
+  // retry, so a change to the capped part of the schedule moves a digest.
+  // The state-transfer and PB-sync caps are out of reach at their shipped
+  // round budgets (4 and 2 rounds: waits of at most 8 s and 1 s), so their
+  // runs raise the budget.
+  struct BackoffRun {
+    std::string name;
+    scada::Configuration config;
+    std::vector<threat::SiteStatus> sites;
+    std::function<void(sim::DesOptions&)> knob;
+    std::string schedule;
+  };
+  const threat::SiteStatus up = threat::SiteStatus::kUp;
+  const std::vector<BackoffRun> backoff_runs = {
+      {"client-retransmit", scada::make_config_2("primary"), {up},
+       [](sim::DesOptions& o) { o.request_retransmit_limit = 6; },
+       "flap-site @30 0 +90\n"},
+      {"pb-activation", scada::make_config_2_2("primary", "backup"),
+       {threat::SiteStatus::kFlooded, up}, [](sim::DesOptions&) {},
+       "flap-site @5 1 +90\n"},
+      {"state-transfer", scada::make_config_6("primary"), {up},
+       [](sim::DesOptions& o) { o.bft.state_transfer.max_rounds = 6; },
+       "xferloss 0.7\ncrash @20 s0/n1 +10\n"},
+      {"pb-sync", scada::make_config_2("primary"), {up},
+       [](sim::DesOptions& o) { o.pb.sync.max_rounds = 5; },
+       "crash @20 s0/n1 +10\ncrash @25 s0/n0 +20\n"},
+  };
+  for (const BackoffRun& run : backoff_runs) {
+    sim::DesOptions options = core::chaos_des_options();
+    run.knob(options);
+    threat::SystemState state;
+    state.site_status = run.sites;
+    state.intrusions.assign(run.sites.size(), 0);
+    golden.check("backoff/" + run.name + "/" + run.config.name,
+                 des_digest(sim::ScadaDes(run.config, options)
+                                .run(state,
+                                     sim::FaultPlan::parse_schedule(
+                                         run.schedule),
+                                     arena)),
+                 [&] { return "schedule:\n" + run.schedule; });
+  }
   golden.finish();
   if (HasFailure() && plans < kRecordedPlans) {
     ADD_FAILURE() << "this run checked " << plans << " of " << kRecordedPlans

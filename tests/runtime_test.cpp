@@ -1,7 +1,7 @@
 // Unit tests for the ensemble runtime's building blocks: the work-stealing
 // TaskPool (coverage + determinism + exception propagation), the typed
-// content digest, and the two-layer ResultStore (LRU, disk round-trip,
-// corruption tolerance, version invalidation).
+// content digest, and the two-layer ResultStore of mask tables (LRU, disk
+// round-trip, corruption tolerance, version invalidation).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/fault_profile.h"
@@ -324,22 +325,47 @@ TEST(DigestTest, SensitiveToEveryInput) {
 
 // --- ResultStore ------------------------------------------------------------
 
-runtime::CachedCounts sample_counts() {
-  runtime::CachedCounts c;
-  c.counts = {700, 150, 100, 50};
-  c.total = 1000;
-  return c;
+/// A clean table of three realizations over 70 exposed assets (two words a
+/// mask), with bits in both words.
+runtime::FailureMasks sample_table() {
+  runtime::FailureMasks table;
+  table.words = 2;
+  table.indices = {0, 1, 2};
+  table.bits = {0x5, 0x0, 0x0, 0x20, ~std::uint64_t{0}, 0x3f};
+  table.attempted = 3;
+  return table;
 }
 
-std::string test_key(char fill = 'a') { return std::string(32, fill); }
+/// The sweep identity sample_table() is stored under (key: 32 x `fill`).
+runtime::SweepSpec table_spec(char fill = 'a') {
+  runtime::SweepSpec spec;
+  spec.digest = std::string(32, fill);
+  spec.count = 3;
+  spec.words = 2;
+  return spec;
+}
+
+/// `hit` is sample_table() with an empty ledger.
+void expect_sample(const std::shared_ptr<const runtime::FailureMasks>& hit) {
+  ASSERT_NE(hit, nullptr);
+  const runtime::FailureMasks want = sample_table();
+  EXPECT_EQ(hit->words, want.words);
+  EXPECT_EQ(hit->indices, want.indices);
+  EXPECT_EQ(hit->bits, want.bits);
+  EXPECT_EQ(hit->attempted, want.attempted);
+  EXPECT_TRUE(hit->ledger.failures.empty());
+  EXPECT_EQ(hit->ledger.retries, 0u);
+}
 
 TEST(ResultStoreTest, MemoryRoundTripAndStats) {
   runtime::ResultStore store;
-  EXPECT_FALSE(store.lookup(test_key()).has_value());
-  store.store(test_key(), sample_counts());
-  const auto hit = store.lookup(test_key());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, sample_counts());
+  EXPECT_EQ(store.lookup(table_spec(), nullptr), nullptr);
+  // Retries spent on a clean sweep are not part of the stored product: a
+  // hit reports 0 retries.
+  runtime::FailureMasks healed = sample_table();
+  healed.ledger.retries = 4;
+  store.store(table_spec(), healed);
+  expect_sample(store.lookup(table_spec(), nullptr));
   const auto stats = store.stats();
   EXPECT_EQ(stats.lookups, 2u);
   EXPECT_EQ(stats.hits, 1u);
@@ -350,14 +376,51 @@ TEST(ResultStoreTest, LruEvictsOldestEntry) {
   runtime::ResultStoreOptions options;
   options.memory_entries = 2;
   runtime::ResultStore store(options);
-  store.store(test_key('a'), sample_counts());
-  store.store(test_key('b'), sample_counts());
+  store.store(table_spec('a'), sample_table());
+  store.store(table_spec('b'), sample_table());
   // Touch 'a' so 'b' becomes the eviction victim.
-  EXPECT_TRUE(store.lookup(test_key('a')).has_value());
-  store.store(test_key('c'), sample_counts());
-  EXPECT_TRUE(store.lookup(test_key('a')).has_value());
-  EXPECT_FALSE(store.lookup(test_key('b')).has_value());
-  EXPECT_TRUE(store.lookup(test_key('c')).has_value());
+  EXPECT_NE(store.lookup(table_spec('a'), nullptr), nullptr);
+  store.store(table_spec('c'), sample_table());
+  EXPECT_NE(store.lookup(table_spec('a'), nullptr), nullptr);
+  EXPECT_EQ(store.lookup(table_spec('b'), nullptr), nullptr);
+  EXPECT_NE(store.lookup(table_spec('c'), nullptr), nullptr);
+}
+
+/// Only a complete, clean table of the spec's shape is a full-ensemble
+/// answer: a quarantined, partial, empty or differently shaped one is not
+/// stored.
+TEST(ResultStoreTest, QuarantinedPartialOrMisshapenTableIsNotStored) {
+  runtime::ResultStore store;
+  runtime::FailureMasks quarantined = sample_table();
+  quarantined.indices = {0, 2};
+  quarantined.bits.resize(4);
+  runtime::FailureRecord failure;
+  failure.realization = 1;
+  quarantined.ledger.failures.push_back(failure);
+  store.store(table_spec('a'), quarantined);
+
+  runtime::FailureMasks partial = sample_table();
+  partial.indices.pop_back();
+  partial.bits.resize(4);
+  partial.attempted = 2;
+  store.store(table_spec('b'), partial);
+
+  runtime::SweepSpec narrow = table_spec('c');
+  narrow.words = 1;
+  store.store(narrow, sample_table());
+
+  runtime::SweepSpec empty_spec = table_spec('d');
+  empty_spec.count = 0;
+  runtime::FailureMasks empty;
+  empty.words = 2;
+  store.store(empty_spec, empty);
+
+  for (const runtime::SweepSpec& spec : {table_spec('a'), table_spec('b'),
+                                         narrow, table_spec('c'),
+                                         empty_spec}) {
+    EXPECT_EQ(store.lookup(spec, nullptr), nullptr) << spec.digest;
+  }
+  EXPECT_EQ(store.stats().hits, 0u);
 }
 
 class DiskStoreTest : public ::testing::Test {
@@ -384,64 +447,70 @@ class DiskStoreTest : public ::testing::Test {
     return {};
   }
 
+  /// Writes sample_table() under table_spec() with a store of its own.
+  void write_sample() {
+    runtime::ResultStore writer(options_);
+    writer.store(table_spec(), sample_table());
+  }
+
+  /// The lookup of table_spec() on a fresh store (empty memory) misses and
+  /// counts one corrupt record.
+  void expect_corrupt_miss(const std::string& context) {
+    runtime::ResultStore store(options_);
+    EXPECT_EQ(store.lookup(table_spec(), nullptr), nullptr) << context;
+    EXPECT_EQ(store.stats().corrupt_discarded, 1u) << context;
+    EXPECT_EQ(store.stats().hits, 0u) << context;
+  }
+
   fs::path dir_;
   runtime::ResultStoreOptions options_;
 };
 
 TEST_F(DiskStoreTest, SharedAcrossInstances) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
-  }
+  write_sample();
   runtime::ResultStore reader(options_);
-  const auto hit = reader.lookup(test_key());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, sample_counts());
+  // Records do not hold the asset index: the reader's engine supplies it.
+  const auto assets = std::make_shared<const runtime::FailureMasks::AssetIndex>(
+      runtime::FailureMasks::AssetIndex{{"cc-a", 0}, {"cc-b", 69}});
+  const auto hit = reader.lookup(table_spec(), assets);
+  expect_sample(hit);
+  EXPECT_EQ(hit->assets, assets);
+  EXPECT_TRUE(hit->flooded(2, "cc-b"));
   EXPECT_EQ(reader.stats().disk_hits, 1u);
-  // A disk hit is promoted to memory: the second lookup is a memory hit.
-  EXPECT_TRUE(reader.lookup(test_key()).has_value());
+  // A disk hit is promoted to memory: the second lookup is a memory hit of
+  // the same shared table.
+  EXPECT_EQ(reader.lookup(table_spec(), nullptr), hit);
   EXPECT_EQ(reader.stats().disk_hits, 1u);
   EXPECT_EQ(reader.stats().hits, 2u);
 }
 
 TEST_F(DiskStoreTest, TruncatedRecordIsMissThenRewritten) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
-  }
+  write_sample();
   const fs::path record = record_path();
   ASSERT_FALSE(record.empty());
   fs::resize_file(record, fs::file_size(record) / 2);
 
   runtime::ResultStore store(options_);
-  EXPECT_FALSE(store.lookup(test_key()).has_value());
+  EXPECT_EQ(store.lookup(table_spec(), nullptr), nullptr);
   EXPECT_EQ(store.stats().corrupt_discarded, 1u);
 
   // The next store() heals the record for future processes.
-  store.store(test_key(), sample_counts());
+  store.store(table_spec(), sample_table());
   runtime::ResultStore reader(options_);
-  EXPECT_TRUE(reader.lookup(test_key()).has_value());
+  expect_sample(reader.lookup(table_spec(), nullptr));
 }
 
 TEST_F(DiskStoreTest, GarbageRecordIsMissNeverCrash) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
-  }
+  write_sample();
   {
     std::ofstream out(record_path(), std::ios::trunc | std::ios::binary);
     out << "\x00\xff not a record at all \x7f garbage\nmore\n";
   }
-  runtime::ResultStore store(options_);
-  EXPECT_FALSE(store.lookup(test_key()).has_value());
-  EXPECT_EQ(store.stats().corrupt_discarded, 1u);
+  expect_corrupt_miss("garbage");
 }
 
 TEST_F(DiskStoreTest, TamperedVersionInvalidatesRecord) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
-  }
+  write_sample();
   // Re-seal the same payload at the previous format version: a record
   // written by any other format version must read as a miss (the frame
   // carries the version, so old-format records can never alias new ones).
@@ -455,17 +524,11 @@ TEST_F(DiskStoreTest, TamperedVersionInvalidatesRecord) {
   older.version = runtime::ResultStore::kFormatVersion - 1;
   std::ofstream(record, std::ios::trunc | std::ios::binary)
       << util::seal_frame(older, frame.payload);
-
-  runtime::ResultStore store(options_);
-  EXPECT_FALSE(store.lookup(test_key()).has_value());
-  EXPECT_EQ(store.stats().corrupt_discarded, 1u);
+  expect_corrupt_miss("older version");
 }
 
 TEST_F(DiskStoreTest, EveryMutationIsACountedMissThenRewritten) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
-  }
+  write_sample();
   const fs::path record = record_path();
   const std::string good = *util::read_file(record.string());
   // Every truncation, every byte flip and one trailing byte.
@@ -482,23 +545,83 @@ TEST_F(DiskStoreTest, EveryMutationIsACountedMissThenRewritten) {
   for (std::size_t m = 0; m < mutations.size(); ++m) {
     std::ofstream(record, std::ios::trunc | std::ios::binary) << mutations[m];
     runtime::ResultStore store(options_);
-    EXPECT_FALSE(store.lookup(test_key()).has_value()) << "mutation " << m;
+    EXPECT_EQ(store.lookup(table_spec(), nullptr), nullptr) << "mutation " << m;
     EXPECT_EQ(store.stats().corrupt_discarded, 1u) << "mutation " << m;
     EXPECT_EQ(store.stats().hits, 0u) << "mutation " << m;
     // The next store() heals the record for future processes.
-    store.store(test_key(), sample_counts());
+    store.store(table_spec(), sample_table());
     runtime::ResultStore reader(options_);
-    const auto hit = reader.lookup(test_key());
-    ASSERT_TRUE(hit.has_value()) << "mutation " << m;
-    EXPECT_EQ(*hit, sample_counts());
+    expect_sample(reader.lookup(table_spec(), nullptr));
   }
 }
 
-TEST_F(DiskStoreTest, HalfWrittenTmpIsIgnoredAndCollectedOnOpen) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key(), sample_counts());
+/// A sealed record of this version that decodes but disagrees with the
+/// engine's counts, or whose counts and state disagree with each other, is
+/// a counted miss, and the next store() rewrites it.
+TEST_F(DiskStoreTest, CountsOrStateThatDisagreeAreCountedMisses) {
+  write_sample();
+  for (const auto& [name, spec] :
+       std::vector<std::pair<std::string, runtime::SweepSpec>>{
+           {"count", {table_spec().digest, 4, 2}},
+           {"words", {table_spec().digest, 3, 1}}}) {
+    runtime::ResultStore store(options_);
+    EXPECT_EQ(store.lookup(spec, nullptr), nullptr) << name;
+    EXPECT_EQ(store.stats().corrupt_discarded, 1u) << name;
   }
+
+  // Re-seal payloads whose header counts match the engine's but whose
+  // state does not: a range short of the count, a quarantined index, a
+  // retry count, a missing mask word, or a trailing one.
+  const fs::path record = record_path();
+  const std::string bytes = *util::read_file(record.string());
+  const std::uint32_t magic = util::WireReader(bytes).u32();
+  const util::FrameFields fields = util::open_frame(bytes, 0, magic).fields;
+  const runtime::FailureMasks table = sample_table();
+  const auto reseal = [&](const std::vector<std::pair<std::uint64_t,
+                                                      std::uint64_t>>& done,
+                          const runtime::FailureMasks& state) {
+    util::WireWriter w;
+    w.str(table_spec().digest).u64(3).u64(2);
+    runtime::put_state(w, done, state);
+    std::ofstream(record, std::ios::trunc | std::ios::binary)
+        << util::seal_frame(fields, w.bytes());
+  };
+  runtime::FailureMasks short_range = table;
+  short_range.indices.pop_back();
+  short_range.bits.resize(4);
+  reseal({{0, 2}}, short_range);
+  expect_corrupt_miss("range short of the count");
+
+  runtime::FailureMasks quarantined = short_range;
+  runtime::FailureRecord failure;
+  failure.realization = 2;
+  quarantined.ledger.failures.push_back(failure);
+  reseal({{0, 3}}, quarantined);
+  expect_corrupt_miss("quarantined index");
+
+  runtime::FailureMasks retried = table;
+  retried.ledger.retries = 1;
+  reseal({{0, 3}}, retried);
+  expect_corrupt_miss("retries");
+
+  runtime::FailureMasks missing_word = table;
+  missing_word.bits.pop_back();
+  reseal({{0, 3}}, missing_word);
+  expect_corrupt_miss("missing word");
+
+  runtime::FailureMasks extra_word = table;
+  extra_word.bits.push_back(0);
+  reseal({{0, 3}}, extra_word);
+  expect_corrupt_miss("trailing word");
+
+  runtime::ResultStore store(options_);
+  store.store(table_spec(), sample_table());
+  runtime::ResultStore reader(options_);
+  expect_sample(reader.lookup(table_spec(), nullptr));
+}
+
+TEST_F(DiskStoreTest, HalfWrittenTmpIsIgnoredAndCollectedOnOpen) {
+  write_sample();
   const fs::path record = record_path();
   ASSERT_FALSE(record.empty());
   // A crash between tmp-write and rename leaves a ".tmp" sibling that
@@ -510,34 +633,34 @@ TEST_F(DiskStoreTest, HalfWrittenTmpIsIgnoredAndCollectedOnOpen) {
 
   runtime::ResultStore store(options_);
   EXPECT_FALSE(fs::exists(tmp)) << "leftover tmp survived open";
-  const auto hit = store.lookup(test_key());
-  ASSERT_TRUE(hit.has_value());  // the published record is untouched
-  EXPECT_EQ(*hit, sample_counts());
+  // The published record is untouched.
+  expect_sample(store.lookup(table_spec(), nullptr));
   EXPECT_EQ(store.stats().corrupt_discarded, 0u);
 }
 
 TEST_F(DiskStoreTest, RecordUnderWrongKeyIsMiss) {
-  {
-    runtime::ResultStore writer(options_);
-    writer.store(test_key('a'), sample_counts());
-  }
+  write_sample();
   // Simulate key collision/rename corruption: serve key-a's record when
   // key-b is asked for. The embedded key must reject it.
   runtime::ResultStore probe(options_);
-  probe.store(test_key('b'), sample_counts());
+  probe.store(table_spec('b'), sample_table());
   fs::path a_path, b_path;
   for (const auto& entry : fs::recursive_directory_iterator(dir_)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (name.find(test_key('a')) != std::string::npos) a_path = entry.path();
-    if (name.find(test_key('b')) != std::string::npos) b_path = entry.path();
+    if (name.find(table_spec('a').digest) != std::string::npos) {
+      a_path = entry.path();
+    }
+    if (name.find(table_spec('b').digest) != std::string::npos) {
+      b_path = entry.path();
+    }
   }
   ASSERT_FALSE(a_path.empty());
   ASSERT_FALSE(b_path.empty());
   fs::copy_file(a_path, b_path, fs::copy_options::overwrite_existing);
 
   runtime::ResultStore store(options_);
-  EXPECT_FALSE(store.lookup(test_key('b')).has_value());
+  EXPECT_EQ(store.lookup(table_spec('b'), nullptr), nullptr);
   EXPECT_EQ(store.stats().corrupt_discarded, 1u);
 }
 
@@ -548,7 +671,9 @@ TEST_F(DiskStoreTest, HostileKeysNeverTouchDisk) {
   for (const std::string& key :
        {std::string("../../etc/passwd"), std::string("UPPER"),
         std::string(200, 'a'), std::string("")}) {
-    store.store(key, sample_counts());
+    runtime::SweepSpec spec = table_spec();
+    spec.digest = key;
+    store.store(spec, sample_table());
     // In-memory layer may still serve it; disk must hold only safe names.
   }
   for (const auto& entry : fs::recursive_directory_iterator(dir_)) {
@@ -566,17 +691,17 @@ TEST_F(DiskStoreTest, InjectedWriteFailureIsSoftAndCounted) {
   options_.inject_write_failure = true;
   runtime::ResultStore store(options_);
   EXPECT_TRUE(store.disk_active());
-  store.store(test_key(), sample_counts());
-  // The write failed softly: memory still serves the result, the failure
+  store.store(table_spec(), sample_table());
+  // The write failed softly: memory still serves the table, the failure
   // is counted, and nothing landed on disk.
-  EXPECT_TRUE(store.lookup(test_key()).has_value());
+  expect_sample(store.lookup(table_spec(), nullptr));
   EXPECT_EQ(store.stats().write_failures, 1u);
   EXPECT_TRUE(record_path().empty());
 
   runtime::ResultStoreOptions clean = options_;
   clean.inject_write_failure = false;
   runtime::ResultStore reader(clean);
-  EXPECT_FALSE(reader.lookup(test_key()).has_value());
+  EXPECT_EQ(reader.lookup(table_spec(), nullptr), nullptr);
 }
 
 TEST_F(DiskStoreTest, RepeatedWriteFailuresDisableDiskLayer) {
@@ -587,15 +712,15 @@ TEST_F(DiskStoreTest, RepeatedWriteFailuresDisableDiskLayer) {
                      runtime::ResultStore::kMaxConsecutiveWriteFailures);
        ++k) {
     EXPECT_TRUE(store.disk_active());
-    store.store(test_key(k), sample_counts());
+    store.store(table_spec(k), sample_table());
   }
   // After the threshold the disk layer self-disables: further stores are
   // memory-only and the failure counter stops climbing.
   EXPECT_FALSE(store.disk_active());
-  store.store(test_key('z'), sample_counts());
+  store.store(table_spec('f'), sample_table());
   EXPECT_EQ(store.stats().write_failures,
             runtime::ResultStore::kMaxConsecutiveWriteFailures);
-  EXPECT_TRUE(store.lookup(test_key('z')).has_value());
+  EXPECT_NE(store.lookup(table_spec('f'), nullptr), nullptr);
 }
 
 TEST(ResultStoreDirTest, UnusableDiskDirDegradesToMemory) {
@@ -607,8 +732,8 @@ TEST(ResultStoreDirTest, UnusableDiskDirDegradesToMemory) {
   options.disk = true;
   options.disk_dir = (blocker / "sub").string();
   runtime::ResultStore store(options);
-  store.store(test_key(), sample_counts());  // disk write silently fails
-  EXPECT_TRUE(store.lookup(test_key()).has_value());
+  store.store(table_spec(), sample_table());  // disk write silently fails
+  EXPECT_NE(store.lookup(table_spec(), nullptr), nullptr);
   fs::remove(blocker);
 }
 

@@ -488,28 +488,20 @@ TEST(Server, CacheHitOnLiveCaseStudyRunsNoRealization) {
   EXPECT_TRUE(warm.all_from_cache);
   EXPECT_EQ(warm.output, cold.output);
 
-  // The memoized digest names the same entries a freshly computed one
-  // does: a fresh runner over the same disk cache is served whole, and
-  // every cell's key recomputed from the engine is on disk.
+  // The memoized digest names the same record a freshly computed one
+  // does: a fresh runner over the same disk cache is served whole, and the
+  // table's key recomputed from the engine is in its store.
   const auto fresh = make_case_study(request, defaults, nullptr);
   const ExecOutcome reread = execute_request(request, *fresh);
   EXPECT_TRUE(reread.all_from_cache);
   EXPECT_EQ(reread.output, cold.output);
-  const std::string batch = fresh->runtime().digest_engine_batch(
-      fresh->engine(), fresh->options().realizations);
-  const core::AnalysisPipeline pipeline(fresh->options().attacker);
-  for (const scada::Configuration& config : scada::paper_configurations(
-           scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
-           scada::oahu_ids::kDrFortress)) {
-    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-      EXPECT_TRUE(fresh->runtime()
-                      .store()
-                      .lookup(runtime::EnsembleRunner::job_key(
-                          config, scenario, pipeline.attacker_tag(), batch))
-                      .has_value())
-          << config.name << " / " << threat::scenario_name(scenario);
-    }
-  }
+  EXPECT_EQ(fresh->runtime().cache_stats().disk_hits, 1u);
+  runtime::SweepSpec spec = core::mask_sweep_spec(
+      fresh->runtime().digest_engine_batch(fresh->engine(),
+                                           fresh->options().realizations),
+      fresh->options().realizations);
+  spec.words = runtime::mask_words(fresh->engine());
+  EXPECT_NE(fresh->runtime().store().lookup(spec, nullptr), nullptr);
 
   // Served: the second identical request hits the live session.
   Server server(options);
@@ -530,6 +522,124 @@ TEST(Server, CacheHitOnLiveCaseStudyRunsNoRealization) {
   EXPECT_TRUE(served_warm.response.all_from_cache);
   EXPECT_EQ(served_warm.response.output, served_cold.response.output);
   server.stop();
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------- table cache
+
+/// Files under `dir` (the cache's records), recursively.
+std::size_t files_under(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++n;
+  }
+  return n;
+}
+
+/// The result cache's one product serves every command: after a default
+/// analyze, a fresh runner over the same disk directory (a new process)
+/// reads that table for a Kahe-backup analyze, the exhaustive attacker,
+/// downtime and siting. Each runs only its batch digest's probe realization
+/// (surge.node_steps moves by exactly that), and prints what a --no-cache
+/// run prints.
+TEST(TableCache, DiskTableServesEveryCommandOfANewProcess) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ct_svc_table_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  core::CaseStudyOptions defaults;
+  defaults.runtime.jobs = 2;
+  defaults.runtime.fault_spec = "none";
+  defaults.runtime.disk_cache = true;
+  defaults.runtime.cache_dir = dir.string();
+  const Request waiau = analyze_request(48);
+  EXPECT_FALSE(
+      execute_request(waiau, *make_case_study(waiau, defaults, nullptr))
+          .all_from_cache);
+  EXPECT_EQ(files_under(dir), 1u);
+
+  std::uint64_t before = node_steps.value();
+  {
+    const auto probe = make_case_study(waiau, defaults, nullptr);
+    probe->runtime().digest_engine_batch(probe->engine(),
+                                         probe->options().realizations);
+  }
+  const std::uint64_t probe_steps = node_steps.value() - before;
+  if (obs::compiled_in()) {
+    EXPECT_GT(probe_steps, 0u);
+  }
+
+  Request kahe = waiau;
+  kahe.backup = scada::oahu_ids::kKaheCc;
+  Request downtime = waiau;
+  downtime.kind = RequestKind::kDowntime;
+  Request siting = waiau;
+  siting.kind = RequestKind::kSiting;
+  struct Case {
+    const char* name;
+    Request request;
+    core::AttackerModel attacker;
+  };
+  for (const Case& c :
+       {Case{"kahe analyze", kahe, core::AttackerModel::kGreedy},
+        Case{"exhaustive analyze", waiau, core::AttackerModel::kExhaustive},
+        Case{"downtime", downtime, core::AttackerModel::kGreedy},
+        Case{"siting", siting, core::AttackerModel::kGreedy}}) {
+    core::CaseStudyOptions options = defaults;
+    options.attacker = c.attacker;
+    const auto runner = make_case_study(c.request, options, nullptr);
+    before = node_steps.value();
+    const ExecOutcome warm = execute_request(c.request, *runner);
+    EXPECT_EQ(node_steps.value() - before, probe_steps) << c.name;
+    EXPECT_EQ(runner->runtime().cache_stats().disk_hits, 1u) << c.name;
+    EXPECT_NE(warm.cache_line.find("1 from disk"), std::string::npos)
+        << c.name << ": " << warm.cache_line;
+
+    Request uncached = c.request;
+    uncached.no_cache = true;
+    const ExecOutcome reference = execute_request(
+        uncached, *make_case_study(uncached, options, nullptr));
+    EXPECT_EQ(warm.output, reference.output) << c.name;
+    EXPECT_EQ(warm.exit_code, reference.exit_code) << c.name;
+  }
+  EXPECT_EQ(files_under(dir), 1u) << "one table serves every command";
+  std::filesystem::remove_all(dir);
+}
+
+/// A table with a quarantined realization (a throw on every attempt) never
+/// reaches the disk, and its session still answers a second command by
+/// folding over the memoized table, quarantine records included.
+TEST(TableCache, QuarantinedTableNeverReachesDiskAndStaysMemoized) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ct_svc_quarantine_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  core::CaseStudyOptions defaults;
+  defaults.runtime.jobs = 2;
+  defaults.runtime.fault_spec = "throw:every=7";
+  defaults.runtime.max_retries = 1;
+  defaults.runtime.disk_cache = true;
+  defaults.runtime.cache_dir = dir.string();
+  const Request analyze = analyze_request(40);
+  const auto runner = make_case_study(analyze, defaults, nullptr);
+  const ExecOutcome first = execute_request(analyze, *runner);
+  EXPECT_TRUE(first.degraded);
+  EXPECT_FALSE(first.all_from_cache);
+  EXPECT_EQ(files_under(dir), 0u);
+
+  Request downtime = analyze;
+  downtime.kind = RequestKind::kDowntime;
+  const std::uint64_t before = node_steps.value();
+  const ExecOutcome second = execute_request(downtime, *runner);
+  EXPECT_EQ(node_steps.value() - before, 0u);
+  EXPECT_TRUE(second.degraded);
+  EXPECT_EQ(second.quarantined, 6u);  // indices 0, 7, ..., 35
+  EXPECT_EQ(second.retries, 6u);
+  EXPECT_EQ(files_under(dir), 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -725,7 +835,12 @@ TEST(Server, StatsRequestReportsCounters) {
 
 TEST(Server, MetricsRequestColdVsWarmCacheCountersMonotone) {
   const std::string path = test_socket_path("metrics");
-  Server server(loopback_options(path));
+  // One live session: the repeat below comes after its session was evicted,
+  // so it looks the table up in the shared store (a live session would
+  // fold over its memo without a lookup).
+  ServerOptions options = loopback_options(path);
+  options.session_cap = 1;
+  Server server(options);
   server.start();
   Client client(path, "unit");
   client.connect();
@@ -746,7 +861,9 @@ TEST(Server, MetricsRequestColdVsWarmCacheCountersMonotone) {
                                              "cache.lookups");
   EXPECT_GT(lookups1, lookups0);
 
-  // Warm repeat of the identical request: a lookup that hits.
+  // Warm repeat of the identical request in a new session: a lookup that
+  // hits.
+  ASSERT_TRUE(client.call(analyze_request(8)).ok);
   ASSERT_TRUE(client.call(analyze_request(16)).ok);
   const CallResult warm = call_metrics(client, /*json=*/true);
   ASSERT_TRUE(warm.ok);
