@@ -234,6 +234,9 @@ service::Request build_request(service::RequestKind kind,
   constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   if (const auto it = flags.find("realizations"); it != flags.end()) {
     request.realizations = count_flag(it);
+    if (request.realizations == 0) {
+      throw UsageError("--realizations must be >= 1");
+    }
   }
   if (const auto it = flags.find("slr"); it != flags.end()) {
     const std::optional<double> slr = util::parse_double(it->second);

@@ -17,7 +17,9 @@
 #      unchanged), and every offset's answer matches local execution;
 #   6. served siting (a new session's mask sweep, one fold per candidate)
 #      at a fourth offset matches local execution and also runs no storm
-#      stage;
+#      stage; and the sessions at the four offsets, which share one storm
+#      side, built one storm stage (mesh, envelope precompute, harbor rays)
+#      between them: the server's `surge.stage_builds` counter reads 1;
 #   7. SIGTERM drains gracefully (exit 0 after finishing admitted work);
 #   8. a local checkpointed sweep survives a real process death: CT_CRASH
 #      tears its third durable write (exit 86), and `--resume` restores the
@@ -29,8 +31,9 @@
 #      each reads the mask table from disk (`1 from disk` on its stderr
 #      cache line) and prints what a `--no-cache` run prints.
 #
-# Usage errors exit 2: a garbage number (`--slr abc`) and a worker count
-# above the jobs cap (`--jobs 257`).
+# Usage errors exit 2: a garbage number (`--slr abc`), a worker count
+# above the jobs cap (`--jobs 257`) and `--realizations 0`, locally and
+# with `--connect`.
 #
 # Usage: scripts/service_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -66,11 +69,13 @@ done
 
 run_flags=(--realizations 200)
 
-# Envelope node-steps the server has run so far, over all realizations.
-node_steps() {
+# A counter of the server's metrics registry, e.g. surge.node_steps (the
+# envelope node-steps run so far, over all realizations).
+server_counter() {
   "$ctctl" stats --metrics --json --connect "unix:$sock" \
-      | sed -n 's/^ *"surge\.node_steps": *\([0-9][0-9]*\).*/\1/p'
+      | sed -n "s/^ *\"${1//./\\.}\": *\([0-9][0-9]*\).*/\1/p"
 }
+node_steps() { server_counter surge.node_steps; }
 
 echo "== remote analyze (cold)"
 "$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" \
@@ -104,6 +109,15 @@ rc=0
 rc=0
 "$ctctl" analyze --jobs 257 --realizations 1 > /dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || { echo "FAIL: --jobs 257 exited $rc, not 2"; exit 1; }
+rc=0
+"$ctctl" analyze --realizations 0 --no-cache > /dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] \
+    || { echo "FAIL: --realizations 0 exited $rc, not 2"; exit 1; }
+rc=0
+"$ctctl" analyze --realizations 0 --connect "unix:$sock" > /dev/null 2>&1 \
+    || rc=$?
+[[ "$rc" -eq 2 ]] \
+    || { echo "FAIL: served --realizations 0 exited $rc, not 2"; exit 1; }
 
 echo "== byte-identity: remote(cold) vs local"
 diff -u "$work/local.txt" "$work/remote-cold.txt"
@@ -159,6 +173,12 @@ echo "surge.node_steps: $steps_before before siting, $steps_after after"
 CT_CACHE_DIR="$work/local-cache" "$ctctl" siting "${run_flags[@]}" \
     --slr 0.3 > "$work/local-siting.txt" 2>/dev/null
 diff -u "$work/local-siting.txt" "$work/remote-siting.txt"
+
+echo "== the four offsets' sessions share one storm stage"
+stage_builds=$(server_counter surge.stage_builds)
+echo "surge.stage_builds: $stage_builds"
+[[ "$stage_builds" == 1 ]] \
+    || { echo "FAIL: $stage_builds storm stage builds, not 1"; exit 1; }
 
 echo "== graceful drain on SIGTERM"
 kill -TERM "$server_pid"

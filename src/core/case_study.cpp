@@ -6,13 +6,30 @@
 
 namespace ct::core {
 
+namespace {
+
+/// A borrowed runtime's shared stage, else a private one.
+std::shared_ptr<const surge::StormStage> storm_stage(
+    std::shared_ptr<const terrain::Terrain> terrain,
+    const surge::RealizationConfig& config,
+    runtime::EnsembleRunner* shared_runtime) {
+  if (shared_runtime == nullptr) {
+    return std::make_shared<const surge::StormStage>(std::move(terrain),
+                                                     config);
+  }
+  return shared_runtime->storm_stage(std::move(terrain), config);
+}
+
+}  // namespace
+
 CaseStudyRunner::CaseStudyRunner(scada::ScadaTopology topology,
                                  std::shared_ptr<const terrain::Terrain> terrain,
                                  CaseStudyOptions options,
                                  runtime::EnsembleRunner* shared_runtime)
     : topology_(std::move(topology)), options_(options),
-      engine_(std::move(terrain), topology_.exposed_assets(),
-              options_.realization),
+      engine_(storm_stage(std::move(terrain), options_.realization,
+                          shared_runtime),
+              topology_.exposed_assets(), options_.realization),
       pipeline_(options_.attacker),
       owned_runtime_(shared_runtime == nullptr
                          ? std::make_unique<runtime::EnsembleRunner>(

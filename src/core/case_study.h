@@ -41,13 +41,16 @@ struct CaseStudyOptions {
 class CaseStudyRunner {
  public:
   /// With `shared_runtime == nullptr` (every pre-service caller) the
-  /// runner owns a private EnsembleRunner built from options.runtime.
+  /// runner owns a private EnsembleRunner built from options.runtime, and
+  /// its engine a private storm stage.
   /// A non-null `shared_runtime` is BORROWED: several case studies — the
   /// ct_service request sessions — then multiplex onto one work-stealing
   /// pool and one content-addressed result cache, which is what keeps the
-  /// cache warm across requests. The borrowed runner must outlive this
-  /// object, and options.runtime is ignored in that mode (execution knobs
-  /// belong to the runner's owner).
+  /// cache warm across requests, and take their storm stage from it, so
+  /// sessions that differ only in bind-side knobs share one mesh and one
+  /// set of harbor rays. The borrowed runner must outlive this object, and
+  /// options.runtime is ignored in that mode (execution knobs belong to
+  /// the runner's owner).
   CaseStudyRunner(scada::ScadaTopology topology,
                   std::shared_ptr<const terrain::Terrain> terrain,
                   CaseStudyOptions options = {},

@@ -279,18 +279,36 @@ std::string EnsembleRunner::digest_engine_batch(
   return d.hex();
 }
 
+std::shared_ptr<const surge::StormStage> EnsembleRunner::storm_stage(
+    std::shared_ptr<const terrain::Terrain> terrain,
+    const surge::RealizationConfig& config) {
+  const std::string key = surge::storm_stage_key(*terrain, config).hex();
+  {
+    std::lock_guard<std::mutex> lock(storms_mutex_);
+    if (auto live = storms_[key].stage.lock()) return live;
+  }
+  // Built outside the lock; of two concurrent builds the first kept wins.
+  auto stage =
+      std::make_shared<const surge::StormStage>(std::move(terrain), config);
+  std::lock_guard<std::mutex> lock(storms_mutex_);
+  std::weak_ptr<const surge::StormStage>& slot = storms_[key].stage;
+  if (auto live = slot.lock()) return live;
+  slot = stage;
+  return stage;
+}
+
 std::string EnsembleRunner::memo_storm(const surge::RealizationEngine& engine) {
   if (!options_.cache) return {};
   const std::string& storm = engine.storm_digest();
   const std::string& bind = engine.bind_digest();
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  const auto [it, first] = memo_admission_.try_emplace(storm);
-  if (first) {
-    it->second.first_bind = bind;
-  } else if (it->second.first_bind != bind) {
-    it->second.shared = true;
+  std::lock_guard<std::mutex> lock(storms_mutex_);
+  StormEntry& entry = storms_[engine.stage().key()];
+  if (entry.first_bind.empty()) {
+    entry.first_bind = bind;
+  } else if (entry.first_bind != bind) {
+    entry.shared = true;
   }
-  return it->second.shared ? storm : std::string();
+  return entry.shared ? storm : std::string();
 }
 
 surge::HurricaneRealization EnsembleRunner::realize(

@@ -26,10 +26,16 @@
 // asks, so a what-if over the same storms runs only the bind stage. A
 // runner that serves one engine stores nothing; options.cache = false
 // bypasses it.
+//
+// Shared storm stages (DESIGN.md §10): storm_stage() hands engines that
+// share a storm side one surge::StormStage (mesh, envelope precompute,
+// harbor rays), held only while some engine holds it, so a served session
+// on the runner builds only its asset stencils.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -107,6 +113,14 @@ class EnsembleRunner {
                                 SweepSpec spec, const CheckpointOptions& ckpt,
                                 CancellationToken* interrupt = nullptr);
 
+  /// The storm stage for `config`'s storm side over `terrain`: the live
+  /// stage of the same storm_stage_key if an engine still holds one, else a
+  /// new one. The runner keeps only a weak reference, so a stage lives as
+  /// long as the engines built on it.
+  std::shared_ptr<const surge::StormStage> storm_stage(
+      std::shared_ptr<const terrain::Terrain> terrain,
+      const surge::RealizationConfig& config);
+
   /// Cheap identity digest for an engine-generated set: the engine's storm
   /// and bind digests and the count determine the content, so hashing them
   /// is equivalent to hashing the output — without generating it first.
@@ -141,15 +155,17 @@ class EnsembleRunner {
   TaskPool pool_;
   ResultStore store_;
 
-  /// Per storm digest: the first bind digest that asked for it, and whether
-  /// one with a different bind digest has asked since (records are kept
-  /// only then). One entry per storm digest the runner has seen.
-  struct MemoAdmission {
+  /// Per storm side (keyed by StormStage::key()): the live shared stage,
+  /// if any; the first bind digest that asked the memo for its storms, and
+  /// whether one with a different bind digest has asked since (records are
+  /// kept only then). One entry per storm side the runner has seen.
+  struct StormEntry {
+    std::weak_ptr<const surge::StormStage> stage;
     std::string first_bind;
     bool shared = false;
   };
-  std::mutex memo_mutex_;
-  std::unordered_map<std::string, MemoAdmission> memo_admission_;
+  std::mutex storms_mutex_;
+  std::unordered_map<std::string, StormEntry> storms_;
 };
 
 }  // namespace ct::runtime

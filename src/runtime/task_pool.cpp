@@ -52,12 +52,18 @@ void CancellationToken::poll(std::string_view origin) const {
 
 TaskPool::TaskPool(unsigned threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads <= 1) return;  // inline pool: no workers, no queues
-  deques_.resize(threads);
-  workers_.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
-  }
+  threads_ = std::max(threads, 1u);
+}
+
+void TaskPool::start_workers() {
+  std::call_once(start_once_, [this] {
+    deques_.resize(threads_);
+    workers_.reserve(threads_);
+    for (unsigned t = 0; t < threads_; ++t) {
+      workers_.emplace_back([this, t] { worker_loop(t); });
+    }
+    running_.store(threads_, std::memory_order_release);
+  });
 }
 
 TaskPool::~TaskPool() {
@@ -124,7 +130,7 @@ void TaskPool::parallel_for_ranges(
   if (chunk == 0) chunk = 1;
   const std::size_t chunks = (n + chunk - 1) / chunk;
 
-  if (workers_.empty() || chunks == 1) {
+  if (threads_ <= 1 || chunks == 1) {
     // The serial path IS the parallel path at chunk granularity: same
     // boundaries, same order, exceptions propagate directly.
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -132,6 +138,7 @@ void TaskPool::parallel_for_ranges(
     }
     return;
   }
+  start_workers();
 
   Batch batch;
   batch.fn = &fn;

@@ -96,20 +96,22 @@ class TaskPool {
   static constexpr unsigned kMaxJobs = 256;
 
   /// `threads` = worker count; 0 picks std::thread::hardware_concurrency().
-  /// 1 (or a 1-core machine) spawns no workers: all work runs inline.
+  /// 1 (or a 1-core machine) spawns no workers: all work runs inline. The
+  /// workers start on the first batch of more than one chunk, so a pool
+  /// that only ever runs inline (a cache-answered query) starts no thread.
   explicit TaskPool(unsigned threads = 0);
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Workers actually running (0 for the inline/serial pool).
+  /// Workers actually running (0 for the inline/serial pool, and for a
+  /// parallel one before its first multi-chunk batch).
   unsigned worker_count() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return running_.load(std::memory_order_acquire);
   }
-  /// Degree of parallelism (workers, but at least 1 — the caller).
-  unsigned parallelism() const noexcept {
-    return worker_count() == 0 ? 1u : worker_count();
-  }
+  /// Degree of parallelism a batch runs at (workers, but at least 1 — the
+  /// caller), whether or not the workers have started yet.
+  unsigned parallelism() const noexcept { return threads_; }
 
   /// Runs fn(begin, end) over a fixed chunking of [0, n); blocks until all
   /// chunks completed. Chunk boundaries depend only on (n, chunk), never on
@@ -152,6 +154,8 @@ class TaskPool {
     std::size_t end = 0;
   };
 
+  /// Starts the workers; once, on the first multi-chunk batch.
+  void start_workers();
   void worker_loop(std::size_t self);
   /// Pops a task: own back first (cache warmth), then steals victims' fronts.
   bool try_pop(std::size_t self, Task& out);
@@ -162,6 +166,9 @@ class TaskPool {
   std::condition_variable done_cv_;   // submitters: a batch may be complete
   std::vector<std::deque<Task>> deques_;
   std::vector<std::thread> workers_;
+  unsigned threads_ = 1;  // >= 1; above 1, the workers a batch starts
+  std::once_flag start_once_;
+  std::atomic<unsigned> running_{0};
   std::size_t next_victim_ = 0;  // round-robin submission cursor
   bool stop_ = false;
 };

@@ -45,8 +45,14 @@ std::vector<scada::Configuration> request_configs(
 /// The realization-affecting and runtime-behavior-affecting knobs a
 /// request derives from the defaults (shared between make_case_study and
 /// session_key so the LRU key can never drift from the construction).
+/// Throws ct::Error{kInvalidInput} for a request of no realizations: an
+/// analysis of no samples has no answer.
 core::CaseStudyOptions request_options(const Request& request,
                                        const core::CaseStudyOptions& defaults) {
+  if (request.realizations == 0) {
+    throw Error(ErrorCode::kInvalidInput, "service",
+                "a request needs at least 1 realization");
+  }
   core::CaseStudyOptions options = defaults;
   options.realizations = static_cast<std::size_t>(request.realizations);
   options.realization.sea_level_offset_m = request.sea_level_offset_m;

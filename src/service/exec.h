@@ -48,6 +48,7 @@ struct ExecOutcome {
 /// equal keys can share one CaseStudyRunner (same topology, ensemble and
 /// runtime-behavior knobs), which is how the server keeps realization
 /// batches and in-memory cache entries warm across requests.
+/// Throws ct::Error{kInvalidInput} for a request of 0 realizations.
 std::string session_key(const Request& request,
                         const core::CaseStudyOptions& defaults);
 
@@ -57,8 +58,10 @@ std::string session_key(const Request& request,
 /// retries, cache bypass, topology CSV). When `shared_runtime` is
 /// non-null and the derived runtime knobs are behavior-compatible with
 /// it, the runner BORROWS it (one pool + one result cache across all
-/// sessions); otherwise the runner owns a private runtime.
-/// Throws ct::Error{kParse} for a malformed topology CSV.
+/// sessions) and its storm stage; otherwise the runner owns a private
+/// runtime and builds its stage privately.
+/// Throws ct::Error{kParse} for a malformed topology CSV and
+/// ct::Error{kInvalidInput} for a request of 0 realizations.
 std::unique_ptr<core::CaseStudyRunner> make_case_study(
     const Request& request, const core::CaseStudyOptions& defaults,
     runtime::EnsembleRunner* shared_runtime);

@@ -74,13 +74,11 @@ ColumnBound max_of(const ColumnBound& a, const ColumnBound& b) {
 
 }  // namespace
 
-MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
-                           const geo::EnuProjection& proj,
-                           const SurgeConfig& surge,
-                           const InundationMapper& mapper,
-                           const std::vector<ExposedAsset>& assets,
-                           double smoothing_band_m, int smoothing_passes)
-    : cm_(cm), surge_(surge), inundation_(mapper.config()) {
+EnvelopeBindings::EnvelopeBindings(const mesh::CoastalMesh& cm,
+                                   const SurgeConfig& surge,
+                                   double smoothing_band_m,
+                                   int smoothing_passes)
+    : cm_(cm), surge_(surge) {
   // Far-skip geometry, computed exactly as SurgeSolver::max_envelope does.
   geo::BBox box;
   for (const mesh::Node& node : cm.mesh.nodes()) box.expand(node.position);
@@ -176,7 +174,27 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     tiles_.push_back(tile);
     first = last;
   }
+}
 
+MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
+                           const geo::EnuProjection& proj,
+                           const SurgeConfig& surge,
+                           const InundationMapper& mapper,
+                           const std::vector<ExposedAsset>& assets,
+                           double smoothing_band_m, int smoothing_passes)
+    : MeshBindings(std::make_shared<const EnvelopeBindings>(
+                       cm, surge, smoothing_band_m, smoothing_passes),
+                   proj, mapper, assets) {}
+
+MeshBindings::MeshBindings(std::shared_ptr<const EnvelopeBindings> envelope,
+                           const geo::EnuProjection& proj,
+                           const InundationMapper& mapper,
+                           const std::vector<ExposedAsset>& assets)
+    : envelope_(std::move(envelope)),
+      stations_(envelope_->coastal_mesh().stations.size()),
+      failure_threshold_m_(mapper.config().failure_threshold_m) {
+  const mesh::CoastalMesh& cm = envelope_->coastal_mesh();
+  const double decay_length_m = mapper.config().decay_length_m;
   auto index = std::make_shared<AssetIndex>();
   asset_ids_.reserve(assets.size());
   asset_ground_m_.reserve(assets.size());
@@ -191,7 +209,7 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     AssetStencil s;
     s.station = mapper.nearest_station(enu);
     s.station_distance_m = geo::distance(enu, cm.stations[s.station].position);
-    s.decay = std::exp(-s.station_distance_m / inundation_.decay_length_m);
+    s.decay = std::exp(-s.station_distance_m / decay_length_m);
     stencils_.push_back(s);
   }
   asset_index_ = std::move(index);
@@ -239,7 +257,7 @@ std::optional<EnvelopeBound> envelope_bound(
   return surge_bound(surge, *wind, ambient_pa);
 }
 
-EnvelopeWork MeshBindings::accumulate_envelope(
+EnvelopeWork EnvelopeBindings::accumulate_envelope(
     const storm::StormTrack& track, const geo::EnuProjection& proj,
     mesh::NodeField& envelope) const {
   envelope.assign(cm_.mesh.node_count(), 0.0);
@@ -397,7 +415,7 @@ EnvelopeWork MeshBindings::accumulate_envelope(
 
 void MeshBindings::impacts_into(const std::vector<double>& shoreline_wse,
                                 std::vector<AssetImpact>& out) const {
-  if (shoreline_wse.size() != cm_.stations.size()) {
+  if (shoreline_wse.size() != stations_) {
     throw std::invalid_argument("MeshBindings: WSE/station size mismatch");
   }
   out.clear();
@@ -411,12 +429,12 @@ void MeshBindings::impacts_into(const std::vector<double>& shoreline_wse,
     impact.water_level_m = impact.shoreline_wse_m * s.decay;
     impact.inundation_depth_m =
         std::max(0.0, impact.water_level_m - asset_ground_m_[a]);
-    impact.failed = impact.inundation_depth_m > inundation_.failure_threshold_m;
+    impact.failed = impact.inundation_depth_m > failure_threshold_m_;
     out.push_back(std::move(impact));
   }
 }
 
-void MeshBindings::digest_envelope_into(util::Digest& d) const {
+void EnvelopeBindings::digest_envelope_into(util::Digest& d) const {
   d.str("ct-mesh-bindings");
   d.f64(mesh_center_.x).f64(mesh_center_.y).f64(mesh_radius_);
   d.u64(plan_.band_nodes.size())

@@ -4,8 +4,10 @@
 // the mesh: which nodes can ever influence the shoreline output, each
 // node's onshore direction and depth floor, which station each asset
 // binds to, and the inland decay factor. MeshBindings freezes all of
-// that once per RealizationEngine (shared read-only across realizations
-// and threads) and exposes allocation-free kernels over the frozen arrays.
+// that (shared read-only across realizations and threads) and exposes
+// allocation-free kernels over the frozen arrays. Its envelope half
+// (EnvelopeBindings) reads only storm-side inputs, so engines on one storm
+// stage share it; the asset stencils are each engine's own.
 //
 // Equivalence contract: every kernel here is BIT-IDENTICAL to the legacy
 // path it replaces for all values the pipeline consumes. The envelope is
@@ -128,14 +130,16 @@ struct EnvelopeWork {
   std::uint64_t tile_bounds = 0;
 };
 
-class MeshBindings {
+/// The envelope half of the precompute: far-skip geometry, smoothing plan,
+/// active nodes and their columns and tiles. It is a function of the mesh,
+/// the surge config and the smoothing band and passes, all storm-side, so
+/// every engine on one storm stage shares one (realization.h).
+class EnvelopeBindings {
  public:
-  /// Builds the precompute. `cm`, `mapper`, and `proj` must outlive the
-  /// bindings (the RealizationEngine owns all three).
-  MeshBindings(const mesh::CoastalMesh& cm, const geo::EnuProjection& proj,
-               const SurgeConfig& surge, const InundationMapper& mapper,
-               const std::vector<ExposedAsset>& assets,
-               double smoothing_band_m, int smoothing_passes);
+  /// Builds the envelope half. `cm` must outlive it (the storm stage owns
+  /// both).
+  EnvelopeBindings(const mesh::CoastalMesh& cm, const SurgeConfig& surge,
+                   double smoothing_band_m, int smoothing_passes);
 
   /// Writes the MEOW envelope of `track` into `envelope` (resized to the
   /// node count; non-active nodes stay 0). Bit-equal on every consumed
@@ -150,18 +154,11 @@ class MeshBindings {
                                    const geo::EnuProjection& proj,
                                    mesh::NodeField& envelope) const;
 
-  /// Per-asset impacts from the smoothed shoreline WSE, written into `out`
-  /// (cleared first). Bit-equal to InundationMapper::impacts.
-  void impacts_into(const std::vector<double>& shoreline_wse,
-                    std::vector<AssetImpact>& out) const;
-
+  const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }
   const mesh::ShorelinePlan& shoreline_plan() const noexcept { return plan_; }
   /// Nodes whose envelope values the pipeline can consume (ascending).
   const std::vector<mesh::NodeId>& active_nodes() const noexcept {
     return active_nodes_;
-  }
-  const std::vector<AssetStencil>& stencils() const noexcept {
-    return stencils_;
   }
   /// Partition of the active nodes the envelope prunes by.
   const std::vector<EnvelopeTile>& tiles() const noexcept { return tiles_; }
@@ -169,26 +166,16 @@ class MeshBindings {
   const std::vector<EnvelopeColumn>& columns() const noexcept {
     return columns_;
   }
-  /// Shared id->index map handed to every realization for O(1) lookups.
-  const std::shared_ptr<const AssetIndex>& asset_index() const noexcept {
-    return asset_index_;
-  }
 
-  /// Folds the frozen envelope-side content (far-skip geometry, smoothing
-  /// plan, active nodes and their columns) into a digest. Part of the
-  /// engine's storm digest, so any terrain- or mesh-derived change to the
-  /// precompute invalidates disk caches and shoreline records.
+  /// Folds the frozen content (far-skip geometry, smoothing plan, active
+  /// nodes and their columns) into a digest. Part of the storm digest, so
+  /// any terrain- or mesh-derived change to the precompute invalidates disk
+  /// caches and shoreline records.
   void digest_envelope_into(util::Digest& d) const;
-  /// Folds the frozen asset stencils (station, distance, decay) into a
-  /// digest. They derive from the mesh and the asset list alike, so the
-  /// engine-batch key mixes them in beside the engine's storm and bind
-  /// digests.
-  void digest_stencils_into(util::Digest& d) const;
 
  private:
   const mesh::CoastalMesh& cm_;
   SurgeConfig surge_;
-  InundationConfig inundation_;
 
   // Far-skip geometry, identical to SurgeSolver::max_envelope.
   geo::Vec2 mesh_center_;
@@ -203,6 +190,66 @@ class MeshBindings {
   std::vector<double> active_inv_gdepth_;  ///< 1 / gdepth, +inf if not > 0
   std::vector<EnvelopeColumn> columns_;
   std::vector<EnvelopeTile> tiles_;
+};
+
+/// The whole precompute of one engine: an envelope half, which engines on
+/// one storm stage share, and the engine's own asset stencils.
+class MeshBindings {
+ public:
+  /// Builds both halves, the envelope half privately. `cm`, `mapper`, and
+  /// `proj` must outlive the bindings.
+  MeshBindings(const mesh::CoastalMesh& cm, const geo::EnuProjection& proj,
+               const SurgeConfig& surge, const InundationMapper& mapper,
+               const std::vector<ExposedAsset>& assets,
+               double smoothing_band_m, int smoothing_passes);
+  /// Binds `assets` over `envelope` (and its mesh).
+  MeshBindings(std::shared_ptr<const EnvelopeBindings> envelope,
+               const geo::EnuProjection& proj, const InundationMapper& mapper,
+               const std::vector<ExposedAsset>& assets);
+
+  const EnvelopeBindings& envelope() const noexcept { return *envelope_; }
+  /// The envelope half's kernel and arrays (EnvelopeBindings).
+  EnvelopeWork accumulate_envelope(const storm::StormTrack& track,
+                                   const geo::EnuProjection& proj,
+                                   mesh::NodeField& envelope) const {
+    return envelope_->accumulate_envelope(track, proj, envelope);
+  }
+  const mesh::ShorelinePlan& shoreline_plan() const noexcept {
+    return envelope_->shoreline_plan();
+  }
+  const std::vector<mesh::NodeId>& active_nodes() const noexcept {
+    return envelope_->active_nodes();
+  }
+  const std::vector<EnvelopeTile>& tiles() const noexcept {
+    return envelope_->tiles();
+  }
+  const std::vector<EnvelopeColumn>& columns() const noexcept {
+    return envelope_->columns();
+  }
+
+  /// Per-asset impacts from the smoothed shoreline WSE, written into `out`
+  /// (cleared first). Bit-equal to InundationMapper::impacts.
+  void impacts_into(const std::vector<double>& shoreline_wse,
+                    std::vector<AssetImpact>& out) const;
+
+  const std::vector<AssetStencil>& stencils() const noexcept {
+    return stencils_;
+  }
+  /// Shared id->index map handed to every realization for O(1) lookups.
+  const std::shared_ptr<const AssetIndex>& asset_index() const noexcept {
+    return asset_index_;
+  }
+
+  /// Folds the frozen asset stencils (station, distance, decay) into a
+  /// digest. They derive from the mesh and the asset list alike, so the
+  /// engine-batch key mixes them in beside the engine's storm and bind
+  /// digests.
+  void digest_stencils_into(util::Digest& d) const;
+
+ private:
+  std::shared_ptr<const EnvelopeBindings> envelope_;
+  std::size_t stations_ = 0;
+  double failure_threshold_m_ = 0.0;
 
   std::vector<std::string> asset_ids_;
   std::vector<double> asset_ground_m_;

@@ -14,12 +14,14 @@ namespace ct::surge {
 
 namespace {
 
-/// Envelope work of the hot path: node-steps in range, node-steps the
-/// pruned kernel actually evaluated, and the tile bounds it built.
+/// Envelope work of the hot path (node-steps in range, node-steps the
+/// pruned kernel actually evaluated, and the tile bounds it built) and the
+/// storm stages built, shared or private.
 struct SurgeMetrics {
   obs::Counter node_steps{"surge.node_steps"};
   obs::Counter node_evals{"surge.node_evals"};
   obs::Counter tile_bounds{"surge.tile_bounds"};
+  obs::Counter stage_builds{"surge.stage_builds"};
 };
 
 SurgeMetrics& surge_metrics() {
@@ -79,8 +81,14 @@ std::size_t HurricaneRealization::wind_damage_count() const {
 namespace {
 const terrain::Terrain& require_terrain(
     const std::shared_ptr<const terrain::Terrain>& terrain) {
-  if (!terrain) throw std::invalid_argument("RealizationEngine: null terrain");
+  if (!terrain) throw std::invalid_argument("StormStage: null terrain");
   return *terrain;
+}
+
+std::shared_ptr<const StormStage> require_stage(
+    std::shared_ptr<const StormStage> stage) {
+  if (!stage) throw std::invalid_argument("RealizationEngine: null stage");
+  return stage;
 }
 
 /// Maximum of `values` with a fused finiteness check. A plain max_element
@@ -198,16 +206,22 @@ void validate_realization(const HurricaneRealization& realization,
   }
 }
 
-RealizationEngine::RealizationEngine(
-    std::shared_ptr<const terrain::Terrain> terrain,
-    std::vector<ExposedAsset> assets, RealizationConfig config)
-    : terrain_(std::move(terrain)), assets_(std::move(assets)),
-      config_(config),
+util::Digest storm_stage_key(const terrain::Terrain& terrain,
+                             const RealizationConfig& config) {
+  util::Digest d;
+  d.str("ct-storm-stage");
+  digest_storm_fields(d, config);
+  terrain::digest_terrain(terrain, d);
+  return d;
+}
+
+StormStage::StormStage(std::shared_ptr<const terrain::Terrain> terrain,
+                       const RealizationConfig& config)
+    : terrain_(std::move(terrain)), config_(config),
       cm_(mesh::build_coastal_mesh(require_terrain(terrain_), config_.mesh)),
       generator_(config_.ensemble), solver_(config_.surge),
-      mapper_(cm_, terrain_->projection(), config_.inundation),
-      bindings_(cm_, terrain_->projection(), config_.surge, mapper_, assets_,
-                config_.smoothing_band_m, config_.smoothing_passes) {
+      envelope_(cm_, config_.surge, config_.smoothing_band_m,
+                config_.smoothing_passes) {
   if (config_.harbor.enabled) {
     sheltered_ = sheltered_stations(cm_, *terrain_, config_.harbor);
     harbor_sources_ = harbor_source_map(cm_, sheltered_);
@@ -218,18 +232,52 @@ RealizationEngine::RealizationEngine(
       harbor_sources_[i] = i;
     }
   }
+  surge_metrics().stage_builds.inc();
   CT_LOG(kInfo, "surge") << "coastal mesh: " << cm_.mesh.node_count()
                          << " nodes, " << cm_.mesh.element_count()
                          << " elements, " << cm_.stations.size()
                          << " shoreline stations, "
-                         << bindings_.active_nodes().size()
+                         << envelope_.active_nodes().size()
                          << " active surge nodes";
 }
+
+const std::string& StormStage::key() const {
+  digest();  // computes both
+  return key_;
+}
+
+const std::string& StormStage::digest() const {
+  std::call_once(digest_once_, [this] {
+    util::Digest d = storm_stage_key(*terrain_, config_);
+    key_ = d.hex();
+    envelope_.digest_envelope_into(d);
+    digest_ = d.hex();
+  });
+  return digest_;
+}
+
+RealizationEngine::RealizationEngine(
+    std::shared_ptr<const terrain::Terrain> terrain,
+    std::vector<ExposedAsset> assets, RealizationConfig config)
+    : RealizationEngine(
+          std::make_shared<const StormStage>(std::move(terrain), config),
+          std::move(assets), config) {}
+
+RealizationEngine::RealizationEngine(std::shared_ptr<const StormStage> stage,
+                                     std::vector<ExposedAsset> assets,
+                                     RealizationConfig config)
+    : stage_(require_stage(std::move(stage))), assets_(std::move(assets)),
+      config_(config),
+      mapper_(stage_->coastal_mesh(), stage_->terrain().projection(),
+              config_.inundation),
+      bindings_(std::shared_ptr<const EnvelopeBindings>(
+                    stage_, &stage_->envelope()),
+                stage_->terrain().projection(), mapper_, assets_) {}
 
 void RealizationEngine::apply_wind_fragility(const storm::StormTrack& track,
                                              std::uint64_t index,
                                              HurricaneRealization& out) const {
-  const geo::EnuProjection& proj = terrain_->projection();
+  const geo::EnuProjection& proj = stage_->terrain().projection();
   const storm::HollandWindField wind_field(config_.surge.wind_options);
   util::Rng rng =
       util::Rng(config_.base_seed, "wind-damage").child("realization", index);
@@ -275,7 +323,7 @@ ShorelineRecord RealizationEngine::storm(std::uint64_t index) const {
 
 HurricaneRealization RealizationEngine::bind(
     std::uint64_t index, const ShorelineRecord& record) const {
-  if (record.station_wse_m.size() != cm_.stations.size()) {
+  if (record.station_wse_m.size() != stage_->coastal_mesh().stations.size()) {
     throw std::invalid_argument(
         "RealizationEngine::bind: record/station size mismatch");
   }
@@ -287,21 +335,23 @@ HurricaneRealization RealizationEngine::bind(
 
 double RealizationEngine::storm_into(std::uint64_t index,
                                      RealizationScratch& scratch) const {
+  const StormStage& stage = *stage_;
   const storm::StormTrack track =
-      generator_.generate(config_.base_seed, index);
-  const geo::EnuProjection& proj = terrain_->projection();
+      stage.generator().generate(config_.base_seed, index);
+  const geo::EnuProjection& proj = stage.terrain().projection();
 
   const EnvelopeWork work =
-      bindings_.accumulate_envelope(track, proj, scratch.envelope);
+      stage.envelope().accumulate_envelope(track, proj, scratch.envelope);
   SurgeMetrics& metrics = surge_metrics();
   metrics.node_steps.inc(work.node_steps);
   metrics.node_evals.inc(work.node_evals);
   metrics.tile_bounds.inc(work.tile_bounds);
-  mesh::shoreline_average_and_extend(cm_, bindings_.shoreline_plan(),
+  const mesh::CoastalMesh& cm = stage.coastal_mesh();
+  mesh::shoreline_average_and_extend(cm, stage.envelope().shoreline_plan(),
                                      scratch.envelope, scratch.field_scratch);
-  mesh::shoreline_values(cm_, scratch.envelope, scratch.shore_wse);
-  alongshore_average(scratch.shore_wse, sheltered_, config_.alongshore_window,
-                     scratch.station_snapshot);
+  mesh::shoreline_values(cm, scratch.envelope, scratch.shore_wse);
+  alongshore_average(scratch.shore_wse, stage.sheltered(),
+                     config_.alongshore_window, scratch.station_snapshot);
   return track.peak_surface_wind_ms();
 }
 
@@ -312,7 +362,8 @@ HurricaneRealization RealizationEngine::bind_in_place(
     for (double& wse : scratch.shore_wse) wse += config_.sea_level_offset_m;
   }
   if (config_.harbor.enabled) {
-    apply_harbor_transfer(scratch.shore_wse, sheltered_, harbor_sources_,
+    apply_harbor_transfer(scratch.shore_wse, stage_->sheltered(),
+                          stage_->harbor_sources(),
                           config_.harbor.amplification,
                           scratch.station_snapshot);
   }
@@ -327,8 +378,8 @@ HurricaneRealization RealizationEngine::bind_in_place(
   // is a pure function of (base_seed, index), so redrawing it here gives
   // the storm stage's track.
   if (config_.fragility.enabled) {
-    apply_wind_fragility(generator_.generate(config_.base_seed, index), index,
-                         out);
+    apply_wind_fragility(
+        stage_->generator().generate(config_.base_seed, index), index, out);
   }
   out.max_shoreline_wse_m =
       guarded_max(scratch.shore_wse, index, config_.base_seed);
@@ -336,15 +387,8 @@ HurricaneRealization RealizationEngine::bind_in_place(
   return out;
 }
 
-const std::string& RealizationEngine::storm_digest() const {
-  std::call_once(digests_once_, [this] {
-    util::Digest storm;
-    storm.str("ct-storm-stage");
-    digest_storm_fields(storm, config_);
-    terrain::digest_terrain(*terrain_, storm);
-    bindings_.digest_envelope_into(storm);
-    storm_digest_ = storm.hex();
-
+const std::string& RealizationEngine::bind_digest() const {
+  std::call_once(bind_once_, [this] {
     util::Digest bind;
     bind.str("ct-bind-stage");
     digest_bind_fields(bind, config_);
@@ -358,30 +402,27 @@ const std::string& RealizationEngine::storm_digest() const {
     }
     bind_digest_ = bind.hex();
   });
-  return storm_digest_;
-}
-
-const std::string& RealizationEngine::bind_digest() const {
-  storm_digest();  // computes both
   return bind_digest_;
 }
 
 HurricaneRealization RealizationEngine::run_reference(
     std::uint64_t index) const {
+  const StormStage& stage = *stage_;
   const storm::StormTrack track =
-      generator_.generate(config_.base_seed, index);
-  const geo::EnuProjection& proj = terrain_->projection();
+      stage.generator().generate(config_.base_seed, index);
+  const geo::EnuProjection& proj = stage.terrain().projection();
 
-  mesh::NodeField envelope = solver_.max_envelope(cm_, track, proj);
+  const mesh::CoastalMesh& cm = stage.coastal_mesh();
+  mesh::NodeField envelope = stage.solver().max_envelope(cm, track, proj);
   envelope = mesh::shoreline_average_and_extend(
-      cm_, envelope, config_.smoothing_band_m, config_.smoothing_passes);
-  std::vector<double> shore_wse = mesh::shoreline_values(cm_, envelope);
-  alongshore_average(shore_wse, sheltered_, config_.alongshore_window);
+      cm, envelope, config_.smoothing_band_m, config_.smoothing_passes);
+  std::vector<double> shore_wse = mesh::shoreline_values(cm, envelope);
+  alongshore_average(shore_wse, stage.sheltered(), config_.alongshore_window);
   if (config_.sea_level_offset_m != 0.0) {
     for (double& wse : shore_wse) wse += config_.sea_level_offset_m;
   }
   if (config_.harbor.enabled) {
-    apply_harbor_transfer(shore_wse, sheltered_, harbor_sources_,
+    apply_harbor_transfer(shore_wse, stage.sheltered(), stage.harbor_sources(),
                           config_.harbor.amplification);
   }
 

@@ -16,7 +16,10 @@
 // harbor transfer, asset impacts, wind fragility) reads only the record and
 // the fields bind_digest() covers. run(i) is bind(i, storm(i)) bit for bit,
 // which is what lets the ensemble runtime reuse one storm across engines
-// that differ only in bind knobs.
+// that differ only in bind knobs. The inputs split the same way: a
+// StormStage holds what the storm stage reads (mesh, generator, envelope
+// precompute, harbor shelter mask), the engine what the bind stage adds, so
+// engines that differ only in bind knobs can share one StormStage object.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@
 #include "surge/mesh_bindings.h"
 #include "surge/surge_model.h"
 #include "terrain/terrain.h"
+#include "util/digest.h"
 
 namespace ct::surge {
 
@@ -118,15 +122,80 @@ struct RealizationScratch {
 void validate_realization(const HurricaneRealization& realization,
                           std::uint64_t base_seed);
 
-/// Deterministic Monte-Carlo engine. Construct once (builds the mesh and
-/// the MeshBindings precompute), then run realizations on demand.
+/// The storm stage's key as a digest in progress: "ct-storm-stage", the 40
+/// storm-side RealizationConfig fields and the terrain. Two (terrain,
+/// config) pairs with equal keys build equal stages, bit for bit; the
+/// stage's digest() is the key finished with its envelope precompute.
+util::Digest storm_stage_key(const terrain::Terrain& terrain,
+                             const RealizationConfig& config);
+
+/// The storm side of the pipeline: everything the storm stage reads, built
+/// once from the terrain and the 40 storm-side fields of a config — the
+/// coastal mesh, the track generator, the surge solver, the envelope half
+/// of the precompute and the harbor shelter mask and sources. Immutable
+/// once built, so any number of engines that differ only in bind-side
+/// knobs share one (EnsembleRunner::storm_stage hands them out).
+class StormStage {
+ public:
+  /// Builds the stage. Only `config`'s storm-side fields are read.
+  StormStage(std::shared_ptr<const terrain::Terrain> terrain,
+             const RealizationConfig& config);
+  StormStage(const StormStage&) = delete;
+  StormStage& operator=(const StormStage&) = delete;
+
+  const terrain::Terrain& terrain() const noexcept { return *terrain_; }
+  const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }
+  const storm::TrackGenerator& generator() const noexcept {
+    return generator_;
+  }
+  const SurgeSolver& solver() const noexcept { return solver_; }
+  const EnvelopeBindings& envelope() const noexcept { return envelope_; }
+  /// Shelter classification of shoreline stations (harbor treatment).
+  const std::vector<bool>& sheltered() const noexcept { return sheltered_; }
+  /// Per station, the station it inherits from (identity unless sheltered).
+  const std::vector<std::size_t>& harbor_sources() const noexcept {
+    return harbor_sources_;
+  }
+
+  /// Hex of storm_stage_key: the stage's registry key. Computed once, on
+  /// first use, with digest().
+  const std::string& key() const;
+  /// Digest of everything the storm stage reads: the key plus the envelope
+  /// precompute. Computed once, on first use.
+  const std::string& digest() const;
+
+ private:
+  std::shared_ptr<const terrain::Terrain> terrain_;
+  /// The config the stage was built from; only its storm-side fields (the
+  /// digest's) are read.
+  RealizationConfig config_;
+  mesh::CoastalMesh cm_;
+  storm::TrackGenerator generator_;
+  SurgeSolver solver_;
+  EnvelopeBindings envelope_;
+  std::vector<bool> sheltered_;
+  std::vector<std::size_t> harbor_sources_;
+  mutable std::once_flag digest_once_;
+  mutable std::string key_;
+  mutable std::string digest_;
+};
+
+/// Deterministic Monte-Carlo engine: a storm stage (shared or private) and
+/// its own bind side — the inundation mapper, the asset stencils and index,
+/// and the bind digest. Construct once, then run realizations on demand.
 /// Thread-compatible: `run` is const and all shared state is read-only, so
 /// realizations may be computed concurrently.
 class RealizationEngine {
  public:
+  /// Builds a private storm stage for `config`, then the bind side.
   RealizationEngine(std::shared_ptr<const terrain::Terrain> terrain,
                     std::vector<ExposedAsset> assets,
                     RealizationConfig config = {});
+  /// Binds `assets` over `stage`, which must have been built for
+  /// `config`'s storm side (equal storm_stage_key).
+  RealizationEngine(std::shared_ptr<const StormStage> stage,
+                    std::vector<ExposedAsset> assets,
+                    RealizationConfig config);
 
   /// Runs realization `index` (deterministic in (config.base_seed, index))
   /// on the hot path, reusing a thread-local scratch. Bit-identical to
@@ -148,16 +217,17 @@ class RealizationEngine {
   HurricaneRealization bind(std::uint64_t index,
                             const ShorelineRecord& record) const;
 
-  /// Digest of everything the storm stage reads: the terrain, the
+  /// The storm stage's digest (StormStage::digest): the terrain, the
   /// envelope-side precompute and the 40 storm-side RealizationConfig
   /// fields (mesh, surge, ensemble, harbor shelter detection, smoothing,
-  /// alongshore window, base seed). Computed once, on first use.
-  const std::string& storm_digest() const;
+  /// alongshore window, base seed).
+  const std::string& storm_digest() const { return stage_->digest(); }
   /// Digest of what the bind stage adds: the 10 bind-side fields (sea-level
   /// offset, harbor amplification, inundation, fragility) and the asset
-  /// list. storm_digest() and bind_digest() together identify every output
-  /// of run(); the asset stencils derive from both (mesh and assets), so
-  /// the engine-batch key mixes them in beside the two.
+  /// list. Computed once, on first use. storm_digest() and bind_digest()
+  /// together identify every output of run(); the asset stencils derive
+  /// from both (mesh and assets), so the engine-batch key mixes them in
+  /// beside the two.
   const std::string& bind_digest() const;
 
   /// The original allocating pipeline, kept as the equivalence oracle and
@@ -170,13 +240,20 @@ class RealizationEngine {
   /// batches).
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
 
+  const StormStage& stage() const noexcept { return *stage_; }
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }
-  const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }
+  const mesh::CoastalMesh& coastal_mesh() const noexcept {
+    return stage_->coastal_mesh();
+  }
   const RealizationConfig& config() const noexcept { return config_; }
-  const terrain::Terrain& terrain() const noexcept { return *terrain_; }
+  const terrain::Terrain& terrain() const noexcept {
+    return stage_->terrain();
+  }
   /// Shelter classification of shoreline stations (harbor treatment).
-  const std::vector<bool>& sheltered() const noexcept { return sheltered_; }
-  /// The per-(terrain, mesh config) precompute shared by all realizations.
+  const std::vector<bool>& sheltered() const noexcept {
+    return stage_->sheltered();
+  }
+  /// The precompute: the stage's envelope half and this engine's stencils.
   const MeshBindings& bindings() const noexcept { return bindings_; }
 
  private:
@@ -190,18 +267,12 @@ class RealizationEngine {
                             std::uint64_t index,
                             HurricaneRealization& out) const;
 
-  std::shared_ptr<const terrain::Terrain> terrain_;
+  std::shared_ptr<const StormStage> stage_;
   std::vector<ExposedAsset> assets_;
   RealizationConfig config_;
-  mesh::CoastalMesh cm_;
-  storm::TrackGenerator generator_;
-  SurgeSolver solver_;
   InundationMapper mapper_;
   MeshBindings bindings_;
-  std::vector<bool> sheltered_;
-  std::vector<std::size_t> harbor_sources_;
-  mutable std::once_flag digests_once_;
-  mutable std::string storm_digest_;
+  mutable std::once_flag bind_once_;
   mutable std::string bind_digest_;
 };
 

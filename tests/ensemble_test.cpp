@@ -1041,6 +1041,50 @@ TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
   EXPECT_EQ(runner.cache_stats().memo_stores, 0u);
 }
 
+/// The runner hands engines that share a storm side one stage and keeps
+/// only a weak reference to it: once the last engine on it is destroyed,
+/// no stage is live, and the next engine gets a newly built one that runs
+/// the same bits.
+TEST(EnsembleStageTest, RegistryHoldsNoStageAfterTheLastEngine) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter builds("surge.stage_builds");
+  const std::vector<surge::ExposedAsset> assets =
+      scada::oahu_topology().exposed_assets();
+  surge::RealizationConfig paper;
+  surge::RealizationConfig offset = paper;
+  offset.sea_level_offset_m = 0.4;
+  runtime::EnsembleRunner runner(make_options(1));
+
+  const std::uint64_t before = builds.value();
+  std::weak_ptr<const surge::StormStage> watch;
+  {
+    auto first = std::make_unique<const surge::RealizationEngine>(
+        runner.storm_stage(terrain::make_oahu_terrain(), paper), assets,
+        paper);
+    const surge::RealizationEngine second(
+        runner.storm_stage(terrain::make_oahu_terrain(), offset), assets,
+        offset);
+    EXPECT_EQ(&first->stage(), &second.stage());
+    watch = runner.storm_stage(terrain::make_oahu_terrain(), paper);
+    first.reset();
+    EXPECT_FALSE(watch.expired()) << "the second engine still holds it";
+  }
+  EXPECT_TRUE(watch.expired())
+      << "the runner must not keep a stage no engine holds";
+
+  const surge::RealizationEngine again(
+      runner.storm_stage(terrain::make_oahu_terrain(), paper), assets, paper);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(builds.value() - before, 2u);
+  }
+  const surge::RealizationEngine reference = offset_engine(0.0);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    expect_bit_identical(again.run(i), reference.run(i),
+                         "rebuilt stage " + std::to_string(i));
+  }
+}
+
 TEST(ExitCodePolicyTest, CleanDegradedAndEmptyRuns) {
   const std::vector<core::ScenarioResult> clean = {make_result(10, 10)};
   EXPECT_EQ(core::analysis_exit_code(clean, /*strict=*/false), 0);

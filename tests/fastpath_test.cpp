@@ -774,6 +774,24 @@ const ConfigKnob kConfigKnobs[] = {
     {"base_seed", kStorm, [](RealizationConfig& c) { c.base_seed += 1; }},
 };
 
+/// A runner for the shared-stage checks: `jobs` workers, no cache (so no
+/// storm memo) and no injected faults.
+runtime::EnsembleRunner plain_runner(unsigned jobs) {
+  runtime::EnsembleOptions options;
+  options.jobs = jobs;
+  options.cache = false;
+  options.fault_spec = "none";
+  return runtime::EnsembleRunner(options);
+}
+
+/// Oahu's terrain renamed and with its shoreline 0.4 m higher.
+std::shared_ptr<const terrain::Terrain> shifted_island() {
+  terrain::IslandParams params = terrain::oahu_params();
+  params.name = "shifted island";
+  params.shore_elevation_m += 0.4;
+  return std::make_shared<const terrain::SyntheticIslandTerrain>(params);
+}
+
 TEST(Fastpath, EngineBatchDigestInvalidatesOnEveryPrecomputeKnob) {
   ASSERT_EQ(std::size(kConfigKnobs), 50u);
   const EngineKeys baseline = engine_keys({}, oahu());
@@ -782,6 +800,11 @@ TEST(Fastpath, EngineBatchDigestInvalidatesOnEveryPrecomputeKnob) {
   EXPECT_EQ(again.bind, baseline.bind);
   EXPECT_EQ(again.batch, baseline.batch)
       << "identical configs must share the cache key";
+  // The storm stage splits the same way: from one runner, a bind knob gets
+  // the baseline's stage object and a storm knob a new one.
+  runtime::EnsembleRunner stages = plain_runner(1);
+  const std::shared_ptr<const surge::StormStage> baseline_stage =
+      stages.storm_stage(oahu(), {});
   std::size_t storm_knobs = 0;
   for (const ConfigKnob& knob : kConfigKnobs) {
     RealizationConfig config;
@@ -790,25 +813,87 @@ TEST(Fastpath, EngineBatchDigestInvalidatesOnEveryPrecomputeKnob) {
     EXPECT_NE(keys.batch, baseline.batch) << knob.name;
     // Each knob moves exactly its own stage's digest: a storm knob must
     // give the memo a new storm, a bind knob must reuse the old one.
+    const std::shared_ptr<const surge::StormStage> stage =
+        stages.storm_stage(oahu(), config);
     if (knob.stage == kStorm) {
       ++storm_knobs;
       EXPECT_NE(keys.storm, baseline.storm) << knob.name;
       EXPECT_EQ(keys.bind, baseline.bind) << knob.name;
+      EXPECT_NE(stage, baseline_stage) << knob.name;
     } else {
       EXPECT_EQ(keys.storm, baseline.storm) << knob.name;
       EXPECT_NE(keys.bind, baseline.bind) << knob.name;
+      EXPECT_EQ(stage, baseline_stage) << knob.name;
     }
   }
   EXPECT_EQ(storm_knobs, 40u);
+  // Another terrain is another storm side. (The asset list never reaches
+  // the stage key: SharedStageBindsEveryVariantLikeAPrivateEngine binds a
+  // reversed list over the baseline's stage.)
+  EXPECT_NE(stages.storm_stage(shifted_island(), {}), baseline_stage);
+}
+
+/// Every bind-side variant (each bind knob, and the reversed asset list)
+/// bound over the baseline's shared stage runs a privately built engine's
+/// bits: run(i) over 64 realizations, and the mask table at jobs 1 and 8.
+TEST(Fastpath, SharedStageBindsEveryVariantLikeAPrivateEngine) {
+  constexpr std::size_t kCount = 64;
+  struct Variant {
+    std::string name;
+    RealizationConfig config;
+    std::vector<surge::ExposedAsset> assets;
+  };
+  std::vector<Variant> variants;
+  for (const ConfigKnob& knob : kConfigKnobs) {
+    if (knob.stage != kBind) continue;
+    RealizationConfig config;
+    knob.perturb(config);
+    variants.push_back({knob.name, config, oahu_assets()});
+  }
+  ASSERT_EQ(variants.size(), 10u);
+  std::vector<surge::ExposedAsset> reversed = oahu_assets();
+  std::reverse(reversed.begin(), reversed.end());
+  variants.push_back({"reversed assets", {}, reversed});
+
+  runtime::EnsembleRunner serial = plain_runner(1);
+  runtime::EnsembleRunner pooled = plain_runner(8);
+  const std::shared_ptr<const surge::StormStage> stage =
+      pooled.storm_stage(oahu(), {});
+  for (const Variant& v : variants) {
+    const RealizationEngine shared(pooled.storm_stage(oahu(), v.config),
+                                   v.assets, v.config);
+    ASSERT_EQ(&shared.stage(), stage.get()) << v.name;
+    const RealizationEngine own(oahu(), v.assets, v.config);
+    std::vector<HurricaneRealization> got(kCount);
+    std::vector<HurricaneRealization> want(kCount);
+    pooled.pool().parallel_for_each(kCount, 1, [&](std::size_t i) {
+      got[i] = shared.run(i);
+      want[i] = own.run(i);
+    });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      expect_bit_identical(got[i], want[i],
+                           v.name + " [" + std::to_string(i) + "]");
+    }
+    runtime::SweepSpec spec;
+    spec.count = kCount;
+    for (runtime::EnsembleRunner* runner : {&serial, &pooled}) {
+      const runtime::FailureMasks masks =
+          runner->run_resumable(shared, spec, {}).masks;
+      ASSERT_EQ(masks.size(), kCount) << v.name;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(masks.indices[i], i) << v.name;
+        for (std::size_t a = 0; a < want[i].impacts.size(); ++a) {
+          EXPECT_EQ(masks.test(i, a), want[i].impacts[a].failed)
+              << v.name << " jobs " << runner->options().jobs << " [" << i
+              << "] asset " << a;
+        }
+      }
+    }
+  }
 }
 
 TEST(Fastpath, EngineBatchDigestDistinguishesTerrains) {
-  terrain::IslandParams params = terrain::oahu_params();
-  params.name = "shifted island";
-  params.shore_elevation_m += 0.4;
-  const auto other =
-      std::make_shared<const terrain::SyntheticIslandTerrain>(params);
-  EXPECT_NE(engine_digest({}, other), engine_digest({}, oahu()));
+  EXPECT_NE(engine_digest({}, shifted_island()), engine_digest({}, oahu()));
 }
 
 TEST(Fastpath, TerrainDigestSeparatesNameAndElevation) {

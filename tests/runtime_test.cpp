@@ -1,14 +1,16 @@
 // Unit tests for the ensemble runtime's building blocks: the work-stealing
-// TaskPool (coverage + determinism + exception propagation), the typed
-// content digest, and the two-layer ResultStore of mask tables (LRU, disk
-// round-trip, corruption tolerance, version invalidation).
+// TaskPool (coverage + determinism + exception propagation + lazy worker
+// start), the typed content digest, and the two-layer ResultStore of mask
+// tables (LRU, disk round-trip, corruption tolerance, version invalidation).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -47,6 +49,45 @@ TEST(TaskPoolTest, InlinePoolSpawnsNoWorkers) {
   runtime::TaskPool pool(1);
   EXPECT_EQ(pool.worker_count(), 0u);
   EXPECT_EQ(pool.parallelism(), 1u);
+}
+
+/// Threads of this process, from /proc (-1 where there is none).
+long process_threads() {
+  const fs::path tasks = "/proc/self/task";
+  if (!fs::exists(tasks)) return -1;
+  return static_cast<long>(std::distance(fs::directory_iterator(tasks),
+                                         fs::directory_iterator()));
+}
+
+/// A parallel pool starts its workers on its first batch of more than one
+/// chunk: until then (no batch, or single-chunk ones that run inline) it has
+/// started no thread, and its first batch gives the inline pool's result.
+TEST(TaskPoolTest, WorkersStartOnTheFirstMultiChunkBatch) {
+  constexpr std::size_t kN = 100;
+  const auto fill = [](runtime::TaskPool& pool, std::size_t chunk) {
+    std::vector<std::uint64_t> out(kN, 0);
+    pool.parallel_for_each(kN, chunk,
+                           [&](std::size_t i) { out[i] = i * i + 1; });
+    return out;
+  };
+  runtime::TaskPool inline_pool(1);
+  const std::vector<std::uint64_t> want = fill(inline_pool, 7);
+
+  const long threads_before = process_threads();
+  runtime::TaskPool pool(4);
+  EXPECT_EQ(pool.worker_count(), 0u);
+  EXPECT_EQ(pool.parallelism(), 4u);
+  EXPECT_EQ(fill(pool, kN), want);  // one chunk: inline
+  EXPECT_EQ(pool.worker_count(), 0u);
+  EXPECT_EQ(process_threads(), threads_before);
+
+  EXPECT_EQ(fill(pool, 7), want);
+  EXPECT_EQ(pool.worker_count(), 4u);
+  if (threads_before >= 0) {
+    EXPECT_EQ(process_threads(), threads_before + 4);
+  }
+  EXPECT_EQ(fill(pool, 3), want);  // started once
+  EXPECT_EQ(pool.worker_count(), 4u);
 }
 
 TEST(TaskPoolTest, HandlesEmptyAndOversizedChunks) {

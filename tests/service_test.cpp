@@ -525,6 +525,46 @@ TEST(Server, CacheHitOnLiveCaseStudyRunsNoRealization) {
   std::filesystem::remove_all(dir);
 }
 
+/// Sessions at two sea-level offsets on one server share one storm stage:
+/// the two requests build one stage between them, a session the server's
+/// runtime builds at either offset gets that same stage object, and both
+/// answers are byte-identical to local execution.
+TEST(Server, SessionsAtTwoOffsetsShareOneStormStage) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter builds("surge.stage_builds");
+  const std::string path = test_socket_path("stage");
+  const ServerOptions options = loopback_options(path);
+  Server server(options);
+  server.start();
+  Client client(path, "unit");
+  client.connect();
+  std::vector<Request> requests(2, analyze_request(12));
+  requests[1].sea_level_offset_m = 0.3;
+
+  const std::uint64_t before = builds.value();
+  std::vector<std::string> served;
+  for (const Request& request : requests) {
+    const CallResult result = client.call(request);
+    ASSERT_TRUE(result.ok);
+    served.push_back(result.response.output);
+  }
+  const auto first = make_case_study(requests[0], options.defaults,
+                                     &server.runtime());
+  const auto second = make_case_study(requests[1], options.defaults,
+                                      &server.runtime());
+  EXPECT_EQ(&first->engine().stage(), &second->engine().stage());
+  if (obs::compiled_in()) {
+    EXPECT_EQ(builds.value() - before, 1u);
+  }
+
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(served[r], run_locally(requests[r], options).output) << r;
+  }
+  EXPECT_NE(served[0], served[1]) << "the offsets must answer differently";
+  server.stop();
+}
+
 // ---------------------------------------------------------------- table cache
 
 /// Files under `dir` (the cache's records), recursively.
@@ -778,6 +818,31 @@ TEST(Server, MalformedRequestAnsweredWithTypedError) {
   // The connection survives a rejected request.
   const CallResult ping = client.call(Request{});
   EXPECT_TRUE(ping.ok);
+  server.stop();
+}
+
+/// A request of no realizations asks nothing: make_case_study rejects it
+/// as invalid input, and the server answers any client kMalformedRequest.
+TEST(Server, ZeroRealizationsAnsweredWithTypedError) {
+  const std::string path = test_socket_path("zero");
+  const ServerOptions options = loopback_options(path);
+  const Request request = analyze_request(0);
+  try {
+    make_case_study(request, options.defaults, nullptr);
+    ADD_FAILURE() << "a case study of 0 realizations was built";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+  }
+  Server server(options);
+  server.start();
+  Client client(path, "unit");
+  client.connect();
+  const CallResult result = client.call(request);
+  ASSERT_FALSE(result.ok);
+  EXPECT_EQ(result.error.status, Status::kMalformedRequest);
+  EXPECT_NE(result.error.message.find("at least 1 realization"),
+            std::string::npos);
+  EXPECT_TRUE(client.call(Request{}).ok);
   server.stop();
 }
 

@@ -276,7 +276,12 @@ TEST(RealizationEngine, HelpersLookUpById) {
 }
 
 TEST(RealizationEngine, NullTerrainRejected) {
-  EXPECT_THROW(RealizationEngine(nullptr, {}, {}), std::invalid_argument);
+  EXPECT_THROW(
+      RealizationEngine(std::shared_ptr<const terrain::Terrain>(), {}, {}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      RealizationEngine(std::shared_ptr<const StormStage>(), {}, {}),
+      std::invalid_argument);
 }
 
 /// A pool of 8 jobs, one realization per task, no result cache.
