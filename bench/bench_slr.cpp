@@ -4,7 +4,7 @@
 // about climatic change compounding with man-made threats).
 //
 // Every offset is a case study over the same storms, borrowing one
-// EnsembleRunner (CT_BENCH_JOBS workers): from the third offset on, the
+// EnsembleRunner (CT_BENCH_JOBS workers): from the second offset on, the
 // storm-stage memo binds the shared shoreline records instead of re-running
 // the storms.
 #include <iostream>

@@ -4,7 +4,7 @@
 // equipment were mounted lower or higher.
 //
 // Every threshold is a case study over the same storms, borrowing one
-// EnsembleRunner (CT_BENCH_JOBS workers): from the third threshold on, the
+// EnsembleRunner (CT_BENCH_JOBS workers): from the second threshold on, the
 // storm-stage memo binds the shared shoreline records instead of re-running
 // the storms.
 #include <iostream>

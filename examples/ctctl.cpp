@@ -102,10 +102,13 @@ int usage() {
       "                             trace JSON after the run (local only;\n"
       "                             load in chrome://tracing or Perfetto)\n"
       "\n"
-      "checkpoint options (analyze, local only):\n"
+      "checkpoint options (analyze, downtime, siting; local only):\n"
       "  --checkpoint-dir <dir>     journal completed work under <dir> so a\n"
-      "                             killed or interrupted analyze can\n"
-      "                             continue instead of restarting\n"
+      "                             killed or interrupted command can\n"
+      "                             continue instead of restarting; the\n"
+      "                             report then starts with a checkpoint:\n"
+      "                             line (realizations restored, computed,\n"
+      "                             checkpoint writes)\n"
       "  --checkpoint-interval <n>  realizations per checkpoint record\n"
       "                             (default 128): the most work a crash can\n"
       "                             lose\n"
@@ -156,19 +159,14 @@ void install_interrupt_handlers() {
 // means answering a non-default question with default parameters, the
 // worst failure mode an analysis tool can have.
 const std::vector<std::string> kAnalysisFlags = {
-    "topology",    "primary",     "backup",      "dc",
-    "realizations", "slr",        "jobs",        "no-cache",
-    "max-retries", "best-effort", "strict",      "connect",
-    "deadline-ms", "trace-out"};
+    "topology",     "primary",     "backup",         "dc",
+    "realizations", "slr",         "jobs",           "no-cache",
+    "max-retries",  "best-effort", "strict",         "connect",
+    "deadline-ms",  "trace-out",   "checkpoint-dir", "checkpoint-interval",
+    "resume"};
 
 std::vector<std::string> flags_for(const std::string& command) {
-  if (command == "analyze") {
-    std::vector<std::string> flags = kAnalysisFlags;
-    flags.insert(flags.end(),
-                 {"checkpoint-dir", "checkpoint-interval", "resume"});
-    return flags;
-  }
-  if (command == "downtime") return kAnalysisFlags;
+  if (command == "analyze" || command == "downtime") return kAnalysisFlags;
   if (command == "siting") {
     std::vector<std::string> flags;
     for (const std::string& f : kAnalysisFlags) {

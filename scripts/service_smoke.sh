@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Serving-mode smoke: boots ctserved on a Unix socket, runs the same
-# analysis remotely (twice) and locally, and holds the protocol's three
-# user-visible contracts:
+# analysis remotely (twice) and locally, and holds these user-visible
+# contracts:
 #
 #   1. `ctctl --connect` stdout is byte-identical to local execution;
 #   2. the second identical request is answered entirely from the shared
@@ -12,19 +12,23 @@
 #   4. served downtime after a served analyze of the same session runs no
 #      storm: it folds over the session's memoized mask table
 #      (`surge.node_steps` unchanged) and matches local execution;
-#   5. the storm-stage memo: once two sea-level offsets have asked for the
-#      same storms, a third offset runs no storm stage (`surge.node_steps`
-#      unchanged), and every offset's answer matches local execution;
+#   5. the storm-stage memo: a session on the server's shared storm stage
+#      keeps its storms' shoreline records from its first realization (the
+#      server's `memo.stores` reads 200 after the cold offset-0 analyze),
+#      so every new sea-level offset, the first one included, runs no
+#      storm stage (`surge.node_steps` unchanged), and every offset's
+#      answer matches local execution;
 #   6. served siting (a new session's mask sweep, one fold per candidate)
 #      at a fourth offset matches local execution and also runs no storm
 #      stage; and the sessions at the four offsets, which share one storm
 #      side, built one storm stage (mesh, envelope precompute, harbor rays)
 #      between them: the server's `surge.stage_builds` counter reads 1;
 #   7. SIGTERM drains gracefully (exit 0 after finishing admitted work);
-#   8. a local checkpointed sweep survives a real process death: CT_CRASH
-#      tears its third durable write (exit 86), and `--resume` restores the
-#      32 realizations journaled before it and prints, after its two
-#      checkpoint lines, the uninterrupted report byte for byte;
+#   8. a local checkpointed sweep survives a real process death, for
+#      analyze and for downtime: CT_CRASH tears its third durable write
+#      (exit 86), and `--resume` restores the 32 realizations journaled
+#      before it and prints, after its checkpoint line and a blank line,
+#      the uninterrupted report byte for byte;
 #   9. one cached table serves every command of a new process: after a
 #      local default analyze, new local processes over the same
 #      CT_CACHE_DIR run `analyze --backup kahe_cc`, `downtime` and `siting`,
@@ -86,6 +90,10 @@ fi
 steps_cold=$(node_steps)
 [[ -n "$steps_cold" && "$steps_cold" -gt 0 ]] \
     || { echo "FAIL: no surge.node_steps after the cold request"; exit 1; }
+memo_stores=$(server_counter memo.stores)
+echo "memo.stores: $memo_stores after the cold request"
+[[ "$memo_stores" == 200 ]] \
+    || { echo "FAIL: the cold request kept ${memo_stores:-no} storm records, not 200"; exit 1; }
 
 echo "== remote analyze (must be cache-warm)"
 "$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" \
@@ -141,20 +149,17 @@ echo "== server counters"
 grep -Eq "completed[| ]+\|? *3" "$work/stats.txt" \
     || { echo "FAIL: expected 3 completed requests in stats"; exit 1; }
 
-echo "== storm-stage memo: a third sea-level offset runs no storm"
-# Offset 0 has run these 200 storms. Offset 0.1 is the second bind to ask
-# for them, so the server keeps their shoreline records; offset 0.2 then
-# only binds them.
-"$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" --slr 0.1 \
-    > "$work/remote-slr-0.1.txt" 2>/dev/null
-steps_before=$(node_steps)
-"$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" --slr 0.2 \
-    > "$work/remote-slr-0.2.txt" 2>/dev/null
-steps_after=$(node_steps)
-echo "surge.node_steps: $steps_before before --slr 0.2, $steps_after after"
-[[ "$steps_after" == "$steps_before" ]] \
-    || { echo "FAIL: the third offset ran storm stages"; exit 1; }
+echo "== storm-stage memo: a new sea-level offset runs no storm"
+# The cold offset-0 analyze kept the 200 storms' shoreline records, so
+# offsets 0.1 and 0.2 only bind them.
 for slr in 0.1 0.2; do
+  steps_before=$(node_steps)
+  "$ctctl" analyze --connect "unix:$sock" "${run_flags[@]}" --slr "$slr" \
+      > "$work/remote-slr-$slr.txt" 2>/dev/null
+  steps_after=$(node_steps)
+  echo "surge.node_steps: $steps_before before --slr $slr, $steps_after after"
+  [[ "$steps_after" == "$steps_before" ]] \
+      || { echo "FAIL: offset $slr ran storm stages"; exit 1; }
   CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" \
       --slr "$slr" > "$work/local-slr-$slr.txt" 2>/dev/null
   diff -u "$work/local-slr-$slr.txt" "$work/remote-slr-$slr.txt"
@@ -189,21 +194,26 @@ server_pid=
 grep -q "stopped" "$work/server.log" \
     || { echo "FAIL: no clean-shutdown marker in server log"; exit 1; }
 
-echo "== local crash and resume: a torn journal write, then --resume"
-crash_run=(analyze "${run_flags[@]}" --no-cache
-           --checkpoint-dir "$work/checkpoint" --checkpoint-interval 32)
-rc=0
-CT_CACHE_DIR="$work/local-cache" CT_CRASH=torn:at=3 "$ctctl" "${crash_run[@]}" \
-    > /dev/null 2>&1 || rc=$?
-[[ "$rc" -eq 86 ]] || { echo "FAIL: injected crash exited $rc, not 86"; exit 1; }
-CT_CACHE_DIR="$work/local-cache" "$ctctl" "${crash_run[@]}" --resume \
-    > "$work/resumed.txt" 2>/dev/null
-head -n 1 "$work/resumed.txt"
-head -n 1 "$work/resumed.txt" | grep -q "restored 32 and" \
-    || { echo "FAIL: the resume did not restore 32 realizations"; exit 1; }
-CT_CACHE_DIR="$work/local-cache" "$ctctl" analyze "${run_flags[@]}" --no-cache \
-    > "$work/uninterrupted.txt" 2>/dev/null
-tail -n +3 "$work/resumed.txt" | diff -u "$work/uninterrupted.txt" -
+for command in analyze downtime; do
+  echo "== local crash and resume of $command: a torn journal write, then --resume"
+  crash_run=("$command" "${run_flags[@]}" --no-cache
+             --checkpoint-dir "$work/checkpoint-$command"
+             --checkpoint-interval 32)
+  rc=0
+  CT_CACHE_DIR="$work/local-cache" CT_CRASH=torn:at=3 "$ctctl" \
+      "${crash_run[@]}" > /dev/null 2>&1 || rc=$?
+  [[ "$rc" -eq 86 ]] \
+      || { echo "FAIL: injected $command crash exited $rc, not 86"; exit 1; }
+  CT_CACHE_DIR="$work/local-cache" "$ctctl" "${crash_run[@]}" --resume \
+      > "$work/resumed-$command.txt" 2>/dev/null
+  head -n 1 "$work/resumed-$command.txt"
+  head -n 1 "$work/resumed-$command.txt" | grep -q "restored 32 and" \
+      || { echo "FAIL: the $command resume did not restore 32 realizations"; exit 1; }
+  CT_CACHE_DIR="$work/local-cache" "$ctctl" "$command" "${run_flags[@]}" \
+      --no-cache > "$work/uninterrupted-$command.txt" 2>/dev/null
+  tail -n +3 "$work/resumed-$command.txt" \
+      | diff -u "$work/uninterrupted-$command.txt" -
+done
 
 echo "== one cached table serves every command of a new process"
 CT_CACHE_DIR="$work/table-cache" "$ctctl" analyze "${run_flags[@]}" \

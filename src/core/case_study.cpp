@@ -65,11 +65,9 @@ std::shared_ptr<const runtime::FailureMasks> CaseStudyRunner::table(
   return masks_;
 }
 
-const runtime::FailureMasks* CaseStudyRunner::masks(
-    const runtime::CheckpointOptions& ckpt,
-    runtime::CancellationToken* interrupt) {
+const runtime::FailureMasks* CaseStudyRunner::masks() {
   ResumableAnalysis how;
-  table(ckpt, interrupt, how);
+  table({}, nullptr, how);
   return masks_.get();
 }
 

@@ -42,7 +42,7 @@ class CaseStudyRunner {
  public:
   /// With `shared_runtime == nullptr` (every pre-service caller) the
   /// runner owns a private EnsembleRunner built from options.runtime, and
-  /// its engine a private storm stage.
+  /// its engine a private storm stage, which keeps no storm record.
   /// A non-null `shared_runtime` is BORROWED: several case studies — the
   /// ct_service request sessions — then multiplex onto one work-stealing
   /// pool and one content-addressed result cache, which is what keeps the
@@ -56,12 +56,19 @@ class CaseStudyRunner {
                   CaseStudyOptions options = {},
                   runtime::EnsembleRunner* shared_runtime = nullptr);
 
-  /// The ensemble's mask table from the table step, its sweep (if one
-  /// runs) under `ckpt` and `interrupt`; nullptr when that sweep was
-  /// interrupted.
-  const runtime::FailureMasks* masks(
-      const runtime::CheckpointOptions& ckpt = {},
-      runtime::CancellationToken* interrupt = nullptr);
+  /// The table step: the memo; else, with the cache on, the result cache
+  /// under the batch digest; else a sweep under `ckpt` and `interrupt`,
+  /// stored when complete and clean, and memoized when complete (a
+  /// degraded table serves the rest of the session). An interrupted
+  /// sweep's partial table is returned, not kept. `how` records the sweep,
+  /// when one ran.
+  std::shared_ptr<const runtime::FailureMasks> table(
+      const runtime::CheckpointOptions& ckpt,
+      runtime::CancellationToken* interrupt, ResumableAnalysis& how);
+
+  /// The ensemble's mask table from the table step, swept without a
+  /// journal if no step before the sweep has it.
+  const runtime::FailureMasks* masks();
 
   /// The memoized table, or nullptr while none is memoized.
   const runtime::FailureMasks* memoized_masks() const noexcept {
@@ -107,16 +114,6 @@ class CaseStudyRunner {
   runtime::EnsembleRunner& runtime() noexcept { return *runtime_; }
 
  private:
-  /// The table step: the memo; else, with the cache on, the result cache
-  /// under the batch digest; else a sweep under `ckpt` and `interrupt`,
-  /// stored when complete and clean, and memoized when complete (a
-  /// degraded table serves the rest of the session). An interrupted
-  /// sweep's partial table is returned, not kept. `how` records the sweep,
-  /// when one ran.
-  std::shared_ptr<const runtime::FailureMasks> table(
-      const runtime::CheckpointOptions& ckpt,
-      runtime::CancellationToken* interrupt, ResumableAnalysis& how);
-
   /// Content address of the (engine, realization count) ensemble; computed
   /// once per runner (its probe realization included), and only when the
   /// result cache or a journal reads it, so a warm run costs no

@@ -284,14 +284,14 @@ std::shared_ptr<const surge::StormStage> EnsembleRunner::storm_stage(
     const surge::RealizationConfig& config) {
   const std::string key = surge::storm_stage_key(*terrain, config).hex();
   {
-    std::lock_guard<std::mutex> lock(storms_mutex_);
-    if (auto live = storms_[key].stage.lock()) return live;
+    std::lock_guard<std::mutex> lock(stages_mutex_);
+    if (auto live = stages_[key].lock()) return live;
   }
   // Built outside the lock; of two concurrent builds the first kept wins.
   auto stage =
       std::make_shared<const surge::StormStage>(std::move(terrain), config);
-  std::lock_guard<std::mutex> lock(storms_mutex_);
-  std::weak_ptr<const surge::StormStage>& slot = storms_[key].stage;
+  std::lock_guard<std::mutex> lock(stages_mutex_);
+  std::weak_ptr<const surge::StormStage>& slot = stages_[key];
   if (auto live = slot.lock()) return live;
   slot = stage;
   return stage;
@@ -299,16 +299,12 @@ std::shared_ptr<const surge::StormStage> EnsembleRunner::storm_stage(
 
 std::string EnsembleRunner::memo_storm(const surge::RealizationEngine& engine) {
   if (!options_.cache) return {};
-  const std::string& storm = engine.storm_digest();
-  const std::string& bind = engine.bind_digest();
-  std::lock_guard<std::mutex> lock(storms_mutex_);
-  StormEntry& entry = storms_[engine.stage().key()];
-  if (entry.first_bind.empty()) {
-    entry.first_bind = bind;
-  } else if (entry.first_bind != bind) {
-    entry.shared = true;
-  }
-  return entry.shared ? storm : std::string();
+  const surge::StormStage& stage = engine.stage();
+  const std::string& key = stage.key();  // outside the lock: a digest
+  std::lock_guard<std::mutex> lock(stages_mutex_);
+  const auto it = stages_.find(key);
+  if (it == stages_.end() || it->second.lock().get() != &stage) return {};
+  return engine.storm_digest();
 }
 
 surge::HurricaneRealization EnsembleRunner::realize(

@@ -19,13 +19,13 @@
 // bounds how much probability mass the quarantined samples could move
 // (Clopper-Pearson).
 //
-// Storm-stage memo (DESIGN.md §9): once a second engine with a different
-// bind digest (another sea-level offset, threshold, asset list, ...) has
-// asked for a storm digest, the runner keeps that storm's shoreline
-// records in the store's memory LRU and binds them for whichever engine
-// asks, so a what-if over the same storms runs only the bind stage. A
-// runner that serves one engine stores nothing; options.cache = false
-// bypasses it.
+// Storm-stage memo (DESIGN.md §9): an engine whose stage came from
+// storm_stage() keeps each storm's shoreline records in the store's memory
+// LRU from its first realization on, and every engine on that storm side
+// (another sea-level offset, threshold, asset list, ...) binds them, so a
+// what-if over the same storms runs only the bind stage. An engine on a
+// private stage (a case study that owns its runtime) keeps nothing;
+// options.cache = false bypasses the memo.
 //
 // Shared storm stages (DESIGN.md §10): storm_stage() hands engines that
 // share a storm side one surge::StormStage (mesh, envelope precompute,
@@ -116,7 +116,7 @@ class EnsembleRunner {
   /// The storm stage for `config`'s storm side over `terrain`: the live
   /// stage of the same storm_stage_key if an engine still holds one, else a
   /// new one. The runner keeps only a weak reference, so a stage lives as
-  /// long as the engines built on it.
+  /// long as the engines built on it. Engines on it use the storm memo.
   std::shared_ptr<const surge::StormStage> storm_stage(
       std::shared_ptr<const terrain::Terrain> terrain,
       const surge::RealizationConfig& config);
@@ -134,8 +134,8 @@ class EnsembleRunner {
   ResultStore::Stats cache_stats() const { return store_.stats(); }
 
  private:
-  /// Registers `engine` with the memo's admission rule and returns its
-  /// storm digest when this call should use the memo, "" otherwise.
+  /// `engine`'s storm digest when the memo serves it (the cache is on and
+  /// its stage is the live stage storm_stage() handed out), "" otherwise.
   std::string memo_storm(const surge::RealizationEngine& engine);
   /// Realization `index` of `engine`: engine.run() when `storm` is "",
   /// else the memoized shoreline record (computed and kept on a miss)
@@ -155,17 +155,12 @@ class EnsembleRunner {
   TaskPool pool_;
   ResultStore store_;
 
-  /// Per storm side (keyed by StormStage::key()): the live shared stage,
-  /// if any; the first bind digest that asked the memo for its storms, and
-  /// whether one with a different bind digest has asked since (records are
-  /// kept only then). One entry per storm side the runner has seen.
-  struct StormEntry {
-    std::weak_ptr<const surge::StormStage> stage;
-    std::string first_bind;
-    bool shared = false;
-  };
-  std::mutex storms_mutex_;
-  std::unordered_map<std::string, StormEntry> storms_;
+  /// Per storm side storm_stage() was asked for (keyed by
+  /// StormStage::key()): the stage it handed out, live while an engine
+  /// holds it.
+  std::mutex stages_mutex_;
+  std::unordered_map<std::string, std::weak_ptr<const surge::StormStage>>
+      stages_;
 };
 
 }  // namespace ct::runtime

@@ -96,6 +96,15 @@ int finish_analysis(std::ostream& os,
   return core::analysis_exit_code(all_results, strict);
 }
 
+/// A checkpointed command's first line: how its sweep used the journal.
+void print_checkpoint(std::ostream& os, const runtime::CheckpointOptions& ckpt,
+                      const runtime::SweepStats& sweep) {
+  if (ckpt.dir.empty()) return;
+  os << "checkpoint: " << runtime::resume_status_name(sweep.resume.status)
+     << ", restored " << sweep.restored << " and computed " << sweep.executed
+     << " realization(s), " << sweep.checkpoints << " checkpoint write(s)\n\n";
+}
+
 void accumulate(ExecOutcome& out,
                 const std::vector<core::ScenarioResult>& results) {
   for (const core::ScenarioResult& r : results) {
@@ -120,12 +129,7 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
       runner.run_all_resumable(configs, scenarios, ckpt, interrupt);
 
   std::ostringstream os;
-  if (!ckpt.dir.empty()) {
-    os << "checkpoint: " << runtime::resume_status_name(analysis.resume.status)
-       << ", restored " << analysis.restored << " and computed "
-       << analysis.executed << " realization(s), " << analysis.checkpoints
-       << " checkpoint write(s)\n\n";
-  }
+  print_checkpoint(os, ckpt, analysis);
 
   std::vector<core::ScenarioResult> all_results;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -186,11 +190,13 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
                          runtime::CancellationToken* interrupt) {
   const std::vector<scada::Configuration> configs =
       request_configs(request, runner.topology());
-  const runtime::FailureMasks* masks = runner.masks(ckpt, interrupt);
-  if (masks == nullptr) return stopped();
+  core::ResumableAnalysis sweep;
+  const auto masks = runner.table(ckpt, interrupt, sweep);
+  if (sweep.interrupted) return stopped();
 
   const core::RestorationModel model;
   std::ostringstream os;
+  print_checkpoint(os, ckpt, sweep);
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
     util::TextTable table;
     table.set_columns({"config", "E[downtime] h", "E[incorrect] h"},
@@ -236,11 +242,13 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
                                          scada::oahu_ids::kHonoluluCc);
   const std::vector<std::string> candidates =
       siting_candidates(request, runner.topology());
-  const runtime::FailureMasks* masks = runner.masks(ckpt, interrupt);
-  if (masks == nullptr) return stopped();
+  core::ResumableAnalysis sweep;
+  const auto masks = runner.table(ckpt, interrupt, sweep);
+  if (sweep.interrupted) return stopped();
   core::SitingOptimizer optimizer(runner);
 
   std::ostringstream os;
+  print_checkpoint(os, ckpt, sweep);
   os << "backup-site ranking for \"6-6\" (primary " << primary << ", "
      << runner.options().realizations << " realizations)\n\n";
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {

@@ -68,8 +68,8 @@ std::unique_ptr<core::CaseStudyRunner> make_case_study(
 
 /// Executes an analyze / downtime / siting / ping request against the
 /// runner and renders the report. `ckpt` is the options of the request's
-/// sweep: the CLI's checkpoint flags (which ctctl accepts for analyze
-/// only), or the server's stream interval and progress observer with an
+/// sweep: the CLI's checkpoint flags (a dir puts a "checkpoint:" line
+/// first), or the server's stream interval and progress observer with an
 /// empty dir; `interrupt` is the cooperative cancellation handle (SIGINT
 /// locally, deadline/disconnect/drain on the server), honored at sweep
 /// slice boundaries by every command.

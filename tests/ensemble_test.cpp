@@ -781,11 +781,26 @@ runtime::EnsembleOptions memo_options(unsigned jobs) {
   return options;
 }
 
-/// An engine over the paper's storms at sea-level offset `offset_m`.
-surge::RealizationEngine offset_engine(double offset_m) {
+/// The storm stage for `config`: `runner`'s shared stage, as a served
+/// session's engine gets it (the runner's storm memo serves engines on
+/// it), or a private one when `runner` is null, as a case study that owns
+/// its runtime builds it (the memo keeps nothing for it).
+std::shared_ptr<const surge::StormStage> stage_for(
+    runtime::EnsembleRunner* runner, const surge::RealizationConfig& config) {
+  if (runner == nullptr) {
+    return std::make_shared<const surge::StormStage>(
+        terrain::make_oahu_terrain(), config);
+  }
+  return runner->storm_stage(terrain::make_oahu_terrain(), config);
+}
+
+/// An engine over the paper's storms at sea-level offset `offset_m`, on
+/// stage_for(runner).
+surge::RealizationEngine offset_engine(
+    double offset_m, runtime::EnsembleRunner* runner = nullptr) {
   surge::RealizationConfig config;
   config.sea_level_offset_m = offset_m;
-  return surge::RealizationEngine(terrain::make_oahu_terrain(),
+  return surge::RealizationEngine(stage_for(runner, config),
                                   scada::oahu_topology().exposed_assets(),
                                   config);
 }
@@ -842,6 +857,20 @@ const std::vector<BindVariant>& bind_variants() {
   return variants;
 }
 
+/// One engine per bind variant, each on stage_for(runner).
+std::vector<std::unique_ptr<const surge::RealizationEngine>> variant_engines(
+    runtime::EnsembleRunner* runner) {
+  std::vector<std::unique_ptr<const surge::RealizationEngine>> engines;
+  for (const BindVariant& v : bind_variants()) {
+    surge::RealizationConfig config;
+    v.knob(config);
+    engines.push_back(std::make_unique<const surge::RealizationEngine>(
+        stage_for(runner, config), scada::oahu_topology().exposed_assets(),
+        config));
+  }
+  return engines;
+}
+
 /// engine.run over realizations [0, count) on `runner`'s pool.
 std::vector<surge::HurricaneRealization> pooled_run(
     runtime::EnsembleRunner& runner, const surge::RealizationEngine& engine,
@@ -882,21 +911,13 @@ void expect_memo_records(
 }
 
 /// The memo's masks equal engine.run's over all 1000 paper realizations,
-/// for every bind knob, at jobs 1 and 8, and with an LRU small enough to
-/// evict records mid-sweep; the records it keeps are the storm stage bit
-/// for bit and bind to run() bit for bit.
+/// for every bind knob on one runner's shared stage, at jobs 1 and 8, and
+/// with an LRU small enough to evict records mid-sweep; the records it
+/// keeps are the storm stage bit for bit and bind to run() bit for bit.
 TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
-  std::vector<std::unique_ptr<const surge::RealizationEngine>> engines;
-  for (const BindVariant& v : bind_variants()) {
-    surge::RealizationConfig config;
-    v.knob(config);
-    engines.push_back(std::make_unique<const surge::RealizationEngine>(
-        terrain::make_oahu_terrain(), scada::oahu_topology().exposed_assets(),
-        config));
-  }
-
-  // Reference: engine.run and engine.storm for every realization, on a
-  // pool, the memo out of the way.
+  // Reference: engine.run and engine.storm for every realization of
+  // private-stage engines, on a pool, the memo out of the way.
+  const auto engines = variant_engines(nullptr);
   runtime::EnsembleRunner pool(memo_options(8));
   std::vector<std::vector<surge::HurricaneRealization>> reference;
   for (const auto& engine : engines) {
@@ -909,22 +930,18 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
 
   for (const unsigned jobs : {1u, 8u}) {
     runtime::EnsembleRunner runner(memo_options(jobs));
-    // One paper realization registers the first bind digest, so the next
-    // engine's sweep is the one that keeps the records.
-    sweep_masks(runner, *engines[0], 1);
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      expect_masks_of(sweep_masks(runner, *engines[e], kPaperRealizations),
+    // The first engine's sweep keeps every record; the rest bind them.
+    const auto staged = variant_engines(&runner);
+    for (std::size_t e = 0; e < staged.size(); ++e) {
+      expect_masks_of(sweep_masks(runner, *staged[e], kPaperRealizations),
                       reference[e],
                       std::string(bind_variants()[e].name) + " jobs " +
                           std::to_string(jobs));
     }
-    expect_masks_of(sweep_masks(runner, *engines[0], kPaperRealizations),
-                    reference[0], "paper jobs " + std::to_string(jobs));
     const runtime::ResultStore::Stats stats = runner.cache_stats();
     EXPECT_EQ(stats.memo_stores, kPaperRealizations);
-    EXPECT_EQ(stats.memo_hits,
-              (engines.size() - 1) * kPaperRealizations);
-    if (jobs == 8) expect_memo_records(runner, engines, storms, reference);
+    EXPECT_EQ(stats.memo_hits, (staged.size() - 1) * kPaperRealizations);
+    if (jobs == 8) expect_memo_records(runner, staged, storms, reference);
   }
 
   // 100 entries against 1000 in-order realizations: every record is evicted
@@ -932,9 +949,9 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
   runtime::EnsembleOptions small = memo_options(8);
   small.memory_entries = 100;
   runtime::EnsembleRunner evicting(small);
-  sweep_masks(evicting, *engines[0], 1);
+  const auto evicted = variant_engines(&evicting);
   for (const std::size_t e : {std::size_t{1}, std::size_t{4}}) {
-    expect_masks_of(sweep_masks(evicting, *engines[e], kPaperRealizations),
+    expect_masks_of(sweep_masks(evicting, *evicted[e], kPaperRealizations),
                     reference[e],
                     std::string(bind_variants()[e].name) + " evicting");
   }
@@ -945,8 +962,6 @@ TEST(EnsembleMemoTest, MemoizedRealizationsBitIdenticalToRun) {
 /// quarantine the same indices, and the survivors have the same masks, with
 /// the memo on and off.
 TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
-  const surge::RealizationEngine engines[] = {
-      offset_engine(0.0), offset_engine(0.2), offset_engine(0.4)};
   struct Case {
     const char* spec;
     std::size_t count;
@@ -963,6 +978,9 @@ TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
     on_options.cache = true;
     runtime::EnsembleRunner memo_off(off_options);
     runtime::EnsembleRunner memo_on(on_options);
+    const surge::RealizationEngine engines[] = {
+        offset_engine(0.0, &memo_on), offset_engine(0.2, &memo_on),
+        offset_engine(0.4, &memo_on)};
     for (const surge::RealizationEngine& engine : engines) {
       const runtime::FailureMasks want = sweep_masks(memo_off, engine, c.count);
       const runtime::FailureMasks got = sweep_masks(memo_on, engine, c.count);
@@ -982,43 +1000,54 @@ TEST(EnsembleMemoTest, FaultsQuarantineSameIndicesWithMemoOnAndOff) {
   }
 }
 
-/// The admission rule: a runner that only ever serves one bind digest (any
-/// number of identical engines, the batch digest's probe included) keeps
-/// no record.
-TEST(EnsembleMemoTest, RunnerServingOneEngineStoresNoRecord) {
+/// The admission rule's other half: engines on private stages (a case
+/// study that owns its runtime) keep no record, even at two offsets over
+/// the same storms on one runner, the batch digest's probe included, and
+/// even while the runner holds a live shared stage of the same key.
+TEST(EnsembleMemoTest, PrivateStagesKeepNoRecord) {
   runtime::EnsembleRunner runner(memo_options(4));
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  const surge::RealizationEngine twin = make_engine(kSeeds[0]);
-  runner.digest_engine_batch(engine, kRealizations);
-  sweep_masks(runner, engine, kRealizations);
-  sweep_masks(runner, twin, kRealizations);
+  const surge::RealizationEngine shared = offset_engine(0.0, &runner);
+  for (const double offset : {0.0, 0.2}) {
+    const surge::RealizationEngine engine = offset_engine(offset);
+    EXPECT_EQ(engine.stage().key(), shared.stage().key());
+    runner.digest_engine_batch(engine, kRealizations);
+    sweep_masks(runner, engine, kRealizations);
+  }
   const runtime::ResultStore::Stats stats = runner.cache_stats();
   EXPECT_EQ(stats.memo_lookups, 0u);
   EXPECT_EQ(stats.memo_stores, 0u);
 }
 
-/// Once two offsets have asked, a third runs the bind stage only: it adds
-/// nothing to surge.node_steps and still matches engine.run's masks.
-TEST(EnsembleMemoTest, ThirdEngineRunsNoStorm) {
+/// The first engine on a shared stage keeps every record, its batch
+/// digest's probe included, so realization 0 runs once; every later offset
+/// runs the bind stage only: it adds nothing to surge.node_steps and still
+/// matches engine.run's masks.
+TEST(EnsembleMemoTest, SecondEngineRunsNoStorm) {
   ObsGateGuard guard;
   obs::set_enabled(true);
   const obs::Counter node_steps("surge.node_steps");
   runtime::EnsembleRunner runner(memo_options(4));
-  sweep_masks(runner, offset_engine(0.0), kRealizations);
-  sweep_masks(runner, offset_engine(0.2), kRealizations);
+  const surge::RealizationEngine first = offset_engine(0.0, &runner);
+  runner.digest_engine_batch(first, kRealizations);
+  sweep_masks(runner, first, kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
+  EXPECT_EQ(runner.cache_stats().memo_hits, 1u);
 
-  const surge::RealizationEngine third = offset_engine(0.4);
-  const std::uint64_t before = node_steps.value();
-  const runtime::FailureMasks got = sweep_masks(runner, third, kRealizations);
-  EXPECT_EQ(node_steps.value() - before, 0u);
-  EXPECT_EQ(runner.cache_stats().memo_hits, kRealizations);
+  for (const double offset : {0.2, 0.4}) {
+    const surge::RealizationEngine later = offset_engine(offset, &runner);
+    const std::uint64_t before = node_steps.value();
+    const runtime::FailureMasks got =
+        sweep_masks(runner, later, kRealizations);
+    EXPECT_EQ(node_steps.value() - before, 0u) << offset;
+    expect_masks_of(got, offset_engine(offset).run_batch(kRealizations),
+                    "offset " + std::to_string(offset));
+  }
+  EXPECT_EQ(runner.cache_stats().memo_hits, 1 + 2 * kRealizations);
   EXPECT_EQ(runner.cache_stats().memo_stores, kRealizations);
-  expect_masks_of(got, third.run_batch(kRealizations), "third engine");
 }
 
-/// options.cache = false (--no-cache) bypasses the memo: every engine runs
-/// every storm stage.
+/// options.cache = false (--no-cache) bypasses the memo: every engine, on
+/// a shared stage too, runs every storm stage.
 TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
   ObsGateGuard guard;
   obs::set_enabled(true);
@@ -1028,8 +1057,9 @@ TEST(EnsembleMemoTest, NoCacheRunsEveryStormStage) {
   runtime::EnsembleRunner runner(options);
   std::vector<std::uint64_t> steps;
   for (const double offset : {0.0, 0.2, 0.4}) {
+    const surge::RealizationEngine engine = offset_engine(offset, &runner);
     const std::uint64_t before = node_steps.value();
-    sweep_masks(runner, offset_engine(offset), kRealizations);
+    sweep_masks(runner, engine, kRealizations);
     steps.push_back(node_steps.value() - before);
   }
   if (obs::compiled_in()) {

@@ -64,8 +64,8 @@ TEST(EventLimit, DesReportsTruncation) {
 /// and never un-floods it; raising the failure threshold never floods a dry
 /// asset. Both hold exactly in IEEE arithmetic, because depth =
 /// max(0, wse * decay - ground) with decay > 0 and harbor amplification
-/// > 0. The 12 engines share one runner, so the storm-stage memo runs each
-/// storm at most twice.
+/// > 0. The 12 engines share one runner and its storm stage, so the
+/// storm-stage memo runs each storm once.
 TEST(SeaLevelRise, FloodProbabilityMonotonic) {
   const scada::ScadaTopology topo = scada::oahu_topology();
   const double offsets[] = {-0.5, 0.0, 0.4, 0.8};
@@ -90,7 +90,8 @@ TEST(SeaLevelRise, FloodProbabilityMonotonic) {
       config.sea_level_offset_m = offsets[o];
       config.inundation.failure_threshold_m = thresholds[t];
       engines.push_back(std::make_unique<const surge::RealizationEngine>(
-          terrain::make_oahu_terrain(), topo.exposed_assets(), config));
+          runner.storm_stage(terrain::make_oahu_terrain(), config),
+          topo.exposed_assets(), config));
       assets = engines.back()->assets().size();
       runtime::SweepSpec spec;
       spec.count = kRealizations;

@@ -565,6 +565,61 @@ TEST(Server, SessionsAtTwoOffsetsShareOneStormStage) {
   server.stop();
 }
 
+/// Storm counts on a borrowed runtime, as the server's sessions use it. A
+/// first session's cached analyze of n realizations runs each storm once:
+/// as many surge.node_steps as a --no-cache sweep of n (its batch digest's
+/// probe of realization 0 goes through the storm memo), and it keeps n
+/// shoreline records. A session at a second offset runs no storm. A case
+/// study that owns its runtime (every ctctl run) keeps no record through
+/// analyze, downtime and siting.
+TEST(StormMemo, BorrowedRuntimeRunsEachStormOnce) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  const obs::Counter node_steps("surge.node_steps");
+  const ServerOptions options = loopback_options(test_socket_path("memo"));
+  constexpr std::uint64_t kCount = 24;
+  const Request request = analyze_request(kCount);
+  Request no_cache = request;
+  no_cache.no_cache = true;
+
+  std::uint64_t before = node_steps.value();
+  const ExecOutcome local = run_locally(no_cache, options);
+  const std::uint64_t sweep_steps = node_steps.value() - before;
+  if (obs::compiled_in()) {
+    EXPECT_GT(sweep_steps, 0u);
+  }
+
+  runtime::EnsembleRunner shared(options.defaults.runtime);
+  const auto first = make_case_study(request, options.defaults, &shared);
+  before = node_steps.value();
+  EXPECT_EQ(execute_request(request, *first).output, local.output);
+  EXPECT_EQ(node_steps.value() - before, sweep_steps);
+  EXPECT_EQ(shared.cache_stats().memo_stores, kCount);
+  EXPECT_EQ(shared.cache_stats().memo_hits, 1u);
+
+  Request offset = request;
+  offset.sea_level_offset_m = 0.2;
+  const std::string offset_local = run_locally(offset, options).output;
+  const auto second = make_case_study(offset, options.defaults, &shared);
+  before = node_steps.value();
+  EXPECT_EQ(execute_request(offset, *second).output, offset_local);
+  EXPECT_EQ(node_steps.value() - before, 0u);
+  EXPECT_EQ(shared.cache_stats().memo_stores, kCount);
+  EXPECT_EQ(shared.cache_stats().memo_hits, 1 + (kCount + 1));
+
+  core::CaseStudyOptions owned_options = options.defaults;
+  owned_options.realizations = kCount;
+  core::CaseStudyRunner owned = core::make_oahu_case_study(owned_options);
+  for (const RequestKind kind :
+       {RequestKind::kAnalyze, RequestKind::kDowntime, RequestKind::kSiting}) {
+    Request command = request;
+    command.kind = kind;
+    EXPECT_EQ(execute_request(command, owned).exit_code, 0);
+  }
+  EXPECT_EQ(owned.runtime().cache_stats().memo_lookups, 0u);
+  EXPECT_EQ(owned.runtime().cache_stats().memo_stores, 0u);
+}
+
 // ---------------------------------------------------------------- table cache
 
 /// Files under `dir` (the cache's records), recursively.
