@@ -284,9 +284,9 @@ void BM_TaskPoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskPoolDispatch)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-/// One cell's fold over the mask table of 64 realizations, the distinct
-/// masks found afresh each time: what a cache miss costs once the sweep's
-/// table exists.
+/// One cell's fold over the mask table of 64 realizations, the table
+/// projected onto the configuration's site flood patterns afresh each
+/// time: what a cell costs once the sweep's table exists.
 void BM_MaskFold(benchmark::State& state) {
   static const runtime::FailureMasks masks = [] {
     runtime::EnsembleOptions options = runner_options(1, false);
@@ -304,7 +304,7 @@ void BM_MaskFold(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.fold(
         config, threat::ThreatScenario::kHurricaneIntrusionIsolation, masks,
-        core::MaskClasses(masks)));
+        core::SitePatterns(config, masks).counts()));
   }
 }
 BENCHMARK(BM_MaskFold)->Unit(benchmark::kMicrosecond);
@@ -658,10 +658,10 @@ std::vector<bench::BenchRow> micro_runtime_rows() {
             .masks;
     quarantined = degraded.ledger.failures.size();
     retries = degraded.ledger.retries;
-    const core::MaskClasses classes(degraded);
     for (const auto& config : configs) {
-      benchmark::DoNotOptimize(
-          pipeline.fold(config, scenario, degraded, classes));
+      benchmark::DoNotOptimize(pipeline.fold(
+          config, scenario, degraded,
+          core::SitePatterns(config, degraded).counts()));
     }
   });
 

@@ -30,7 +30,6 @@ CaseStudyRunner::CaseStudyRunner(scada::ScadaTopology topology,
       engine_(storm_stage(std::move(terrain), options_.realization,
                           shared_runtime),
               topology_.exposed_assets(), options_.realization),
-      pipeline_(options_.attacker),
       owned_runtime_(shared_runtime == nullptr
                          ? std::make_unique<runtime::EnsembleRunner>(
                                options_.runtime)
@@ -86,7 +85,8 @@ ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
   ResumableAnalysis how;
   const std::shared_ptr<const runtime::FailureMasks> masks =
       table(sweep, interrupt, how);
-  return pipeline_.fold(config, scenario, *masks, MaskClasses(*masks));
+  return pipeline_.fold(config, scenario, *masks,
+                        SitePatterns(config, *masks).counts());
 }
 
 std::vector<ScenarioResult> CaseStudyRunner::run_configs(
@@ -109,11 +109,14 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
   ResumableAnalysis out;
   const std::shared_ptr<const runtime::FailureMasks> masks =
       table(ckpt, interrupt, out);
-  const MaskClasses classes(*masks);
-  out.results.reserve(configs.size() * scenarios.size());
-  for (const threat::ThreatScenario scenario : scenarios) {
-    for (const scada::Configuration& config : configs) {
-      out.results.push_back(pipeline_.fold(config, scenario, *masks, classes));
+  // One projection per configuration serves all its scenarios' cells.
+  out.results.resize(configs.size() * scenarios.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const std::vector<std::size_t> counts =
+        SitePatterns(configs[c], *masks).counts();
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      out.results[s * configs.size() + c] =
+          pipeline_.fold(configs[c], scenarios[s], *masks, counts);
     }
   }
   return out;
@@ -122,26 +125,21 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
 double CaseStudyRunner::asset_flood_probability(std::string_view asset_id) {
   const runtime::FailureMasks& table = *masks();
   if (table.size() == 0) return 0.0;
-  std::size_t failures = 0;
-  for (std::size_t k = 0; k < table.size(); ++k) {
-    if (table.flooded(k, asset_id)) ++failures;
-  }
-  return static_cast<double>(failures) / static_cast<double>(table.size());
+  scada::Configuration site;
+  site.sites = {{.asset_id = std::string(asset_id)}};
+  const std::vector<std::size_t> counts = SitePatterns(site, table).counts();
+  return static_cast<double>(counts[1]) / static_cast<double>(table.size());
 }
 
 double CaseStudyRunner::conditional_flood_probability(std::string_view a,
                                                       std::string_view b) {
-  const runtime::FailureMasks& table = *masks();
-  std::size_t b_failures = 0;
-  std::size_t joint = 0;
-  for (std::size_t k = 0; k < table.size(); ++k) {
-    if (table.flooded(k, b)) {
-      ++b_failures;
-      if (table.flooded(k, a)) ++joint;
-    }
-  }
+  // Pattern bit 0 is `a`'s, bit 1 `b`'s.
+  scada::Configuration pair;
+  pair.sites = {{.asset_id = std::string(a)}, {.asset_id = std::string(b)}};
+  const std::vector<std::size_t> counts = SitePatterns(pair, *masks()).counts();
+  const std::size_t b_failures = counts[0b10] + counts[0b11];
   if (b_failures == 0) return 0.0;
-  return static_cast<double>(joint) / static_cast<double>(b_failures);
+  return static_cast<double>(counts[0b11]) / static_cast<double>(b_failures);
 }
 
 CaseStudyRunner make_oahu_case_study(CaseStudyOptions options) {

@@ -31,10 +31,8 @@ struct CaseStudyOptions {
   std::size_t realizations = 1000;
   /// Natural-disaster pipeline parameters.
   surge::RealizationConfig realization{};
-  /// Attacker model for the cyberattack stage.
-  AttackerModel attacker = AttackerModel::kGreedy;
-  /// Execution runtime: --jobs, chunking, result cache (in-memory by
-  /// default; enable disk_cache to share results across processes).
+  /// Execution runtime: --jobs, result cache (in-memory by default; enable
+  /// disk_cache to share results across processes).
   runtime::EnsembleOptions runtime{};
 };
 

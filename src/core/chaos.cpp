@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/evaluator.h"
-#include "threat/attacker.h"
+#include "core/pipeline.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -31,15 +31,6 @@ sim::DesOptions chaos_des_options() {
 ChaosRunner::ChaosRunner(ChaosOptions options) : options_(std::move(options)) {}
 
 namespace {
-
-threat::SystemState clean_attacked_state(const scada::Configuration& config,
-                                         threat::ThreatScenario scenario) {
-  threat::SystemState base;
-  base.site_status.assign(config.sites.size(), threat::SiteStatus::kUp);
-  base.intrusions.assign(config.sites.size(), 0);
-  return threat::GreedyWorstCaseAttacker{}.attack(
-      config, base, threat::capability_for(scenario));
-}
 
 /// Per-worker simulator/network arena: a sweep runs hundreds of plans
 /// back-to-back, and reusing the engine's slabs and pools across them is
@@ -159,7 +150,7 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
             : sim::random_benign_plan(shape, nodes_per_site, plan_rng);
     for (const threat::ThreatScenario scenario : options_.scenarios) {
       const threat::SystemState attacked =
-          clean_attacked_state(config, scenario);
+          attacked_state(config, scenario, /*pattern=*/0);
       const threat::OperationalState expected = evaluate(config, attacked);
       const sim::DesOutcome outcome = des.run(attacked, plan, plan_arena());
       ++slot.runs;

@@ -6,11 +6,11 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/evaluator.h"
 #include "obs/trace.h"
+#include "threat/attacker.h"
 #include "util/csv.h"
 #include "util/digest.h"
 #include "util/log.h"
@@ -66,22 +66,67 @@ double OutcomeDistribution::expected_badness() const noexcept {
   return sum / static_cast<double>(total_);
 }
 
-MaskClasses::MaskClasses(const runtime::FailureMasks& masks) {
-  std::unordered_map<std::string, std::size_t> seen;
-  class_of.reserve(masks.size());
-  for (std::size_t k = 0; k < masks.size(); ++k) {
-    const std::span<const std::uint64_t> mask = masks.mask(k);
-    std::string key(reinterpret_cast<const char*>(mask.data()),
-                    mask.size_bytes());
-    const auto [it, fresh] =
-        seen.try_emplace(std::move(key), representative.size());
-    if (fresh) {
-      representative.push_back(k);
-      count.push_back(0);
-    }
-    class_of.push_back(it->second);
-    ++count[it->second];
+namespace {
+
+/// `config`'s site count; throws past what a flood pattern covers.
+std::size_t pattern_sites(const scada::Configuration& config) {
+  if (config.sites.size() > kMaxPatternSites) {
+    throw std::invalid_argument("configuration '" + config.name +
+                                "' has more sites than a flood pattern covers");
   }
+  return config.sites.size();
+}
+
+}  // namespace
+
+SitePatterns::SitePatterns(const scada::Configuration& config,
+                           const runtime::FailureMasks& masks)
+    : masks_(masks), sites_(pattern_sites(config)) {
+  for (std::size_t i = 0; masks.assets && i < sites_; ++i) {
+    const auto it = masks.assets->find(config.sites[i].asset_id);
+    if (it != masks.assets->end()) bits_[i] = it->second;
+  }
+}
+
+std::uint32_t SitePatterns::of(std::size_t k) const noexcept {
+  std::uint32_t pattern = 0;
+  for (std::size_t i = 0; i < sites_; ++i) {
+    if (bits_[i] && masks_.test(k, *bits_[i])) pattern |= 1u << i;
+  }
+  return pattern;
+}
+
+std::vector<std::size_t> SitePatterns::counts() const {
+  std::vector<std::size_t> counts(std::size_t{1} << sites_, 0);
+  for (std::size_t k = 0; k < masks_.size(); ++k) ++counts[of(k)];
+  return counts;
+}
+
+std::uint32_t flood_pattern(const scada::Configuration& config,
+                            const surge::HurricaneRealization& realization) {
+  std::uint32_t pattern = 0;
+  for (std::size_t i = 0, n = pattern_sites(config); i < n; ++i) {
+    if (realization.asset_failed(config.sites[i].asset_id)) pattern |= 1u << i;
+  }
+  return pattern;
+}
+
+threat::SystemState attacked_state(const scada::Configuration& config,
+                                   threat::ThreatScenario scenario,
+                                   std::uint32_t pattern) {
+  // Stage 1 (Fig. 5): the floods of `pattern`.
+  const std::size_t n = pattern_sites(config);
+  threat::SystemState state;
+  state.site_status.assign(n, threat::SiteStatus::kUp);
+  state.intrusions.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((pattern >> i) & 1u) {
+      state.site_status[i] = threat::SiteStatus::kFlooded;
+    }
+  }
+  // Stage 2: the worst-case attack, which the state moves through uncopied.
+  return threat::GreedyWorstCaseAttacker{}.attack(
+      config, std::move(state), threat::capability_for(scenario));
 }
 
 runtime::SweepSpec mask_sweep_spec(std::string_view batch_digest,
@@ -97,33 +142,14 @@ runtime::SweepSpec mask_sweep_spec(std::string_view batch_digest,
 threat::OperationalState AnalysisPipeline::outcome_for(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const surge::HurricaneRealization& realization) const {
-  return classify(config, scenario, [&realization](std::string_view asset_id) {
-    return realization.asset_failed(std::string(asset_id));
-  });
+  return classify(config, scenario, flood_pattern(config, realization));
 }
 
 threat::OperationalState AnalysisPipeline::classify(
     const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::function<bool(std::string_view)>& flooded) const {
-  // Stage 1 (Fig. 5): apply the natural-disaster impact.
-  threat::SystemState state = threat::post_disaster_state(config, flooded);
-
-  // Stage 2: apply the worst-case cyberattack for the scenario. The state
-  // moves through the attacker uncopied: a request's folds classify many
-  // times, and every copy is a heap allocation.
-  const threat::AttackerCapability capability =
-      threat::capability_for(scenario);
-  if (model_ == AttackerModel::kGreedy) {
-    state = threat::GreedyWorstCaseAttacker{}.attack(config, std::move(state),
-                                                     capability);
-  } else {
-    threat::ExhaustiveAttacker exhaustive(
-        [&config](const threat::SystemState& s) { return evaluate(config, s); });
-    state = exhaustive.attack(config, std::move(state), capability);
-  }
-
+    std::uint32_t pattern) const {
   // Stage 3: evaluate the final system state (Table I).
-  return evaluate(config, state);
+  return evaluate(config, attacked_state(config, scenario, pattern));
 }
 
 ScenarioResult AnalysisPipeline::analyze(
@@ -139,19 +165,18 @@ ScenarioResult AnalysisPipeline::analyze(
   return result;
 }
 
-ScenarioResult AnalysisPipeline::fold(const scada::Configuration& config,
-                                      threat::ThreatScenario scenario,
-                                      const runtime::FailureMasks& masks,
-                                      const MaskClasses& classes) const {
+ScenarioResult AnalysisPipeline::fold(
+    const scada::Configuration& config, threat::ThreatScenario scenario,
+    const runtime::FailureMasks& masks,
+    std::span<const std::size_t> counts) const {
   ScenarioResult result;
   result.config_name = config.name;
   result.scenario = scenario;
-  for (std::size_t c = 0; c < classes.representative.size(); ++c) {
-    const std::size_t k = classes.representative[c];
+  for (std::size_t pattern = 0; pattern < counts.size(); ++pattern) {
+    if (counts[pattern] == 0) continue;
     result.outcomes.add(
-        classify(config, scenario,
-                 [&](std::string_view id) { return masks.flooded(k, id); }),
-        classes.count[c]);
+        classify(config, scenario, static_cast<std::uint32_t>(pattern)),
+        counts[pattern]);
   }
   result.failures = masks.ledger.failures;
   result.retries = masks.ledger.retries;

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <array>
-#include <functional>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,7 +19,6 @@
 #include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "surge/realization.h"
-#include "threat/attacker.h"
 #include "threat/scenario.h"
 #include "threat/system_state.h"
 #include "util/stats.h"
@@ -28,7 +29,7 @@ namespace ct::core {
 class OutcomeDistribution {
  public:
   void add(threat::OperationalState s) noexcept;
-  /// Bulk insert: `n` outcomes in state `s` (a mask class's multiplicity).
+  /// Bulk insert: `n` outcomes in state `s` (a flood pattern's count).
   void add(threat::OperationalState s, std::size_t n) noexcept;
 
   std::size_t count(threat::OperationalState s) const noexcept;
@@ -98,14 +99,40 @@ void write_realizations_csv(
     std::ostream& out,
     const std::vector<surge::HurricaneRealization>& realizations);
 
-/// The distinct masks of a table, numbered in first-seen (index) order: a
-/// fold classifies one representative per class, not every survivor.
-struct MaskClasses {
-  explicit MaskClasses(const runtime::FailureMasks& masks);
-  std::vector<std::size_t> class_of;        ///< class of each survivor
-  std::vector<std::size_t> representative;  ///< first survivor of each class
-  std::vector<std::size_t> count;           ///< survivors of each class
+/// The most sites a site flood pattern covers: SitePatterns, flood_pattern
+/// and attacked_state throw std::invalid_argument past it.
+inline constexpr std::size_t kMaxPatternSites = 16;
+
+/// A configuration's site flood patterns over a mask table (DESIGN.md §9):
+/// bit i of a survivor's pattern is set when config.sites[i]'s asset
+/// flooded, and an id the table does not expose never floods. Each site's
+/// bit is resolved once; `masks` must outlive the projection.
+class SitePatterns {
+ public:
+  SitePatterns(const scada::Configuration& config,
+               const runtime::FailureMasks& masks);
+
+  /// Survivor `k`'s pattern.
+  std::uint32_t of(std::size_t k) const noexcept;
+  /// Survivors per pattern: 2^sites entries.
+  std::vector<std::size_t> counts() const;
+
+ private:
+  const runtime::FailureMasks& masks_;
+  std::size_t sites_;
+  std::array<std::optional<std::size_t>, kMaxPatternSites> bits_{};
 };
+
+/// The site flood pattern of `config` in one realization, through
+/// asset_failed: the serial references' projection.
+std::uint32_t flood_pattern(const scada::Configuration& config,
+                            const surge::HurricaneRealization& realization);
+
+/// Stages 1-2 of Fig. 5: the post-disaster state of `pattern` after the
+/// scenario's worst-case (greedy, §V-B) attack.
+threat::SystemState attacked_state(const scada::Configuration& config,
+                                   threat::ThreatScenario scenario,
+                                   std::uint32_t pattern);
 
 /// The journal identity of the mask sweep over one engine batch:
 /// H("ct-sweep", batch digest) and the count. No cell and no attacker
@@ -123,46 +150,33 @@ struct ResumableAnalysis : runtime::SweepStats {
   bool complete() const noexcept { return !interrupted; }
 };
 
-/// Which attacker model drives the cyberattack stage.
-enum class AttackerModel {
-  kGreedy,      ///< The paper's 3-rule worst-case algorithm (default).
-  kExhaustive,  ///< Brute-force worst case (validation / novel configs).
-};
-
 /// Stateless analysis engine. Thread-compatible: all methods are const.
 class AnalysisPipeline {
  public:
-  explicit AnalysisPipeline(AttackerModel model = AttackerModel::kGreedy)
-      : model_(model) {}
-
-  /// Classifies one (configuration, scenario, realization) triple: derives
-  /// the post-disaster state, applies the worst-case attack, evaluates the
-  /// final state.
+  /// Classifies one (configuration, scenario, realization) triple.
   threat::OperationalState outcome_for(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const surge::HurricaneRealization& realization) const;
 
-  /// outcome_for over a flood predicate: the routine the mask fold shares.
-  threat::OperationalState classify(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const std::function<bool(std::string_view asset_id)>& flooded) const;
+  /// Stages 1-3: attacked_state, then Table I. Every fold and outcome_for
+  /// classify through it.
+  threat::OperationalState classify(const scada::Configuration& config,
+                                    threat::ThreatScenario scenario,
+                                    std::uint32_t pattern) const;
 
   /// Aggregates outcome probabilities over a realization set: the serial
-  /// reference the mask fold is tested against.
+  /// reference the pattern fold is tested against.
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;
 
-  /// The fold: one cell over a mask table, one classification per
-  /// distinct mask added with its multiplicity, and the table's quarantine
+  /// The fold: one cell over a table's SitePatterns::counts, one
+  /// classification per pattern that occurs, and the table's quarantine
   /// accounting. Equal to analyze() over the table's realizations.
   ScenarioResult fold(const scada::Configuration& config,
                       threat::ThreatScenario scenario,
                       const runtime::FailureMasks& masks,
-                      const MaskClasses& classes) const;
-
- private:
-  AttackerModel model_;
+                      std::span<const std::size_t> counts) const;
 };
 
 }  // namespace ct::core

@@ -1,11 +1,11 @@
 #include "core/restoration.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "core/evaluator.h"
-#include "threat/attacker.h"
 #include "util/stats.h"
 
 namespace ct::core {
@@ -117,15 +117,6 @@ IncidentCosts sample_incident_costs(const scada::Configuration& config,
 
 namespace {
 
-/// The worst-case attacked state of `config` after `flooded`'s floods.
-SystemState attacked_state(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::function<bool(std::string_view)>& flooded) {
-  return threat::GreedyWorstCaseAttacker{}.attack(
-      config, threat::post_disaster_state(config, flooded),
-      threat::capability_for(scenario));
-}
-
 /// Folds per-realization costs in realization order, whether the attacked
 /// states came from realizations or a mask table: each expectation, and
 /// the downtime draws from each realization's own stream.
@@ -192,9 +183,7 @@ RestorationResult analyze_restoration(
   CostFold fold(config, model, samples_per_realization, seed);
   for (const surge::HurricaneRealization& r : realizations) {
     const SystemState attacked =
-        attacked_state(config, scenario, [&](std::string_view id) {
-          return r.asset_failed(std::string(id));
-        });
+        attacked_state(config, scenario, flood_pattern(config, r));
     fold.add(attacked, expected_incident_costs(config, attacked, model),
              r.index);
   }
@@ -205,20 +194,19 @@ RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const runtime::FailureMasks& masks, const RestorationModel& model,
     std::size_t samples_per_realization, std::uint64_t seed) {
-  const MaskClasses classes(masks);
-  std::vector<SystemState> attacked;
-  std::vector<IncidentCosts> expected;
-  for (const std::size_t k : classes.representative) {
-    attacked.push_back(attacked_state(
-        config, scenario,
-        [&](std::string_view id) { return masks.flooded(k, id); }));
-    expected.push_back(
-        expected_incident_costs(config, attacked.back(), model));
+  const SitePatterns patterns(config, masks);
+  const std::vector<std::size_t> counts = patterns.counts();
+  // Attacked state and expected costs once per pattern that occurs.
+  std::vector<std::pair<SystemState, IncidentCosts>> memo(counts.size());
+  for (std::uint32_t p = 0; p < counts.size(); ++p) {
+    if (counts[p] == 0) continue;
+    memo[p].first = attacked_state(config, scenario, p);
+    memo[p].second = expected_incident_costs(config, memo[p].first, model);
   }
   CostFold fold(config, model, samples_per_realization, seed);
   for (std::size_t k = 0; k < masks.size(); ++k) {
-    const std::size_t c = classes.class_of[k];
-    fold.add(attacked[c], expected[c], masks.indices[k]);
+    const auto& [attacked, expected] = memo[patterns.of(k)];
+    fold.add(attacked, expected, masks.indices[k]);
   }
   return fold.result(scenario);
 }

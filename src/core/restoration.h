@@ -82,7 +82,7 @@ RestorationResult analyze_restoration(
     std::uint64_t seed = 7);
 
 /// The fold over a mask table: attacked state and expected costs memoized
-/// per distinct mask, folded in realization order with each survivor's own
+/// per flood pattern, folded in realization order with each survivor's own
 /// draws, so it equals the serial overload over the same realizations.
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,

@@ -119,12 +119,6 @@ bool replay_record(const util::OpenedFrame& record, std::uint32_t seq,
 
 // --- FailureMasks -----------------------------------------------------------
 
-bool FailureMasks::flooded(std::size_t k, std::string_view id) const {
-  if (!assets) return false;
-  const auto it = assets->find(std::string(id));
-  return it != assets->end() && test(k, it->second);
-}
-
 bool FailureMasks::splice(std::span<const std::uint64_t> run_indices,
                           std::span<const std::uint64_t> run_bits) {
   if (run_indices.empty()) return true;

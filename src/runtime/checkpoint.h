@@ -105,10 +105,6 @@ struct FailureMasks {
   bool test(std::size_t k, std::size_t b) const noexcept {
     return (bits[k * words + b / 64] >> (b % 64)) & 1u;
   }
-  /// True when survivor `k` flooded asset `id`: the mask form of
-  /// HurricaneRealization::asset_failed, so an id the engine does not
-  /// expose never floods.
-  bool flooded(std::size_t k, std::string_view id) const;
   /// Inserts a run of survivors, ascending, that falls between two
   /// neighbouring indices of the table; false (table unchanged) otherwise.
   bool splice(std::span<const std::uint64_t> run_indices,

@@ -69,10 +69,8 @@ TaskOptions isolation_policy(const EnsembleOptions& o) {
 }
 
 /// Realizations per task: one realization (storm + surge solve) is the
-/// expensive unit, so 1-4 per task suffices.
-std::size_t realization_chunk(const EnsembleOptions& o) {
-  return std::max<std::size_t>(1, o.chunk / 8);
-}
+/// expensive unit, so two per task suffice.
+constexpr std::size_t kRealizationsPerTask = 2;
 
 void sort_by_realization(std::vector<FailureRecord>& failures) {
   std::sort(failures.begin(), failures.end(),
@@ -143,9 +141,7 @@ std::size_t mask_words(const surge::RealizationEngine& engine) noexcept {
 
 EnsembleRunner::EnsembleRunner(EnsembleOptions options)
     : options_(std::move(options)), fault_(resolve_fault(options_.fault_spec)),
-      pool_(options_.jobs), store_(store_options(options_, fault_)) {
-  if (options_.chunk == 0) options_.chunk = 1;
-}
+      pool_(options_.jobs), store_(store_options(options_, fault_)) {}
 
 ResumableReport EnsembleRunner::run_resumable(
     const surge::RealizationEngine& engine, SweepSpec spec,
@@ -192,7 +188,7 @@ ResumableReport EnsembleRunner::run_resumable(
       obs::ScopedTimer slice_timer(ensemble_metrics().slice_us);
       std::vector<std::uint64_t> bits(n * words, 0);
       IsolatedRunResult run = pool_.for_each_isolated(
-          n, realization_chunk(options_),
+          n, kRealizationsPerTask,
           [&](std::size_t k, unsigned attempt,
               const CancellationToken& token) {
             const surge::HurricaneRealization r =

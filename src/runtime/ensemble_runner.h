@@ -52,8 +52,6 @@ namespace ct::runtime {
 struct EnsembleOptions {
   /// Worker threads: 0 = hardware concurrency, 1 = strictly serial.
   unsigned jobs = 0;
-  /// Realizations per task; chunk boundaries are thread-count independent.
-  std::size_t chunk = 16;
   /// In-memory result cache.
   bool cache = true;
   /// On-disk result cache (under cache_dir / CT_CACHE_DIR / ~/.cache/ct).

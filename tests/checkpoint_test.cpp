@@ -30,12 +30,14 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "core/report.h"
 #include "figure_bench.h"
 #include "obs/metrics.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ensemble_runner.h"
 #include "runtime/fault_profile.h"
+#include "scada/configuration.h"
 #include "scada/oahu.h"
 #include "surge/realization.h"
 #include "terrain/oahu.h"
@@ -62,7 +64,6 @@ runtime::EnsembleOptions make_options(unsigned jobs,
                                       const std::string& fault = "none") {
   runtime::EnsembleOptions options;
   options.jobs = jobs;
-  options.chunk = 7;  // ragged chunking: exercises the merge order
   options.cache = false;
   options.fault_spec = fault;  // "none", not "": ignore ambient CT_FAULT
   return options;
@@ -250,8 +251,9 @@ TEST(FailureMasksTest, SpliceKeepsIndicesAscendingAndRefusesOverlap) {
   const std::vector<std::uint64_t> repeat = {21};
   EXPECT_FALSE(m.splice(repeat, std::vector<std::uint64_t>{0}));
   EXPECT_EQ(m.size(), 5u);
-  // No asset index: every id reads as not flooded.
-  EXPECT_FALSE(m.flooded(0, "sub-honolulu"));
+  // No asset index: every site reads as not flooded.
+  EXPECT_EQ(core::SitePatterns(scada::make_config_2("sub-honolulu"), m).of(0),
+            0u);
 }
 
 // --- CrashProfile grammar ---------------------------------------------------
@@ -1107,7 +1109,6 @@ static int run_crash_child(int argc, char** argv) {
         std::strtoul(args["jobs"].c_str(), nullptr, 10));
     runtime::EnsembleOptions options;
     options.jobs = jobs == 0 ? 1 : jobs;
-    options.chunk = 7;
     options.cache = false;
     options.fault_spec = args.count("fault") ? args["fault"] : "none";
     runtime::EnsembleRunner runner(options);

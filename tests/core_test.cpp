@@ -1,14 +1,23 @@
 // Tests for the analysis core: the Table-I evaluator (generic vs
 // transcribed), the Fig-5 pipeline, outcome distributions, and reporting.
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "core/restoration.h"
+#include "runtime/checkpoint.h"
 #include "scada/configuration.h"
 #include "threat/scenario.h"
+#include "util/error.h"
 
 namespace ct::core {
 namespace {
@@ -244,25 +253,6 @@ TEST(Pipeline, SixSixSixUnderFullAttack) {
       OperationalState::kRed);  // isolation takes a second site
 }
 
-TEST(Pipeline, ExhaustiveAttackerModelAgrees) {
-  const AnalysisPipeline greedy(AttackerModel::kGreedy);
-  const AnalysisPipeline exhaustive(AttackerModel::kExhaustive);
-  const auto configs = scada::paper_configurations("hon", "waiau", "dc");
-  const std::vector<surge::HurricaneRealization> realizations = {
-      synthetic_realization({}), synthetic_realization({"hon"}),
-      synthetic_realization({"waiau"}), synthetic_realization({"hon", "waiau"}),
-      synthetic_realization({"hon", "waiau", "dc"})};
-  for (const Configuration& config : configs) {
-    for (const ThreatScenario scenario : threat::all_scenarios()) {
-      for (const auto& r : realizations) {
-        EXPECT_EQ(greedy.outcome_for(config, scenario, r),
-                  exhaustive.outcome_for(config, scenario, r))
-            << config.name << " " << threat::scenario_name(scenario);
-      }
-    }
-  }
-}
-
 TEST(Pipeline, AnalyzeAggregates) {
   const AnalysisPipeline pipeline;
   const Configuration c2 = scada::make_config_2("hon");
@@ -275,6 +265,173 @@ TEST(Pipeline, AnalyzeAggregates) {
   EXPECT_EQ(result.outcomes.total(), 10u);
   EXPECT_DOUBLE_EQ(result.outcomes.probability(OperationalState::kGreen), 0.9);
   EXPECT_DOUBLE_EQ(result.outcomes.probability(OperationalState::kRed), 0.1);
+}
+
+// ------------------------------------------------------ site flood patterns
+
+/// A hand-built mask table over hon (bit 0), waiau (bit 1), dc (bit 2) and
+/// kahe (bit 3, a site of no configuration) holding every flood pattern of
+/// `config`'s sites twice, the second time with kahe flooded as well, and
+/// one quarantined record (index 1). `survivors` receives the table's
+/// survivors as realizations that flood the same assets.
+runtime::FailureMasks every_pattern_table(
+    const Configuration& config,
+    std::vector<surge::HurricaneRealization>& survivors) {
+  runtime::FailureMasks masks;
+  masks.words = 1;
+  masks.assets = std::make_shared<const runtime::FailureMasks::AssetIndex>(
+      runtime::FailureMasks::AssetIndex{
+          {"hon", 0}, {"waiau", 1}, {"dc", 2}, {"kahe", 3}});
+  std::uint64_t index = 0;
+  for (const bool kahe : {false, true}) {
+    for (std::uint32_t p = 0; p < (1u << config.sites.size()); ++p) {
+      if (index == 1) {
+        runtime::FailureRecord record;
+        record.realization = index++;
+        record.attempts = 3;
+        record.code = util::ErrorCode::kFaultInjected;
+        masks.ledger.failures.push_back(record);
+        masks.ledger.retries = 2;
+      }
+      std::vector<std::string> flooded;
+      for (std::size_t i = 0; i < config.sites.size(); ++i) {
+        if ((p >> i) & 1u) flooded.push_back(config.sites[i].asset_id);
+      }
+      if (kahe) flooded.push_back("kahe");
+      std::uint64_t word = 0;
+      for (const std::string& id : flooded) {
+        word |= std::uint64_t{1} << masks.assets->at(id);
+      }
+      masks.indices.push_back(index);
+      masks.bits.push_back(word);
+      survivors.push_back(synthetic_realization(flooded));
+      survivors.back().index = index++;
+    }
+  }
+  masks.attempted = index;
+  return masks;
+}
+
+void expect_same_bits(const RestorationResult& got,
+                      const RestorationResult& want,
+                      const std::string& context) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.expected_downtime_hours),
+            std::bit_cast<std::uint64_t>(want.expected_downtime_hours))
+      << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.expected_incorrect_hours),
+            std::bit_cast<std::uint64_t>(want.expected_incorrect_hours))
+      << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p95_downtime_hours),
+            std::bit_cast<std::uint64_t>(want.p95_downtime_hours))
+      << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_any_downtime),
+            std::bit_cast<std::uint64_t>(want.p_any_downtime))
+      << context;
+}
+
+/// Every flood pattern of every paper configuration, including the ones
+/// the paper ensemble never yields ("6+6+6" sees 4 of its 8 there): the
+/// pattern fold and the downtime fold equal the serial references over the
+/// same floods, with the quarantined record accounted for.
+TEST(SitePatterns, EveryPatternFoldsLikeTheSerialReferences) {
+  const AnalysisPipeline pipeline;
+  const RestorationModel model;
+  for (const Configuration& config :
+       scada::paper_configurations("hon", "waiau", "dc")) {
+    std::vector<surge::HurricaneRealization> survivors;
+    const runtime::FailureMasks masks = every_pattern_table(config, survivors);
+    const SitePatterns patterns(config, masks);
+    for (std::size_t k = 0; k < masks.size(); ++k) {
+      EXPECT_EQ(patterns.of(k), flood_pattern(config, survivors[k]))
+          << config.name << " survivor " << k;
+    }
+    const std::vector<std::size_t> counts = patterns.counts();
+    const std::size_t all = std::size_t{1} << config.sites.size();
+    EXPECT_EQ(counts, std::vector<std::size_t>(all, 2))
+        << config.name << ": every pattern twice";
+
+    for (const ThreatScenario scenario : threat::all_scenarios()) {
+      const std::string context =
+          config.name + " / " + std::string(threat::scenario_name(scenario));
+      const ScenarioResult want = pipeline.analyze(config, scenario, survivors);
+      const ScenarioResult got = pipeline.fold(config, scenario, masks, counts);
+      for (const OperationalState s :
+           {OperationalState::kGreen, OperationalState::kOrange,
+            OperationalState::kRed, OperationalState::kGray}) {
+        EXPECT_EQ(got.outcomes.count(s), want.outcomes.count(s)) << context;
+      }
+      EXPECT_EQ(got.outcomes.total(), masks.size()) << context;
+      EXPECT_EQ(got.attempted, masks.size() + 1) << context;
+      EXPECT_EQ(got.completed, masks.size()) << context;
+      EXPECT_EQ(got.retries, 2u) << context;
+      ASSERT_EQ(got.failures.size(), 1u) << context;
+      EXPECT_EQ(got.failures[0].realization, 1u) << context;
+
+      for (const std::size_t samples : {0, 8}) {
+        expect_same_bits(
+            analyze_restoration(config, scenario, masks, model, samples),
+            analyze_restoration(config, scenario, survivors, model, samples),
+            context + " / " + std::to_string(samples) + " samples");
+      }
+    }
+  }
+}
+
+/// A site whose asset the table does not expose reads as not flooded, as
+/// HurricaneRealization::asset_failed reads an id it has no impact for;
+/// so does every site of a table without an asset index.
+TEST(SitePatterns, SiteTheTableLacksNeverFloods) {
+  std::vector<surge::HurricaneRealization> survivors;
+  runtime::FailureMasks masks = every_pattern_table(
+      scada::make_config_6_6_6("hon", "waiau", "dc"), survivors);
+  ASSERT_EQ(masks.assets->count("no-such-asset"), 0u);
+  const Configuration config = scada::make_config_2_2("no-such-asset", "hon");
+  const SitePatterns patterns(config, masks);
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    EXPECT_EQ(patterns.of(k), masks.test(k, 0) ? 2u : 0u) << k;
+  }
+  const AnalysisPipeline pipeline;
+  for (const ThreatScenario scenario : threat::all_scenarios()) {
+    const ScenarioResult want = pipeline.analyze(config, scenario, survivors);
+    const ScenarioResult got =
+        pipeline.fold(config, scenario, masks, patterns.counts());
+    for (const OperationalState s :
+         {OperationalState::kGreen, OperationalState::kOrange,
+          OperationalState::kRed, OperationalState::kGray}) {
+      EXPECT_EQ(got.outcomes.count(s), want.outcomes.count(s))
+          << threat::scenario_name(scenario);
+    }
+  }
+
+  masks.assets.reset();
+  const std::vector<std::size_t> counts = SitePatterns(config, masks).counts();
+  EXPECT_EQ(counts, (std::vector<std::size_t>{masks.size(), 0, 0, 0}));
+}
+
+/// A configuration of more sites than a flood pattern covers is refused by
+/// the table projection, the serial projection and the stage-1 state
+/// alike; one at the limit is taken.
+TEST(SitePatterns, ConfigurationPastTheSiteLimitThrows) {
+  Configuration wide = scada::make_config_6_6_6("hon", "waiau", "dc");
+  while (wide.sites.size() <= kMaxPatternSites) {
+    wide.sites.push_back(wide.sites.back());
+  }
+  const runtime::FailureMasks empty;
+  EXPECT_THROW(static_cast<void>(SitePatterns(wide, empty)),
+               std::invalid_argument);
+  EXPECT_THROW(flood_pattern(wide, synthetic_realization({})),
+               std::invalid_argument);
+  EXPECT_THROW(attacked_state(wide, ThreatScenario::kHurricane, 0u),
+               std::invalid_argument);
+  EXPECT_THROW(AnalysisPipeline{}.outcome_for(
+                   wide, ThreatScenario::kHurricane, synthetic_realization({})),
+               std::invalid_argument);
+
+  wide.sites.pop_back();
+  EXPECT_EQ(SitePatterns(wide, empty).counts().size(),
+            std::size_t{1} << kMaxPatternSites);
+  EXPECT_EQ(flood_pattern(wide, synthetic_realization({"dc"})), 0xfffcu)
+      << "every copy of the dc site floods";
 }
 
 // ---------------------------------------------------------------- report

@@ -42,6 +42,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::size_t kRealizations = 40;  // small but flood-bearing
+/// Odd, so a sweep's last task (two realizations to a task) is ragged.
+constexpr std::size_t kRaggedRealizations = kRealizations + 1;
 constexpr std::uint64_t kSeeds[] = {20220627, 7, 424242};
 
 std::vector<unsigned> job_counts() {
@@ -53,7 +55,6 @@ std::vector<unsigned> job_counts() {
 runtime::EnsembleOptions make_options(unsigned jobs, bool cache = false) {
   runtime::EnsembleOptions options;
   options.jobs = jobs;
-  options.chunk = 7;  // ragged chunking: exercises the merge order
   options.cache = cache;
   return options;
 }
@@ -128,7 +129,8 @@ void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
 
 /// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, the
 /// fold over the sweep's masks at every jobs value against the serial
-/// analyze over the engine's own loop.
+/// analyze over the engine's own loop. The count is odd, so the sweep's
+/// last task is ragged.
 TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -142,7 +144,7 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
 
     // Serial reference: the engine's own loop, realizations one by one.
     const std::vector<surge::HurricaneRealization> reference =
-        engine.run_batch(kRealizations);
+        engine.run_batch(kRaggedRealizations);
 
     for (const unsigned jobs : jobs_values) {
       runtime::EnsembleRunner parallel(guarded_options(jobs, "none", 2));
@@ -151,17 +153,18 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
 
       // The sweep itself must be schedule-independent.
       const runtime::FailureMasks masks =
-          sweep_masks(parallel, engine, kRealizations);
+          sweep_masks(parallel, engine, kRaggedRealizations);
       ASSERT_TRUE(masks.ledger.failures.empty());
       expect_masks_of(masks, reference, "masks" + where);
 
-      const core::MaskClasses classes(masks);
       for (const auto& config : configs) {
+        const std::vector<std::size_t> counts =
+            core::SitePatterns(config, masks).counts();
         for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
           const core::ScenarioResult want =
               pipeline.analyze(config, scenario, reference);
           const core::ScenarioResult got =
-              pipeline.fold(config, scenario, masks, classes);
+              pipeline.fold(config, scenario, masks, counts);
           expect_same(want, got,
                       config.name + " / " +
                           std::string(threat::scenario_name(scenario)) + where);
@@ -207,19 +210,18 @@ TEST(EnsembleDeterminismTest, MultiWordMasksFoldLikeSerialAnalyze) {
       engine.run_batch(kCount);
   expect_masks_of(masks, reference, "72 assets");
   // Bit 70 is the Honolulu copy: it floods in some realizations, always
-  // with the original's bit, and an unexposed id never floods.
+  // with the original's bit, and an unexposed id has no bit.
+  EXPECT_EQ(masks.assets->at(hon_high), 70u);
+  EXPECT_EQ(masks.assets->count("no-such-asset"), 0u);
+  const std::size_t hon = masks.assets->at(scada::oahu_ids::kHonoluluCc);
   std::size_t high_floods = 0;
   for (std::size_t k = 0; k < masks.size(); ++k) {
-    EXPECT_EQ(masks.flooded(k, hon_high), masks.test(k, 70));
-    EXPECT_EQ(masks.test(k, 70),
-              masks.flooded(k, scada::oahu_ids::kHonoluluCc));
-    EXPECT_FALSE(masks.flooded(k, "no-such-asset"));
+    EXPECT_EQ(masks.test(k, 70), masks.test(k, hon));
     high_floods += masks.test(k, 70);
   }
   EXPECT_GT(high_floods, 0u) << "no realization floods bit 70";
 
   const core::AnalysisPipeline pipeline;
-  const core::MaskClasses classes(masks);
   const std::vector<scada::Configuration> configs = {
       scada::make_config_6_6(hon_high, waiau_high),
       scada::make_config_6_6(hon_high, scada::oahu_ids::kWaiauCc),
@@ -229,7 +231,8 @@ TEST(EnsembleDeterminismTest, MultiWordMasksFoldLikeSerialAnalyze) {
   for (const scada::Configuration& config : configs) {
     for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
       expect_same(pipeline.analyze(config, scenario, reference),
-                  pipeline.fold(config, scenario, masks, classes),
+                  pipeline.fold(config, scenario, masks,
+                                core::SitePatterns(config, masks).counts()),
                   config.name + " over " + config.sites[0].asset_id + " / " +
                       std::string(threat::scenario_name(scenario)));
     }

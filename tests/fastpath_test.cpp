@@ -179,7 +179,6 @@ TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
   const RealizationEngine engine(oahu(), oahu_assets(), {});
   runtime::EnsembleOptions options;
   options.jobs = 8;
-  options.chunk = 1;  // one task per realization: all 8 workers take part
   options.cache = false;
   runtime::EnsembleRunner runner(options);
   std::vector<HurricaneRealization> parallel(12);
@@ -591,13 +590,14 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
       }
     }
 
-    const core::MaskClasses classes(masks);
     for (const scada::Configuration& config : configs) {
+      const std::vector<std::size_t> counts =
+          core::SitePatterns(config, masks).counts();
       for (const threat::ThreatScenario scenario :
            {threat::ThreatScenario::kHurricane,
             threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
         const core::ScenarioResult from_fast =
-            pipeline.fold(config, scenario, masks, classes);
+            pipeline.fold(config, scenario, masks, counts);
         const core::ScenarioResult from_legacy =
             pipeline.analyze(config, scenario, legacy);
         ASSERT_EQ(from_fast.outcomes.total(), from_legacy.outcomes.total());

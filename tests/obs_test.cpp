@@ -335,7 +335,6 @@ core::ScenarioResult analyze_once(unsigned jobs) {
       config);
   runtime::EnsembleOptions options;
   options.jobs = jobs;
-  options.chunk = 7;
   options.cache = false;  // no cache: both runs must actually compute
   runtime::EnsembleRunner runtime(options);
   runtime::SweepSpec spec;
@@ -343,9 +342,10 @@ core::ScenarioResult analyze_once(unsigned jobs) {
   const runtime::FailureMasks masks =
       runtime.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
   const core::AnalysisPipeline pipeline;
-  return pipeline.fold(paper_config(2),
+  const scada::Configuration cell = paper_config(2);
+  return pipeline.fold(cell,
                        threat::ThreatScenario::kHurricaneIntrusionIsolation,
-                       masks, core::MaskClasses(masks));
+                       masks, core::SitePatterns(cell, masks).counts());
 }
 
 TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
@@ -395,7 +395,6 @@ TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {
 core::ScenarioResult analyze_memoized(unsigned jobs) {
   runtime::EnsembleOptions options;
   options.jobs = jobs;
-  options.chunk = 7;
   options.fault_spec = "none";
   runtime::EnsembleRunner runtime(options);
   runtime::SweepSpec spec;
@@ -411,9 +410,10 @@ core::ScenarioResult analyze_memoized(unsigned jobs) {
         runtime.run_resumable(engine, spec, runtime::CheckpointOptions{}).masks;
   }
   const core::AnalysisPipeline pipeline;
-  return pipeline.fold(paper_config(2),
+  const scada::Configuration cell = paper_config(2);
+  return pipeline.fold(cell,
                        threat::ThreatScenario::kHurricaneIntrusionIsolation,
-                       masks, core::MaskClasses(masks));
+                       masks, core::SitePatterns(cell, masks).counts());
 }
 
 TEST(ObsDeterminismTest, MemoizedAnalyzeBitIdenticalWithObsOnAndOff) {

@@ -516,7 +516,7 @@ TEST_F(DiskStoreTest, SharedAcrossInstances) {
   const auto hit = reader.lookup(table_spec(), assets);
   expect_sample(hit);
   EXPECT_EQ(hit->assets, assets);
-  EXPECT_TRUE(hit->flooded(2, "cc-b"));
+  EXPECT_TRUE(hit->test(2, hit->assets->at("cc-b")));
   EXPECT_EQ(reader.stats().disk_hits, 1u);
   // A disk hit is promoted to memory: the second lookup is a memory hit of
   // the same shared table.

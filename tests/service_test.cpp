@@ -675,16 +675,10 @@ TEST(TableCache, DiskTableServesEveryCommandOfANewProcess) {
   struct Case {
     const char* name;
     Request request;
-    core::AttackerModel attacker;
   };
-  for (const Case& c :
-       {Case{"kahe analyze", kahe, core::AttackerModel::kGreedy},
-        Case{"exhaustive analyze", waiau, core::AttackerModel::kExhaustive},
-        Case{"downtime", downtime, core::AttackerModel::kGreedy},
-        Case{"siting", siting, core::AttackerModel::kGreedy}}) {
-    core::CaseStudyOptions options = defaults;
-    options.attacker = c.attacker;
-    const auto runner = make_case_study(c.request, options, nullptr);
+  for (const Case& c : {Case{"kahe analyze", kahe}, Case{"downtime", downtime},
+                        Case{"siting", siting}}) {
+    const auto runner = make_case_study(c.request, defaults, nullptr);
     before = node_steps.value();
     const ExecOutcome warm = execute_request(c.request, *runner);
     EXPECT_EQ(node_steps.value() - before, probe_steps) << c.name;
@@ -695,7 +689,7 @@ TEST(TableCache, DiskTableServesEveryCommandOfANewProcess) {
     Request uncached = c.request;
     uncached.no_cache = true;
     const ExecOutcome reference = execute_request(
-        uncached, *make_case_study(uncached, options, nullptr));
+        uncached, *make_case_study(uncached, defaults, nullptr));
     EXPECT_EQ(warm.output, reference.output) << c.name;
     EXPECT_EQ(warm.exit_code, reference.exit_code) << c.name;
   }

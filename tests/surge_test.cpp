@@ -284,11 +284,10 @@ TEST(RealizationEngine, NullTerrainRejected) {
       std::invalid_argument);
 }
 
-/// A pool of 8 jobs, one realization per task, no result cache.
+/// A pool of 8 jobs, no result cache.
 runtime::EnsembleOptions pooled_options() {
   runtime::EnsembleOptions options;
   options.jobs = 8;
-  options.chunk = 1;
   options.cache = false;
   options.fault_spec = "none";
   return options;
